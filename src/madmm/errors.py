@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 class ShapeMismatchError(ValueError):
     """A term, value, or multiplier is inconsistent with its equation.
@@ -18,6 +20,12 @@ class ShapeMismatchError(ValueError):
 
 class BuildError(ValueError):
     """A problem definition violates a structural requirement."""
+
+
+def require_finite(value, what: str) -> None:
+    """Raise BuildError unless every entry of ``value`` is finite."""
+    if not np.all(np.isfinite(value)):
+        raise BuildError(f"{what} has NaN or infinite entries")
 
 
 class SubproblemError(RuntimeError):

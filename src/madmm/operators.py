@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import require_finite
+
 _DENSE_PROBE_LIMIT = 4096
 
 
@@ -101,6 +103,7 @@ class DenseOp(LinearOp):
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2:
             raise ValueError("DenseOp expects a 2-D matrix")
+        require_finite(mat, "DenseOp matrix")
         if in_shape is None:
             in_shape = (mat.shape[1], 1)
         if out_shape is None:

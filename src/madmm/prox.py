@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BuildError, SubproblemError
+from .errors import BuildError, SubproblemError, require_finite
 from .operators import LinearOp
 from .system import FrozenLinearForm
 
@@ -80,6 +80,8 @@ class Quadratic(ObjectiveTerm):
         self.weight = float(weight)
         self.linear_map = linear_map
         self.center = None if center is None else np.asarray(center, dtype=float)
+        if self.center is not None:
+            require_finite(self.center, "Quadratic center")
 
     def _residual(self, x):
         y = self.linear_map.apply(x) if self.linear_map is not None else np.asarray(x, dtype=float)
@@ -143,6 +145,8 @@ class IndicatorBox(ObjectiveTerm):
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
+        if np.any(np.isnan(self.lo)) or np.any(np.isnan(self.hi)):
+            raise BuildError("box bounds must not be NaN; use +-inf for no bound")
         if np.any(self.lo > self.hi):
             raise BuildError("box is empty: lo > hi somewhere")
 
@@ -243,12 +247,19 @@ def _block_slices(form: FrozenLinearForm):
 class _QuadPieces:
     """Assembled smooth subproblem: min over y of y^T N y / 2 - rhs^T y."""
 
-    def __init__(self, form, w_vec, rho, extras):
+    def __init__(self, form, w_by_eq, rho, extras):
         self.form = form
         self.rho = float(rho)
         self.slices = _block_slices(form)
         self.blocks = {b.name: b for b in form.focus}
-        self.rhs = form.adjoint_vec(rho * form.offset - w_vec)
+        # Only the equations the focus enters reach the adjoint, so only
+        # their offsets are needed.
+        targets = {}
+        for e in dict.fromkeys(p.eq_id for p in form.pieces):
+            off = form.offset_for(e)
+            w_e = np.reshape(np.asarray(w_by_eq[e], dtype=float), off.shape)
+            targets[e] = rho * off - w_e
+        self.rhs = form.stack_values(form.adjoint_eqs(targets))
         self.quads = []    # (block_name, Quadratic)
         for name, item in extras:
             sl = self.slices[name]
@@ -460,20 +471,20 @@ def quad_block_solve(form: FrozenLinearForm, w, rho: float, extras=(),
 
     Minimizes ``<w, C(Y)> + rho/2 ||C(Y)||^2 + extras`` where
     ``C(Y) = form.apply(Y) - form.offset``.  ``w`` is a stacked dual vector or
-    an eq_id-keyed dict.  Extras are Quadratic terms, affine SmoothCustom
-    terms, or raw gradient arrays of affine addends; for block groups they
-    are (block_name, term) pairs.  The returned value satisfies the normal
-    equations to ``cg_tol * (1 + ||rhs||)`` (default cg_tol 1e-10, so roughly
-    1e-10 * ||rhs||); conjugate-gradient failure raises SubproblemError
-    carrying the final residual.
+    an eq_id-keyed dict; only the equations the focus enters are read, and
+    only their offsets are computed (``form.offset_for``), so that part of
+    freezing is paid inside this call.  Extras are Quadratic terms, affine
+    SmoothCustom terms, or raw gradient arrays of affine addends; for block
+    groups they are (block_name, term) pairs.  The returned value satisfies
+    the normal equations to ``cg_tol * (1 + ||rhs||)`` (default cg_tol 1e-10,
+    so roughly 1e-10 * ||rhs||); conjugate-gradient failure raises
+    SubproblemError carrying the final residual.
     """
     if method not in (None, "diag", "sylvester", "dense", "cg"):
         raise BuildError(f"unknown solve method {method!r}")
-    if isinstance(w, dict):
-        w_vec = np.concatenate([np.ravel(w[e]) for e, _ in form.eq_dims])
-    else:
-        w_vec = np.ravel(np.asarray(w, dtype=float))
-    pieces = _QuadPieces(form, w_vec, float(rho), _normalize_extras(form, extras))
+    if not isinstance(w, dict):
+        w = form.split_dual(np.asarray(w, dtype=float))
+    pieces = _QuadPieces(form, w, float(rho), _normalize_extras(form, extras))
     cg_tol = 1e-10 if cg_tol is None else float(cg_tol)
     tol_abs = cg_tol * (1.0 + float(np.linalg.norm(pieces.rhs)))
     cg_maxit = 10 * form.in_dim if cg_maxit is None else int(cg_maxit)

@@ -298,7 +298,9 @@ def _named_values(problem: Problem, assignment: dict) -> dict:
     return {b.name: assignment[b] for b in problem.system.blocks.values()}
 
 
-def _al(problem: Problem, assignment: dict, multipliers: dict, rho: float) -> float:
+def _al(problem: Problem, assignment: dict, multipliers: dict, rho: float,
+        residuals=None) -> float:
+    """L at a point; ``residuals`` may pass ``evaluate``'s result for it."""
     phi = 0.0
     for block, terms in problem.objective.items():
         x = assignment[block]
@@ -312,7 +314,9 @@ def _al(problem: Problem, assignment: dict, multipliers: dict, rho: float) -> fl
         for c in problem.coupling:
             phi += c.value(values)
     total = phi
-    for eq_id, r in zip(problem.system.eq_ids, evaluate(problem.system, assignment)):
+    if residuals is None:
+        residuals = evaluate(problem.system, assignment)
+    for eq_id, r in zip(problem.system.eq_ids, residuals):
         w = multipliers[eq_id]
         total += float(np.sum(w * r)) + 0.5 * rho * float(np.sum(r * r))
     return float(total)
@@ -559,7 +563,7 @@ def step(problem: Problem, state: SolverState, *, cg_tol=None, cg_maxit=None,
         mults_new[eq_id] = multipliers[eq_id] + delta
         dual_sq += float(np.sum(delta * delta))
     primal = float(np.linalg.norm(stack_residual(residuals)))
-    L_new = _al(problem, assignment, mults_new, rho)
+    L_new = _al(problem, assignment, mults_new, rho, residuals)
     _, stat = _stationarity(problem, assignment, mults_new)
     new_state = SolverState(assignment, mults_new, rho, k_next)
     trace = IterTrace(k=k_next, L=float(L_new), primal_res=primal,
@@ -578,7 +582,8 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
 
     rho=None picks the penalty automatically: certified from metadata
     curvature constants when they are declared, otherwise by doubling from 1
-    until a 10-iteration trial keeps L nonincreasing.  Initial blocks are
+    until a 10-iteration trial keeps L nonincreasing (ValueError when 40
+    doublings find none).  Initial blocks are
     unit-Frobenius Gaussian draws (seeded; one draw per block in sorted order,
     so runs are reproducible bit for bit), overridden per block by ``init``.
     Convergence requires the stacked residual norm to fall below
@@ -667,7 +672,10 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
 
 
 def _auto_rho(problem: Problem, assignment: dict, cg_tol, cg_maxit):
-    """(rho, certified): the metadata bound when available, else a probe."""
+    """(rho, certified): the metadata bound when available, else a probe.
+
+    Raises ValueError when no probed rho up to 2**39 passes its trial run.
+    """
     md = problem.metadata
     system = problem.system
     z1 = [b for b in problem.z_order if b.role == ROLE_Z1]
@@ -687,7 +695,9 @@ def _auto_rho(problem: Problem, assignment: dict, cg_tol, cg_maxit):
         if _probe_ok(problem, base, rho_try, cg_tol, cg_maxit):
             return rho_try, False
         rho_try *= 2.0
-    return rho_try, False
+    raise ValueError(
+        f"no admissible rho found by doubling: the trial run failed up to "
+        f"rho = {rho_try / 2.0!r}")
 
 
 def _probe_ok(problem: Problem, base: dict, rho: float, cg_tol, cg_maxit,
@@ -749,7 +759,7 @@ def _gram_eigenvalues(q):
     if q is None:
         return None
     if isinstance(q, FrozenLinearForm):
-        pieces = _QuadPieces(q, np.zeros(q.out_dim), 1.0, [])
+        pieces = _QuadPieces(q, q.split_dual(np.zeros(q.out_dim)), 1.0, [])
         diag = pieces.normal_diag()
         if diag is not None:
             return np.sort(np.asarray(diag, dtype=float))

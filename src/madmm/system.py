@@ -10,6 +10,10 @@ The central operation is :func:`freeze`: fixing all blocks except a chosen
 focus turns the system into an affine map of the focus, returned as a
 :class:`FrozenLinearForm` with matrix-free ``apply``/``adjoint`` and a dense
 ``offset`` such that the stacked residual equals ``apply(Y) - offset``.
+``freeze`` checks every non-focus value and builds the focus pieces at once;
+the offset of an equation is summed from those checked values the first time
+it is asked for, so a caller that needs only adjoints, or only the equations
+its focus enters, evaluates no other term.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BuildError, ShapeMismatchError
+from .errors import BuildError, ShapeMismatchError, require_finite
 from .operators import LinearOp
 
 ROLE_X = "x"
@@ -61,6 +65,11 @@ class MatChain:
 
     factors: list
     sign: int = 1
+
+    def __post_init__(self):
+        for f in self.factors:
+            if not isinstance(f, BlockId):
+                require_finite(np.asarray(f, dtype=float), "matrix chain factor")
 
 
 @dataclass
@@ -106,6 +115,7 @@ class Constant:
         self.value = np.asarray(self.value, dtype=float)
         if self.value.ndim != 2:
             self.value = np.atleast_2d(self.value)
+        require_finite(self.value, "constant term")
 
 
 def circ_conv2(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
@@ -420,14 +430,20 @@ class FrozenLinearForm:
     For every admissible value ``Y`` of the focus, the stacked constraint
     residual equals ``apply(Y) - offset``; equivalently the frozen constraint
     reads ``apply(Y) = offset``.  ``apply``/``adjoint`` take and return plain
-    arrays for a single focus block and name-keyed dicts for a group.
+    arrays for a single focus block and name-keyed dicts for a group.  The
+    offset of each equation is summed on first use from the non-focus values
+    checked when the form was frozen, then kept; reassigning a block in the
+    caller's assignment afterwards does not change the form.
     """
 
-    def __init__(self, focus, pieces, offsets, eq_dims, single):
+    def __init__(self, focus, pieces, frozen_terms, values, eq_dims, single):
         self.focus = tuple(focus)
         self.pieces = pieces              # list of _Piece
-        self._offsets = offsets           # eq_id -> array
+        self._frozen_terms = frozen_terms  # eq_id -> non-focus terms
+        self._values = values             # non-focus BlockId -> checked array
+        self._offsets = {}                # eq_id -> array, filled on first use
         self.eq_dims = eq_dims            # list of (eq_id, shape)
+        self._eq_shapes = dict(eq_dims)
         self._single = single
         self._by_eq = {}
         for p in pieces:
@@ -444,10 +460,18 @@ class FrozenLinearForm:
     @property
     def offset(self) -> np.ndarray:
         """Stacked offset b_U (row-major within equations, ascending eq_id)."""
-        return np.concatenate([np.ravel(self._offsets[e]) for e, _ in self.eq_dims])
+        return np.concatenate([np.ravel(self.offset_for(e))
+                               for e, _ in self.eq_dims])
 
     def offset_for(self, eq_id: int) -> np.ndarray:
-        return self._offsets[eq_id]
+        """Offset of one equation: minus the sum of its non-focus terms."""
+        off = self._offsets.get(eq_id)
+        if off is None:
+            base = np.zeros(self._eq_shapes[eq_id])
+            for term in self._frozen_terms[eq_id]:
+                base = base + _eval_term(term, self._values)
+            off = self._offsets[eq_id] = -base
+        return off
 
     def _as_values(self, y):
         if self._single:
@@ -532,8 +556,11 @@ def freeze(system: MultiaffineSystem, focus, assignment) -> FrozenLinearForm:
     """Freeze all blocks except `focus` (a BlockId or a sequence of them).
 
     The assignment must supply values for every non-focus block that appears
-    in the system; values for focus blocks are ignored.  Terms containing two
-    focus blocks are rejected: the frozen map must be affine.
+    in the system; values for focus blocks are ignored.  Every non-focus
+    value is checked here, for presence and shape, and the form keeps the
+    checked arrays: the focus pieces are built from them at once, and each
+    equation's offset on its first use.  Terms containing two focus blocks
+    are rejected: the frozen map must be affine.
     """
     focus_blocks = [focus] if isinstance(focus, BlockId) else list(focus)
     if not focus_blocks:
@@ -543,21 +570,24 @@ def freeze(system: MultiaffineSystem, focus, assignment) -> FrozenLinearForm:
             raise BuildError(f"focus block {b.name!r} is not part of the system")
     focus_set = set(focus_blocks)
 
-    pieces, offsets = [], {}
+    pieces, frozen_terms, values = [], {}, {}
     for eq_id, terms in system.equations:
-        base = np.zeros(system.eq_shape(eq_id))
+        rest = frozen_terms[eq_id] = []
         for term in terms:
-            hits = [b for b in blocks_in(term) if b in focus_set]
+            blocks = blocks_in(term)
+            hits = [b for b in blocks if b in focus_set]
             if len(hits) > 1:
                 raise BuildError(
                     f"equation {eq_id}: term couples focus blocks "
                     f"{[b.name for b in hits]}; the frozen map would not be affine")
+            for b in blocks:
+                if b not in focus_set and b not in values:
+                    values[b] = _value_of(assignment, b)
             if hits:
-                pieces.extend(_freeze_term(term, focus_set, assignment, eq_id))
+                pieces.extend(_freeze_term(term, focus_set, values, eq_id))
             else:
-                base = base + _eval_term(term, assignment)
-        offsets[eq_id] = -base
-    return FrozenLinearForm(focus_blocks, pieces, offsets,
+                rest.append(term)
+    return FrozenLinearForm(focus_blocks, pieces, frozen_terms, values,
                             system.constraint_dims(),
                             single=isinstance(focus, BlockId))
 

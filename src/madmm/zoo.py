@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BuildError
+from .errors import BuildError, require_finite
 from .operators import (BroadcastOnes, DenseOp, DiagExtract, ScaledIdentity,
                         TransposeOp)
 from .prox import (IndicatorBox, IndicatorNonneg, IndicatorUnitColumns, L1,
@@ -255,6 +255,8 @@ def mc1(weights, mu_diag: float = 1000.0, mu_tie: float = 1000.0) -> ZooInstance
     n = W.shape[0]
     if W.shape != (n, n):
         raise BuildError("weights must be square")
+    # NaN compares False, so the symmetry check below would let it through.
+    require_finite(W, "weight matrix")
     if np.max(np.abs(W - W.T)) > 1e-12 * (1.0 + np.max(np.abs(W))):
         raise BuildError("weights must be symmetric")
     if np.any(np.diag(W) != 0.0):

@@ -1,0 +1,54 @@
+"""Golden trace: the iterates of every zoo family must not drift.
+
+``golden_trace.json`` holds ``(k, L, primal_res, stat_est)`` for the first
+50 iterations of ``solve(inst.problem, max_iter=50, init=inst.init)`` (auto
+rho, seed 0) on ``zoo.default_instance(name, 0)`` for every zoo family.  A
+change that only reorganises computation must reproduce it to 1e-12
+relative.  Re-record it, after a change that is meant to move the iterates,
+with
+
+    PYTHONPATH=src python tests/test_golden_trace.py --record
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from madmm import zoo
+from madmm.solver import solve
+
+GOLDEN = Path(__file__).with_name("golden_trace.json")
+ITERS = 50
+RTOL = 1e-12
+
+
+def _trace(name):
+    inst = zoo.default_instance(name, 0)
+    _, traces, status = solve(inst.problem, max_iter=ITERS, init=inst.init)
+    rows = [[t.k, t.L, t.primal_res, t.stat_est] for t in traces]
+    return {"status": status, "rows": rows}
+
+
+def _close(a, b):
+    return a == b or abs(a - b) <= RTOL * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("name", zoo.zoo_names())
+def test_golden_trace(name):
+    golden = json.loads(GOLDEN.read_text())[name]
+    got = _trace(name)
+    assert got["status"] == golden["status"]
+    assert len(got["rows"]) == len(golden["rows"])
+    for row, ref in zip(got["rows"], golden["rows"]):
+        assert row[0] == ref[0]
+        for label, a, b in zip(("L", "primal_res", "stat_est"), row[1:], ref[1:]):
+            assert _close(a, b), f"{name} k={row[0]} {label}: {a!r} != {b!r}"
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit(__doc__)
+    GOLDEN.write_text(json.dumps({n: _trace(n) for n in zoo.zoo_names()},
+                                 indent=1) + "\n")

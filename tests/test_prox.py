@@ -141,6 +141,26 @@ def test_project_box_sampled_optimality():
         assert d_best <= np.linalg.norm(w - v) + 1e-12
 
 
+def test_non_finite_data_rejected_at_build():
+    bad = np.array([[1.0, np.nan], [0.0, 1.0]])
+    x = BlockId("x", "x", (2, 2))
+    with pytest.raises(BuildError):
+        Constant(bad)
+    with pytest.raises(BuildError):
+        MatChain([np.array([[np.inf, 0.0], [0.0, 1.0]]), x])
+    with pytest.raises(BuildError):
+        Quadratic(1.0, center=bad)
+    with pytest.raises(BuildError):
+        DenseOp(bad)
+    with pytest.raises(BuildError):
+        IndicatorBox(np.nan, 1.0)
+    with pytest.raises(BuildError):
+        IndicatorBox(0.0, np.array([1.0, np.nan]))
+    # An infinite bound means "no bound" and stays legal.
+    box = IndicatorBox(-np.inf, np.array([1.0, np.inf]))
+    assert box.value(np.array([-5.0, 9.0])) == 0.0
+
+
 def test_project_box_rejects_empty_box():
     with pytest.raises(ValueError):
         project_box(np.zeros(3), lo=1.0, hi=-1.0)

@@ -298,6 +298,23 @@ def test_probed_rho_without_metadata():
     assert all(math.isfinite(tr.L) for tr in traces)
 
 
+def test_probed_rho_raises_when_every_probe_fails(monkeypatch):
+    import madmm.solver as solver_mod
+
+    tried = []
+
+    def failing(problem, base, rho, cg_tol, cg_maxit):
+        tried.append(rho)
+        return False
+
+    monkeypatch.setattr(solver_mod, "_probe_ok", failing)
+    problem, _ = _mini_nmf(mu=1.0)
+    problem.metadata.clear()
+    with pytest.raises(ValueError, match=r"rho = 549755813888\.0"):
+        solve(problem, rho=None, max_iter=5, seed=4)
+    assert tried == [2.0 ** k for k in range(40)]
+
+
 def test_max_iter_zero_returns_initial_state():
     problem, x, z = _bilinear_toy()
     state, traces, status = solve(problem, rho=1.0, max_iter=0, seed=9)

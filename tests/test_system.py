@@ -331,3 +331,62 @@ def test_jacobian_image_basis_deterministic():
     b1 = jacobian_image_basis(system, point, samples=4, seed=21)
     b2 = jacobian_image_basis(system, point, samples=4, seed=21)
     np.testing.assert_array_equal(b1, b2)
+
+
+def test_freeze_ignores_reassignment_after_the_call():
+    # Offsets are computed on first use, from the values checked by freeze;
+    # rebinding blocks in the caller's dict afterwards must not reach them.
+    system, x, y, z, s = _rank_one_system(3)
+    point = _gaussian_assignment(system, 4)
+    for block in system.blocks.values():
+        reference = freeze(system, block, dict(point))
+        expected = {e: reference.offset_for(e).copy() for e in system.eq_ids}
+        stacked = reference.offset.copy()
+        moved = dict(point)
+        by_eq = freeze(system, block, moved)
+        whole = freeze(system, block, moved)
+        for b in system.blocks.values():
+            moved[b] = np.full(b.shape, 7.0)
+        for e in system.eq_ids:
+            np.testing.assert_array_equal(by_eq.offset_for(e), expected[e])
+        np.testing.assert_array_equal(whole.offset, stacked)
+        np.testing.assert_array_equal(by_eq.offset, stacked)
+
+
+def test_freeze_checks_every_frozen_value_at_the_call():
+    # s enters only terms that feed offsets (for x, an equation x shares;
+    # for Z, one Z does not enter), never a focus piece.
+    system, x, y, z, s = _rank_one_system(3)
+    point = _gaussian_assignment(system, 5)
+    missing = dict(point)
+    del missing[s]
+    wrong = dict(point)
+    wrong[s] = np.zeros((2, 1))
+    for focus in (x, z):
+        with pytest.raises(KeyError, match="'s'"):
+            freeze(system, focus, missing)
+        with pytest.raises(ShapeMismatchError) as err:
+            freeze(system, focus, wrong)
+        assert err.value.block == "s"
+
+
+def test_stationarity_evaluates_no_terms(monkeypatch):
+    # The stationarity estimate reads only adjoints of the frozen forms, so
+    # freezing for it must not evaluate any term into an offset.
+    import madmm.system as system_mod
+    from madmm import solver, zoo
+
+    inst = zoo.default_instance("nmf3", 0)
+    state, _, _ = solver.solve(inst.problem, max_iter=2, init=inst.init)
+    calls = []
+    real = system_mod._eval_term
+
+    def counting(term, assignment):
+        calls.append(term)
+        return real(term, assignment)
+
+    monkeypatch.setattr(system_mod, "_eval_term", counting)
+    solver._stationarity(inst.problem, state.assignment, state.multipliers)
+    assert calls == []
+    evaluate(inst.problem.system, state.assignment)
+    assert calls, "the counter must see the evaluations evaluate() makes"

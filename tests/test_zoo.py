@@ -107,6 +107,20 @@ def test_mc1_rejects_malformed_weights():
         mc1(bad)
     with pytest.raises(BuildError):
         mc1(np.eye(2))
+    # NaN compares unequal to itself, so a symmetry test alone passes it.
+    with pytest.raises(BuildError):
+        mc1(np.array([[0.0, np.nan], [np.nan, 0.0]]))
+
+
+def test_nan_data_rejected_at_build():
+    # Left to the solver, NaN data in nmf3 ends as "Diverged" after one step
+    # and in rpca2 as a raw LinAlgError from inside the penalty probe.
+    B, _, _ = gen_nmf_data(6, 5, 2, seed=0)
+    B[1, 2] = np.nan
+    with pytest.raises(BuildError):
+        nmf3(B, 2)
+    with pytest.raises(BuildError):
+        rpca2(B, 2)
 
 
 def test_rpca2_rejects_bad_rank_and_variant():
