@@ -56,7 +56,6 @@ class ObjectiveTerm:
     """Base class for per-block objective terms."""
 
     smooth = False
-    convex_kind = False
 
     def value(self, x) -> float:
         raise NotImplementedError
@@ -72,7 +71,6 @@ class Quadratic(ObjectiveTerm):
     """(weight / 2) * ||L(x) - center||^2; L defaults to the identity."""
 
     smooth = True
-    convex_kind = True
 
     def __init__(self, weight: float, center=None, linear_map: LinearOp | None = None):
         if weight < 0:
@@ -115,8 +113,6 @@ class Quadratic(ObjectiveTerm):
 class L1(ObjectiveTerm):
     """weight * sum |x_ij|."""
 
-    convex_kind = True
-
     def __init__(self, weight: float = 1.0):
         if weight < 0:
             raise BuildError("L1 weight must be nonnegative")
@@ -130,8 +126,6 @@ class L1(ObjectiveTerm):
 
 
 class IndicatorNonneg(ObjectiveTerm):
-    convex_kind = True
-
     def value(self, x) -> float:
         return 0.0 if np.min(x) >= -_FEAS_TOL else np.inf
 
@@ -140,8 +134,6 @@ class IndicatorNonneg(ObjectiveTerm):
 
 
 class IndicatorBox(ObjectiveTerm):
-    convex_kind = True
-
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
@@ -162,8 +154,6 @@ class IndicatorBox(ObjectiveTerm):
 class IndicatorUnitColumns(ObjectiveTerm):
     """Indicator of matrices whose columns have unit Euclidean norm."""
 
-    convex_kind = False  # the sphere is not convex
-
     def value(self, x) -> float:
         norms = np.linalg.norm(np.asarray(x, dtype=float), axis=0)
         return 0.0 if np.all(np.abs(norms - 1.0) <= _FEAS_TOL) else np.inf
@@ -181,11 +171,10 @@ class SmoothCustom(ObjectiveTerm):
 
     smooth = True
 
-    def __init__(self, fn, grad_fn, lipschitz: float, convex: bool = False):
+    def __init__(self, fn, grad_fn, lipschitz: float):
         self.fn = fn
         self.grad_fn = grad_fn
         self.lipschitz = float(lipschitz)
-        self.convex_kind = bool(convex)
 
     def value(self, x) -> float:
         return float(self.fn(x))

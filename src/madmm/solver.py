@@ -36,7 +36,7 @@ from .prox import (CouplingTerm, IndicatorBox, IndicatorNonneg,
                    SmoothCustom, _QuadPieces, quad_block_solve)
 from .system import (BlockId, LinearTerm, MatChain, MultiaffineSystem,
                      ROLE_X, ROLE_Z1, ROLE_Z2, blocks_in, evaluate, freeze,
-                     FrozenLinearForm, stack_residual)
+                     FrozenLinearForm, spectrum_memo, stack_residual)
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAXITER = "MaxIter"
@@ -76,7 +76,7 @@ class IterTrace:
     stat_est: float
     wall_ms: float
     z_inner_passes: int = 0
-    z_inexact: bool = False
+    z_inexact: bool = False   # cyclic z passes ran out before converging
     violations: tuple = ()
 
 
@@ -104,9 +104,11 @@ class Problem:
 
         fn(problem, block, assignment, multipliers, rho) -> array
 
-    which must return the exact minimizer of L over that block.  ``metadata``
+    which must return the exact minimizer of L over that block as a new
+    array, and must not modify the assignment's arrays in place: a step
+    reuses the Fourier spectra of those arrays while it runs.  ``metadata``
     is free-form; the keys "m1", "M1", "M2", "M_F" and "r_blocks" feed the
-    certified penalty bound, and "subproblem_methods" is advisory.
+    certified penalty bound.
     """
 
     def __init__(self, system: MultiaffineSystem, objective=None, coupling=(),
@@ -435,7 +437,6 @@ def _update_z_group(problem: Problem, assignment: dict, multipliers: dict,
                 block_steps[b.name] = float(np.linalg.norm(new - assignment[b]))
                 assignment[b] = new
         else:
-            inexact = True
             starts = {b: assignment[b] for b in blocks}
             for _ in range(_Z_INNER_MAX_PASSES):
                 passes += 1
@@ -447,6 +448,8 @@ def _update_z_group(problem: Problem, assignment: dict, multipliers: dict,
                     assignment[b] = new
                 if worst < _Z_INNER_TOL:
                     break
+            else:
+                inexact = True
             for b in blocks:
                 block_steps[b.name] = float(np.linalg.norm(assignment[b] - starts[b]))
     return passes, inexact
@@ -516,13 +519,16 @@ def step(problem: Problem, state: SolverState, *, cg_tol=None, cg_maxit=None,
 
     check_argmin re-evaluates L after every block update and records a
     Violation when it rose beyond solver tolerance (exact minimization over
-    one block can never increase L).
+    one block can never increase L).  The step keeps the Fourier spectra of
+    its block values and new multipliers until it returns (see
+    system.spectrum_memo).
     """
     t0 = time.perf_counter()
     rho = state.rho
     system = problem.system
     assignment = dict(state.assignment)
     multipliers = state.multipliers
+    mults_new = {}
     k_next = state.k + 1
     block_steps = {}
     violations = []
@@ -538,33 +544,34 @@ def step(problem: Problem, state: SolverState, *, cg_tol=None, cg_maxit=None,
                                         tol, f"L rose while updating {label}"))
         L_track = L_now
 
-    try:
-        for block in problem.update_order:
-            new = _update_block(problem, block, assignment, multipliers, rho,
-                                cg_tol, cg_maxit)
-            block_steps[block.name] = float(np.linalg.norm(new - assignment[block]))
-            assignment[block] = new
-            if check_argmin:
-                _argmin_check(repr(block.name))
-        z_passes, z_inexact = _update_z_group(problem, assignment, multipliers,
-                                              rho, cg_tol, cg_maxit, block_steps)
-        if check_argmin and problem.z_order:
-            _argmin_check("the z group")
-    except SubproblemError as exc:
-        if exc.k < 0:
-            exc.k = k_next
-        raise
+    with spectrum_memo(assignment, mults_new):
+        try:
+            for block in problem.update_order:
+                new = _update_block(problem, block, assignment, multipliers,
+                                    rho, cg_tol, cg_maxit)
+                block_steps[block.name] = float(np.linalg.norm(new - assignment[block]))
+                assignment[block] = new
+                if check_argmin:
+                    _argmin_check(repr(block.name))
+            z_passes, z_inexact = _update_z_group(problem, assignment,
+                                                  multipliers, rho, cg_tol,
+                                                  cg_maxit, block_steps)
+            if check_argmin and problem.z_order:
+                _argmin_check("the z group")
+        except SubproblemError as exc:
+            if exc.k < 0:
+                exc.k = k_next
+            raise
 
-    residuals = evaluate(system, assignment)
-    mults_new = {}
-    dual_sq = 0.0
-    for eq_id, r in zip(system.eq_ids, residuals):
-        delta = rho * r
-        mults_new[eq_id] = multipliers[eq_id] + delta
-        dual_sq += float(np.sum(delta * delta))
-    primal = float(np.linalg.norm(stack_residual(residuals)))
-    L_new = _al(problem, assignment, mults_new, rho, residuals)
-    _, stat = _stationarity(problem, assignment, mults_new)
+        residuals = evaluate(system, assignment)
+        dual_sq = 0.0
+        for eq_id, r in zip(system.eq_ids, residuals):
+            delta = rho * r
+            mults_new[eq_id] = multipliers[eq_id] + delta
+            dual_sq += float(np.sum(delta * delta))
+        primal = float(np.linalg.norm(stack_residual(residuals)))
+        L_new = _al(problem, assignment, mults_new, rho, residuals)
+        _, stat = _stationarity(problem, assignment, mults_new)
     new_state = SolverState(assignment, mults_new, rho, k_next)
     trace = IterTrace(k=k_next, L=float(L_new), primal_res=primal,
                       dual_step=math.sqrt(dual_sq), block_steps=block_steps,

@@ -14,10 +14,21 @@ focus turns the system into an affine map of the focus, returned as a
 the offset of an equation is summed from those checked values the first time
 it is asked for, so a caller that needs only adjoints, or only the equations
 its focus enters, evaluates no other term.
+
+Convolutions go through the Fourier domain, and every zero-padded ``rfft2``
+is taken by :func:`_spectrum`.  Inside :func:`spectrum_memo`, which
+``solver.step`` opens while it runs, the spectrum of an
+array that is a current block value or a new multiplier of that step is
+computed once per array object and shape and reused until the step returns;
+the memo holds a reference to each array it has keyed, so no id is reused.
+Outside a step every call transforms afresh.  Reuse relies on no array of the
+step being modified in place while the step runs.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,26 +129,66 @@ class Constant:
         require_finite(self.value, "constant term")
 
 
+# (sources, kept) while a step runs: sources are the step's dicts of block
+# values and new multipliers, kept maps (id, shape) to (array, spectrum).
+_SPECTRA = ContextVar("madmm_spectra", default=None)
+
+
+@contextmanager
+def spectrum_memo(*sources):
+    """Reuse spectra of the arrays held in ``sources`` until the block exits.
+
+    ``sources`` are dicts whose values are arrays; an array is memoised when
+    it is one of their values at the time its spectrum is first taken, so
+    the dicts may gain or rebind entries while the memo is open.
+    """
+    token = _SPECTRA.set((sources, {}))
+    try:
+        yield
+    finally:
+        _SPECTRA.reset(token)
+
+
+def _spectrum(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """``rfft2`` of ``a`` zero-padded to ``shape``, origin at index (0, 0).
+
+    Inside :func:`spectrum_memo` the result for an array held by its sources
+    is kept and returned again for the same array object and shape until the
+    memo closes; anything else is transformed on every call.
+    """
+    memo = _SPECTRA.get()
+    if memo is not None:
+        sources, kept = memo
+        hit = kept.get((id(a), shape))
+        if hit is not None:
+            return hit[1]
+    if a.shape == shape:
+        padded = a
+    else:
+        padded = np.zeros(shape)
+        padded[: a.shape[0], : a.shape[1]] = a
+    spec = np.fft.rfft2(padded)
+    if memo is not None and any(v is a for d in sources for v in d.values()):
+        kept[(id(a), shape)] = (a, spec)
+    return spec
+
+
 def circ_conv2(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
     """Circular 2-D convolution of a (possibly smaller) kernel with a signal."""
     kernel = np.asarray(kernel, dtype=float)
     signal = np.asarray(signal, dtype=float)
-    padded = np.zeros(signal.shape)
-    padded[: kernel.shape[0], : kernel.shape[1]] = kernel
-    return np.fft.irfft2(np.fft.rfft2(padded) * np.fft.rfft2(signal),
-                         s=signal.shape)
+    return np.fft.irfft2(_spectrum(kernel, signal.shape)
+                         * _spectrum(signal, signal.shape), s=signal.shape)
 
 
 def _conv_adjoint_signal(kernel: np.ndarray, w: np.ndarray) -> np.ndarray:
-    padded = np.zeros(w.shape)
-    padded[: kernel.shape[0], : kernel.shape[1]] = kernel
-    return np.fft.irfft2(np.conj(np.fft.rfft2(padded)) * np.fft.rfft2(w),
-                         s=w.shape)
+    return np.fft.irfft2(np.conj(_spectrum(kernel, w.shape))
+                         * _spectrum(w, w.shape), s=w.shape)
 
 
 def _conv_adjoint_kernel(signal: np.ndarray, w: np.ndarray, kernel_shape) -> np.ndarray:
-    full = np.fft.irfft2(np.conj(np.fft.rfft2(signal)) * np.fft.rfft2(w),
-                         s=w.shape)
+    full = np.fft.irfft2(np.conj(_spectrum(signal, w.shape))
+                         * _spectrum(w, w.shape), s=w.shape)
     return full[: kernel_shape[0], : kernel_shape[1]].copy()
 
 

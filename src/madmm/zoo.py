@@ -35,11 +35,11 @@ from .errors import BuildError, require_finite
 from .operators import (BroadcastOnes, DenseOp, DiagExtract, ScaledIdentity,
                         TransposeOp)
 from .prox import (IndicatorBox, IndicatorNonneg, IndicatorUnitColumns, L1,
-                   Quadratic, SmoothCustom, soft_threshold)
+                   Quadratic, SmoothCustom)
 from .solver import Problem
 from .system import (BlockId, Constant, Conv2D, HadamardPair, LinearTerm,
                      MatChain, MultiaffineSystem, _conv_adjoint_kernel,
-                     circ_conv2, freeze)
+                     _spectrum, circ_conv2, freeze)
 
 _INNER_TOL = 1e-11
 # Passes of the split solver granted to the sparse-signal update per outer
@@ -107,8 +107,7 @@ def nmf3(B, r: int, mu: float = 1.0) -> ZooInstance:
     objective = {Z: [Quadratic(1.0, center=B)],
                  Xr: [Quadratic(mu)], Yr: [Quadratic(mu)],
                  Xp: [IndicatorNonneg()], Yp: [IndicatorNonneg()]}
-    metadata = {"m1": min(1.0, mu), "M1": max(1.0, mu), "M2": 0.0, "M_F": 0.0,
-                "subproblem_methods": {"X": "sylvester", "Y": "sylvester"}}
+    metadata = {"m1": min(1.0, mu), "M1": max(1.0, mu), "M2": 0.0, "M_F": 0.0}
     problem = Problem(system, objective, metadata=metadata)
     return ZooInstance("nmf3", problem, data={"B": B})
 
@@ -156,8 +155,7 @@ def dl3(B, r: int, mu_fit: float = 50.0, mu_dict: float = 50.0,
                  Dr: [Quadratic(mu_dict)], Cr: [Quadratic(mu_code)],
                  Cs: [L1(l1_weight)], Du: [IndicatorUnitColumns()]}
     weights = (mu_fit, mu_dict, mu_code)
-    metadata = {"m1": min(weights), "M1": max(weights), "M2": 0.0, "M_F": 0.0,
-                "subproblem_methods": {"D": "sylvester", "C": "sylvester"}}
+    metadata = {"m1": min(weights), "M1": max(weights), "M2": 0.0, "M_F": 0.0}
     problem = Problem(system, objective, metadata=metadata)
     return ZooInstance("dl3", problem, data={"B": B})
 
@@ -218,8 +216,7 @@ def rp2(covariance, lo, hi, mu: float = 1000.0) -> ZooInstance:
     objective = {xb: [IndicatorBox(lo, hi)],
                  gap: [Quadratic(mu)], ys: [Quadratic(mu)],
                  bs: [Quadratic(mu)], gs: [Quadratic(mu)]}
-    metadata = {"m1": mu, "M1": mu, "M2": mu, "M_F": 0.0,
-                "subproblem_methods": {"x": "dense", "y": "dense"}}
+    metadata = {"m1": mu, "M1": mu, "M2": mu, "M_F": 0.0}
     problem = Problem(system, objective, metadata=metadata)
     return ZooInstance("rp2", problem,
                        data={"covariance": cov, "lo": lo, "hi": hi})
@@ -274,7 +271,7 @@ def mc1(weights, mu_diag: float = 1000.0, mu_tie: float = 1000.0) -> ZooInstance
     total = float(np.sum(W))
     cut_term = SmoothCustom(
         lambda Zv: 0.25 * float(np.sum(W * Zv)) - 0.25 * total,
-        lambda Zv: 0.25 * W, lipschitz=0.0, convex=True)
+        lambda Zv: 0.25 * W, lipschitz=0.0)
     objective = {Z: [Quadratic(mu_diag, center=np.ones((n, 1)),
                                linear_map=DiagExtract(n)), cut_term],
                  s: [Quadratic(mu_tie)]}
@@ -282,8 +279,7 @@ def mc1(weights, mu_diag: float = 1000.0, mu_tie: float = 1000.0) -> ZooInstance
     # directions carry just the linear cut term.  The diagonal pull is
     # declared as the governing constant, so the step bound it certifies is
     # heuristic for this family and is validated by tests, not structure.
-    metadata = {"m1": mu_diag, "M1": mu_diag, "M2": mu_tie, "M_F": 0.0,
-                "subproblem_methods": {"x": "sylvester", "y": "sylvester"}}
+    metadata = {"m1": mu_diag, "M1": mu_diag, "M2": mu_tie, "M_F": 0.0}
     problem = Problem(system, objective, metadata=metadata)
     return ZooInstance("mc1", problem, data={"weights": W})
 
@@ -341,7 +337,6 @@ def rpca2(B, k: int, lam: float = 0.5, variant: str = "slack",
         objective = {U: [Quadratic(1.0)], Vt: [Quadratic(1.0)],
                      S: [L1(lam)], Z: [Quadratic(mu)]}
         metadata = {"assumptions_violated": False,
-                    "subproblem_methods": {"U": "sylvester", "Vt": "sylvester"},
                     "note": "certified bound unavailable: factor coefficient "
                             "maps depend on the iterates"}
     else:
@@ -351,7 +346,6 @@ def rpca2(B, k: int, lam: float = 0.5, variant: str = "slack",
                              Constant(B, sign=-1)])
         objective = {U: [Quadratic(1.0)], Vt: [Quadratic(1.0)], S: [L1(lam)]}
         metadata = {"assumptions_violated": True,
-                    "subproblem_methods": {"U": "sylvester", "Vt": "sylvester"},
                     "note": "final block is nonsmooth on purpose"}
     problem = Problem(system, objective, metadata=metadata)
     return ZooInstance(f"rpca2_{variant}" if variant != "slack" else "rpca2",
@@ -399,37 +393,53 @@ def _sparse_conv_updater(l1_weight: float, max_passes: int = _SBD_INNER_BUDGET):
         target = piece.sign * (form.offset_for(piece.eq_id)
                                - multipliers[piece.eq_id] / rho)
         shape = block.shape
-        padded = np.zeros(shape)
-        padded[: kernel.shape[0], : kernel.shape[1]] = kernel
-        ker_hat = np.fft.rfft2(padded)
-        spectrum = (ker_hat.conj() * ker_hat).real
-        target_hat = np.fft.rfft2(target)
+        ker_hat = _spectrum(kernel, shape)
+        spectrum = (ker_hat.conj() * ker_hat).real.copy()
         # mean of the full two-sided spectrum, by Parseval
         mean_spec = float(np.sum(kernel * kernel))
         eta = rho * max(1.0, mean_spec)
-        denom = rho * spectrum + eta
-        quad_hat = rho * ker_hat.conj() * target_hat
-        v, u = np.zeros(shape), np.zeros(shape)
+        # Multiplying real and imaginary parts by 1/denom gives the same bits
+        # as numpy's complex-by-real division, which scales by the reciprocal.
+        inv_denom = 1.0 / (rho * spectrum + eta)
+        quad_hat = rho * ker_hat.conj() * _spectrum(target, shape)
         scale = 1.0 + float(np.linalg.norm(target))
+        del ker_hat, target
+        v, v_new, u, tmp = (np.zeros(shape), np.empty(shape), np.zeros(shape),
+                            np.empty(shape))
         for it in range(max_passes):
-            x = np.fft.irfft2((quad_hat + np.fft.rfft2(eta * v - u)) / denom,
-                              s=shape)
-            v_new = soft_threshold(x + u / eta, l1_weight / eta)
-            u = u + eta * (x - v_new)
-            split_res = float(np.linalg.norm(x - v_new))
-            drift_res = eta * float(np.linalg.norm(v_new - v))
-            gap = max(float(np.max(np.abs(x - v_new))),
-                      eta * float(np.max(np.abs(v_new - v))))
-            v = v_new
+            np.multiply(v, eta, out=tmp)
+            tmp -= u
+            hat = np.fft.rfft2(tmp)
+            hat += quad_hat
+            hat.real *= inv_denom
+            hat.imag *= inv_denom
+            x = np.fft.irfft2(hat, s=shape)
+            # v_new = soft_threshold(x + u / eta, l1_weight / eta), in place
+            np.divide(u, eta, out=tmp)
+            tmp += x
+            np.abs(tmp, out=v_new)
+            v_new -= l1_weight / eta
+            np.maximum(v_new, 0.0, out=v_new)
+            v_new *= np.sign(tmp, out=tmp)
+            # x turns into x - v_new and v into v_new - v; neither is read
+            # again in its old form.
+            d = np.subtract(x, v_new, out=x)
+            dv = np.subtract(v_new, v, out=v)
+            u += np.multiply(d, eta, out=tmp)
+            gap = max(float(np.max(np.abs(d, out=tmp))),
+                      eta * float(np.max(np.abs(dv, out=tmp))))
+            v, v_new = v_new, v
             if gap <= _INNER_TOL * scale:
                 break
             if it % 10 == 9:
+                split_res = float(np.linalg.norm(d))
+                drift_res = eta * float(np.linalg.norm(dv))
                 if split_res > 10.0 * drift_res:
                     eta *= 2.0
-                    denom = rho * spectrum + eta
+                    inv_denom = 1.0 / (rho * spectrum + eta)
                 elif drift_res > 10.0 * split_res:
                     eta *= 0.5
-                    denom = rho * spectrum + eta
+                    inv_denom = 1.0 / (rho * spectrum + eta)
         return v
 
     return update
@@ -461,7 +471,7 @@ def _conv_kernel_updater():
                                - multipliers[piece.eq_id] / rho)
         p, q = block.shape
         n1, n2 = signal.shape
-        spec = np.abs(np.fft.rfft2(signal)) ** 2
+        spec = np.abs(_spectrum(signal, signal.shape)) ** 2
         autocorr = np.fft.irfft2(spec, s=(n1, n2))
         d1 = (np.arange(p)[:, None] - np.arange(p)[None, :]) % n1
         d2 = (np.arange(q)[:, None] - np.arange(q)[None, :]) % n2
@@ -489,19 +499,15 @@ def _sbd_instance(Y, kernel_shape, mu, l1_weight, with_shadow: bool) -> ZooInsta
     terms = [Conv2D(A, X), LinearTerm(BroadcastOnes((n1, n2)), b),
              Constant(Y, sign=-1)]
     objective = {X: [L1(l1_weight)]}
-    methods = {"A": "autocorrelation normal-matrix solve",
-               "X": "inner split solver (FFT)"}
     if with_shadow:
         Z = BlockId("Z", "z1", (n1, n2))
         terms.insert(2, LinearTerm(_ident((n1, n2)), Z, sign=-1))
         objective[Z] = [Quadratic(mu)]
         metadata = {"m1": mu, "M1": mu, "M2": 0.0, "M_F": 0.0,
-                    "assumptions_violated": False,
-                    "subproblem_methods": methods}
+                    "assumptions_violated": False}
         name = "sbd1"
     else:
         metadata = {"assumptions_violated": True,
-                    "subproblem_methods": methods,
                     "note": "no block spans the constraint image; multipliers "
                             "can escape under noise"}
         name = "sbd0"

@@ -375,8 +375,7 @@ def test_joint_z_component_matches_analytic_solution():
     assert not trace.z_inexact
 
 
-def test_cyclic_mixed_z_component_reaches_joint_optimum():
-    lam, mu, rho = 0.3, 4.0, 2.0
+def _cyclic_mixed_z(lam, mu, rho):
     x = BlockId("x", "x", (3, 1))
     za = BlockId("za", "z1", (3, 1))
     zb = BlockId("zb", "z2", (3, 1))
@@ -391,8 +390,15 @@ def test_cyclic_mixed_z_component_reaches_joint_optimum():
     state = SolverState({x: np.array([[2.0], [0.01], [-3.0]]),
                          za: np.zeros((3, 1)), zb: np.zeros((3, 1))},
                         {0: np.array([[0.1], [0.0], [-0.2]])}, rho, 0)
+    return problem, state, (x, za, zb)
+
+
+def test_cyclic_mixed_z_component_reaches_joint_optimum():
+    lam, mu, rho = 0.3, 4.0, 2.0
+    problem, state, (x, za, zb) = _cyclic_mixed_z(lam, mu, rho)
     new, trace = step(problem, state)
-    assert trace.z_inexact and trace.z_inner_passes >= 2
+    # The passes reach the inner tolerance, so the result is flagged exact.
+    assert not trace.z_inexact and trace.z_inner_passes >= 2
     x1, za1, zb1 = new.assignment[x], new.assignment[za], new.assignment[zb]
     w = state.multipliers[0]
     # Joint optimality of (za, zb) at frozen x1 and w: the smooth block is
@@ -405,6 +411,15 @@ def test_cyclic_mixed_z_component_reaches_joint_optimum():
             assert g_a[i, 0] + lam * np.sign(za1[i, 0]) == pytest.approx(0.0, abs=1e-9)
         else:
             assert abs(g_a[i, 0]) <= lam + 1e-9
+
+
+def test_cyclic_z_flagged_inexact_when_passes_run_out(monkeypatch):
+    import madmm.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "_Z_INNER_MAX_PASSES", 1)
+    problem, state, _ = _cyclic_mixed_z(0.3, 4.0, 2.0)
+    _, trace = step(problem, state)
+    assert trace.z_inexact and trace.z_inner_passes == 1
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from madmm import (BlockId, BuildError, Constant, Conv2D, DenseOp, DiagExtract,
                    HadamardPair, LinearTerm, MatChain, MultiaffineSystem,
                    ScaledIdentity, ShapeMismatchError, TransposeOp, circ_conv2,
                    evaluate, freeze, jacobian_image_basis, stack_residual)
+from madmm.system import spectrum_memo
 
 
 def _fd_jacobian(system, assignment, block, h=1e-6):
@@ -239,6 +241,81 @@ def test_conv_adjoint_both_arguments():
         lhs = float(form.apply_vec(yv) @ wv)
         rhs = float(yv @ form.adjoint_vec(wv))
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 4),
+       st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+def test_conv_pieces_adjoint_and_memo_agree(k0, k1, extra0, extra1, seed):
+    """<apply(y), w> = <y, adjoint(w)> for both frozen convolution pieces,
+    and a memo scope changes no value, however often it is hit."""
+    ss = (k0 + extra0, k1 + extra1)
+    system, a, xs, _ = _conv_system((k0, k1), ss)
+    point = _gaussian_assignment(system, seed)
+    rng = np.random.default_rng(seed)
+    mults = {0: rng.standard_normal(ss)}
+    for block, kind in ((a, "conv_kernel"), (xs, "conv_signal")):
+        y = rng.standard_normal(block.shape)
+        form = freeze(system, block, point)
+        assert [p.kind for p in form.pieces] == [kind]
+        applied = form.apply_eqs(y)[0]
+        back = form.adjoint_eqs(mults)
+        lhs = float(np.sum(applied * mults[0]))
+        rhs = float(np.sum(y * back))
+        assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
+        offset = form.offset_for(0)
+        with spectrum_memo(point, mults):
+            for _ in range(2):
+                inside = freeze(system, block, point)
+                assert np.array_equal(inside.apply_eqs(y)[0], applied)
+                assert np.array_equal(inside.adjoint_eqs(mults), back)
+                assert np.array_equal(inside.offset_for(0), offset)
+
+
+def test_circ_conv2_sees_in_place_changes_outside_a_step():
+    rng = np.random.default_rng(12)
+    kernel = rng.standard_normal((2, 3))
+    signal = rng.standard_normal((5, 4))
+    circ_conv2(kernel, signal)
+    kernel[1, 2] += 1.0
+    signal *= -2.0
+    np.testing.assert_allclose(circ_conv2(kernel, signal),
+                               _conv_direct(kernel, signal), atol=1e-10)
+
+
+def test_spectrum_memo_keeps_a_spectrum_per_array():
+    rng = np.random.default_rng(13)
+    held = {name: rng.standard_normal(shape) for name, shape in
+            (("k1", (2, 2)), ("k2", (2, 2)), ("s1", (4, 4)), ("s2", (4, 4)))}
+    with spectrum_memo(held):
+        for _ in range(2):
+            for k in ("k1", "k2"):
+                for s in ("s1", "s2"):
+                    np.testing.assert_allclose(
+                        circ_conv2(held[k], held[s]),
+                        _conv_direct(held[k], held[s]), atol=1e-10)
+
+
+@pytest.mark.parametrize("name,limit", [("sbd1", 37), ("sbd0", 36)])
+def test_sbd_step_reuses_spectra(monkeypatch, name, limit):
+    # Without reuse one step takes 46 (sbd1) and 43 (sbd0) transforms.
+    from madmm import solver, zoo
+
+    inst = zoo.default_instance(name, 0)
+    state, _, _ = solver.solve(inst.problem, rho=1.0, max_iter=1,
+                               init=inst.init)
+    calls = []
+    for fn in ("fft2", "ifft2", "rfft2", "irfft2",
+               "fftn", "ifftn", "rfftn", "irfftn"):
+        real = getattr(np.fft, fn)
+
+        def counting(*args, _real=real, **kwargs):
+            calls.append(_real)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, fn, counting)
+    solver.step(inst.problem, state)
+    assert 0 < len(calls) <= limit
 
 
 def test_offset_sign_convention():
