@@ -2,11 +2,12 @@
 
 Objective terms attach to individual variable blocks.  Smooth terms expose a
 gradient; the nonsmooth ones (elementwise L1 and the three indicators) expose
-an exact proximal map instead.  ``quad_block_solve`` minimizes the smooth
-augmented-Lagrangian restriction to one frozen block (or block group),
-picking among an elementwise-diagonal solve, a two-sided eigendecomposition
-solve for matrix-chain structure, a dense least-squares solve, and conjugate
-gradients on the normal equations.
+an exact proximal map instead, and ``stat_residual(x, g)``: the distance of a
+gradient ``g`` at ``x`` to the term's negative subdifferential there.
+``quad_block_solve`` minimizes the smooth augmented-Lagrangian restriction to
+one frozen block (or block group), picking among an elementwise-diagonal
+solve, a two-sided eigendecomposition solve for matrix-chain structure, a
+dense least-squares solve, and conjugate gradients on the normal equations.
 """
 
 from __future__ import annotations
@@ -53,7 +54,11 @@ def project_unit_columns(m):
 
 
 class ObjectiveTerm:
-    """Base class for per-block objective terms."""
+    """Base class for per-block objective terms.
+
+    A nonsmooth term must also define ``stat_residual(x, g)``, which the
+    stationarity estimate reads; a ``Problem`` rejects one that does not.
+    """
 
     smooth = False
 
@@ -124,6 +129,14 @@ class L1(ObjectiveTerm):
     def prox(self, point, step):
         return soft_threshold(point, self.weight * step)
 
+    def stat_residual(self, x, g) -> float:
+        x = np.asarray(x, dtype=float)
+        lam = self.weight
+        on = np.abs(x) > 1e-12
+        r = np.where(on, np.abs(g + lam * np.sign(x)),
+                     np.maximum(np.abs(g) - lam, 0.0))
+        return float(np.linalg.norm(r))
+
 
 class IndicatorNonneg(ObjectiveTerm):
     def value(self, x) -> float:
@@ -131,6 +144,11 @@ class IndicatorNonneg(ObjectiveTerm):
 
     def prox(self, point, step):
         return project_nonneg(point)
+
+    def stat_residual(self, x, g) -> float:
+        x = np.asarray(x, dtype=float)
+        r = np.where(x <= 1e-9, np.maximum(-g, 0.0), np.abs(g))
+        return float(np.linalg.norm(r))
 
 
 class IndicatorBox(ObjectiveTerm):
@@ -150,6 +168,18 @@ class IndicatorBox(ObjectiveTerm):
     def prox(self, point, step):
         return project_box(point, self.lo, self.hi)
 
+    def stat_residual(self, x, g) -> float:
+        x = np.asarray(x, dtype=float)
+        lo = np.broadcast_to(self.lo, x.shape)
+        hi = np.broadcast_to(self.hi, x.shape)
+        span = 1e-9 * (1.0 + np.abs(hi - lo))
+        at_lo = x <= lo + span
+        at_hi = x >= hi - span
+        r = np.where(at_lo & at_hi, 0.0,
+                     np.where(at_lo, np.maximum(-g, 0.0),
+                              np.where(at_hi, np.maximum(g, 0.0), np.abs(g))))
+        return float(np.linalg.norm(r))
+
 
 class IndicatorUnitColumns(ObjectiveTerm):
     """Indicator of matrices whose columns have unit Euclidean norm."""
@@ -160,6 +190,13 @@ class IndicatorUnitColumns(ObjectiveTerm):
 
     def prox(self, point, step):
         return project_unit_columns(point)
+
+    def stat_residual(self, x, g) -> float:
+        x = np.asarray(x, dtype=float)
+        norms = np.linalg.norm(x, axis=0, keepdims=True)
+        xn = x / np.where(norms > 0, norms, 1.0)
+        tangent = g - xn * np.sum(xn * g, axis=0, keepdims=True)
+        return float(np.linalg.norm(tangent))
 
 
 class SmoothCustom(ObjectiveTerm):

@@ -31,9 +31,8 @@ import numpy as np
 
 from .errors import BuildError, ShapeMismatchError, SubproblemError
 from .operators import DenseOp, LinearOp
-from .prox import (CouplingTerm, IndicatorBox, IndicatorNonneg,
-                   IndicatorUnitColumns, L1, ObjectiveTerm, Quadratic,
-                   SmoothCustom, _QuadPieces, quad_block_solve)
+from .prox import (CouplingTerm, ObjectiveTerm, Quadratic, SmoothCustom,
+                   _QuadPieces, quad_block_solve)
 from .system import (BlockId, LinearTerm, MatChain, MultiaffineSystem,
                      ROLE_X, ROLE_Z1, ROLE_Z2, blocks_in, evaluate, freeze,
                      FrozenLinearForm, spectrum_memo, stack_residual)
@@ -175,6 +174,10 @@ class Problem:
                 raise BuildError(
                     f"block {block.name!r} carries {len(nonsmooth)} nonsmooth "
                     "terms; at most one is supported")
+            if nonsmooth and not hasattr(nonsmooth[0], "stat_residual"):
+                raise BuildError(
+                    f"nonsmooth term {type(nonsmooth[0]).__name__} on block "
+                    f"{block.name!r} has no stat_residual(x, g)")
             if block.name in self.custom_updaters:
                 continue
             for t in terms:
@@ -474,43 +477,11 @@ def _stationarity(problem: Problem, assignment: dict, multipliers: dict):
         for c in problem.coupling:
             if block in c.blocks:
                 g = g + c.grad_block(values, block.name)
-        parts[block.name] = _nonsmooth_stat_residual(
-            problem.nonsmooth_term(block), assignment[block], g)
+        term = problem.nonsmooth_term(block)
+        parts[block.name] = (float(np.linalg.norm(g)) if term is None
+                             else term.stat_residual(assignment[block], g))
     agg = max(parts.values()) if parts else 0.0
     return parts, agg
-
-
-def _nonsmooth_stat_residual(term, x, g) -> float:
-    g = np.asarray(g, dtype=float)
-    if term is None:
-        return float(np.linalg.norm(g))
-    x = np.asarray(x, dtype=float)
-    if isinstance(term, L1):
-        lam = term.weight
-        on = np.abs(x) > 1e-12
-        r = np.where(on, np.abs(g + lam * np.sign(x)),
-                     np.maximum(np.abs(g) - lam, 0.0))
-        return float(np.linalg.norm(r))
-    if isinstance(term, IndicatorNonneg):
-        r = np.where(x <= 1e-9, np.maximum(-g, 0.0), np.abs(g))
-        return float(np.linalg.norm(r))
-    if isinstance(term, IndicatorBox):
-        lo = np.broadcast_to(term.lo, x.shape)
-        hi = np.broadcast_to(term.hi, x.shape)
-        span = 1e-9 * (1.0 + np.abs(hi - lo))
-        at_lo = x <= lo + span
-        at_hi = x >= hi - span
-        r = np.where(at_lo & at_hi, 0.0,
-                     np.where(at_lo, np.maximum(-g, 0.0),
-                              np.where(at_hi, np.maximum(g, 0.0), np.abs(g))))
-        return float(np.linalg.norm(r))
-    if isinstance(term, IndicatorUnitColumns):
-        norms = np.linalg.norm(x, axis=0, keepdims=True)
-        xn = x / np.where(norms > 0, norms, 1.0)
-        tangent = g - xn * np.sum(xn * g, axis=0, keepdims=True)
-        return float(np.linalg.norm(tangent))
-    # Unknown nonsmooth term: report the raw gradient norm.
-    return float(np.linalg.norm(g))
 
 
 def step(problem: Problem, state: SolverState, *, cg_tol=None, cg_maxit=None,

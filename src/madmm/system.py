@@ -15,6 +15,12 @@ the offset of an equation is summed from those checked values the first time
 it is asked for, so a caller that needs only adjoints, or only the equations
 its focus enters, evaluates no other term.
 
+Which terms a focus enters, which only feed offsets and which blocks must be
+read depend on the focus alone, not on block values.  The first ``freeze`` of
+a focus stores that structure on the system as a plan, and later calls for
+the same focus reuse it; ``add_equation``, the only way to add an equation,
+clears every plan.
+
 Convolutions go through the Fourier domain, and every zero-padded ``rfft2``
 is taken by :func:`_spectrum`.  Inside :func:`spectrum_memo`, which
 ``solver.step`` opens while it runs, the spectrum of an
@@ -64,6 +70,10 @@ class BlockId:
         if len(self.shape) != 2 or any(int(s) < 1 for s in self.shape):
             raise BuildError(f"block {self.name!r} needs a positive (rows, cols) shape")
         object.__setattr__(self, "shape", (int(self.shape[0]), int(self.shape[1])))
+
+    def __hash__(self):
+        # Equal blocks share a name, and str caches its hash.
+        return hash(self.name)
 
     @property
     def dim(self) -> int:
@@ -252,12 +262,18 @@ def _term_out_shape(term, eq_id: int) -> tuple:
 
 
 class MultiaffineSystem:
-    """A stack of multiaffine equations ``sum_t sign_t T_t(blocks) = 0``."""
+    """A stack of multiaffine equations ``sum_t sign_t T_t(blocks) = 0``.
+
+    Equations are added only through :meth:`add_equation`.  The system keeps
+    one freeze plan per focus that :func:`freeze` has seen; adding an
+    equation clears them all.
+    """
 
     def __init__(self):
         self.equations = []  # list of (eq_id, [terms])
         self.blocks = {}     # name -> BlockId
         self._eq_shapes = {}
+        self._plans = {}     # focus tuple -> _FreezePlan
 
     def add_equation(self, terms, eq_id: int | None = None) -> int:
         if eq_id is None:
@@ -298,6 +314,7 @@ class MultiaffineSystem:
         self.equations.append((eq_id, terms))
         self.equations.sort(key=lambda pair: pair[0])
         self._eq_shapes[eq_id] = shape
+        self._plans.clear()
         return eq_id
 
     def eq_shape(self, eq_id: int) -> tuple:
@@ -428,19 +445,22 @@ class _Piece:
         raise BuildError(f"unknown piece kind {self.kind}")
 
 
-def _freeze_term(term, focus_hits, assignment, eq_id):
-    """Pieces for the focus blocks appearing in `term` (one per occurrence)."""
+def _freeze_term(term, focus_hits, values, eq_id):
+    """Pieces for the focus blocks appearing in `term` (one per occurrence).
+
+    ``values`` maps every non-focus block of the term to its checked array.
+    """
     pieces = []
     if isinstance(term, MatChain):
         for idx, f in enumerate(term.factors):
             if isinstance(f, BlockId) and f in focus_hits:
                 left = None
                 for g in term.factors[:idx]:
-                    v = _value_of(assignment, g) if isinstance(g, BlockId) else np.asarray(g, dtype=float)
+                    v = values[g] if isinstance(g, BlockId) else np.asarray(g, dtype=float)
                     left = v if left is None else left @ v
                 right = None
                 for g in term.factors[idx + 1:]:
-                    v = _value_of(assignment, g) if isinstance(g, BlockId) else np.asarray(g, dtype=float)
+                    v = values[g] if isinstance(g, BlockId) else np.asarray(g, dtype=float)
                     right = v if right is None else right @ v
                 if left is None and right is None:
                     pieces.append(_Piece(eq_id, f, "scaled_identity", 1.0, term.sign))
@@ -452,18 +472,18 @@ def _freeze_term(term, focus_hits, assignment, eq_id):
                     pieces.append(_Piece(eq_id, f, "both_mul", (left, right), term.sign))
     elif isinstance(term, HadamardPair):
         if term.left in focus_hits:
-            other = _value_of(assignment, term.right)
+            other = values[term.right]
             pieces.append(_Piece(eq_id, term.left, "hadamard", (other, term.post), term.sign))
         if term.right in focus_hits:
-            other = _value_of(assignment, term.left)
+            other = values[term.left]
             pieces.append(_Piece(eq_id, term.right, "hadamard", (other, term.post), term.sign))
     elif isinstance(term, Conv2D):
         if term.kernel in focus_hits:
             pieces.append(_Piece(eq_id, term.kernel, "conv_kernel",
-                                 _value_of(assignment, term.signal), term.sign))
+                                 values[term.signal], term.sign))
         if term.signal in focus_hits:
             pieces.append(_Piece(eq_id, term.signal, "conv_signal",
-                                 _value_of(assignment, term.kernel), term.sign))
+                                 values[term.kernel], term.sign))
     elif isinstance(term, LinearTerm):
         if term.block in focus_hits:
             op = term.op
@@ -487,14 +507,14 @@ class FrozenLinearForm:
     caller's assignment afterwards does not change the form.
     """
 
-    def __init__(self, focus, pieces, frozen_terms, values, eq_dims, single):
-        self.focus = tuple(focus)
+    def __init__(self, plan, pieces, values, single):
+        self.focus = plan.focus
         self.pieces = pieces              # list of _Piece
-        self._frozen_terms = frozen_terms  # eq_id -> non-focus terms
+        self._frozen_terms = plan.frozen_terms  # eq_id -> non-focus terms
         self._values = values             # non-focus BlockId -> checked array
         self._offsets = {}                # eq_id -> array, filled on first use
-        self.eq_dims = eq_dims            # list of (eq_id, shape)
-        self._eq_shapes = dict(eq_dims)
+        self.eq_dims = plan.eq_dims       # list of (eq_id, shape)
+        self._eq_shapes = plan.eq_shapes
         self._single = single
         self._by_eq = {}
         for p in pieces:
@@ -603,6 +623,48 @@ class FrozenLinearForm:
         return np.concatenate([np.ravel(y[b.name]) for b in self.focus])
 
 
+class _FreezePlan:
+    """What freezing one focus needs that does not depend on block values."""
+
+    def __init__(self, focus, focus_set, reads, hits, frozen_terms, eq_dims):
+        self.focus = focus                # tuple of focus BlockIds
+        self.focus_set = focus_set
+        self.reads = reads                # non-focus blocks, first-use order
+        self.hits = hits                  # (eq_id, term) with a focus block
+        self.frozen_terms = frozen_terms  # eq_id -> non-focus terms
+        self.eq_dims = eq_dims            # list of (eq_id, shape)
+        self.eq_shapes = dict(eq_dims)
+
+
+def _plan_freeze(system: MultiaffineSystem, focus: tuple) -> _FreezePlan:
+    """Walk every term once for `focus`; raises before anything is kept."""
+    if not focus:
+        raise BuildError("freeze needs at least one focus block")
+    for b in focus:
+        if system.blocks.get(b.name) != b:
+            raise BuildError(f"focus block {b.name!r} is not part of the system")
+    focus_set = frozenset(focus)
+    reads, hits, frozen_terms = {}, [], {}
+    for eq_id, terms in system.equations:
+        rest = frozen_terms[eq_id] = []
+        for term in terms:
+            blocks = blocks_in(term)
+            coupled = [b for b in blocks if b in focus_set]
+            if len(coupled) > 1:
+                raise BuildError(
+                    f"equation {eq_id}: term couples focus blocks "
+                    f"{[b.name for b in coupled]}; the frozen map would not be affine")
+            for b in blocks:
+                if b not in focus_set:
+                    reads.setdefault(b)
+            if coupled:
+                hits.append((eq_id, term))
+            else:
+                rest.append(term)
+    return _FreezePlan(focus, focus_set, tuple(reads), tuple(hits),
+                       frozen_terms, system.constraint_dims())
+
+
 def freeze(system: MultiaffineSystem, focus, assignment) -> FrozenLinearForm:
     """Freeze all blocks except `focus` (a BlockId or a sequence of them).
 
@@ -612,34 +674,24 @@ def freeze(system: MultiaffineSystem, focus, assignment) -> FrozenLinearForm:
     checked arrays: the focus pieces are built from them at once, and each
     equation's offset on its first use.  Terms containing two focus blocks
     are rejected: the frozen map must be affine.
-    """
-    focus_blocks = [focus] if isinstance(focus, BlockId) else list(focus)
-    if not focus_blocks:
-        raise BuildError("freeze needs at least one focus block")
-    for b in focus_blocks:
-        if system.blocks.get(b.name) != b:
-            raise BuildError(f"focus block {b.name!r} is not part of the system")
-    focus_set = set(focus_blocks)
 
-    pieces, frozen_terms, values = [], {}, {}
-    for eq_id, terms in system.equations:
-        rest = frozen_terms[eq_id] = []
-        for term in terms:
-            blocks = blocks_in(term)
-            hits = [b for b in blocks if b in focus_set]
-            if len(hits) > 1:
-                raise BuildError(
-                    f"equation {eq_id}: term couples focus blocks "
-                    f"{[b.name for b in hits]}; the frozen map would not be affine")
-            for b in blocks:
-                if b not in focus_set and b not in values:
-                    values[b] = _value_of(assignment, b)
-            if hits:
-                pieces.extend(_freeze_term(term, focus_set, values, eq_id))
-            else:
-                rest.append(term)
-    return FrozenLinearForm(focus_blocks, pieces, frozen_terms, values,
-                            system.constraint_dims(),
+    The first call for a focus checks it against the system, walks every
+    term and keeps the result on the system as that focus's plan: the
+    blocks to read, the terms the focus enters and each equation's other
+    terms.  A focus that fails those checks is not kept, so it fails on
+    every call.  Later calls for the same focus read the plan's blocks in
+    the same order and build pieces from its terms; ``add_equation`` clears
+    every plan.
+    """
+    focus_blocks = (focus,) if isinstance(focus, BlockId) else tuple(focus)
+    plan = system._plans.get(focus_blocks)
+    if plan is None:
+        plan = system._plans[focus_blocks] = _plan_freeze(system, focus_blocks)
+    values = {b: _value_of(assignment, b) for b in plan.reads}
+    pieces = []
+    for eq_id, term in plan.hits:
+        pieces.extend(_freeze_term(term, plan.focus_set, values, eq_id))
+    return FrozenLinearForm(plan, pieces, values,
                             single=isinstance(focus, BlockId))
 
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from madmm.errors import BuildError, ShapeMismatchError, SubproblemError
 from madmm.operators import DenseOp, ScaledIdentity
-from madmm.prox import (CouplingTerm, IndicatorNonneg, L1, Quadratic,
-                        SmoothCustom)
+from madmm.prox import (CouplingTerm, IndicatorNonneg, L1, ObjectiveTerm,
+                        Quadratic, SmoothCustom)
 from madmm.solver import (Problem, SolverState, STATUS_CONVERGED,
                           STATUS_DIVERGED, STATUS_MAXITER,
                           add_prox_constraint, augmented_lagrangian,
@@ -603,6 +603,19 @@ def test_problem_validation_rejections():
     # ... unless a custom updater takes over that block.
     Problem(system, {x: [L1(1.0)]},
             custom_updaters={"x": lambda *a: np.zeros((2, 2))})
+
+    class ProxOnly(ObjectiveTerm):
+        def value(self, v):
+            return 0.0
+
+        def prox(self, point, step):
+            return np.asarray(point, dtype=float)
+
+    # The stationarity estimate needs stat_residual on every nonsmooth
+    # term, custom-updated blocks included.
+    with pytest.raises(BuildError, match="stat_residual"):
+        Problem(system, {x: [ProxOnly()]},
+                custom_updaters={"x": lambda *a: np.zeros((2, 2))})
     with pytest.raises(BuildError, match="curvature"):
         Problem(system, {x: [SmoothCustom(lambda v: 0.0,
                                           lambda v: v, lipschitz=2.0)]})

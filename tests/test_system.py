@@ -7,6 +7,8 @@ path; the convolution tests compare against a literal double-loop sum.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from madmm import (BlockId, BuildError, Constant, Conv2D, DenseOp, DiagExtract,
                    HadamardPair, LinearTerm, MatChain, MultiaffineSystem,
                    ScaledIdentity, ShapeMismatchError, TransposeOp, circ_conv2,
                    evaluate, freeze, jacobian_image_basis, stack_residual)
-from madmm.system import spectrum_memo
+from madmm.system import blocks_in, spectrum_memo
 
 
 def _fd_jacobian(system, assignment, block, h=1e-6):
@@ -370,9 +372,11 @@ def test_freeze_unknown_focus_rejected():
 
 
 def test_freeze_coupled_focus_pair_rejected():
+    # A focus that fails its checks keeps no plan, so it fails every time.
     system, x, y, z, s = _rank_one_system(2)
-    with pytest.raises(BuildError):
-        freeze(system, [x, y], _gaussian_assignment(system, 0))
+    for _ in range(3):
+        with pytest.raises(BuildError, match="couples"):
+            freeze(system, [x, y], _gaussian_assignment(system, 0))
 
 
 def test_jacobian_image_basis_pure_linear_is_zero():
@@ -432,7 +436,8 @@ def test_freeze_ignores_reassignment_after_the_call():
 
 def test_freeze_checks_every_frozen_value_at_the_call():
     # s enters only terms that feed offsets (for x, an equation x shares;
-    # for Z, one Z does not enter), never a focus piece.
+    # for Z, one Z does not enter), never a focus piece.  The first freeze
+    # of each focus builds its plan; the failing calls reuse it.
     system, x, y, z, s = _rank_one_system(3)
     point = _gaussian_assignment(system, 5)
     missing = dict(point)
@@ -440,11 +445,137 @@ def test_freeze_checks_every_frozen_value_at_the_call():
     wrong = dict(point)
     wrong[s] = np.zeros((2, 1))
     for focus in (x, z):
-        with pytest.raises(KeyError, match="'s'"):
-            freeze(system, focus, missing)
-        with pytest.raises(ShapeMismatchError) as err:
-            freeze(system, focus, wrong)
-        assert err.value.block == "s"
+        freeze(system, focus, point)
+        for _ in range(2):
+            with pytest.raises(KeyError, match="'s'"):
+                freeze(system, focus, missing)
+            with pytest.raises(ShapeMismatchError) as err:
+                freeze(system, focus, wrong)
+            assert err.value.block == "s"
+        freeze(system, focus, point)
+
+
+def test_add_equation_after_freeze_clears_the_plan():
+    system, x, y, z, s = _rank_one_system(3)
+    v = BlockId("v", "z2", (3, 1))
+    point = _gaussian_assignment(system, 9)
+    assert [e for e, _ in freeze(system, x, point).eq_dims] == [0, 1]
+    system.add_equation([MatChain([x], sign=-1),
+                         LinearTerm(ScaledIdentity(2.0, (3, 1)), v),
+                         Constant(np.ones((3, 1)))])
+    with pytest.raises(KeyError, match="'v'"):
+        freeze(system, x, point)
+    point[v] = np.random.default_rng(10).standard_normal((3, 1))
+    form = freeze(system, x, point)
+    assert [e for e, _ in form.eq_dims] == [0, 1, 2]
+    assert [p.eq_id for p in form.pieces if p.eq_id == 2] == [2]
+    np.testing.assert_array_equal(form.offset_for(2),
+                                  -(2.0 * point[v] + np.ones((3, 1))))
+    np.testing.assert_allclose(form.apply(point[x]) - form.offset,
+                               stack_residual(evaluate(system, point)),
+                               rtol=1e-12, atol=1e-12)
+
+
+def test_freeze_walks_the_terms_once_per_focus(monkeypatch):
+    import madmm.system as system_mod
+
+    system, x, y, z, s = _rank_one_system(3)
+    n_terms = sum(len(terms) for _, terms in system.equations)
+    walked = []
+    real = system_mod.blocks_in
+
+    def counting(term):
+        walked.append(term)
+        return real(term)
+
+    monkeypatch.setattr(system_mod, "blocks_in", counting)
+    for seed in range(5):
+        freeze(system, y, _gaussian_assignment(system, seed))
+    assert len(walked) == n_terms
+    freeze(system, [z, s], _gaussian_assignment(system, 0))
+    assert len(walked) == 2 * n_terms
+
+
+def test_block_hash_follows_the_name():
+    a = BlockId("a", "x", (2, 2))
+    assert hash(a) == hash(BlockId("a", "x", (2, 2))) == hash("a")
+    other_role = BlockId("a", "z1", (2, 2))
+    assert hash(other_role) == hash(a) and other_role != a
+    keyed = {a: 1, other_role: 2}
+    assert len(keyed) == 2
+    assert keyed[BlockId("a", "x", (2, 2))] == 1
+    assert keyed[BlockId("a", "z1", (2, 2))] == 2
+
+
+def _random_system(data, n):
+    """Random multiaffine system over 2-4 square n x n blocks."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = [BlockId(f"b{i}", "x", (n, n), index=i)
+              for i in range(data.draw(st.integers(2, 4)))]
+    pick = st.sampled_from(blocks)
+
+    def draw_term():
+        kind = data.draw(st.sampled_from(["chain", "hadamard", "linear", "constant"]))
+        sign = data.draw(st.sampled_from([1, -1]))
+        if kind == "chain":
+            chosen = data.draw(st.lists(pick, min_size=1, max_size=3, unique=True))
+            factors = []
+            for b in chosen:
+                if data.draw(st.booleans()):
+                    factors.append(rng.standard_normal((n, n)))
+                factors.append(b)
+            return MatChain(factors, sign=sign)
+        if kind == "hadamard":
+            left, right = data.draw(st.lists(pick, min_size=2, max_size=2, unique=True))
+            post = (DenseOp(rng.standard_normal((n * n, n * n)), (n, n), (n, n))
+                    if data.draw(st.booleans()) else None)
+            return HadamardPair(left, right, post=post, sign=sign)
+        if kind == "linear":
+            op = DenseOp(rng.standard_normal((n * n, n * n)), (n, n), (n, n))
+            return LinearTerm(op, data.draw(pick), sign=sign)
+        return Constant(rng.standard_normal((n, n)), sign=sign)
+
+    system = MultiaffineSystem()
+    for _ in range(data.draw(st.integers(1, 3))):
+        system.add_equation([draw_term() for _ in range(data.draw(st.integers(1, 4)))])
+    return system, rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_freeze_plan_matches_evaluate_and_adjoint(n, data):
+    # Every focus is frozen at two independent assignments: the second
+    # call reuses the plan the first one built.
+    system, rng = _random_system(data, n)
+    blocks = sorted(system.blocks.values(), key=lambda b: b.name)
+    foci = blocks + [group for size in range(2, len(blocks) + 1)
+                     for group in itertools.combinations(blocks, size)]
+    for focus in foci:
+        group = focus if isinstance(focus, tuple) else (focus,)
+        coupled = any(sum(b in group for b in blocks_in(t)) > 1
+                      for _, terms in system.equations for t in terms)
+        for _ in range(2):
+            point = {b: rng.standard_normal(b.shape) for b in system.blocks.values()}
+            if coupled:
+                with pytest.raises(BuildError):
+                    freeze(system, focus, point)
+                continue
+            form = freeze(system, focus, point)
+            y = {b.name: rng.standard_normal(b.shape) for b in group}
+            for b in group:
+                point[b] = y[b.name]
+            stacked = stack_residual(evaluate(system, point))
+            linear = form.apply(y if group is focus else y[focus.name]) - form.offset
+            np.testing.assert_allclose(
+                linear, stacked, rtol=0,
+                atol=1e-10 * max(1.0, np.linalg.norm(stacked)))
+            yv = rng.standard_normal(form.in_dim)
+            wv = rng.standard_normal(form.out_dim)
+            image = form.apply_vec(yv)
+            back = form.adjoint_vec(wv)
+            scale = max(1.0, np.linalg.norm(image) * np.linalg.norm(wv),
+                        np.linalg.norm(yv) * np.linalg.norm(back))
+            assert abs(image @ wv - yv @ back) <= 1e-10 * scale
 
 
 def test_stationarity_evaluates_no_terms(monkeypatch):
