@@ -125,6 +125,7 @@ def build_instance(cfg: RunConfig) -> zoo.ZooInstance:
         raise ValueError("config field 'zoo' is required")
     name, p, seed = cfg.zoo, cfg.params, cfg.seed
     data = matio.load_matrix(cfg.data) if cfg.data else None
+    sizes = zoo.DEFAULT_SIZES.get("rpca2" if name == "rpca2_raw" else name, {})
 
     def geti(key, default):
         return int(p.get(key, default))
@@ -134,14 +135,16 @@ def build_instance(cfg: RunConfig) -> zoo.ZooInstance:
 
     if name == "nmf3":
         B = data if data is not None else zoo.gen_nmf_data(
-            geti("rows", 20), geti("cols", 20), geti("rank", 3), seed=seed)[0]
-        return zoo.nmf3(B, geti("rank", 3), mu=getf("mu", 1.0))
+            geti("rows", sizes["rows"]), geti("cols", sizes["cols"]),
+            geti("rank", sizes["rank"]), seed=seed)[0]
+        return zoo.nmf3(B, geti("rank", sizes["rank"]), mu=getf("mu", 1.0))
     if name == "dl3":
         B = data if data is not None else zoo.gen_dl_data(
-            geti("rows", 50), geti("cols", 50), geti("rank", 10),
-            density=getf("density", 0.3), seed=seed)[0]
+            geti("rows", sizes["rows"]), geti("cols", sizes["cols"]),
+            geti("rank", sizes["rank"]), density=getf("density", 0.3),
+            seed=seed)[0]
         mu = getf("mu", 50.0)
-        return zoo.dl3(B, geti("rank", 10), mu_fit=mu, mu_dict=mu,
+        return zoo.dl3(B, geti("rank", sizes["rank"]), mu_fit=mu, mu_dict=mu,
                        mu_code=mu, l1_weight=getf("l1", 1.0))
     if name == "rp2":
         if data is not None:
@@ -149,7 +152,7 @@ def build_instance(cfg: RunConfig) -> zoo.ZooInstance:
             lo = np.zeros((cov.shape[0], 1))
             hi = np.full((cov.shape[0], 1), 0.5)
         else:
-            cov, lo, hi = zoo.gen_rp_data(geti("size", 6), seed=seed)
+            cov, lo, hi = zoo.gen_rp_data(geti("size", sizes["size"]), seed=seed)
         return zoo.rp2(cov, lo, hi, mu=getf("mu", 1000.0))
     if name == "mc1":
         weights = data if data is not None else zoo.triangle_graph()
@@ -157,11 +160,14 @@ def build_instance(cfg: RunConfig) -> zoo.ZooInstance:
         return zoo.mc1(weights, mu_diag=mu, mu_tie=mu)
     if name in ("rpca2", "rpca2_raw"):
         B = data if data is not None else zoo.gen_rpca_data(
-            geti("rows", 20), geti("cols", 16), geti("rank", 3), seed=seed)[0]
+            geti("rows", sizes["rows"]), geti("cols", sizes["cols"]),
+            geti("rank", sizes["rank"]), seed=seed)[0]
         variant = "raw" if name == "rpca2_raw" else "slack"
-        return zoo.rpca2(B, geti("rank", 3), lam=getf("l1", 0.5),
+        return zoo.rpca2(B, geti("rank", sizes["rank"]), lam=getf("l1", 0.5),
                          variant=variant, mu=getf("mu", 1.0))
     if name in ("sbd1", "sbd0"):
+        # Not the zoo's sbd sizes: criterion 08 and ``madmm bench`` run at
+        # these.
         ks = geti("kernel", 16)
         if data is not None:
             Y = data

@@ -8,6 +8,12 @@ gradient ``g`` at ``x`` to the term's negative subdifferential there.
 one frozen block (or block group), picking among an elementwise-diagonal
 solve, a two-sided eigendecomposition solve for matrix-chain structure, a
 dense least-squares solve, and conjugate gradients on the normal equations.
+Each path asks the frozen pieces for a view (their identity scale, gram
+diagonal or scalar, matrix factors, or dense block), never for their type.
+The dense path assembles the normal matrix from the pieces' dense blocks and
+takes forms without convolution pieces, of at most ``_DENSE_LIMIT`` (1,024)
+columns, whose stacked map over the equations the focus enters has at most
+``_DENSE_LIMIT ** 2`` entries; larger forms go to conjugate gradients.
 """
 
 from __future__ import annotations
@@ -278,10 +284,17 @@ class _QuadPieces:
         self.rho = float(rho)
         self.slices = _block_slices(form)
         self.blocks = {b.name: b for b in form.focus}
+        self.eq_shapes = dict(form.eq_dims)
+        self.by_eq = {}    # eq_id -> pieces, for the equations the focus enters
+        for p in form.pieces:
+            self.by_eq.setdefault(p.eq_id, []).append(p)
+        # Rows of the stacked map A of those equations.
+        self.rows = sum(self.eq_shapes[e][0] * self.eq_shapes[e][1]
+                        for e in self.by_eq)
         # Only the equations the focus enters reach the adjoint, so only
         # their offsets are needed.
         targets = {}
-        for e in dict.fromkeys(p.eq_id for p in form.pieces):
+        for e in self.by_eq:
             off = form.offset_for(e)
             w_e = np.reshape(np.asarray(w_by_eq[e], dtype=float), off.shape)
             targets[e] = rho * off - w_e
@@ -320,6 +333,32 @@ class _QuadPieces:
                 out[sl] += q.weight * np.ravel(q.linear_map.adjoint(q.linear_map.apply(x)))
         return out
 
+    def dense_normal(self):
+        """The normal matrix rho * A^T A + H, assembled from dense blocks.
+
+        A stacks the rows of the equations the focus enters; each piece
+        adds its ``dense()`` block at its equation's rows and its block's
+        columns.  H adds each quadratic's weight times the gram of its map.
+        """
+        a = np.zeros((self.rows, self.form.in_dim))
+        pos = 0
+        for eq_id, plist in self.by_eq.items():
+            shape = self.eq_shapes[eq_id]
+            rows = slice(pos, pos + shape[0] * shape[1])
+            for p in plist:
+                a[rows, self.slices[p.block.name]] += p.dense()
+            pos = rows.stop
+        normal = self.rho * (a.T @ a)
+        for name, q in self.quads:
+            sl = self.slices[name]
+            if q.linear_map is None:
+                idx = np.arange(sl.start, sl.stop)
+                normal[idx, idx] += q.weight
+            else:
+                m = q.linear_map.to_dense()
+                normal[sl, sl] += q.weight * (m.T @ m)
+        return normal
+
     def normal_diag(self):
         """Diagonal of the normal operator, or None when it is not diagonal."""
         by_eq_block = {}
@@ -333,29 +372,16 @@ class _QuadPieces:
         diag = np.zeros(self.form.in_dim)
         for (eq_id, name), plist in by_eq_block.items():
             sl = self.slices[name]
-            if all(p.kind == "scaled_identity" for p in plist):
-                alpha = sum(p.sign * p.payload for p in plist)
+            if all(p.identity is not None for p in plist):
+                alpha = sum(p.identity for p in plist)
                 diag[sl] += self.rho * alpha ** 2
                 continue
             if len(plist) > 1:
                 return None
-            p = plist[0]
-            if p.kind == "linear_op":
-                gd = p.payload.gram_diag()
-                if gd is None:
-                    return None
-                diag[sl] += self.rho * gd
-            elif p.kind == "hadamard":
-                other, post = p.payload
-                if post is None:
-                    diag[sl] += self.rho * np.ravel(other) ** 2
-                else:
-                    pg = post.gram_diag()
-                    if pg is None:
-                        return None
-                    diag[sl] += self.rho * np.ravel(other) ** 2 * pg
-            else:
+            gd = plist[0].gram_diag()
+            if gd is None:
                 return None
+            diag[sl] += self.rho * gd
         for name, q in self.quads:
             sl = self.slices[name]
             hd = q.hessian_diag(sl.stop - sl.start)
@@ -371,32 +397,27 @@ class _QuadPieces:
         frozen matrix chain, with every other equation contributing a scalar
         multiple of the identity to the normal operator.  Pieces sharing an
         equation would cross-couple, so the chain must be alone in its
-        equation and gram-scalar operators alone in theirs.
+        equation and gram-scalar pieces alone in theirs.
         """
         if len(self.form.focus) != 1:
             return None
-        by_eq = {}
-        for p in self.form.pieces:
-            by_eq.setdefault(p.eq_id, []).append(p)
-        chain, ident = None, 0.0
-        for plist in by_eq.values():
-            if all(p.kind == "scaled_identity" for p in plist):
-                alpha = sum(p.sign * p.payload for p in plist)
+        chains = [p for p in self.form.pieces if p.factors is not None]
+        if len(chains) != 1:
+            return None
+        chain, ident = chains[0], 0.0
+        for plist in self.by_eq.values():
+            if all(p.identity is not None for p in plist):
+                alpha = sum(p.identity for p in plist)
                 ident += self.rho * alpha ** 2
                 continue
             if len(plist) != 1:
                 return None
-            p = plist[0]
-            if p.kind in ("left_mul", "right_mul", "both_mul"):
-                if chain is not None:
-                    return None
-                chain = p
-            elif p.kind == "linear_op" and p.payload.gram_scalar() is not None:
-                ident += self.rho * p.payload.gram_scalar()
-            else:
+            if plist[0] is chain:
+                continue
+            c = plist[0].gram_scalar()
+            if c is None:
                 return None
-        if chain is None:
-            return None
+            ident += self.rho * c
         for _, q in self.quads:
             if q.linear_map is not None:
                 return None
@@ -404,23 +425,20 @@ class _QuadPieces:
         return chain, ident
 
     def densify_ok(self):
-        if self.form.in_dim > _DENSE_LIMIT:
+        """Whether the dense path applies: no Fourier piece, at most
+        ``_DENSE_LIMIT`` columns and a stacked map of at most
+        ``_DENSE_LIMIT ** 2`` entries."""
+        n = self.form.in_dim
+        if n > _DENSE_LIMIT or self.rows * n > _DENSE_LIMIT ** 2:
             return False
-        if any(p.kind in ("conv_signal", "conv_kernel") for p in self.form.pieces):
-            return False
-        return True
+        return not any(p.fourier for p in self.form.pieces)
 
 
 def _solve_sylvester(pieces: _QuadPieces, chain, curvature):
     block = pieces.form.focus[0]
     rhs = pieces.rhs.reshape(block.shape)
     rho = pieces.rho
-    if chain.kind == "left_mul":
-        left, right = chain.payload, None
-    elif chain.kind == "right_mul":
-        left, right = None, chain.payload
-    else:
-        left, right = chain.payload
+    left, right = chain.factors
     lam_l = lam_r = None
     u = v = None
     if left is not None:
@@ -447,13 +465,7 @@ def _solve_sylvester(pieces: _QuadPieces, chain, curvature):
 
 
 def _solve_dense(pieces: _QuadPieces, tol_abs):
-    n = pieces.form.in_dim
-    normal = np.empty((n, n))
-    basis = np.zeros(n)
-    for j in range(n):
-        basis[j] = 1.0
-        normal[:, j] = pieces.normal_apply(basis)
-        basis[j] = 0.0
+    normal = pieces.dense_normal()
     y, *_ = np.linalg.lstsq(normal, pieces.rhs, rcond=None)
     residual = float(np.linalg.norm(normal @ y - pieces.rhs))
     if residual > tol_abs:

@@ -34,8 +34,9 @@ from .operators import DenseOp, LinearOp
 from .prox import (CouplingTerm, ObjectiveTerm, Quadratic, SmoothCustom,
                    _QuadPieces, quad_block_solve)
 from .system import (BlockId, LinearTerm, MatChain, MultiaffineSystem,
-                     ROLE_X, ROLE_Z1, ROLE_Z2, blocks_in, evaluate, freeze,
-                     FrozenLinearForm, spectrum_memo, stack_residual)
+                     ROLE_X, ROLE_Z1, ROLE_Z2, block_adjoints, blocks_in,
+                     evaluate, freeze, FrozenLinearForm, spectrum_memo,
+                     stack_residual)
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAXITER = "MaxIter"
@@ -355,22 +356,22 @@ def _composite_prox_update(form: FrozenLinearForm, block: BlockId,
         if not plist:
             continue
         target = rho * form.offset_for(eq_id) - multipliers[eq_id]
-        if all(p.kind == "scaled_identity" for p in plist):
-            t = sum(p.sign * p.payload for p in plist)
+        if all(p.identity is not None for p in plist):
+            t = sum(p.identity for p in plist)
             kappa += rho * t * t
             lin += t * np.ravel(target)
-        elif len(plist) == 1 and plist[0].kind == "linear_op":
-            c = plist[0].payload.gram_scalar()
-            if c is None:
-                raise BuildError(
-                    f"nonsmooth block {block.name!r} lacks a scalar-gram "
-                    "occurrence; cannot take a proximal step")
-            kappa += rho * c
-            lin += np.ravel(plist[0].adjoint(target))
-        else:
+            continue
+        if len(plist) > 1:
             raise BuildError(
                 f"nonsmooth block {block.name!r} has a non-orthogonal "
                 "occurrence; cannot take a proximal step")
+        c = plist[0].gram_scalar()
+        if c is None:
+            raise BuildError(
+                f"nonsmooth block {block.name!r} lacks a scalar-gram "
+                "occurrence; cannot take a proximal step")
+        kappa += rho * c
+        lin += np.ravel(plist[0].adjoint(target))
     for item in extras:
         if isinstance(item, Quadratic):
             cur = item.identity_curvature
@@ -468,9 +469,9 @@ def _stationarity(problem: Problem, assignment: dict, multipliers: dict):
     """
     parts = {}
     values = _named_values(problem, assignment)
+    adjoints = block_adjoints(problem.system, assignment, multipliers)
     for block in problem.all_blocks:
-        form = freeze(problem.system, block, assignment)
-        g = np.asarray(form.adjoint_eqs(multipliers), dtype=float)
+        g = adjoints[block]
         for t in problem.terms_for(block):
             if t.smooth:
                 g = g + t.grad(assignment[block])
@@ -746,12 +747,7 @@ def _gram_eigenvalues(q):
             raise BuildError(
                 f"constraint map with {n} columns is too large for a dense "
                 "spectrum")
-        gram = np.empty((n, n))
-        basis = np.zeros(n)
-        for j in range(n):
-            basis[j] = 1.0
-            gram[:, j] = pieces.normal_apply(basis)
-            basis[j] = 0.0
+        gram = pieces.dense_normal()
         return np.linalg.eigvalsh((gram + gram.T) / 2.0)
     if isinstance(q, LinearOp):
         gd = q.gram_diag()

@@ -21,6 +21,17 @@ a focus stores that structure on the system as a plan, and later calls for
 the same focus reuse it; ``add_equation``, the only way to add an equation,
 clears every plan.
 
+A frozen form is a list of pieces, one per occurrence of a focus block in a
+term, and each piece is an instance of one small class per way a block can
+enter a term: a scaled identity, a linear operator, a left, right or
+two-sided matrix multiply, a Hadamard product with an optional post-map, and
+the signal or kernel side of a convolution.  A piece class owns its
+``apply`` and ``adjoint``, its gram view (a diagonal or a scalar, when the
+gram is one), and ``dense()``, the matrix it applies to the row-major
+flattened block; the block solvers in ``prox`` read these views and never
+the piece's type.  :func:`block_adjoints` takes ``C'_b^T W`` for every block
+at once by freezing each term with its own blocks as the focus.
+
 Convolutions go through the Fourier domain, and every zero-padded ``rfft2``
 is taken by :func:`_spectrum`.  Inside :func:`spectrum_memo`, which
 ``solver.step`` opens while it runs, the spectrum of an
@@ -389,66 +400,205 @@ def stack_residual(residuals) -> np.ndarray:
 
 
 class _Piece:
-    """One frozen linear contribution of a focus block to one equation."""
+    """One frozen linear contribution of a focus block to one equation.
 
-    def __init__(self, eq_id, block, kind, payload, sign):
+    Each subclass is one way a block enters a term, holds what the other
+    blocks of the term contribute, and owns ``apply`` and ``adjoint``.  The
+    views the block solvers read:
+
+    * ``identity`` -- t when the piece is t * I, else None;
+    * ``gram_diag()`` -- diagonal of the piece's gram A^T A (row-major
+      flattened) when that matrix is diagonal, else None;
+    * ``gram_scalar()`` -- c when the gram is c * I, else None;
+    * ``factors`` -- (left, right) of a matrix multiply, either may be None;
+    * ``fourier`` -- set on the convolution pieces, which are diagonal under
+      ``rfft2`` and stay off the dense solve path;
+    * ``dense()`` -- the matrix the piece applies to the row-major flattened
+      block.
+    """
+
+    identity = None
+    factors = None
+    fourier = False
+
+    def __init__(self, eq_id, block, sign):
         self.eq_id = eq_id
         self.block = block
-        self.kind = kind
-        self.payload = payload
         self.sign = float(sign)
 
+    def gram_diag(self):
+        return None
+
+    def gram_scalar(self):
+        gd = self.gram_diag()
+        if gd is None or gd.size == 0 or not np.all(gd == gd[0]):
+            return None
+        return float(gd[0])
+
+
+class _IdentityPiece(_Piece):
+    """sign * alpha * Y."""
+
+    def __init__(self, eq_id, block, sign, alpha):
+        super().__init__(eq_id, block, sign)
+        self.identity = self.sign * alpha
+
     def apply(self, y):
-        s = self.sign
-        if self.kind == "scaled_identity":
-            return (s * self.payload) * y
-        if self.kind == "linear_op":
-            return s * self.payload.apply(y)
-        if self.kind == "left_mul":
-            return s * (self.payload @ y)
-        if self.kind == "right_mul":
-            return s * (y @ self.payload)
-        if self.kind == "both_mul":
-            left, right = self.payload
-            return s * (left @ y @ right)
-        if self.kind == "hadamard":
-            other, post = self.payload
-            prod = y * other
-            return s * (post.apply(prod) if post is not None else prod)
-        if self.kind == "conv_signal":
-            return s * circ_conv2(self.payload, y)
-        if self.kind == "conv_kernel":
-            return s * circ_conv2(y, self.payload)
-        raise BuildError(f"unknown piece kind {self.kind}")
+        return self.identity * y
 
     def adjoint(self, w):
-        s = self.sign
-        if self.kind == "scaled_identity":
-            return (s * self.payload) * w
-        if self.kind == "linear_op":
-            return s * self.payload.adjoint(w)
-        if self.kind == "left_mul":
-            return s * (self.payload.T @ w)
-        if self.kind == "right_mul":
-            return s * (w @ self.payload.T)
-        if self.kind == "both_mul":
-            left, right = self.payload
-            return s * (left.T @ w @ right.T)
-        if self.kind == "hadamard":
-            other, post = self.payload
-            back = post.adjoint(w) if post is not None else w
-            return s * (back * other)
-        if self.kind == "conv_signal":
-            return s * _conv_adjoint_signal(self.payload, w)
-        if self.kind == "conv_kernel":
-            return s * _conv_adjoint_kernel(self.payload, w, self.block.shape)
-        raise BuildError(f"unknown piece kind {self.kind}")
+        return self.identity * w
+
+    def gram_diag(self):
+        return np.full(self.block.dim, self.identity * self.identity)
+
+    def dense(self):
+        return self.identity * np.eye(self.block.dim)
+
+
+class _OpPiece(_Piece):
+    """sign * op(Y) for a LinearOp that is not a scaled identity."""
+
+    def __init__(self, eq_id, block, sign, op):
+        super().__init__(eq_id, block, sign)
+        self.op = op
+
+    def apply(self, y):
+        return self.sign * self.op.apply(y)
+
+    def adjoint(self, w):
+        return self.sign * self.op.adjoint(w)
+
+    def gram_diag(self):
+        return self.op.gram_diag()
+
+    def gram_scalar(self):
+        return self.op.gram_scalar()
+
+    def dense(self):
+        return self.sign * self.op.to_dense()
+
+
+class _MatMulPiece(_Piece):
+    """sign * left @ Y @ right, with a missing factor left out."""
+
+    def __init__(self, eq_id, block, sign, left, right):
+        super().__init__(eq_id, block, sign)
+        self.factors = (left, right)
+
+    def apply(self, y):
+        left, right = self.factors
+        if left is not None:
+            y = left @ y
+        if right is not None:
+            y = y @ right
+        return self.sign * y
+
+    def adjoint(self, w):
+        left, right = self.factors
+        if left is not None:
+            w = left.T @ w
+        if right is not None:
+            w = w @ right.T
+        return self.sign * w
+
+    def dense(self):
+        # kron(left, right.T), with an identity for a missing factor.
+        left, right = self.factors
+        rows, cols = self.block.shape
+        a = np.eye(rows) if left is None else left
+        b = np.eye(cols) if right is None else right.T
+        prod = a[:, None, :, None] * b[None, :, None, :]
+        return self.sign * prod.reshape(a.shape[0] * b.shape[0], rows * cols)
+
+
+class _HadamardPiece(_Piece):
+    """sign * post(Y * other); post may be None for the identity."""
+
+    def __init__(self, eq_id, block, sign, other, post):
+        super().__init__(eq_id, block, sign)
+        self.other = other
+        self.post = post
+
+    def apply(self, y):
+        prod = y * self.other
+        return self.sign * (self.post.apply(prod) if self.post is not None else prod)
+
+    def adjoint(self, w):
+        back = self.post.adjoint(w) if self.post is not None else w
+        return self.sign * (back * self.other)
+
+    def gram_diag(self):
+        sq = np.ravel(self.other) ** 2
+        if self.post is None:
+            return sq
+        pg = self.post.gram_diag()
+        return None if pg is None else sq * pg
+
+    def dense(self):
+        other = np.ravel(self.other)
+        if self.post is None:
+            return np.diag(self.sign * other)
+        return self.sign * (self.post.to_dense() * other)
+
+
+def _circulant(fixed, out_shape, in_shape):
+    """Matrix of y -> circ_conv2(y, fixed) for y of ``in_shape``, whose
+    entry ((i, j), (k, l)) is fixed[(i - k) mod n1, (j - l) mod n2]."""
+    n1, n2 = out_shape
+    p, q = in_shape
+    d1 = (np.arange(n1)[:, None] - np.arange(p)[None, :]) % n1
+    d2 = (np.arange(n2)[:, None] - np.arange(q)[None, :]) % n2
+    return fixed[d1[:, None, :, None], d2[None, :, None, :]].reshape(n1 * n2, p * q)
+
+
+class _ConvSignalPiece(_Piece):
+    """sign * (kernel conv Y) for a signal block Y."""
+
+    fourier = True
+
+    def __init__(self, eq_id, block, sign, kernel):
+        super().__init__(eq_id, block, sign)
+        self.kernel = kernel
+
+    def apply(self, y):
+        return self.sign * circ_conv2(self.kernel, y)
+
+    def adjoint(self, w):
+        return self.sign * _conv_adjoint_signal(self.kernel, w)
+
+    def dense(self):
+        padded = np.zeros(self.block.shape)
+        padded[: self.kernel.shape[0], : self.kernel.shape[1]] = self.kernel
+        return self.sign * _circulant(padded, self.block.shape, self.block.shape)
+
+
+class _ConvKernelPiece(_Piece):
+    """sign * (Y conv signal) for a kernel block Y."""
+
+    fourier = True
+
+    def __init__(self, eq_id, block, sign, signal):
+        super().__init__(eq_id, block, sign)
+        self.signal = signal
+
+    def apply(self, y):
+        return self.sign * circ_conv2(y, self.signal)
+
+    def adjoint(self, w):
+        return self.sign * _conv_adjoint_kernel(self.signal, w, self.block.shape)
+
+    def dense(self):
+        return self.sign * _circulant(self.signal, self.signal.shape, self.block.shape)
 
 
 def _freeze_term(term, focus_hits, values, eq_id):
     """Pieces for the focus blocks appearing in `term` (one per occurrence).
 
     ``values`` maps every non-focus block of the term to its checked array.
+    When several blocks of the term are in ``focus_hits``, as in
+    :func:`block_adjoints`, it maps those too: each one's piece holds the
+    values of the others.
     """
     pieces = []
     if isinstance(term, MatChain):
@@ -463,35 +613,31 @@ def _freeze_term(term, focus_hits, values, eq_id):
                     v = values[g] if isinstance(g, BlockId) else np.asarray(g, dtype=float)
                     right = v if right is None else right @ v
                 if left is None and right is None:
-                    pieces.append(_Piece(eq_id, f, "scaled_identity", 1.0, term.sign))
-                elif left is None:
-                    pieces.append(_Piece(eq_id, f, "right_mul", right, term.sign))
-                elif right is None:
-                    pieces.append(_Piece(eq_id, f, "left_mul", left, term.sign))
+                    pieces.append(_IdentityPiece(eq_id, f, term.sign, 1.0))
                 else:
-                    pieces.append(_Piece(eq_id, f, "both_mul", (left, right), term.sign))
+                    pieces.append(_MatMulPiece(eq_id, f, term.sign, left, right))
     elif isinstance(term, HadamardPair):
         if term.left in focus_hits:
-            other = values[term.right]
-            pieces.append(_Piece(eq_id, term.left, "hadamard", (other, term.post), term.sign))
+            pieces.append(_HadamardPiece(eq_id, term.left, term.sign,
+                                         values[term.right], term.post))
         if term.right in focus_hits:
-            other = values[term.left]
-            pieces.append(_Piece(eq_id, term.right, "hadamard", (other, term.post), term.sign))
+            pieces.append(_HadamardPiece(eq_id, term.right, term.sign,
+                                         values[term.left], term.post))
     elif isinstance(term, Conv2D):
         if term.kernel in focus_hits:
-            pieces.append(_Piece(eq_id, term.kernel, "conv_kernel",
-                                 values[term.signal], term.sign))
+            pieces.append(_ConvKernelPiece(eq_id, term.kernel, term.sign,
+                                           values[term.signal]))
         if term.signal in focus_hits:
-            pieces.append(_Piece(eq_id, term.signal, "conv_signal",
-                                 values[term.kernel], term.sign))
+            pieces.append(_ConvSignalPiece(eq_id, term.signal, term.sign,
+                                           values[term.kernel]))
     elif isinstance(term, LinearTerm):
         if term.block in focus_hits:
             op = term.op
             if op.identity_scale is not None:
-                pieces.append(_Piece(eq_id, term.block, "scaled_identity",
-                                     op.identity_scale, term.sign))
+                pieces.append(_IdentityPiece(eq_id, term.block, term.sign,
+                                             op.identity_scale))
             else:
-                pieces.append(_Piece(eq_id, term.block, "linear_op", op, term.sign))
+                pieces.append(_OpPiece(eq_id, term.block, term.sign, op))
     return pieces
 
 
@@ -693,6 +839,28 @@ def freeze(system: MultiaffineSystem, focus, assignment) -> FrozenLinearForm:
         pieces.extend(_freeze_term(term, plan.focus_set, values, eq_id))
     return FrozenLinearForm(plan, pieces, values,
                             single=isinstance(focus, BlockId))
+
+
+def block_adjoints(system: MultiaffineSystem, assignment, w_by_eq) -> dict:
+    """BlockId -> C'_b^T W for every block b of the system, in one pass.
+
+    Each term is frozen once, with its own blocks as the focus, instead of
+    freezing the system once per block.  A block's sum runs over its pieces
+    in equation and term order, as ``freeze(system, b, assignment)
+    .adjoint_eqs(w_by_eq)`` sums them, so the two agree bit for bit.
+    Equations missing from ``w_by_eq`` contribute nothing.
+    """
+    values = {b: _value_of(assignment, b) for b in system.blocks.values()}
+    grads = {b: np.zeros(b.shape) for b in system.blocks.values()}
+    for eq_id, terms in system.equations:
+        w = w_by_eq.get(eq_id)
+        if w is None:
+            continue
+        w = np.asarray(w, dtype=float)
+        for term in terms:
+            for p in _freeze_term(term, frozenset(blocks_in(term)), values, eq_id):
+                grads[p.block] = grads[p.block] + p.adjoint(w)
+    return grads
 
 
 def jacobian_image_basis(system: MultiaffineSystem, assignment, samples: int = 8,

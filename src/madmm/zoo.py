@@ -38,8 +38,9 @@ from .prox import (IndicatorBox, IndicatorNonneg, IndicatorUnitColumns, L1,
                    Quadratic, SmoothCustom)
 from .solver import Problem
 from .system import (BlockId, Constant, Conv2D, HadamardPair, LinearTerm,
-                     MatChain, MultiaffineSystem, _conv_adjoint_kernel,
-                     _spectrum, circ_conv2, freeze)
+                     MatChain, MultiaffineSystem, _ConvKernelPiece,
+                     _ConvSignalPiece, _conv_adjoint_kernel, _spectrum,
+                     circ_conv2, freeze)
 
 _INNER_TOL = 1e-11
 # Passes of the split solver granted to the sparse-signal update per outer
@@ -386,10 +387,11 @@ def _sparse_conv_updater(l1_weight: float, max_passes: int = _SBD_INNER_BUDGET):
 
     def update(problem, block, assignment, multipliers, rho):
         form = freeze(problem.system, block, assignment)
-        if len(form.pieces) != 1:
-            raise BuildError("sparse convolution block must appear exactly once")
-        piece = form.pieces[0]
-        kernel = np.asarray(piece.payload, dtype=float)
+        piece = form.pieces[0] if len(form.pieces) == 1 else None
+        if not isinstance(piece, _ConvSignalPiece):
+            raise BuildError("sparse convolution block must appear exactly "
+                             "once, as a convolution signal")
+        kernel = np.asarray(piece.kernel, dtype=float)
         target = piece.sign * (form.offset_for(piece.eq_id)
                                - multipliers[piece.eq_id] / rho)
         shape = block.shape
@@ -462,11 +464,11 @@ def _conv_kernel_updater():
 
     def update(problem, block, assignment, multipliers, rho):
         form = freeze(problem.system, block, assignment)
-        if len(form.pieces) != 1 or form.pieces[0].kind != "conv_kernel":
+        piece = form.pieces[0] if len(form.pieces) == 1 else None
+        if not isinstance(piece, _ConvKernelPiece):
             raise BuildError("kernel block must appear exactly once, in a "
                              "convolution")
-        piece = form.pieces[0]
-        signal = np.asarray(piece.payload, dtype=float)
+        signal = np.asarray(piece.signal, dtype=float)
         target = piece.sign * (form.offset_for(piece.eq_id)
                                - multipliers[piece.eq_id] / rho)
         p, q = block.shape
@@ -566,22 +568,34 @@ def gen_sbd_data(n: int, kernel_shape, theta: float = 0.05,
 # ---------------------------------------------------------------------------
 # Default instances at desk scale.
 
+# Desk sizes of the generated families, keyed by the command line's parameter
+# names; ``cli.build_instance`` reads the nmf3, dl3, rp2 and rpca2 entries.
+# The command line's sbd default is 64 with kernel 16, not the entry here.
+DEFAULT_SIZES = {"nmf3": {"rows": 20, "cols": 20, "rank": 3},
+                 "dl3": {"rows": 50, "cols": 50, "rank": 10},
+                 "rp2": {"size": 6},
+                 "rpca2": {"rows": 20, "cols": 16, "rank": 3},
+                 "sbd": {"size": 32, "kernel": 8}}
+
+
 def _default_nmf3(seed):
-    B, X0, Y0 = gen_nmf_data(20, 20, 3, seed=seed)
-    inst = nmf3(B, 3)
+    s = DEFAULT_SIZES["nmf3"]
+    B, X0, Y0 = gen_nmf_data(s["rows"], s["cols"], s["rank"], seed=seed)
+    inst = nmf3(B, s["rank"])
     inst.truth.update({"X": X0, "Y": Y0})
     return inst
 
 
 def _default_dl3(seed):
-    B, D0, C0 = gen_dl_data(50, 50, 10, seed=seed)
-    inst = dl3(B, 10)
+    s = DEFAULT_SIZES["dl3"]
+    B, D0, C0 = gen_dl_data(s["rows"], s["cols"], s["rank"], seed=seed)
+    inst = dl3(B, s["rank"])
     inst.truth.update({"D": D0, "C": C0})
     return inst
 
 
 def _default_rp2(seed):
-    cov, lo, hi = gen_rp_data(6, seed=seed)
+    cov, lo, hi = gen_rp_data(DEFAULT_SIZES["rp2"]["size"], seed=seed)
     return rp2(cov, lo, hi)
 
 
@@ -589,38 +603,28 @@ def _default_mc1(seed):
     return mc1(triangle_graph())
 
 
-def _default_rpca2(seed):
-    B, L0, S0 = gen_rpca_data(20, 16, 3, seed=seed)
-    inst = rpca2(B, 3)
+def _default_rpca2(seed, variant="slack"):
+    s = DEFAULT_SIZES["rpca2"]
+    B, L0, S0 = gen_rpca_data(s["rows"], s["cols"], s["rank"], seed=seed)
+    inst = rpca2(B, s["rank"], variant=variant)
     inst.truth.update({"L": L0, "S": S0})
     return inst
 
 
-def _default_rpca2_raw(seed):
-    B, L0, S0 = gen_rpca_data(20, 16, 3, seed=seed)
-    inst = rpca2(B, 3, variant="raw")
-    inst.truth.update({"L": L0, "S": S0})
-    return inst
-
-
-def _default_sbd1(seed):
-    Y, A0, X0, b0 = gen_sbd_data(32, (8, 8), theta=0.05, bias=0.1, seed=seed)
-    inst = sbd1(Y, (8, 8))
-    inst.truth.update({"A": A0, "X": X0, "b": b0})
-    return inst
-
-
-def _default_sbd0(seed):
-    Y, A0, X0, b0 = gen_sbd_data(32, (8, 8), theta=0.05, bias=0.1, seed=seed)
-    inst = sbd0(Y, (8, 8))
+def _default_sbd(seed, build):
+    ks = DEFAULT_SIZES["sbd"]["kernel"]
+    Y, A0, X0, b0 = gen_sbd_data(DEFAULT_SIZES["sbd"]["size"], (ks, ks),
+                                 theta=0.05, bias=0.1, seed=seed)
+    inst = build(Y, (ks, ks))
     inst.truth.update({"A": A0, "X": X0, "b": b0})
     return inst
 
 
 _DEFAULTS = {"nmf3": _default_nmf3, "dl3": _default_dl3, "rp2": _default_rp2,
              "mc1": _default_mc1, "rpca2": _default_rpca2,
-             "rpca2_raw": _default_rpca2_raw, "sbd1": _default_sbd1,
-             "sbd0": _default_sbd0}
+             "rpca2_raw": lambda seed: _default_rpca2(seed, variant="raw"),
+             "sbd1": lambda seed: _default_sbd(seed, sbd1),
+             "sbd0": lambda seed: _default_sbd(seed, sbd0)}
 
 
 def zoo_names():

@@ -19,6 +19,8 @@ from madmm import (BlockId, BuildError, Constant, DenseOp, HadamardPair,
 from madmm.prox import (L1, IndicatorBox, IndicatorNonneg, IndicatorUnitColumns,
                         Quadratic, SmoothCustom, project_box, project_nonneg,
                         project_unit_columns, quad_block_solve, soft_threshold)
+from madmm.system import blocks_in
+from test_system import _random_system
 
 
 def _grid_prox_l1(v: float, tau: float, n: int = 10_000) -> float:
@@ -50,8 +52,8 @@ def _probe_matrix(form):
     return np.column_stack(cols)
 
 
-def _pinv_oracle(form, w_vec, rho, extras):
-    """Assemble rho*A^T A + H densely and solve by pseudoinverse."""
+def _oracle_normal(form, w_vec, rho, extras):
+    """(rho*A^T A + H, rhs) of the block subproblem, assembled densely."""
     slices, pos = {}, 0
     for b in form.focus:
         slices[b.name] = (slice(pos, pos + b.dim), b.shape)
@@ -80,6 +82,12 @@ def _pinv_oracle(form, w_vec, rho, extras):
     a = _probe_matrix(form)
     normal = rho * (a.T @ a) + hess
     rhs = a.T @ (rho * form.offset - w_vec) + lin
+    return normal, rhs
+
+
+def _pinv_oracle(form, w_vec, rho, extras):
+    """Assemble rho*A^T A + H densely and solve by pseudoinverse."""
+    normal, rhs = _oracle_normal(form, w_vec, rho, extras)
     return np.linalg.pinv(normal) @ rhs
 
 
@@ -176,6 +184,8 @@ def test_projections_nonexpansive(a, b):
             <= np.linalg.norm(a - b) + 1e-12)
     lo, hi = -1.0, 2.0
     assert (np.linalg.norm(project_box(a, lo, hi) - project_box(b, lo, hi))
+            <= np.linalg.norm(a - b) + 1e-12)
+    assert (np.linalg.norm(soft_threshold(a, 0.7) - soft_threshold(b, 0.7))
             <= np.linalg.norm(a - b) + 1e-12)
 
 
@@ -461,3 +471,72 @@ def test_cg_warm_start_converges_immediately():
     sol = quad_block_solve(form, w, 1.0, method="cg")
     again = quad_block_solve(form, w, 1.0, method="cg", y0=sol, cg_maxit=1)
     assert np.allclose(again, sol, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_every_accepting_path_matches_pinv_oracle(n, data):
+    # Random systems of matrix chains, Hadamard pairs with and without a
+    # dense post-map, linear terms and constants; every single block and the
+    # whole block group when no term couples it.  Each method either
+    # declines the form with BuildError (diag and sylvester only) or solves
+    # the normal equations of the pinv oracle.
+    system, rng = _random_system(data, n)
+    blocks = sorted(system.blocks.values(), key=lambda b: b.name)
+    point = {b: rng.standard_normal(b.shape) for b in blocks}
+    group = tuple(blocks)
+    coupled = any(sum(b in group for b in blocks_in(t)) > 1
+                  for _, terms in system.equations for t in terms)
+    rho = data.draw(st.floats(0.5, 3.0))
+    for focus in blocks + ([group] if len(group) > 1 and not coupled else []):
+        members = focus if isinstance(focus, tuple) else (focus,)
+        form = freeze(system, focus, point)
+        extras = []
+        for b in members:
+            post = (DenseOp(rng.standard_normal((b.dim, b.dim)), b.shape, b.shape)
+                    if data.draw(st.booleans()) else None)
+            quad = Quadratic(data.draw(st.floats(0.5, 2.0)),
+                             center=rng.standard_normal(b.shape), linear_map=post)
+            extras.append((b.name, quad) if isinstance(focus, tuple) else quad)
+        w = rng.standard_normal(form.out_dim)
+        normal, rhs = _oracle_normal(form, w, rho, extras)
+        if np.linalg.cond(normal) > 1e7:
+            continue
+        want = np.linalg.pinv(normal) @ rhs
+        accepted = []
+        for method in ("diag", "sylvester", "dense", "cg"):
+            try:
+                got = quad_block_solve(form, w, rho, extras=extras, method=method,
+                                       cg_tol=1e-9, cg_maxit=100 * form.in_dim)
+            except BuildError:
+                assert method in ("diag", "sylvester")
+                continue
+            accepted.append(method)
+            gap = normal @ (_stacked(form, got) - want)
+            assert np.linalg.norm(gap) <= 1e-7 * (1 + np.linalg.norm(rhs)), method
+        assert accepted[-2:] == ["dense", "cg"]
+
+
+def test_rp2_step_assembles_dense_blocks_without_probing(monkeypatch):
+    # rp2's x and y blocks take the dense path.  Probing the normal operator
+    # column by column took 12 normal_apply calls per step, one per column.
+    from madmm import prox, solver, zoo
+
+    inst = zoo.default_instance("rp2", 0)
+    state, _, _ = solver.solve(inst.problem, max_iter=1)
+    probes, dense = [], []
+    real_apply, real_dense = prox._QuadPieces.normal_apply, prox._solve_dense
+
+    def counting_apply(self, y_vec):
+        probes.append(y_vec)
+        return real_apply(self, y_vec)
+
+    def counting_dense(pieces, tol_abs):
+        dense.append(pieces.form.focus)
+        return real_dense(pieces, tol_abs)
+
+    monkeypatch.setattr(prox._QuadPieces, "normal_apply", counting_apply)
+    monkeypatch.setattr(prox, "_solve_dense", counting_dense)
+    solver.step(inst.problem, state)
+    assert [b.name for (b,) in dense] == ["x", "y"]
+    assert probes == []

@@ -17,7 +17,9 @@ from madmm import (BlockId, BuildError, Constant, Conv2D, DenseOp, DiagExtract,
                    HadamardPair, LinearTerm, MatChain, MultiaffineSystem,
                    ScaledIdentity, ShapeMismatchError, TransposeOp, circ_conv2,
                    evaluate, freeze, jacobian_image_basis, stack_residual)
-from madmm.system import blocks_in, spectrum_memo
+from madmm import solver, zoo
+from madmm.system import (_ConvKernelPiece, _ConvSignalPiece, block_adjoints,
+                          blocks_in, spectrum_memo)
 
 
 def _fd_jacobian(system, assignment, block, h=1e-6):
@@ -256,10 +258,10 @@ def test_conv_pieces_adjoint_and_memo_agree(k0, k1, extra0, extra1, seed):
     point = _gaussian_assignment(system, seed)
     rng = np.random.default_rng(seed)
     mults = {0: rng.standard_normal(ss)}
-    for block, kind in ((a, "conv_kernel"), (xs, "conv_signal")):
+    for block, kind in ((a, _ConvKernelPiece), (xs, _ConvSignalPiece)):
         y = rng.standard_normal(block.shape)
         form = freeze(system, block, point)
-        assert [p.kind for p in form.pieces] == [kind]
+        assert [type(p) for p in form.pieces] == [kind]
         applied = form.apply_eqs(y)[0]
         back = form.adjoint_eqs(mults)
         lhs = float(np.sum(applied * mults[0]))
@@ -598,3 +600,77 @@ def test_stationarity_evaluates_no_terms(monkeypatch):
     assert calls == []
     evaluate(inst.problem.system, state.assignment)
     assert calls, "the counter must see the evaluations evaluate() makes"
+
+
+def _probed(fn, shape):
+    """Columns fn(e_j).ravel() over the row-major basis of ``shape``."""
+    basis = np.zeros(shape)
+    flat = basis.reshape(-1)
+    cols = []
+    for j in range(flat.size):
+        flat[j] = 1.0
+        cols.append(np.ravel(fn(basis)))
+        flat[j] = 0.0
+    return np.column_stack(cols)
+
+
+def _assert_dense_matches_probes(piece, out_shape):
+    dense = piece.dense()
+    scale = 1e-12 * max(1.0, float(np.max(np.abs(dense))))
+    np.testing.assert_allclose(dense, _probed(piece.apply, piece.block.shape),
+                               rtol=0, atol=scale)
+    np.testing.assert_allclose(dense.T, _probed(piece.adjoint, out_shape),
+                               rtol=0, atol=scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_piece_dense_matches_probed_apply_and_adjoint(n, data):
+    system, rng = _random_system(data, n)
+    point = {b: rng.standard_normal(b.shape) for b in system.blocks.values()}
+    for block in system.blocks.values():
+        for piece in freeze(system, block, point).pieces:
+            _assert_dense_matches_probes(piece, system.eq_shape(piece.eq_id))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_conv_piece_dense_matches_probed_apply_and_adjoint(k0, k1, extra0,
+                                                           extra1, seed):
+    ss = (k0 + extra0, k1 + extra1)
+    system, a, xs, _ = _conv_system((k0, k1), ss)
+    point = _gaussian_assignment(system, seed)
+    for block in (a, xs):
+        (piece,) = freeze(system, block, point).pieces
+        _assert_dense_matches_probes(piece, ss)
+
+
+@pytest.mark.parametrize("name", zoo.zoo_names())
+def test_block_adjoints_match_freeze_bit_for_bit(name):
+    inst = zoo.default_instance(name, 0)
+    state, _, _ = solver.solve(inst.problem, max_iter=3, init=inst.init)
+    system = inst.problem.system
+    got = block_adjoints(system, state.assignment, state.multipliers)
+    assert set(got) == set(system.blocks.values())
+    for block in system.blocks.values():
+        want = freeze(system, block, state.assignment).adjoint_eqs(state.multipliers)
+        assert np.array_equal(got[block], want), block.name
+
+
+@pytest.mark.parametrize("name", zoo.zoo_names())
+def test_stationarity_freezes_nothing(monkeypatch, name):
+    inst = zoo.default_instance(name, 0)
+    state, _, _ = solver.solve(inst.problem, max_iter=2, init=inst.init)
+    calls = []
+    real = solver.freeze
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "freeze", counting)
+    solver._stationarity(inst.problem, state.assignment, state.multipliers)
+    assert calls == []
+    solver.step(inst.problem, state)
+    assert calls, "the counter must see the freezes a step makes"
