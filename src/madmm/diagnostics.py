@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BuildError
-from .prox import Quadratic
+from .prox import Quadratic, conjugate_gradients
 from .solver import (Problem, SolverState, Violation, _al, _gram_eigenvalues,
                      _min_pos_from_eigs, _stationarity)
 from .system import evaluate, freeze, jacobian_image_basis, stack_residual
@@ -93,27 +93,13 @@ def _cached_spectra(problem: Problem) -> dict:
 
 def _least_squares_residual(form, target: np.ndarray, maxit: int = 500) -> float:
     """Distance from target to the image of a frozen linear form, by
-    conjugate gradients on the normal equations."""
-    x = np.zeros(form.in_dim)
-    s = target - form.apply_vec(x)
-    r = form.adjoint_vec(s)
-    p = r.copy()
-    rr = float(r @ r)
-    stop = 1e-14 * (1.0 + rr)
-    for _ in range(maxit):
-        if rr <= stop:
-            break
-        qp = form.apply_vec(p)
-        denom = float(qp @ qp)
-        if denom <= 0.0:
-            break
-        alpha = rr / denom
-        x += alpha * p
-        s -= alpha * qp
-        r = form.adjoint_vec(s)
-        rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
-        rr = rr_new
+    conjugate gradients on the normal equations A^T A x = A^T target from
+    zero, stopped once ||A^T (target - A x)||^2 <= 1e-14 (1 + ||A^T target||^2)
+    or after ``maxit`` steps."""
+    rhs = form.adjoint_vec(target)
+    tol_abs = float(np.sqrt(1e-14 * (1.0 + float(rhs @ rhs))))
+    x, _, _ = conjugate_gradients(lambda v: form.adjoint_vec(form.apply_vec(v)),
+                                  rhs, np.zeros(form.in_dim), tol_abs, maxit)
     return float(np.linalg.norm(target - form.apply_vec(x)))
 
 

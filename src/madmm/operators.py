@@ -13,6 +13,8 @@ pick fast exact paths:
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import require_finite
@@ -97,7 +99,8 @@ class ScaledIdentity(LinearOp):
 
 
 class DenseOp(LinearOp):
-    """Explicit matrix acting on the row-major flattening of the input."""
+    """Explicit matrix acting on the row-major flattening of the input; the
+    matrix must not change after construction, as its gram view is kept."""
 
     def __init__(self, mat, in_shape=None, out_shape=None):
         mat = np.asarray(mat, dtype=float)
@@ -120,7 +123,9 @@ class DenseOp(LinearOp):
     def adjoint(self, w):
         return (self.mat.T @ np.ravel(w)).reshape(self.in_shape)
 
-    def gram_diag(self):
+    @cached_property
+    def _gram_diag(self):
+        # mat^T mat is formed at most once; gram_diag hands out copies.
         if self.in_dim > 512:
             return None
         g = self.mat.T @ self.mat
@@ -128,6 +133,10 @@ class DenseOp(LinearOp):
         if np.all(off == 0.0):
             return np.diag(g).copy()
         return None
+
+    def gram_diag(self):
+        d = self._gram_diag
+        return None if d is None else d.copy()
 
     def to_dense(self):
         return self.mat.copy()

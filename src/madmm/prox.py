@@ -1,19 +1,27 @@
-"""Objective terms, proximal maps, and the quadratic block solver.
+"""Objective terms, proximal maps, and the block subproblem solvers.
 
 Objective terms attach to individual variable blocks.  Smooth terms expose a
 gradient; the nonsmooth ones (elementwise L1 and the three indicators) expose
 an exact proximal map instead, and ``stat_residual(x, g)``: the distance of a
 gradient ``g`` at ``x`` to the term's negative subdifferential there.
-``quad_block_solve`` minimizes the smooth augmented-Lagrangian restriction to
-one frozen block (or block group), picking among an elementwise-diagonal
-solve, a two-sided eigendecomposition solve for matrix-chain structure, a
-dense least-squares solve, and conjugate gradients on the normal equations.
-Each path asks the frozen pieces for a view (their identity scale, gram
-diagonal or scalar, matrix factors, or dense block), never for their type.
-The dense path assembles the normal matrix from the pieces' dense blocks and
-takes forms without convolution pieces, of at most ``_DENSE_LIMIT`` (1,024)
-columns, whose stacked map over the equations the focus enters has at most
-``_DENSE_LIMIT ** 2`` entries; larger forms go to conjugate gradients.
+
+Both block solvers assemble the smooth augmented-Lagrangian restriction to a
+frozen block in one place, ``_QuadPieces``: the normal operator N and the
+right-hand side, with one rule for the curvature the pieces add, read as N's
+diagonal or as its scalar kappa when N = kappa * I.  ``quad_block_solve``
+minimizes over one block (or block group), picking among an
+elementwise-diagonal solve, a two-sided eigendecomposition solve for one
+matrix chain (the rest of N scalar), a dense least-squares solve, and
+conjugate gradients on the normal equations.  ``prox_block_step`` adds one
+nonsmooth term: with N = kappa * I the minimizer is the term's prox at rhs /
+kappa with step 1 / kappa.  Each path asks the frozen pieces for a view
+(their identity scale, gram diagonal or scalar, matrix factors, or dense
+block), never for their type.  The dense path assembles N from the pieces'
+dense blocks and takes forms without convolution pieces, of at most
+``_DENSE_LIMIT`` (1,024) columns, whose stacked map over the equations the
+focus enters has at most ``_DENSE_LIMIT ** 2`` entries; larger forms go to
+conjugate gradients.  ``conjugate_gradients`` is the one CG loop: the solver
+and the diagnostics' least-squares distance both run it.
 """
 
 from __future__ import annotations
@@ -113,12 +121,6 @@ class Quadratic(ObjectiveTerm):
             return self.weight
         c = self.linear_map.gram_scalar()
         return None if c is None else self.weight * c
-
-    def hessian_diag(self, dim):
-        if self.linear_map is None:
-            return np.full(dim, self.weight)
-        gd = self.linear_map.gram_diag()
-        return None if gd is None else self.weight * gd
 
 
 class L1(ObjectiveTerm):
@@ -268,54 +270,49 @@ def _normalize_extras(form: FrozenLinearForm, extras):
     return out
 
 
-def _block_slices(form: FrozenLinearForm):
-    slices, pos = {}, 0
-    for b in form.focus:
-        slices[b.name] = slice(pos, pos + b.dim)
-        pos += b.dim
-    return slices
-
-
 class _QuadPieces:
-    """Assembled smooth subproblem: min over y of y^T N y / 2 - rhs^T y."""
+    """Assembled smooth subproblem: min over y of y^T N y / 2 - rhs^T y.
 
-    def __init__(self, form, w_by_eq, rho, extras):
+    N is rho * A^T A plus the Hessians of the quadratic extras, A the stacked
+    map of the equations the focus enters.  With ``w_by_eq`` None only N is
+    assembled: no offset is evaluated, and ``rhs`` is None.
+    """
+
+    def __init__(self, form, w_by_eq, rho, extras=()):
         self.form = form
         self.rho = float(rho)
-        self.slices = _block_slices(form)
-        self.blocks = {b.name: b for b in form.focus}
-        self.eq_shapes = dict(form.eq_dims)
-        self.by_eq = {}    # eq_id -> pieces, for the equations the focus enters
-        for p in form.pieces:
-            self.by_eq.setdefault(p.eq_id, []).append(p)
-        # Rows of the stacked map A of those equations.
-        self.rows = sum(self.eq_shapes[e][0] * self.eq_shapes[e][1]
-                        for e in self.by_eq)
-        # Only the equations the focus enters reach the adjoint, so only
-        # their offsets are needed.
-        targets = {}
-        for e in self.by_eq:
+        self.slices, self.blocks, pos = {}, {}, 0
+        for b in form.focus:
+            self.slices[b.name] = slice(pos, pos + b.dim)
+            self.blocks[b.name] = b
+            pos += b.dim
+        self.quads = [(name, item) for name, item in extras
+                      if isinstance(item, Quadratic) and item.weight > 0]
+        self.rhs = None
+        if w_by_eq is None:
+            return
+        # rhs = A^T (rho * offset - w): only the equations the focus enters
+        # reach it, so only their offsets are needed.
+        self.rhs = np.zeros(form.in_dim)
+        for e, plist in form.by_eq.items():
             off = form.offset_for(e)
-            w_e = np.reshape(np.asarray(w_by_eq[e], dtype=float), off.shape)
-            targets[e] = rho * off - w_e
-        self.rhs = form.stack_values(form.adjoint_eqs(targets))
-        self.quads = []    # (block_name, Quadratic)
+            w_e = np.asarray(w_by_eq[e], dtype=float).reshape(off.shape)
+            target = rho * off - w_e
+            for p in plist:
+                self.rhs[self.slices[p.block.name]] += np.ravel(p.adjoint(target))
         for name, item in extras:
             sl = self.slices[name]
             if isinstance(item, Quadratic):
-                if item.weight > 0:
-                    self.quads.append((name, item))
-                    if item.center is not None:
-                        back = (item.linear_map.adjoint(item.center)
-                                if item.linear_map is not None else item.center)
-                        self.rhs[sl] += item.weight * np.ravel(back)
+                if item.weight > 0 and item.center is not None:
+                    back = (item.linear_map.adjoint(item.center)
+                            if item.linear_map is not None else item.center)
+                    self.rhs[sl] += item.weight * np.ravel(back)
             elif isinstance(item, SmoothCustom):
                 if item.lipschitz != 0.0:
                     raise BuildError(
                         "only affine SmoothCustom terms (lipschitz == 0) have a "
                         "closed-form block update")
-                block = next(b for b in form.focus if b.name == name)
-                self.rhs[sl] -= np.ravel(item.grad(np.zeros(block.shape)))
+                self.rhs[sl] -= np.ravel(item.grad(np.zeros(self.blocks[name].shape)))
             elif isinstance(item, np.ndarray):
                 self.rhs[sl] -= np.ravel(item)
             else:
@@ -333,17 +330,22 @@ class _QuadPieces:
                 out[sl] += q.weight * np.ravel(q.linear_map.adjoint(q.linear_map.apply(x)))
         return out
 
-    def dense_normal(self):
-        """The normal matrix rho * A^T A + H, assembled from dense blocks.
+    def _rows(self):
+        """Rows of A: the sizes of the equations the focus enters."""
+        return sum(self.form.eq_shapes[e][0] * self.form.eq_shapes[e][1]
+                   for e in self.form.by_eq)
 
-        A stacks the rows of the equations the focus enters; each piece
-        adds its ``dense()`` block at its equation's rows and its block's
-        columns.  H adds each quadratic's weight times the gram of its map.
+    def dense_normal(self):
+        """The normal matrix N, assembled from dense blocks.
+
+        Each piece adds its ``dense()`` block at its equation's rows of A and
+        its block's columns; each quadratic adds its weight times the gram of
+        its map.
         """
-        a = np.zeros((self.rows, self.form.in_dim))
+        a = np.zeros((self._rows(), self.form.in_dim))
         pos = 0
-        for eq_id, plist in self.by_eq.items():
-            shape = self.eq_shapes[eq_id]
+        for eq_id, plist in self.form.by_eq.items():
+            shape = self.form.eq_shapes[eq_id]
             rows = slice(pos, pos + shape[0] * shape[1])
             for p in plist:
                 a[rows, self.slices[p.block.name]] += p.dense()
@@ -359,77 +361,74 @@ class _QuadPieces:
                 normal[sl, sl] += q.weight * (m.T @ m)
         return normal
 
+    def _curvature(self, view, leave_out=None):
+        """(block name, curvature) per equation the focus enters and per
+        quadratic, each gram read through ``view`` ("gram_diag" or
+        "gram_scalar"); None when N is not of that form.
+
+        Scaled identities alone in an equation add rho * (sum of scales)**2,
+        a lone piece adds rho times its gram, and a quadratic its weight
+        times its map's gram.  Any other equation, or one that two blocks
+        enter, cross-couples entries.  ``leave_out`` names a piece, alone in
+        its equation, whose term is left out.
+        """
+        out = []
+        for plist in self.form.by_eq.values():
+            p = plist[0]
+            if len(plist) > 1 or p.identity is not None:
+                if any(q.block.name != p.block.name or q.identity is None
+                       for q in plist):
+                    return None
+                alpha = sum(q.identity for q in plist)
+                out.append((p.block.name, self.rho * alpha ** 2))
+            elif p is not leave_out:
+                gram = getattr(p, view)()
+                if gram is None:
+                    return None
+                out.append((p.block.name, self.rho * gram))
+        for name, q in self.quads:
+            gram = 1.0 if q.linear_map is None else getattr(q.linear_map, view)()
+            if gram is None:
+                return None
+            out.append((name, q.weight * gram))
+        return out
+
     def normal_diag(self):
-        """Diagonal of the normal operator, or None when it is not diagonal."""
-        by_eq_block = {}
-        for p in self.form.pieces:
-            by_eq_block.setdefault((p.eq_id, p.block.name), []).append(p)
-        eq_blocks = {}
-        for (eq_id, name), _ in by_eq_block.items():
-            eq_blocks.setdefault(eq_id, set()).add(name)
-        if any(len(names) > 1 for names in eq_blocks.values()):
+        """Diagonal of N, or None when it is not diagonal."""
+        parts = self._curvature("gram_diag")
+        if parts is None:
             return None
         diag = np.zeros(self.form.in_dim)
-        for (eq_id, name), plist in by_eq_block.items():
-            sl = self.slices[name]
-            if all(p.identity is not None for p in plist):
-                alpha = sum(p.identity for p in plist)
-                diag[sl] += self.rho * alpha ** 2
-                continue
-            if len(plist) > 1:
-                return None
-            gd = plist[0].gram_diag()
-            if gd is None:
-                return None
-            diag[sl] += self.rho * gd
-        for name, q in self.quads:
-            sl = self.slices[name]
-            hd = q.hessian_diag(sl.stop - sl.start)
-            if hd is None:
-                return None
-            diag[sl] += hd
+        for name, c in parts:
+            diag[self.slices[name]] += c
         return diag
+
+    def scalar_curvature(self, leave_out=None):
+        """kappa when N of a single-block form is kappa * I, else None."""
+        parts = self._curvature("gram_scalar", leave_out)
+        return None if parts is None else sum(c for _, c in parts)
 
     def sylvester(self):
         """(chain_piece, scalar_curvature) when the one-chain pattern applies.
 
         Requires a single focus block entering exactly one equation through a
-        frozen matrix chain, with every other equation contributing a scalar
-        multiple of the identity to the normal operator.  Pieces sharing an
-        equation would cross-couple, so the chain must be alone in its
-        equation and gram-scalar pieces alone in theirs.
+        frozen matrix chain, alone in that equation, with everything else
+        adding a scalar multiple of the identity to N.
         """
         if len(self.form.focus) != 1:
             return None
         chains = [p for p in self.form.pieces if p.factors is not None]
         if len(chains) != 1:
             return None
-        chain, ident = chains[0], 0.0
-        for plist in self.by_eq.values():
-            if all(p.identity is not None for p in plist):
-                alpha = sum(p.identity for p in plist)
-                ident += self.rho * alpha ** 2
-                continue
-            if len(plist) != 1:
-                return None
-            if plist[0] is chain:
-                continue
-            c = plist[0].gram_scalar()
-            if c is None:
-                return None
-            ident += self.rho * c
-        for _, q in self.quads:
-            if q.linear_map is not None:
-                return None
-            ident += q.weight
-        return chain, ident
+        curvature = self.scalar_curvature(leave_out=chains[0])
+        return None if curvature is None else (chains[0], curvature)
 
     def densify_ok(self):
         """Whether the dense path applies: no Fourier piece, at most
         ``_DENSE_LIMIT`` columns and a stacked map of at most
         ``_DENSE_LIMIT ** 2`` entries."""
         n = self.form.in_dim
-        if n > _DENSE_LIMIT or self.rows * n > _DENSE_LIMIT ** 2:
+        if n > _DENSE_LIMIT or self._rows() * n > _DENSE_LIMIT ** 2:
             return False
         return not any(p.fourier for p in self.form.pieces)
 
@@ -475,31 +474,60 @@ def _solve_dense(pieces: _QuadPieces, tol_abs):
     return y
 
 
-def _solve_cg(pieces: _QuadPieces, tol_abs, maxit, y0):
-    y = np.zeros(pieces.form.in_dim) if y0 is None else np.ravel(y0).astype(float).copy()
-    r = pieces.rhs - pieces.normal_apply(y)
+def conjugate_gradients(apply, rhs, y, tol_abs, maxit):
+    """Conjugate gradients on apply(y) = rhs for a symmetric PSD ``apply``.
+
+    Starts from ``y``, which it updates in place, and stops once the
+    residual norm is at most ``tol_abs``.  Returns (y, residual norm,
+    reason): reason is None on convergence, else why the iteration stopped
+    (the curvature of a search direction was not positive, or ``maxit``
+    steps ran out).
+    """
+    r = rhs - apply(y)
     p = r.copy()
     rs = float(r @ r)
     if np.sqrt(rs) <= tol_abs:
-        return y
+        return y, float(np.sqrt(rs)), None
     for _ in range(maxit):
-        ap = pieces.normal_apply(p)
+        ap = apply(p)
         denom = float(p @ ap)
         if denom <= 0:
-            raise SubproblemError("normal operator lost positive definiteness",
-                                  block=pieces.form.focus[0].name,
-                                  residual=float(np.sqrt(rs)))
+            return y, float(np.sqrt(rs)), "normal operator lost positive definiteness"
         alpha = rs / denom
         y += alpha * p
         r -= alpha * ap
         rs_new = float(r @ r)
         if np.sqrt(rs_new) <= tol_abs:
-            return y
+            return y, float(np.sqrt(rs_new)), None
         p = r + (rs_new / rs) * p
         rs = rs_new
-    raise SubproblemError(
-        f"conjugate gradients stalled at residual {np.sqrt(rs):.3e}",
-        block=pieces.form.focus[0].name, residual=float(np.sqrt(rs)))
+    return (y, float(np.sqrt(rs)),
+            f"conjugate gradients stalled at residual {np.sqrt(rs):.3e}")
+
+
+def _solve_cg(pieces: _QuadPieces, tol_abs, maxit, y0):
+    y = np.zeros(pieces.form.in_dim) if y0 is None else np.ravel(y0).astype(float).copy()
+    y, residual, reason = conjugate_gradients(pieces.normal_apply, pieces.rhs,
+                                              y, tol_abs, maxit)
+    if reason is not None:
+        raise SubproblemError(reason, block=pieces.form.focus[0].name,
+                              residual=residual)
+    return y
+
+
+def prox_block_step(form: FrozenLinearForm, w, rho: float, term, extras=()):
+    """Exact minimizer over one block of the smooth subproblem of
+    :func:`quad_block_solve` plus a nonsmooth ``term``: when N is kappa * I,
+    ``term.prox(rhs / kappa, 1 / kappa)``.  ``w`` is keyed by eq_id."""
+    block = form.focus[0]
+    pieces = _QuadPieces(form, w, rho, _normalize_extras(form, extras))
+    kappa = pieces.scalar_curvature()
+    if kappa is None or kappa <= 0.0:
+        raise BuildError(
+            f"the subproblem of nonsmooth block {block.name!r} has no positive "
+            "scalar curvature; cannot take a proximal step")
+    point = (pieces.rhs / kappa).reshape(block.shape)
+    return np.asarray(term.prox(point, 1.0 / kappa), dtype=float)
 
 
 def quad_block_solve(form: FrozenLinearForm, w, rho: float, extras=(),

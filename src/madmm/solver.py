@@ -7,9 +7,9 @@ augmented Lagrangian
 
 with every other block frozen, then minimizes jointly over the final z-role
 group, then takes the dual ascent step W_e <- W_e + rho * C_e(U) for every
-equation.  Each x subproblem is solved exactly: a smooth block reduces to the
-quadratic solver in prox.py, a block carrying one separable nonsmooth term
-reduces to a single proximal step, and anything else must register a custom
+equation.  Each x subproblem is solved exactly, by prox.py: a smooth block
+reduces to its quadratic solver, a block carrying one separable nonsmooth
+term to its single proximal step, and anything else must register a custom
 updater.  The z blocks split into connected components (blocks tied by a
 shared equation); a component is solved jointly when that is exact and by
 cyclic coordinate passes otherwise, with the pass count recorded per
@@ -32,7 +32,7 @@ import numpy as np
 from .errors import BuildError, ShapeMismatchError, SubproblemError
 from .operators import DenseOp, LinearOp
 from .prox import (CouplingTerm, ObjectiveTerm, Quadratic, SmoothCustom,
-                   _QuadPieces, quad_block_solve)
+                   _QuadPieces, prox_block_step, quad_block_solve)
 from .system import (BlockId, LinearTerm, MatChain, MultiaffineSystem,
                      ROLE_X, ROLE_Z1, ROLE_Z2, block_adjoints, blocks_in,
                      evaluate, freeze, FrozenLinearForm, spectrum_memo,
@@ -190,6 +190,12 @@ class Problem:
                 msg = _prox_structure_error(self.system, block)
                 if msg:
                     raise BuildError(msg)
+                for t in terms:
+                    if isinstance(t, Quadratic) and t.identity_curvature is None:
+                        raise BuildError(
+                            f"quadratic term on nonsmooth block {block.name!r} "
+                            "must act through a map with scalar gram; "
+                            "register a custom updater")
         for c in self.coupling:
             if not isinstance(c, CouplingTerm):
                 raise BuildError(f"coupling entry {type(c).__name__} is not a CouplingTerm")
@@ -346,54 +352,6 @@ def _smooth_extras(problem: Problem, block: BlockId, assignment: dict) -> list:
     return extras
 
 
-def _composite_prox_update(form: FrozenLinearForm, block: BlockId,
-                           multipliers: dict, rho: float, extras: list,
-                           nonsmooth: ObjectiveTerm) -> np.ndarray:
-    kappa = 0.0
-    lin = np.zeros(block.dim)
-    for eq_id, _ in form.eq_dims:
-        plist = [p for p in form.pieces if p.eq_id == eq_id]
-        if not plist:
-            continue
-        target = rho * form.offset_for(eq_id) - multipliers[eq_id]
-        if all(p.identity is not None for p in plist):
-            t = sum(p.identity for p in plist)
-            kappa += rho * t * t
-            lin += t * np.ravel(target)
-            continue
-        if len(plist) > 1:
-            raise BuildError(
-                f"nonsmooth block {block.name!r} has a non-orthogonal "
-                "occurrence; cannot take a proximal step")
-        c = plist[0].gram_scalar()
-        if c is None:
-            raise BuildError(
-                f"nonsmooth block {block.name!r} lacks a scalar-gram "
-                "occurrence; cannot take a proximal step")
-        kappa += rho * c
-        lin += np.ravel(plist[0].adjoint(target))
-    for item in extras:
-        if isinstance(item, Quadratic):
-            cur = item.identity_curvature
-            if cur is None:
-                raise BuildError(
-                    f"quadratic term on nonsmooth block {block.name!r} must "
-                    "act through a map with scalar gram")
-            kappa += cur
-            if item.center is not None and item.weight != 0.0:
-                back = (item.linear_map.adjoint(item.center)
-                        if item.linear_map is not None else item.center)
-                lin += item.weight * np.ravel(back)
-        elif isinstance(item, SmoothCustom):
-            lin -= np.ravel(item.grad(np.zeros(block.shape)))
-        else:
-            lin -= np.ravel(np.asarray(item, dtype=float))
-    if kappa <= 0.0:
-        raise BuildError(f"proximal update for {block.name!r} has no curvature")
-    point = (lin / kappa).reshape(block.shape)
-    return np.asarray(nonsmooth.prox(point, 1.0 / kappa), dtype=float)
-
-
 def _update_block(problem: Problem, block: BlockId, assignment: dict,
                   multipliers: dict, rho: float, cg_tol, cg_maxit) -> np.ndarray:
     custom = problem.custom_updaters.get(block.name)
@@ -409,8 +367,7 @@ def _update_block(problem: Problem, block: BlockId, assignment: dict,
     extras = _smooth_extras(problem, block, assignment)
     nonsmooth = problem.nonsmooth_term(block)
     if nonsmooth is not None:
-        return _composite_prox_update(form, block, multipliers, rho, extras,
-                                      nonsmooth)
+        return prox_block_step(form, multipliers, rho, nonsmooth, extras)
     return quad_block_solve(form, dict(multipliers), rho, extras=extras,
                             cg_tol=cg_tol, cg_maxit=cg_maxit,
                             y0=assignment[block])
@@ -738,7 +695,7 @@ def _gram_eigenvalues(q):
     if q is None:
         return None
     if isinstance(q, FrozenLinearForm):
-        pieces = _QuadPieces(q, q.split_dual(np.zeros(q.out_dim)), 1.0, [])
+        pieces = _QuadPieces(q, None, 1.0)
         diag = pieces.normal_diag()
         if diag is not None:
             return np.sort(np.asarray(diag, dtype=float))

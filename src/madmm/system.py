@@ -660,11 +660,11 @@ class FrozenLinearForm:
         self._values = values             # non-focus BlockId -> checked array
         self._offsets = {}                # eq_id -> array, filled on first use
         self.eq_dims = plan.eq_dims       # list of (eq_id, shape)
-        self._eq_shapes = plan.eq_shapes
+        self.eq_shapes = plan.eq_shapes   # eq_id -> shape
         self._single = single
-        self._by_eq = {}
+        self.by_eq = {}                   # eq_id -> pieces, equations entered
         for p in pieces:
-            self._by_eq.setdefault(p.eq_id, []).append(p)
+            self.by_eq.setdefault(p.eq_id, []).append(p)
 
     @property
     def out_dim(self) -> int:
@@ -684,7 +684,7 @@ class FrozenLinearForm:
         """Offset of one equation: minus the sum of its non-focus terms."""
         off = self._offsets.get(eq_id)
         if off is None:
-            base = np.zeros(self._eq_shapes[eq_id])
+            base = np.zeros(self.eq_shapes[eq_id])
             for term in self._frozen_terms[eq_id]:
                 base = base + _eval_term(term, self._values)
             off = self._offsets[eq_id] = -base
@@ -707,7 +707,7 @@ class FrozenLinearForm:
         out = {}
         for eq_id, shape in self.eq_dims:
             total = np.zeros(shape)
-            for p in self._by_eq.get(eq_id, ()):
+            for p in self.by_eq.get(eq_id, ()):
                 total = total + p.apply(values[p.block])
             out[eq_id] = total
         return out

@@ -6,15 +6,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from madmm import zoo
-from madmm.diagnostics import (AssumptionReport, assert_iteration,
-                               check_assumptions, run_counterexample,
-                               stationarity)
+from madmm.diagnostics import (AssumptionReport, _least_squares_residual,
+                               assert_iteration, check_assumptions,
+                               run_counterexample, stationarity)
+from madmm.operators import DenseOp
 from madmm.prox import Quadratic
 from madmm.solver import (Problem, SolverState, augmented_lagrangian, solve,
                           step)
-from madmm.system import BlockId, Constant, MatChain, MultiaffineSystem
+from madmm.system import (BlockId, Constant, LinearTerm, MatChain,
+                          MultiaffineSystem, freeze)
 
 
 # ---------------------------------------------------------------------------
@@ -205,3 +209,50 @@ def test_stationarity_sees_an_unsolved_point():
     est = stationarity(inst.problem, SolverState(zeros, mults, 1.0, 0))
     assert est.aggregate >= 0.1
     assert est.per_block["Z"] >= 0.1
+
+
+# ---------------------------------------------------------------------------
+# Distance to the image of the slack maps.
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(2, 8), st.data())
+def test_least_squares_residual_matches_lstsq(n_blocks, rows, data):
+    # One equation over one or two slack blocks through dense maps with
+    # singular values in [0.5, 2], of full column rank or rank deficient,
+    # whose stacked map is never onto.  Oracle: the lstsq distance on the
+    # stacked matrix.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+
+    def orthonormal(n, k):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        return q[:, :k]
+
+    # Every map sends its block into one span of dimension below rows.
+    dim = data.draw(st.integers(1, rows - 1))
+    span = orthonormal(rows, dim)
+    blocks, mats = [], []
+    for i in range(n_blocks):
+        cols = data.draw(st.integers(1, 6))
+        rank = data.draw(st.integers(1, min(dim, cols)))
+        mats.append(span @ orthonormal(dim, rank)
+                    @ np.diag(rng.uniform(0.5, 2.0, rank))
+                    @ orthonormal(cols, rank).T)
+        blocks.append(BlockId(f"z{i}", "z1", (cols, 1)))
+    system = MultiaffineSystem()
+    system.add_equation([LinearTerm(DenseOp(m), b) for m, b in zip(mats, blocks)]
+                        + [Constant(np.zeros((rows, 1)))])
+    form = freeze(system, blocks[0] if n_blocks == 1 else tuple(blocks), {})
+    a = np.hstack(mats)
+    sv = np.linalg.svd(a, compute_uv=False)
+    sigma = sv[sv > 1e-10 * sv[0]][-1]
+    inside = a @ rng.standard_normal(a.shape[1])
+    # A generic target keeps its distance to the image: 1e-8 relative.
+    target = inside + rng.standard_normal(rows)
+    coef, *_ = np.linalg.lstsq(a, target, rcond=None)
+    want = float(np.linalg.norm(target - a @ coef))
+    assert want > 1e-6
+    assert abs(_least_squares_residual(form, target) - want) <= 1e-8 * want
+    # A target in the image is resolved to the stop rule
+    # ||A^T r||^2 <= 1e-14 (1 + ||A^T t||^2): ||r|| <= ||A^T r|| / sigma.
+    stop = np.sqrt(1e-14 * (1.0 + float(np.sum((a.T @ inside) ** 2))))
+    assert _least_squares_residual(form, inside) <= 1.01 * stop / sigma

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from madmm import (BlockId, BuildError, Constant, DenseOp, HadamardPair,
-                   LinearTerm, MatChain, MultiaffineSystem, ScaledIdentity,
-                   SubproblemError, freeze)
+from madmm import (BlockId, BuildError, Constant, DenseOp, DiagExtract,
+                   HadamardPair, LinearTerm, MatChain, MultiaffineSystem,
+                   ScaledIdentity, SubproblemError, TransposeOp, freeze)
 from madmm.prox import (L1, IndicatorBox, IndicatorNonneg, IndicatorUnitColumns,
                         Quadratic, SmoothCustom, project_box, project_nonneg,
-                        project_unit_columns, quad_block_solve, soft_threshold)
+                        project_unit_columns, prox_block_step, quad_block_solve,
+                        soft_threshold)
 from madmm.system import blocks_in
 from test_system import _random_system
 
@@ -334,6 +335,25 @@ def test_diag_path_matches_dense():
     assert np.allclose(got_diag, got_dense, atol=1e-12)
 
 
+def test_diag_path_declines_an_equation_two_blocks_share():
+    # x + u = c couples the entries of x and u although both pieces are
+    # identities, so the group's normal operator is not diagonal.
+    rng = np.random.default_rng(13)
+    x = BlockId("x", "x", (2, 1), index=0)
+    u = BlockId("u", "x", (2, 1), index=1)
+    system = MultiaffineSystem()
+    system.add_equation([MatChain([x]), MatChain([u]),
+                         Constant(rng.standard_normal((2, 1)), sign=-1)])
+    form = freeze(system, (x, u), {})
+    w = rng.standard_normal(form.out_dim)
+    extras = [("x", Quadratic(0.5)), ("u", Quadratic(1.5))]
+    with pytest.raises(BuildError):
+        quad_block_solve(form, w, 1.2, extras=extras, method="diag")
+    want = _pinv_oracle(form, w, 1.2, extras)
+    got = quad_block_solve(form, w, 1.2, extras=extras)
+    assert np.linalg.norm(_stacked(form, got) - want) <= 1e-8 * (1 + np.linalg.norm(want))
+
+
 def test_sylvester_two_sided_matches_dense_and_cg():
     rng = np.random.default_rng(7)
     x = BlockId("X", "x", (3, 4), index=0)
@@ -366,9 +386,13 @@ def test_one_sided_chain_matches_oracle():
     form = freeze(system, y, {})
     w = rng.standard_normal(form.out_dim)
     extras = [Quadratic(0.9, center=rng.standard_normal((3, 2)))]
-    want = _pinv_oracle(form, w, 1.4, extras)
-    got = quad_block_solve(form, w, 1.4, extras=extras, method="sylvester")
-    assert np.linalg.norm(np.ravel(got) - want) <= 1e-8 * (1 + np.linalg.norm(want))
+    # A quadratic through a map with a scalar gram keeps the pattern.
+    turned = Quadratic(0.4, center=rng.standard_normal((2, 3)),
+                       linear_map=TransposeOp((3, 2)))
+    for extras in ([extras[0]], [extras[0], turned]):
+        want = _pinv_oracle(form, w, 1.4, extras)
+        got = quad_block_solve(form, w, 1.4, extras=extras, method="sylvester")
+        assert np.linalg.norm(np.ravel(got) - want) <= 1e-8 * (1 + np.linalg.norm(want))
 
 
 def test_hadamard_no_post_takes_diag_path():
@@ -478,7 +502,8 @@ def test_cg_warm_start_converges_immediately():
 def test_every_accepting_path_matches_pinv_oracle(n, data):
     # Random systems of matrix chains, Hadamard pairs with and without a
     # dense post-map, linear terms and constants; every single block and the
-    # whole block group when no term couples it.  Each method either
+    # whole block group when no term couples it, with a quadratic per block
+    # through no map, a map with a scalar gram or a dense map.  Each method either
     # declines the form with BuildError (diag and sylvester only) or solves
     # the normal equations of the pinv oracle.
     system, rng = _random_system(data, n)
@@ -493,8 +518,10 @@ def test_every_accepting_path_matches_pinv_oracle(n, data):
         form = freeze(system, focus, point)
         extras = []
         for b in members:
-            post = (DenseOp(rng.standard_normal((b.dim, b.dim)), b.shape, b.shape)
-                    if data.draw(st.booleans()) else None)
+            # No map, a map with a scalar gram, or a dense map.
+            post = data.draw(st.sampled_from([
+                None, TransposeOp(b.shape), ScaledIdentity(-1.5, b.shape),
+                DenseOp(rng.standard_normal((b.dim, b.dim)), b.shape, b.shape)]))
             quad = Quadratic(data.draw(st.floats(0.5, 2.0)),
                              center=rng.standard_normal(b.shape), linear_map=post)
             extras.append((b.name, quad) if isinstance(focus, tuple) else quad)
@@ -540,3 +567,100 @@ def test_rp2_step_assembles_dense_blocks_without_probing(monkeypatch):
     solver.step(inst.problem, state)
     assert [b.name for (b,) in dense] == ["x", "y"]
     assert probes == []
+
+
+def _prox_form(data, scalar):
+    """A single-block form of x and its quadratic extras.
+
+    With ``scalar`` every equation holds scaled identities of x, or one
+    scaled identity or transpose of it, and every quadratic acts through
+    such a map, so the normal operator is kappa * I.  Otherwise one piece
+    of it is not: a dense map, a scaled identity beside a transpose in one
+    equation, or a quadratic through ``DiagExtract``.
+    """
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    n = data.draw(st.integers(1 if scalar else 2, 3))
+    m = data.draw(st.integers(1, 3)) if scalar else n
+    x = BlockId("x", "x", (n, m), index=0)
+    y = BlockId("y", "x", (n, m), index=1)
+    alpha = st.sampled_from([1.0, -1.0, 0.5, 2.0])
+    sign = st.sampled_from([1, -1])
+
+    def scalar_piece():
+        kind = data.draw(st.sampled_from(["chain", "scaled", "transpose"]))
+        if kind == "chain":
+            return MatChain([x], sign=data.draw(sign))
+        if kind == "scaled":
+            return LinearTerm(ScaledIdentity(data.draw(alpha), x.shape), x,
+                              sign=data.draw(sign))
+        return LinearTerm(TransposeOp(x.shape), x, sign=data.draw(sign))
+
+    def scalar_map():
+        kind = data.draw(st.sampled_from(["none", "scaled", "transpose"]))
+        if kind == "none":
+            return None
+        if kind == "scaled":
+            return ScaledIdentity(data.draw(alpha), x.shape)
+        return TransposeOp(x.shape)
+
+    system = MultiaffineSystem()
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.booleans()):
+            terms = [MatChain([x], sign=data.draw(sign)),
+                     LinearTerm(ScaledIdentity(data.draw(alpha), x.shape), x,
+                                sign=data.draw(sign))][:data.draw(st.integers(1, 2))]
+        else:
+            terms = [scalar_piece()]
+        shape = terms[0].op.out_shape if isinstance(terms[0], LinearTerm) else x.shape
+        if shape == y.shape and data.draw(st.booleans()):
+            terms.append(MatChain([y], sign=data.draw(sign)))
+        terms.append(Constant(rng.standard_normal(shape), sign=data.draw(sign)))
+        system.add_equation(terms)
+    extras = []
+    for _ in range(data.draw(st.integers(0, 2))):
+        lmap = scalar_map()
+        out = x.shape if lmap is None else lmap.out_shape
+        center = rng.standard_normal(out) if data.draw(st.booleans()) else None
+        extras.append(Quadratic(data.draw(st.floats(0.1, 2.0)), center=center,
+                                linear_map=lmap))
+    if not scalar:
+        kind = data.draw(st.sampled_from(["dense", "mixed", "quadratic"]))
+        if kind == "dense":
+            op = DenseOp(rng.standard_normal((x.dim, x.dim)), x.shape, x.shape)
+            system.add_equation([LinearTerm(op, x), Constant(rng.standard_normal(x.shape))])
+        elif kind == "mixed":
+            system.add_equation([LinearTerm(ScaledIdentity(data.draw(alpha), x.shape), x),
+                                 LinearTerm(TransposeOp(x.shape), x),
+                                 Constant(rng.standard_normal(x.shape))])
+        else:
+            extras.append(Quadratic(1.0, linear_map=DiagExtract(n)))
+    point = {y: rng.standard_normal(y.shape)}
+    return freeze(system, x, point), extras, rng
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans(), st.data())
+def test_prox_step_matches_scalar_oracle(scalar, data):
+    # The prox step reads kappa from the assembled subproblem: where the
+    # oracle's normal matrix is kappa * I it equals the term's prox at
+    # rhs / kappa with step 1 / kappa, and otherwise it declines.
+    form, extras, rng = _prox_form(data, scalar)
+    x = form.focus[0]
+    rho = data.draw(st.floats(0.5, 3.0))
+    w = rng.standard_normal(form.out_dim)
+    normal, rhs = _oracle_normal(form, w, rho, extras)
+    kappa = normal[0, 0]
+    is_scalar = np.allclose(normal, kappa * np.eye(x.dim), rtol=0,
+                            atol=1e-12 * max(1.0, abs(kappa)))
+    assert is_scalar == scalar
+    for term in (L1(data.draw(st.floats(0.0, 2.0))), IndicatorNonneg(),
+                 IndicatorBox(-0.5, 0.75)):
+        if not (is_scalar and kappa > 0):
+            # Not scalar, or identities that cancel: no curvature.
+            with pytest.raises(BuildError):
+                prox_block_step(form, form.split_dual(w), rho, term, extras)
+            continue
+        want = term.prox((rhs / kappa).reshape(x.shape), 1.0 / kappa)
+        got = prox_block_step(form, form.split_dual(w), rho, term, extras)
+        assert got.shape == x.shape
+        assert np.linalg.norm(got - want) <= 1e-10 * (1 + np.linalg.norm(want))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from madmm.errors import BuildError, ShapeMismatchError, SubproblemError
-from madmm.operators import DenseOp, ScaledIdentity
+from madmm.operators import DenseOp, DiagExtract, ScaledIdentity
 from madmm.prox import (CouplingTerm, IndicatorNonneg, L1, ObjectiveTerm,
                         Quadratic, SmoothCustom)
 from madmm.solver import (Problem, SolverState, STATUS_CONVERGED,
@@ -467,6 +467,75 @@ def test_rho_lower_bound_rejections():
                         r_blocks=[(np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)])
 
 
+def test_gram_eigenvalues_evaluates_no_offset(monkeypatch):
+    # The spectrum reads only the normal operator.  Assembling it with a
+    # zero-dual right-hand side evaluated the offsets too: for sbd1 a full
+    # convolution in every automatic rho selection.
+    import madmm.solver as solver_mod
+    import madmm.system as system_mod
+    from madmm import zoo
+
+    Y, *_ = zoo.gen_sbd_data(64, (16, 16), theta=0.05, bias=0.1, seed=0)
+    problem = zoo.sbd1(Y, (16, 16)).problem
+    spectra, offsets, ffts = [], [], []
+    real_eigs = solver_mod._gram_eigenvalues
+    real_offset = system_mod.FrozenLinearForm.offset_for
+    real_rfft2 = np.fft.rfft2
+
+    def counting_eigs(q):
+        spectra.append(q)
+        try:
+            return real_eigs(q)
+        finally:
+            spectra.append(None)
+
+    def counting_offset(self, eq_id):
+        if spectra and spectra[-1] is not None:
+            offsets.append(eq_id)
+        return real_offset(self, eq_id)
+
+    def counting_rfft2(*args, **kwargs):
+        ffts.append(args[0].shape)
+        return real_rfft2(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "_gram_eigenvalues", counting_eigs)
+    monkeypatch.setattr(system_mod.FrozenLinearForm, "offset_for", counting_offset)
+    monkeypatch.setattr(np.fft, "rfft2", counting_rfft2)
+    solve(problem, max_iter=0)
+    assert spectra, "the certified rho must read a spectrum"
+    assert offsets == []
+    # The two transforms of the convolution in ||C(0)||.
+    assert len(ffts) == 2
+
+
+def test_dense_op_forms_its_gram_once():
+    calls = []
+
+    class Counting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                calls.append(ufunc)
+            inputs = [np.asarray(a) for a in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    parity = np.array([[1.0, 1.0], [1.0, -1.0]]) / 2.0
+    for mat, want in ((parity, np.array([0.5, 0.5])),
+                      (np.diag([1.0, 2.0]), np.array([1.0, 4.0])),
+                      (np.array([[1.0, 1.0], [0.0, 1.0]]), None)):
+        op = DenseOp(mat)
+        op.mat = op.mat.view(Counting)
+        calls.clear()
+        for _ in range(3):
+            got = op.gram_diag()
+            if want is None:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
+                got[:] = -7.0   # a caller's edit must not reach the next answer
+        assert op.gram_scalar() == (0.5 if mat is parity else None)
+        assert len(calls) == 1
+
+
 def test_lambda_min_pos_examples():
     assert lambda_min_pos(np.eye(3)) == (1.0, 1.0)
     assert lambda_min_pos(np.diag([0.0, 2.0, 5.0])) == (0.0, 2.0)
@@ -619,6 +688,17 @@ def test_problem_validation_rejections():
     with pytest.raises(BuildError, match="curvature"):
         Problem(system, {x: [SmoothCustom(lambda v: 0.0,
                                           lambda v: v, lipschitz=2.0)]})
+    # A quadratic without a scalar gram on a block taking a proximal step
+    # is refused when the problem is built, not at its first step.
+    u = BlockId("u", "x", (3, 3), index=0)
+    v = BlockId("v", "z1", (3, 3))
+    diag_system = MultiaffineSystem()
+    diag_system.add_equation([MatChain([u]),
+                              LinearTerm(ScaledIdentity(1.0, (3, 3)), v, sign=-1)])
+    with pytest.raises(BuildError, match="scalar gram"):
+        Problem(diag_system, {u: [L1(1.0), Quadratic(1.0, linear_map=DiagExtract(3))]})
+    Problem(diag_system, {u: [L1(1.0), Quadratic(1.0, linear_map=DiagExtract(3))]},
+            custom_updaters={"u": lambda *a: np.zeros((3, 3))})
     with pytest.raises(BuildError, match="update_order"):
         Problem(system, update_order=[x])
     with pytest.raises(BuildError, match="update_order"):
