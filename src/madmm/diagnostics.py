@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BuildError
-from .prox import Quadratic, conjugate_gradients
+from .prox import Quadratic, _QuadPieces, conjugate_gradients
 from .solver import (Problem, SolverState, Violation, _al, _gram_eigenvalues,
                      _min_pos_from_eigs, _stationarity)
 from .system import evaluate, freeze, jacobian_image_basis, stack_residual
@@ -92,14 +92,24 @@ def _cached_spectra(problem: Problem) -> dict:
 
 
 def _least_squares_residual(form, target: np.ndarray, maxit: int = 500) -> float:
-    """Distance from target to the image of a frozen linear form, by
-    conjugate gradients on the normal equations A^T A x = A^T target from
-    zero, stopped once ||A^T (target - A x)||^2 <= 1e-14 (1 + ||A^T target||^2)
-    or after ``maxit`` steps."""
-    rhs = form.adjoint_vec(target)
-    tol_abs = float(np.sqrt(1e-14 * (1.0 + float(rhs @ rhs))))
-    x, _, _ = conjugate_gradients(lambda v: form.adjoint_vec(form.apply_vec(v)),
-                                  rhs, np.zeros(form.in_dim), tol_abs, maxit)
+    """Distance from target to the image of a frozen linear form.
+
+    Within the dense solve bounds (see ``prox``) the form's stacked map is
+    built from its pieces' dense blocks and solved by ``lstsq``.  Larger
+    forms run conjugate gradients on the normal equations A^T A x =
+    A^T target from zero, stopped once ||A^T (target - A x)||^2 <= 1e-14 (1 +
+    ||A^T target||^2) or after ``maxit`` steps.
+    """
+    pieces = _QuadPieces(form, None, 1.0)
+    if pieces.densify_ok():
+        parts = form.split_dual(target)
+        entered = np.concatenate([np.ravel(parts[e]) for e in form.by_eq])
+        x, *_ = np.linalg.lstsq(pieces.dense_map(), entered, rcond=None)
+    else:
+        rhs = form.adjoint_vec(target)
+        tol_abs = float(np.sqrt(1e-14 * (1.0 + float(rhs @ rhs))))
+        x, _, _ = conjugate_gradients(lambda v: form.adjoint_vec(form.apply_vec(v)),
+                                      rhs, np.zeros(form.in_dim), tol_abs, maxit)
     return float(np.linalg.norm(target - form.apply_vec(x)))
 
 

@@ -20,8 +20,9 @@ block), never for their type.  The dense path assembles N from the pieces'
 dense blocks and takes forms without convolution pieces, of at most
 ``_DENSE_LIMIT`` (1,024) columns, whose stacked map over the equations the
 focus enters has at most ``_DENSE_LIMIT ** 2`` entries; larger forms go to
-conjugate gradients.  ``conjugate_gradients`` is the one CG loop: the solver
-and the diagnostics' least-squares distance both run it.
+conjugate gradients.  The diagnostics' least-squares distance reads the same
+dense map within those bounds.  ``conjugate_gradients`` is the one CG loop:
+the solver and, above the bounds, that distance both run it.
 """
 
 from __future__ import annotations
@@ -36,10 +37,17 @@ _FEAS_TOL = 1e-8
 _DENSE_LIMIT = 1024
 
 
-def soft_threshold(v, tau):
-    """Elementwise shrinkage: prox of tau * |.|_1."""
+def soft_threshold(v, tau, out=None):
+    """Elementwise shrinkage, the prox of tau * |.|_1:
+    copysign(max(|v| - tau, 0), v), into ``out`` when given (which may be
+    any array but ``v``)."""
     v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    if out is None:
+        out = np.empty_like(v)
+    np.abs(v, out=out)
+    out -= tau
+    np.maximum(out, 0.0, out=out)
+    return np.copysign(out, v, out=out)
 
 
 def project_nonneg(v):
@@ -140,9 +148,17 @@ class L1(ObjectiveTerm):
     def stat_residual(self, x, g) -> float:
         x = np.asarray(x, dtype=float)
         lam = self.weight
+        # |g + lam sign(x)| on the support, max(|g| - lam, 0) off it, kept to
+        # two full-size arrays: on a 256^2 sbd1 signal this call sits at the
+        # step's allocation peak.
         on = np.abs(x) > 1e-12
-        r = np.where(on, np.abs(g + lam * np.sign(x)),
-                     np.maximum(np.abs(g) - lam, 0.0))
+        r = np.abs(np.asarray(g, dtype=float))
+        r -= lam
+        np.maximum(r, 0.0, out=r)
+        at_support = np.sign(x)
+        at_support *= lam
+        at_support += g
+        np.copyto(r, np.abs(at_support, out=at_support), where=on)
         return float(np.linalg.norm(r))
 
 
@@ -335,13 +351,10 @@ class _QuadPieces:
         return sum(self.form.eq_shapes[e][0] * self.form.eq_shapes[e][1]
                    for e in self.form.by_eq)
 
-    def dense_normal(self):
-        """The normal matrix N, assembled from dense blocks.
-
-        Each piece adds its ``dense()`` block at its equation's rows of A and
-        its block's columns; each quadratic adds its weight times the gram of
-        its map.
-        """
+    def dense_map(self):
+        """A as a matrix: each piece adds its ``dense()`` block at its
+        equation's rows and its block's columns, the rows of the equations
+        the focus enters stacked in ``form.by_eq`` order."""
         a = np.zeros((self._rows(), self.form.in_dim))
         pos = 0
         for eq_id, plist in self.form.by_eq.items():
@@ -350,6 +363,12 @@ class _QuadPieces:
             for p in plist:
                 a[rows, self.slices[p.block.name]] += p.dense()
             pos = rows.stop
+        return a
+
+    def dense_normal(self):
+        """The normal matrix N: rho * A^T A from :meth:`dense_map`, plus
+        each quadratic's weight times the gram of its map."""
+        a = self.dense_map()
         normal = self.rho * (a.T @ a)
         for name, q in self.quads:
             sl = self.slices[name]

@@ -449,8 +449,8 @@ def step(problem: Problem, state: SolverState, *, cg_tol=None, cg_maxit=None,
     check_argmin re-evaluates L after every block update and records a
     Violation when it rose beyond solver tolerance (exact minimization over
     one block can never increase L).  The step keeps the Fourier spectra of
-    its block values and new multipliers until it returns (see
-    system.spectrum_memo).
+    its block values and new multipliers, and their convolutions, until it
+    returns (see system.spectrum_memo).
     """
     t0 = time.perf_counter()
     rho = state.rho

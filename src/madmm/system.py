@@ -32,14 +32,18 @@ flattened block; the block solvers in ``prox`` read these views and never
 the piece's type.  :func:`block_adjoints` takes ``C'_b^T W`` for every block
 at once by freezing each term with its own blocks as the focus.
 
-Convolutions go through the Fourier domain, and every zero-padded ``rfft2``
-is taken by :func:`_spectrum`.  Inside :func:`spectrum_memo`, which
-``solver.step`` opens while it runs, the spectrum of an
-array that is a current block value or a new multiplier of that step is
-computed once per array object and shape and reused until the step returns;
-the memo holds a reference to each array it has keyed, so no id is reused.
-Outside a step every call transforms afresh.  Reuse relies on no array of the
-step being modified in place while the step runs.
+Convolutions go through the Fourier domain.  Every zero-padded ``rfft2`` is
+taken by :func:`_spectrum`, into one fresh array, and every inverse by
+:func:`_irfft2`, which consumes a spectrum its caller owns: it runs ``ifft``
+over the rows in place and ``irfft`` over the columns, into ``out`` or one
+fresh array.  Inside :func:`spectrum_memo`, which ``solver.step`` opens while
+it runs, the spectrum of an array that is a current block value or a new
+multiplier of that step is computed once per array object and shape, and
+``circ_conv2`` of a kernel and a signal that are both such arrays once per
+pair; both are reused while the step holds those arrays, the convolution as
+a read-only array, and dropped at the latest when the step returns.  The
+memo holds a reference to each array it has keyed, so no id is reused.  Outside a step every call transforms afresh.  Reuse relies on no
+array of the step being modified in place while the step runs.
 """
 
 from __future__ import annotations
@@ -150,66 +154,117 @@ class Constant:
         require_finite(self.value, "constant term")
 
 
-# (sources, kept) while a step runs: sources are the step's dicts of block
-# values and new multipliers, kept maps (id, shape) to (array, spectrum).
+# (sources, spectra, convs) while a step runs: sources are the step's dicts
+# of block values and new multipliers, spectra maps (id, shape) to (array,
+# spectrum) and convs maps (kernel id, signal id) to (kernel, signal, result).
 _SPECTRA = ContextVar("madmm_spectra", default=None)
 
 
 @contextmanager
 def spectrum_memo(*sources):
-    """Reuse spectra of the arrays held in ``sources`` until the block exits.
+    """Reuse spectra and convolutions of the arrays held in ``sources``
+    until the block exits.
 
-    ``sources`` are dicts whose values are arrays; an array is memoised when
-    it is one of their values at the time its spectrum is first taken, so
-    the dicts may gain or rebind entries while the memo is open.
+    ``sources`` are dicts whose values are arrays.  An array's spectrum is
+    memoised when the array is one of their values at the time the spectrum
+    is first taken, and ``circ_conv2(kernel, signal)`` when both arguments
+    are, so the dicts may gain or rebind entries while the memo is open.  An
+    entry is dropped, when the next one of its kind is kept, once the
+    sources no longer hold its arrays.  A memoised convolution is handed out
+    read-only.
     """
-    token = _SPECTRA.set((sources, {}))
+    token = _SPECTRA.set((sources, {}, {}))
     try:
         yield
     finally:
         _SPECTRA.reset(token)
 
 
+def _recall(slot: int, key):
+    """The memoised value under ``key`` in memo slot 1 (spectra) or 2
+    (convolutions), or None."""
+    memo = _SPECTRA.get()
+    hit = None if memo is None else memo[slot].get(key)
+    return None if hit is None else hit[-1]
+
+
+def _keep(slot: int, key, arrays, value) -> bool:
+    """Memoise ``value`` when the open memo's sources hold all ``arrays``;
+    first drop the slot's entries whose arrays they no longer hold."""
+    memo = _SPECTRA.get()
+    if memo is None:
+        return False
+    held = {id(v) for d in memo[0] for v in d.values()}
+    if not all(id(a) in held for a in arrays):
+        return False
+    kept = memo[slot]
+    for old in [k for k, entry in kept.items()
+                if not all(id(a) in held for a in entry[:-1])]:
+        del kept[old]
+    kept[key] = (*arrays, value)
+    return True
+
+
 def _spectrum(a: np.ndarray, shape: tuple) -> np.ndarray:
     """``rfft2`` of ``a`` zero-padded to ``shape``, origin at index (0, 0).
 
     Inside :func:`spectrum_memo` the result for an array held by its sources
-    is kept and returned again for the same array object and shape until the
-    memo closes; anything else is transformed on every call.
+    is kept and returned again for the same array object and shape while the
+    sources hold it; anything else is transformed on every call.
     """
-    memo = _SPECTRA.get()
-    if memo is not None:
-        sources, kept = memo
-        hit = kept.get((id(a), shape))
-        if hit is not None:
-            return hit[1]
+    spec = _recall(1, (id(a), shape))
+    if spec is not None:
+        return spec
     if a.shape == shape:
         padded = a
     else:
         padded = np.zeros(shape)
         padded[: a.shape[0], : a.shape[1]] = a
-    spec = np.fft.rfft2(padded)
-    if memo is not None and any(v is a for d in sources for v in d.values()):
-        kept[(id(a), shape)] = (a, spec)
+    spec = np.fft.rfft2(padded,
+                        out=np.empty((shape[0], shape[1] // 2 + 1), complex))
+    _keep(1, (id(a), shape), (a,), spec)
     return spec
 
 
+def _irfft2(spec: np.ndarray, shape: tuple, out=None) -> np.ndarray:
+    """``irfft2(spec, s=shape)``, overwriting ``spec``, which the caller owns.
+
+    ``ifft`` runs over the rows in place, then ``irfft`` over the columns
+    into ``out``, or into one fresh array when ``out`` is None; the steps
+    are those of ``irfft2``, so the result is the same to the bit.
+    """
+    np.fft.ifft(spec, shape[0], axis=0, out=spec)
+    return np.fft.irfft(spec, shape[1], axis=1, out=out)
+
+
 def circ_conv2(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
-    """Circular 2-D convolution of a (possibly smaller) kernel with a signal."""
+    """Circular 2-D convolution of a (possibly smaller) kernel with a signal.
+
+    Inside :func:`spectrum_memo`, when both arrays are held by its sources,
+    the result is computed once per pair and handed out read-only.
+    """
     kernel = np.asarray(kernel, dtype=float)
     signal = np.asarray(signal, dtype=float)
-    return np.fft.irfft2(_spectrum(kernel, signal.shape)
-                         * _spectrum(signal, signal.shape), s=signal.shape)
+    out = _recall(2, (id(kernel), id(signal)))
+    if out is not None:
+        return out
+    out = _irfft2(_spectrum(kernel, signal.shape) * _spectrum(signal, signal.shape),
+                  signal.shape)
+    if _keep(2, (id(kernel), id(signal)), (kernel, signal), out):
+        out.flags.writeable = False
+    return out
 
 
 def _conv_adjoint_signal(kernel: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.fft.irfft2(np.conj(_spectrum(kernel, w.shape))
-                         * _spectrum(w, w.shape), s=w.shape)
+    prod = np.conj(_spectrum(kernel, w.shape))
+    prod *= _spectrum(w, w.shape)
+    return _irfft2(prod, w.shape)
 
 
 def _conv_adjoint_kernel(signal: np.ndarray, w: np.ndarray, kernel_shape) -> np.ndarray:
-    full = np.fft.irfft2(np.conj(_spectrum(signal, w.shape))
-                         * _spectrum(w, w.shape), s=w.shape)
+    prod = np.conj(_spectrum(signal, w.shape))
+    prod *= _spectrum(w, w.shape)
+    full = _irfft2(prod, w.shape)
     return full[: kernel_shape[0], : kernel_shape[1]].copy()
 
 

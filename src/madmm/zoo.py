@@ -35,12 +35,12 @@ from .errors import BuildError, require_finite
 from .operators import (BroadcastOnes, DenseOp, DiagExtract, ScaledIdentity,
                         TransposeOp)
 from .prox import (IndicatorBox, IndicatorNonneg, IndicatorUnitColumns, L1,
-                   Quadratic, SmoothCustom)
+                   Quadratic, SmoothCustom, soft_threshold)
 from .solver import Problem
 from .system import (BlockId, Constant, Conv2D, HadamardPair, LinearTerm,
                      MatChain, MultiaffineSystem, _ConvKernelPiece,
-                     _ConvSignalPiece, _conv_adjoint_kernel, _spectrum,
-                     circ_conv2, freeze)
+                     _ConvSignalPiece, _conv_adjoint_kernel, _irfft2,
+                     _spectrum, circ_conv2, freeze)
 
 _INNER_TOL = 1e-11
 # Passes of the split solver granted to the sparse-signal update per outer
@@ -406,23 +406,21 @@ def _sparse_conv_updater(l1_weight: float, max_passes: int = _SBD_INNER_BUDGET):
         quad_hat = rho * ker_hat.conj() * _spectrum(target, shape)
         scale = 1.0 + float(np.linalg.norm(target))
         del ker_hat, target
-        v, v_new, u, tmp = (np.zeros(shape), np.empty(shape), np.zeros(shape),
-                            np.empty(shape))
+        # Every pass writes into these buffers, allocated once per call.
+        v, v_new, u, tmp, x = (np.zeros(shape), np.empty(shape), np.zeros(shape),
+                               np.empty(shape), np.empty(shape))
+        hat = np.empty(quad_hat.shape, complex)
         for it in range(max_passes):
             np.multiply(v, eta, out=tmp)
             tmp -= u
-            hat = np.fft.rfft2(tmp)
+            np.fft.rfft2(tmp, out=hat)
             hat += quad_hat
             hat.real *= inv_denom
             hat.imag *= inv_denom
-            x = np.fft.irfft2(hat, s=shape)
-            # v_new = soft_threshold(x + u / eta, l1_weight / eta), in place
+            _irfft2(hat, shape, out=x)
             np.divide(u, eta, out=tmp)
             tmp += x
-            np.abs(tmp, out=v_new)
-            v_new -= l1_weight / eta
-            np.maximum(v_new, 0.0, out=v_new)
-            v_new *= np.sign(tmp, out=tmp)
+            soft_threshold(tmp, l1_weight / eta, out=v_new)
             # x turns into x - v_new and v into v_new - v; neither is read
             # again in its old form.
             d = np.subtract(x, v_new, out=x)
@@ -473,8 +471,8 @@ def _conv_kernel_updater():
                                - multipliers[piece.eq_id] / rho)
         p, q = block.shape
         n1, n2 = signal.shape
-        spec = np.abs(_spectrum(signal, signal.shape)) ** 2
-        autocorr = np.fft.irfft2(spec, s=(n1, n2))
+        power = np.abs(_spectrum(signal, signal.shape)) ** 2
+        autocorr = _irfft2(power.astype(complex), (n1, n2))
         d1 = (np.arange(p)[:, None] - np.arange(p)[None, :]) % n1
         d2 = (np.arange(q)[:, None] - np.arange(q)[None, :]) % n2
         normal = autocorr[d1[:, None, :, None], d2[None, :, None, :]]

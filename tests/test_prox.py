@@ -118,6 +118,43 @@ def test_soft_threshold_subgradient_optimality(v, tau):
         assert abs(v) <= tau + 1e-12
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.floats() | st.sampled_from([0.0, -0.0, np.inf, -np.inf,
+                                                np.nan]),
+                min_size=1, max_size=12),
+       st.floats(0.0) | st.sampled_from([0.0, 0.5, np.inf]))
+def test_soft_threshold_matches_sign_formula(values, tau):
+    # Bit for bit sign(v) * max(|v| - tau, 0), NaN for NaN, except that an
+    # input of exactly -0.0 now shrinks to -0.0 (the sign formula gave +0.0).
+    v = np.array(values)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got = soft_threshold(v, tau)
+        want = np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    neg_zero = (v == 0.0) & np.signbit(v)
+    same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got)
+                                                          & np.isnan(want))
+    assert np.all(same | neg_zero)
+    assert np.all((got[neg_zero] == 0.0) & np.signbit(got[neg_zero]))
+    out = np.full_like(v, 7.0)
+    with np.errstate(invalid="ignore"):
+        assert soft_threshold(v, tau, out=out) is out
+    assert np.array_equal(out, got, equal_nan=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.floats(0.0, 3.0),
+       st.integers(0, 2 ** 32 - 1))
+def test_l1_stat_residual_matches_where_formula(rows, cols, lam, seed):
+    # Bit for bit the one-expression form it replaced.
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, cols)) * (rng.random((rows, cols)) < 0.5)
+    g = rng.standard_normal((rows, cols)) * 2.0
+    want = float(np.linalg.norm(np.where(
+        np.abs(x) > 1e-12, np.abs(g + lam * np.sign(x)),
+        np.maximum(np.abs(g) - lam, 0.0))))
+    assert L1(lam).stat_residual(x, g) == want
+
+
 def test_soft_threshold_preserves_shape():
     x = np.arange(12, dtype=float).reshape(3, 4) - 6.0
     out = soft_threshold(x, 2.0)

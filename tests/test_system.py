@@ -300,6 +300,104 @@ def test_spectrum_memo_keeps_a_spectrum_per_array():
                         _conv_direct(held[k], held[s]), atol=1e-10)
 
 
+def test_memoised_convolution_is_read_only():
+    rng = np.random.default_rng(14)
+    held = {"k": rng.standard_normal((2, 3)), "s": rng.standard_normal((5, 4))}
+    with spectrum_memo(held):
+        first = circ_conv2(held["k"], held["s"])
+        assert circ_conv2(held["k"], held["s"]) is first
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+    np.testing.assert_allclose(first, _conv_direct(held["k"], held["s"]),
+                               atol=1e-10)
+
+
+def test_spectrum_memo_drops_arrays_no_longer_held():
+    import madmm.system as system_mod
+
+    rng = np.random.default_rng(16)
+    held = {"k": rng.standard_normal((2, 2)), "s": rng.standard_normal((5, 4))}
+    with spectrum_memo(held):
+        old = held["s"]
+        circ_conv2(held["k"], old)
+        held["s"] = rng.standard_normal((5, 4))
+        circ_conv2(held["k"], held["s"])
+        _, spectra, convs = system_mod._SPECTRA.get()
+        kept = [a for entry in (*spectra.values(), *convs.values())
+                for a in entry[:-1]]
+        assert any(a is held["s"] for a in kept)
+        assert not any(a is old for a in kept)
+
+
+def test_circ_conv2_keeps_nothing_outside_a_step_nor_a_cg_iterate():
+    import madmm.system as system_mod
+    from madmm.prox import quad_block_solve
+
+    rng = np.random.default_rng(15)
+    kernel = rng.standard_normal((2, 2))
+    signal = rng.standard_normal((5, 4))
+    first, again = circ_conv2(kernel, signal), circ_conv2(kernel, signal)
+    assert first is not again and first.flags.writeable and again.flags.writeable
+
+    system, a, xs, _ = _conv_system((2, 2), (5, 4))
+    point = _gaussian_assignment(system, 15)
+    mults = {0: rng.standard_normal((5, 4))}
+    with spectrum_memo(point, mults):
+        # Conjugate gradients for the signal convolves the kernel with
+        # every iterate.
+        quad_block_solve(freeze(system, xs, point), mults, 1.0, method="cg")
+        free = circ_conv2(point[a], rng.standard_normal((5, 4)))
+        assert free.flags.writeable
+        _, spectra, convs = system_mod._SPECTRA.get()
+        held = list(point.values()) + list(mults.values())
+        assert spectra and not convs
+        assert all(any(arr is h for h in held) for arr, _ in spectra.values())
+
+
+def test_sbd1_step_transform_count_and_one_convolution(monkeypatch):
+    # One 64^2 sbd1 step takes 18 forward and 17 inverse transforms.  Before
+    # A (*) X was memoised, the offsets of b and Z and evaluate each
+    # convolved anew: 19 inverses.
+    import madmm.system as system_mod
+
+    Y, *_ = zoo.gen_sbd_data(64, (16, 16), theta=0.05, bias=0.1, seed=0)
+    inst = zoo.sbd1(Y, (16, 16))
+    state, _, _ = solver.solve(inst.problem, rho=1.0, max_iter=1,
+                               init=inst.init)
+    counts = dict.fromkeys(("rfft2", "irfft2", "ifft", "irfft", "fft", "rfft",
+                            "fft2", "ifft2", "fftn", "ifftn", "rfftn",
+                            "irfftn"), 0)
+    for fn in counts:
+        real = getattr(np.fft, fn)
+
+        def counting(*args, _real=real, _fn=fn, **kwargs):
+            counts[_fn] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, fn, counting)
+    convs = []
+    real_conv = system_mod.circ_conv2
+
+    def recording(kernel, signal):
+        out = real_conv(kernel, signal)
+        convs.append((kernel, signal, out))
+        return out
+
+    monkeypatch.setattr(system_mod, "circ_conv2", recording)
+    new_state, _ = solver.step(inst.problem, state)
+    # Every inverse is staged: ifft over the rows, then irfft over the
+    # columns.  It counts once.
+    assert counts.pop("ifft") == counts["irfft"]
+    forward, inverse = counts.pop("rfft2"), counts.pop("irfft")
+    assert (forward, inverse) == (18, 17)
+    assert not any(counts.values())
+    named = {b.name: v for b, v in new_state.assignment.items()}
+    ax = [out for k, sig, out in convs if k is named["A"] and sig is named["X"]]
+    # The offsets of b and Z and evaluate share one A (*) X.
+    assert len(ax) == 3
+    assert all(out is ax[0] for out in ax) and not ax[0].flags.writeable
+
+
 @pytest.mark.parametrize("name,limit", [("sbd1", 37), ("sbd0", 36)])
 def test_sbd_step_reuses_spectra(monkeypatch, name, limit):
     # Without reuse one step takes 46 (sbd1) and 43 (sbd0) transforms.
@@ -309,8 +407,10 @@ def test_sbd_step_reuses_spectra(monkeypatch, name, limit):
     state, _, _ = solver.solve(inst.problem, rho=1.0, max_iter=1,
                                init=inst.init)
     calls = []
+    # A staged inverse (ifft over the rows, irfft over the columns) counts
+    # once, by its irfft.
     for fn in ("fft2", "ifft2", "rfft2", "irfft2",
-               "fftn", "ifftn", "rfftn", "irfftn"):
+               "fftn", "ifftn", "rfftn", "irfftn", "irfft"):
         real = getattr(np.fft, fn)
 
         def counting(*args, _real=real, **kwargs):

@@ -4,6 +4,7 @@ custom updaters."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import madmm.prox as prox_mod
 from madmm import diagnostics, zoo
@@ -399,6 +400,72 @@ def test_signal_update_satisfies_lasso_optimality_at_large_budget():
     assert np.all(np.abs(grad[on] + l1_weight * np.sign(X[on])) <= scale)
     assert np.all(np.abs(grad[~on]) <= l1_weight + scale)
     assert np.any(on) and not np.all(on)
+
+
+def _reference_sparse_update(kernel, target, rho, l1_weight, max_passes):
+    """The sparse-signal split loop as first written: fresh arrays from
+    rfft2 and irfft2 on every pass and shrinkage by sign * max(|.| - tau, 0).
+    The shipped updater must return the same array."""
+    shape = target.shape
+    padded = np.zeros(shape)
+    padded[: kernel.shape[0], : kernel.shape[1]] = kernel
+    ker_hat = np.fft.rfft2(padded)
+    spectrum = (ker_hat.conj() * ker_hat).real.copy()
+    eta = rho * max(1.0, float(np.sum(kernel * kernel)))
+    inv_denom = 1.0 / (rho * spectrum + eta)
+    quad_hat = rho * ker_hat.conj() * np.fft.rfft2(target)
+    scale = 1.0 + float(np.linalg.norm(target))
+    v, u = np.zeros(shape), np.zeros(shape)
+    for it in range(max_passes):
+        hat = np.fft.rfft2(v * eta - u)
+        hat += quad_hat
+        hat.real *= inv_denom
+        hat.imag *= inv_denom
+        x = np.fft.irfft2(hat, s=shape)
+        point = u / eta + x
+        v_new = np.maximum(np.abs(point) - l1_weight / eta, 0.0) * np.sign(point)
+        d, dv = x - v_new, v_new - v
+        u += d * eta
+        gap = max(float(np.max(np.abs(d))), eta * float(np.max(np.abs(dv))))
+        v = v_new
+        if gap <= zoo._INNER_TOL * scale:
+            break
+        if it % 10 == 9:
+            split_res = float(np.linalg.norm(d))
+            drift_res = eta * float(np.linalg.norm(dv))
+            if split_res > 10.0 * drift_res:
+                eta *= 2.0
+                inv_denom = 1.0 / (rho * spectrum + eta)
+            elif drift_res > 10.0 * split_res:
+                eta *= 0.5
+                inv_denom = 1.0 / (rho * spectrum + eta)
+    return v
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 12), st.integers(2, 12), st.data())
+def test_signal_update_matches_reference_loop(n1, n2, data):
+    p = data.draw(st.integers(1, n1))
+    q = data.draw(st.integers(1, n2))
+    rho = data.draw(st.floats(1e-2, 1e4))
+    l1_weight = data.draw(st.floats(0.0, 3.0))
+    passes = data.draw(st.integers(1, 45))
+    shadow = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    Y = rng.standard_normal((n1, n2))
+    inst = (sbd1(Y, (p, q), l1_weight=l1_weight) if shadow
+            else sbd0(Y, (p, q), l1_weight=l1_weight))
+    blocks = inst.problem.system.blocks
+    assignment = {b: rng.standard_normal(b.shape) for b in blocks.values()}
+    eq = inst.problem.system.eq_ids[0]
+    mults = {eq: rng.standard_normal((n1, n2))}
+    got = zoo._sparse_conv_updater(l1_weight, max_passes=passes)(
+        inst.problem, blocks["X"], assignment, mults, rho)
+    form = freeze(inst.problem.system, blocks["X"], assignment)
+    target = form.offset_for(eq) - mults[eq] / rho
+    want = _reference_sparse_update(assignment[blocks["A"]], target, rho,
+                                    l1_weight, passes)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
