@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BuildError
 from .prox import Quadratic, _QuadPieces, conjugate_gradients
 from .solver import (Problem, SolverState, Violation, _al, _gram_eigenvalues,
                      _min_pos_from_eigs, _stationarity)
@@ -97,8 +96,10 @@ def _least_squares_residual(form, target: np.ndarray, maxit: int = 500) -> float
     Within the dense solve bounds (see ``prox``) the form's stacked map is
     built from its pieces' dense blocks and solved by ``lstsq``.  Larger
     forms run conjugate gradients on the normal equations A^T A x =
-    A^T target from zero, stopped once ||A^T (target - A x)||^2 <= 1e-14 (1 +
-    ||A^T target||^2) or after ``maxit`` steps.
+    A^T target from zero, stopped once ||A^T (target - A x)||^2 <= 1e-20 (1 +
+    ||A^T target||^2) or after ``maxit`` steps; a target in the image then
+    comes back within that bound's square root over A's smallest nonzero
+    singular value.
     """
     pieces = _QuadPieces(form, None, 1.0)
     if pieces.densify_ok():
@@ -107,7 +108,7 @@ def _least_squares_residual(form, target: np.ndarray, maxit: int = 500) -> float
         x, *_ = np.linalg.lstsq(pieces.dense_map(), entered, rcond=None)
     else:
         rhs = form.adjoint_vec(target)
-        tol_abs = float(np.sqrt(1e-14 * (1.0 + float(rhs @ rhs))))
+        tol_abs = float(np.sqrt(1e-20 * (1.0 + float(rhs @ rhs))))
         x, _, _ = conjugate_gradients(lambda v: form.adjoint_vec(form.apply_vec(v)),
                                       rhs, np.zeros(form.in_dim), tol_abs, maxit)
     return float(np.linalg.norm(target - form.apply_vec(x)))
@@ -118,12 +119,13 @@ def assert_iteration(problem: Problem, state: SolverState,
                      rho_certified: bool = False):
     """Re-derive the identities one iteration must satisfy.
 
-    ``state`` and ``state_new`` bracket the iteration; ``trace`` is the
-    solver's record of it.  Checks that need curvature constants ("m1",
-    "M1", "M2" in the problem metadata) or slack blocks are skipped when
-    those are absent.  Returns the violations found; at level "strict" a
-    nonempty result raises AssertionError instead, and the image-membership
-    check of the multiplier step (which needs an iterative solve) is added.
+    ``state`` and ``state_new`` bracket the iteration; ``trace``, the
+    solver's record of it, is accepted but read by no check.  Checks that
+    need curvature constants ("m1", "M1", "M2" in the problem metadata) or
+    slack blocks are skipped when those are absent.  Returns the violations
+    found; at level "strict" a nonempty result raises AssertionError
+    instead, and the image-membership check of the multiplier step (which
+    needs an iterative solve) is added.
     """
     if level not in ("basic", "strict"):
         raise ValueError(f"unknown level {level!r}; use 'basic' or 'strict'")
@@ -184,7 +186,7 @@ def assert_iteration(problem: Problem, state: SolverState,
                     "monotone_decrease", l_new - l_old, tol,
                     "Lagrangian increased under a certified penalty"))
 
-    if ("m1" in meta and (z1 or z2) and not getattr(trace, "z_inexact", False)
+    if ("m1" in meta and (z1 or z2)
             and (not z2 or ("M2" in meta and spectra["sigma"]))):
         hybrid = dict(state_new.assignment)
         for b in z1 + z2:

@@ -11,9 +11,11 @@ equation.  Each x subproblem is solved exactly, by prox.py: a smooth block
 reduces to its quadratic solver, a block carrying one separable nonsmooth
 term to its single proximal step, and anything else must register a custom
 updater.  The z blocks split into connected components (blocks tied by a
-shared equation); a component is solved jointly when that is exact and by
-cyclic coordinate passes otherwise, with the pass count recorded per
-iteration.
+shared equation).  A lone z block is updated like an x block; a component of
+several blocks is solved jointly by one exact quadratic solve, so every block
+must be smooth, have no custom updater, and share no term or coupling term
+with another block of its component.  ``Problem`` refuses any other
+component when it is built.
 
 The penalty weight rho can be given explicitly, certified from curvature
 constants declared in the problem metadata via rho_lower_bound, or found by
@@ -44,8 +46,6 @@ STATUS_DIVERGED = "Diverged"
 
 _ROLE_ORDER = {"x": 0, "z0": 1, "z1": 2, "z2": 3}
 _DIVERGE_LIMIT = 1e12
-_Z_INNER_TOL = 1e-12
-_Z_INNER_MAX_PASSES = 100
 _SPECTRUM_LIMIT = 1500
 _CONVERGED_STREAK = 3
 
@@ -75,8 +75,6 @@ class IterTrace:
     block_steps: dict
     stat_est: float
     wall_ms: float
-    z_inner_passes: int = 0
-    z_inexact: bool = False   # cyclic z passes ran out before converging
     violations: tuple = ()
 
 
@@ -109,6 +107,13 @@ class Problem:
     reuses the Fourier spectra of those arrays while it runs.  ``metadata``
     is free-form; the keys "m1", "M1", "M2", "M_F" and "r_blocks" feed the
     certified penalty bound.
+
+    z blocks tied by a shared equation form one component, which each step
+    solves jointly and exactly.  Building raises BuildError when a
+    component of two or more blocks has no such solve: one of its blocks
+    carries a nonsmooth term or a custom updater, or one term or coupling
+    term involves two of its blocks.  Give each such block its own equation
+    through a slack block instead, as the zoo families do.
     """
 
     def __init__(self, system: MultiaffineSystem, objective=None, coupling=(),
@@ -157,7 +162,8 @@ class Problem:
         return list(self.update_order) + list(self.z_order)
 
     def z_components(self):
-        """(blocks, mode) pairs; mode is "single", "joint" or "cyclic"."""
+        """Tuples of z blocks tied by shared equations, each in block order;
+        a tuple of several blocks is solved jointly."""
         return self._z_components
 
     def _validate(self):
@@ -222,48 +228,43 @@ class Problem:
                 b = parent[b]
             return b
 
-        entangled_pairs = []
-        for eq_id, terms in self.system.equations:
-            eq_zs = []
-            for term in terms:
-                term_zs = [b for b in blocks_in(term) if b.role != ROLE_X]
-                if len(set(term_zs)) > 1:
-                    entangled_pairs.append(tuple(term_zs[:2]))
-                eq_zs.extend(term_zs)
-            uniq = list(dict.fromkeys(eq_zs))
-            for a, b in zip(uniq, uniq[1:]):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        for c in self.coupling:
-            c_zs = list(dict.fromkeys(b for b in c.blocks if b.role != ROLE_X))
-            for a, b in zip(c_zs, c_zs[1:]):
-                # Coupling inside one component breaks the joint quadratic
-                # model, so force cyclic passes there.
-                entangled_pairs.append((a, b))
-
+        for _, terms in self.system.equations:
+            eq_zs = list(dict.fromkeys(b for t in terms for b in blocks_in(t)
+                                       if b.role != ROLE_X))
+            for a, b in zip(eq_zs, eq_zs[1:]):
+                parent[find(a)] = find(b)
         comps = {}
         for b in zs:
             comps.setdefault(find(b), []).append(b)
-        tangled_roots = set()
-        for a, b in entangled_pairs:
-            if find(a) == find(b):
-                tangled_roots.add(find(a))
-
-        out = []
-        for root, blocks in comps.items():
-            blocks = sorted(blocks, key=_block_key)
-            if len(blocks) == 1:
-                mode = "single"
-            elif (root in tangled_roots
-                  or any(b.name in self.custom_updaters for b in blocks)
-                  or any(self.nonsmooth_term(b) is not None for b in blocks)):
-                mode = "cyclic"
-            else:
-                mode = "joint"
-            out.append((tuple(blocks), mode))
-        out.sort(key=lambda pair: _block_key(pair[0][0]))
+        # zs is in block order, so each component and the list of them are.
+        out = [tuple(blocks) for blocks in comps.values()]
+        for blocks in out:
+            reason = self._joint_obstacle(blocks) if len(blocks) > 1 else None
+            if reason:
+                raise BuildError(
+                    f"z blocks {[b.name for b in blocks]} share an equation "
+                    f"but have no exact joint update: {reason}; give each "
+                    "block its own equation through a slack block, as the "
+                    "zoo families do")
         return out
+
+    def _joint_obstacle(self, blocks):
+        """Why one quadratic solve cannot minimize L over `blocks`, or None."""
+        for b in blocks:
+            if self.nonsmooth_term(b) is not None:
+                return f"block {b.name!r} carries a nonsmooth term"
+            if b.name in self.custom_updaters:
+                return f"block {b.name!r} has a custom updater"
+        for _, terms in self.system.equations:
+            for t in terms:
+                shared = [b.name for b in blocks_in(t) if b in blocks]
+                if len(shared) > 1:
+                    return f"one term multiplies blocks {shared}"
+        for c in self.coupling:
+            shared = [b.name for b in c.blocks if b in blocks]
+            if len(shared) > 1:
+                return f"a coupling term involves blocks {shared}"
+        return None
 
 
 def _check_affine_coupling(c: CouplingTerm):
@@ -352,68 +353,37 @@ def _smooth_extras(problem: Problem, block: BlockId, assignment: dict) -> list:
     return extras
 
 
-def _update_block(problem: Problem, block: BlockId, assignment: dict,
-                  multipliers: dict, rho: float, cg_tol, cg_maxit) -> np.ndarray:
+def _update_blocks(problem: Problem, blocks: tuple, assignment: dict,
+                   multipliers: dict, rho: float, cg_tol, cg_maxit,
+                   block_steps: dict):
+    """Minimize L exactly over one block, or jointly over a z component, in
+    place in ``assignment``, recording each block's step norm.  A custom
+    updater or a nonsmooth term belongs to a lone block (see ``Problem``)."""
+    block = blocks[0]
     custom = problem.custom_updaters.get(block.name)
     if custom is not None:
-        new = np.asarray(custom(problem, block, assignment, multipliers, rho),
-                         dtype=float)
-        if new.shape != block.shape:
+        value = np.asarray(custom(problem, block, assignment, multipliers, rho),
+                           dtype=float)
+        if value.shape != block.shape:
             raise SubproblemError(
                 f"custom updater for {block.name!r} returned shape "
-                f"{new.shape}, declared {block.shape}", block=block.name)
-        return new
-    form = freeze(problem.system, block, assignment)
-    extras = _smooth_extras(problem, block, assignment)
-    nonsmooth = problem.nonsmooth_term(block)
-    if nonsmooth is not None:
-        return prox_block_step(form, multipliers, rho, nonsmooth, extras)
-    return quad_block_solve(form, dict(multipliers), rho, extras=extras,
-                            cg_tol=cg_tol, cg_maxit=cg_maxit,
-                            y0=assignment[block])
-
-
-def _update_z_group(problem: Problem, assignment: dict, multipliers: dict,
-                    rho: float, cg_tol, cg_maxit, block_steps: dict):
-    passes = 0
-    inexact = False
-    for blocks, mode in problem.z_components():
-        if mode == "single":
-            b = blocks[0]
-            new = _update_block(problem, b, assignment, multipliers, rho,
-                                cg_tol, cg_maxit)
-            block_steps[b.name] = float(np.linalg.norm(new - assignment[b]))
-            assignment[b] = new
-        elif mode == "joint":
-            form = freeze(problem.system, tuple(blocks), assignment)
-            extras = []
-            for b in blocks:
-                for item in _smooth_extras(problem, b, assignment):
-                    extras.append((b.name, item))
-            y0 = {b.name: assignment[b] for b in blocks}
-            res = quad_block_solve(form, dict(multipliers), rho, extras=extras,
-                                   cg_tol=cg_tol, cg_maxit=cg_maxit, y0=y0)
-            for b in blocks:
-                new = np.asarray(res[b.name], dtype=float)
-                block_steps[b.name] = float(np.linalg.norm(new - assignment[b]))
-                assignment[b] = new
+                f"{value.shape}, declared {block.shape}", block=block.name)
+        new = {block: value}
+    else:
+        form = freeze(problem.system, blocks, assignment)
+        extras = [(b.name, item) for b in blocks
+                  for item in _smooth_extras(problem, b, assignment)]
+        nonsmooth = problem.nonsmooth_term(block)
+        if nonsmooth is not None:
+            new = {block: prox_block_step(form, multipliers, rho, nonsmooth, extras)}
         else:
-            starts = {b: assignment[b] for b in blocks}
-            for _ in range(_Z_INNER_MAX_PASSES):
-                passes += 1
-                worst = 0.0
-                for b in blocks:
-                    new = _update_block(problem, b, assignment, multipliers,
-                                        rho, cg_tol, cg_maxit)
-                    worst = max(worst, float(np.linalg.norm(new - assignment[b])))
-                    assignment[b] = new
-                if worst < _Z_INNER_TOL:
-                    break
-            else:
-                inexact = True
-            for b in blocks:
-                block_steps[b.name] = float(np.linalg.norm(assignment[b] - starts[b]))
-    return passes, inexact
+            res = quad_block_solve(form, dict(multipliers), rho, extras=extras,
+                                   cg_tol=cg_tol, cg_maxit=cg_maxit,
+                                   y0={b.name: assignment[b] for b in blocks})
+            new = {b: np.asarray(res[b.name], dtype=float) for b in blocks}
+    for b, value in new.items():
+        block_steps[b.name] = float(np.linalg.norm(value - assignment[b]))
+        assignment[b] = value
 
 
 def _stationarity(problem: Problem, assignment: dict, multipliers: dict):
@@ -476,15 +446,13 @@ def step(problem: Problem, state: SolverState, *, cg_tol=None, cg_maxit=None,
     with spectrum_memo(assignment, mults_new):
         try:
             for block in problem.update_order:
-                new = _update_block(problem, block, assignment, multipliers,
-                                    rho, cg_tol, cg_maxit)
-                block_steps[block.name] = float(np.linalg.norm(new - assignment[block]))
-                assignment[block] = new
+                _update_blocks(problem, (block,), assignment, multipliers,
+                               rho, cg_tol, cg_maxit, block_steps)
                 if check_argmin:
                     _argmin_check(repr(block.name))
-            z_passes, z_inexact = _update_z_group(problem, assignment,
-                                                  multipliers, rho, cg_tol,
-                                                  cg_maxit, block_steps)
+            for blocks in problem.z_components():
+                _update_blocks(problem, blocks, assignment, multipliers,
+                               rho, cg_tol, cg_maxit, block_steps)
             if check_argmin and problem.z_order:
                 _argmin_check("the z group")
         except SubproblemError as exc:
@@ -506,7 +474,6 @@ def step(problem: Problem, state: SolverState, *, cg_tol=None, cg_maxit=None,
                       dual_step=math.sqrt(dual_sq), block_steps=block_steps,
                       stat_est=float(stat),
                       wall_ms=(time.perf_counter() - t0) * 1000.0,
-                      z_inner_passes=z_passes, z_inexact=z_inexact,
                       violations=tuple(violations))
     return new_state, trace
 
@@ -781,7 +748,7 @@ def rho_lower_bound(m1: float, M1: float, M2: float, M_F: float, q1, q2,
 
 
 def add_prox_constraint(problem: Problem, block, S, rho: float) -> Problem:
-    """Clone the problem with a proximal tie on one block.
+    """Clone the problem with a proximal tie on one x-role block.
 
     Appends a shadow z1 block z' of the same shape and the equation
 
@@ -794,11 +761,16 @@ def add_prox_constraint(problem: Problem, block, S, rho: float) -> Problem:
     (rho_solver / rho) * ||x - x_prev||_S^2, which matches the intended
     proximal weight when the solver runs at this rho.  The curvature metadata
     keys are dropped from the clone: the certified penalty bound does not
-    cover the extended system.
+    cover the extended system.  A z block is refused with BuildError: its
+    shadow would share an equation with it, and the shadow's custom updater
+    leaves that pair no exact joint update (see ``Problem``).
     """
     if not rho > 0.0:
         raise ValueError("rho must be positive")
     blk = problem._resolve(block)
+    if blk.role != ROLE_X:
+        raise BuildError(f"a proximal tie needs an x-role block; {blk.name!r} "
+                         f"has role {blk.role!r}")
     if isinstance(S, LinearOp):
         s_mat = S.to_dense()
         if s_mat is None:

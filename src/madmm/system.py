@@ -42,15 +42,16 @@ multiplier of that step is computed once per array object and shape, and
 ``circ_conv2`` of a kernel and a signal that are both such arrays once per
 pair; both are reused while the step holds those arrays, the convolution as
 a read-only array, and dropped at the latest when the step returns.  The
-memo holds a reference to each array it has keyed, so no id is reused.  Outside a step every call transforms afresh.  Reuse relies on no
-array of the step being modified in place while the step runs.
+memo holds a reference to each array it has keyed, so no id is reused.
+Outside a step every call transforms afresh.  Reuse relies on no array of
+the step being modified in place while the step runs.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

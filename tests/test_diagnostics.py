@@ -17,7 +17,7 @@ from madmm.operators import DenseOp
 from madmm.prox import Quadratic
 from madmm.solver import (Problem, SolverState, augmented_lagrangian, solve,
                           step)
-from madmm.system import (BlockId, Constant, LinearTerm, MatChain,
+from madmm.system import (BlockId, Constant, Conv2D, LinearTerm, MatChain,
                           MultiaffineSystem, freeze)
 
 
@@ -291,3 +291,30 @@ def test_least_squares_residual_resolves_targets_in_rank_deficient_images(
     target = u[:, :rank] @ rng.standard_normal(rank)
     assert (_least_squares_residual(form, target)
             <= 1e-8 * (1.0 + float(np.linalg.norm(target))))
+
+
+@pytest.mark.parametrize("kernel_shape", [(16, 16), (4, 4)], ids=["16x16", "4x4"])
+def test_least_squares_residual_resolves_conv_signal_targets(kernel_shape):
+    # Convolution forms are never densified, so they take the conjugate
+    # gradient branch.  A delta kernel plus noise gives a circulant map of
+    # full rank: a target in the image must come back within the callers'
+    # 1e-8 (1 + ||t||), and a generic one at lstsq's distance on the
+    # pieces' dense blocks.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        kernel = 0.1 * rng.standard_normal(kernel_shape)
+        kernel[0, 0] += 1.0
+        a_blk = BlockId("A", "x", kernel_shape)
+        x_blk = BlockId("X", "x", (16, 16))
+        system = MultiaffineSystem()
+        system.add_equation([Conv2D(a_blk, x_blk), Constant(np.zeros((16, 16)))])
+        form = freeze(system, x_blk, {a_blk: kernel})
+        a = np.hstack([p.dense() for p in form.pieces])
+        inside = a @ rng.standard_normal(a.shape[1])
+        assert (_least_squares_residual(form, inside)
+                <= 1e-8 * (1.0 + float(np.linalg.norm(inside))))
+        target = rng.standard_normal(a.shape[0])
+        coef, *_ = np.linalg.lstsq(a, target, rcond=None)
+        want = float(np.linalg.norm(target - a @ coef))
+        assert (abs(_least_squares_residual(form, target) - want)
+                <= 1e-8 * (1.0 + float(np.linalg.norm(target))))

@@ -15,8 +15,8 @@ from madmm.solver import (Problem, SolverState, STATUS_CONVERGED,
                           STATUS_DIVERGED, STATUS_MAXITER,
                           add_prox_constraint, augmented_lagrangian,
                           lambda_min_pos, rho_lower_bound, solve, step)
-from madmm.system import (BlockId, Constant, LinearTerm, MatChain,
-                          MultiaffineSystem, evaluate)
+from madmm.system import (BlockId, Constant, HadamardPair, LinearTerm,
+                          MatChain, MultiaffineSystem, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,6 @@ def test_one_step_bilinear_hand_values():
     assert trace.primal_res == pytest.approx(abs(residual), abs=1e-14)
     assert trace.dual_step == pytest.approx(2.0 * abs(residual), abs=1e-14)
     assert trace.k == 1 and new.k == 1
-    assert not trace.z_inexact and trace.z_inner_passes == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -341,7 +340,7 @@ def test_init_override_and_shape_validation():
 
 
 # ---------------------------------------------------------------------------
-# The z group: joint exact solve and cyclic mixed components.
+# The z group: joint exact solve, and components without one refused.
 
 def test_joint_z_component_matches_analytic_solution():
     mu_a, mu_b, rho = 2.0, 5.0, 3.0
@@ -356,13 +355,12 @@ def test_joint_z_component_matches_analytic_solution():
     problem = Problem(system, {x: [Quadratic(1.0)],
                                za: [Quadratic(mu_a)],
                                zb: [Quadratic(mu_b, center=c_b)]})
-    assert problem.z_components() == (
-        ((za, zb), "joint"),) or problem.z_components() == [((za, zb), "joint")]
+    assert problem.z_components() == [(za, zb)]
     x0 = np.array([[1.2], [-0.3]])
     w0 = np.array([[0.7], [0.2]])
     state = SolverState({x: x0, za: np.zeros((2, 1)), zb: np.zeros((2, 1))},
                         {0: w0}, rho, 0)
-    new, trace = step(problem, state)
+    new, _ = step(problem, state)
     x1 = new.assignment[x]
     # Per coordinate the joint z update solves a 2x2 linear system.
     for i in range(2):
@@ -372,54 +370,50 @@ def test_joint_z_component_matches_analytic_solution():
         za_e, zb_e = np.linalg.solve(A, rhs)
         assert new.assignment[za][i, 0] == pytest.approx(za_e, abs=1e-10)
         assert new.assignment[zb][i, 0] == pytest.approx(zb_e, abs=1e-10)
-    assert not trace.z_inexact
 
 
-def _cyclic_mixed_z(lam, mu, rho):
+def _tangled_z(trigger):
+    """Two z blocks sharing an equation, plus the one obstacle `trigger` to
+    their joint solve; returns Problem's arguments."""
     x = BlockId("x", "x", (3, 1))
-    za = BlockId("za", "z1", (3, 1))
-    zb = BlockId("zb", "z2", (3, 1))
+    role = "z0" if trigger == "product" else "z1"
+    za = BlockId("za", role, (3, 1))
+    zb = BlockId("zb", role, (3, 1))
     system = MultiaffineSystem()
     system.add_equation([MatChain([x]),
                          LinearTerm(ScaledIdentity(1.0, (3, 1)), za, sign=-1),
                          LinearTerm(ScaledIdentity(1.0, (3, 1)), zb, sign=-1)])
-    problem = Problem(system, {x: [Quadratic(1.0, center=[[2.0], [0.01], [-3.0]])],
-                               za: [L1(lam)], zb: [Quadratic(mu)]})
-    (blocks, mode), = problem.z_components()
-    assert mode == "cyclic"
-    state = SolverState({x: np.array([[2.0], [0.01], [-3.0]]),
-                         za: np.zeros((3, 1)), zb: np.zeros((3, 1))},
-                        {0: np.array([[0.1], [0.0], [-0.2]])}, rho, 0)
-    return problem, state, (x, za, zb)
+    objective = {x: [Quadratic(1.0)], za: [Quadratic(2.0)], zb: [Quadratic(4.0)]}
+    kwargs = {}
+    if trigger == "nonsmooth":
+        objective[za] = [L1(0.3)]
+    elif trigger == "custom":
+        kwargs["custom_updaters"] = {"za": lambda *a: np.zeros((3, 1))}
+    elif trigger == "product":
+        system.add_equation([HadamardPair(za, zb), Constant(np.ones((3, 1)))])
+    else:
+        kwargs["coupling"] = [CouplingTerm(
+            (za, zb), lambda v: float(np.sum(v["za"] * v["zb"])),
+            lambda v, name: v["zb" if name == "za" else "za"])]
+    return system, objective, kwargs
 
 
-def test_cyclic_mixed_z_component_reaches_joint_optimum():
-    lam, mu, rho = 0.3, 4.0, 2.0
-    problem, state, (x, za, zb) = _cyclic_mixed_z(lam, mu, rho)
-    new, trace = step(problem, state)
-    # The passes reach the inner tolerance, so the result is flagged exact.
-    assert not trace.z_inexact and trace.z_inner_passes >= 2
-    x1, za1, zb1 = new.assignment[x], new.assignment[za], new.assignment[zb]
-    w = state.multipliers[0]
-    # Joint optimality of (za, zb) at frozen x1 and w: the smooth block is
-    # stationary and the L1 block satisfies its subgradient condition.
-    g_b = mu * zb1 - w - rho * (x1 - za1 - zb1)
-    assert np.max(np.abs(g_b)) <= 1e-9
-    g_a = -w - rho * (x1 - za1 - zb1)
-    for i in range(3):
-        if abs(za1[i, 0]) > 1e-12:
-            assert g_a[i, 0] + lam * np.sign(za1[i, 0]) == pytest.approx(0.0, abs=1e-9)
-        else:
-            assert abs(g_a[i, 0]) <= lam + 1e-9
+_TANGLE_REASONS = {
+    "nonsmooth": "block 'za' carries a nonsmooth term",
+    "custom": "block 'za' has a custom updater",
+    "product": "one term multiplies blocks ['za', 'zb']",
+    "coupling": "a coupling term involves blocks ['za', 'zb']",
+}
 
 
-def test_cyclic_z_flagged_inexact_when_passes_run_out(monkeypatch):
-    import madmm.solver as solver_mod
-
-    monkeypatch.setattr(solver_mod, "_Z_INNER_MAX_PASSES", 1)
-    problem, state, _ = _cyclic_mixed_z(0.3, 4.0, 2.0)
-    _, trace = step(problem, state)
-    assert trace.z_inexact and trace.z_inner_passes == 1
+@pytest.mark.parametrize("trigger", list(_TANGLE_REASONS))
+def test_z_component_without_exact_joint_update_is_refused(trigger):
+    system, objective, kwargs = _tangled_z(trigger)
+    with pytest.raises(BuildError) as info:
+        Problem(system, objective, **kwargs)
+    msg = str(info.value)
+    assert msg.startswith("z blocks ['za', 'zb'] share an equation")
+    assert _TANGLE_REASONS[trigger] in msg and "slack block" in msg
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +637,10 @@ def test_prox_constraint_rejections():
         add_prox_constraint(problem, x, np.eye(2), rho=1.0)
     with pytest.raises(ValueError):
         add_prox_constraint(problem, x, np.array([[-1.0]]), rho=1.0)
+    # A z block's shadow would share its equation under a custom updater,
+    # with no exact joint update: refused up front, naming that block.
+    with pytest.raises(BuildError, match=r"x-role block; 'z' has role 'z0'"):
+        add_prox_constraint(problem, "z", np.eye(1), rho=1.0)
     # Curvature metadata does not survive onto the extended problem.
     problem.metadata.update({"m1": 1.0, "M1": 1.0})
     tied = add_prox_constraint(problem, x, np.eye(1), rho=1.0)

@@ -264,7 +264,7 @@ def test_nmf3_layout():
         ["Y", "Y_pos", "X", "X_pos"]
     assert {b.name for b in inst.problem.z_order} == {"Z", "X_rem", "Y_rem"}
     assert all(b.role == "z1" for b in inst.problem.z_order)
-    assert all(mode == "single" for _, mode in inst.problem.z_components())
+    assert all(len(blocks) == 1 for blocks in inst.problem.z_components())
 
 
 def test_rp2_layout():
@@ -285,6 +285,15 @@ def test_sbd_layout():
     assert not bare.problem.z_order
     assert bare.problem.metadata["assumptions_violated"] is True
     assert set(bare.problem.custom_updaters) == {"A", "X"}
+
+
+@pytest.mark.parametrize("name", zoo_names())
+def test_every_z_component_is_one_block(name):
+    # Each slack has its own equation, so every z update is a lone block's.
+    problem = default_instance(name, 0).problem
+    components = problem.z_components()
+    assert all(len(blocks) == 1 for blocks in components)
+    assert [blocks[0] for blocks in components] == problem.z_order
 
 
 def test_metadata_constants():
