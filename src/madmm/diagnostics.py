@@ -50,10 +50,6 @@ def stationarity(problem: Problem, state: SolverState) -> StationarityEstimate:
     return StationarityEstimate(parts, aggregate)
 
 
-def _z_blocks(problem: Problem, *roles):
-    return [b for b in problem.system.blocks.values() if b.role in roles]
-
-
 def _sq(arrays) -> float:
     return float(sum(np.sum(a * a) for a in arrays))
 
@@ -71,7 +67,7 @@ def _cached_spectra(problem: Problem) -> dict:
     zeros = {b: np.zeros(b.shape) for b in problem.all_blocks}
     cache = {}
     for key, roles in (("z1", ("z1",)), ("z2", ("z2",)), ("z", _Z_ROLES)):
-        blocks = _z_blocks(problem, *roles)
+        blocks = problem.system.blocks_with_role(*roles)
         if not blocks:
             cache[key] = None
             continue
@@ -115,12 +111,11 @@ def _least_squares_residual(form, target: np.ndarray, maxit: int = 500) -> float
 
 
 def assert_iteration(problem: Problem, state: SolverState,
-                     state_new: SolverState, trace, level: str = "basic",
+                     state_new: SolverState, level: str = "basic",
                      rho_certified: bool = False):
     """Re-derive the identities one iteration must satisfy.
 
-    ``state`` and ``state_new`` bracket the iteration; ``trace``, the
-    solver's record of it, is accepted but read by no check.  Checks that
+    ``state`` and ``state_new`` bracket the iteration.  Checks that
     need curvature constants ("m1", "M1", "M2" in the problem metadata) or
     slack blocks are skipped when those are absent.  Returns the violations
     found; at level "strict" a nonempty result raises AssertionError
@@ -154,8 +149,8 @@ def assert_iteration(problem: Problem, state: SolverState,
                 "than rho * ||C||^2"))
 
     spectra = _cached_spectra(problem)
-    z1 = _z_blocks(problem, "z1")
-    z2 = _z_blocks(problem, "z2")
+    z1 = problem.system.blocks_with_role("z1")
+    z2 = problem.system.blocks_with_role("z2")
     meta = problem.metadata
     # The step bound needs slack optimality at both ends of the transition,
     # so the first step away from an arbitrary init is exempt.
@@ -260,7 +255,7 @@ def check_assumptions(problem: Problem, samples: int = 20,
     system = problem.system
     rng = np.random.default_rng(seed)
     checks = []
-    z_all = _z_blocks(problem, *_Z_ROLES)
+    z_all = problem.system.blocks_with_role(*_Z_ROLES)
     spectra = _cached_spectra(problem)
 
     base = {b: rng.standard_normal(b.shape) for b in problem.all_blocks}
@@ -293,7 +288,7 @@ def check_assumptions(problem: Problem, samples: int = 20,
                            "no slack block spans the constraint image; "
                            "multipliers can run away on infeasible data"))
 
-    z2 = _z_blocks(problem, "z2")
+    z2 = problem.system.blocks_with_role("z2")
     if not z2:
         checks.append(("slack_injectivity", "pass",
                        "no pure-slack blocks; requirement is vacuous"))
@@ -304,7 +299,7 @@ def check_assumptions(problem: Problem, samples: int = 20,
         checks.append(("slack_injectivity", "fail",
                        "pure-slack coefficient map is not injective"))
 
-    z1 = _z_blocks(problem, "z1")
+    z1 = problem.system.blocks_with_role("z1")
     bad = None
     for b in z1 + z2:
         if problem.nonsmooth_term(b) is not None:

@@ -254,12 +254,10 @@ class CouplingTerm:
     before using the gradient as a constant in exact block updates.
     """
 
-    def __init__(self, blocks, fn, grad_fn, lipschitz: float = 0.0,
-                 affine_per_block: bool = True):
+    def __init__(self, blocks, fn, grad_fn, affine_per_block: bool = True):
         self.blocks = tuple(blocks)
         self.fn = fn
         self.grad_fn = grad_fn
-        self.lipschitz = float(lipschitz)
         self.affine_per_block = bool(affine_per_block)
 
     def value(self, values) -> float:

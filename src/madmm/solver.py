@@ -33,12 +33,11 @@ import numpy as np
 
 from .errors import BuildError, ShapeMismatchError, SubproblemError
 from .operators import DenseOp, LinearOp
-from .prox import (CouplingTerm, ObjectiveTerm, Quadratic, SmoothCustom,
-                   _QuadPieces, prox_block_step, quad_block_solve)
-from .system import (BlockId, LinearTerm, MatChain, MultiaffineSystem,
-                     ROLE_X, ROLE_Z1, ROLE_Z2, block_adjoints, blocks_in,
-                     evaluate, freeze, FrozenLinearForm, spectrum_memo,
-                     stack_residual)
+from .prox import (CouplingTerm, ObjectiveTerm, SmoothCustom, _QuadPieces,
+                   prox_block_step, quad_block_solve)
+from .system import (BlockId, LinearTerm, MultiaffineSystem, ROLE_X, ROLE_Z1,
+                     ROLE_Z2, block_adjoints, evaluate, freeze,
+                     FrozenLinearForm, spectrum_memo, stack_residual)
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAXITER = "MaxIter"
@@ -107,6 +106,10 @@ class Problem:
     reuses the Fourier spectra of those arrays while it runs.  ``metadata``
     is free-form; the keys "m1", "M1", "M2", "M_F" and "r_blocks" feed the
     certified penalty bound.
+
+    A block carries at most one nonsmooth term.  Building raises BuildError
+    when ``prox.prox_block_step`` refuses such a block with no custom
+    updater at a point with Gaussian Hadamard partners.
 
     z blocks tied by a shared equation form one component, which each step
     solves jointly and exactly.  Building raises BuildError when a
@@ -192,16 +195,9 @@ class Problem:
                     raise BuildError(
                         f"block {block.name!r} has a smooth term with curvature; "
                         "register a custom updater")
-            if nonsmooth:
-                msg = _prox_structure_error(self.system, block)
-                if msg:
-                    raise BuildError(msg)
-                for t in terms:
-                    if isinstance(t, Quadratic) and t.identity_curvature is None:
-                        raise BuildError(
-                            f"quadratic term on nonsmooth block {block.name!r} "
-                            "must act through a map with scalar gram; "
-                            "register a custom updater")
+        self._check_prox_steps([b for b in self.objective
+                                if b.name not in self.custom_updaters
+                                and self.nonsmooth_term(b) is not None])
         for c in self.coupling:
             if not isinstance(c, CouplingTerm):
                 raise BuildError(f"coupling entry {type(c).__name__} is not a CouplingTerm")
@@ -216,6 +212,29 @@ class Problem:
                         "coupling term is not affine per block; blocks "
                         f"{missing} need custom updaters")
 
+    def _check_prox_steps(self, blocks):
+        """Refuse a nonsmooth block whose subproblem ``prox_block_step``
+        cannot solve, by that step's rule; the freeze builds the plan the
+        first step reuses.  Only a Hadamard partner's value can change the
+        answer, so only partners are drawn and other blocks read zero."""
+        if not blocks:
+            return
+        zeros = {b: np.zeros(b.shape) for b in self.system.blocks.values()}
+        for block in blocks:
+            point = dict(zeros)
+            for _, terms in self.system.equations:
+                for t in terms:
+                    for b in t.gram_reads(block):
+                        point[b] = np.random.default_rng(0).standard_normal(b.shape)
+            form = freeze(self.system, block, point)
+            smooth = [(block.name, t) for t in self.terms_for(block) if t.smooth]
+            kappa = _QuadPieces(form, None, 1.0, smooth).scalar_curvature()
+            if kappa is None or not kappa > 0.0:
+                raise BuildError(
+                    f"nonsmooth block {block.name!r} has no exact proximal step: "
+                    "its subproblem needs a positive scalar gram; register a "
+                    "custom updater")
+
     def _build_z_components(self):
         zs = self.z_order
         if not zs:
@@ -229,7 +248,7 @@ class Problem:
             return b
 
         for _, terms in self.system.equations:
-            eq_zs = list(dict.fromkeys(b for t in terms for b in blocks_in(t)
+            eq_zs = list(dict.fromkeys(b for t in terms for b in t.blocks()
                                        if b.role != ROLE_X))
             for a, b in zip(eq_zs, eq_zs[1:]):
                 parent[find(a)] = find(b)
@@ -257,7 +276,7 @@ class Problem:
                 return f"block {b.name!r} has a custom updater"
         for _, terms in self.system.equations:
             for t in terms:
-                shared = [b.name for b in blocks_in(t) if b in blocks]
+                shared = [b.name for b in t.blocks() if b in blocks]
                 if len(shared) > 1:
                     return f"one term multiplies blocks {shared}"
         for c in self.coupling:
@@ -279,32 +298,6 @@ def _check_affine_coupling(c: CouplingTerm):
             raise BuildError(
                 f"coupling gradient for {b.name!r} varies with the block "
                 "itself; it is not affine per block")
-
-
-def _prox_structure_error(system: MultiaffineSystem, block: BlockId):
-    """None when every occurrence of `block` supports an exact proximal step."""
-    for eq_id, terms in system.equations:
-        occ = [t for t in terms if block in blocks_in(t)]
-        if not occ:
-            continue
-        idents = 0
-        gram_ok = 0
-        for term in occ:
-            if isinstance(term, MatChain) and len(term.factors) == 1:
-                idents += 1
-            elif isinstance(term, LinearTerm):
-                if term.op.identity_scale is not None:
-                    idents += 1
-                elif term.op.gram_scalar() is not None:
-                    gram_ok += 1
-        if idents == len(occ):
-            continue
-        if len(occ) == 1 and gram_ok == 1:
-            continue
-        return (f"nonsmooth block {block.name!r} enters equation {eq_id} "
-                "through a map whose gram is not a scalar multiple of the "
-                "identity; register a custom updater")
-    return None
 
 
 def _named_values(problem: Problem, assignment: dict) -> dict:
@@ -354,8 +347,7 @@ def _smooth_extras(problem: Problem, block: BlockId, assignment: dict) -> list:
 
 
 def _update_blocks(problem: Problem, blocks: tuple, assignment: dict,
-                   multipliers: dict, rho: float, cg_tol, cg_maxit,
-                   block_steps: dict):
+                   multipliers: dict, rho: float, block_steps: dict):
     """Minimize L exactly over one block, or jointly over a z component, in
     place in ``assignment``, recording each block's step norm.  A custom
     updater or a nonsmooth term belongs to a lone block (see ``Problem``)."""
@@ -378,7 +370,6 @@ def _update_blocks(problem: Problem, blocks: tuple, assignment: dict,
             new = {block: prox_block_step(form, multipliers, rho, nonsmooth, extras)}
         else:
             res = quad_block_solve(form, dict(multipliers), rho, extras=extras,
-                                   cg_tol=cg_tol, cg_maxit=cg_maxit,
                                    y0={b.name: assignment[b] for b in blocks})
             new = {b: np.asarray(res[b.name], dtype=float) for b in blocks}
     for b, value in new.items():
@@ -412,15 +403,14 @@ def _stationarity(problem: Problem, assignment: dict, multipliers: dict):
     return parts, agg
 
 
-def step(problem: Problem, state: SolverState, *, cg_tol=None, cg_maxit=None,
-         check_argmin: bool = False):
+def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
     """One full iteration; returns (new_state, IterTrace).
 
     check_argmin re-evaluates L after every block update and records a
-    Violation when it rose beyond solver tolerance (exact minimization over
-    one block can never increase L).  The step keeps the Fourier spectra of
-    its block values and new multipliers, and their convolutions, until it
-    returns (see system.spectrum_memo).
+    Violation when it rose by more than 1e-9 * (1 + |L|) (exact minimization
+    over one block can never increase L).  The step keeps the Fourier
+    spectra of its block values and new multipliers, and their
+    convolutions, until it returns (see system.spectrum_memo).
     """
     t0 = time.perf_counter()
     rho = state.rho
@@ -431,13 +421,12 @@ def step(problem: Problem, state: SolverState, *, cg_tol=None, cg_maxit=None,
     k_next = state.k + 1
     block_steps = {}
     violations = []
-    argmin_tol = 10.0 * (cg_tol if cg_tol is not None else 1e-10)
     L_track = _al(problem, assignment, multipliers, rho) if check_argmin else None
 
     def _argmin_check(label):
         nonlocal L_track
         L_now = _al(problem, assignment, multipliers, rho)
-        tol = argmin_tol * (1.0 + abs(L_now) if math.isfinite(L_now) else 1.0)
+        tol = 1e-9 * (1.0 + abs(L_now) if math.isfinite(L_now) else 1.0)
         if math.isfinite(L_track) and L_now > L_track + tol:
             violations.append(Violation("block_argmin", float(L_now - L_track),
                                         tol, f"L rose while updating {label}"))
@@ -447,12 +436,12 @@ def step(problem: Problem, state: SolverState, *, cg_tol=None, cg_maxit=None,
         try:
             for block in problem.update_order:
                 _update_blocks(problem, (block,), assignment, multipliers,
-                               rho, cg_tol, cg_maxit, block_steps)
+                               rho, block_steps)
                 if check_argmin:
                     _argmin_check(repr(block.name))
             for blocks in problem.z_components():
                 _update_blocks(problem, blocks, assignment, multipliers,
-                               rho, cg_tol, cg_maxit, block_steps)
+                               rho, block_steps)
             if check_argmin and problem.z_order:
                 _argmin_check("the z group")
         except SubproblemError as exc:
@@ -480,7 +469,7 @@ def step(problem: Problem, state: SolverState, *, cg_tol=None, cg_maxit=None,
 
 def solve(problem: Problem, *, rho=None, max_iter: int = 500,
           tol_primal: float = 1e-8, tol_step: float = 1e-8, seed: int = 0,
-          assert_level: str = "none", init=None, cg_tol=None, cg_maxit=None):
+          assert_level: str = "none", init=None):
     """Run the solver; returns (state, traces, status).
 
     rho=None picks the penalty automatically: certified from metadata
@@ -530,8 +519,8 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
         stack_residual(evaluate(system, zero_assign))))
 
     certified = False
-    if rho is None or rho == "auto":
-        rho_val, certified = _auto_rho(problem, assignment, cg_tol, cg_maxit)
+    if rho is None:
+        rho_val, certified = _auto_rho(problem, assignment)
     elif isinstance(rho, str):
         raise ValueError(f"unknown rho policy {rho!r}")
     else:
@@ -547,11 +536,11 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
     streak = 0
     for _ in range(max_iter):
         prev = current
-        current, tr = step(problem, prev, cg_tol=cg_tol, cg_maxit=cg_maxit,
+        current, tr = step(problem, prev,
                            check_argmin=(assert_level == "strict"))
         if assert_level != "none":
             from . import diagnostics
-            extra = diagnostics.assert_iteration(problem, prev, current, tr,
+            extra = diagnostics.assert_iteration(problem, prev, current,
                                                  level=assert_level,
                                                  rho_certified=certified)
             if extra:
@@ -574,7 +563,7 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
     return current, traces, status
 
 
-def _auto_rho(problem: Problem, assignment: dict, cg_tol, cg_maxit):
+def _auto_rho(problem: Problem, assignment: dict):
     """(rho, certified): the metadata bound when available, else a probe.
 
     Raises ValueError when no probed rho up to 2**39 passes its trial run.
@@ -595,7 +584,7 @@ def _auto_rho(problem: Problem, assignment: dict, cg_tol, cg_maxit):
     base = {b: np.array(v) for b, v in assignment.items()}
     rho_try = 1.0
     for _ in range(40):
-        if _probe_ok(problem, base, rho_try, cg_tol, cg_maxit):
+        if _probe_ok(problem, base, rho_try):
             return rho_try, False
         rho_try *= 2.0
     raise ValueError(
@@ -603,15 +592,14 @@ def _auto_rho(problem: Problem, assignment: dict, cg_tol, cg_maxit):
         f"rho = {rho_try / 2.0!r}")
 
 
-def _probe_ok(problem: Problem, base: dict, rho: float, cg_tol, cg_maxit,
-              iters: int = 10) -> bool:
+def _probe_ok(problem: Problem, base: dict, rho: float, iters: int = 10) -> bool:
     st = SolverState({b: np.array(v) for b, v in base.items()},
                      {e: np.zeros(problem.system.eq_shape(e))
                       for e in problem.system.eq_ids}, rho, 0)
     values = [_al(problem, st.assignment, st.multipliers, rho)]
     try:
         for _ in range(iters):
-            st, tr = step(problem, st, cg_tol=cg_tol, cg_maxit=cg_maxit)
+            st, tr = step(problem, st)
             values.append(tr.L)
     except SubproblemError:
         return False

@@ -6,6 +6,10 @@ fixed; products of two or more distinct blocks are allowed (matrix chains,
 Hadamard products, 2-D circular convolutions), repeated occurrences of the
 same block inside one term are not.
 
+Each term type is one subclass of ``_Term`` owning its blocks, its shape
+check, its unsigned value and its frozen pieces; a new type is one new class.
+:func:`_eval_term`, the one per-term evaluator, applies the sign.
+
 The central operation is :func:`freeze`: fixing all blocks except a chosen
 focus turns the system into an affine map of the focus, returned as a
 :class:`FrozenLinearForm` with matrix-free ``apply``/``adjoint`` and a dense
@@ -63,7 +67,6 @@ ROLE_Z0 = "z0"
 ROLE_Z1 = "z1"
 ROLE_Z2 = "z2"
 _ROLES = (ROLE_X, ROLE_Z0, ROLE_Z1, ROLE_Z2)
-Z_ROLES = (ROLE_Z0, ROLE_Z1, ROLE_Z2)
 
 
 @dataclass(frozen=True)
@@ -96,8 +99,36 @@ class BlockId:
         return self.shape[0] * self.shape[1]
 
 
+class _Term:
+    """Base of the term types, dataclasses with a ``sign`` of +1 or -1.
+
+    A type defines ``out_shape(eq_id)``, its shape once its parts are checked,
+    and ``unsigned(values)``, its value without the sign.  ``blocks()`` (in
+    occurrence order), ``pieces(focus, values, eq_id)`` (a frozen piece per
+    occurrence of a block in ``focus``) and ``gram_reads(block)`` (blocks whose
+    values that block's gram reads) default to none, as for a constant."""
+
+    def blocks(self) -> tuple:
+        return ()
+
+    def pieces(self, focus, values, eq_id) -> list:
+        return []
+
+    def gram_reads(self, block) -> tuple:
+        return ()
+
+
+def _product(factors, read):
+    """Product of chain factors, None if there are none; blocks go through ``read``."""
+    out = None
+    for f in factors:
+        v = read(f) if isinstance(f, BlockId) else np.asarray(f, dtype=float)
+        out = v if out is None else out @ v
+    return out
+
+
 @dataclass
-class MatChain:
+class MatChain(_Term):
     """sign * F1 @ F2 @ ... @ Fk where each factor is a BlockId or a constant."""
 
     factors: list
@@ -108,9 +139,38 @@ class MatChain:
             if not isinstance(f, BlockId):
                 require_finite(np.asarray(f, dtype=float), "matrix chain factor")
 
+    def blocks(self) -> tuple:
+        return tuple(f for f in self.factors if isinstance(f, BlockId))
+
+    def out_shape(self, eq_id: int) -> tuple:
+        if not self.factors:
+            raise BuildError(f"equation {eq_id}: empty matrix chain")
+        shapes = [f.shape if isinstance(f, BlockId) else np.asarray(f).shape
+                  for f in self.factors]
+        for a, b in zip(shapes, shapes[1:]):
+            if a[1] != b[0]:
+                raise ShapeMismatchError(
+                    f"equation {eq_id}: matrix chain mismatch {a} @ {b}", eq_id=eq_id)
+        return (shapes[0][0], shapes[-1][1])
+
+    def unsigned(self, values):
+        return _product(self.factors, lambda b: _value_of(values, b))
+
+    def pieces(self, focus, values, eq_id) -> list:
+        out = []
+        for idx, f in enumerate(self.factors):
+            if isinstance(f, BlockId) and f in focus:
+                left = _product(self.factors[:idx], values.__getitem__)
+                right = _product(self.factors[idx + 1:], values.__getitem__)
+                if left is None and right is None:
+                    out.append(_IdentityPiece(eq_id, f, self.sign, 1.0))
+                else:
+                    out.append(_MatMulPiece(eq_id, f, self.sign, left, right))
+        return out
+
 
 @dataclass
-class HadamardPair:
+class HadamardPair(_Term):
     """sign * post(left * right) with * elementwise; post defaults to identity."""
 
     left: BlockId
@@ -118,9 +178,40 @@ class HadamardPair:
     post: LinearOp | None = None
     sign: int = 1
 
+    def blocks(self) -> tuple:
+        return (self.left, self.right)
+
+    def out_shape(self, eq_id: int) -> tuple:
+        if self.left.shape != self.right.shape:
+            raise ShapeMismatchError(
+                f"equation {eq_id}: Hadamard blocks {self.left.name!r} and "
+                f"{self.right.name!r} have different shapes",
+                block=self.left.name, eq_id=eq_id)
+        if self.post is None:
+            return self.left.shape
+        if self.post.in_shape != self.left.shape:
+            raise ShapeMismatchError(
+                f"equation {eq_id}: post-map expects {self.post.in_shape}, "
+                f"blocks have {self.left.shape}",
+                block=self.left.name, eq_id=eq_id)
+        return self.post.out_shape
+
+    def unsigned(self, values):
+        prod = _value_of(values, self.left) * _value_of(values, self.right)
+        return prod if self.post is None else self.post.apply(prod)
+
+    def pieces(self, focus, values, eq_id) -> list:
+        return [_HadamardPiece(eq_id, b, self.sign, values[other], self.post)
+                for b, other in ((self.left, self.right), (self.right, self.left))
+                if b in focus]
+
+    def gram_reads(self, block) -> tuple:
+        # A block's gram is its partner's square, elementwise.
+        return {self.left: (self.right,), self.right: (self.left,)}.get(block, ())
+
 
 @dataclass
-class Conv2D:
+class Conv2D(_Term):
     """sign * (kernel conv signal), circular 2-D convolution.
 
     The kernel block may be smaller than the signal block; it is zero-padded
@@ -131,18 +222,60 @@ class Conv2D:
     signal: BlockId
     sign: int = 1
 
+    def blocks(self) -> tuple:
+        return (self.kernel, self.signal)
+
+    def out_shape(self, eq_id: int) -> tuple:
+        ks, ss = self.kernel.shape, self.signal.shape
+        if ks[0] > ss[0] or ks[1] > ss[1]:
+            raise ShapeMismatchError(
+                f"equation {eq_id}: kernel {ks} larger than signal {ss}",
+                block=self.kernel.name, eq_id=eq_id)
+        return ss
+
+    def unsigned(self, values):
+        return circ_conv2(_value_of(values, self.kernel),
+                          _value_of(values, self.signal))
+
+    def pieces(self, focus, values, eq_id) -> list:
+        return [kind(eq_id, b, self.sign, values[other])
+                for b, kind, other in ((self.kernel, _ConvKernelPiece, self.signal),
+                                       (self.signal, _ConvSignalPiece, self.kernel))
+                if b in focus]
+
 
 @dataclass
-class LinearTerm:
+class LinearTerm(_Term):
     """sign * op(block)."""
 
     op: LinearOp
     block: BlockId
     sign: int = 1
 
+    def blocks(self) -> tuple:
+        return (self.block,)
+
+    def out_shape(self, eq_id: int) -> tuple:
+        if self.op.in_shape != self.block.shape:
+            raise ShapeMismatchError(
+                f"equation {eq_id}: operator expects {self.op.in_shape}, "
+                f"block {self.block.name!r} has {self.block.shape}",
+                block=self.block.name, eq_id=eq_id)
+        return self.op.out_shape
+
+    def unsigned(self, values):
+        return self.op.apply(_value_of(values, self.block))
+
+    def pieces(self, focus, values, eq_id) -> list:
+        if self.block not in focus:
+            return []
+        scale = self.op.identity_scale
+        return [_OpPiece(eq_id, self.block, self.sign, self.op) if scale is None
+                else _IdentityPiece(eq_id, self.block, self.sign, scale)]
+
 
 @dataclass
-class Constant:
+class Constant(_Term):
     """A fixed array added into the equation."""
 
     value: np.ndarray
@@ -153,6 +286,12 @@ class Constant:
         if self.value.ndim != 2:
             self.value = np.atleast_2d(self.value)
         require_finite(self.value, "constant term")
+
+    def out_shape(self, eq_id: int) -> tuple:
+        return self.value.shape
+
+    def unsigned(self, values):
+        return self.value
 
 
 # (sources, spectra, convs) while a step runs: sources are the step's dicts
@@ -269,65 +408,6 @@ def _conv_adjoint_kernel(signal: np.ndarray, w: np.ndarray, kernel_shape) -> np.
     return full[: kernel_shape[0], : kernel_shape[1]].copy()
 
 
-def blocks_in(term) -> tuple:
-    """Variable blocks referenced by a term, in occurrence order."""
-    if isinstance(term, MatChain):
-        return tuple(f for f in term.factors if isinstance(f, BlockId))
-    if isinstance(term, HadamardPair):
-        return (term.left, term.right)
-    if isinstance(term, Conv2D):
-        return (term.kernel, term.signal)
-    if isinstance(term, LinearTerm):
-        return (term.block,)
-    if isinstance(term, Constant):
-        return ()
-    raise BuildError(f"unknown term type {type(term).__name__}")
-
-
-def _term_out_shape(term, eq_id: int) -> tuple:
-    if isinstance(term, MatChain):
-        if not term.factors:
-            raise BuildError(f"equation {eq_id}: empty matrix chain")
-        shapes = [f.shape if isinstance(f, BlockId) else np.asarray(f).shape
-                  for f in term.factors]
-        for a, b in zip(shapes, shapes[1:]):
-            if a[1] != b[0]:
-                raise ShapeMismatchError(
-                    f"equation {eq_id}: matrix chain mismatch {a} @ {b}", eq_id=eq_id)
-        return (shapes[0][0], shapes[-1][1])
-    if isinstance(term, HadamardPair):
-        if term.left.shape != term.right.shape:
-            raise ShapeMismatchError(
-                f"equation {eq_id}: Hadamard blocks {term.left.name!r} and "
-                f"{term.right.name!r} have different shapes",
-                block=term.left.name, eq_id=eq_id)
-        if term.post is None:
-            return term.left.shape
-        if term.post.in_shape != term.left.shape:
-            raise ShapeMismatchError(
-                f"equation {eq_id}: post-map expects {term.post.in_shape}, "
-                f"blocks have {term.left.shape}",
-                block=term.left.name, eq_id=eq_id)
-        return term.post.out_shape
-    if isinstance(term, Conv2D):
-        ks, ss = term.kernel.shape, term.signal.shape
-        if ks[0] > ss[0] or ks[1] > ss[1]:
-            raise ShapeMismatchError(
-                f"equation {eq_id}: kernel {ks} larger than signal {ss}",
-                block=term.kernel.name, eq_id=eq_id)
-        return ss
-    if isinstance(term, LinearTerm):
-        if term.op.in_shape != term.block.shape:
-            raise ShapeMismatchError(
-                f"equation {eq_id}: operator expects {term.op.in_shape}, "
-                f"block {term.block.name!r} has {term.block.shape}",
-                block=term.block.name, eq_id=eq_id)
-        return term.op.out_shape
-    if isinstance(term, Constant):
-        return term.value.shape
-    raise BuildError(f"unknown term type {type(term).__name__}")
-
-
 class MultiaffineSystem:
     """A stack of multiaffine equations ``sum_t sign_t T_t(blocks) = 0``.
 
@@ -352,17 +432,21 @@ class MultiaffineSystem:
             raise BuildError(f"equation {eq_id}: no terms")
         shape = None
         for term in terms:
-            tshape = _term_out_shape(term, eq_id)
+            if not isinstance(term, _Term):
+                raise BuildError(f"equation {eq_id}: {type(term).__name__} "
+                                 "is not a constraint term")
+            tshape = term.out_shape(eq_id)
+            blocks = term.blocks()
             if shape is None:
                 shape = tshape
             elif tshape != shape:
-                names = ", ".join(b.name for b in blocks_in(term)) or "constant"
+                names = ", ".join(b.name for b in blocks) or "constant"
                 raise ShapeMismatchError(
                     f"equation {eq_id}: term on [{names}] has shape {tshape}, "
                     f"expected {shape}", eq_id=eq_id,
-                    block=(blocks_in(term)[0].name if blocks_in(term) else None))
+                    block=(blocks[0].name if blocks else None))
             seen = set()
-            for b in blocks_in(term):
+            for b in blocks:
                 if b.name in seen:
                     raise BuildError(
                         f"equation {eq_id}: block {b.name!r} appears twice in one "
@@ -417,26 +501,9 @@ def _value_of(assignment, block: BlockId):
     return v
 
 
-def _eval_term(term, assignment):
-    if isinstance(term, MatChain):
-        out = None
-        for f in term.factors:
-            v = _value_of(assignment, f) if isinstance(f, BlockId) else np.asarray(f, dtype=float)
-            out = v if out is None else out @ v
-        return term.sign * out
-    if isinstance(term, HadamardPair):
-        prod = _value_of(assignment, term.left) * _value_of(assignment, term.right)
-        if term.post is not None:
-            prod = term.post.apply(prod)
-        return term.sign * prod
-    if isinstance(term, Conv2D):
-        return term.sign * circ_conv2(_value_of(assignment, term.kernel),
-                                      _value_of(assignment, term.signal))
-    if isinstance(term, LinearTerm):
-        return term.sign * term.op.apply(_value_of(assignment, term.block))
-    if isinstance(term, Constant):
-        return term.sign * term.value
-    raise BuildError(f"unknown term type {type(term).__name__}")
+def _eval_term(term, values):
+    """The signed value of one term, for ``evaluate`` and frozen offsets."""
+    return term.sign * term.unsigned(values)
 
 
 def evaluate(system: MultiaffineSystem, assignment) -> list:
@@ -648,55 +715,6 @@ class _ConvKernelPiece(_Piece):
         return self.sign * _circulant(self.signal, self.signal.shape, self.block.shape)
 
 
-def _freeze_term(term, focus_hits, values, eq_id):
-    """Pieces for the focus blocks appearing in `term` (one per occurrence).
-
-    ``values`` maps every non-focus block of the term to its checked array.
-    When several blocks of the term are in ``focus_hits``, as in
-    :func:`block_adjoints`, it maps those too: each one's piece holds the
-    values of the others.
-    """
-    pieces = []
-    if isinstance(term, MatChain):
-        for idx, f in enumerate(term.factors):
-            if isinstance(f, BlockId) and f in focus_hits:
-                left = None
-                for g in term.factors[:idx]:
-                    v = values[g] if isinstance(g, BlockId) else np.asarray(g, dtype=float)
-                    left = v if left is None else left @ v
-                right = None
-                for g in term.factors[idx + 1:]:
-                    v = values[g] if isinstance(g, BlockId) else np.asarray(g, dtype=float)
-                    right = v if right is None else right @ v
-                if left is None and right is None:
-                    pieces.append(_IdentityPiece(eq_id, f, term.sign, 1.0))
-                else:
-                    pieces.append(_MatMulPiece(eq_id, f, term.sign, left, right))
-    elif isinstance(term, HadamardPair):
-        if term.left in focus_hits:
-            pieces.append(_HadamardPiece(eq_id, term.left, term.sign,
-                                         values[term.right], term.post))
-        if term.right in focus_hits:
-            pieces.append(_HadamardPiece(eq_id, term.right, term.sign,
-                                         values[term.left], term.post))
-    elif isinstance(term, Conv2D):
-        if term.kernel in focus_hits:
-            pieces.append(_ConvKernelPiece(eq_id, term.kernel, term.sign,
-                                           values[term.signal]))
-        if term.signal in focus_hits:
-            pieces.append(_ConvSignalPiece(eq_id, term.signal, term.sign,
-                                           values[term.kernel]))
-    elif isinstance(term, LinearTerm):
-        if term.block in focus_hits:
-            op = term.op
-            if op.identity_scale is not None:
-                pieces.append(_IdentityPiece(eq_id, term.block, term.sign,
-                                             op.identity_scale))
-            else:
-                pieces.append(_OpPiece(eq_id, term.block, term.sign, op))
-    return pieces
-
-
 class FrozenLinearForm:
     """The system as an affine map of one focus block (or a block group).
 
@@ -850,7 +868,7 @@ def _plan_freeze(system: MultiaffineSystem, focus: tuple) -> _FreezePlan:
     for eq_id, terms in system.equations:
         rest = frozen_terms[eq_id] = []
         for term in terms:
-            blocks = blocks_in(term)
+            blocks = term.blocks()
             coupled = [b for b in blocks if b in focus_set]
             if len(coupled) > 1:
                 raise BuildError(
@@ -892,7 +910,7 @@ def freeze(system: MultiaffineSystem, focus, assignment) -> FrozenLinearForm:
     values = {b: _value_of(assignment, b) for b in plan.reads}
     pieces = []
     for eq_id, term in plan.hits:
-        pieces.extend(_freeze_term(term, plan.focus_set, values, eq_id))
+        pieces.extend(term.pieces(plan.focus_set, values, eq_id))
     return FrozenLinearForm(plan, pieces, values,
                             single=isinstance(focus, BlockId))
 
@@ -914,7 +932,7 @@ def block_adjoints(system: MultiaffineSystem, assignment, w_by_eq) -> dict:
             continue
         w = np.asarray(w, dtype=float)
         for term in terms:
-            for p in _freeze_term(term, frozenset(blocks_in(term)), values, eq_id):
+            for p in term.pieces(frozenset(term.blocks()), values, eq_id):
                 grads[p.block] = grads[p.block] + p.adjoint(w)
     return grads
 

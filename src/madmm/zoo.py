@@ -337,17 +337,16 @@ def rpca2(B, k: int, lam: float = 0.5, variant: str = "slack",
                              Constant(B, sign=-1)])
         objective = {U: [Quadratic(1.0)], Vt: [Quadratic(1.0)],
                      S: [L1(lam)], Z: [Quadratic(mu)]}
-        metadata = {"assumptions_violated": False,
-                    "note": "certified bound unavailable: factor coefficient "
-                            "maps depend on the iterates"}
+        # No certified bound: the factor maps depend on the iterates.
+        metadata = {"assumptions_violated": False}
     else:
         S = BlockId("S", "z1", (m, n))
         system.add_equation([MatChain([U, Vt]),
                              LinearTerm(_ident((m, n)), S),
                              Constant(B, sign=-1)])
         objective = {U: [Quadratic(1.0)], Vt: [Quadratic(1.0)], S: [L1(lam)]}
-        metadata = {"assumptions_violated": True,
-                    "note": "final block is nonsmooth on purpose"}
+        # The final block is nonsmooth on purpose.
+        metadata = {"assumptions_violated": True}
     problem = Problem(system, objective, metadata=metadata)
     return ZooInstance(f"rpca2_{variant}" if variant != "slack" else "rpca2",
                        problem, data={"B": B})
@@ -507,9 +506,8 @@ def _sbd_instance(Y, kernel_shape, mu, l1_weight, with_shadow: bool) -> ZooInsta
                     "assumptions_violated": False}
         name = "sbd1"
     else:
-        metadata = {"assumptions_violated": True,
-                    "note": "no block spans the constraint image; multipliers "
-                            "can escape under noise"}
+        # No block spans the constraint image: multipliers can escape.
+        metadata = {"assumptions_violated": True}
         name = "sbd0"
     system = MultiaffineSystem()
     system.add_equation(terms)

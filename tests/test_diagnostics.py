@@ -79,7 +79,7 @@ def test_dual_identities_hold_along_a_run():
     inst = zoo.nmf3(B, 2)
     state, _, _ = solve(inst.problem, rho=4.0, max_iter=0)
     for _ in range(20):
-        new, tr = step(inst.problem, state)
+        new, _ = step(inst.problem, state)
         l_new = augmented_lagrangian(inst.problem, new)
         l_mid = augmented_lagrangian(
             inst.problem, SolverState(new.assignment, state.multipliers,
@@ -87,7 +87,7 @@ def test_dual_identities_hold_along_a_run():
         dw = sum(float(np.sum((new.multipliers[e] - state.multipliers[e]) ** 2))
                  for e in state.multipliers)
         assert abs((l_new - l_mid) - dw / new.rho) <= 1e-9 * (1 + abs(l_new))
-        assert not assert_iteration(inst.problem, state, new, tr)
+        assert not assert_iteration(inst.problem, state, new)
         state = new
 
 
@@ -107,12 +107,12 @@ def test_monotone_check_flags_the_escape_toy():
     state, _, _ = solve(problem, rho=1.0, max_iter=0,
                         init={"x": [[1.0]], "z": [[0.0]]})
     first, _ = step(problem, state)
-    second, tr = step(problem, first)
-    found = assert_iteration(problem, first, second, tr, level="basic",
+    second, _ = step(problem, first)
+    found = assert_iteration(problem, first, second, level="basic",
                              rho_certified=True)
     assert any(v.check == "monotone_decrease" for v in found)
     with pytest.raises(AssertionError, match="monotone_decrease"):
-        assert_iteration(problem, first, second, tr, level="strict",
+        assert_iteration(problem, first, second, level="strict",
                          rho_certified=True)
 
 
@@ -120,21 +120,21 @@ def test_dual_step_identity_flags_a_doctored_multiplier():
     B, _, _ = zoo.gen_nmf_data(6, 6, 2, seed=2)
     inst = zoo.nmf3(B, 2)
     state, _, _ = solve(inst.problem, rho=2.0, max_iter=0)
-    new, tr = step(inst.problem, state)
+    new, _ = step(inst.problem, state)
     doctored = {e: w.copy() for e, w in new.multipliers.items()}
     eq = next(iter(doctored))
     doctored[eq] = doctored[eq] + 1.0
     bad = SolverState(new.assignment, doctored, new.rho, new.k)
-    found = assert_iteration(inst.problem, state, bad, tr)
+    found = assert_iteration(inst.problem, state, bad)
     assert any(v.check == "dual_step_identity" for v in found)
 
 
 def test_assert_iteration_rejects_unknown_level():
     problem = _escape_toy()
     state, _, _ = solve(problem, rho=1.0, max_iter=0)
-    new, tr = step(problem, state)
+    new, _ = step(problem, state)
     with pytest.raises(ValueError):
-        assert_iteration(problem, state, new, tr, level="paranoid")
+        assert_iteration(problem, state, new, level="paranoid")
 
 
 # ---------------------------------------------------------------------------

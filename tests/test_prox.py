@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from madmm import (BlockId, BuildError, Constant, DenseOp, DiagExtract,
                    HadamardPair, LinearTerm, MatChain, MultiaffineSystem,
-                   ScaledIdentity, SubproblemError, TransposeOp, freeze)
+                   Problem, ScaledIdentity, SubproblemError, TransposeOp,
+                   freeze, solve)
 from madmm.prox import (L1, IndicatorBox, IndicatorNonneg, IndicatorUnitColumns,
                         Quadratic, SmoothCustom, project_box, project_nonneg,
                         project_unit_columns, prox_block_step, quad_block_solve,
                         soft_threshold)
-from madmm.system import blocks_in
 from test_system import _random_system
 
 
@@ -547,7 +547,7 @@ def test_every_accepting_path_matches_pinv_oracle(n, data):
     blocks = sorted(system.blocks.values(), key=lambda b: b.name)
     point = {b: rng.standard_normal(b.shape) for b in blocks}
     group = tuple(blocks)
-    coupled = any(sum(b in group for b in blocks_in(t)) > 1
+    coupled = any(sum(b in group for b in t.blocks()) > 1
                   for _, terms in system.equations for t in terms)
     rho = data.draw(st.floats(0.5, 3.0))
     for focus in blocks + ([group] if len(group) > 1 and not coupled else []):
@@ -701,3 +701,48 @@ def test_prox_step_matches_scalar_oracle(scalar, data):
         got = prox_block_step(form, form.split_dual(w), rho, term, extras)
         assert got.shape == x.shape
         assert np.linalg.norm(got - want) <= 1e-10 * (1 + np.linalg.norm(want))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_problem_builds_iff_the_prox_step_runs(n, data):
+    # Build time and run time read one rule: a block given an L1 term, and
+    # maybe a quadratic, builds exactly when prox_block_step solves its
+    # subproblem at a Gaussian point, and both refuse with BuildError.
+    system, rng = _random_system(data, n)
+    for block in sorted(system.blocks.values(), key=lambda b: b.name):
+        terms = [L1(1.0)] + data.draw(st.sampled_from([
+            [], [Quadratic(2.0)], [Quadratic(1.0, linear_map=DiagExtract(n))],
+            [Quadratic(1.0, linear_map=ScaledIdentity(-3.0, block.shape))]]))
+        try:
+            Problem(system, {block: terms})
+            builds = True
+        except BuildError:
+            builds = False
+        point = {b: rng.standard_normal(b.shape) for b in system.blocks.values()}
+        form = freeze(system, block, point)
+        w = form.split_dual(rng.standard_normal(form.out_dim))
+        try:
+            prox_block_step(form, w, 1.0, terms[0], terms[1:])
+            steps = True
+        except BuildError:
+            steps = False
+        assert builds == steps
+
+
+def test_one_by_one_hadamard_block_takes_a_prox_step():
+    # x * y with scalar blocks: x's gram is y^2, a scalar, so a box on x has
+    # an exact proximal step and the problem builds and runs.  The box keeps
+    # x, and so y's curvature, away from zero.
+    x = BlockId("x", "x", (1, 1), index=0)
+    y = BlockId("y", "x", (1, 1), index=1)
+    z = BlockId("z", "z1", (1, 1))
+    system = MultiaffineSystem()
+    system.add_equation([HadamardPair(x, y),
+                         LinearTerm(ScaledIdentity(1.0, (1, 1)), z, sign=-1),
+                         Constant([[0.5]], sign=-1)])
+    problem = Problem(system, {x: [IndicatorBox(0.5, 2.0)], y: [Quadratic(1.0)],
+                               z: [Quadratic(1.0)]})
+    state, traces, _ = solve(problem, rho=2.0, max_iter=20)
+    assert all(np.isfinite(tr.L) for tr in traces)
+    assert state.assignment[x].shape == (1, 1)

@@ -302,7 +302,7 @@ def test_probed_rho_raises_when_every_probe_fails(monkeypatch):
 
     tried = []
 
-    def failing(problem, base, rho, cg_tol, cg_maxit):
+    def failing(problem, base, rho):
         tried.append(rho)
         return False
 

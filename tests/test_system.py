@@ -19,7 +19,7 @@ from madmm import (BlockId, BuildError, Constant, Conv2D, DenseOp, DiagExtract,
                    evaluate, freeze, jacobian_image_basis, stack_residual)
 from madmm import solver, zoo
 from madmm.system import (_ConvKernelPiece, _ConvSignalPiece, block_adjoints,
-                          blocks_in, spectrum_memo)
+                          spectrum_memo)
 
 
 def _fd_jacobian(system, assignment, block, h=1e-6):
@@ -466,6 +466,16 @@ def test_linear_role_in_product_rejected():
         system.add_equation([MatChain([x, z])])
 
 
+def test_add_equation_refuses_what_is_not_a_term():
+    x = BlockId("x", "x", (2, 2))
+    system = MultiaffineSystem()
+    for stranger in (np.ones((2, 2)), x, "x"):
+        with pytest.raises(BuildError, match=f"{type(stranger).__name__} is "
+                                             "not a constraint term"):
+            system.add_equation([MatChain([x]), stranger])
+    assert system.equations == []
+
+
 def test_freeze_unknown_focus_rejected():
     system, x, y, z = _parity_system()
     stranger = BlockId("w", "x", (2, 1))
@@ -584,13 +594,16 @@ def test_freeze_walks_the_terms_once_per_focus(monkeypatch):
     system, x, y, z, s = _rank_one_system(3)
     n_terms = sum(len(terms) for _, terms in system.equations)
     walked = []
-    real = system_mod.blocks_in
 
-    def counting(term):
-        walked.append(term)
-        return real(term)
+    def counting(real):
+        def blocks(term):
+            walked.append(term)
+            return real(term)
+        return blocks
 
-    monkeypatch.setattr(system_mod, "blocks_in", counting)
+    for kind in (system_mod.MatChain, system_mod.HadamardPair,
+                 system_mod.Conv2D, system_mod.LinearTerm, system_mod.Constant):
+        monkeypatch.setattr(kind, "blocks", counting(kind.blocks))
     for seed in range(5):
         freeze(system, y, _gaussian_assignment(system, seed))
     assert len(walked) == n_terms
@@ -654,7 +667,7 @@ def test_freeze_plan_matches_evaluate_and_adjoint(n, data):
                      for group in itertools.combinations(blocks, size)]
     for focus in foci:
         group = focus if isinstance(focus, tuple) else (focus,)
-        coupled = any(sum(b in group for b in blocks_in(t)) > 1
+        coupled = any(sum(b in group for b in t.blocks()) > 1
                       for _, terms in system.equations for t in terms)
         for _ in range(2):
             point = {b: rng.standard_normal(b.shape) for b in system.blocks.values()}
