@@ -1,9 +1,10 @@
 """Golden trace: the iterates of every zoo family must not drift.
 
-``golden_trace.json`` holds ``(k, L, primal_res, stat_est)`` for the first
-50 iterations of ``solve(inst.problem, max_iter=50, init=inst.init)`` (auto
-rho, seed 0) on ``zoo.default_instance(name, 0)`` for every zoo family.  A
-change that only reorganises computation must reproduce it to 1e-12
+``golden_trace.json`` holds ``(k, L, primal_res, stat_est, block_steps)``
+for the first 50 iterations of ``solve(inst.problem, max_iter=50, init=inst.init)`` (auto
+rho, seed 0) on ``zoo.default_instance(name, 0)`` for every zoo family;
+``block_steps`` maps each block's name to the norm of its step, so a step
+recorded against the wrong block shows.  A change that only reorganises computation must reproduce it to 1e-12
 relative.  Re-record it, after a change that is meant to move the iterates,
 with
 
@@ -27,7 +28,7 @@ RTOL = 1e-12
 def _trace(name):
     inst = zoo.default_instance(name, 0)
     _, traces, status = solve(inst.problem, max_iter=ITERS, init=inst.init)
-    rows = [[t.k, t.L, t.primal_res, t.stat_est] for t in traces]
+    rows = [[t.k, t.L, t.primal_res, t.stat_est, t.block_steps] for t in traces]
     return {"status": status, "rows": rows}
 
 
@@ -43,8 +44,12 @@ def test_golden_trace(name):
     assert len(got["rows"]) == len(golden["rows"])
     for row, ref in zip(got["rows"], golden["rows"]):
         assert row[0] == ref[0]
-        for label, a, b in zip(("L", "primal_res", "stat_est"), row[1:], ref[1:]):
+        for label, a, b in zip(("L", "primal_res", "stat_est"), row[1:4], ref[1:4]):
             assert _close(a, b), f"{name} k={row[0]} {label}: {a!r} != {b!r}"
+        assert list(row[4]) == list(ref[4]), f"{name} k={row[0]} block order"
+        for block, a in row[4].items():
+            b = ref[4][block]
+            assert _close(a, b), f"{name} k={row[0]} step of {block}: {a!r} != {b!r}"
 
 
 if __name__ == "__main__":
