@@ -98,7 +98,7 @@ def _least_squares_residual(form, target: np.ndarray, maxit: int = 500) -> float
     singular value.
     """
     pieces = _QuadPieces(form, None, 1.0)
-    if pieces.densify_ok():
+    if pieces.plan.densify_ok:
         parts = form.split_dual(target)
         entered = np.concatenate([np.ravel(parts[e]) for e in form.by_eq])
         x, *_ = np.linalg.lstsq(pieces.dense_map(), entered, rcond=None)

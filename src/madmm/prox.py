@@ -5,24 +5,33 @@ gradient; the nonsmooth ones (elementwise L1 and the three indicators) expose
 an exact proximal map instead, and ``stat_residual(x, g)``: the distance of a
 gradient ``g`` at ``x`` to the term's negative subdifferential there.
 
-Both block solvers assemble the smooth augmented-Lagrangian restriction to a
-frozen block in one place, ``_QuadPieces``: the normal operator N and the
-right-hand side, with one rule for the curvature the pieces add, read as N's
-diagonal or as its scalar kappa when N = kappa * I.  ``quad_block_solve``
-minimizes over one block (or block group), picking among an
+Both block solvers run one solve plan, ``_SolvePlan``, built from a frozen
+form of the focus: it reads, once, everything about the subproblem that
+does not depend on values (the focus slices, the quadratic extras, how to
+form the constant right-hand side, the nonsmooth term and the coupling
+terms, the outcome of the one curvature rule, and the solve paths to try).
+A ``Problem`` builds one plan per update unit when it is built, so a step
+reads only offsets, multipliers and Hadamard partners;
+``quad_block_solve`` and ``prox_block_step`` build a one-off plan and run
+the same code.  ``_QuadPieces`` holds one call's values: the right-hand
+side, and the normal operator N read through the plan.  The rule reads N
+as a diagonal, or as its scalar kappa when N = kappa * I; only a Hadamard
+piece's gram varies with values, and the plan reads it at each call, where
+a curvature that is not positive raises SubproblemError.  The paths are an
 elementwise-diagonal solve, a two-sided eigendecomposition solve for one
-matrix chain (the rest of N scalar), a dense least-squares solve, and
-conjugate gradients on the normal equations.  ``prox_block_step`` adds one
-nonsmooth term: with N = kappa * I the minimizer is the term's prox at rhs /
-kappa with step 1 / kappa.  Each path asks the frozen pieces for a view
-(their identity scale, gram diagonal or scalar, matrix factors, or dense
-block), never for their type.  The dense path assembles N from the pieces'
-dense blocks and takes forms without convolution pieces, of at most
-``_DENSE_LIMIT`` (1,024) columns, whose stacked map over the equations the
-focus enters has at most ``_DENSE_LIMIT ** 2`` entries; larger forms go to
-conjugate gradients.  The diagnostics' least-squares distance reads the same
-dense map within those bounds.  ``conjugate_gradients`` is the one CG loop:
-the solver and, above the bounds, that distance both run it.
+matrix chain (the rest of N scalar), a dense least-squares solve,
+conjugate gradients on the normal equations, and for one nonsmooth term
+its prox at rhs / kappa with step 1 / kappa.  Each path asks the frozen
+pieces for a view (their identity scale, gram diagonal or scalar, matrix
+factors, or dense block), never for their type.  The dense path assembles
+N from the pieces' dense blocks, those of pieces that read no other
+block's value kept by the plan, and takes forms without convolution
+pieces, of at most ``_DENSE_LIMIT`` (1,024) columns, whose stacked map
+over the equations the focus enters has at most ``_DENSE_LIMIT ** 2``
+entries; larger forms go to conjugate gradients.  The diagnostics'
+least-squares distance reads the same dense map within those bounds.
+``conjugate_gradients`` is the one CG loop: the solver and, above the
+bounds, that distance both run it.
 """
 
 from __future__ import annotations
@@ -35,6 +44,10 @@ from .system import FrozenLinearForm
 
 _FEAS_TOL = 1e-8
 _DENSE_LIMIT = 1024
+# Why a forced solve method of quad_block_solve does not apply.
+_DECLINED = {"diag": "normal operator is not diagonal",
+             "sylvester": "subproblem does not match the matrix-chain pattern",
+             "dense": "block too large or not densifiable"}
 
 
 def soft_threshold(v, tau, out=None):
@@ -284,83 +297,306 @@ def _normalize_extras(form: FrozenLinearForm, extras):
     return out
 
 
-class _QuadPieces:
-    """Assembled smooth subproblem: min over y of y^T N y / 2 - rhs^T y.
+def _curvature_rule(form, pos, quads, view, leave_out=None):
+    """The curvature rule: N's curvature read through ``view``
+    ("gram_diag" or "gram_scalar") as parts (focus position, scaled by rho,
+    gram, piece), or None when N is not of that form.
 
-    N is rho * A^T A plus the Hessians of the quadratic extras, A the stacked
-    map of the equations the focus enters.  With ``w_by_eq`` None only N is
-    assembled: no offset is evaluated, and ``rhs`` is None.
+    Scaled identities alone in an equation add rho * (sum of scales)**2,
+    a lone piece adds rho times its gram, and a quadratic its weight times
+    its map's gram.  Any other equation, or one that two blocks enter,
+    cross-couples entries.  ``leave_out`` names a piece, alone in its
+    equation, whose term is left out.  Every gram is read here except that
+    of a piece whose gram varies with another block's value (a Hadamard
+    partner): its part keeps the piece's index in ``form.pieces``, and
+    :func:`_read_curvature` reads it at each call.
+    """
+    out = []
+    for plist in form.by_eq.values():
+        p = plist[0]
+        if len(plist) > 1 or p.identity is not None:
+            if any(q.block.name != p.block.name or q.identity is None
+                   for q in plist):
+                return None
+            alpha = sum(q.identity for q in plist)
+            out.append((pos[p.block.name], True, alpha ** 2, None))
+        elif p is not leave_out:
+            if p.gram_varies:
+                out.append((pos[p.block.name], True, None, form.pieces.index(p)))
+                continue
+            gram = getattr(p, view)()
+            if gram is None:
+                return None
+            out.append((pos[p.block.name], True, gram, None))
+    for i, q in quads:
+        gram = 1.0 if q.linear_map is None else getattr(q.linear_map, view)()
+        if gram is None:
+            return None
+        out.append((i, False, q.weight * gram, None))
+    return out
+
+
+def _read_curvature(parts, form, rho, view):
+    """(focus position, curvature) per part of :func:`_curvature_rule` at
+    one call, or None when a varying gram has no ``view`` there."""
+    out = []
+    for i, scaled, gram, piece in parts:
+        if piece is not None:
+            gram = getattr(form.pieces[piece], view)()
+            if gram is None:
+                return None
+        out.append((i, rho * gram if scaled else gram))
+    return out
+
+
+def _varies(parts) -> bool:
+    return any(piece is not None for *_, piece in parts)
+
+
+class _SolvePlan:
+    """What one block's (or block group's) subproblem needs that does not
+    depend on values, read once from a frozen form of its focus.
+
+    A ``Problem`` builds one per update unit when it is built;
+    :func:`quad_block_solve` and :func:`prox_block_step` build one per call.
+    It holds the focus slices, the quadratics and how to form each constant
+    right-hand-side contribution, the nonsmooth ``term`` and the
+    ``couplings``, the curvature rule's outcome per gram view, the solve
+    paths to try in order (``paths``) and, once the dense path needs it,
+    the dense map of the pieces that read no other block's value.  A call
+    of :meth:`solve` reads only values: offsets, multipliers and Hadamard
+    partners.
+
+    ``extras`` are (block name, item) pairs, items being Quadratic terms,
+    affine SmoothCustom terms or raw gradient arrays of affine addends;
+    ``couplings`` are (block name, CouplingTerm) pairs whose gradients are
+    taken at each call from the name-keyed values given to :meth:`solve`.
+    ``method`` forces one path of :func:`quad_block_solve`.
     """
 
-    def __init__(self, form, w_by_eq, rho, extras=()):
-        self.form = form
-        self.rho = float(rho)
-        self.slices, self.blocks, pos = {}, {}, 0
-        for b in form.focus:
-            self.slices[b.name] = slice(pos, pos + b.dim)
-            self.blocks[b.name] = b
-            pos += b.dim
-        self.quads = [(name, item) for name, item in extras
-                      if isinstance(item, Quadratic) and item.weight > 0]
-        self.rhs = None
-        if w_by_eq is None:
-            return
-        # rhs = A^T (rho * offset - w): only the equations the focus enters
-        # reach it, so only their offsets are needed.
-        self.rhs = np.zeros(form.in_dim)
-        for e, plist in form.by_eq.items():
-            off = form.offset_for(e)
-            w_e = np.asarray(w_by_eq[e], dtype=float).reshape(off.shape)
-            target = rho * off - w_e
-            for p in plist:
-                self.rhs[self.slices[p.block.name]] += np.ravel(p.adjoint(target))
+    def __init__(self, form, extras=(), term=None, method=None, couplings=()):
+        self.focus = form.focus
+        pos, self.slices, start = {}, [], 0
+        for i, b in enumerate(form.focus):
+            pos[b.name] = i
+            self.slices.append(slice(start, start + b.dim))
+            start += b.dim
+        self.dim = start
+        # (eq_id, [(index in form.pieces, focus slice)]) per equation entered.
+        self.eqs = [(e, [(form.pieces.index(p), self.slices[pos[p.block.name]])
+                         for p in plist]) for e, plist in form.by_eq.items()]
+        self.rows = sum(form.eq_shapes[e][0] * form.eq_shapes[e][1]
+                        for e in form.by_eq)
+        self.quads = []    # (focus position, Quadratic) with a positive weight
+        self.consts = []   # (slice, sign, make): rhs[slice] += sign * make()
         for name, item in extras:
-            sl = self.slices[name]
+            i = pos[name]
+            sl, shape = self.slices[i], form.focus[i].shape
             if isinstance(item, Quadratic):
-                if item.weight > 0 and item.center is not None:
-                    back = (item.linear_map.adjoint(item.center)
-                            if item.linear_map is not None else item.center)
-                    self.rhs[sl] += item.weight * np.ravel(back)
+                if item.weight > 0:
+                    self.quads.append((i, item))
+                    if item.center is not None:
+                        self.consts.append((sl, 1, lambda q=item: q.weight * np.ravel(
+                            q.center if q.linear_map is None
+                            else q.linear_map.adjoint(q.center))))
             elif isinstance(item, SmoothCustom):
                 if item.lipschitz != 0.0:
                     raise BuildError(
                         "only affine SmoothCustom terms (lipschitz == 0) have a "
                         "closed-form block update")
-                self.rhs[sl] -= np.ravel(item.grad(np.zeros(self.blocks[name].shape)))
+                self.consts.append((sl, -1, lambda t=item, shape=shape:
+                                    np.ravel(t.grad(np.zeros(shape)))))
             elif isinstance(item, np.ndarray):
-                self.rhs[sl] -= np.ravel(item)
+                self.consts.append((sl, -1, lambda a=item: np.ravel(a)))
             else:
                 raise BuildError(
                     f"term {type(item).__name__} cannot enter a quadratic solve")
+        self.couplings = [(self.slices[pos[name]], name, c) for name, c in couplings]
+        self.term = term
+        self.densify_ok = (self.dim <= _DENSE_LIMIT
+                           and self.rows * self.dim <= _DENSE_LIMIT ** 2
+                           and not any(p.fourier for p in form.pieces))
+        self._dense = None
+        self.diag = _curvature_rule(form, pos, self.quads, "gram_diag")
+        chains = [p for p in form.pieces if p.factors is not None]
+        self.chain = self.scalar = None
+        if len(form.focus) == 1 and len(chains) == 1:
+            self.chain = form.pieces.index(chains[0])
+            self.scalar = _curvature_rule(form, pos, self.quads, "gram_scalar",
+                                          leave_out=chains[0])
+        if term is not None:
+            self._plan_prox(form, pos)
+        else:
+            self.paths = self._plan_paths(form, method)
+        if "dense" in self.paths:
+            self._dense_template(form)
+
+    def _plan_prox(self, form, pos):
+        """A prox step needs N = kappa * I with kappa > 0, checked here at
+        the form's values (rho 1; the sign does not depend on rho)."""
+        self.paths = ("prox",)
+        self.scalar = _curvature_rule(form, pos, self.quads, "gram_scalar")
+        parts = None if self.scalar is None else _read_curvature(
+            self.scalar, form, 1.0, "gram_scalar")
+        if parts is None or not sum(c for _, c in parts) > 0.0:
+            raise BuildError(
+                f"nonsmooth block {form.focus[0].name!r} has no exact proximal "
+                "step: its subproblem needs a positive scalar gram; register "
+                "a custom updater")
+
+    def _plan_paths(self, form, method):
+        """The paths to try in order.  A structural diagonal or Sylvester
+        outcome ends the list; one that reads a varying gram may decline at
+        a call, and the next path runs."""
+        diag_ok = self.diag is not None and (
+            _varies(self.diag) or np.min(self._diagonal(form, 1.0)) > 0)
+        syl_ok = self.scalar is not None
+        if method is not None:
+            if not {"diag": diag_ok, "sylvester": syl_ok,
+                    "dense": self.densify_ok}.get(method, True):
+                raise BuildError(_DECLINED[method])
+            return (method,)
+        paths = []
+        for path, ok, parts in (("diag", diag_ok, self.diag),
+                                ("sylvester", syl_ok, self.scalar)):
+            if ok:
+                paths.append(path)
+                if not _varies(parts):
+                    return tuple(paths)
+        return (*paths, "dense" if self.densify_ok else "cg")
+
+    def _diagonal(self, form, rho):
+        """N's diagonal at one call, or None when it is not diagonal."""
+        parts = None if self.diag is None else _read_curvature(
+            self.diag, form, rho, "gram_diag")
+        if parts is None:
+            return None
+        diag = np.zeros(self.dim)
+        for i, c in parts:
+            diag[self.slices[i]] += c
+        return diag
+
+    def _dense_template(self, form):
+        """The dense map's fixed pieces, summed in piece order, and the
+        (rows, columns, piece index) of the pieces that read values."""
+        if self._dense is None:
+            a, varying, top = np.zeros((self.rows, self.dim)), [], 0
+            for e, members in self.eqs:
+                shape = form.eq_shapes[e]
+                rows = slice(top, top + shape[0] * shape[1])
+                for k, sl in members:
+                    p = form.pieces[k]
+                    if p.fixed:
+                        a[rows, sl] += p.dense()
+                    else:
+                        varying.append((rows, sl, k))
+                top = rows.stop
+            self._dense = (a, varying)
+        return self._dense
+
+    def solve(self, form, w, rho, values=None, y0=None, cg_tol=None,
+              cg_maxit=None):
+        """The stacked minimizer over the focus of ``form``, which must be
+        frozen over the same focus of the same system as the plan's form.
+
+        ``w`` is keyed by eq_id; ``values`` maps block names to values for
+        the coupling gradients; ``y0`` starts conjugate gradients."""
+        pieces = _QuadPieces(form, w, rho, self, values)
+        name = self.focus[0].name
+        for path in self.paths:
+            if path == "prox":
+                parts = _read_curvature(self.scalar, form, pieces.rho, "gram_scalar")
+                kappa = None if parts is None else sum(c for _, c in parts)
+                if kappa is None or not kappa > 0.0:
+                    raise SubproblemError(
+                        f"the subproblem of nonsmooth block {name!r} has no "
+                        "positive scalar curvature at this point", block=name)
+                point = (pieces.rhs / kappa).reshape(self.focus[0].shape)
+                return np.ravel(np.asarray(self.term.prox(point, 1.0 / kappa),
+                                           dtype=float))
+            if path == "diag":
+                diag = self._diagonal(form, pieces.rho)
+                if diag is None:
+                    continue
+                if not np.min(diag) > 0:
+                    raise SubproblemError(
+                        f"the subproblem of block {name!r} has a diagonal "
+                        "curvature that is not positive at this point", block=name)
+                return pieces.rhs / diag
+            if path == "sylvester":
+                parts = _read_curvature(self.scalar, form, pieces.rho, "gram_scalar")
+                if parts is None:
+                    continue
+                return _solve_sylvester(pieces, form.pieces[self.chain],
+                                        sum(c for _, c in parts))
+            cg_tol = 1e-10 if cg_tol is None else float(cg_tol)
+            tol_abs = cg_tol * (1.0 + float(np.linalg.norm(pieces.rhs)))
+            if path == "dense":
+                return _solve_dense(pieces, tol_abs)
+            if y0 is not None and not isinstance(y0, np.ndarray):
+                y0 = form.stack_values(y0)
+            return _solve_cg(pieces, tol_abs,
+                             10 * self.dim if cg_maxit is None else int(cg_maxit), y0)
+        raise BuildError(_DECLINED[self.paths[-1]])
+
+
+class _QuadPieces:
+    """One call's smooth subproblem: min over y of y^T N y / 2 - rhs^T y.
+
+    N is rho * A^T A plus the Hessians of the quadratic extras, A the stacked
+    map of the equations the focus enters.  ``plan`` holds the structure
+    (a one-off plan of ``form`` when None) and this object the values of one
+    call.  With ``w_by_eq`` None only N is read: no offset is evaluated, and
+    ``rhs`` is None.
+    """
+
+    def __init__(self, form, w_by_eq, rho, plan=None, values=None):
+        self.form = form
+        self.plan = plan = _SolvePlan(form) if plan is None else plan
+        self.rho = rho = float(rho)
+        self.rhs = None
+        if w_by_eq is None:
+            return
+        # rhs = A^T (rho * offset - w): only the equations the focus enters
+        # reach it, so only their offsets are needed.
+        self.rhs = rhs = np.zeros(plan.dim)
+        pieces = form.pieces
+        for e, members in plan.eqs:
+            off = form.offset_for(e)
+            w_e = np.asarray(w_by_eq[e], dtype=float).reshape(off.shape)
+            target = rho * off - w_e
+            for k, sl in members:
+                rhs[sl] += np.ravel(pieces[k].adjoint(target))
+        for sl, sign, make in plan.consts:
+            if sign > 0:
+                rhs[sl] += make()
+            else:
+                rhs[sl] -= make()
+        for sl, name, c in plan.couplings:
+            # Affine per block, so the gradient is a constant linear term.
+            rhs[sl] -= np.ravel(c.grad_block(values, name))
 
     def normal_apply(self, y_vec):
+        plan = self.plan
         out = self.rho * self.form.adjoint_vec(self.form.apply_vec(y_vec))
-        for name, q in self.quads:
-            sl = self.slices[name]
+        for i, q in plan.quads:
+            sl = plan.slices[i]
             if q.linear_map is None:
                 out[sl] += q.weight * y_vec[sl]
             else:
-                x = y_vec[sl].reshape(self.blocks[name].shape)
+                x = y_vec[sl].reshape(plan.focus[i].shape)
                 out[sl] += q.weight * np.ravel(q.linear_map.adjoint(q.linear_map.apply(x)))
         return out
 
-    def _rows(self):
-        """Rows of A: the sizes of the equations the focus enters."""
-        return sum(self.form.eq_shapes[e][0] * self.form.eq_shapes[e][1]
-                   for e in self.form.by_eq)
-
     def dense_map(self):
-        """A as a matrix: each piece adds its ``dense()`` block at its
-        equation's rows and its block's columns, the rows of the equations
-        the focus enters stacked in ``form.by_eq`` order."""
-        a = np.zeros((self._rows(), self.form.in_dim))
-        pos = 0
-        for eq_id, plist in self.form.by_eq.items():
-            shape = self.form.eq_shapes[eq_id]
-            rows = slice(pos, pos + shape[0] * shape[1])
-            for p in plist:
-                a[rows, self.slices[p.block.name]] += p.dense()
-            pos = rows.stop
+        """A as a matrix: each piece's ``dense()`` block at its equation's
+        rows and its block's columns, the rows of the equations the focus
+        enters stacked in ``form.by_eq`` order.  The fixed pieces' blocks
+        come from the plan."""
+        fixed, varying = self.plan._dense_template(self.form)
+        a = fixed.copy()
+        for rows, sl, k in varying:
+            a[rows, sl] += self.form.pieces[k].dense()
         return a
 
     def dense_normal(self):
@@ -368,8 +604,8 @@ class _QuadPieces:
         each quadratic's weight times the gram of its map."""
         a = self.dense_map()
         normal = self.rho * (a.T @ a)
-        for name, q in self.quads:
-            sl = self.slices[name]
+        for i, q in self.plan.quads:
+            sl = self.plan.slices[i]
             if q.linear_map is None:
                 idx = np.arange(sl.start, sl.stop)
                 normal[idx, idx] += q.weight
@@ -378,80 +614,13 @@ class _QuadPieces:
                 normal[sl, sl] += q.weight * (m.T @ m)
         return normal
 
-    def _curvature(self, view, leave_out=None):
-        """(block name, curvature) per equation the focus enters and per
-        quadratic, each gram read through ``view`` ("gram_diag" or
-        "gram_scalar"); None when N is not of that form.
-
-        Scaled identities alone in an equation add rho * (sum of scales)**2,
-        a lone piece adds rho times its gram, and a quadratic its weight
-        times its map's gram.  Any other equation, or one that two blocks
-        enter, cross-couples entries.  ``leave_out`` names a piece, alone in
-        its equation, whose term is left out.
-        """
-        out = []
-        for plist in self.form.by_eq.values():
-            p = plist[0]
-            if len(plist) > 1 or p.identity is not None:
-                if any(q.block.name != p.block.name or q.identity is None
-                       for q in plist):
-                    return None
-                alpha = sum(q.identity for q in plist)
-                out.append((p.block.name, self.rho * alpha ** 2))
-            elif p is not leave_out:
-                gram = getattr(p, view)()
-                if gram is None:
-                    return None
-                out.append((p.block.name, self.rho * gram))
-        for name, q in self.quads:
-            gram = 1.0 if q.linear_map is None else getattr(q.linear_map, view)()
-            if gram is None:
-                return None
-            out.append((name, q.weight * gram))
-        return out
-
     def normal_diag(self):
         """Diagonal of N, or None when it is not diagonal."""
-        parts = self._curvature("gram_diag")
-        if parts is None:
-            return None
-        diag = np.zeros(self.form.in_dim)
-        for name, c in parts:
-            diag[self.slices[name]] += c
-        return diag
-
-    def scalar_curvature(self, leave_out=None):
-        """kappa when N of a single-block form is kappa * I, else None."""
-        parts = self._curvature("gram_scalar", leave_out)
-        return None if parts is None else sum(c for _, c in parts)
-
-    def sylvester(self):
-        """(chain_piece, scalar_curvature) when the one-chain pattern applies.
-
-        Requires a single focus block entering exactly one equation through a
-        frozen matrix chain, alone in that equation, with everything else
-        adding a scalar multiple of the identity to N.
-        """
-        if len(self.form.focus) != 1:
-            return None
-        chains = [p for p in self.form.pieces if p.factors is not None]
-        if len(chains) != 1:
-            return None
-        curvature = self.scalar_curvature(leave_out=chains[0])
-        return None if curvature is None else (chains[0], curvature)
-
-    def densify_ok(self):
-        """Whether the dense path applies: no Fourier piece, at most
-        ``_DENSE_LIMIT`` columns and a stacked map of at most
-        ``_DENSE_LIMIT ** 2`` entries."""
-        n = self.form.in_dim
-        if n > _DENSE_LIMIT or self._rows() * n > _DENSE_LIMIT ** 2:
-            return False
-        return not any(p.fourier for p in self.form.pieces)
+        return self.plan._diagonal(self.form, self.rho)
 
 
 def _solve_sylvester(pieces: _QuadPieces, chain, curvature):
-    block = pieces.form.focus[0]
+    block = pieces.plan.focus[0]
     rhs = pieces.rhs.reshape(block.shape)
     rho = pieces.rho
     left, right = chain.factors
@@ -487,7 +656,7 @@ def _solve_dense(pieces: _QuadPieces, tol_abs):
     if residual > tol_abs:
         raise SubproblemError(
             f"dense block solve residual {residual:.3e} exceeds tolerance",
-            block=pieces.form.focus[0].name, residual=residual)
+            block=pieces.plan.focus[0].name, residual=residual)
     return y
 
 
@@ -523,11 +692,11 @@ def conjugate_gradients(apply, rhs, y, tol_abs, maxit):
 
 
 def _solve_cg(pieces: _QuadPieces, tol_abs, maxit, y0):
-    y = np.zeros(pieces.form.in_dim) if y0 is None else np.ravel(y0).astype(float).copy()
+    y = np.zeros(pieces.plan.dim) if y0 is None else np.ravel(y0).astype(float).copy()
     y, residual, reason = conjugate_gradients(pieces.normal_apply, pieces.rhs,
                                               y, tol_abs, maxit)
     if reason is not None:
-        raise SubproblemError(reason, block=pieces.form.focus[0].name,
+        raise SubproblemError(reason, block=pieces.plan.focus[0].name,
                               residual=residual)
     return y
 
@@ -535,16 +704,11 @@ def _solve_cg(pieces: _QuadPieces, tol_abs, maxit, y0):
 def prox_block_step(form: FrozenLinearForm, w, rho: float, term, extras=()):
     """Exact minimizer over one block of the smooth subproblem of
     :func:`quad_block_solve` plus a nonsmooth ``term``: when N is kappa * I,
-    ``term.prox(rhs / kappa, 1 / kappa)``.  ``w`` is keyed by eq_id."""
-    block = form.focus[0]
-    pieces = _QuadPieces(form, w, rho, _normalize_extras(form, extras))
-    kappa = pieces.scalar_curvature()
-    if kappa is None or kappa <= 0.0:
-        raise BuildError(
-            f"the subproblem of nonsmooth block {block.name!r} has no positive "
-            "scalar curvature; cannot take a proximal step")
-    point = (pieces.rhs / kappa).reshape(block.shape)
-    return np.asarray(term.prox(point, 1.0 / kappa), dtype=float)
+    ``term.prox(rhs / kappa, 1 / kappa)``.  ``w`` is keyed by eq_id.  Runs
+    the step of a one-off solve plan, which raises BuildError when N is not
+    a positive multiple of the identity at the form's values."""
+    plan = _SolvePlan(form, _normalize_extras(form, extras), term=term)
+    return plan.solve(form, w, rho).reshape(form.focus[0].shape)
 
 
 def quad_block_solve(form: FrozenLinearForm, w, rho: float, extras=(),
@@ -561,33 +725,13 @@ def quad_block_solve(form: FrozenLinearForm, w, rho: float, extras=(),
     groups they are (block_name, term) pairs.  The returned value satisfies
     the normal equations to ``cg_tol * (1 + ||rhs||)`` (default cg_tol 1e-10,
     so roughly 1e-10 * ||rhs||); conjugate-gradient failure raises
-    SubproblemError carrying the final residual.
+    SubproblemError carrying the final residual.  Runs a one-off solve plan
+    (see :class:`_SolvePlan`), whose ``paths`` ``method`` may force.
     """
     if method not in (None, "diag", "sylvester", "dense", "cg"):
         raise BuildError(f"unknown solve method {method!r}")
     if not isinstance(w, dict):
         w = form.split_dual(np.asarray(w, dtype=float))
-    pieces = _QuadPieces(form, w, float(rho), _normalize_extras(form, extras))
-    cg_tol = 1e-10 if cg_tol is None else float(cg_tol)
-    tol_abs = cg_tol * (1.0 + float(np.linalg.norm(pieces.rhs)))
-    cg_maxit = 10 * form.in_dim if cg_maxit is None else int(cg_maxit)
-
-    if method in (None, "diag"):
-        diag = pieces.normal_diag()
-        if diag is not None and np.min(diag) > 0:
-            return form.unstack_values(pieces.rhs / diag)
-        if method == "diag":
-            raise BuildError("normal operator is not diagonal")
-    if method in (None, "sylvester"):
-        syl = pieces.sylvester()
-        if syl is not None:
-            return form.unstack_values(_solve_sylvester(pieces, *syl))
-        if method == "sylvester":
-            raise BuildError("subproblem does not match the matrix-chain pattern")
-    if method in (None, "dense") and pieces.densify_ok():
-        return form.unstack_values(_solve_dense(pieces, tol_abs))
-    if method == "dense":
-        raise BuildError("block too large or not densifiable")
-    if y0 is not None and not isinstance(y0, np.ndarray):
-        y0 = form.stack_values(y0)
-    return form.unstack_values(_solve_cg(pieces, tol_abs, cg_maxit, y0))
+    plan = _SolvePlan(form, _normalize_extras(form, extras), method=method)
+    return form.unstack_values(plan.solve(form, w, rho, y0=y0, cg_tol=cg_tol,
+                                          cg_maxit=cg_maxit))

@@ -17,6 +17,13 @@ must be smooth, have no custom updater, and share no term or coupling term
 with another block of its component.  ``Problem`` refuses any other
 component when it is built.
 
+Each x block and each z component is one update unit.  ``Problem`` builds
+the solve plan of every unit when it is built (``prox._SolvePlan``: the
+subproblem's structure, read once), and the system keeps the plans until an
+equation is added to it.  A step freezes each unit's form, which checks the
+values it reads, and runs its plan on values alone; the stationarity
+estimate reads each block's terms from a list also made at build time.
+
 The penalty weight rho can be given explicitly, certified from curvature
 constants declared in the problem metadata via rho_lower_bound, or found by
 doubling until a short trial run keeps L nonincreasing.  Statuses are plain
@@ -34,7 +41,7 @@ import numpy as np
 from .errors import BuildError, ShapeMismatchError, SubproblemError
 from .operators import DenseOp, LinearOp
 from .prox import (CouplingTerm, ObjectiveTerm, SmoothCustom, _QuadPieces,
-                   prox_block_step, quad_block_solve)
+                   _SolvePlan)
 from .system import (BlockId, LinearTerm, MultiaffineSystem, ROLE_X, ROLE_Z1,
                      ROLE_Z2, block_adjoints, evaluate, freeze,
                      FrozenLinearForm, spectrum_memo, stack_residual)
@@ -101,15 +108,27 @@ class Problem:
 
         fn(problem, block, assignment, multipliers, rho) -> array
 
-    which must return the exact minimizer of L over that block as a new
-    array, and must not modify the assignment's arrays in place: a step
-    reuses the Fourier spectra of those arrays while it runs.  ``metadata``
+    which returns the block's new value as a new array and must not modify
+    the assignment's arrays in place: a step reuses the Fourier spectra of
+    those arrays while it runs.  The convergence argument assumes the
+    exact minimizer of L over that block; nothing checks it.  The zoo's
+    deconvolution updaters are not exact: the signal update runs a fixed
+    number of passes from zero, and the kernel update adds a proximal term
+    anchored at the current kernel.  ``metadata``
     is free-form; the keys "m1", "M1", "M2", "M_F" and "r_blocks" feed the
     certified penalty bound.
 
     A block carries at most one nonsmooth term.  Building raises BuildError
     when ``prox.prox_block_step`` refuses such a block with no custom
-    updater at a point with Gaussian Hadamard partners.
+    updater at a point with Gaussian Hadamard partners.  Where the block's
+    curvature reads a Hadamard partner and is not positive at run time, the
+    step raises SubproblemError naming the block and the iteration.
+
+    Building also builds one solve plan per update unit (each x block and
+    each z component; see ``prox._SolvePlan``), so a step reads only
+    values.  The system keeps the plans, and adding an equation to it
+    clears them: a later ``step`` raises BuildError, and a new Problem
+    must be built.
 
     z blocks tied by a shared equation form one component, which each step
     solves jointly and exactly.  Building raises BuildError when a
@@ -140,6 +159,13 @@ class Problem:
                               key=_block_key)
         self._validate()
         self._z_components = self._build_z_components()
+        system._solve_plans[self] = self._build_plans()
+        # (block, smooth terms, coupling terms, nonsmooth term) per block,
+        # in all_blocks order, for the stationarity estimate.
+        self._block_terms = [
+            (b, tuple(t for t in self.terms_for(b) if t.smooth),
+             tuple(c for c in self.coupling if b in c.blocks), self.nonsmooth_term(b))
+            for b in self.all_blocks]
 
     def _resolve(self, key) -> BlockId:
         if isinstance(key, BlockId):
@@ -195,9 +221,6 @@ class Problem:
                     raise BuildError(
                         f"block {block.name!r} has a smooth term with curvature; "
                         "register a custom updater")
-        self._check_prox_steps([b for b in self.objective
-                                if b.name not in self.custom_updaters
-                                and self.nonsmooth_term(b) is not None])
         for c in self.coupling:
             if not isinstance(c, CouplingTerm):
                 raise BuildError(f"coupling entry {type(c).__name__} is not a CouplingTerm")
@@ -212,28 +235,38 @@ class Problem:
                         "coupling term is not affine per block; blocks "
                         f"{missing} need custom updaters")
 
-    def _check_prox_steps(self, blocks):
-        """Refuse a nonsmooth block whose subproblem ``prox_block_step``
-        cannot solve, by that step's rule; the freeze builds the plan the
-        first step reuses.  Only a Hadamard partner's value can change the
-        answer, so only partners are drawn and other blocks read zero."""
-        if not blocks:
-            return
-        zeros = {b: np.zeros(b.shape) for b in self.system.blocks.values()}
-        for block in blocks:
-            point = dict(zeros)
-            for _, terms in self.system.equations:
-                for t in terms:
+    def _build_plans(self):
+        """(focus, solve plan) per update unit in step order; the plan is
+        None for a block with a custom updater.  Each plan is read from a
+        form frozen where every Hadamard partner is a Gaussian draw and every
+        other block zero: only a partner's value can change whether a
+        nonsmooth block has an exact proximal step, which the plan checks."""
+        system = self.system
+        point = {b: np.zeros(b.shape) for b in system.blocks.values()}
+        for _, terms in system.equations:
+            for t in terms:
+                for block in t.blocks():
                     for b in t.gram_reads(block):
                         point[b] = np.random.default_rng(0).standard_normal(b.shape)
-            form = freeze(self.system, block, point)
-            smooth = [(block.name, t) for t in self.terms_for(block) if t.smooth]
-            kappa = _QuadPieces(form, None, 1.0, smooth).scalar_curvature()
-            if kappa is None or not kappa > 0.0:
-                raise BuildError(
-                    f"nonsmooth block {block.name!r} has no exact proximal step: "
-                    "its subproblem needs a positive scalar gram; register a "
-                    "custom updater")
+        units = []
+        for focus in [(b,) for b in self.update_order] + self._z_components:
+            if focus[0].name in self.custom_updaters:
+                units.append((focus, None))
+                continue
+            extras = [(b.name, t) for b in focus for t in self.terms_for(b) if t.smooth]
+            couplings = [(b.name, c) for b in focus for c in self.coupling
+                         if b in c.blocks]
+            units.append((focus, _SolvePlan(freeze(system, focus, point), extras,
+                                            term=self.nonsmooth_term(focus[0]),
+                                            couplings=couplings)))
+        return units
+
+    def _plans(self):
+        plans = self.system._solve_plans.get(self)
+        if plans is None:
+            raise BuildError("an equation was added to the system after this "
+                             "Problem was built; build a new Problem")
+        return plans
 
     def _build_z_components(self):
         zs = self.z_order
@@ -334,45 +367,28 @@ def augmented_lagrangian(problem: Problem, state: SolverState) -> float:
     return _al(problem, state.assignment, state.multipliers, state.rho)
 
 
-def _smooth_extras(problem: Problem, block: BlockId, assignment: dict) -> list:
-    extras = [t for t in problem.terms_for(block) if t.smooth]
-    touching = [c for c in problem.coupling if block in c.blocks]
-    if touching:
-        values = _named_values(problem, assignment)
-        for c in touching:
-            # Affine per block, so the gradient is a constant linear term
-            # for this subproblem.
-            extras.append(c.grad_block(values, block.name))
-    return extras
-
-
-def _update_blocks(problem: Problem, blocks: tuple, assignment: dict,
+def _update_blocks(problem: Problem, focus: tuple, plan, assignment: dict,
                    multipliers: dict, rho: float, block_steps: dict):
     """Minimize L exactly over one block, or jointly over a z component, in
-    place in ``assignment``, recording each block's step norm.  A custom
-    updater or a nonsmooth term belongs to a lone block (see ``Problem``)."""
-    block = blocks[0]
-    custom = problem.custom_updaters.get(block.name)
-    if custom is not None:
-        value = np.asarray(custom(problem, block, assignment, multipliers, rho),
-                           dtype=float)
+    place in ``assignment``, recording each block's step norm.  ``plan`` is
+    the unit's solve plan, None for a custom updater, which belongs to a
+    lone block (see ``Problem``) and is looked up at each call."""
+    if plan is None:
+        block = focus[0]
+        value = np.asarray(problem.custom_updaters[block.name](
+            problem, block, assignment, multipliers, rho), dtype=float)
         if value.shape != block.shape:
             raise SubproblemError(
                 f"custom updater for {block.name!r} returned shape "
                 f"{value.shape}, declared {block.shape}", block=block.name)
-        new = {block: value}
+        new = [(block, value)]
     else:
-        form = freeze(problem.system, blocks, assignment)
-        extras = [(b.name, item) for b in blocks
-                  for item in _smooth_extras(problem, b, assignment)]
-        nonsmooth = problem.nonsmooth_term(block)
-        if nonsmooth is not None:
-            new = {block: prox_block_step(form, multipliers, rho, nonsmooth, extras)}
-        else:
-            res = quad_block_solve(form, dict(multipliers), rho, extras=extras,
-                                   y0={b.name: assignment[b] for b in blocks})
-            new = {b: np.asarray(res[b.name], dtype=float) for b in blocks}
-    for b, value in new.items():
+        form = freeze(problem.system, focus, assignment)
+        values = _named_values(problem, assignment) if plan.couplings else None
+        y0 = {b.name: assignment[b] for b in focus} if "cg" in plan.paths else None
+        y = plan.solve(form, multipliers, rho, values=values, y0=y0)
+        new = [(b, y[sl].reshape(b.shape)) for b, sl in zip(focus, plan.slices)]
+    for b, value in new:
         block_steps[b.name] = float(np.linalg.norm(value - assignment[b]))
         assignment[b] = value
 
@@ -386,19 +402,17 @@ def _stationarity(problem: Problem, assignment: dict, multipliers: dict):
     subdifferential (normal cone for indicators).
     """
     parts = {}
-    values = _named_values(problem, assignment)
+    values = _named_values(problem, assignment) if problem.coupling else None
     adjoints = block_adjoints(problem.system, assignment, multipliers)
-    for block in problem.all_blocks:
+    for block, smooth, couplings, term in problem._block_terms:
         g = adjoints[block]
-        for t in problem.terms_for(block):
-            if t.smooth:
-                g = g + t.grad(assignment[block])
-        for c in problem.coupling:
-            if block in c.blocks:
-                g = g + c.grad_block(values, block.name)
-        term = problem.nonsmooth_term(block)
+        x = assignment[block]
+        for t in smooth:
+            g = g + t.grad(x)
+        for c in couplings:
+            g = g + c.grad_block(values, block.name)
         parts[block.name] = (float(np.linalg.norm(g)) if term is None
-                             else term.stat_residual(assignment[block], g))
+                             else term.stat_residual(x, g))
     agg = max(parts.values()) if parts else 0.0
     return parts, agg
 
@@ -413,6 +427,7 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
     convolutions, until it returns (see system.spectrum_memo).
     """
     t0 = time.perf_counter()
+    units = problem._plans()
     rho = state.rho
     system = problem.system
     assignment = dict(state.assignment)
@@ -434,14 +449,11 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
 
     with spectrum_memo(assignment, mults_new):
         try:
-            for block in problem.update_order:
-                _update_blocks(problem, (block,), assignment, multipliers,
+            for focus, plan in units:
+                _update_blocks(problem, focus, plan, assignment, multipliers,
                                rho, block_steps)
-                if check_argmin:
-                    _argmin_check(repr(block.name))
-            for blocks in problem.z_components():
-                _update_blocks(problem, blocks, assignment, multipliers,
-                               rho, block_steps)
+                if check_argmin and focus[0].role == ROLE_X:
+                    _argmin_check(repr(focus[0].name))
             if check_argmin and problem.z_order:
                 _argmin_check("the z group")
         except SubproblemError as exc:

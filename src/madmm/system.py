@@ -53,6 +53,7 @@ the step being modified in place while the step runs.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -165,7 +166,8 @@ class MatChain(_Term):
                 if left is None and right is None:
                     out.append(_IdentityPiece(eq_id, f, self.sign, 1.0))
                 else:
-                    out.append(_MatMulPiece(eq_id, f, self.sign, left, right))
+                    fixed = sum(isinstance(g, BlockId) for g in self.factors) == 1
+                    out.append(_MatMulPiece(eq_id, f, self.sign, left, right, fixed))
         return out
 
 
@@ -421,8 +423,12 @@ class MultiaffineSystem:
         self.blocks = {}     # name -> BlockId
         self._eq_shapes = {}
         self._plans = {}     # focus tuple -> _FreezePlan
+        # Problem -> its solve plans (see solver.Problem); held weakly.
+        self._solve_plans = weakref.WeakKeyDictionary()
 
     def add_equation(self, terms, eq_id: int | None = None) -> int:
+        """Append one equation; every term is checked before any of its
+        blocks is registered, so a refused equation changes nothing."""
         if eq_id is None:
             eq_id = len(self.equations)
         if any(e == eq_id for e, _ in self.equations):
@@ -431,6 +437,7 @@ class MultiaffineSystem:
         if not terms:
             raise BuildError(f"equation {eq_id}: no terms")
         shape = None
+        added = {}
         for term in terms:
             if not isinstance(term, _Term):
                 raise BuildError(f"equation {eq_id}: {type(term).__name__} "
@@ -456,16 +463,18 @@ class MultiaffineSystem:
                     raise BuildError(
                         f"equation {eq_id}: block {b.name!r} has role {b.role!r} "
                         "and may only appear in linear terms")
-                existing = self.blocks.get(b.name)
+                existing = added.get(b.name, self.blocks.get(b.name))
                 if existing is not None and existing != b:
                     raise BuildError(f"conflicting definitions of block {b.name!r}")
-                self.blocks[b.name] = b
+                added[b.name] = b
             if isinstance(term.sign, (int, float)) and term.sign not in (1, -1):
                 raise BuildError(f"equation {eq_id}: sign must be +1 or -1")
+        self.blocks.update(added)
         self.equations.append((eq_id, terms))
         self.equations.sort(key=lambda pair: pair[0])
         self._eq_shapes[eq_id] = shape
         self._plans.clear()
+        self._solve_plans.clear()
         return eq_id
 
     def eq_shape(self, eq_id: int) -> tuple:
@@ -537,12 +546,18 @@ class _Piece:
     * ``fourier`` -- set on the convolution pieces, which are diagonal under
       ``rfft2`` and stay off the dense solve path;
     * ``dense()`` -- the matrix the piece applies to the row-major flattened
-      block.
+      block;
+    * ``fixed`` -- the piece reads no other block's value, so ``dense()`` is
+      the same at every point;
+    * ``gram_varies`` -- the gram views read another block's value; every
+      other piece's gram views are the same at every point.
     """
 
     identity = None
     factors = None
     fourier = False
+    fixed = False
+    gram_varies = False
 
     def __init__(self, eq_id, block, sign):
         self.eq_id = eq_id
@@ -561,6 +576,8 @@ class _Piece:
 
 class _IdentityPiece(_Piece):
     """sign * alpha * Y."""
+
+    fixed = True
 
     def __init__(self, eq_id, block, sign, alpha):
         super().__init__(eq_id, block, sign)
@@ -581,6 +598,8 @@ class _IdentityPiece(_Piece):
 
 class _OpPiece(_Piece):
     """sign * op(Y) for a LinearOp that is not a scaled identity."""
+
+    fixed = True
 
     def __init__(self, eq_id, block, sign, op):
         super().__init__(eq_id, block, sign)
@@ -603,11 +622,13 @@ class _OpPiece(_Piece):
 
 
 class _MatMulPiece(_Piece):
-    """sign * left @ Y @ right, with a missing factor left out."""
+    """sign * left @ Y @ right, with a missing factor left out; ``fixed``
+    when both factors are constants of the term."""
 
-    def __init__(self, eq_id, block, sign, left, right):
+    def __init__(self, eq_id, block, sign, left, right, fixed=False):
         super().__init__(eq_id, block, sign)
         self.factors = (left, right)
+        self.fixed = fixed
 
     def apply(self, y):
         left, right = self.factors
@@ -637,6 +658,8 @@ class _MatMulPiece(_Piece):
 
 class _HadamardPiece(_Piece):
     """sign * post(Y * other); post may be None for the identity."""
+
+    gram_varies = True
 
     def __init__(self, eq_id, block, sign, other, post):
         super().__init__(eq_id, block, sign)

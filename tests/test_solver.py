@@ -753,3 +753,83 @@ def test_status_strings():
     assert STATUS_CONVERGED == "Converged"
     assert STATUS_MAXITER == "MaxIter"
     assert STATUS_DIVERGED == "Diverged"
+
+
+def _hadamard_l1_problem():
+    """L1 on a 1x1 x in x * y - z = 0.5, quadratics on y and z.  The prox
+    step of x reads y**2 as its curvature, and y reaches exactly zero once
+    the soft threshold sends x to zero."""
+    x = BlockId("x", "x", (1, 1), index=0)
+    y = BlockId("y", "x", (1, 1), index=1)
+    z = BlockId("z", "z1", (1, 1))
+    system = MultiaffineSystem()
+    system.add_equation([HadamardPair(x, y),
+                         LinearTerm(ScaledIdentity(1.0, (1, 1)), z, sign=-1),
+                         Constant([[0.5]], sign=-1)])
+    return Problem(system, {x: [L1(0.1)], y: [Quadratic(1.0)],
+                            z: [Quadratic(1.0)]})
+
+
+def test_zero_curvature_at_run_time_is_a_subproblem_error():
+    problem = _hadamard_l1_problem()
+    with pytest.raises(SubproblemError) as err:
+        solve(problem, rho=2.0, max_iter=20)
+    assert err.value.k >= 1
+    assert err.value.block == "x"
+    # The penalty probe counts the failure as a failed trial, so no
+    # BuildError escapes: the doubling finds a rho or gives up, and the
+    # run at that rho may meet the zero later.
+    try:
+        solve(problem, rho=None, max_iter=20)
+    except BuildError as exc:
+        pytest.fail(f"BuildError escaped the probe: {exc}")
+    except SubproblemError as exc:
+        assert exc.block == "x" and exc.k > 10
+    except ValueError as exc:
+        assert "no admissible rho" in str(exc)
+
+
+@pytest.mark.parametrize("name", ["nmf3", "rp2", "mc1", "rpca2"])
+def test_steps_build_no_plan_and_run_no_curvature_rule(monkeypatch, name):
+    from madmm import prox, zoo
+
+    inst = zoo.default_instance(name, 0)
+    state, _, _ = solve(inst.problem, max_iter=1, init=inst.init)
+    built, rules = [], []
+    real_init, real_rule = prox._SolvePlan.__init__, prox._curvature_rule
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counting_rule(*args, **kwargs):
+        rules.append(args)
+        return real_rule(*args, **kwargs)
+
+    monkeypatch.setattr(prox._SolvePlan, "__init__", counting_init)
+    monkeypatch.setattr(prox, "_curvature_rule", counting_rule)
+    for _ in range(10):
+        state, _ = step(inst.problem, state)
+    assert built == [] and rules == []
+    # Building a problem builds its plans, and runs the rule there.
+    zoo.default_instance(name, 0)
+    assert built and rules
+
+
+def test_adding_an_equation_retires_the_problem_plans():
+    problem, x, z = _bilinear_toy()
+    system = problem.system
+    state, _, _ = solve(problem, rho=2.0, max_iter=2)
+    step(problem, state)
+    system.add_equation([MatChain([x]), Constant([[0.25]], sign=-1)])
+    with pytest.raises(BuildError, match="build a new Problem"):
+        step(problem, state)
+    # A problem built on the grown system steps as a fresh one does.
+    fresh = Problem(system, problem.objective)
+    again = Problem(system, problem.objective)
+    start, _, _ = solve(fresh, rho=2.0, max_iter=0)
+    one, tr_one = step(fresh, start)
+    two, tr_two = step(again, start)
+    assert tr_one.L == tr_two.L and tr_one.block_steps == tr_two.block_steps
+    for b in one.assignment:
+        assert np.array_equal(one.assignment[b], two.assignment[b])

@@ -787,3 +787,22 @@ def test_stationarity_freezes_nothing(monkeypatch, name):
     assert calls == []
     solver.step(inst.problem, state)
     assert calls, "the counter must see the freezes a step makes"
+
+
+def test_refused_equation_registers_nothing():
+    x = BlockId("x", "x", (2, 2), index=0)
+    y = BlockId("y", "x", (2, 2), index=1)
+    system = MultiaffineSystem()
+    with pytest.raises(BuildError, match="twice"):
+        system.add_equation([MatChain([x]), MatChain([y, y])])
+    assert system.blocks == {} and system.equations == []
+    system, x, y, z, s = _rank_one_system(3)
+    freeze(system, x, _gaussian_assignment(system, 0))
+    blocks, plans = dict(system.blocks), dict(system._plans)
+    stranger = BlockId("u", "z1", (3, 1))
+    with pytest.raises(BuildError, match="linear terms"):
+        system.add_equation([MatChain([x]),
+                             LinearTerm(ScaledIdentity(1.0, (3, 1)), stranger),
+                             HadamardPair(stranger, stranger)])
+    assert system.blocks == blocks and system._plans == plans
+    assert len(system.equations) == 2
