@@ -5,33 +5,29 @@ gradient; the nonsmooth ones (elementwise L1 and the three indicators) expose
 an exact proximal map instead, and ``stat_residual(x, g)``: the distance of a
 gradient ``g`` at ``x`` to the term's negative subdifferential there.
 
-Both block solvers run one solve plan, ``_SolvePlan``, built from a frozen
-form of the focus: it reads, once, everything about the subproblem that
-does not depend on values (the focus slices, the quadratic extras, how to
-form the constant right-hand side, the nonsmooth term and the coupling
-terms, the outcome of the one curvature rule, and the solve paths to try).
-A ``Problem`` builds one plan per update unit when it is built, so a step
-reads only offsets, multipliers and Hadamard partners;
-``quad_block_solve`` and ``prox_block_step`` build a one-off plan and run
-the same code.  ``_QuadPieces`` holds one call's values: the right-hand
-side, and the normal operator N read through the plan.  The rule reads N
-as a diagonal, or as its scalar kappa when N = kappa * I; only a Hadamard
-piece's gram varies with values, and the plan reads it at each call, where
-a curvature that is not positive raises SubproblemError.  The paths are an
-elementwise-diagonal solve, a two-sided eigendecomposition solve for one
-matrix chain (the rest of N scalar), a dense least-squares solve,
-conjugate gradients on the normal equations, and for one nonsmooth term
-its prox at rhs / kappa with step 1 / kappa.  Each path asks the frozen
-pieces for a view (their identity scale, gram diagonal or scalar, matrix
-factors, or dense block), never for their type.  The dense path assembles
-N from the pieces' dense blocks, those of pieces that read no other
-block's value kept by the plan, and takes forms without convolution
-pieces, of at most ``_DENSE_LIMIT`` (1,024) columns, whose stacked map
-over the equations the focus enters has at most ``_DENSE_LIMIT ** 2``
-entries; larger forms go to conjugate gradients.  The diagnostics'
-least-squares distance reads the same dense map within those bounds.
-``conjugate_gradients`` is the one CG loop: the solver and, above the
-bounds, that distance both run it.
+Both block solvers run one solve plan, ``_SolvePlan``, read once from a
+frozen form of the focus: the focus slices, the quadratic extras, how to
+form the constant right-hand side, the nonsmooth and coupling terms, the
+outcome of the one curvature rule (N's diagonal, or its scalar kappa when
+N = kappa * I) and the solve paths to try.  A ``Problem`` builds one plan
+per update unit when it is built; ``quad_block_solve`` and
+``prox_block_step`` build a one-off plan and run the same code, on one
+call's values held by ``_QuadPieces``.  Only a Hadamard piece's gram varies
+with values; the plan reads it at each call, and a curvature that is not
+positive there raises SubproblemError.  The paths are an elementwise
+diagonal solve, a two-sided eigendecomposition solve for one matrix chain
+(the rest of N scalar), a dense least-squares solve, conjugate gradients on
+the normal equations, and for one nonsmooth term its prox at rhs / kappa
+with step 1 / kappa.  Each asks the frozen pieces for a view (identity
+scale, gram diagonal or scalar, matrix factors, dense block), never for
+their type.  The dense path assembles N from the pieces' dense blocks, the
+plan keeping those of pieces that read no other block's value, and takes
+forms without convolution pieces, of at most ``_DENSE_LIMIT`` (1,024)
+columns, whose stacked map over the equations the focus enters has at most
+``_DENSE_LIMIT ** 2`` entries; larger forms go to conjugate gradients.  The
+diagnostics' least-squares distance reads the same dense map within those
+bounds.  ``conjugate_gradients`` is the one CG loop: the solver and, above
+the bounds, that distance both run it.
 """
 
 from __future__ import annotations
@@ -298,18 +294,17 @@ def _normalize_extras(form: FrozenLinearForm, extras):
 
 
 def _curvature_rule(form, pos, quads, view, leave_out=None):
-    """The curvature rule: N's curvature read through ``view``
-    ("gram_diag" or "gram_scalar") as parts (focus position, scaled by rho,
-    gram, piece), or None when N is not of that form.
+    """The curvature rule: N read through ``view`` ("gram_diag" or
+    "gram_scalar") as parts (focus position, scaled by rho, gram, piece),
+    or None when N is not of that form.
 
     Scaled identities alone in an equation add rho * (sum of scales)**2,
     a lone piece adds rho times its gram, and a quadratic its weight times
     its map's gram.  Any other equation, or one that two blocks enter,
     cross-couples entries.  ``leave_out`` names a piece, alone in its
-    equation, whose term is left out.  Every gram is read here except that
-    of a piece whose gram varies with another block's value (a Hadamard
-    partner): its part keeps the piece's index in ``form.pieces``, and
-    :func:`_read_curvature` reads it at each call.
+    equation, whose term is left out.  A gram that varies with values keeps
+    its piece's index in ``form.pieces`` in place of the gram, for
+    :func:`_read_curvature` to read at each call.
     """
     out = []
     for plist in form.by_eq.values():
@@ -355,26 +350,18 @@ def _varies(parts) -> bool:
 
 class _SolvePlan:
     """What one block's (or block group's) subproblem needs that does not
-    depend on values, read once from a frozen form of its focus.
-
-    A ``Problem`` builds one per update unit when it is built;
-    :func:`quad_block_solve` and :func:`prox_block_step` build one per call.
-    It holds the focus slices, the quadratics and how to form each constant
-    right-hand-side contribution, the nonsmooth ``term`` and the
-    ``couplings``, the curvature rule's outcome per gram view, the solve
-    paths to try in order (``paths``) and, once the dense path needs it,
-    the dense map of the pieces that read no other block's value.  A call
-    of :meth:`solve` reads only values: offsets, multipliers and Hadamard
-    partners.
+    depend on values, read from a frozen form of its focus; :meth:`solve`
+    then reads only offsets, multipliers and Hadamard partners.
 
     ``extras`` are (block name, item) pairs, items being Quadratic terms,
-    affine SmoothCustom terms or raw gradient arrays of affine addends;
-    ``couplings`` are (block name, CouplingTerm) pairs whose gradients are
-    taken at each call from the name-keyed values given to :meth:`solve`.
-    ``method`` forces one path of :func:`quad_block_solve`.
+    affine SmoothCustom terms, raw gradient arrays of affine addends, or
+    CouplingTerms, whose gradients are taken at each call from the
+    name-keyed ``values`` given to :meth:`solve`; ``term`` is the nonsmooth term of a prox step, and
+    ``method`` forces one path of :func:`quad_block_solve`.  ``paths`` lists
+    the solve paths to try in order.
     """
 
-    def __init__(self, form, extras=(), term=None, method=None, couplings=()):
+    def __init__(self, form, extras=(), term=None, method=None):
         self.focus = form.focus
         pos, self.slices, start = {}, [], 0
         for i, b in enumerate(form.focus):
@@ -388,7 +375,8 @@ class _SolvePlan:
         self.rows = sum(form.eq_shapes[e][0] * form.eq_shapes[e][1]
                         for e in form.by_eq)
         self.quads = []    # (focus position, Quadratic) with a positive weight
-        self.consts = []   # (slice, sign, make): rhs[slice] += sign * make()
+        self.consts = []   # (slice, sign, make): rhs[slice] += sign * make(values)
+        self.coupled = False
         for name, item in extras:
             i = pos[name]
             sl, shape = self.slices[i], form.focus[i].shape
@@ -396,7 +384,7 @@ class _SolvePlan:
                 if item.weight > 0:
                     self.quads.append((i, item))
                     if item.center is not None:
-                        self.consts.append((sl, 1, lambda q=item: q.weight * np.ravel(
+                        self.consts.append((sl, 1, lambda v, q=item: q.weight * np.ravel(
                             q.center if q.linear_map is None
                             else q.linear_map.adjoint(q.center))))
             elif isinstance(item, SmoothCustom):
@@ -404,14 +392,18 @@ class _SolvePlan:
                     raise BuildError(
                         "only affine SmoothCustom terms (lipschitz == 0) have a "
                         "closed-form block update")
-                self.consts.append((sl, -1, lambda t=item, shape=shape:
+                self.consts.append((sl, -1, lambda v, t=item, shape=shape:
                                     np.ravel(t.grad(np.zeros(shape)))))
             elif isinstance(item, np.ndarray):
-                self.consts.append((sl, -1, lambda a=item: np.ravel(a)))
+                self.consts.append((sl, -1, lambda v, a=item: np.ravel(a)))
+            elif isinstance(item, CouplingTerm):
+                # Affine per block, so the gradient is a constant linear term.
+                self.coupled = True
+                self.consts.append((sl, -1, lambda v, c=item, name=name:
+                                    np.ravel(c.grad_block(v, name))))
             else:
                 raise BuildError(
                     f"term {type(item).__name__} cannot enter a quadratic solve")
-        self.couplings = [(self.slices[pos[name]], name, c) for name, c in couplings]
         self.term = term
         self.densify_ok = (self.dim <= _DENSE_LIMIT
                            and self.rows * self.dim <= _DENSE_LIMIT ** 2
@@ -569,12 +561,9 @@ class _QuadPieces:
                 rhs[sl] += np.ravel(pieces[k].adjoint(target))
         for sl, sign, make in plan.consts:
             if sign > 0:
-                rhs[sl] += make()
+                rhs[sl] += make(values)
             else:
-                rhs[sl] -= make()
-        for sl, name, c in plan.couplings:
-            # Affine per block, so the gradient is a constant linear term.
-            rhs[sl] -= np.ravel(c.grad_block(values, name))
+                rhs[sl] -= make(values)
 
     def normal_apply(self, y_vec):
         plan = self.plan

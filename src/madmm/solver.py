@@ -18,11 +18,10 @@ with another block of its component.  ``Problem`` refuses any other
 component when it is built.
 
 Each x block and each z component is one update unit.  ``Problem`` builds
-the solve plan of every unit when it is built (``prox._SolvePlan``: the
-subproblem's structure, read once), and the system keeps the plans until an
-equation is added to it.  A step freezes each unit's form, which checks the
-values it reads, and runs its plan on values alone; the stationarity
-estimate reads each block's terms from a list also made at build time.
+the solve plan of every unit (``prox._SolvePlan``) when it is built, and
+the system keeps the plans until an equation is added to it.  A step
+freezes each unit's form, which checks the values it reads, and runs its
+plan on values alone.
 
 The penalty weight rho can be given explicitly, certified from curvature
 constants declared in the problem metadata via rho_lower_bound, or found by
@@ -120,15 +119,11 @@ class Problem:
 
     A block carries at most one nonsmooth term.  Building raises BuildError
     when ``prox.prox_block_step`` refuses such a block with no custom
-    updater at a point with Gaussian Hadamard partners.  Where the block's
-    curvature reads a Hadamard partner and is not positive at run time, the
-    step raises SubproblemError naming the block and the iteration.
-
-    Building also builds one solve plan per update unit (each x block and
-    each z component; see ``prox._SolvePlan``), so a step reads only
-    values.  The system keeps the plans, and adding an equation to it
-    clears them: a later ``step`` raises BuildError, and a new Problem
-    must be built.
+    updater at a point with Gaussian Hadamard partners; where that
+    curvature is not positive at run time, the step raises SubproblemError.
+    The solve plans are built here too (see the module docstring); adding
+    an equation to the system retires them, and a later ``step`` raises
+    BuildError.
 
     z blocks tied by a shared equation form one component, which each step
     solves jointly and exactly.  Building raises BuildError when a
@@ -160,8 +155,7 @@ class Problem:
         self._validate()
         self._z_components = self._build_z_components()
         system._solve_plans[self] = self._build_plans()
-        # (block, smooth terms, coupling terms, nonsmooth term) per block,
-        # in all_blocks order, for the stationarity estimate.
+        # (block, smooth terms, coupling terms, nonsmooth term) per block.
         self._block_terms = [
             (b, tuple(t for t in self.terms_for(b) if t.smooth),
              tuple(c for c in self.coupling if b in c.blocks), self.nonsmooth_term(b))
@@ -253,12 +247,11 @@ class Problem:
             if focus[0].name in self.custom_updaters:
                 units.append((focus, None))
                 continue
-            extras = [(b.name, t) for b in focus for t in self.terms_for(b) if t.smooth]
-            couplings = [(b.name, c) for b in focus for c in self.coupling
-                         if b in c.blocks]
+            extras = [(b.name, item) for b in focus
+                      for item in [t for t in self.terms_for(b) if t.smooth]
+                      + [c for c in self.coupling if b in c.blocks]]
             units.append((focus, _SolvePlan(freeze(system, focus, point), extras,
-                                            term=self.nonsmooth_term(focus[0]),
-                                            couplings=couplings)))
+                                            term=self.nonsmooth_term(focus[0]))))
         return units
 
     def _plans(self):
@@ -384,7 +377,7 @@ def _update_blocks(problem: Problem, focus: tuple, plan, assignment: dict,
         new = [(block, value)]
     else:
         form = freeze(problem.system, focus, assignment)
-        values = _named_values(problem, assignment) if plan.couplings else None
+        values = _named_values(problem, assignment) if plan.coupled else None
         y0 = {b.name: assignment[b] for b in focus} if "cg" in plan.paths else None
         y = plan.solve(form, multipliers, rho, values=values, y0=y0)
         new = [(b, y[sl].reshape(b.shape)) for b, sl in zip(focus, plan.slices)]

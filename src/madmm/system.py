@@ -414,8 +414,9 @@ class MultiaffineSystem:
     """A stack of multiaffine equations ``sum_t sign_t T_t(blocks) = 0``.
 
     Equations are added only through :meth:`add_equation`.  The system keeps
-    one freeze plan per focus that :func:`freeze` has seen; adding an
-    equation clears them all.
+    one freeze plan per focus that :func:`freeze` has seen, and the solve
+    plans of each ``solver.Problem`` built on it; adding an equation clears
+    them all.
     """
 
     def __init__(self):
