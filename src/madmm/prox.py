@@ -441,7 +441,7 @@ class _SolvePlan:
         outcome ends the list; one that reads a varying gram may decline at
         a call, and the next path runs."""
         diag_ok = self.diag is not None and (
-            _varies(self.diag) or np.min(self._diagonal(form, 1.0)) > 0)
+            _varies(self.diag) or self._diagonal_positive(form))
         syl_ok = self.scalar is not None
         if method is not None:
             if not {"diag": diag_ok, "sylvester": syl_ok,
@@ -456,6 +456,15 @@ class _SolvePlan:
                 if not _varies(parts):
                     return tuple(paths)
         return (*paths, "dense" if self.densify_ok else "cg")
+
+    def _diagonal_positive(self, form):
+        """Whether a diagonal without varying parts is positive everywhere
+        (at rho 1; the sign does not depend on rho), summed per focus block
+        so that scalar parts stay scalars."""
+        acc = [0.0] * len(self.slices)
+        for i, c in _read_curvature(self.diag, form, 1.0, "gram_diag"):
+            acc[i] = acc[i] + c
+        return all(np.min(a) > 0 for a in acc)
 
     def _diagonal(self, form, rho):
         """N's diagonal at one call, or None when it is not diagonal."""
