@@ -356,9 +356,10 @@ class _SolvePlan:
     ``extras`` are (block name, item) pairs, items being Quadratic terms,
     affine SmoothCustom terms, raw gradient arrays of affine addends, or
     CouplingTerms, whose gradients are taken at each call from the
-    name-keyed ``values`` given to :meth:`solve`; ``term`` is the nonsmooth term of a prox step, and
-    ``method`` forces one path of :func:`quad_block_solve`.  ``paths`` lists
-    the solve paths to try in order.
+    name-keyed ``values`` given to :meth:`solve`.  ``term`` is the
+    nonsmooth term of a prox step, and ``method`` forces one path of
+    :func:`quad_block_solve`.  ``paths`` lists the solve paths to try in
+    order.
     """
 
     def __init__(self, form, extras=(), term=None, method=None):
@@ -408,18 +409,18 @@ class _SolvePlan:
         self.densify_ok = (self.dim <= _DENSE_LIMIT
                            and self.rows * self.dim <= _DENSE_LIMIT ** 2
                            and not any(p.fourier for p in form.pieces))
-        self._dense = None
+        self._dense = self.diag = self.chain = self.scalar = None
+        if term is not None:
+            self._plan_prox(form, pos)
+            return
         self.diag = _curvature_rule(form, pos, self.quads, "gram_diag")
         chains = [p for p in form.pieces if p.factors is not None]
-        self.chain = self.scalar = None
         if len(form.focus) == 1 and len(chains) == 1:
+            # Sylvester: N is the chain's gram plus a scalar.
             self.chain = form.pieces.index(chains[0])
             self.scalar = _curvature_rule(form, pos, self.quads, "gram_scalar",
                                           leave_out=chains[0])
-        if term is not None:
-            self._plan_prox(form, pos)
-        else:
-            self.paths = self._plan_paths(form, method)
+        self.paths = self._plan_paths(form, method)
         if "dense" in self.paths:
             self._dense_template(form)
 

@@ -19,7 +19,7 @@ component when it is built.
 
 Each x block and each z component is one update unit.  ``Problem`` builds
 the solve plan of every unit (``prox._SolvePlan``) when it is built, and
-the system keeps the plans until an equation is added to it.  A step
+drops them once an equation is added to its system.  A step
 freezes each unit's form, which checks the values it reads, and runs its
 plan on values alone.
 
@@ -154,7 +154,8 @@ class Problem:
                               key=_block_key)
         self._validate()
         self._z_components = self._build_z_components()
-        system._solve_plans[self] = self._build_plans()
+        self._units = self._build_plans()
+        self._generation = system._generation
         # (block, smooth terms, coupling terms, nonsmooth term) per block.
         self._block_terms = [
             (b, tuple(t for t in self.terms_for(b) if t.smooth),
@@ -255,11 +256,11 @@ class Problem:
         return units
 
     def _plans(self):
-        plans = self.system._solve_plans.get(self)
-        if plans is None:
+        if self.system._generation != self._generation:
+            self._units = None
             raise BuildError("an equation was added to the system after this "
                              "Problem was built; build a new Problem")
-        return plans
+        return self._units
 
     def _build_z_components(self):
         zs = self.z_order

@@ -53,7 +53,6 @@ the step being modified in place while the step runs.
 
 from __future__ import annotations
 
-import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -414,9 +413,9 @@ class MultiaffineSystem:
     """A stack of multiaffine equations ``sum_t sign_t T_t(blocks) = 0``.
 
     Equations are added only through :meth:`add_equation`.  The system keeps
-    one freeze plan per focus that :func:`freeze` has seen, and the solve
-    plans of each ``solver.Problem`` built on it; adding an equation clears
-    them all.
+    one freeze plan per focus that :func:`freeze` has seen; adding an
+    equation clears them all and retires the solve plans of every
+    ``solver.Problem`` built on the system, by bumping ``_generation``.
     """
 
     def __init__(self):
@@ -424,8 +423,9 @@ class MultiaffineSystem:
         self.blocks = {}     # name -> BlockId
         self._eq_shapes = {}
         self._plans = {}     # focus tuple -> _FreezePlan
-        # Problem -> its solve plans (see solver.Problem); held weakly.
-        self._solve_plans = weakref.WeakKeyDictionary()
+        # Bumped by add_equation; a solver.Problem keeps its solve plans
+        # while the count it was built at still holds.
+        self._generation = 0
 
     def add_equation(self, terms, eq_id: int | None = None) -> int:
         """Append one equation; every term is checked before any of its
@@ -475,7 +475,7 @@ class MultiaffineSystem:
         self.equations.sort(key=lambda pair: pair[0])
         self._eq_shapes[eq_id] = shape
         self._plans.clear()
-        self._solve_plans.clear()
+        self._generation += 1
         return eq_id
 
     def eq_shape(self, eq_id: int) -> tuple:

@@ -2,6 +2,7 @@
 penalty selection, and the proximal-tie transform."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -821,6 +822,7 @@ def test_adding_an_equation_retires_the_problem_plans():
     system = problem.system
     state, _, _ = solve(problem, rho=2.0, max_iter=2)
     step(problem, state)
+    pickle.dumps(system)
     system.add_equation([MatChain([x]), Constant([[0.25]], sign=-1)])
     with pytest.raises(BuildError, match="build a new Problem"):
         step(problem, state)
