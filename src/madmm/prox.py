@@ -32,6 +32,8 @@ the bounds, that distance both run it.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import BuildError, SubproblemError, require_finite
@@ -123,13 +125,15 @@ class Quadratic(ObjectiveTerm):
 
     def value(self, x) -> float:
         r = self._residual(x)
-        return 0.5 * self.weight * float(np.sum(r * r))
+        # L(x) - center is a fresh array; without a center r may be x itself.
+        own = r if self.center is not None else None
+        return 0.5 * self.weight * float(np.sum(np.multiply(r, r, out=own)))
 
     def grad(self, x):
         r = self._residual(x)
         if self.linear_map is not None:
             return self.weight * self.linear_map.adjoint(r)
-        return self.weight * r
+        return np.multiply(r, self.weight, out=r if self.center is not None else None)
 
     @property
     def identity_curvature(self):
@@ -385,9 +389,11 @@ class _SolvePlan:
                 if item.weight > 0:
                     self.quads.append((i, item))
                     if item.center is not None:
-                        self.consts.append((sl, 1, lambda v, q=item: q.weight * np.ravel(
+                        # weight * L^T center, taken at the first call and kept.
+                        center = functools.cache(lambda q=item: q.weight * np.ravel(
                             q.center if q.linear_map is None
-                            else q.linear_map.adjoint(q.center))))
+                            else q.linear_map.adjoint(q.center)))
+                        self.consts.append((sl, 1, lambda v, c=center: c()))
             elif isinstance(item, SmoothCustom):
                 if item.lipschitz != 0.0:
                     raise BuildError(
@@ -502,7 +508,10 @@ class _SolvePlan:
         frozen over the same focus of the same system as the plan's form.
 
         ``w`` is keyed by eq_id; ``values`` maps block names to values for
-        the coupling gradients; ``y0`` starts conjugate gradients."""
+        the coupling gradients; ``y0`` starts conjugate gradients.  The
+        call owns its ``_QuadPieces``' ``rhs``: the diagonal and prox paths
+        divide it in place, so the returned array may be ``rhs`` itself,
+        and the block values sliced from it views of it."""
         pieces = _QuadPieces(form, w, rho, self, values)
         name = self.focus[0].name
         for path in self.paths:
@@ -513,7 +522,8 @@ class _SolvePlan:
                     raise SubproblemError(
                         f"the subproblem of nonsmooth block {name!r} has no "
                         "positive scalar curvature at this point", block=name)
-                point = (pieces.rhs / kappa).reshape(self.focus[0].shape)
+                point = np.divide(pieces.rhs, kappa, out=pieces.rhs)
+                point = point.reshape(self.focus[0].shape)
                 return np.ravel(np.asarray(self.term.prox(point, 1.0 / kappa),
                                            dtype=float))
             if path == "diag":
@@ -524,7 +534,7 @@ class _SolvePlan:
                     raise SubproblemError(
                         f"the subproblem of block {name!r} has a diagonal "
                         "curvature that is not positive at this point", block=name)
-                return pieces.rhs / diag
+                return np.divide(pieces.rhs, diag, out=pieces.rhs)
             if path == "sylvester":
                 parts = _read_curvature(self.scalar, form, pieces.rho, "gram_scalar")
                 if parts is None:
@@ -550,6 +560,12 @@ class _QuadPieces:
     (a one-off plan of ``form`` when None) and this object the values of one
     call.  With ``w_by_eq`` None only N is read: no offset is evaluated, and
     ``rhs`` is None.
+
+    A call owns, and may overwrite, ``rhs`` and each equation's ``target``
+    (rho times the offset, minus the multiplier); ``rhs`` may be returned
+    by the solve, or views of it.  The form's cached offsets, built and
+    negated in place by ``offset_for``, the multipliers, the block values
+    and the plan's kept center terms are only read.
     """
 
     def __init__(self, form, w_by_eq, rho, plan=None, values=None):
@@ -566,9 +582,14 @@ class _QuadPieces:
         for e, members in plan.eqs:
             off = form.offset_for(e)
             w_e = np.asarray(w_by_eq[e], dtype=float).reshape(off.shape)
-            target = rho * off - w_e
+            target = np.multiply(off, rho)
+            target -= w_e
             for k, sl in members:
-                rhs[sl] += np.ravel(pieces[k].adjoint(target))
+                if len(members) == 1 and pieces[k].identity is not None:
+                    back = np.multiply(target, pieces[k].identity, out=target)
+                else:
+                    back = pieces[k].adjoint(target)
+                rhs[sl] += np.ravel(back)
         for sl, sign, make in plan.consts:
             if sign > 0:
                 rhs[sl] += make(values)

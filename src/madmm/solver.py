@@ -107,9 +107,10 @@ class Problem:
 
         fn(problem, block, assignment, multipliers, rho) -> array
 
-    which returns the block's new value as a new array and must not modify
-    the assignment's arrays in place: a step reuses the Fourier spectra of
-    those arrays while it runs.  The convergence argument assumes the
+    which returns the block's new value as a new array and must not write
+    into the ``assignment`` or ``multipliers`` arrays it is handed: the old
+    state shares them, and a step reuses the Fourier spectra of those
+    arrays while it runs.  The convergence argument assumes the
     exact minimizer of L over that block; nothing checks it.  The zoo's
     deconvolution updaters are not exact: the signal update runs a fixed
     number of passes from zero, and the kernel update adds a proximal term
@@ -350,8 +351,9 @@ def _al(problem: Problem, assignment: dict, multipliers: dict, rho: float,
     if residuals is None:
         residuals = evaluate(problem.system, assignment)
     for eq_id, r in zip(problem.system.eq_ids, residuals):
-        w = multipliers[eq_id]
-        total += float(np.sum(w * r)) + 0.5 * rho * float(np.sum(r * r))
+        buf = np.multiply(multipliers[eq_id], r)
+        lin = float(np.sum(buf))
+        total += lin + 0.5 * rho * float(np.sum(np.multiply(r, r, out=buf)))
     return float(total)
 
 
@@ -402,9 +404,9 @@ def _stationarity(problem: Problem, assignment: dict, multipliers: dict):
         g = adjoints[block]
         x = assignment[block]
         for t in smooth:
-            g = g + t.grad(x)
+            g += t.grad(x)
         for c in couplings:
-            g = g + c.grad_block(values, block.name)
+            g += c.grad_block(values, block.name)
         parts[block.name] = (float(np.linalg.norm(g)) if term is None
                              else term.stat_residual(x, g))
     agg = max(parts.values()) if parts else 0.0
@@ -460,9 +462,10 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
         for eq_id, r in zip(system.eq_ids, residuals):
             delta = rho * r
             mults_new[eq_id] = multipliers[eq_id] + delta
-            dual_sq += float(np.sum(delta * delta))
+            dual_sq += float(np.sum(np.square(delta, out=delta)))
         primal = float(np.linalg.norm(stack_residual(residuals)))
         L_new = _al(problem, assignment, mults_new, rho, residuals)
+        del residuals  # freed before the stationarity estimate's temporaries
         _, stat = _stationarity(problem, assignment, mults_new)
     new_state = SolverState(assignment, mults_new, rho, k_next)
     trace = IterTrace(k=k_next, L=float(L_new), primal_res=primal,

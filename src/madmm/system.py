@@ -21,9 +21,10 @@ its focus enters, evaluates no other term.
 
 Which terms a focus enters, which only feed offsets and which blocks must be
 read depend on the focus alone, not on block values.  The first ``freeze`` of
-a focus stores that structure on the system as a plan, and later calls for
-the same focus reuse it; ``add_equation``, the only way to add an equation,
-clears every plan.
+a focus stores that structure on the system as a plan, read from one walk of
+the terms that files each term under every block it holds, and later calls
+for the same focus reuse it; ``add_equation``, the only way to add an
+equation, clears the walk and every plan.
 
 A frozen form is a list of pieces, one per occurrence of a focus block in a
 term, and each piece is an instance of one small class per way a block can
@@ -413,9 +414,10 @@ class MultiaffineSystem:
     """A stack of multiaffine equations ``sum_t sign_t T_t(blocks) = 0``.
 
     Equations are added only through :meth:`add_equation`.  The system keeps
-    one freeze plan per focus that :func:`freeze` has seen; adding an
-    equation clears them all and retires the solve plans of every
-    ``solver.Problem`` built on the system, by bumping ``_generation``.
+    one walk of its terms and one freeze plan per focus that :func:`freeze`
+    has seen; adding an equation clears them all and retires the solve plans
+    of every ``solver.Problem`` built on the system, by bumping
+    ``_generation``.
     """
 
     def __init__(self):
@@ -423,6 +425,7 @@ class MultiaffineSystem:
         self.blocks = {}     # name -> BlockId
         self._eq_shapes = {}
         self._plans = {}     # focus tuple -> _FreezePlan
+        self._terms = None   # the one walk of the terms, see _term_index
         # Bumped by add_equation; a solver.Problem keeps its solve plans
         # while the count it was built at still holds.
         self._generation = 0
@@ -475,6 +478,7 @@ class MultiaffineSystem:
         self.equations.sort(key=lambda pair: pair[0])
         self._eq_shapes[eq_id] = shape
         self._plans.clear()
+        self._terms = None
         self._generation += 1
         return eq_id
 
@@ -522,7 +526,7 @@ def evaluate(system: MultiaffineSystem, assignment) -> list:
     for eq_id, terms in system.equations:
         total = np.zeros(system.eq_shape(eq_id))
         for term in terms:
-            total = total + _eval_term(term, assignment)
+            total += _eval_term(term, assignment)
         out.append(total)
     return out
 
@@ -782,10 +786,10 @@ class FrozenLinearForm:
         """Offset of one equation: minus the sum of its non-focus terms."""
         off = self._offsets.get(eq_id)
         if off is None:
-            base = np.zeros(self.eq_shapes[eq_id])
+            off = np.zeros(self.eq_shapes[eq_id])
             for term in self._frozen_terms[eq_id]:
-                base = base + _eval_term(term, self._values)
-            off = self._offsets[eq_id] = -base
+                off += _eval_term(term, self._values)
+            self._offsets[eq_id] = np.negative(off, out=off)
         return off
 
     def _as_values(self, y):
@@ -806,7 +810,7 @@ class FrozenLinearForm:
         for eq_id, shape in self.eq_dims:
             total = np.zeros(shape)
             for p in self.by_eq.get(eq_id, ()):
-                total = total + p.apply(values[p.block])
+                total += p.apply(values[p.block])
             out[eq_id] = total
         return out
 
@@ -822,7 +826,7 @@ class FrozenLinearForm:
             w = w_by_eq.get(p.eq_id)
             if w is None:
                 continue
-            grads[p.block] = grads[p.block] + p.adjoint(np.asarray(w, dtype=float))
+            grads[p.block] += p.adjoint(np.asarray(w, dtype=float))
         if self._single:
             return grads[self.focus[0]]
         return {b.name: g for b, g in grads.items()}
@@ -880,32 +884,48 @@ class _FreezePlan:
         self.eq_shapes = dict(eq_dims)
 
 
+def _term_index(system: MultiaffineSystem):
+    """One walk of every term, kept on the system until ``add_equation``:
+    the (eq_id, term) pairs in equation and term order, and per block name
+    the block and the positions of the terms holding it, blocks in
+    first-use order."""
+    if system._terms is None:
+        terms, where = [], {}
+        for eq_id, eq_terms in system.equations:
+            for term in eq_terms:
+                for b in term.blocks():
+                    where.setdefault(b.name, (b, []))[1].append(len(terms))
+                terms.append((eq_id, term))
+        system._terms = (terms, where)
+    return system._terms
+
+
 def _plan_freeze(system: MultiaffineSystem, focus: tuple) -> _FreezePlan:
-    """Walk every term once for `focus`; raises before anything is kept."""
+    """The plan of `focus`, read from :func:`_term_index`; raises before
+    anything is kept."""
     if not focus:
         raise BuildError("freeze needs at least one focus block")
     for b in focus:
         if system.blocks.get(b.name) != b:
             raise BuildError(f"focus block {b.name!r} is not part of the system")
     focus_set = frozenset(focus)
-    reads, hits, frozen_terms = {}, [], {}
-    for eq_id, terms in system.equations:
-        rest = frozen_terms[eq_id] = []
-        for term in terms:
-            blocks = term.blocks()
-            coupled = [b for b in blocks if b in focus_set]
-            if len(coupled) > 1:
-                raise BuildError(
-                    f"equation {eq_id}: term couples focus blocks "
-                    f"{[b.name for b in coupled]}; the frozen map would not be affine")
-            for b in blocks:
-                if b not in focus_set:
-                    reads.setdefault(b)
-            if coupled:
-                hits.append((eq_id, term))
-            else:
-                rest.append(term)
-    return _FreezePlan(focus, focus_set, tuple(reads), tuple(hits),
+    terms, where = _term_index(system)
+    names = dict.fromkeys(b.name for b in focus)
+    hit = sorted(i for name in names for i in where[name][1])
+    for i, j in zip(hit, hit[1:]):
+        if i == j:  # the first term, in walk order, holding two focus blocks
+            eq_id, term = terms[i]
+            coupled = [b.name for b in term.blocks() if b in focus_set]
+            raise BuildError(
+                f"equation {eq_id}: term couples focus blocks "
+                f"{coupled}; the frozen map would not be affine")
+    frozen_terms = {eq_id: [] for eq_id, _ in system.equations}
+    skip = set(hit)
+    for i, (eq_id, term) in enumerate(terms):
+        if i not in skip:
+            frozen_terms[eq_id].append(term)
+    reads = tuple(b for name, (b, _) in where.items() if name not in names)
+    return _FreezePlan(focus, focus_set, reads, tuple(terms[i] for i in hit),
                        frozen_terms, system.constraint_dims())
 
 
@@ -919,13 +939,13 @@ def freeze(system: MultiaffineSystem, focus, assignment) -> FrozenLinearForm:
     equation's offset on its first use.  Terms containing two focus blocks
     are rejected: the frozen map must be affine.
 
-    The first call for a focus checks it against the system, walks every
-    term and keeps the result on the system as that focus's plan: the
-    blocks to read, the terms the focus enters and each equation's other
-    terms.  A focus that fails those checks is not kept, so it fails on
-    every call.  Later calls for the same focus read the plan's blocks in
-    the same order and build pieces from its terms; ``add_equation`` clears
-    every plan.
+    The first call for a focus checks it against the system, reads the
+    system's one walk of its terms and keeps the result on the system as
+    that focus's plan: the blocks to read, the terms the focus enters and
+    each equation's other terms.  A focus that fails those checks is not
+    kept, so it fails on every call.  Later calls for the same focus read
+    the plan's blocks in the same order and build pieces from its terms;
+    ``add_equation`` clears the walk and every plan.
     """
     focus_blocks = (focus,) if isinstance(focus, BlockId) else tuple(focus)
     plan = system._plans.get(focus_blocks)
@@ -957,7 +977,7 @@ def block_adjoints(system: MultiaffineSystem, assignment, w_by_eq) -> dict:
         w = np.asarray(w, dtype=float)
         for term in terms:
             for p in term.pieces(frozenset(term.blocks()), values, eq_id):
-                grads[p.block] = grads[p.block] + p.adjoint(w)
+                grads[p.block] += p.adjoint(w)
     return grads
 
 

@@ -835,3 +835,54 @@ def test_adding_an_equation_retires_the_problem_plans():
     assert tr_one.L == tr_two.L and tr_one.block_steps == tr_two.block_steps
     for b in one.assignment:
         assert np.array_equal(one.assignment[b], two.assignment[b])
+
+
+@pytest.mark.parametrize("name", ["dl3", "mc1", "nmf3", "rp2", "rpca2",
+                                  "rpca2_raw", "sbd0", "sbd1"])
+def test_step_never_writes_into_its_inputs(name):
+    # The old state shares its arrays with the new one, so every in-place
+    # rewrite in a step must write only into arrays the step made.
+    from madmm import zoo
+    from madmm.solver import _stationarity
+    from madmm.system import block_adjoints, freeze
+
+    inst = zoo.default_instance(name, 0)
+    problem = inst.problem
+    state, _, _ = solve(problem, max_iter=2, init=inst.init)
+    before = ({b: v.tobytes() for b, v in state.assignment.items()},
+              {e: w.tobytes() for e, w in state.multipliers.items()})
+    step(problem, state)
+    augmented_lagrangian(problem, state)
+    _stationarity(problem, state.assignment, state.multipliers)
+    assert ({b: v.tobytes() for b, v in state.assignment.items()},
+            {e: w.tobytes() for e, w in state.multipliers.items()}) == before
+    held = list(state.assignment.values())
+    made = evaluate(problem.system, state.assignment)
+    made += block_adjoints(problem.system, state.assignment,
+                           state.multipliers).values()
+    for focus, _ in problem._units:
+        form = freeze(problem.system, focus, state.assignment)
+        made += [form.offset_for(e) for e, _ in form.eq_dims]
+    assert not any(np.shares_memory(a, v) for a in made for v in held)
+
+
+def test_dense_step_allocation_budget():
+    # Peak traced bytes of one nmf3 step above its start, in units of Z's
+    # bytes: 6.76 when offsets, right-hand sides, residuals, L and the
+    # stationarity estimate were built from fresh temporaries, 4.72 in place.
+    import tracemalloc
+
+    from madmm import zoo
+
+    B, _, _ = zoo.gen_nmf_data(120, 120, 5, seed=0)
+    tracemalloc.start()
+    try:
+        problem = zoo.nmf3(B, 5).problem
+        state, _, _ = solve(problem, rho=1.0, max_iter=1)
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        step(problem, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / B.nbytes <= 5.0

@@ -588,7 +588,9 @@ def test_add_equation_after_freeze_clears_the_plan():
                                rtol=1e-12, atol=1e-12)
 
 
-def test_freeze_walks_the_terms_once_per_focus(monkeypatch):
+def test_freeze_walks_the_terms_once_per_system(monkeypatch):
+    # Every focus reads its plan from one walk of the terms, which only
+    # add_equation clears.
     import madmm.system as system_mod
 
     system, x, y, z, s = _rank_one_system(3)
@@ -608,7 +610,60 @@ def test_freeze_walks_the_terms_once_per_focus(monkeypatch):
         freeze(system, y, _gaussian_assignment(system, seed))
     assert len(walked) == n_terms
     freeze(system, [z, s], _gaussian_assignment(system, 0))
-    assert len(walked) == 2 * n_terms
+    freeze(system, x, _gaussian_assignment(system, 0))
+    assert len(walked) == n_terms
+    system.add_equation([MatChain([x]), Constant(np.ones((3, 1)))])
+    walked.clear()
+    freeze(system, x, _gaussian_assignment(system, 0))
+    assert len(walked) == n_terms + 2
+
+
+def _plan_by_walking(system, focus):
+    """(reads, hits, frozen_terms) of `focus` by walking every term for it."""
+    focus_set = frozenset(focus)
+    reads, hits, frozen_terms = {}, [], {}
+    for eq_id, terms in system.equations:
+        rest = frozen_terms[eq_id] = []
+        for term in terms:
+            blocks = term.blocks()
+            for b in blocks:
+                if b not in focus_set:
+                    reads.setdefault(b)
+            if any(b in focus_set for b in blocks):
+                hits.append((eq_id, term))
+            else:
+                rest.append(term)
+    return tuple(reads), tuple(hits), frozen_terms
+
+
+@pytest.mark.parametrize("name", zoo.zoo_names())
+def test_unit_freeze_plans_match_a_walk_per_focus(name):
+    problem = zoo.default_instance(name, 0).problem
+    system = problem.system
+    point = {b: np.zeros(b.shape) for b in system.blocks.values()}
+    for focus, _ in problem._units:
+        freeze(system, focus, point)  # a custom updater's unit has no plan yet
+        plan = system._plans[focus]
+        reads, hits, frozen_terms = _plan_by_walking(system, focus)
+        assert plan.reads == reads
+        assert [(e, id(t)) for e, t in plan.hits] == [(e, id(t)) for e, t in hits]
+        assert ({e: [id(t) for t in ts] for e, ts in plan.frozen_terms.items()}
+                == {e: [id(t) for t in ts] for e, ts in frozen_terms.items()})
+
+
+def test_freeze_names_the_first_term_coupling_focus_blocks():
+    system, x, y, z, s = _rank_one_system(2)
+    v = BlockId("v", "x", (2, 1), index=2)
+    system.add_equation([HadamardPair(x, v), MatChain([x], sign=-1)])
+    point = _gaussian_assignment(system, 0)
+    with pytest.raises(BuildError, match=r"^equation 0: term couples focus "
+                       r"blocks \['x', 'y'\]; the frozen map would not be affine$"):
+        freeze(system, [y, v, x], point)
+    with pytest.raises(BuildError, match=r"^equation 2: term couples focus "
+                       r"blocks \['x', 'v'\]"):
+        freeze(system, [v, x], point)
+    with pytest.raises(BuildError, match="focus block 'w' is not part"):
+        freeze(system, [x, BlockId("w", "x", (2, 1))], point)
 
 
 def test_block_hash_follows_the_name():
