@@ -419,8 +419,9 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
     check_argmin re-evaluates L after every block update and records a
     Violation when it rose by more than 1e-9 * (1 + |L|) (exact minimization
     over one block can never increase L).  The step keeps the Fourier
-    spectra of its block values and new multipliers, and their
-    convolutions, until it returns (see system.spectrum_memo).
+    spectra of its block values and multipliers, their convolutions, and
+    the convolution targets built from its values and old multipliers,
+    until it returns (see system.spectrum_memo).
     """
     t0 = time.perf_counter()
     units = problem._plans()
@@ -443,7 +444,7 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
                                         tol, f"L rose while updating {label}"))
         L_track = L_now
 
-    with spectrum_memo(assignment, mults_new):
+    with spectrum_memo(assignment, multipliers, mults_new):
         try:
             for focus, plan in units:
                 _update_blocks(problem, focus, plan, assignment, multipliers,

@@ -42,14 +42,19 @@ taken by :func:`_spectrum`, into one fresh array, and every inverse by
 :func:`_irfft2`, which consumes a spectrum its caller owns: it runs ``ifft``
 over the rows in place and ``irfft`` over the columns, into ``out`` or one
 fresh array.  Inside :func:`spectrum_memo`, which ``solver.step`` opens while
-it runs, the spectrum of an array that is a current block value or a new
-multiplier of that step is computed once per array object and shape, and
+it runs, the spectrum of an array that is a current block value or an old or
+new multiplier of that step is computed once per array object and shape,
 ``circ_conv2`` of a kernel and a signal that are both such arrays once per
-pair; both are reused while the step holds those arrays, the convolution as
-a read-only array, and dropped at the latest when the step returns.  The
-memo holds a reference to each array it has keyed, so no id is reused.
-Outside a step every call transforms afresh.  Reuse relies on no array of
-the step being modified in place while the step runs.
+pair, and :meth:`FrozenLinearForm.conv_target`, the target a convolution
+piece is fitted to together with its spectrum, once per equation, rho and
+set of such arrays it is built from, so the kernel and signal updates of a
+step build and transform their common target once.  All three are reused
+while the step holds those arrays, the convolution as a read-only array;
+an entry is dropped once the step no longer holds its arrays and the memo
+keeps another, and at the latest when the step returns.  The memo holds a
+reference to each array it has keyed, so no id is reused.  Outside a step
+every call transforms afresh.  Reuse relies on no array of the step being
+modified in place while the step runs.
 """
 
 from __future__ import annotations
@@ -296,26 +301,30 @@ class Constant(_Term):
         return self.value
 
 
-# (sources, spectra, convs) while a step runs: sources are the step's dicts
-# of block values and new multipliers, spectra maps (id, shape) to (array,
-# spectrum) and convs maps (kernel id, signal id) to (kernel, signal, result).
+# (sources, spectra, convs, targets) while a step runs: sources are the
+# step's dicts of block values and old and new multipliers, spectra maps (id,
+# shape) to (array, spectrum), convs maps (kernel id, signal id) to (kernel,
+# signal, result) and targets maps a convolution target's key (see
+# FrozenLinearForm.conv_target) to (its arrays..., (target, spectrum)).
 _SPECTRA = ContextVar("madmm_spectra", default=None)
 
 
 @contextmanager
 def spectrum_memo(*sources):
-    """Reuse spectra and convolutions of the arrays held in ``sources``
-    until the block exits.
+    """Reuse spectra, convolutions and convolution targets of the arrays
+    held in ``sources`` until the block exits.
 
     ``sources`` are dicts whose values are arrays.  An array's spectrum is
     memoised when the array is one of their values at the time the spectrum
-    is first taken, and ``circ_conv2(kernel, signal)`` when both arguments
-    are, so the dicts may gain or rebind entries while the memo is open.  An
-    entry is dropped, when the next one of its kind is kept, once the
-    sources no longer hold its arrays.  A memoised convolution is handed out
-    read-only.
+    is first taken, ``circ_conv2(kernel, signal)`` when both arguments are,
+    and a convolution piece's target with its spectrum
+    (:meth:`FrozenLinearForm.conv_target`) when every array it was built
+    from is, so the dicts may gain or rebind entries while the memo is open.
+    An entry is dropped, when the next entry of any kind is kept, once the
+    sources no longer hold its arrays.  A memoised convolution or target is
+    handed out read-only.
     """
-    token = _SPECTRA.set((sources, {}, {}))
+    token = _SPECTRA.set((sources, {}, {}, {}))
     try:
         yield
     finally:
@@ -323,8 +332,8 @@ def spectrum_memo(*sources):
 
 
 def _recall(slot: int, key):
-    """The memoised value under ``key`` in memo slot 1 (spectra) or 2
-    (convolutions), or None."""
+    """The memoised value under ``key`` in memo slot 1 (spectra), 2
+    (convolutions) or 3 (convolution targets), or None."""
     memo = _SPECTRA.get()
     hit = None if memo is None else memo[slot].get(key)
     return None if hit is None else hit[-1]
@@ -332,18 +341,19 @@ def _recall(slot: int, key):
 
 def _keep(slot: int, key, arrays, value) -> bool:
     """Memoise ``value`` when the open memo's sources hold all ``arrays``;
-    first drop the slot's entries whose arrays they no longer hold."""
+    first drop the entries, of every slot, whose arrays they no longer
+    hold."""
     memo = _SPECTRA.get()
     if memo is None:
         return False
     held = {id(v) for d in memo[0] for v in d.values()}
     if not all(id(a) in held for a in arrays):
         return False
-    kept = memo[slot]
-    for old in [k for k, entry in kept.items()
-                if not all(id(a) in held for a in entry[:-1])]:
-        del kept[old]
-    kept[key] = (*arrays, value)
+    for kept in memo[1:]:
+        for old in [k for k, entry in kept.items()
+                    if not all(id(a) in held for a in entry[:-1])]:
+            del kept[old]
+    memo[slot][key] = (*arrays, value)
     return True
 
 
@@ -403,10 +413,12 @@ def _conv_adjoint_signal(kernel: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _irfft2(prod, w.shape)
 
 
-def _conv_adjoint_kernel(signal: np.ndarray, w: np.ndarray, kernel_shape) -> np.ndarray:
-    prod = np.conj(_spectrum(signal, w.shape))
-    prod *= _spectrum(w, w.shape)
-    full = _irfft2(prod, w.shape)
+def _conv_adjoint_kernel(signal: np.ndarray, w_hat: np.ndarray, kernel_shape) -> np.ndarray:
+    """The kernel-side adjoint of a convolution with ``signal``, applied to
+    the dual whose ``rfft2`` is ``w_hat``."""
+    prod = np.conj(_spectrum(signal, signal.shape))
+    prod *= w_hat
+    full = _irfft2(prod, signal.shape)
     return full[: kernel_shape[0], : kernel_shape[1]].copy()
 
 
@@ -737,7 +749,8 @@ class _ConvKernelPiece(_Piece):
         return self.sign * circ_conv2(y, self.signal)
 
     def adjoint(self, w):
-        return self.sign * _conv_adjoint_kernel(self.signal, w, self.block.shape)
+        return self.sign * _conv_adjoint_kernel(self.signal, _spectrum(w, w.shape),
+                                                self.block.shape)
 
     def dense(self):
         return self.sign * _circulant(self.signal, self.signal.shape, self.block.shape)
@@ -791,6 +804,34 @@ class FrozenLinearForm:
                 off += _eval_term(term, self._values)
             self._offsets[eq_id] = np.negative(off, out=off)
         return off
+
+    def conv_target(self, piece, multipliers, rho):
+        """``(target, its rfft2)`` for a convolution piece, where target =
+        sign * (offset_for(eq) - W / rho) is what the piece's image is
+        fitted to in the block's subproblem.
+
+        Inside :func:`spectrum_memo` the pair is kept, and handed out
+        read-only, when the memo's sources hold W and every value the
+        equation's other terms read; it is keyed by the equation, rho, the
+        sign and those arrays, so another focus of the same equation,
+        frozen at the same values, reads it instead of building and
+        transforming it again.  Every other call builds and transforms
+        afresh.
+        """
+        eq_id = piece.eq_id
+        w = multipliers[eq_id]
+        reads = {b: self._values[b] for t in self._frozen_terms[eq_id]
+                 for b in t.blocks()}
+        key = (eq_id, rho, piece.sign, id(w),
+               *((b.name, id(v)) for b, v in reads.items()))
+        pair = _recall(3, key)
+        if pair is None:
+            target = piece.sign * (self.offset_for(eq_id) - w / rho)
+            pair = (target, _spectrum(target, target.shape))
+            if _keep(3, key, (w, *reads.values()), pair):
+                for a in pair:
+                    a.flags.writeable = False
+        return pair
 
     def _as_values(self, y):
         if self._single:

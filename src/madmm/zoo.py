@@ -365,6 +365,13 @@ def gen_rpca_data(m: int, n: int, k: int, spike_density: float = 0.05,
 # ---------------------------------------------------------------------------
 # Sparse blind deconvolution.
 
+def _inverse_denominator(spectrum, rho, eta):
+    """1 / (rho * spectrum + eta), in one array."""
+    out = np.multiply(spectrum, rho)
+    out += eta
+    return np.divide(1.0, out, out=out)
+
+
 def _sparse_conv_updater(l1_weight: float, max_passes: int = _SBD_INNER_BUDGET):
     """Budgeted update for the sparse signal in a convolution.
 
@@ -374,6 +381,15 @@ def _sparse_conv_updater(l1_weight: float, max_passes: int = _SBD_INNER_BUDGET):
     weight starts at the mean squared kernel spectrum and is rebalanced
     against the consensus residuals.  Returns the shrinkage iterate, so the
     result is exactly sparse.
+
+    The first pass starts from v = u = 0, so it takes no forward transform:
+    its spectrum is the scaled target's alone.  The loop stops once
+    max(max|x - v_new|, eta * max|v_new - v|) falls to the tolerance, which
+    needs its first part to, so the drift v_new - v is formed only on a
+    pass where that part passes and on the passes that rebalance eta.  The
+    target and its spectrum come from ``FrozenLinearForm.conv_target``:
+    inside a step, whichever of this and the kernel update runs second
+    reads them from the first.
 
     Each call is a self-contained bounded-work approximation of the
     subproblem: signal content the kernel transfers strongly is recovered
@@ -391,8 +407,7 @@ def _sparse_conv_updater(l1_weight: float, max_passes: int = _SBD_INNER_BUDGET):
             raise BuildError("sparse convolution block must appear exactly "
                              "once, as a convolution signal")
         kernel = np.asarray(piece.kernel, dtype=float)
-        target = piece.sign * (form.offset_for(piece.eq_id)
-                               - multipliers[piece.eq_id] / rho)
+        target, target_hat = form.conv_target(piece, multipliers, rho)
         shape = block.shape
         ker_hat = _spectrum(kernel, shape)
         spectrum = (ker_hat.conj() * ker_hat).real.copy()
@@ -401,44 +416,56 @@ def _sparse_conv_updater(l1_weight: float, max_passes: int = _SBD_INNER_BUDGET):
         eta = rho * max(1.0, mean_spec)
         # Multiplying real and imaginary parts by 1/denom gives the same bits
         # as numpy's complex-by-real division, which scales by the reciprocal.
-        inv_denom = 1.0 / (rho * spectrum + eta)
-        quad_hat = rho * ker_hat.conj() * _spectrum(target, shape)
-        scale = 1.0 + float(np.linalg.norm(target))
-        del ker_hat, target
+        inv_denom = _inverse_denominator(spectrum, rho, eta)
+        quad_hat = np.conj(ker_hat)
+        quad_hat *= rho
+        quad_hat *= target_hat
+        tol = _INNER_TOL * (1.0 + float(np.linalg.norm(target)))
+        del ker_hat, target, target_hat
         # Every pass writes into these buffers, allocated once per call.
         v, v_new, u, tmp, x = (np.zeros(shape), np.empty(shape), np.zeros(shape),
                                np.empty(shape), np.empty(shape))
         hat = np.empty(quad_hat.shape, complex)
         for it in range(max_passes):
-            np.multiply(v, eta, out=tmp)
-            tmp -= u
-            np.fft.rfft2(tmp, out=hat)
-            hat += quad_hat
-            hat.real *= inv_denom
-            hat.imag *= inv_denom
-            _irfft2(hat, shape, out=x)
-            np.divide(u, eta, out=tmp)
-            tmp += x
+            if it == 0:
+                # v = u = 0: the transform of eta * v - u is zero, and
+                # u / eta + x is x + 0.0 (which turns -0.0 into 0.0, as
+                # 0.0 + x does).
+                np.multiply(quad_hat.real, inv_denom, out=hat.real)
+                np.multiply(quad_hat.imag, inv_denom, out=hat.imag)
+                _irfft2(hat, shape, out=x)
+                np.add(x, 0.0, out=tmp)
+            else:
+                np.multiply(v, eta, out=tmp)
+                tmp -= u
+                np.fft.rfft2(tmp, out=hat)
+                hat += quad_hat
+                hat.real *= inv_denom
+                hat.imag *= inv_denom
+                _irfft2(hat, shape, out=x)
+                np.divide(u, eta, out=tmp)
+                tmp += x
             soft_threshold(tmp, l1_weight / eta, out=v_new)
-            # x turns into x - v_new and v into v_new - v; neither is read
-            # again in its old form.
+            # x turns into d = x - v_new and, when formed, the old v into
+            # v_new - v; neither is read again in its old form.
             d = np.subtract(x, v_new, out=x)
-            dv = np.subtract(v_new, v, out=v)
             u += np.multiply(d, eta, out=tmp)
-            gap = max(float(np.max(np.abs(d, out=tmp))),
-                      eta * float(np.max(np.abs(dv, out=tmp))))
+            split_max = float(np.max(np.abs(d, out=tmp)))
+            rebalance = it % 10 == 9
+            if split_max <= tol or rebalance:
+                dv = np.subtract(v_new, v, out=v)
+                if max(split_max, eta * float(np.max(np.abs(dv, out=tmp)))) <= tol:
+                    return v_new
             v, v_new = v_new, v
-            if gap <= _INNER_TOL * scale:
-                break
-            if it % 10 == 9:
+            if rebalance:
                 split_res = float(np.linalg.norm(d))
                 drift_res = eta * float(np.linalg.norm(dv))
                 if split_res > 10.0 * drift_res:
                     eta *= 2.0
-                    inv_denom = 1.0 / (rho * spectrum + eta)
+                    inv_denom = _inverse_denominator(spectrum, rho, eta)
                 elif drift_res > 10.0 * split_res:
                     eta *= 0.5
-                    inv_denom = 1.0 / (rho * spectrum + eta)
+                    inv_denom = _inverse_denominator(spectrum, rho, eta)
         return v
 
     return update
@@ -466,21 +493,24 @@ def _conv_kernel_updater():
             raise BuildError("kernel block must appear exactly once, in a "
                              "convolution")
         signal = np.asarray(piece.signal, dtype=float)
-        target = piece.sign * (form.offset_for(piece.eq_id)
-                               - multipliers[piece.eq_id] / rho)
+        _, target_hat = form.conv_target(piece, multipliers, rho)
         p, q = block.shape
         n1, n2 = signal.shape
-        power = np.abs(_spectrum(signal, signal.shape)) ** 2
-        autocorr = _irfft2(power.astype(complex), (n1, n2))
+        sig_hat = _spectrum(signal, signal.shape)
+        # |sig_hat|^2 built in the real part of one complex array, as the
+        # square of abs and its cast to complex would give it.
+        power = np.zeros(sig_hat.shape, complex)
+        np.square(np.abs(sig_hat, out=power.real), out=power.real)
+        autocorr = _irfft2(power, (n1, n2))
         d1 = (np.arange(p)[:, None] - np.arange(p)[None, :]) % n1
         d2 = (np.arange(q)[:, None] - np.arange(q)[None, :]) % n2
         normal = autocorr[d1[:, None, :, None], d2[None, :, None, :]]
         normal = normal.reshape(p * q, p * q)
-        rhs = np.ravel(_conv_adjoint_kernel(signal, target, (p, q)))
+        rhs = np.ravel(_conv_adjoint_kernel(signal, target_hat, (p, q)))
         current = np.ravel(assignment[block])
         gap = rhs - normal @ current
-        damp = _KERNEL_PROX_WEIGHT * np.eye(p * q)
-        delta = np.linalg.solve(normal + damp, gap)
+        normal.flat[:: p * q + 1] += _KERNEL_PROX_WEIGHT
+        delta = np.linalg.solve(normal, gap)
         return (current + delta).reshape(p, q)
 
     return update

@@ -883,3 +883,25 @@ def test_dense_step_allocation_budget():
     finally:
         tracemalloc.stop()
     assert (peak - start) / B.nbytes <= 5.0
+
+
+def test_fourier_step_allocation_budget():
+    # Peak traced bytes of one 64^2 sbd1 step above its start, in units of
+    # Y's bytes: 26.45 with the kernel update's damping added to the
+    # diagonal of its 256 x 256 normal matrix in place, the largest array
+    # at this size; about 54.6 with a damped copy of it beside a scaled
+    # identity.
+    import tracemalloc
+
+    Y, *_ = zoo.gen_sbd_data(64, (16, 16), theta=0.05, bias=0.1, seed=0)
+    tracemalloc.start()
+    try:
+        inst = zoo.sbd1(Y, (16, 16))
+        state, _, _ = solve(inst.problem, rho=1.0, max_iter=1, init=inst.init)
+        tracemalloc.reset_peak()
+        start, _ = tracemalloc.get_traced_memory()
+        step(inst.problem, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / Y.nbytes <= 27.0

@@ -322,11 +322,60 @@ def test_spectrum_memo_drops_arrays_no_longer_held():
         circ_conv2(held["k"], old)
         held["s"] = rng.standard_normal((5, 4))
         circ_conv2(held["k"], held["s"])
-        _, spectra, convs = system_mod._SPECTRA.get()
+        _, spectra, convs, _ = system_mod._SPECTRA.get()
         kept = [a for entry in (*spectra.values(), *convs.values())
                 for a in entry[:-1]]
         assert any(a is held["s"] for a in kept)
         assert not any(a is old for a in kept)
+
+
+def test_conv_target_outside_a_step_is_built_afresh():
+    system, a, xs, _ = _conv_system((2, 3), (5, 4))
+    point = _gaussian_assignment(system, 17)
+    rng = np.random.default_rng(17)
+    w = rng.standard_normal((5, 4))
+    for focus in (a, xs):
+        form = freeze(system, focus, point)
+        (piece,) = form.pieces
+        for mults in ({0: w}, {0: rng.standard_normal((5, 4))}, {0: w}):
+            target, hat = form.conv_target(piece, mults, 1.7)
+            want = piece.sign * (form.offset_for(0) - mults[0] / 1.7)
+            assert target.tobytes() == want.tobytes()
+            assert hat.tobytes() == np.fft.rfft2(want).tobytes()
+        w *= -3.0  # an in-place change is seen too
+
+
+def test_conv_target_is_shared_in_a_step_and_dropped_once_stale():
+    import madmm.system as system_mod
+
+    system, a, xs, z = _conv_system((2, 3), (5, 4))
+    point = _gaussian_assignment(system, 18)
+    rng = np.random.default_rng(18)
+    mults = {0: rng.standard_normal((5, 4))}
+    with spectrum_memo(point, mults):
+        kernel_form, signal_form = (freeze(system, b, point) for b in (a, xs))
+        first = kernel_form.conv_target(kernel_form.pieces[0], mults, 2.0)
+        assert signal_form.conv_target(signal_form.pieces[0], mults, 2.0) is first
+        assert not any(arr.flags.writeable for arr in first)
+        other_rho = signal_form.conv_target(signal_form.pieces[0], mults, 3.0)
+        assert other_rho[0].tobytes() != first[0].tobytes()
+        targets = system_mod._SPECTRA.get()[3]
+        assert len(targets) == 2
+        old_z = point[z]
+        point[z] = rng.standard_normal(z.shape)
+        form = freeze(system, xs, point)
+        target, hat = form.conv_target(form.pieces[0], mults, 2.0)
+        want = form.pieces[0].sign * (form.offset_for(0) - mults[0] / 2.0)
+        assert target.tobytes() == want.tobytes()
+        assert hat.tobytes() == np.fft.rfft2(want).tobytes()
+        # Both entries built from the old Z are gone; only the new one stays.
+        assert len(targets) == 1
+        assert not any(arr is old_z for entry in targets.values()
+                       for arr in entry[:-1])
+        # A multiplier array the sources no longer hold is never kept.
+        loose = {0: rng.standard_normal((5, 4))}
+        form.conv_target(form.pieces[0], loose, 2.0)
+        assert len(targets) == 1
 
 
 def test_circ_conv2_keeps_nothing_outside_a_step_nor_a_cg_iterate():
@@ -348,16 +397,18 @@ def test_circ_conv2_keeps_nothing_outside_a_step_nor_a_cg_iterate():
         quad_block_solve(freeze(system, xs, point), mults, 1.0, method="cg")
         free = circ_conv2(point[a], rng.standard_normal((5, 4)))
         assert free.flags.writeable
-        _, spectra, convs = system_mod._SPECTRA.get()
+        _, spectra, convs, _ = system_mod._SPECTRA.get()
         held = list(point.values()) + list(mults.values())
         assert spectra and not convs
         assert all(any(arr is h for h in held) for arr, _ in spectra.values())
 
 
 def test_sbd1_step_transform_count_and_one_convolution(monkeypatch):
-    # One 64^2 sbd1 step takes 18 forward and 17 inverse transforms.  Before
+    # One 64^2 sbd1 step takes 16 forward and 17 inverse transforms.  Before
     # A (*) X was memoised, the offsets of b and Z and evaluate each
-    # convolved anew: 19 inverses.
+    # convolved anew: 19 inverses.  Before the signal update's zero-start
+    # pass skipped its transform and the kernel and signal updates shared
+    # the spectrum of their common target: 18 forward.
     import madmm.system as system_mod
 
     Y, *_ = zoo.gen_sbd_data(64, (16, 16), theta=0.05, bias=0.1, seed=0)
@@ -389,7 +440,7 @@ def test_sbd1_step_transform_count_and_one_convolution(monkeypatch):
     # columns.  It counts once.
     assert counts.pop("ifft") == counts["irfft"]
     forward, inverse = counts.pop("rfft2"), counts.pop("irfft")
-    assert (forward, inverse) == (18, 17)
+    assert (forward, inverse) == (16, 17)
     assert not any(counts.values())
     named = {b.name: v for b, v in new_state.assignment.items()}
     ax = [out for k, sig, out in convs if k is named["A"] and sig is named["X"]]
@@ -398,9 +449,11 @@ def test_sbd1_step_transform_count_and_one_convolution(monkeypatch):
     assert all(out is ax[0] for out in ax) and not ax[0].flags.writeable
 
 
-@pytest.mark.parametrize("name,limit", [("sbd1", 37), ("sbd0", 36)])
+@pytest.mark.parametrize("name,limit", [("sbd1", 33), ("sbd0", 33)])
 def test_sbd_step_reuses_spectra(monkeypatch, name, limit):
-    # Without reuse one step takes 46 (sbd1) and 43 (sbd0) transforms.
+    # Without reuse one step takes 46 (sbd1) and 43 (sbd0) transforms; with
+    # spectra and A (*) X reused but not the updaters' shared target, and a
+    # transform in the signal update's zero-start pass, 35 each.
     from madmm import solver, zoo
 
     inst = zoo.default_instance(name, 0)

@@ -10,7 +10,7 @@ import madmm.prox as prox_mod
 from madmm import diagnostics, zoo
 from madmm.errors import BuildError
 from madmm.solver import Problem, SolverState, STATUS_CONVERGED, solve, step
-from madmm.system import circ_conv2, evaluate, freeze
+from madmm.system import _irfft2, _spectrum, circ_conv2, evaluate, freeze
 from madmm.zoo import (cut_value, default_instance, dl3, gen_dl_data,
                        gen_nmf_data, gen_rp_data, gen_rpca_data, gen_sbd_data,
                        mc1, nmf3, rp2, rpca2, sbd0, sbd1, triangle_graph,
@@ -475,6 +475,81 @@ def test_signal_update_matches_reference_loop(n1, n2, data):
     want = _reference_sparse_update(assignment[blocks["A"]], target, rho,
                                     l1_weight, passes)
     assert np.array_equal(got, want)
+
+
+def _in_place_sparse_update(problem, block, assignment, multipliers, rho,
+                            l1_weight, max_passes):
+    """The sparse-signal update as it ran before its zero-start pass and lazy
+    exit test: every pass transforms eta * v - u, and the drift v_new - v is
+    formed on every pass.  Returns the result and the passes run."""
+    form = freeze(problem.system, block, assignment)
+    (piece,) = form.pieces
+    kernel = np.asarray(piece.kernel, dtype=float)
+    target = piece.sign * (form.offset_for(piece.eq_id)
+                           - multipliers[piece.eq_id] / rho)
+    shape = block.shape
+    ker_hat = _spectrum(kernel, shape)
+    spectrum = (ker_hat.conj() * ker_hat).real.copy()
+    eta = rho * max(1.0, float(np.sum(kernel * kernel)))
+    inv_denom = 1.0 / (rho * spectrum + eta)
+    quad_hat = rho * ker_hat.conj() * _spectrum(target, shape)
+    scale = 1.0 + float(np.linalg.norm(target))
+    v, v_new, u, tmp, x = (np.zeros(shape), np.empty(shape), np.zeros(shape),
+                           np.empty(shape), np.empty(shape))
+    hat = np.empty(quad_hat.shape, complex)
+    passes = 0
+    for it in range(max_passes):
+        passes += 1
+        np.multiply(v, eta, out=tmp)
+        tmp -= u
+        np.fft.rfft2(tmp, out=hat)
+        hat += quad_hat
+        hat.real *= inv_denom
+        hat.imag *= inv_denom
+        _irfft2(hat, shape, out=x)
+        np.divide(u, eta, out=tmp)
+        tmp += x
+        prox_mod.soft_threshold(tmp, l1_weight / eta, out=v_new)
+        d = np.subtract(x, v_new, out=x)
+        dv = np.subtract(v_new, v, out=v)
+        u += np.multiply(d, eta, out=tmp)
+        gap = max(float(np.max(np.abs(d, out=tmp))),
+                  eta * float(np.max(np.abs(dv, out=tmp))))
+        v, v_new = v_new, v
+        if gap <= zoo._INNER_TOL * scale:
+            break
+        if it % 10 == 9:
+            split_res = float(np.linalg.norm(d))
+            drift_res = eta * float(np.linalg.norm(dv))
+            if split_res > 10.0 * drift_res:
+                eta *= 2.0
+                inv_denom = 1.0 / (rho * spectrum + eta)
+            elif drift_res > 10.0 * split_res:
+                eta *= 0.5
+                inv_denom = 1.0 / (rho * spectrum + eta)
+    return v, passes
+
+
+@pytest.mark.parametrize("name", ["sbd1", "sbd0"])
+@pytest.mark.parametrize("steps", [1, 5, 20])
+def test_signal_update_bytes_match_the_in_place_loop(name, steps):
+    inst = default_instance(name, 0)
+    problem = inst.problem
+    state, _, _ = solve(problem, max_iter=steps, init=inst.init)
+    X = problem.system.blocks["X"]
+    # The shipped budget; a budget whose exit test fires before it ends;
+    # one that crosses two rebalances.
+    for passes in (zoo._SBD_INNER_BUDGET, 3000, 25):
+        got = zoo._sparse_conv_updater(1.0, max_passes=passes)(
+            problem, X, state.assignment, state.multipliers, state.rho)
+        want, ran = _in_place_sparse_update(
+            problem, X, state.assignment, state.multipliers, state.rho, 1.0,
+            passes)
+        assert got.tobytes() == want.tobytes()
+        if passes == 3000:
+            assert ran < passes
+        else:
+            assert ran == passes
 
 
 # ---------------------------------------------------------------------------
