@@ -10,7 +10,8 @@ from .operators import (BroadcastOnes, DenseOp, DiagExtract, LinearOp,
 from .prox import (L1, CouplingTerm, IndicatorBox, IndicatorNonneg,
                    IndicatorUnitColumns, ObjectiveTerm, Quadratic,
                    SmoothCustom, project_box, project_nonneg,
-                   project_unit_columns, quad_block_solve, soft_threshold)
+                   project_unit_columns, prox_block_step, quad_block_solve,
+                   soft_threshold)
 from .solver import (STATUS_CONVERGED, STATUS_DIVERGED, STATUS_MAXITER,
                      IterTrace, Problem, SolverState, Violation,
                      add_prox_constraint, augmented_lagrangian,
@@ -38,7 +39,7 @@ __all__ = [
     "gen_nmf_data", "gen_rp_data", "gen_rpca_data", "gen_sbd_data",
     "jacobian_image_basis", "lambda_min_pos", "load_matrix", "mc1", "nmf3",
     "project_box", "project_nonneg", "project_unit_columns",
-    "quad_block_solve", "rho_lower_bound", "rp2", "rpca2", "run_counterexample",
+    "prox_block_step", "quad_block_solve", "rho_lower_bound", "rp2", "rpca2", "run_counterexample",
     "save_matrix", "sbd0", "sbd1", "soft_threshold", "solve", "stack_residual",
     "stationarity", "step", "triangle_graph", "zoo_names",
 ]

@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +44,16 @@ _PARAM_FLAGS = (("rows", int), ("cols", int), ("rank", int), ("size", int),
                 ("kernel", int), ("theta", float), ("density", float),
                 ("sigma", float), ("mu", float), ("l1", float))
 _ASSERT_LEVELS = ("none", "basic", "strict")
+# The accepted types of each scalar config field, and how to name them; a
+# bool, which Python counts as an int, is refused everywhere.
+_INTEGER = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+_STRING_OR_NULL = ((str, type(None)), "a string or null")
+_FIELD_TYPES = {"max_iter": _INTEGER, "seed": _INTEGER,
+                "tol_primal": _NUMBER, "tol_step": _NUMBER,
+                "rho": ((int, float, type(None)), "a number or null"),
+                "zoo": _STRING_OR_NULL, "data": _STRING_OR_NULL,
+                "trace": _STRING_OR_NULL, "out": _STRING_OR_NULL}
 
 
 @dataclass
@@ -80,14 +89,23 @@ class RunConfig:
             if key not in known:
                 raise ValueError(f"unknown config field {key!r}")
         cfg = cls(**raw)
+        for name, (types, what) in _FIELD_TYPES.items():
+            value = getattr(cfg, name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(
+                    f"config field {name!r} must be {what}, got {value!r}")
         if cfg.params is None:
             cfg.params = {}
         if not isinstance(cfg.params, dict):
             raise ValueError("config field 'params' must be an object")
-        allowed = {name for name, _ in _PARAM_FLAGS}
-        for key in cfg.params:
-            if key not in allowed:
+        kinds = dict(_PARAM_FLAGS)
+        for key, value in cfg.params.items():
+            if key not in kinds:
                 raise ValueError(f"unknown config field 'params.{key}'")
+            types, what = _INTEGER if kinds[key] is int else _NUMBER
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"config field 'params.{key}' must be {what}, "
+                                 f"got {value!r}")
         if cfg.assert_level not in _ASSERT_LEVELS:
             raise ValueError(
                 f"config field 'assert_level' must be one of {_ASSERT_LEVELS}")
@@ -332,12 +350,7 @@ def cmd_bench(args) -> int:
                      zoo.sbd0(Y, (ks, ks), l1_weight=l1),
                      BENCH_RHO0, args.iters, Y,
                      os.path.join(out_dir, f"bench_sbd0_{noise}.csv")))
-    workers = max(1, int(os.environ.get("MADMM_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_bench_one, jobs))
-    else:
-        results = [_bench_one(j) for j in jobs]
+    results = [_bench_one(j) for j in jobs]
     summary = {"config": {"size": n, "kernel": ks, "iters": args.iters,
                           "seed": args.seed, "theta": args.theta,
                           "sigma": sigma, "l1": l1,

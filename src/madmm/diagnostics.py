@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import Quadratic, _QuadPieces, conjugate_gradients
+from .prox import Quadratic, _SolvePlan, conjugate_gradients
 from .solver import (Problem, SolverState, Violation, _al, _gram_eigenvalues,
                      _min_pos_from_eigs, _stationarity)
 from .system import evaluate, freeze, jacobian_image_basis, stack_residual
@@ -97,11 +97,11 @@ def _least_squares_residual(form, target: np.ndarray, maxit: int = 500) -> float
     comes back within that bound's square root over A's smallest nonzero
     singular value.
     """
-    pieces = _QuadPieces(form, None, 1.0)
-    if pieces.plan.densify_ok:
+    plan = _SolvePlan(form)
+    if plan.densify_ok:
         parts = form.split_dual(target)
         entered = np.concatenate([np.ravel(parts[e]) for e in form.by_eq])
-        x, *_ = np.linalg.lstsq(pieces.dense_map(), entered, rcond=None)
+        x, *_ = np.linalg.lstsq(plan.dense_map(form), entered, rcond=None)
     else:
         rhs = form.adjoint_vec(target)
         tol_abs = float(np.sqrt(1e-20 * (1.0 + float(rhs @ rhs))))

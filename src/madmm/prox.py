@@ -5,29 +5,30 @@ gradient; the nonsmooth ones (elementwise L1 and the three indicators) expose
 an exact proximal map instead, and ``stat_residual(x, g)``: the distance of a
 gradient ``g`` at ``x`` to the term's negative subdifferential there.
 
-Both block solvers run one solve plan, ``_SolvePlan``, read once from a
+Every block subproblem is one solve plan, ``_SolvePlan``, read once from a
 frozen form of the focus: the focus slices, the quadratic extras, how to
-form the constant right-hand side, the nonsmooth and coupling terms, the
-outcome of the one curvature rule (N's diagonal, or its scalar kappa when
-N = kappa * I) and the solve paths to try.  A ``Problem`` builds one plan
-per update unit when it is built; ``quad_block_solve`` and
-``prox_block_step`` build a one-off plan and run the same code, on one
-call's values held by ``_QuadPieces``.  Only a Hadamard piece's gram varies
-with values; the plan reads it at each call, and a curvature that is not
-positive there raises SubproblemError.  The paths are an elementwise
-diagonal solve, a two-sided eigendecomposition solve for one matrix chain
-(the rest of N scalar), a dense least-squares solve, conjugate gradients on
-the normal equations, and for one nonsmooth term its prox at rhs / kappa
-with step 1 / kappa.  Each asks the frozen pieces for a view (identity
-scale, gram diagonal or scalar, matrix factors, dense block), never for
-their type.  The dense path assembles N from the pieces' dense blocks, the
-plan keeping those of pieces that read no other block's value, and takes
-forms without convolution pieces, of at most ``_DENSE_LIMIT`` (1,024)
-columns, whose stacked map over the equations the focus enters has at most
-``_DENSE_LIMIT ** 2`` entries; larger forms go to conjugate gradients.  The
-diagnostics' least-squares distance reads the same dense map within those
-bounds.  ``conjugate_gradients`` is the one CG loop: the solver and, above
-the bounds, that distance both run it.
+form the constant right-hand side, the nonsmooth and coupling terms, and
+the outcome of the one curvature rule (N's diagonal, or its scalar kappa
+when N = kappa * I).  From these the plan fixes its one solve path when it
+is built.  A ``Problem`` builds one plan per update unit when it is built;
+``quad_block_solve`` and ``prox_block_step`` build a one-off plan and run
+it on the same form.  Only a Hadamard piece's gram varies with values, and
+then only in value, never in whether its view exists: the plan reads it
+at each call, and a curvature that is not positive there raises
+SubproblemError.  The paths are an elementwise diagonal solve, a two-sided
+eigendecomposition solve for one matrix chain (the rest of N scalar), a
+dense least-squares solve, conjugate gradients on the normal equations,
+and for one nonsmooth term its prox at rhs / kappa with step 1 / kappa.
+Each asks the frozen pieces for a view (identity scale, gram diagonal or
+scalar, matrix factors, dense block), never for their type.  The dense
+path assembles N from the pieces' dense blocks, the plan keeping those of
+pieces that read no other block's value, and takes forms without
+convolution pieces, of at most ``_DENSE_LIMIT`` (1,024) columns, whose
+stacked map over the equations the focus enters has at most
+``_DENSE_LIMIT ** 2`` entries; larger forms go to conjugate gradients.
+The diagnostics' least-squares distance reads the same dense map within
+those bounds.  ``conjugate_gradients`` is the one CG loop: the solver
+and, above the bounds, that distance both run it.
 """
 
 from __future__ import annotations
@@ -306,9 +307,10 @@ def _curvature_rule(form, pos, quads, view, leave_out=None):
     a lone piece adds rho times its gram, and a quadratic its weight times
     its map's gram.  Any other equation, or one that two blocks enter,
     cross-couples entries.  ``leave_out`` names a piece, alone in its
-    equation, whose term is left out.  A gram that varies with values keeps
-    its piece's index in ``form.pieces`` in place of the gram, for
-    :func:`_read_curvature` to read at each call.
+    equation, whose term is left out.  A gram that varies with values is
+    read here only to learn whether the view exists, which does not depend
+    on values; its part keeps the piece's index in ``form.pieces`` in place
+    of the gram, for :func:`_read_curvature` to read at each call.
     """
     out = []
     for plist in form.by_eq.values():
@@ -320,13 +322,11 @@ def _curvature_rule(form, pos, quads, view, leave_out=None):
             alpha = sum(q.identity for q in plist)
             out.append((pos[p.block.name], True, alpha ** 2, None))
         elif p is not leave_out:
-            if p.gram_varies:
-                out.append((pos[p.block.name], True, None, form.pieces.index(p)))
-                continue
             gram = getattr(p, view)()
             if gram is None:
                 return None
-            out.append((pos[p.block.name], True, gram, None))
+            out.append((pos[p.block.name], True, None, form.pieces.index(p))
+                       if p.gram_varies else (pos[p.block.name], True, gram, None))
     for i, q in quads:
         gram = 1.0 if q.linear_map is None else getattr(q.linear_map, view)()
         if gram is None:
@@ -337,33 +337,30 @@ def _curvature_rule(form, pos, quads, view, leave_out=None):
 
 def _read_curvature(parts, form, rho, view):
     """(focus position, curvature) per part of :func:`_curvature_rule` at
-    one call, or None when a varying gram has no ``view`` there."""
+    one call."""
     out = []
     for i, scaled, gram, piece in parts:
         if piece is not None:
             gram = getattr(form.pieces[piece], view)()
-            if gram is None:
-                return None
         out.append((i, rho * gram if scaled else gram))
     return out
 
 
-def _varies(parts) -> bool:
-    return any(piece is not None for *_, piece in parts)
-
-
 class _SolvePlan:
-    """What one block's (or block group's) subproblem needs that does not
-    depend on values, read from a frozen form of its focus; :meth:`solve`
-    then reads only offsets, multipliers and Hadamard partners.
+    """One block's (or block group's) smooth subproblem, min over y of
+    y^T N y / 2 - rhs^T y, or its prox step, read once from a frozen form
+    of its focus.  N is rho * A^T A plus the Hessians of the quadratic
+    extras, A the stacked map of the equations the focus enters.
 
-    ``extras`` are (block name, item) pairs, items being Quadratic terms,
-    affine SmoothCustom terms, raw gradient arrays of affine addends, or
-    CouplingTerms, whose gradients are taken at each call from the
-    name-keyed ``values`` given to :meth:`solve`.  ``term`` is the
-    nonsmooth term of a prox step, and ``method`` forces one path of
-    :func:`quad_block_solve`.  ``paths`` lists the solve paths to try in
-    order.
+    The plan keeps what does not depend on values; its methods take a form
+    frozen over the same focus of the same system, and rho, and read only
+    offsets, multipliers and Hadamard partners.  ``extras`` are (block
+    name, item) pairs, items being Quadratic terms, affine SmoothCustom
+    terms, raw gradient arrays of affine addends, or CouplingTerms, whose
+    gradients are taken at each call from the name-keyed ``values`` given
+    to :meth:`solve`.  ``term`` is the nonsmooth term of a prox step, and
+    ``method`` forces one path of :func:`quad_block_solve`.  ``path`` is
+    the one solve path, fixed here.
     """
 
     def __init__(self, form, extras=(), term=None, method=None):
@@ -417,7 +414,15 @@ class _SolvePlan:
                            and not any(p.fourier for p in form.pieces))
         self._dense = self.diag = self.chain = self.scalar = None
         if term is not None:
-            self._plan_prox(form, pos)
+            # A prox step needs N = kappa * I with kappa > 0, checked at the
+            # form's values (rho 1; the sign does not depend on rho).
+            self.path = "prox"
+            self.scalar = _curvature_rule(form, pos, self.quads, "gram_scalar")
+            if self.scalar is None or not self._kappa(form, 1.0) > 0.0:
+                raise BuildError(
+                    f"nonsmooth block {form.focus[0].name!r} has no exact "
+                    "proximal step: its subproblem needs a positive scalar "
+                    "gram; register a custom updater")
             return
         self.diag = _curvature_rule(form, pos, self.quads, "gram_diag")
         chains = [p for p in form.pieces if p.factors is not None]
@@ -426,67 +431,89 @@ class _SolvePlan:
             self.chain = form.pieces.index(chains[0])
             self.scalar = _curvature_rule(form, pos, self.quads, "gram_scalar",
                                           leave_out=chains[0])
-        self.paths = self._plan_paths(form, method)
-        if "dense" in self.paths:
-            self._dense_template(form)
+        # The first path that applies, in this order, unless ``method``
+        # forces one.
+        ok = {"diag": self.diag is not None and self._diagonal_positive(form),
+              "sylvester": self.scalar is not None,
+              "dense": self.densify_ok, "cg": True}
+        self.path = method or next(path for path, good in ok.items() if good)
+        if not ok[self.path]:
+            raise BuildError(_DECLINED[self.path])
+        if self.path == "dense":
+            self.dense_map(form)
 
-    def _plan_prox(self, form, pos):
-        """A prox step needs N = kappa * I with kappa > 0, checked here at
-        the form's values (rho 1; the sign does not depend on rho)."""
-        self.paths = ("prox",)
-        self.scalar = _curvature_rule(form, pos, self.quads, "gram_scalar")
-        parts = None if self.scalar is None else _read_curvature(
-            self.scalar, form, 1.0, "gram_scalar")
-        if parts is None or not sum(c for _, c in parts) > 0.0:
-            raise BuildError(
-                f"nonsmooth block {form.focus[0].name!r} has no exact proximal "
-                "step: its subproblem needs a positive scalar gram; register "
-                "a custom updater")
-
-    def _plan_paths(self, form, method):
-        """The paths to try in order.  A structural diagonal or Sylvester
-        outcome ends the list; one that reads a varying gram may decline at
-        a call, and the next path runs."""
-        diag_ok = self.diag is not None and (
-            _varies(self.diag) or self._diagonal_positive(form))
-        syl_ok = self.scalar is not None
-        if method is not None:
-            if not {"diag": diag_ok, "sylvester": syl_ok,
-                    "dense": self.densify_ok}.get(method, True):
-                raise BuildError(_DECLINED[method])
-            return (method,)
-        paths = []
-        for path, ok, parts in (("diag", diag_ok, self.diag),
-                                ("sylvester", syl_ok, self.scalar)):
-            if ok:
-                paths.append(path)
-                if not _varies(parts):
-                    return tuple(paths)
-        return (*paths, "dense" if self.densify_ok else "cg")
+    def _kappa(self, form, rho):
+        """The scalar curvature of :attr:`scalar`'s parts at one call."""
+        return sum(c for _, c in _read_curvature(self.scalar, form, rho,
+                                                 "gram_scalar"))
 
     def _diagonal_positive(self, form):
-        """Whether a diagonal without varying parts is positive everywhere
-        (at rho 1; the sign does not depend on rho), summed per focus block
-        so that scalar parts stay scalars."""
+        """Whether N's diagonal is positive everywhere at the form's values
+        (rho 1; the sign does not depend on rho), summed per focus block so
+        that scalar parts stay scalars."""
         acc = [0.0] * len(self.slices)
         for i, c in _read_curvature(self.diag, form, 1.0, "gram_diag"):
             acc[i] = acc[i] + c
         return all(np.min(a) > 0 for a in acc)
 
-    def _diagonal(self, form, rho):
-        """N's diagonal at one call, or None when it is not diagonal."""
-        parts = None if self.diag is None else _read_curvature(
-            self.diag, form, rho, "gram_diag")
-        if parts is None:
+    def normal_diag(self, form, rho):
+        """N's diagonal, or None when N is not diagonal."""
+        if self.diag is None:
             return None
         diag = np.zeros(self.dim)
-        for i, c in parts:
+        for i, c in _read_curvature(self.diag, form, rho, "gram_diag"):
             diag[self.slices[i]] += c
         return diag
 
-    def _dense_template(self, form):
-        """The dense map's fixed pieces, summed in piece order, and the
-        (rows, columns, piece index) of the pieces that read values."""
+    def rhs(self, form, w, rho, values=None):
+        """A^T (rho * offset - w) plus the constant items, with ``w`` keyed
+        by eq_id; only the equations the focus enters reach it, so only
+        their offsets are evaluated.
+
+        The call owns, and may overwrite, the returned array and each
+        equation's target (rho times the offset, minus the multiplier).
+        The form's cached offsets, built and negated in place by
+        ``offset_for``, the multipliers, the block values and the kept
+        center terms are only read.
+        """
+        rhs = np.zeros(self.dim)
+        pieces = form.pieces
+        for e, members in self.eqs:
+            off = form.offset_for(e)
+            w_e = np.asarray(w[e], dtype=float).reshape(off.shape)
+            target = np.multiply(off, rho)
+            target -= w_e
+            for k, sl in members:
+                if len(members) == 1 and pieces[k].identity is not None:
+                    back = np.multiply(target, pieces[k].identity, out=target)
+                else:
+                    back = pieces[k].adjoint(target)
+                rhs[sl] += np.ravel(back)
+        for sl, sign, make in self.consts:
+            if sign > 0:
+                rhs[sl] += make(values)
+            else:
+                rhs[sl] -= make(values)
+        return rhs
+
+    def normal_apply(self, form, rho, y_vec):
+        """N @ y_vec, through the pieces' apply and adjoint."""
+        out = rho * form.adjoint_vec(form.apply_vec(y_vec))
+        for i, q in self.quads:
+            sl = self.slices[i]
+            if q.linear_map is None:
+                out[sl] += q.weight * y_vec[sl]
+            else:
+                x = y_vec[sl].reshape(self.focus[i].shape)
+                out[sl] += q.weight * np.ravel(q.linear_map.adjoint(q.linear_map.apply(x)))
+        return out
+
+    def dense_map(self, form):
+        """A as a matrix: each piece's ``dense()`` block at its equation's
+        rows and its block's columns, the rows of the equations the focus
+        enters stacked in ``form.by_eq`` order.  The blocks of the pieces
+        that read no other block's value are summed once, in piece order,
+        and kept."""
         if self._dense is None:
             a, varying, top = np.zeros((self.rows, self.dim)), [], 0
             for e, members in self.eqs:
@@ -500,132 +527,19 @@ class _SolvePlan:
                         varying.append((rows, sl, k))
                 top = rows.stop
             self._dense = (a, varying)
-        return self._dense
-
-    def solve(self, form, w, rho, values=None, y0=None, cg_tol=None,
-              cg_maxit=None):
-        """The stacked minimizer over the focus of ``form``, which must be
-        frozen over the same focus of the same system as the plan's form.
-
-        ``w`` is keyed by eq_id; ``values`` maps block names to values for
-        the coupling gradients; ``y0`` starts conjugate gradients.  The
-        call owns its ``_QuadPieces``' ``rhs``: the diagonal and prox paths
-        divide it in place, so the returned array may be ``rhs`` itself,
-        and the block values sliced from it views of it."""
-        pieces = _QuadPieces(form, w, rho, self, values)
-        name = self.focus[0].name
-        for path in self.paths:
-            if path == "prox":
-                parts = _read_curvature(self.scalar, form, pieces.rho, "gram_scalar")
-                kappa = None if parts is None else sum(c for _, c in parts)
-                if kappa is None or not kappa > 0.0:
-                    raise SubproblemError(
-                        f"the subproblem of nonsmooth block {name!r} has no "
-                        "positive scalar curvature at this point", block=name)
-                point = np.divide(pieces.rhs, kappa, out=pieces.rhs)
-                point = point.reshape(self.focus[0].shape)
-                return np.ravel(np.asarray(self.term.prox(point, 1.0 / kappa),
-                                           dtype=float))
-            if path == "diag":
-                diag = self._diagonal(form, pieces.rho)
-                if diag is None:
-                    continue
-                if not np.min(diag) > 0:
-                    raise SubproblemError(
-                        f"the subproblem of block {name!r} has a diagonal "
-                        "curvature that is not positive at this point", block=name)
-                return np.divide(pieces.rhs, diag, out=pieces.rhs)
-            if path == "sylvester":
-                parts = _read_curvature(self.scalar, form, pieces.rho, "gram_scalar")
-                if parts is None:
-                    continue
-                return _solve_sylvester(pieces, form.pieces[self.chain],
-                                        sum(c for _, c in parts))
-            cg_tol = 1e-10 if cg_tol is None else float(cg_tol)
-            tol_abs = cg_tol * (1.0 + float(np.linalg.norm(pieces.rhs)))
-            if path == "dense":
-                return _solve_dense(pieces, tol_abs)
-            if y0 is not None and not isinstance(y0, np.ndarray):
-                y0 = form.stack_values(y0)
-            return _solve_cg(pieces, tol_abs,
-                             10 * self.dim if cg_maxit is None else int(cg_maxit), y0)
-        raise BuildError(_DECLINED[self.paths[-1]])
-
-
-class _QuadPieces:
-    """One call's smooth subproblem: min over y of y^T N y / 2 - rhs^T y.
-
-    N is rho * A^T A plus the Hessians of the quadratic extras, A the stacked
-    map of the equations the focus enters.  ``plan`` holds the structure
-    (a one-off plan of ``form`` when None) and this object the values of one
-    call.  With ``w_by_eq`` None only N is read: no offset is evaluated, and
-    ``rhs`` is None.
-
-    A call owns, and may overwrite, ``rhs`` and each equation's ``target``
-    (rho times the offset, minus the multiplier); ``rhs`` may be returned
-    by the solve, or views of it.  The form's cached offsets, built and
-    negated in place by ``offset_for``, the multipliers, the block values
-    and the plan's kept center terms are only read.
-    """
-
-    def __init__(self, form, w_by_eq, rho, plan=None, values=None):
-        self.form = form
-        self.plan = plan = _SolvePlan(form) if plan is None else plan
-        self.rho = rho = float(rho)
-        self.rhs = None
-        if w_by_eq is None:
-            return
-        # rhs = A^T (rho * offset - w): only the equations the focus enters
-        # reach it, so only their offsets are needed.
-        self.rhs = rhs = np.zeros(plan.dim)
-        pieces = form.pieces
-        for e, members in plan.eqs:
-            off = form.offset_for(e)
-            w_e = np.asarray(w_by_eq[e], dtype=float).reshape(off.shape)
-            target = np.multiply(off, rho)
-            target -= w_e
-            for k, sl in members:
-                if len(members) == 1 and pieces[k].identity is not None:
-                    back = np.multiply(target, pieces[k].identity, out=target)
-                else:
-                    back = pieces[k].adjoint(target)
-                rhs[sl] += np.ravel(back)
-        for sl, sign, make in plan.consts:
-            if sign > 0:
-                rhs[sl] += make(values)
-            else:
-                rhs[sl] -= make(values)
-
-    def normal_apply(self, y_vec):
-        plan = self.plan
-        out = self.rho * self.form.adjoint_vec(self.form.apply_vec(y_vec))
-        for i, q in plan.quads:
-            sl = plan.slices[i]
-            if q.linear_map is None:
-                out[sl] += q.weight * y_vec[sl]
-            else:
-                x = y_vec[sl].reshape(plan.focus[i].shape)
-                out[sl] += q.weight * np.ravel(q.linear_map.adjoint(q.linear_map.apply(x)))
-        return out
-
-    def dense_map(self):
-        """A as a matrix: each piece's ``dense()`` block at its equation's
-        rows and its block's columns, the rows of the equations the focus
-        enters stacked in ``form.by_eq`` order.  The fixed pieces' blocks
-        come from the plan."""
-        fixed, varying = self.plan._dense_template(self.form)
+        fixed, varying = self._dense
         a = fixed.copy()
         for rows, sl, k in varying:
-            a[rows, sl] += self.form.pieces[k].dense()
+            a[rows, sl] += form.pieces[k].dense()
         return a
 
-    def dense_normal(self):
+    def dense_normal(self, form, rho):
         """The normal matrix N: rho * A^T A from :meth:`dense_map`, plus
         each quadratic's weight times the gram of its map."""
-        a = self.dense_map()
-        normal = self.rho * (a.T @ a)
-        for i, q in self.plan.quads:
-            sl = self.plan.slices[i]
+        a = self.dense_map(form)
+        normal = rho * (a.T @ a)
+        for i, q in self.quads:
+            sl = self.slices[i]
             if q.linear_map is None:
                 idx = np.arange(sl.start, sl.stop)
                 normal[idx, idx] += q.weight
@@ -634,50 +548,85 @@ class _QuadPieces:
                 normal[sl, sl] += q.weight * (m.T @ m)
         return normal
 
-    def normal_diag(self):
-        """Diagonal of N, or None when it is not diagonal."""
-        return self.plan._diagonal(self.form, self.rho)
+    def solve(self, form, w, rho, values=None, y0=None, cg_tol=None,
+              cg_maxit=None):
+        """The stacked minimizer over the focus of ``form`` by :attr:`path`.
 
+        ``w`` is keyed by eq_id; ``values`` maps block names to values for
+        the coupling gradients; ``y0`` starts conjugate gradients.  The
+        diagonal and prox paths divide the call's :meth:`rhs` in place, so
+        the returned array may be that array, and the block values sliced
+        from it views of it."""
+        rho = float(rho)
+        rhs = self.rhs(form, w, rho, values)
+        name = self.focus[0].name
+        if self.path == "prox":
+            kappa = self._kappa(form, rho)
+            if not kappa > 0.0:
+                raise SubproblemError(
+                    f"the subproblem of nonsmooth block {name!r} has no "
+                    "positive scalar curvature at this point", block=name)
+            point = np.divide(rhs, kappa, out=rhs).reshape(self.focus[0].shape)
+            return np.ravel(np.asarray(self.term.prox(point, 1.0 / kappa),
+                                       dtype=float))
+        if self.path == "diag":
+            diag = self.normal_diag(form, rho)
+            if not np.min(diag) > 0:
+                raise SubproblemError(
+                    f"the subproblem of block {name!r} has a diagonal "
+                    "curvature that is not positive at this point", block=name)
+            return np.divide(rhs, diag, out=rhs)
+        if self.path == "sylvester":
+            return self._solve_sylvester(form, rhs, rho)
+        tol_abs = ((1e-10 if cg_tol is None else float(cg_tol))
+                   * (1.0 + float(np.linalg.norm(rhs))))
+        if self.path == "dense":
+            normal = self.dense_normal(form, rho)
+            y, *_ = np.linalg.lstsq(normal, rhs, rcond=None)
+            residual = float(np.linalg.norm(normal @ y - rhs))
+            reason = (f"dense block solve residual {residual:.3e} exceeds "
+                      "tolerance" if residual > tol_abs else None)
+        else:
+            if y0 is not None and not isinstance(y0, np.ndarray):
+                y0 = form.stack_values(y0)
+            y = np.zeros(self.dim) if y0 is None else np.ravel(y0).astype(float)
+            y, residual, reason = conjugate_gradients(
+                lambda v: self.normal_apply(form, rho, v), rhs, y, tol_abs,
+                10 * self.dim if cg_maxit is None else int(cg_maxit))
+        if reason is not None:
+            raise SubproblemError(reason, block=name, residual=residual)
+        return y
 
-def _solve_sylvester(pieces: _QuadPieces, chain, curvature):
-    block = pieces.plan.focus[0]
-    rhs = pieces.rhs.reshape(block.shape)
-    rho = pieces.rho
-    left, right = chain.factors
-    lam_l = lam_r = None
-    u = v = None
-    if left is not None:
-        lam_l, u = np.linalg.eigh(left.T @ left)
-        rhs = u.T @ rhs
-    if right is not None:
-        lam_r, v = np.linalg.eigh(right @ right.T)
-        rhs = rhs @ v
-    if left is not None and right is not None:
-        denom = rho * np.outer(lam_l, lam_r) + curvature
-    elif left is not None:
-        denom = rho * lam_l[:, None] + curvature
-    else:
-        denom = rho * lam_r[None, :] + curvature
-    if np.min(denom) <= 0:
-        raise SubproblemError("block subproblem has no curvature",
-                              block=block.name)
-    y = rhs / denom
-    if left is not None:
-        y = u @ y
-    if right is not None:
-        y = y @ v.T
-    return np.ravel(y)
-
-
-def _solve_dense(pieces: _QuadPieces, tol_abs):
-    normal = pieces.dense_normal()
-    y, *_ = np.linalg.lstsq(normal, pieces.rhs, rcond=None)
-    residual = float(np.linalg.norm(normal @ y - pieces.rhs))
-    if residual > tol_abs:
-        raise SubproblemError(
-            f"dense block solve residual {residual:.3e} exceeds tolerance",
-            block=pieces.plan.focus[0].name, residual=residual)
-    return y
+    def _solve_sylvester(self, form, rhs, rho):
+        """N = rho * (chain's gram) + kappa * I, solved in the
+        eigenbases of the chain's factors."""
+        block = self.focus[0]
+        rhs = rhs.reshape(block.shape)
+        curvature = self._kappa(form, rho)
+        left, right = form.pieces[self.chain].factors
+        lam_l = lam_r = None
+        u = v = None
+        if left is not None:
+            lam_l, u = np.linalg.eigh(left.T @ left)
+            rhs = u.T @ rhs
+        if right is not None:
+            lam_r, v = np.linalg.eigh(right @ right.T)
+            rhs = rhs @ v
+        if left is not None and right is not None:
+            denom = rho * np.outer(lam_l, lam_r) + curvature
+        elif left is not None:
+            denom = rho * lam_l[:, None] + curvature
+        else:
+            denom = rho * lam_r[None, :] + curvature
+        if np.min(denom) <= 0:
+            raise SubproblemError("block subproblem has no curvature",
+                                  block=block.name)
+        y = rhs / denom
+        if left is not None:
+            y = u @ y
+        if right is not None:
+            y = y @ v.T
+        return np.ravel(y)
 
 
 def conjugate_gradients(apply, rhs, y, tol_abs, maxit):
@@ -711,16 +660,6 @@ def conjugate_gradients(apply, rhs, y, tol_abs, maxit):
             f"conjugate gradients stalled at residual {np.sqrt(rs):.3e}")
 
 
-def _solve_cg(pieces: _QuadPieces, tol_abs, maxit, y0):
-    y = np.zeros(pieces.plan.dim) if y0 is None else np.ravel(y0).astype(float).copy()
-    y, residual, reason = conjugate_gradients(pieces.normal_apply, pieces.rhs,
-                                              y, tol_abs, maxit)
-    if reason is not None:
-        raise SubproblemError(reason, block=pieces.plan.focus[0].name,
-                              residual=residual)
-    return y
-
-
 def prox_block_step(form: FrozenLinearForm, w, rho: float, term, extras=()):
     """Exact minimizer over one block of the smooth subproblem of
     :func:`quad_block_solve` plus a nonsmooth ``term``: when N is kappa * I,
@@ -746,7 +685,8 @@ def quad_block_solve(form: FrozenLinearForm, w, rho: float, extras=(),
     the normal equations to ``cg_tol * (1 + ||rhs||)`` (default cg_tol 1e-10,
     so roughly 1e-10 * ||rhs||); conjugate-gradient failure raises
     SubproblemError carrying the final residual.  Runs a one-off solve plan
-    (see :class:`_SolvePlan`), whose ``paths`` ``method`` may force.
+    (see :class:`_SolvePlan`), whose ``path`` ``method`` may force; a
+    forced path that does not apply raises BuildError.
     """
     if method not in (None, "diag", "sylvester", "dense", "cg"):
         raise BuildError(f"unknown solve method {method!r}")

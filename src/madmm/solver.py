@@ -18,10 +18,10 @@ with another block of its component.  ``Problem`` refuses any other
 component when it is built.
 
 Each x block and each z component is one update unit.  ``Problem`` builds
-the solve plan of every unit (``prox._SolvePlan``) when it is built, and
-drops them once an equation is added to its system.  A step
-freezes each unit's form, which checks the values it reads, and runs its
-plan on values alone.
+the solve plan of every unit (``prox._SolvePlan``) when it is built, which
+fixes the unit's one solve path, ``plan.path``, and drops them once an
+equation is added to its system.  A step freezes each unit's form, which
+checks the values it reads, and runs its plan on values alone.
 
 The penalty weight rho can be given explicitly, certified from curvature
 constants declared in the problem metadata via rho_lower_bound, or found by
@@ -39,8 +39,7 @@ import numpy as np
 
 from .errors import BuildError, ShapeMismatchError, SubproblemError
 from .operators import DenseOp, LinearOp
-from .prox import (CouplingTerm, ObjectiveTerm, SmoothCustom, _QuadPieces,
-                   _SolvePlan)
+from .prox import CouplingTerm, ObjectiveTerm, SmoothCustom, _SolvePlan
 from .system import (BlockId, LinearTerm, MultiaffineSystem, ROLE_X, ROLE_Z1,
                      ROLE_Z2, block_adjoints, evaluate, freeze,
                      FrozenLinearForm, spectrum_memo, stack_residual)
@@ -119,12 +118,13 @@ class Problem:
     certified penalty bound.
 
     A block carries at most one nonsmooth term.  Building raises BuildError
-    when ``prox.prox_block_step`` refuses such a block with no custom
-    updater at a point with Gaussian Hadamard partners; where that
-    curvature is not positive at run time, the step raises SubproblemError.
-    The solve plans are built here too (see the module docstring); adding
-    an equation to the system retires them, and a later ``step`` raises
-    BuildError.
+    when such a block, with no custom updater, has no exact proximal step
+    (its solve plan needs a positive scalar curvature) at a point with
+    Gaussian Hadamard partners; where that curvature is not positive at run
+    time, the step raises SubproblemError.  The solve plans are built here
+    too, one per update unit, each with the one solve path its unit takes
+    at every step (see the module docstring); adding an equation to the
+    system retires them, and a later ``step`` raises BuildError.
 
     z blocks tied by a shared equation form one component, which each step
     solves jointly and exactly.  Building raises BuildError when a
@@ -381,7 +381,7 @@ def _update_blocks(problem: Problem, focus: tuple, plan, assignment: dict,
     else:
         form = freeze(problem.system, focus, assignment)
         values = _named_values(problem, assignment) if plan.coupled else None
-        y0 = {b.name: assignment[b] for b in focus} if "cg" in plan.paths else None
+        y0 = {b.name: assignment[b] for b in focus} if plan.path == "cg" else None
         y = plan.solve(form, multipliers, rho, values=values, y0=y0)
         new = [(b, y[sl].reshape(b.shape)) for b, sl in zip(focus, plan.slices)]
     for b, value in new:
@@ -662,8 +662,8 @@ def _gram_eigenvalues(q):
     if q is None:
         return None
     if isinstance(q, FrozenLinearForm):
-        pieces = _QuadPieces(q, None, 1.0)
-        diag = pieces.normal_diag()
+        plan = _SolvePlan(q)
+        diag = plan.normal_diag(q, 1.0)
         if diag is not None:
             return np.sort(np.asarray(diag, dtype=float))
         n = q.in_dim
@@ -671,7 +671,7 @@ def _gram_eigenvalues(q):
             raise BuildError(
                 f"constraint map with {n} columns is too large for a dense "
                 "spectrum")
-        gram = pieces.dense_normal()
+        gram = plan.dense_normal(q, 1.0)
         return np.linalg.eigvalsh((gram + gram.T) / 2.0)
     if isinstance(q, LinearOp):
         gd = q.gram_diag()
@@ -815,8 +815,5 @@ def add_prox_constraint(problem: Problem, block, S, rho: float) -> Problem:
     updaters[shadow.name] = _anchored
     metadata = {k: v for k, v in problem.metadata.items()
                 if k not in ("m1", "M1", "M2", "M_F", "r_blocks")}
-    ties = dict(metadata.get("prox_rho", {}))
-    ties[blk.name] = float(rho)
-    metadata["prox_rho"] = ties
     return Problem(rebuilt, dict(problem.objective), problem.coupling,
                    list(problem.update_order), updaters, metadata)

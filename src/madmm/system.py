@@ -567,7 +567,9 @@ class _Piece:
     * ``fixed`` -- the piece reads no other block's value, so ``dense()`` is
       the same at every point;
     * ``gram_varies`` -- the gram views read another block's value; every
-      other piece's gram views are the same at every point.
+      other piece's gram views are the same at every point.  A varying gram
+      changes only its value, never whether the view exists, so a solve
+      plan fixes its path from the views at one point.
     """
 
     identity = None
@@ -586,7 +588,9 @@ class _Piece:
 
     def gram_scalar(self):
         gd = self.gram_diag()
-        if gd is None or gd.size == 0 or not np.all(gd == gd[0]):
+        # A varying diagonal of two or more entries is uniform only by chance.
+        if (gd is None or gd.size == 0 or (self.gram_varies and gd.size > 1)
+                or not np.all(gd == gd[0])):
             return None
         return float(gd[0])
 

@@ -20,9 +20,7 @@ sbd1    sparse blind deconvolution with a noise shadow (sbd0: without it)
 The curvature constants that certify a penalty weight are stored in each
 problem's metadata when they hold structurally; builders whose constants
 would depend on the iterates omit them, which routes automatic penalty
-selection to the probing path.  ``metadata["assumptions_violated"]`` marks
-the deliberately broken variants (rpca2 raw, sbd0) that the structure
-checker must reject.
+selection to the probing path.
 """
 
 from __future__ import annotations
@@ -314,9 +312,9 @@ def rpca2(B, k: int, lam: float = 0.5, variant: str = "slack",
 
         min  1/2 (||U||^2 + ||Vt||^2) + lam ||S||_1   s.t.  U Vt + S = B.
 
-    The raw variant intentionally breaks the smooth-final-block requirement
-    (metadata["assumptions_violated"] is set); the structure checker reports
-    it and it exists for exactly that demonstration.  Neither variant
+    The raw variant intentionally breaks the smooth-final-block requirement;
+    the structure checker reports it and it exists for exactly that
+    demonstration.  Neither variant
     declares certified curvature constants: the factor blocks' coefficient
     maps depend on the iterates, so automatic penalty selection probes.
     """
@@ -337,17 +335,14 @@ def rpca2(B, k: int, lam: float = 0.5, variant: str = "slack",
                              Constant(B, sign=-1)])
         objective = {U: [Quadratic(1.0)], Vt: [Quadratic(1.0)],
                      S: [L1(lam)], Z: [Quadratic(mu)]}
-        # No certified bound: the factor maps depend on the iterates.
-        metadata = {"assumptions_violated": False}
     else:
+        # The final block is nonsmooth on purpose.
         S = BlockId("S", "z1", (m, n))
         system.add_equation([MatChain([U, Vt]),
                              LinearTerm(_ident((m, n)), S),
                              Constant(B, sign=-1)])
         objective = {U: [Quadratic(1.0)], Vt: [Quadratic(1.0)], S: [L1(lam)]}
-        # The final block is nonsmooth on purpose.
-        metadata = {"assumptions_violated": True}
-    problem = Problem(system, objective, metadata=metadata)
+    problem = Problem(system, objective)
     return ZooInstance(f"rpca2_{variant}" if variant != "slack" else "rpca2",
                        problem, data={"B": B})
 
@@ -532,12 +527,11 @@ def _sbd_instance(Y, kernel_shape, mu, l1_weight, with_shadow: bool) -> ZooInsta
         Z = BlockId("Z", "z1", (n1, n2))
         terms.insert(2, LinearTerm(_ident((n1, n2)), Z, sign=-1))
         objective[Z] = [Quadratic(mu)]
-        metadata = {"m1": mu, "M1": mu, "M2": 0.0, "M_F": 0.0,
-                    "assumptions_violated": False}
+        metadata = {"m1": mu, "M1": mu, "M2": 0.0, "M_F": 0.0}
         name = "sbd1"
     else:
         # No block spans the constraint image: multipliers can escape.
-        metadata = {"assumptions_violated": True}
+        metadata = {}
         name = "sbd0"
     system = MultiaffineSystem()
     system.add_equation(terms)

@@ -1,7 +1,6 @@
 """Command-line surface tests: config round-trip and precedence, exit
 codes, trace and archive files, the escape demo's output, and the bench
-harness (structure, gates that hold at small scale, determinism,
-threaded runs)."""
+harness (structure, gates that hold at small scale, determinism)."""
 
 import json
 import os
@@ -115,6 +114,22 @@ def test_exhausted_budget_exits_two(capsys):
                         "--cols", "8", "--rank", "2", "--max-iter", "3")
     assert code == EXIT_MAXITER
     assert "status=MaxIter" in out
+
+
+@pytest.mark.parametrize("fields", [{"max_iter": "5"}, {"max_iter": 2.5},
+                                    {"max_iter": True}, {"seed": 1.0},
+                                    {"tol_primal": None}, {"tol_step": "1e-3"},
+                                    {"rho": "2"}, {"zoo": 3}, {"trace": []},
+                                    {"out": 1}, {"params": {"rows": None}},
+                                    {"params": {"rows": 2.5}},
+                                    {"params": {"mu": "1"}}])
+def test_config_field_of_wrong_type_is_a_config_error(tmp_path, capsys, fields):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"zoo": "nmf3", **fields}))
+    code, _, err = _run(capsys, "solve", "--config", str(path))
+    assert code == EXIT_ERROR
+    assert err.startswith("error: config field")
+    assert next(iter(fields)) in err
 
 
 def test_malformed_config_file_names_field(tmp_path, capsys):
@@ -357,16 +372,3 @@ def test_bench_fixed_seed_reproduces_bytes(tmp_path, capsys):
         assert code == EXIT_OK
     for fname in _BENCH_FILES:
         assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
-
-
-def test_bench_threaded_matches_serial(tmp_path, capsys, monkeypatch):
-    serial = tmp_path / "serial"
-    threaded = tmp_path / "threaded"
-    code, _, _ = _run(capsys, "bench", "--out-dir", str(serial), *_BENCH_ARGS)
-    assert code == EXIT_OK
-    monkeypatch.setenv("MADMM_THREADS", "3")
-    code, _, _ = _run(capsys, "bench", "--out-dir", str(threaded),
-                      *_BENCH_ARGS)
-    assert code == EXIT_OK
-    for fname in _BENCH_FILES:
-        assert (serial / fname).read_bytes() == (threaded / fname).read_bytes()

@@ -589,18 +589,19 @@ def test_rp2_step_assembles_dense_blocks_without_probing(monkeypatch):
     inst = zoo.default_instance("rp2", 0)
     state, _, _ = solver.solve(inst.problem, max_iter=1)
     probes, dense = [], []
-    real_apply, real_dense = prox._QuadPieces.normal_apply, prox._solve_dense
+    real_apply = prox._SolvePlan.normal_apply
+    real_dense = prox._SolvePlan.dense_normal
 
-    def counting_apply(self, y_vec):
+    def counting_apply(self, form, rho, y_vec):
         probes.append(y_vec)
-        return real_apply(self, y_vec)
+        return real_apply(self, form, rho, y_vec)
 
-    def counting_dense(pieces, tol_abs):
-        dense.append(pieces.form.focus)
-        return real_dense(pieces, tol_abs)
+    def counting_dense(self, form, rho):
+        dense.append(form.focus)
+        return real_dense(self, form, rho)
 
-    monkeypatch.setattr(prox._QuadPieces, "normal_apply", counting_apply)
-    monkeypatch.setattr(prox, "_solve_dense", counting_dense)
+    monkeypatch.setattr(prox._SolvePlan, "normal_apply", counting_apply)
+    monkeypatch.setattr(prox._SolvePlan, "dense_normal", counting_dense)
     solver.step(inst.problem, state)
     assert [b.name for (b,) in dense] == ["x", "y"]
     assert probes == []

@@ -647,7 +647,6 @@ def test_prox_constraint_rejections():
     problem.metadata.update({"m1": 1.0, "M1": 1.0})
     tied = add_prox_constraint(problem, x, np.eye(1), rho=1.0)
     assert "m1" not in tied.metadata
-    assert tied.metadata["prox_rho"] == {"x": 1.0}
 
 
 # ---------------------------------------------------------------------------

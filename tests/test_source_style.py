@@ -1,6 +1,8 @@
-"""Source hygiene of the library: no unused module-level import and no line
-over 99 columns in ``src/madmm``.  ``__init__.py`` imports only to re-export,
-so its imports are exempt from the unused check."""
+"""Source hygiene of the library: no unused module-level import, no
+module-level function, class or constant that nothing in ``src/madmm``
+names, and no line over 99 columns in ``src/madmm``.  ``__init__.py``
+imports only to re-export, so it is exempt from both unused checks; its
+imports are what names the public API."""
 
 import ast
 from pathlib import Path
@@ -24,6 +26,35 @@ def _unused_imports(tree):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _named(tree):
+    """Every name a module reads, as a bare name, an attribute or an import."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def _definitions(tree):
+    """(line, name) of each module-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield node.lineno, n.id
+
+
+NAMED = set().union(*(_named(ast.parse(p.read_text())) for p in SRC))
+
+
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
 def test_source_style(path):
     text = path.read_text()
@@ -31,6 +62,9 @@ def test_source_style(path):
                 for i, line in enumerate(text.splitlines(), 1)
                 if len(line) > MAX_COLUMNS]
     if path.name != "__init__.py":
+        tree = ast.parse(text)
         problems += [f"{path.name}:{line}: unused import {name!r}"
-                     for line, name in _unused_imports(ast.parse(text))]
+                     for line, name in _unused_imports(tree)]
+        problems += [f"{path.name}:{line}: nothing in src/madmm names {name!r}"
+                     for line, name in _definitions(tree) if name not in NAMED]
     assert not problems, "\n".join(problems)

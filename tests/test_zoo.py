@@ -280,10 +280,8 @@ def test_sbd_layout():
     Y = np.zeros((6, 6))
     with_shadow = sbd1(Y, (2, 2))
     assert {b.name for b in with_shadow.problem.z_order} == {"Z"}
-    assert with_shadow.problem.metadata["assumptions_violated"] is False
     bare = sbd0(Y, (2, 2))
     assert not bare.problem.z_order
-    assert bare.problem.metadata["assumptions_violated"] is True
     assert set(bare.problem.custom_updaters) == {"A", "X"}
 
 
@@ -308,30 +306,35 @@ def test_metadata_constants():
     assert (md["m1"], md["M1"], md["M2"]) == (11.0, 11.0, 11.0)
     md = mc1(triangle_graph(), mu_diag=5.0, mu_tie=3.0).problem.metadata
     assert (md["m1"], md["M2"]) == (5.0, 3.0)
-    assert rpca2(np.ones((4, 4)), 2).problem.metadata[
-        "assumptions_violated"] is False
-    assert rpca2(np.ones((4, 4)), 2,
-                 variant="raw").problem.metadata["assumptions_violated"] is True
 
 
-def test_every_subproblem_avoids_iterative_fallback():
-    """Each family's sweep must run on closed-form solves; the conjugate
-    gradient path is a fallback none of them should reach."""
+# Factor blocks take the Sylvester path, blocks with a nonsmooth term a prox
+# step, and z blocks the diagonal path; rp2's Hadamard blocks, whose parity
+# post-map has no diagonal gram, take the dense path.
+UNIT_PATHS = {
+    "nmf3": {"Y": "sylvester", "Y_pos": "prox", "X": "sylvester",
+             "X_pos": "prox", "X_rem": "diag", "Y_rem": "diag", "Z": "diag"},
+    "dl3": {"C": "sylvester", "C_sparse": "prox", "D": "sylvester",
+            "D_unit": "prox", "C_rem": "diag", "D_rem": "diag", "Z": "diag"},
+    "rpca2": {"U": "sylvester", "Vt": "sylvester", "S": "prox", "Z": "diag"},
+    "rpca2_raw": {"U": "sylvester", "Vt": "sylvester", "S": "prox"},
+    "rp2": {"x": "dense", "x_box": "prox", "y": "dense", "gap": "diag",
+            "box_slack": "diag", "budget_slack": "diag", "y_slack": "diag"},
+    "mc1": {"x": "sylvester", "y": "sylvester", "Z": "diag", "s": "diag"},
+    "sbd1": {"A": "custom", "X": "custom", "b": "diag", "Z": "diag"},
+    "sbd0": {"A": "custom", "X": "custom", "b": "diag"},
+}
 
-    def boom(*args, **kwargs):
-        raise AssertionError("iterative fallback reached")
 
-    original = prox_mod._solve_cg
-    prox_mod._solve_cg = boom
-    try:
-        for name in zoo_names():
-            inst = default_instance(name)
-            state, _, _ = solve(inst.problem, rho=2.0, max_iter=0,
-                                init=inst.init or None)
-            for _ in range(2):
-                state, _ = step(inst.problem, state)
-    finally:
-        prox_mod._solve_cg = original
+@pytest.mark.parametrize("name", zoo_names())
+def test_every_unit_has_one_closed_form_path(name):
+    """Each unit's solve path is fixed when its problem is built, and every
+    family's sweep runs on closed-form solves: none reaches conjugate
+    gradients."""
+    units = default_instance(name, 0).problem._plans()
+    paths = {focus[0].name: "custom" if plan is None else plan.path
+             for focus, plan in units}
+    assert paths == UNIT_PATHS[name]
 
 
 # ---------------------------------------------------------------------------
