@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import BuildError, SubproblemError, require_finite
 from .operators import LinearOp
-from .system import FrozenLinearForm
+from .system import FrozenLinearForm, _accumulate, _add_adjoint
 
 _FEAS_TOL = 1e-8
 _DENSE_LIMIT = 1024
@@ -134,6 +134,8 @@ class Quadratic(ObjectiveTerm):
         r = self._residual(x)
         if self.linear_map is not None:
             return self.weight * self.linear_map.adjoint(r)
+        if self.center is not None and self.weight == 1.0:
+            return r  # x - center, a fresh array
         return np.multiply(r, self.weight, out=r if self.center is not None else None)
 
     @property
@@ -371,17 +373,18 @@ class _SolvePlan:
             self.slices.append(slice(start, start + b.dim))
             start += b.dim
         self.dim = start
-        # (eq_id, [(index in form.pieces, focus slice)]) per equation entered.
-        self.eqs = [(e, [(form.pieces.index(p), self.slices[pos[p.block.name]])
-                         for p in plist]) for e, plist in form.by_eq.items()]
+        # (eq_id, [(index in form.pieces, focus position)]) per equation
+        # entered.
+        self.eqs = [(e, [(form.pieces.index(p), pos[p.block.name]) for p in plist])
+                    for e, plist in form.by_eq.items()]
         self.rows = sum(form.eq_shapes[e][0] * form.eq_shapes[e][1]
                         for e in form.by_eq)
         self.quads = []    # (focus position, Quadratic) with a positive weight
-        self.consts = []   # (slice, sign, make): rhs[slice] += sign * make(values)
+        self.consts = []   # (focus position, sign, make): adds sign * make(values)
         self.coupled = False
         for name, item in extras:
             i = pos[name]
-            sl, shape = self.slices[i], form.focus[i].shape
+            shape = form.focus[i].shape
             if isinstance(item, Quadratic):
                 if item.weight > 0:
                     self.quads.append((i, item))
@@ -390,20 +393,20 @@ class _SolvePlan:
                         center = functools.cache(lambda q=item: q.weight * np.ravel(
                             q.center if q.linear_map is None
                             else q.linear_map.adjoint(q.center)))
-                        self.consts.append((sl, 1, lambda v, c=center: c()))
+                        self.consts.append((i, 1, lambda v, c=center: c()))
             elif isinstance(item, SmoothCustom):
                 if item.lipschitz != 0.0:
                     raise BuildError(
                         "only affine SmoothCustom terms (lipschitz == 0) have a "
                         "closed-form block update")
-                self.consts.append((sl, -1, lambda v, t=item, shape=shape:
+                self.consts.append((i, -1, lambda v, t=item, shape=shape:
                                     np.ravel(t.grad(np.zeros(shape)))))
             elif isinstance(item, np.ndarray):
-                self.consts.append((sl, -1, lambda v, a=item: np.ravel(a)))
+                self.consts.append((i, -1, lambda v, a=item: np.ravel(a)))
             elif isinstance(item, CouplingTerm):
                 # Affine per block, so the gradient is a constant linear term.
                 self.coupled = True
-                self.consts.append((sl, -1, lambda v, c=item, name=name:
+                self.consts.append((i, -1, lambda v, c=item, name=name:
                                     np.ravel(c.grad_block(v, name))))
             else:
                 raise BuildError(
@@ -447,22 +450,27 @@ class _SolvePlan:
         return sum(c for _, c in _read_curvature(self.scalar, form, rho,
                                                  "gram_scalar"))
 
+    def _block_diagonals(self, form, rho):
+        """N's diagonal per focus block, summed from the curvature parts in
+        order: a float while every part of the block is a scalar, else an
+        array of the block's size."""
+        acc = [0.0] * len(self.slices)
+        for i, c in _read_curvature(self.diag, form, rho, "gram_diag"):
+            acc[i] = acc[i] + c
+        return acc
+
     def _diagonal_positive(self, form):
         """Whether N's diagonal is positive everywhere at the form's values
-        (rho 1; the sign does not depend on rho), summed per focus block so
-        that scalar parts stay scalars."""
-        acc = [0.0] * len(self.slices)
-        for i, c in _read_curvature(self.diag, form, 1.0, "gram_diag"):
-            acc[i] = acc[i] + c
-        return all(np.min(a) > 0 for a in acc)
+        (rho 1; the sign does not depend on rho)."""
+        return all(np.min(d) > 0 for d in self._block_diagonals(form, 1.0))
 
     def normal_diag(self, form, rho):
-        """N's diagonal, or None when N is not diagonal."""
+        """N's diagonal as one array, or None when N is not diagonal."""
         if self.diag is None:
             return None
-        diag = np.zeros(self.dim)
-        for i, c in _read_curvature(self.diag, form, rho, "gram_diag"):
-            diag[self.slices[i]] += c
+        diag = np.empty(self.dim)
+        for sl, d in zip(self.slices, self._block_diagonals(form, rho)):
+            diag[sl] = d
         return diag
 
     def rhs(self, form, w, rho, values=None):
@@ -470,31 +478,34 @@ class _SolvePlan:
         by eq_id; only the equations the focus enters reach it, so only
         their offsets are evaluated.
 
+        Each focus block's part is summed on its own, in equation and
+        piece order and then the constant items', starting from its first
+        addend (see ``system._accumulate``), so no zeros are written first.
         The call owns, and may overwrite, the returned array and each
         equation's target (rho times the offset, minus the multiplier).
-        The form's cached offsets, built and negated in place by
-        ``offset_for``, the multipliers, the block values and the kept
-        center terms are only read.
+        The form's cached offsets, the multipliers, the block values and
+        the kept center terms are only read.
         """
-        rhs = np.zeros(self.dim)
+        parts = [None] * len(self.slices)
         pieces = form.pieces
         for e, members in self.eqs:
             off = form.offset_for(e)
             w_e = np.asarray(w[e], dtype=float).reshape(off.shape)
             target = np.multiply(off, rho)
             target -= w_e
-            for k, sl in members:
-                if len(members) == 1 and pieces[k].identity is not None:
-                    back = np.multiply(target, pieces[k].identity, out=target)
+            for k, i in members:
+                p = pieces[k]
+                if len(members) == 1 and p.identity not in (None, 1.0, -1.0):
+                    parts[i] = _accumulate(
+                        parts[i], 1, np.multiply(target, p.identity, out=target))
                 else:
-                    back = pieces[k].adjoint(target)
-                rhs[sl] += np.ravel(back)
-        for sl, sign, make in self.consts:
-            if sign > 0:
-                rhs[sl] += make(values)
-            else:
-                rhs[sl] -= make(values)
-        return rhs
+                    parts[i] = _add_adjoint(parts[i], p, target)
+        for i, sign, make in self.consts:
+            parts[i] = _accumulate(parts[i], sign,
+                                   np.reshape(make(values), self.focus[i].shape))
+        parts = [np.ravel(np.zeros(b.dim) if a is None else a)
+                 for a, b in zip(parts, self.focus)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def normal_apply(self, form, rho, y_vec):
         """N @ y_vec, through the pieces' apply and adjoint."""
@@ -519,8 +530,8 @@ class _SolvePlan:
             for e, members in self.eqs:
                 shape = form.eq_shapes[e]
                 rows = slice(top, top + shape[0] * shape[1])
-                for k, sl in members:
-                    p = form.pieces[k]
+                for k, i in members:
+                    p, sl = form.pieces[k], self.slices[i]
                     if p.fixed:
                         a[rows, sl] += p.dense()
                     else:
@@ -570,12 +581,14 @@ class _SolvePlan:
             return np.ravel(np.asarray(self.term.prox(point, 1.0 / kappa),
                                        dtype=float))
         if self.path == "diag":
-            diag = self.normal_diag(form, rho)
-            if not np.min(diag) > 0:
+            diags = self._block_diagonals(form, rho)
+            if not all(np.min(d) > 0 for d in diags):
                 raise SubproblemError(
                     f"the subproblem of block {name!r} has a diagonal "
                     "curvature that is not positive at this point", block=name)
-            return np.divide(rhs, diag, out=rhs)
+            for sl, d in zip(self.slices, diags):
+                rhs[sl] /= d
+            return rhs
         if self.path == "sylvester":
             return self._solve_sylvester(form, rhs, rho)
         tol_abs = ((1e-10 if cg_tol is None else float(cg_tol))

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BuildError, ShapeMismatchError, SubproblemError
+from .errors import (BuildError, ShapeMismatchError, SubproblemError,
+                     require_finite)
 from .operators import DenseOp, LinearOp
 from .prox import CouplingTerm, ObjectiveTerm, SmoothCustom, _SolvePlan
 from .system import (BlockId, LinearTerm, MultiaffineSystem, ROLE_X, ROLE_Z1,
@@ -489,7 +490,8 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
     until a 10-iteration trial keeps L nonincreasing (ValueError when 40
     doublings find none).  Initial blocks are
     unit-Frobenius Gaussian draws (seeded; one draw per block in sorted order,
-    so runs are reproducible bit for bit), overridden per block by ``init``.
+    so runs are reproducible bit for bit), overridden per block by ``init``,
+    whose values must have the block's shape and finite entries.
     Convergence requires the stacked residual norm to fall below
     tol_primal * (1 + ||C(0)||) with every block step below tol_step on
     3 consecutive iterations.  Divergence (a status, not an exception) is
@@ -516,6 +518,7 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
                 raise ShapeMismatchError(
                     f"initial value for {block.name!r} has shape {arr.shape}, "
                     f"declared {block.shape}", block=block.name)
+            require_finite(arr, f"initial value for {block.name!r}")
             init_map[block] = arr.copy()
     rng = np.random.default_rng(seed)
     assignment = {}

@@ -8,7 +8,10 @@ same block inside one term are not.
 
 Each term type is one subclass of ``_Term`` owning its blocks, its shape
 check, its unsigned value and its frozen pieces; a new type is one new class.
-:func:`_eval_term`, the one per-term evaluator, applies the sign.
+:func:`_eval_term` is the one per-term evaluator; it returns the unsigned
+value, which may be an array the term or the caller owns, and ``evaluate``
+and the frozen offsets fold each sign into their sums by adding or
+subtracting it.
 
 The central operation is :func:`freeze`: fixing all blocks except a chosen
 focus turns the system into an affine map of the focus, returned as a
@@ -109,7 +112,9 @@ class _Term:
     """Base of the term types, dataclasses with a ``sign`` of +1 or -1.
 
     A type defines ``out_shape(eq_id)``, its shape once its parts are checked,
-    and ``unsigned(values)``, its value without the sign.  ``blocks()`` (in
+    and ``unsigned(values)``, its value without the sign; that value may be
+    an array the term or the caller owns (a constant's array, a block value),
+    so treat it as read-only.  ``blocks()`` (in
     occurrence order), ``pieces(focus, values, eq_id)`` (a frozen piece per
     occurrence of a block in ``focus``) and ``gram_reads(block)`` (blocks whose
     values that block's gram reads) default to none, as for a constant."""
@@ -271,7 +276,8 @@ class LinearTerm(_Term):
         return self.op.out_shape
 
     def unsigned(self, values):
-        return self.op.apply(_value_of(values, self.block))
+        value = _value_of(values, self.block)
+        return value if self.op.identity_scale == 1.0 else self.op.apply(value)
 
     def pieces(self, focus, values, eq_id) -> list:
         if self.block not in focus:
@@ -528,17 +534,41 @@ def _value_of(assignment, block: BlockId):
 
 
 def _eval_term(term, values):
-    """The signed value of one term, for ``evaluate`` and frozen offsets."""
-    return term.sign * term.unsigned(values)
+    """The unsigned value of one term, for ``evaluate`` and frozen offsets,
+    which apply its sign.  It may be an array the term or the caller owns;
+    treat it as read-only."""
+    return term.unsigned(values)
+
+
+def _accumulate(total, sign, value):
+    """total + sign * value for a sign of +1 or -1, added or subtracted in
+    place into ``total``.  When ``total`` is None the sum starts as one
+    fresh float array, 0.0 + sign * value, which has the bits of adding the
+    term into zeros without writing the zeros first."""
+    if total is None:
+        return (np.subtract if sign < 0 else np.add)(0.0, value, dtype=float)
+    if sign < 0:
+        total -= value
+    else:
+        total += value
+    return total
+
+
+def _add_adjoint(total, piece, w):
+    """``_accumulate(total, 1, piece.adjoint(w))``, except that an identity
+    piece of scale +1 or -1 adds or subtracts ``w`` itself."""
+    if piece.identity in (1.0, -1.0):
+        return _accumulate(total, piece.identity, w)
+    return _accumulate(total, 1, piece.adjoint(w))
 
 
 def evaluate(system: MultiaffineSystem, assignment) -> list:
     """Residual arrays of every equation, ascending eq_id."""
     out = []
-    for eq_id, terms in system.equations:
-        total = np.zeros(system.eq_shape(eq_id))
+    for _, terms in system.equations:
+        total = None  # add_equation refuses an equation without terms
         for term in terms:
-            total += _eval_term(term, assignment)
+            total = _accumulate(total, term.sign, _eval_term(term, assignment))
         out.append(total)
     return out
 
@@ -803,10 +833,11 @@ class FrozenLinearForm:
         """Offset of one equation: minus the sum of its non-focus terms."""
         off = self._offsets.get(eq_id)
         if off is None:
-            off = np.zeros(self.eq_shapes[eq_id])
             for term in self._frozen_terms[eq_id]:
-                off += _eval_term(term, self._values)
-            self._offsets[eq_id] = np.negative(off, out=off)
+                off = _accumulate(off, -term.sign, _eval_term(term, self._values))
+            if off is None:
+                off = np.zeros(self.eq_shapes[eq_id])
+            self._offsets[eq_id] = off
         return off
 
     def conv_target(self, piece, multipliers, rho):
@@ -866,12 +897,13 @@ class FrozenLinearForm:
 
     def adjoint_eqs(self, w_by_eq: dict):
         """Adjoint of apply on per-equation dual arrays."""
-        grads = {b: np.zeros(b.shape) for b in self.focus}
+        grads = dict.fromkeys(self.focus)
         for p in self.pieces:
             w = w_by_eq.get(p.eq_id)
-            if w is None:
-                continue
-            grads[p.block] += p.adjoint(np.asarray(w, dtype=float))
+            if w is not None:
+                grads[p.block] = _add_adjoint(grads[p.block], p,
+                                              np.asarray(w, dtype=float))
+        grads = _zeros_where_none(grads)
         if self._single:
             return grads[self.focus[0]]
         return {b.name: g for b, g in grads.items()}
@@ -1014,7 +1046,7 @@ def block_adjoints(system: MultiaffineSystem, assignment, w_by_eq) -> dict:
     Equations missing from ``w_by_eq`` contribute nothing.
     """
     values = {b: _value_of(assignment, b) for b in system.blocks.values()}
-    grads = {b: np.zeros(b.shape) for b in system.blocks.values()}
+    grads = dict.fromkeys(system.blocks.values())
     for eq_id, terms in system.equations:
         w = w_by_eq.get(eq_id)
         if w is None:
@@ -1022,8 +1054,13 @@ def block_adjoints(system: MultiaffineSystem, assignment, w_by_eq) -> dict:
         w = np.asarray(w, dtype=float)
         for term in terms:
             for p in term.pieces(frozenset(term.blocks()), values, eq_id):
-                grads[p.block] += p.adjoint(w)
-    return grads
+                grads[p.block] = _add_adjoint(grads[p.block], p, w)
+    return _zeros_where_none(grads)
+
+
+def _zeros_where_none(sums: dict) -> dict:
+    """BlockId -> sum, a block that received no term reading zeros."""
+    return {b: np.zeros(b.shape) if g is None else g for b, g in sums.items()}
 
 
 def jacobian_image_basis(system: MultiaffineSystem, assignment, samples: int = 8,

@@ -367,6 +367,12 @@ def _inverse_denominator(spectrum, rho, eta):
     return np.divide(1.0, out, out=out)
 
 
+def _max_abs(a) -> float:
+    """max |a|, read from the extremes without writing an array; NaN when
+    ``a`` holds one, since then both extremes are NaN."""
+    return max(float(a.max()), -float(a.min()))
+
+
 def _sparse_conv_updater(l1_weight: float, max_passes: int = _SBD_INNER_BUDGET):
     """Budgeted update for the sparse signal in a convolution.
 
@@ -445,11 +451,11 @@ def _sparse_conv_updater(l1_weight: float, max_passes: int = _SBD_INNER_BUDGET):
             # v_new - v; neither is read again in its old form.
             d = np.subtract(x, v_new, out=x)
             u += np.multiply(d, eta, out=tmp)
-            split_max = float(np.max(np.abs(d, out=tmp)))
+            split_max = _max_abs(d)
             rebalance = it % 10 == 9
             if split_max <= tol or rebalance:
                 dv = np.subtract(v_new, v, out=v)
-                if max(split_max, eta * float(np.max(np.abs(dv, out=tmp)))) <= tol:
+                if max(split_max, eta * _max_abs(dv)) <= tol:
                     return v_new
             v, v_new = v_new, v
             if rebalance:
@@ -481,6 +487,10 @@ def _conv_kernel_updater():
     down the signal's sparsity cost.
     """
 
+    # Flat index into the autocorrelation of each entry of the normal
+    # matrix, built once per (kernel shape, signal shape).
+    gathers = {}
+
     def update(problem, block, assignment, multipliers, rho):
         form = freeze(problem.system, block, assignment)
         piece = form.pieces[0] if len(form.pieces) == 1 else None
@@ -497,10 +507,14 @@ def _conv_kernel_updater():
         power = np.zeros(sig_hat.shape, complex)
         np.square(np.abs(sig_hat, out=power.real), out=power.real)
         autocorr = _irfft2(power, (n1, n2))
-        d1 = (np.arange(p)[:, None] - np.arange(p)[None, :]) % n1
-        d2 = (np.arange(q)[:, None] - np.arange(q)[None, :]) % n2
-        normal = autocorr[d1[:, None, :, None], d2[None, :, None, :]]
-        normal = normal.reshape(p * q, p * q)
+        index = gathers.get((p, q, n1, n2))
+        if index is None:
+            # Entry ((i, j), (k, l)) reads autocorr[(i - k) % n1, (j - l) % n2].
+            d1 = (np.arange(p)[:, None] - np.arange(p)[None, :]) % n1
+            d2 = (np.arange(q)[:, None] - np.arange(q)[None, :]) % n2
+            index = gathers[(p, q, n1, n2)] = (
+                d1[:, None, :, None] * n2 + d2[None, :, None, :]).reshape(p * q, p * q)
+        normal = np.take(autocorr, index)
         rhs = np.ravel(_conv_adjoint_kernel(signal, target_hat, (p, q)))
         current = np.ravel(assignment[block])
         gap = rhs - normal @ current

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from madmm import (BlockId, BuildError, Constant, DenseOp, DiagExtract,
                    HadamardPair, LinearTerm, MatChain, MultiaffineSystem,
                    Problem, ScaledIdentity, SubproblemError, TransposeOp,
-                   freeze, solve)
+                   freeze, solve, zoo)
 from madmm.prox import (L1, IndicatorBox, IndicatorNonneg, IndicatorUnitColumns,
                         Quadratic, SmoothCustom, project_box, project_nonneg,
                         project_unit_columns, prox_block_step, quad_block_solve,
@@ -370,6 +370,24 @@ def test_diag_path_matches_dense():
     got_diag = quad_block_solve(form, w, 1.1, extras=extras, method="diag")
     got_dense = quad_block_solve(form, w, 1.1, extras=extras, method="dense")
     assert np.allclose(got_diag, got_dense, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["Z", "X_rem"])
+def test_scalar_curvature_diagonal_solve_matches_the_full_diagonal(name):
+    # Every curvature part of these nmf3 blocks is a scalar, so the solve
+    # divides by one number; its bytes are those of dividing by N's diagonal.
+    inst = zoo.default_instance("nmf3", 0)
+    problem = inst.problem
+    state, _, _ = solve(problem, max_iter=3, init=inst.init)
+    (plan,) = [plan for focus, plan in problem._plans() if focus[0].name == name]
+    form = freeze(problem.system, plan.focus, state.assignment)
+    assert plan.path == "diag"
+    assert all(isinstance(d, float)
+               for d in plan._block_diagonals(form, state.rho))
+    want = (plan.rhs(form, state.multipliers, state.rho)
+            / plan.normal_diag(form, state.rho))
+    got = plan.solve(form, state.multipliers, state.rho)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_diag_path_declines_an_equation_two_blocks_share():

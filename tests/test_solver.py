@@ -341,6 +341,13 @@ def test_init_override_and_shape_validation():
         solve(problem, rho=1.0, max_iter=1, assert_level="chatty")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_init_with_non_finite_entries_is_refused_by_name(bad):
+    inst = zoo.default_instance("nmf3", 0)
+    with pytest.raises(BuildError, match="'X'"):
+        solve(inst.problem, init={"X": np.full((20, 3), bad)})
+
+
 # ---------------------------------------------------------------------------
 # The z group: joint exact solve, and components without one refused.
 

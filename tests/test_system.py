@@ -18,6 +18,7 @@ from madmm import (BlockId, BuildError, Constant, Conv2D, DenseOp, DiagExtract,
                    ScaledIdentity, ShapeMismatchError, TransposeOp, circ_conv2,
                    evaluate, freeze, jacobian_image_basis, stack_residual)
 from madmm import solver, zoo
+from madmm.prox import Quadratic
 from madmm.system import (_ConvKernelPiece, _ConvSignalPiece, block_adjoints,
                           spectrum_memo)
 
@@ -877,6 +878,85 @@ def test_block_adjoints_match_freeze_bit_for_bit(name):
     for block in system.blocks.values():
         want = freeze(system, block, state.assignment).adjoint_eqs(state.multipliers)
         assert np.array_equal(got[block], want), block.name
+
+
+def _every_term_system():
+    """Every term type with both signs, over 3 x 2 equations, among them
+    identities of scale 1 from a chain and an operator and a scaled
+    identity of 2.5; returns (system, assignment, multipliers)."""
+    rng = np.random.default_rng(21)
+    shapes = {"X": (3, 4), "Y": (4, 2), "H": (3, 2), "G": (3, 2),
+              "K": (2, 2), "S": (3, 2), "U": (3, 2), "V": (3, 2)}
+    b = {name: BlockId(name, "x", shape, index=i)
+         for i, (name, shape) in enumerate(shapes.items())}
+    eye = ScaledIdentity(1.0, (3, 2))
+    system = MultiaffineSystem()
+    system.add_equation([MatChain([b["X"], b["Y"]]),
+                         MatChain([rng.standard_normal((3, 4)), b["Y"]], sign=-1),
+                         Constant(rng.standard_normal((3, 2))),
+                         Constant(rng.standard_normal((3, 2)), sign=-1)])
+    system.add_equation([HadamardPair(b["H"], b["G"]),
+                         HadamardPair(b["G"], b["U"], sign=-1)])
+    system.add_equation([Conv2D(b["K"], b["S"]),
+                         Conv2D(b["K"], b["V"], sign=-1)])
+    system.add_equation([LinearTerm(ScaledIdentity(2.5, (3, 2)), b["U"]),
+                         LinearTerm(ScaledIdentity(2.5, (3, 2)), b["G"], sign=-1),
+                         LinearTerm(eye, b["V"]), LinearTerm(eye, b["H"], sign=-1),
+                         MatChain([b["S"]]), MatChain([b["U"]], sign=-1),
+                         LinearTerm(DenseOp(rng.standard_normal((6, 6)), (3, 2), (3, 2)),
+                                    b["S"], sign=-1)])
+    assignment = {blk: rng.standard_normal(blk.shape) for blk in b.values()}
+    mults = {e: rng.standard_normal(system.eq_shape(e)) for e in system.eq_ids}
+    return system, assignment, mults
+
+
+def _signed_sum(terms, values, shape):
+    """The sum of sign * value over ``terms``, a linear term's value taken
+    from its operator."""
+    total = np.zeros(shape)
+    for t in terms:
+        value = (t.op.apply(values[t.block]) if isinstance(t, LinearTerm)
+                 else t.unsigned(values))
+        total = total + t.sign * value
+    return total
+
+
+@pytest.mark.parametrize("name", ["every term", "nmf3", "sbd1", "rp2"])
+def test_sums_fold_signs_and_write_no_input(name):
+    # A term's unsigned value may be a block value or a constant's own
+    # array, and its sign is folded into the sums by adding or subtracting:
+    # the sums equal sign * value summed apart, and no input is written.
+    problem = None
+    if name == "every term":
+        system, assignment, mults = _every_term_system()
+    else:
+        inst = zoo.default_instance(name, 0)
+        problem, system = inst.problem, inst.problem.system
+        state, _, _ = solver.solve(problem, max_iter=2, init=inst.init)
+        assignment, mults = state.assignment, state.multipliers
+    inputs = [*assignment.values(), *mults.values(),
+              *(t.value for _, terms in system.equations for t in terms
+                if isinstance(t, Constant))]
+    if problem is not None:
+        inputs += [t.center for terms in problem.objective.values()
+                   for t in terms if isinstance(t, Quadratic) and t.center is not None]
+    before = [a.tobytes() for a in inputs]
+    for r, (_, terms) in zip(evaluate(system, assignment), system.equations):
+        assert np.array_equal(r, _signed_sum(terms, assignment, r.shape))
+    grads = block_adjoints(system, assignment, mults)
+    for block in system.blocks.values():
+        form = freeze(system, block, assignment)
+        for eq_id, terms in system.equations:
+            others = [t for t in terms if block not in t.blocks()]
+            assert np.array_equal(form.offset_for(eq_id), -_signed_sum(
+                others, assignment, system.eq_shape(eq_id)))
+        want = np.zeros(block.shape)
+        for p in form.pieces:
+            want = want + p.adjoint(mults[p.eq_id])
+        assert np.array_equal(grads[block], want), block.name
+    if problem is not None:
+        solver.step(problem, state)
+    assert [a.tobytes() for a in inputs] == before
 
 
 @pytest.mark.parametrize("name", zoo.zoo_names())

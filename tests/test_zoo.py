@@ -10,7 +10,8 @@ import madmm.prox as prox_mod
 from madmm import diagnostics, zoo
 from madmm.errors import BuildError
 from madmm.solver import Problem, SolverState, STATUS_CONVERGED, solve, step
-from madmm.system import _irfft2, _spectrum, circ_conv2, evaluate, freeze
+from madmm.system import (_conv_adjoint_kernel, _irfft2, _spectrum, circ_conv2,
+                          evaluate, freeze)
 from madmm.zoo import (cut_value, default_instance, dl3, gen_dl_data,
                        gen_nmf_data, gen_rp_data, gen_rpca_data, gen_sbd_data,
                        mc1, nmf3, rp2, rpca2, sbd0, sbd1, triangle_graph,
@@ -385,6 +386,45 @@ def test_kernel_update_fixed_point_is_the_undamped_solution():
     updater = inst.problem.custom_updaters["A"]
     got = updater(inst.problem, blocks["A"], assignment, mults, 1.0)
     assert np.linalg.norm(np.ravel(got) - a_star) <= 1e-9 * (1 + np.linalg.norm(a_star))
+
+
+def _fancy_index_kernel_update(problem, block, assignment, multipliers, rho):
+    """The kernel update as it ran with its normal matrix gathered from the
+    autocorrelation by a 4-D fancy index built on every call."""
+    form = freeze(problem.system, block, assignment)
+    (piece,) = form.pieces
+    signal = np.asarray(piece.signal, dtype=float)
+    _, target_hat = form.conv_target(piece, multipliers, rho)
+    p, q = block.shape
+    n1, n2 = signal.shape
+    sig_hat = _spectrum(signal, signal.shape)
+    power = np.zeros(sig_hat.shape, complex)
+    np.square(np.abs(sig_hat, out=power.real), out=power.real)
+    autocorr = _irfft2(power, (n1, n2))
+    d1 = (np.arange(p)[:, None] - np.arange(p)[None, :]) % n1
+    d2 = (np.arange(q)[:, None] - np.arange(q)[None, :]) % n2
+    normal = autocorr[d1[:, None, :, None], d2[None, :, None, :]]
+    normal = normal.reshape(p * q, p * q)
+    rhs = np.ravel(_conv_adjoint_kernel(signal, target_hat, (p, q)))
+    current = np.ravel(assignment[block])
+    gap = rhs - normal @ current
+    normal.flat[:: p * q + 1] += zoo._KERNEL_PROX_WEIGHT
+    return (current + np.linalg.solve(normal, gap)).reshape(p, q)
+
+
+def test_kernel_update_bytes_match_the_fancy_index_gather():
+    # One updater across both points, so the second call reads the gather
+    # index the first one built.
+    inst = default_instance("sbd1", 0)
+    problem = inst.problem
+    A = problem.system.blocks["A"]
+    updater = problem.custom_updaters["A"]
+    for steps in (1, 5):
+        state, _, _ = solve(problem, max_iter=steps, init=inst.init)
+        got = updater(problem, A, state.assignment, state.multipliers, state.rho)
+        want = _fancy_index_kernel_update(problem, A, state.assignment,
+                                          state.multipliers, state.rho)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_signal_update_satisfies_lasso_optimality_at_large_budget():
