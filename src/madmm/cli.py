@@ -141,65 +141,13 @@ def build_instance(cfg: RunConfig) -> zoo.ZooInstance:
     overrides and an optional data file."""
     if not cfg.zoo:
         raise ValueError("config field 'zoo' is required")
-    name, p, seed = cfg.zoo, cfg.params, cfg.seed
     data = matio.load_matrix(cfg.data) if cfg.data else None
-    sizes = zoo.DEFAULT_SIZES.get("rpca2" if name == "rpca2_raw" else name, {})
-
-    def geti(key, default):
-        return int(p.get(key, default))
-
-    def getf(key, default):
-        return float(p.get(key, default))
-
-    if name == "nmf3":
-        B = data if data is not None else zoo.gen_nmf_data(
-            geti("rows", sizes["rows"]), geti("cols", sizes["cols"]),
-            geti("rank", sizes["rank"]), seed=seed)[0]
-        return zoo.nmf3(B, geti("rank", sizes["rank"]), mu=getf("mu", 1.0))
-    if name == "dl3":
-        B = data if data is not None else zoo.gen_dl_data(
-            geti("rows", sizes["rows"]), geti("cols", sizes["cols"]),
-            geti("rank", sizes["rank"]), density=getf("density", 0.3),
-            seed=seed)[0]
-        mu = getf("mu", 50.0)
-        return zoo.dl3(B, geti("rank", sizes["rank"]), mu_fit=mu, mu_dict=mu,
-                       mu_code=mu, l1_weight=getf("l1", 1.0))
-    if name == "rp2":
-        if data is not None:
-            cov = data
-            lo = np.zeros((cov.shape[0], 1))
-            hi = np.full((cov.shape[0], 1), 0.5)
-        else:
-            cov, lo, hi = zoo.gen_rp_data(geti("size", sizes["size"]), seed=seed)
-        return zoo.rp2(cov, lo, hi, mu=getf("mu", 1000.0))
-    if name == "mc1":
-        weights = data if data is not None else zoo.triangle_graph()
-        mu = getf("mu", 1000.0)
-        return zoo.mc1(weights, mu_diag=mu, mu_tie=mu)
-    if name in ("rpca2", "rpca2_raw"):
-        B = data if data is not None else zoo.gen_rpca_data(
-            geti("rows", sizes["rows"]), geti("cols", sizes["cols"]),
-            geti("rank", sizes["rank"]), seed=seed)[0]
-        variant = "raw" if name == "rpca2_raw" else "slack"
-        return zoo.rpca2(B, geti("rank", sizes["rank"]), lam=getf("l1", 0.5),
-                         variant=variant, mu=getf("mu", 1.0))
-    if name in ("sbd1", "sbd0"):
+    params = cfg.params
+    if cfg.zoo in ("sbd1", "sbd0"):
         # Not the zoo's sbd sizes: criterion 08 and ``madmm bench`` run at
         # these.
-        ks = geti("kernel", 16)
-        if data is not None:
-            Y = data
-        else:
-            Y = zoo.gen_sbd_data(geti("size", 64), (ks, ks),
-                                 theta=getf("theta", 0.05),
-                                 sigma=getf("sigma", 0.0),
-                                 bias=0.1, seed=seed)[0]
-        if name == "sbd1":
-            return zoo.sbd1(Y, (ks, ks), mu=getf("mu", 500.0),
-                            l1_weight=getf("l1", 1.0))
-        return zoo.sbd0(Y, (ks, ks), l1_weight=getf("l1", 1.0))
-    raise BuildError(
-        f"unknown zoo problem {name!r}; choose from {zoo.zoo_names()}")
+        params = {"size": 64, "kernel": 16, **params}
+    return zoo._build(cfg.zoo, cfg.seed, params, data)
 
 
 def _format_row(values) -> str:

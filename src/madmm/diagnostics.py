@@ -138,6 +138,8 @@ def assert_iteration(problem: Problem, state: SolverState,
             "rho * ||C||^2 and ||dW||^2 / rho disagree"))
 
     l_new = _al(problem, state_new.assignment, state_new.multipliers, rho)
+    # L at the new assignment and the old multipliers: also L after the z
+    # update in the z_decrease check below.
     l_mid = _al(problem, state_new.assignment, state.multipliers, rho)
     if np.isfinite(l_new) and np.isfinite(l_mid):
         tol = 1e-9 * (1.0 + abs(l_new))
@@ -187,14 +189,13 @@ def assert_iteration(problem: Problem, state: SolverState,
         for b in z1 + z2:
             hybrid[b] = state.assignment[b]
         l_before_z = _al(problem, hybrid, state.multipliers, rho)
-        l_after_z = _al(problem, state_new.assignment, state.multipliers, rho)
-        if np.isfinite(l_before_z) and np.isfinite(l_after_z):
+        if np.isfinite(l_before_z) and np.isfinite(l_mid):
             required = 0.5 * float(meta["m1"]) * dz1
             if z2:
                 required += 0.5 * (rho * spectra["sigma"]
                                    - float(meta["M2"])) * dz2
             slack = 1e-8 * (1.0 + abs(l_before_z))
-            drop = l_before_z - l_after_z
+            drop = l_before_z - l_mid
             if drop < required - slack:
                 violations.append(Violation(
                     "z_decrease", required - drop, slack,

@@ -8,9 +8,11 @@ gradient ``g`` at ``x`` to the term's negative subdifferential there.
 Every block subproblem is one solve plan, ``_SolvePlan``, read once from a
 frozen form of the focus: the focus slices, the quadratic extras, how to
 form the constant right-hand side, the nonsmooth and coupling terms, and
-the outcome of the one curvature rule (N's diagonal, or its scalar kappa
-when N = kappa * I).  From these the plan fixes its one solve path when it
-is built.  A ``Problem`` builds one plan per update unit when it is built;
+the outcome of the one curvature rule, run once per plan: N's diagonal
+per block, a float kappa where the block's N is kappa * I, but for the
+matrix-chain pieces the rule leaves out and records.  From that one
+outcome the plan fixes its one solve path when it is built.  A
+``Problem`` builds one plan per update unit when it is built;
 ``quad_block_solve`` and ``prox_block_step`` build a one-off plan and run
 it on the same form.  Only a Hadamard piece's gram varies with values, and
 then only in value, never in whether its view exists: the plan reads it
@@ -18,17 +20,17 @@ at each call, and a curvature that is not positive there raises
 SubproblemError.  The paths are an elementwise diagonal solve, a two-sided
 eigendecomposition solve for one matrix chain (the rest of N scalar), a
 dense least-squares solve, conjugate gradients on the normal equations,
-and for one nonsmooth term its prox at rhs / kappa with step 1 / kappa.
-Each asks the frozen pieces for a view (identity scale, gram diagonal or
-scalar, matrix factors, dense block), never for their type.  The dense
-path assembles N from the pieces' dense blocks, the plan keeping those of
-pieces that read no other block's value, and takes forms without
-convolution pieces, of at most ``_DENSE_LIMIT`` (1,024) columns, whose
-stacked map over the equations the focus enters has at most
-``_DENSE_LIMIT ** 2`` entries; larger forms go to conjugate gradients.
-The diagnostics' least-squares distance reads the same dense map within
-those bounds.  ``conjugate_gradients`` is the one CG loop: the solver
-and, above the bounds, that distance both run it.
+and for one block with a nonsmooth term the diagonal solve's divide by
+kappa followed by the term's prox with step 1 / kappa.  Each asks the
+frozen pieces for a view (identity scale, gram diagonal, matrix factors,
+dense block), never for their type.  The dense path assembles N from the
+pieces' dense blocks, the plan keeping those of pieces that read no other
+block's value, and takes forms without convolution pieces, of at most
+``_DENSE_LIMIT`` (1,024) columns, whose stacked map over the equations the
+focus enters has at most ``_DENSE_LIMIT ** 2`` entries; larger forms go to
+conjugate gradients.  The diagnostics' least-squares distance reads the
+same dense map within those bounds.  ``conjugate_gradients`` is the one CG
+loop: the solver and, above the bounds, that distance both run it.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import functools
 import numpy as np
 
 from .errors import BuildError, SubproblemError, require_finite
-from .operators import LinearOp
+from .operators import LinearOp, uniform_scale
 from .system import FrozenLinearForm, _accumulate, _add_adjoint
 
 _FEAS_TOL = 1e-8
@@ -300,21 +302,28 @@ def _normalize_extras(form: FrozenLinearForm, extras):
     return out
 
 
-def _curvature_rule(form, pos, quads, view, leave_out=None):
-    """The curvature rule: N read through ``view`` ("gram_diag" or
-    "gram_scalar") as parts (focus position, scaled by rho, gram, piece),
-    or None when N is not of that form.
+def _uniform_or_diag(diag, varies=False):
+    """A gram diagonal as the float c when the gram is c * I, else as is."""
+    c = uniform_scale(diag, varies)
+    return diag if c is None else c
+
+
+def _curvature_rule(form, pos, quads):
+    """The curvature rule: N's diagonal as parts (focus position, scaled by
+    rho, gram, piece), and the matrix-chain pieces it leaves out; None when
+    N is not of that form.
 
     Scaled identities alone in an equation add rho * (sum of scales)**2,
-    a lone piece adds rho times its gram, and a quadratic its weight times
-    its map's gram.  Any other equation, or one that two blocks enter,
-    cross-couples entries.  ``leave_out`` names a piece, alone in its
-    equation, whose term is left out.  A gram that varies with values is
-    read here only to learn whether the view exists, which does not depend
-    on values; its part keeps the piece's index in ``form.pieces`` in place
-    of the gram, for :func:`_read_curvature` to read at each call.
+    a lone piece adds rho times its gram diagonal, and a quadratic its
+    weight times its map's, a gram of c * I as the float c.  A lone
+    matrix-chain piece, whose gram is not diagonal, is left out and
+    returned.  Any other equation, or one that two blocks enter,
+    cross-couples entries.  A gram that varies with values is read here
+    only to learn whether the view exists, which does not depend on
+    values; its part keeps the piece's index in ``form.pieces`` in place of
+    the gram, for :func:`_read_curvature` to read at each call.
     """
-    out = []
+    out, chains = [], []
     for plist in form.by_eq.values():
         p = plist[0]
         if len(plist) > 1 or p.identity is not None:
@@ -323,27 +332,32 @@ def _curvature_rule(form, pos, quads, view, leave_out=None):
                 return None
             alpha = sum(q.identity for q in plist)
             out.append((pos[p.block.name], True, alpha ** 2, None))
-        elif p is not leave_out:
-            gram = getattr(p, view)()
-            if gram is None:
-                return None
-            out.append((pos[p.block.name], True, None, form.pieces.index(p))
-                       if p.gram_varies else (pos[p.block.name], True, gram, None))
+            continue
+        gram = p.gram_diag()
+        if gram is None and p.factors is not None:
+            chains.append(p)
+        elif gram is None:
+            return None
+        elif p.gram_varies:
+            out.append((pos[p.block.name], True, None, form.pieces.index(p)))
+        else:
+            out.append((pos[p.block.name], True, _uniform_or_diag(gram), None))
     for i, q in quads:
-        gram = 1.0 if q.linear_map is None else getattr(q.linear_map, view)()
+        gram = (1.0 if q.linear_map is None
+                else _uniform_or_diag(q.linear_map.gram_diag()))
         if gram is None:
             return None
         out.append((i, False, q.weight * gram, None))
-    return out
+    return out, chains
 
 
-def _read_curvature(parts, form, rho, view):
+def _read_curvature(parts, form, rho):
     """(focus position, curvature) per part of :func:`_curvature_rule` at
     one call."""
     out = []
     for i, scaled, gram, piece in parts:
         if piece is not None:
-            gram = getattr(form.pieces[piece], view)()
+            gram = _uniform_or_diag(form.pieces[piece].gram_diag(), varies=True)
         out.append((i, rho * gram if scaled else gram))
     return out
 
@@ -397,8 +411,9 @@ class _SolvePlan:
             elif isinstance(item, SmoothCustom):
                 if item.lipschitz != 0.0:
                     raise BuildError(
-                        "only affine SmoothCustom terms (lipschitz == 0) have a "
-                        "closed-form block update")
+                        f"block {name!r} has a smooth term with curvature (a "
+                        "SmoothCustom with lipschitz != 0) and no closed-form "
+                        "update; register a custom updater")
                 self.consts.append((i, -1, lambda v, t=item, shape=shape:
                                     np.ravel(t.grad(np.zeros(shape)))))
             elif isinstance(item, np.ndarray):
@@ -415,29 +430,35 @@ class _SolvePlan:
         self.densify_ok = (self.dim <= _DENSE_LIMIT
                            and self.rows * self.dim <= _DENSE_LIMIT ** 2
                            and not any(p.fourier for p in form.pieces))
-        self._dense = self.diag = self.chain = self.scalar = None
+        self._dense = self.curvature = None
+        self.chains = ()
+        rule = _curvature_rule(form, pos, self.quads)
+        diags = None
+        if rule is not None:
+            self.curvature, chains = rule
+            self.chains = tuple(form.pieces.index(p) for p in chains)
+            # At the form's values, rho 1: the signs do not depend on rho.
+            diags = self._block_diagonals(form, 1.0)
+        positive = diags is not None and all(np.min(d) > 0 for d in diags)
+        # N, but for at most one chain's gram, is kappa * I.
+        scalar = diags is not None and len(diags) == 1 and isinstance(diags[0], float)
         if term is not None:
-            # A prox step needs N = kappa * I with kappa > 0, checked at the
-            # form's values (rho 1; the sign does not depend on rho).
-            self.path = "prox"
-            self.scalar = _curvature_rule(form, pos, self.quads, "gram_scalar")
-            if self.scalar is None or not self._kappa(form, 1.0) > 0.0:
+            name = form.focus[0].name
+            if len(form.focus) > 1:
                 raise BuildError(
-                    f"nonsmooth block {form.focus[0].name!r} has no exact "
-                    "proximal step: its subproblem needs a positive scalar "
-                    "gram; register a custom updater")
+                    f"nonsmooth block {name!r} has no exact proximal step in "
+                    "a subproblem over several blocks")
+            if self.chains or not (scalar and positive):
+                raise BuildError(
+                    f"nonsmooth block {name!r} has no exact proximal step: "
+                    "its subproblem needs a positive scalar gram; register "
+                    "a custom updater")
+            self.path = "prox"
             return
-        self.diag = _curvature_rule(form, pos, self.quads, "gram_diag")
-        chains = [p for p in form.pieces if p.factors is not None]
-        if len(form.focus) == 1 and len(chains) == 1:
-            # Sylvester: N is the chain's gram plus a scalar.
-            self.chain = form.pieces.index(chains[0])
-            self.scalar = _curvature_rule(form, pos, self.quads, "gram_scalar",
-                                          leave_out=chains[0])
         # The first path that applies, in this order, unless ``method``
-        # forces one.
-        ok = {"diag": self.diag is not None and self._diagonal_positive(form),
-              "sylvester": self.scalar is not None,
+        # forces one.  Sylvester: N is one chain's gram plus kappa * I.
+        ok = {"diag": positive and not self.chains,
+              "sylvester": scalar and len(self.chains) == 1,
               "dense": self.densify_ok, "cg": True}
         self.path = method or next(path for path, good in ok.items() if good)
         if not ok[self.path]:
@@ -445,28 +466,18 @@ class _SolvePlan:
         if self.path == "dense":
             self.dense_map(form)
 
-    def _kappa(self, form, rho):
-        """The scalar curvature of :attr:`scalar`'s parts at one call."""
-        return sum(c for _, c in _read_curvature(self.scalar, form, rho,
-                                                 "gram_scalar"))
-
     def _block_diagonals(self, form, rho):
-        """N's diagonal per focus block, summed from the curvature parts in
-        order: a float while every part of the block is a scalar, else an
-        array of the block's size."""
+        """N's diagonal per focus block, but for the chains' grams, summed
+        from the curvature parts in order: a float while every part of the
+        block is a scalar, else an array of the block's size."""
         acc = [0.0] * len(self.slices)
-        for i, c in _read_curvature(self.diag, form, rho, "gram_diag"):
+        for i, c in _read_curvature(self.curvature, form, rho):
             acc[i] = acc[i] + c
         return acc
 
-    def _diagonal_positive(self, form):
-        """Whether N's diagonal is positive everywhere at the form's values
-        (rho 1; the sign does not depend on rho)."""
-        return all(np.min(d) > 0 for d in self._block_diagonals(form, 1.0))
-
     def normal_diag(self, form, rho):
         """N's diagonal as one array, or None when N is not diagonal."""
-        if self.diag is None:
+        if self.curvature is None or self.chains:
             return None
         diag = np.empty(self.dim)
         for sl, d in zip(self.slices, self._block_diagonals(form, rho)):
@@ -567,28 +578,24 @@ class _SolvePlan:
         the coupling gradients; ``y0`` starts conjugate gradients.  The
         diagonal and prox paths divide the call's :meth:`rhs` in place, so
         the returned array may be that array, and the block values sliced
-        from it views of it."""
+        from it views of it.  The prox path is the diagonal divide, by
+        kappa, followed by the term's prox with step 1 / kappa."""
         rho = float(rho)
         rhs = self.rhs(form, w, rho, values)
         name = self.focus[0].name
-        if self.path == "prox":
-            kappa = self._kappa(form, rho)
-            if not kappa > 0.0:
-                raise SubproblemError(
-                    f"the subproblem of nonsmooth block {name!r} has no "
-                    "positive scalar curvature at this point", block=name)
-            point = np.divide(rhs, kappa, out=rhs).reshape(self.focus[0].shape)
-            return np.ravel(np.asarray(self.term.prox(point, 1.0 / kappa),
-                                       dtype=float))
-        if self.path == "diag":
+        if self.path in ("diag", "prox"):
             diags = self._block_diagonals(form, rho)
             if not all(np.min(d) > 0 for d in diags):
                 raise SubproblemError(
-                    f"the subproblem of block {name!r} has a diagonal "
-                    "curvature that is not positive at this point", block=name)
+                    f"the subproblem of block {name!r} has a curvature that "
+                    "is not positive at this point", block=name)
             for sl, d in zip(self.slices, diags):
                 rhs[sl] /= d
-            return rhs
+            if self.term is None:
+                return rhs
+            point = rhs.reshape(self.focus[0].shape)
+            return np.ravel(np.asarray(self.term.prox(point, 1.0 / diags[0]),
+                                       dtype=float))
         if self.path == "sylvester":
             return self._solve_sylvester(form, rhs, rho)
         tol_abs = ((1e-10 if cg_tol is None else float(cg_tol))
@@ -615,8 +622,8 @@ class _SolvePlan:
         eigenbases of the chain's factors."""
         block = self.focus[0]
         rhs = rhs.reshape(block.shape)
-        curvature = self._kappa(form, rho)
-        left, right = form.pieces[self.chain].factors
+        (curvature,) = self._block_diagonals(form, rho)
+        left, right = form.pieces[self.chains[0]].factors
         lam_l = lam_r = None
         u = v = None
         if left is not None:

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import (BuildError, ShapeMismatchError, SubproblemError,
                      require_finite)
 from .operators import DenseOp, LinearOp
-from .prox import CouplingTerm, ObjectiveTerm, SmoothCustom, _SolvePlan
+from .prox import CouplingTerm, ObjectiveTerm, _SolvePlan
 from .system import (BlockId, LinearTerm, MultiaffineSystem, ROLE_X, ROLE_Z1,
                      ROLE_Z2, block_adjoints, evaluate, freeze,
                      FrozenLinearForm, spectrum_memo, stack_residual)
@@ -124,8 +124,10 @@ class Problem:
     Gaussian Hadamard partners; where that curvature is not positive at run
     time, the step raises SubproblemError.  The solve plans are built here
     too, one per update unit, each with the one solve path its unit takes
-    at every step (see the module docstring); adding an equation to the
-    system retires them, and a later ``step`` raises BuildError.
+    at every step (see the module docstring); a plan also refuses, naming
+    the block, a SmoothCustom term with curvature on a block with no
+    custom updater.  Adding an equation to the system retires the plans,
+    and a later ``step`` raises BuildError.
 
     z blocks tied by a shared equation form one component, which each step
     solves jointly and exactly.  Building raises BuildError when a
@@ -211,13 +213,6 @@ class Problem:
                 raise BuildError(
                     f"nonsmooth term {type(nonsmooth[0]).__name__} on block "
                     f"{block.name!r} has no stat_residual(x, g)")
-            if block.name in self.custom_updaters:
-                continue
-            for t in terms:
-                if isinstance(t, SmoothCustom) and t.lipschitz != 0.0:
-                    raise BuildError(
-                        f"block {block.name!r} has a smooth term with curvature; "
-                        "register a custom updater")
         for c in self.coupling:
             if not isinstance(c, CouplingTerm):
                 raise BuildError(f"coupling entry {type(c).__name__} is not a CouplingTerm")

@@ -587,8 +587,9 @@ class _Piece:
 
     * ``identity`` -- t when the piece is t * I, else None;
     * ``gram_diag()`` -- diagonal of the piece's gram A^T A (row-major
-      flattened) when that matrix is diagonal, else None;
-    * ``gram_scalar()`` -- c when the gram is c * I, else None;
+      flattened) when that matrix is diagonal, else None; the one gram
+      view, from which ``operators.uniform_scale`` reads c when the gram
+      is c * I;
     * ``factors`` -- (left, right) of a matrix multiply, either may be None;
     * ``fourier`` -- set on the convolution pieces, which are diagonal under
       ``rfft2`` and stay off the dense solve path;
@@ -596,10 +597,10 @@ class _Piece:
       block;
     * ``fixed`` -- the piece reads no other block's value, so ``dense()`` is
       the same at every point;
-    * ``gram_varies`` -- the gram views read another block's value; every
-      other piece's gram views are the same at every point.  A varying gram
+    * ``gram_varies`` -- the gram view reads another block's value; every
+      other piece's gram view is the same at every point.  A varying gram
       changes only its value, never whether the view exists, so a solve
-      plan fixes its path from the views at one point.
+      plan fixes its path from the view at one point.
     """
 
     identity = None
@@ -615,14 +616,6 @@ class _Piece:
 
     def gram_diag(self):
         return None
-
-    def gram_scalar(self):
-        gd = self.gram_diag()
-        # A varying diagonal of two or more entries is uniform only by chance.
-        if (gd is None or gd.size == 0 or (self.gram_varies and gd.size > 1)
-                or not np.all(gd == gd[0])):
-            return None
-        return float(gd[0])
 
 
 class _IdentityPiece(_Piece):
@@ -664,9 +657,6 @@ class _OpPiece(_Piece):
 
     def gram_diag(self):
         return self.op.gram_diag()
-
-    def gram_scalar(self):
-        return self.op.gram_scalar()
 
     def dense(self):
         return self.sign * self.op.to_dense()

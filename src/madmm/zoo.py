@@ -603,74 +603,93 @@ def gen_sbd_data(n: int, kernel_shape, theta: float = 0.05,
 # Default instances at desk scale.
 
 # Desk sizes of the generated families, keyed by the command line's parameter
-# names; ``cli.build_instance`` reads the nmf3, dl3, rp2 and rpca2 entries.
-# The command line's sbd default is 64 with kernel 16, not the entry here.
+# names.  The command line's sbd default is 64 with kernel 16, not the entry
+# here.
 DEFAULT_SIZES = {"nmf3": {"rows": 20, "cols": 20, "rank": 3},
                  "dl3": {"rows": 50, "cols": 50, "rank": 10},
                  "rp2": {"size": 6},
                  "rpca2": {"rows": 20, "cols": 16, "rank": 3},
                  "sbd": {"size": 32, "kernel": 8}}
+_NAMES = ("dl3", "mc1", "nmf3", "rp2", "rpca2", "rpca2_raw", "sbd0", "sbd1")
 
 
-def _default_nmf3(seed):
-    s = DEFAULT_SIZES["nmf3"]
-    B, X0, Y0 = gen_nmf_data(s["rows"], s["cols"], s["rank"], seed=seed)
-    inst = nmf3(B, s["rank"])
-    inst.truth.update({"X": X0, "Y": Y0})
+def _build(name, seed, params=None, data=None) -> ZooInstance:
+    """The instance of family ``name``: the one builder behind
+    :func:`default_instance` and ``cli.build_instance``.  Its data is
+    ``data`` when given, else the family generator's at ``seed``, whose
+    planted truth it then carries.  ``params`` overrides, under the command
+    line's keys, the sizes of DEFAULT_SIZES and the family's default
+    weights."""
+    if name not in _NAMES:
+        raise BuildError(
+            f"unknown zoo problem {name!r}; choose from {zoo_names()}")
+    family = {"rpca2_raw": "rpca2", "sbd1": "sbd", "sbd0": "sbd"}.get(name, name)
+    p = {**DEFAULT_SIZES.get(family, {}), **(params or {})}
+
+    def geti(key):
+        return int(p[key])
+
+    def getf(key, default):
+        return float(p.get(key, default))
+
+    truth = {}
+    if family == "nmf3":
+        rank = geti("rank")
+        if data is None:
+            data, X0, Y0 = gen_nmf_data(geti("rows"), geti("cols"), rank, seed=seed)
+            truth = {"X": X0, "Y": Y0}
+        inst = nmf3(data, rank, mu=getf("mu", 1.0))
+    elif family == "dl3":
+        rank = geti("rank")
+        if data is None:
+            data, D0, C0 = gen_dl_data(geti("rows"), geti("cols"), rank,
+                                       density=getf("density", 0.3), seed=seed)
+            truth = {"D": D0, "C": C0}
+        mu = getf("mu", 50.0)
+        inst = dl3(data, rank, mu_fit=mu, mu_dict=mu, mu_code=mu,
+                   l1_weight=getf("l1", 1.0))
+    elif family == "rp2":
+        if data is None:
+            cov, lo, hi = gen_rp_data(geti("size"), seed=seed)
+        else:
+            cov = data
+            lo = np.zeros((cov.shape[0], 1))
+            hi = np.full((cov.shape[0], 1), 0.5)
+        inst = rp2(cov, lo, hi, mu=getf("mu", 1000.0))
+    elif family == "mc1":
+        mu = getf("mu", 1000.0)
+        inst = mc1(triangle_graph() if data is None else data,
+                   mu_diag=mu, mu_tie=mu)
+    elif family == "rpca2":
+        rank = geti("rank")
+        if data is None:
+            data, L0, S0 = gen_rpca_data(geti("rows"), geti("cols"), rank, seed=seed)
+            truth = {"L": L0, "S": S0}
+        inst = rpca2(data, rank, lam=getf("l1", 0.5),
+                     variant="raw" if name == "rpca2_raw" else "slack",
+                     mu=getf("mu", 1.0))
+    else:
+        ks = geti("kernel")
+        if data is None:
+            data, A0, X0, b0 = gen_sbd_data(geti("size"), (ks, ks),
+                                            theta=getf("theta", 0.05),
+                                            sigma=getf("sigma", 0.0),
+                                            bias=0.1, seed=seed)
+            truth = {"A": A0, "X": X0, "b": b0}
+        if name == "sbd1":
+            inst = sbd1(data, (ks, ks), mu=getf("mu", 500.0),
+                        l1_weight=getf("l1", 1.0))
+        else:
+            inst = sbd0(data, (ks, ks), l1_weight=getf("l1", 1.0))
+    inst.truth.update(truth)
     return inst
-
-
-def _default_dl3(seed):
-    s = DEFAULT_SIZES["dl3"]
-    B, D0, C0 = gen_dl_data(s["rows"], s["cols"], s["rank"], seed=seed)
-    inst = dl3(B, s["rank"])
-    inst.truth.update({"D": D0, "C": C0})
-    return inst
-
-
-def _default_rp2(seed):
-    cov, lo, hi = gen_rp_data(DEFAULT_SIZES["rp2"]["size"], seed=seed)
-    return rp2(cov, lo, hi)
-
-
-def _default_mc1(seed):
-    return mc1(triangle_graph())
-
-
-def _default_rpca2(seed, variant="slack"):
-    s = DEFAULT_SIZES["rpca2"]
-    B, L0, S0 = gen_rpca_data(s["rows"], s["cols"], s["rank"], seed=seed)
-    inst = rpca2(B, s["rank"], variant=variant)
-    inst.truth.update({"L": L0, "S": S0})
-    return inst
-
-
-def _default_sbd(seed, build):
-    ks = DEFAULT_SIZES["sbd"]["kernel"]
-    Y, A0, X0, b0 = gen_sbd_data(DEFAULT_SIZES["sbd"]["size"], (ks, ks),
-                                 theta=0.05, bias=0.1, seed=seed)
-    inst = build(Y, (ks, ks))
-    inst.truth.update({"A": A0, "X": X0, "b": b0})
-    return inst
-
-
-_DEFAULTS = {"nmf3": _default_nmf3, "dl3": _default_dl3, "rp2": _default_rp2,
-             "mc1": _default_mc1, "rpca2": _default_rpca2,
-             "rpca2_raw": lambda seed: _default_rpca2(seed, variant="raw"),
-             "sbd1": lambda seed: _default_sbd(seed, sbd1),
-             "sbd0": lambda seed: _default_sbd(seed, sbd0)}
 
 
 def zoo_names():
-    return sorted(_DEFAULTS)
+    return sorted(_NAMES)
 
 
 def default_instance(name: str, seed: int = 0) -> ZooInstance:
     """Canonical desk-scale instance of a family, with planted truth where
     the family has one."""
-    try:
-        builder = _DEFAULTS[name]
-    except KeyError:
-        raise BuildError(
-            f"unknown zoo problem {name!r}; choose from {zoo_names()}") from None
-    return builder(seed)
+    return _build(name, seed)

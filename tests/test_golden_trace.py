@@ -9,8 +9,18 @@ relative.  Re-record it, after a change that is meant to move the iterates,
 with
 
     PYTHONPATH=src python tests/test_golden_trace.py --record
+
+A change meant to keep the iterates to the bit can print, per family, the
+SHA-256 of the final assignment (blocks in name order) and multiplier
+(ascending eq_id) bytes of the same runs, to compare against its parent's:
+
+    PYTHONPATH=src python tests/test_golden_trace.py --digest
+
+Digests depend on the BLAS build and its thread count (pin it, e.g. with
+OPENBLAS_NUM_THREADS=1), so they are only printed, never asserted.
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -25,11 +35,25 @@ ITERS = 50
 RTOL = 1e-12
 
 
-def _trace(name):
+def _run(name):
     inst = zoo.default_instance(name, 0)
-    _, traces, status = solve(inst.problem, max_iter=ITERS, init=inst.init)
+    return solve(inst.problem, max_iter=ITERS, init=inst.init)
+
+
+def _trace(name):
+    _, traces, status = _run(name)
     rows = [[t.k, t.L, t.primal_res, t.stat_est, t.block_steps] for t in traces]
     return {"status": status, "rows": rows}
+
+
+def _digest(name):
+    state, _, _ = _run(name)
+    h = hashlib.sha256()
+    for block in sorted(state.assignment, key=lambda b: b.name):
+        h.update(state.assignment[block].tobytes())
+    for e in sorted(state.multipliers):
+        h.update(state.multipliers[e].tobytes())
+    return h.hexdigest()
 
 
 def _close(a, b):
@@ -53,7 +77,11 @@ def test_golden_trace(name):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
+    if sys.argv[1:] == ["--record"]:
+        GOLDEN.write_text(json.dumps({n: _trace(n) for n in zoo.zoo_names()},
+                                     indent=1) + "\n")
+    elif sys.argv[1:] == ["--digest"]:
+        for n in zoo.zoo_names():
+            print(n, _digest(n))
+    else:
         sys.exit(__doc__)
-    GOLDEN.write_text(json.dumps({n: _trace(n) for n in zoo.zoo_names()},
-                                 indent=1) + "\n")

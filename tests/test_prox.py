@@ -372,11 +372,12 @@ def test_diag_path_matches_dense():
     assert np.allclose(got_diag, got_dense, atol=1e-12)
 
 
-@pytest.mark.parametrize("name", ["Z", "X_rem"])
+@pytest.mark.parametrize("name", ["Z", "X_rem", "b"])
 def test_scalar_curvature_diagonal_solve_matches_the_full_diagonal(name):
-    # Every curvature part of these nmf3 blocks is a scalar, so the solve
-    # divides by one number; its bytes are those of dividing by N's diagonal.
-    inst = zoo.default_instance("nmf3", 0)
+    # Every curvature part of these nmf3 blocks, and of sbd1's bias b (a
+    # BroadcastOnes gram of one entry), is a scalar, so the solve divides
+    # by one number; its bytes are those of dividing by N's diagonal.
+    inst = zoo.default_instance("sbd1" if name == "b" else "nmf3", 0)
     problem = inst.problem
     state, _, _ = solve(problem, max_iter=3, init=inst.init)
     (plan,) = [plan for focus, plan in problem._plans() if focus[0].name == name]
@@ -720,6 +721,22 @@ def test_prox_step_matches_scalar_oracle(scalar, data):
         got = prox_block_step(form, form.split_dual(w), rho, term, extras)
         assert got.shape == x.shape
         assert np.linalg.norm(got - want) <= 1e-10 * (1 + np.linalg.norm(want))
+
+
+def test_prox_step_refuses_a_form_of_two_blocks():
+    # Each block alone in its own equation: N is a scalar per block, but a
+    # prox step is over one block, so the form is refused by name.
+    rng = np.random.default_rng(17)
+    u = BlockId("u", "z1", (2, 2))
+    v = BlockId("v", "z1", (2, 2))
+    system = MultiaffineSystem()
+    for b in (u, v):
+        system.add_equation([LinearTerm(ScaledIdentity(1.0, (2, 2)), b),
+                             Constant(rng.standard_normal((2, 2)), sign=-1)])
+    form = freeze(system, (u, v), {})
+    w = form.split_dual(rng.standard_normal(form.out_dim))
+    with pytest.raises(BuildError, match="'u'"):
+        prox_block_step(form, w, 1.0, L1(1.0))
 
 
 @settings(max_examples=60, deadline=None)

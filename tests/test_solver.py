@@ -824,6 +824,24 @@ def test_steps_build_no_plan_and_run_no_curvature_rule(monkeypatch, name):
     assert built and rules
 
 
+@pytest.mark.parametrize("name", zoo.zoo_names())
+def test_building_a_problem_runs_the_curvature_rule_once_per_unit(monkeypatch, name):
+    # One rule per plan: it alone decides the diagonal, Sylvester and prox
+    # paths, and custom-updated units build no plan.
+    from madmm import prox
+
+    rules = []
+    real_rule = prox._curvature_rule
+
+    def counting_rule(*args, **kwargs):
+        rules.append(args)
+        return real_rule(*args, **kwargs)
+
+    monkeypatch.setattr(prox, "_curvature_rule", counting_rule)
+    units = zoo.default_instance(name, 0).problem._plans()
+    assert len(rules) == sum(plan is not None for _, plan in units)
+
+
 def test_adding_an_equation_retires_the_problem_plans():
     problem, x, z = _bilinear_toy()
     system = problem.system
