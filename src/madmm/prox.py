@@ -308,10 +308,16 @@ def _uniform_or_diag(diag, varies=False):
     return diag if c is None else c
 
 
+def _positive(diags):
+    """Whether every entry of the per-block diagonals (floats or arrays) is
+    positive; a NaN is not."""
+    return all(d > 0 if isinstance(d, float) else d.min() > 0 for d in diags)
+
+
 def _curvature_rule(form, pos, quads):
     """The curvature rule: N's diagonal as parts (focus position, scaled by
-    rho, gram, piece), and the matrix-chain pieces it leaves out; None when
-    N is not of that form.
+    rho, gram, piece), and the indices in ``form.pieces`` of the matrix-chain
+    pieces it leaves out; None when N is not of that form.
 
     Scaled identities alone in an equation add rho * (sum of scales)**2,
     a lone piece adds rho times its gram diagonal, and a quadratic its
@@ -335,7 +341,7 @@ def _curvature_rule(form, pos, quads):
             continue
         gram = p.gram_diag()
         if gram is None and p.factors is not None:
-            chains.append(p)
+            chains.append(form.pieces.index(p))
         elif gram is None:
             return None
         elif p.gram_varies:
@@ -430,16 +436,12 @@ class _SolvePlan:
         self.densify_ok = (self.dim <= _DENSE_LIMIT
                            and self.rows * self.dim <= _DENSE_LIMIT ** 2
                            and not any(p.fourier for p in form.pieces))
-        self._dense = self.curvature = None
-        self.chains = ()
+        self._dense = None
         rule = _curvature_rule(form, pos, self.quads)
-        diags = None
-        if rule is not None:
-            self.curvature, chains = rule
-            self.chains = tuple(form.pieces.index(p) for p in chains)
-            # At the form's values, rho 1: the signs do not depend on rho.
-            diags = self._block_diagonals(form, 1.0)
-        positive = diags is not None and all(np.min(d) > 0 for d in diags)
+        self.curvature, self.chains = rule or (None, [])
+        # At the form's values, rho 1: the signs do not depend on rho.
+        diags = None if rule is None else self._block_diagonals(form, 1.0)
+        positive = diags is not None and _positive(diags)
         # N, but for at most one chain's gram, is kappa * I.
         scalar = diags is not None and len(diags) == 1 and isinstance(diags[0], float)
         if term is not None:
@@ -585,7 +587,7 @@ class _SolvePlan:
         name = self.focus[0].name
         if self.path in ("diag", "prox"):
             diags = self._block_diagonals(form, rho)
-            if not all(np.min(d) > 0 for d in diags):
+            if not _positive(diags):
                 raise SubproblemError(
                     f"the subproblem of block {name!r} has a curvature that "
                     "is not positive at this point", block=name)
