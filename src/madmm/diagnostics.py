@@ -12,7 +12,9 @@ demonstration that the guarantees need those requirements.
 
 Everything here recomputes from scratch through the public evaluation
 entry points; nothing reuses solver-internal accumulators, so these checks
-catch bookkeeping bugs rather than inheriting them.
+catch bookkeeping bugs rather than inheriting them.  Each entry point that
+takes a ``Problem`` raises BuildError, as ``step`` does, when an equation
+was added to its system after the problem was built.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ def stationarity(problem: Problem, state: SolverState) -> StationarityEstimate:
     smooth gradient to the subdifferential.  Constraint violations are not
     included; read those from the residual.
     """
+    problem._plans()
     parts, aggregate = _stationarity(problem, state.assignment,
                                      state.multipliers)
     return StationarityEstimate(parts, aggregate)
@@ -124,6 +127,7 @@ def assert_iteration(problem: Problem, state: SolverState,
     """
     if level not in ("basic", "strict"):
         raise ValueError(f"unknown level {level!r}; use 'basic' or 'strict'")
+    problem._plans()
     rho = state_new.rho
     violations = []
 
@@ -253,6 +257,7 @@ def check_assumptions(problem: Problem, samples: int = 20,
     formulations that need slack blocks from those already in solvable
     shape.
     """
+    problem._plans()
     system = problem.system
     rng = np.random.default_rng(seed)
     checks = []

@@ -324,10 +324,11 @@ def _curvature_rule(form, pos, quads):
     weight times its map's, a gram of c * I as the float c.  A lone
     matrix-chain piece, whose gram is not diagonal, is left out and
     returned.  Any other equation, or one that two blocks enter,
-    cross-couples entries.  A gram that varies with values is read here
-    only to learn whether the view exists, which does not depend on
-    values; its part keeps the piece's index in ``form.pieces`` in place of
-    the gram, for :func:`_read_curvature` to read at each call.
+    cross-couples entries.  The gram of a piece that is not ``fixed``
+    varies with values and is read here only to learn whether the view
+    exists, which does not depend on values; its part keeps the piece's
+    index in ``form.pieces`` in place of the gram, for
+    :func:`_read_curvature` to read at each call.
     """
     out, chains = [], []
     for plist in form.by_eq.values():
@@ -344,7 +345,7 @@ def _curvature_rule(form, pos, quads):
             chains.append(form.pieces.index(p))
         elif gram is None:
             return None
-        elif p.gram_varies:
+        elif not p.fixed:
             out.append((pos[p.block.name], True, None, form.pieces.index(p)))
         else:
             out.append((pos[p.block.name], True, _uniform_or_diag(gram), None))

@@ -120,8 +120,8 @@ class Problem:
 
     A block carries at most one nonsmooth term.  Building raises BuildError
     when such a block, with no custom updater, has no exact proximal step
-    (its solve plan needs a positive scalar curvature) at a point with
-    Gaussian Hadamard partners; where that curvature is not positive at run
+    (its solve plan needs a positive scalar curvature) at the point where
+    every block is all ones; where that curvature is not positive at run
     time, the step raises SubproblemError.  The solve plans are built here
     too, one per update unit, each with the one solve path its unit takes
     at every step (see the module docstring); a plan also refuses, naming
@@ -230,16 +230,12 @@ class Problem:
     def _build_plans(self):
         """(focus, solve plan) per update unit in step order; the plan is
         None for a block with a custom updater.  Each plan is read from a
-        form frozen where every Hadamard partner is a Gaussian draw and every
-        other block zero: only a partner's value can change whether a
-        nonsmooth block has an exact proximal step, which the plan checks."""
+        form frozen where every block is all ones: the one value a plan reads
+        when it is built is a Hadamard partner's square, to check that the
+        curvature is positive, and at all ones that square is one in every
+        entry, so the check reads the structure alone."""
         system = self.system
-        point = {b: np.zeros(b.shape) for b in system.blocks.values()}
-        for _, terms in system.equations:
-            for t in terms:
-                for block in t.blocks():
-                    for b in t.gram_reads(block):
-                        point[b] = np.random.default_rng(0).standard_normal(b.shape)
+        point = {b: np.ones(b.shape) for b in system.blocks.values()}
         units = []
         for focus in [(b,) for b in self.update_order] + self._z_components:
             if focus[0].name in self.custom_updaters:
@@ -355,7 +351,9 @@ def _al(problem: Problem, assignment: dict, multipliers: dict, rho: float,
 
 def augmented_lagrangian(problem: Problem, state: SolverState) -> float:
     """L at the state's assignment, multipliers and rho; +inf when infeasible
-    for an indicator term."""
+    for an indicator term.  Raises BuildError when an equation was added to
+    the system after the problem was built."""
+    problem._plans()
     return _al(problem, state.assignment, state.multipliers, state.rho)
 
 

@@ -34,8 +34,8 @@ term, and each piece is an instance of one small class per way a block can
 enter a term: a scaled identity, a linear operator, a left, right or
 two-sided matrix multiply, a Hadamard product with an optional post-map, and
 the signal or kernel side of a convolution.  A piece class owns its
-``apply`` and ``adjoint``, its gram view (a diagonal or a scalar, when the
-gram is one), and ``dense()``, the matrix it applies to the row-major
+``apply`` and ``adjoint``, its gram view (the gram's diagonal, when the
+gram is diagonal), and ``dense()``, the matrix it applies to the row-major
 flattened block; the block solvers in ``prox`` read these views and never
 the piece's type.  :func:`block_adjoints` takes ``C'_b^T W`` for every block
 at once by freezing each term with its own blocks as the focus.
@@ -51,10 +51,11 @@ new multiplier of that step is computed once per array object and shape,
 pair, and :meth:`FrozenLinearForm.conv_target`, the target a convolution
 piece is fitted to together with its spectrum, once per equation, rho and
 set of such arrays it is built from, so the kernel and signal updates of a
-step build and transform their common target once.  All three are reused
-while the step holds those arrays, the convolution as a read-only array;
-an entry is dropped once the step no longer holds its arrays and the memo
-keeps another, and at the latest when the step returns.  The memo holds a
+step build and transform their common target once.  All three kinds live
+in one table, keyed by kind, and are reused while the step holds those
+arrays; every memoised product is handed out read-only.  An entry is
+dropped once the step no longer holds its arrays and the memo keeps
+another, and at the latest when the step returns.  The memo holds a
 reference to each array it has keyed, so no id is reused.  Outside a step
 every call transforms afresh.  Reuse relies on no array of the step being
 modified in place while the step runs.
@@ -114,19 +115,15 @@ class _Term:
     A type defines ``out_shape(eq_id)``, its shape once its parts are checked,
     and ``unsigned(values)``, its value without the sign; that value may be
     an array the term or the caller owns (a constant's array, a block value),
-    so treat it as read-only.  ``blocks()`` (in
-    occurrence order), ``pieces(focus, values, eq_id)`` (a frozen piece per
-    occurrence of a block in ``focus``) and ``gram_reads(block)`` (blocks whose
-    values that block's gram reads) default to none, as for a constant."""
+    so treat it as read-only.  ``blocks()`` (in occurrence order) and
+    ``pieces(focus, values, eq_id)`` (a frozen piece per occurrence of a
+    block in ``focus``) default to none, as for a constant."""
 
     def blocks(self) -> tuple:
         return ()
 
     def pieces(self, focus, values, eq_id) -> list:
         return []
-
-    def gram_reads(self, block) -> tuple:
-        return ()
 
 
 def _product(factors, read):
@@ -217,10 +214,6 @@ class HadamardPair(_Term):
                 for b, other in ((self.left, self.right), (self.right, self.left))
                 if b in focus]
 
-    def gram_reads(self, block) -> tuple:
-        # A block's gram is its partner's square, elementwise.
-        return {self.left: (self.right,), self.right: (self.left,)}.get(block, ())
-
 
 @dataclass
 class Conv2D(_Term):
@@ -307,11 +300,11 @@ class Constant(_Term):
         return self.value
 
 
-# (sources, spectra, convs, targets) while a step runs: sources are the
-# step's dicts of block values and old and new multipliers, spectra maps (id,
-# shape) to (array, spectrum), convs maps (kernel id, signal id) to (kernel,
-# signal, result) and targets maps a convolution target's key (see
-# FrozenLinearForm.conv_target) to (its arrays..., (target, spectrum)).
+# (sources, table) while a step runs: sources are the step's dicts of block
+# values and old and new multipliers, and the table maps a key tagged by kind
+# to (the arrays it was built from..., value): ("spectrum", id, shape) to a
+# spectrum, ("conv", kernel id, signal id) to a convolution and ("target",
+# ...) (see FrozenLinearForm.conv_target) to (target, spectrum).
 _SPECTRA = ContextVar("madmm_spectra", default=None)
 
 
@@ -327,50 +320,52 @@ def spectrum_memo(*sources):
     (:meth:`FrozenLinearForm.conv_target`) when every array it was built
     from is, so the dicts may gain or rebind entries while the memo is open.
     An entry is dropped, when the next entry of any kind is kept, once the
-    sources no longer hold its arrays.  A memoised convolution or target is
-    handed out read-only.
+    sources no longer hold its arrays.  Every memoised product is handed out
+    read-only.
     """
-    token = _SPECTRA.set((sources, {}, {}, {}))
+    token = _SPECTRA.set((sources, {}))
     try:
         yield
     finally:
         _SPECTRA.reset(token)
 
 
-def _recall(slot: int, key):
-    """The memoised value under ``key`` in memo slot 1 (spectra), 2
-    (convolutions) or 3 (convolution targets), or None."""
+def _recall(key):
+    """The memoised value under ``key``, or None."""
     memo = _SPECTRA.get()
-    hit = None if memo is None else memo[slot].get(key)
+    hit = None if memo is None else memo[1].get(key)
     return None if hit is None else hit[-1]
 
 
-def _keep(slot: int, key, arrays, value) -> bool:
-    """Memoise ``value`` when the open memo's sources hold all ``arrays``;
-    first drop the entries, of every slot, whose arrays they no longer
-    hold."""
+def _keep(key, arrays, value) -> None:
+    """Memoise ``value``, an array or a tuple of arrays, and mark it
+    read-only when the open memo's sources hold all ``arrays``; first drop
+    the entries whose arrays they no longer hold."""
     memo = _SPECTRA.get()
     if memo is None:
-        return False
-    held = {id(v) for d in memo[0] for v in d.values()}
+        return
+    sources, table = memo
+    held = {id(v) for d in sources for v in d.values()}
     if not all(id(a) in held for a in arrays):
-        return False
-    for kept in memo[1:]:
-        for old in [k for k, entry in kept.items()
-                    if not all(id(a) in held for a in entry[:-1])]:
-            del kept[old]
-    memo[slot][key] = (*arrays, value)
-    return True
+        return
+    for old in [k for k, entry in table.items()
+                if not all(id(a) in held for a in entry[:-1])]:
+        del table[old]
+    for a in value if isinstance(value, tuple) else (value,):
+        a.flags.writeable = False
+    table[key] = (*arrays, value)
 
 
 def _spectrum(a: np.ndarray, shape: tuple) -> np.ndarray:
     """``rfft2`` of ``a`` zero-padded to ``shape``, origin at index (0, 0).
 
     Inside :func:`spectrum_memo` the result for an array held by its sources
-    is kept and returned again for the same array object and shape while the
-    sources hold it; anything else is transformed on every call.
+    is kept, read-only, and returned again for the same array object and
+    shape while the sources hold it; anything else is transformed on every
+    call.
     """
-    spec = _recall(1, (id(a), shape))
+    key = ("spectrum", id(a), shape)
+    spec = _recall(key)
     if spec is not None:
         return spec
     if a.shape == shape:
@@ -380,7 +375,7 @@ def _spectrum(a: np.ndarray, shape: tuple) -> np.ndarray:
         padded[: a.shape[0], : a.shape[1]] = a
     spec = np.fft.rfft2(padded,
                         out=np.empty((shape[0], shape[1] // 2 + 1), complex))
-    _keep(1, (id(a), shape), (a,), spec)
+    _keep(key, (a,), spec)
     return spec
 
 
@@ -403,13 +398,13 @@ def circ_conv2(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
     """
     kernel = np.asarray(kernel, dtype=float)
     signal = np.asarray(signal, dtype=float)
-    out = _recall(2, (id(kernel), id(signal)))
+    key = ("conv", id(kernel), id(signal))
+    out = _recall(key)
     if out is not None:
         return out
     out = _irfft2(_spectrum(kernel, signal.shape) * _spectrum(signal, signal.shape),
                   signal.shape)
-    if _keep(2, (id(kernel), id(signal)), (kernel, signal), out):
-        out.flags.writeable = False
+    _keep(key, (kernel, signal), out)
     return out
 
 
@@ -595,19 +590,16 @@ class _Piece:
       ``rfft2`` and stay off the dense solve path;
     * ``dense()`` -- the matrix the piece applies to the row-major flattened
       block;
-    * ``fixed`` -- the piece reads no other block's value, so ``dense()`` is
-      the same at every point;
-    * ``gram_varies`` -- the gram view reads another block's value; every
-      other piece's gram view is the same at every point.  A varying gram
-      changes only its value, never whether the view exists, so a solve
-      plan fixes its path from the view at one point.
+    * ``fixed`` -- the piece reads no other block's value, so ``dense()``
+      and the gram view are the same at every point.  A piece that is not
+      fixed has a gram view that changes only its value, never whether it
+      exists, so a solve plan fixes its path from the view at one point.
     """
 
     identity = None
     factors = None
     fourier = False
     fixed = False
-    gram_varies = False
 
     def __init__(self, eq_id, block, sign):
         self.eq_id = eq_id
@@ -632,9 +624,6 @@ class _IdentityPiece(_Piece):
 
     def adjoint(self, w):
         return self.identity * w
-
-    def gram_diag(self):
-        return np.full(self.block.dim, self.identity * self.identity)
 
     def dense(self):
         return self.identity * np.eye(self.block.dim)
@@ -699,8 +688,6 @@ class _MatMulPiece(_Piece):
 
 class _HadamardPiece(_Piece):
     """sign * post(Y * other); post may be None for the identity."""
-
-    gram_varies = True
 
     def __init__(self, eq_id, block, sign, other, post):
         super().__init__(eq_id, block, sign)
@@ -847,15 +834,13 @@ class FrozenLinearForm:
         w = multipliers[eq_id]
         reads = {b: self._values[b] for t in self._frozen_terms[eq_id]
                  for b in t.blocks()}
-        key = (eq_id, rho, piece.sign, id(w),
+        key = ("target", eq_id, rho, piece.sign, id(w),
                *((b.name, id(v)) for b, v in reads.items()))
-        pair = _recall(3, key)
+        pair = _recall(key)
         if pair is None:
             target = piece.sign * (self.offset_for(eq_id) - w / rho)
             pair = (target, _spectrum(target, target.shape))
-            if _keep(3, key, (w, *reads.values()), pair):
-                for a in pair:
-                    a.flags.writeable = False
+            _keep(key, (w, *reads.values()), pair)
         return pair
 
     def _as_values(self, y):
@@ -972,9 +957,11 @@ def _plan_freeze(system: MultiaffineSystem, focus: tuple) -> _FreezePlan:
     anything is kept."""
     if not focus:
         raise BuildError("freeze needs at least one focus block")
-    for b in focus:
+    for i, b in enumerate(focus):
         if system.blocks.get(b.name) != b:
             raise BuildError(f"focus block {b.name!r} is not part of the system")
+        if b in focus[:i]:
+            raise BuildError(f"focus names block {b.name!r} twice")
     focus_set = frozenset(focus)
     terms, where = _term_index(system)
     names = dict.fromkeys(b.name for b in focus)
@@ -1004,7 +991,8 @@ def freeze(system: MultiaffineSystem, focus, assignment) -> FrozenLinearForm:
     value is checked here, for presence and shape, and the form keeps the
     checked arrays: the focus pieces are built from them at once, and each
     equation's offset on its first use.  Terms containing two focus blocks
-    are rejected: the frozen map must be affine.
+    are rejected: the frozen map must be affine; so is a focus that names a
+    block twice.
 
     The first call for a focus checks it against the system, reads the
     system's one walk of its terms and keeps the result on the system as

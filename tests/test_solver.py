@@ -862,6 +862,30 @@ def test_adding_an_equation_retires_the_problem_plans():
         assert np.array_equal(one.assignment[b], two.assignment[b])
 
 
+@pytest.mark.parametrize("entry", ["check_assumptions", "stationarity",
+                                   "augmented_lagrangian", "assert_iteration"])
+def test_entry_points_refuse_a_problem_whose_system_grew(entry):
+    # Each runs once first, so whatever it keeps on the problem is stale
+    # once the equation is added.
+    from madmm import diagnostics
+
+    inst = zoo.default_instance("nmf3", 0)
+    problem = inst.problem
+    state, _, _ = solve(problem, max_iter=1, init=inst.init)
+    after, _ = step(problem, state)
+    call = {
+        "check_assumptions": lambda: diagnostics.check_assumptions(problem, samples=2),
+        "stationarity": lambda: diagnostics.stationarity(problem, after),
+        "augmented_lagrangian": lambda: augmented_lagrangian(problem, after),
+        "assert_iteration": lambda: diagnostics.assert_iteration(problem, state, after),
+    }[entry]
+    call()
+    w = BlockId("w_new", "x", (1, 1), index=99)
+    problem.system.add_equation([MatChain([w]), Constant([[1.0]], sign=-1)])
+    with pytest.raises(BuildError, match="build a new Problem"):
+        call()
+
+
 @pytest.mark.parametrize("name", zoo.zoo_names())
 def test_step_never_writes_into_its_inputs(name):
     # The old state shares its arrays with the new one, so every in-place

@@ -313,6 +313,25 @@ def test_memoised_convolution_is_read_only():
                                atol=1e-10)
 
 
+def test_every_memoised_product_is_read_only():
+    from madmm.system import _spectrum
+
+    system, a, xs, _ = _conv_system((2, 3), (5, 4))
+    point = _gaussian_assignment(system, 19)
+    rng = np.random.default_rng(19)
+    mults = {0: rng.standard_normal((5, 4))}
+    with spectrum_memo(point, mults):
+        spec = _spectrum(point[a], (5, 4))
+        assert _spectrum(point[a], (5, 4)) is spec
+        conv = circ_conv2(point[a], point[xs])
+        form = freeze(system, xs, point)
+        target, hat = form.conv_target(form.pieces[0], mults, 2.0)
+        for product in (spec, conv, target, hat):
+            assert not product.flags.writeable
+        # A spectrum the memo does not keep belongs to its caller.
+        assert _spectrum(rng.standard_normal((5, 4)), (5, 4)).flags.writeable
+
+
 def test_spectrum_memo_drops_arrays_no_longer_held():
     import madmm.system as system_mod
 
@@ -323,8 +342,8 @@ def test_spectrum_memo_drops_arrays_no_longer_held():
         circ_conv2(held["k"], old)
         held["s"] = rng.standard_normal((5, 4))
         circ_conv2(held["k"], held["s"])
-        _, spectra, convs, _ = system_mod._SPECTRA.get()
-        kept = [a for entry in (*spectra.values(), *convs.values())
+        _, table = system_mod._SPECTRA.get()
+        kept = [a for key, entry in table.items() if key[0] in ("spectrum", "conv")
                 for a in entry[:-1]]
         assert any(a is held["s"] for a in kept)
         assert not any(a is old for a in kept)
@@ -360,8 +379,12 @@ def test_conv_target_is_shared_in_a_step_and_dropped_once_stale():
         assert not any(arr.flags.writeable for arr in first)
         other_rho = signal_form.conv_target(signal_form.pieces[0], mults, 3.0)
         assert other_rho[0].tobytes() != first[0].tobytes()
-        targets = system_mod._SPECTRA.get()[3]
-        assert len(targets) == 2
+        _, table = system_mod._SPECTRA.get()
+
+        def targets():
+            return [entry for key, entry in table.items() if key[0] == "target"]
+
+        assert len(targets()) == 2
         old_z = point[z]
         point[z] = rng.standard_normal(z.shape)
         form = freeze(system, xs, point)
@@ -370,13 +393,12 @@ def test_conv_target_is_shared_in_a_step_and_dropped_once_stale():
         assert target.tobytes() == want.tobytes()
         assert hat.tobytes() == np.fft.rfft2(want).tobytes()
         # Both entries built from the old Z are gone; only the new one stays.
-        assert len(targets) == 1
-        assert not any(arr is old_z for entry in targets.values()
-                       for arr in entry[:-1])
+        assert len(targets()) == 1
+        assert not any(arr is old_z for entry in targets() for arr in entry[:-1])
         # A multiplier array the sources no longer hold is never kept.
         loose = {0: rng.standard_normal((5, 4))}
         form.conv_target(form.pieces[0], loose, 2.0)
-        assert len(targets) == 1
+        assert len(targets()) == 1
 
 
 def test_circ_conv2_keeps_nothing_outside_a_step_nor_a_cg_iterate():
@@ -398,10 +420,11 @@ def test_circ_conv2_keeps_nothing_outside_a_step_nor_a_cg_iterate():
         quad_block_solve(freeze(system, xs, point), mults, 1.0, method="cg")
         free = circ_conv2(point[a], rng.standard_normal((5, 4)))
         assert free.flags.writeable
-        _, spectra, convs, _ = system_mod._SPECTRA.get()
+        _, table = system_mod._SPECTRA.get()
         held = list(point.values()) + list(mults.values())
-        assert spectra and not convs
-        assert all(any(arr is h for h in held) for arr, _ in spectra.values())
+        kinds = [key[0] for key in table]
+        assert "spectrum" in kinds and "conv" not in kinds
+        assert all(any(arr is h for h in held) for arr, _ in table.values())
 
 
 def test_sbd1_step_transform_count_and_one_convolution(monkeypatch):
@@ -718,6 +741,17 @@ def test_freeze_names_the_first_term_coupling_focus_blocks():
         freeze(system, [v, x], point)
     with pytest.raises(BuildError, match="focus block 'w' is not part"):
         freeze(system, [x, BlockId("w", "x", (2, 1))], point)
+
+
+def test_freeze_refuses_a_focus_that_names_a_block_twice():
+    # Such a focus froze to a form of twice the block's size with one piece
+    # per occurrence in a term, whose solves failed or fitted the wrong map.
+    system, x, y, z, s = _rank_one_system(2)
+    point = _gaussian_assignment(system, 0)
+    for focus, name in (([z, z], "Z"), ([x, s, x], "x")):
+        with pytest.raises(BuildError, match=f"focus names block '{name}' twice"):
+            freeze(system, focus, point)
+    assert not system._plans
 
 
 def test_block_hash_follows_the_name():
