@@ -10,8 +10,10 @@ unverifiable per requirement.  ``run_counterexample`` reproduces the
 two-variable bilinear program whose multipliers run away, the standard
 demonstration that the guarantees need those requirements.
 
-Everything here recomputes from scratch through the public evaluation
-entry points; nothing reuses solver-internal accumulators, so these checks
+The checks share structure with the solver: the Problem's slack maps and
+their spectra, and its curvature constants as ``solver._curvature`` reads
+them.  They never share an iterate accumulator: each identity is recomputed
+from the states through the public evaluation entry points, so these checks
 catch bookkeeping bugs rather than inheriting them.  Each entry point that
 takes a ``Problem`` raises BuildError, as ``step`` does, when an equation
 was added to its system after the problem was built.
@@ -24,11 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prox import Quadratic, _SolvePlan, conjugate_gradients
-from .solver import (Problem, SolverState, Violation, _al, _gram_eigenvalues,
-                     _min_pos_from_eigs, _stationarity)
+from .solver import (Problem, SolverState, Violation, _al, _curvature,
+                     _gram_eigenvalues, _stationarity)
 from .system import evaluate, freeze, jacobian_image_basis, stack_residual
-
-_Z_ROLES = ("z1", "z2")
 
 
 @dataclass
@@ -55,38 +55,6 @@ def stationarity(problem: Problem, state: SolverState) -> StationarityEstimate:
 
 def _sq(arrays) -> float:
     return float(sum(np.sum(a * a) for a in arrays))
-
-
-def _cached_spectra(problem: Problem) -> dict:
-    """Spectral constants of the slack coefficient maps, computed once.
-
-    Slack blocks enter the equations only through fixed linear maps, so the
-    frozen forms do not depend on the assignment and zeros are a safe base
-    point.
-    """
-    cache = getattr(problem, "_diag_spectra", None)
-    if cache is not None:
-        return cache
-    zeros = {b: np.zeros(b.shape) for b in problem.all_blocks}
-    cache = {}
-    for key, roles in (("z1", ("z1",)), ("z2", ("z2",)), ("z", _Z_ROLES)):
-        blocks = problem.system.blocks_with_role(*roles)
-        if not blocks:
-            cache[key] = None
-            continue
-        focus = blocks[0] if len(blocks) == 1 else tuple(blocks)
-        cache[key] = freeze(problem.system, focus, zeros)
-    cache["lambda_pp"] = None
-    if cache["z1"] is not None:
-        eigs = _gram_eigenvalues(cache["z1"])
-        cache["lambda_pp"] = _min_pos_from_eigs(sorted(eigs), 1e-9)[1]
-    cache["sigma"] = None
-    if cache["z2"] is not None:
-        eigs = sorted(_gram_eigenvalues(cache["z2"]))
-        if eigs[0] > 1e-10:
-            cache["sigma"] = float(eigs[0])
-    problem._diag_spectra = cache
-    return cache
 
 
 def _least_squares_residual(form, target: np.ndarray, maxit: int = 500) -> float:
@@ -119,7 +87,7 @@ def assert_iteration(problem: Problem, state: SolverState,
     """Re-derive the identities one iteration must satisfy.
 
     ``state`` and ``state_new`` bracket the iteration.  Checks that
-    need curvature constants ("m1", "M1", "M2" in the problem metadata) or
+    need declared curvature constants (m1, M1, M2; see ``Problem``) or
     slack blocks are skipped when those are absent.  Returns the violations
     found; at level "strict" a nonempty result raises AssertionError
     instead, and the image-membership check of the multiplier step (which
@@ -127,7 +95,7 @@ def assert_iteration(problem: Problem, state: SolverState,
     """
     if level not in ("basic", "strict"):
         raise ValueError(f"unknown level {level!r}; use 'basic' or 'strict'")
-    problem._plans()
+    maps = problem._slack_maps()
     rho = state_new.rho
     violations = []
 
@@ -154,14 +122,13 @@ def assert_iteration(problem: Problem, state: SolverState,
                 "multiplier step changed the Lagrangian by a value other "
                 "than rho * ||C||^2"))
 
-    spectra = _cached_spectra(problem)
+    m1, M1, M2, _, _ = _curvature(problem)
     z1 = problem.system.blocks_with_role("z1")
     z2 = problem.system.blocks_with_role("z2")
-    meta = problem.metadata
     # The step bound needs slack optimality at both ends of the transition,
     # so the first step away from an arbitrary init is exempt.
-    have_bound = ((not z1 or ("M1" in meta and spectra["lambda_pp"]))
-                  and (not z2 or ("M2" in meta and spectra["sigma"]))
+    have_bound = ((not z1 or (M1 is not None and maps.lambda_pp))
+                  and (not z2 or (M2 is not None and maps.sigma))
                   and (z1 or z2) and state.k >= 1)
     dz1 = _sq([state_new.assignment[b] - state.assignment[b] for b in z1])
     dz2 = _sq([state_new.assignment[b] - state.assignment[b] for b in z2])
@@ -169,9 +136,9 @@ def assert_iteration(problem: Problem, state: SolverState,
         dw = dual_sq * rho
         bound = 0.0
         if z1:
-            bound += float(meta["M1"]) ** 2 / spectra["lambda_pp"] * dz1
+            bound += M1 ** 2 / maps.lambda_pp * dz1
         if z2:
-            bound += float(meta["M2"]) ** 2 / spectra["sigma"] * dz2
+            bound += M2 ** 2 / maps.sigma * dz2
         slack = 1e-8 * (1.0 + dw)
         if dw > bound + slack:
             violations.append(Violation(
@@ -187,17 +154,16 @@ def assert_iteration(problem: Problem, state: SolverState,
                     "monotone_decrease", l_new - l_old, tol,
                     "Lagrangian increased under a certified penalty"))
 
-    if ("m1" in meta and (z1 or z2)
-            and (not z2 or ("M2" in meta and spectra["sigma"]))):
+    if (m1 is not None and (z1 or z2)
+            and (not z2 or (M2 is not None and maps.sigma))):
         hybrid = dict(state_new.assignment)
         for b in z1 + z2:
             hybrid[b] = state.assignment[b]
         l_before_z = _al(problem, hybrid, state.multipliers, rho)
         if np.isfinite(l_before_z) and np.isfinite(l_mid):
-            required = 0.5 * float(meta["m1"]) * dz1
+            required = 0.5 * m1 * dz1
             if z2:
-                required += 0.5 * (rho * spectra["sigma"]
-                                   - float(meta["M2"])) * dz2
+                required += 0.5 * (rho * maps.sigma - M2) * dz2
             slack = 1e-8 * (1.0 + abs(l_before_z))
             drop = l_before_z - l_mid
             if drop < required - slack:
@@ -206,12 +172,12 @@ def assert_iteration(problem: Problem, state: SolverState,
                     "joint slack update decreased the Lagrangian by less "
                     "than its curvature guarantees"))
 
-    if level == "strict" and spectra["z"] is not None:
+    if level == "strict" and maps.z is not None:
         dual_step = stack_residual([state_new.multipliers[e] - state.multipliers[e]
                                     for e in sorted(state.multipliers)])
         norm = float(np.linalg.norm(dual_step))
         if norm > 0.0:
-            resid = _least_squares_residual(spectra["z"], dual_step)
+            resid = _least_squares_residual(maps.z, dual_step)
             tol = 1e-8 * (1.0 + norm)
             if resid > tol:
                 violations.append(Violation(
@@ -257,21 +223,20 @@ def check_assumptions(problem: Problem, samples: int = 20,
     formulations that need slack blocks from those already in solvable
     shape.
     """
-    problem._plans()
+    maps = problem._slack_maps()
     system = problem.system
     rng = np.random.default_rng(seed)
     checks = []
-    z_all = problem.system.blocks_with_role(*_Z_ROLES)
-    spectra = _cached_spectra(problem)
+    m1, _, _, _, declared = _curvature(problem)
 
     base = {b: rng.standard_normal(b.shape) for b in problem.all_blocks}
     cols = jacobian_image_basis(system, base, samples=samples, seed=seed)
-    if z_all:
+    if maps.z is not None:
         worst = 0.0
         for j in range(cols.shape[1]):
             col = cols[:, j]
             norm = float(np.linalg.norm(col))
-            resid = _least_squares_residual(spectra["z"], col)
+            resid = _least_squares_residual(maps.z, col)
             worst = max(worst, resid / (1.0 + norm))
         if worst <= 1e-8:
             checks.append(("image_containment", "pass",
@@ -298,30 +263,22 @@ def check_assumptions(problem: Problem, samples: int = 20,
     if not z2:
         checks.append(("slack_injectivity", "pass",
                        "no pure-slack blocks; requirement is vacuous"))
-    elif spectra["sigma"] is not None:
+    elif maps.sigma:
         checks.append(("slack_injectivity", "pass",
-                       f"smallest eigenvalue {spectra['sigma']:.3e}"))
+                       f"smallest eigenvalue {maps.sigma:.3e}"))
     else:
         checks.append(("slack_injectivity", "fail",
                        "pure-slack coefficient map is not injective"))
 
     z1 = problem.system.blocks_with_role("z1")
-    bad = None
-    for b in z1 + z2:
-        if problem.nonsmooth_term(b) is not None:
-            bad = (b.name, "carries a nonsmooth term")
-            break
-    if bad is None and z1:
-        if not (float(problem.metadata.get("m1", 0.0)) > 0.0):
-            for b in z1:
-                quads = [t for t in problem.terms_for(b)
-                         if isinstance(t, Quadratic)
-                         and t.identity_curvature is not None
-                         and t.identity_curvature > 0.0]
-                if not quads:
-                    bad = (b.name, "has no strongly convex smooth term and "
-                                   "no declared curvature")
-                    break
+    bad = next(((b.name, "carries a nonsmooth term") for b in z1 + z2
+                if problem.nonsmooth_term(b) is not None), None)
+    if bad is None and (m1 is None or not m1 > 0.0):
+        bad = next(((b.name, "has no strongly convex smooth term and no "
+                             "declared curvature") for b in z1
+                    if not any(isinstance(t, Quadratic)
+                               and (t.identity_curvature or 0.0) > 0.0
+                               for t in problem.terms_for(b))), None)
     if bad is None:
         checks.append(("final_block_structure", "pass",
                        "final-position blocks are smooth with curvature "
@@ -331,24 +288,17 @@ def check_assumptions(problem: Problem, samples: int = 20,
                        f"final-position block {bad[0]!r} {bad[1]}; move the "
                        "term onto a swept block and couple through a slack"))
 
-    declared = list(problem.metadata.get("r_blocks", ()))
     if not declared:
         checks.append(("final_block_injectivity", "unverifiable",
                        "no final-position coefficient maps declared"))
     else:
-        worst_name = None
-        for name, _mu in declared:
-            block = system.blocks[name]
-            for _ in range(3):
-                point = {b: rng.standard_normal(b.shape)
-                         for b in problem.all_blocks}
-                eigs = sorted(_gram_eigenvalues(
-                    freeze(system, block, point)))
-                if eigs[0] <= 1e-10:
-                    worst_name = name
-                    break
-            if worst_name:
-                break
+        def loses_rank(name):  # at one of three points, drawn in turn
+            points = ({b: rng.standard_normal(b.shape) for b in problem.all_blocks}
+                      for _ in range(3))
+            return any(np.min(_gram_eigenvalues(freeze(system, system.blocks[name], p)))
+                       <= 1e-10 for p in points)
+
+        worst_name = next((name for name, _ in declared if loses_rank(name)), None)
         if worst_name:
             checks.append(("final_block_injectivity", "fail",
                            f"coefficient map of {worst_name!r} lost rank at "

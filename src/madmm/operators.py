@@ -88,6 +88,7 @@ class ScaledIdentity(LinearOp):
     def __init__(self, alpha: float, shape):
         super().__init__(shape, shape)
         self.alpha = float(alpha)
+        require_finite(self.alpha, "ScaledIdentity alpha")
         self.identity_scale = self.alpha
 
     def apply(self, x):

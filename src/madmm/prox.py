@@ -114,6 +114,7 @@ class Quadratic(ObjectiveTerm):
     smooth = True
 
     def __init__(self, weight: float, center=None, linear_map: LinearOp | None = None):
+        require_finite(weight, "Quadratic weight")
         if weight < 0:
             raise BuildError("Quadratic weight must be nonnegative")
         self.weight = float(weight)
@@ -153,6 +154,7 @@ class L1(ObjectiveTerm):
     """weight * sum |x_ij|."""
 
     def __init__(self, weight: float = 1.0):
+        require_finite(weight, "L1 weight")
         if weight < 0:
             raise BuildError("L1 weight must be nonnegative")
         self.weight = float(weight)

@@ -115,8 +115,8 @@ class Problem:
     deconvolution updaters are not exact: the signal update runs a fixed
     number of passes from zero, and the kernel update adds a proximal term
     anchored at the current kernel.  ``metadata``
-    is free-form; the keys "m1", "M1", "M2", "M_F" and "r_blocks" feed the
-    certified penalty bound.
+    is free-form; the keys m1, M1, M2, M_F and r_blocks (see
+    ``rho_lower_bound``) feed the certified penalty bound at each solve.
 
     A block carries at most one nonsmooth term.  Building raises BuildError
     when such a block, with no custom updater, has no exact proximal step
@@ -159,6 +159,7 @@ class Problem:
         self._validate()
         self._z_components = self._build_z_components()
         self._units = self._build_plans()
+        self._slack = None  # _SlackMaps, built on first use
         self._generation = system._generation
         # (block, smooth terms, coupling terms, nonsmooth term) per block.
         self._block_terms = [
@@ -250,10 +251,28 @@ class Problem:
 
     def _plans(self):
         if self.system._generation != self._generation:
-            self._units = None
+            self._units = self._slack = None
             raise BuildError("an equation was added to the system after this "
                              "Problem was built; build a new Problem")
         return self._units
+
+    def _slack_maps(self) -> "_SlackMaps":
+        """The slack maps and their spectra, built on first use and retired
+        with the solve plans.  Each map is frozen once at zeros, its blocks
+        in ``blocks_with_role`` order (a lone block on its own): z1 and z2
+        blocks enter only linear terms, so it is the same at every point.
+        The zeros are read-only views of one scalar, so the maps the record
+        keeps hold no block-sized array."""
+        self._plans()
+        if self._slack is None:
+            zeros = {b: np.broadcast_to(0.0, b.shape) for b in self.system.blocks.values()}
+            maps = []
+            for roles in ((ROLE_Z1,), (ROLE_Z2,), (ROLE_Z1, ROLE_Z2)):
+                blocks = self.system.blocks_with_role(*roles)
+                focus = blocks[0] if len(blocks) == 1 else tuple(blocks)
+                maps.append(freeze(self.system, focus, zeros) if blocks else None)
+            self._slack = _SlackMaps(*maps)
+        return self._slack
 
     def _build_z_components(self):
         zs = self.z_order
@@ -533,8 +552,8 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
         raise ValueError(f"unknown rho policy {rho!r}")
     else:
         rho_val = float(rho)
-        if not rho_val > 0.0:
-            raise ValueError("rho must be positive")
+        if not 0.0 < rho_val < math.inf:
+            raise ValueError("rho must be positive and finite")
 
     current = SolverState(assignment, multipliers, rho_val, 0)
     traces = []
@@ -575,20 +594,15 @@ def _auto_rho(problem: Problem, assignment: dict):
     """(rho, certified): the metadata bound when available, else a probe.
 
     Raises ValueError when no probed rho up to 2**39 passes its trial run.
+    The r_blocks maps may depend on values, so they are frozen here.
     """
-    md = problem.metadata
+    m1, M1, M2, M_F, r_blocks = _curvature(problem)
     system = problem.system
-    z1 = [b for b in problem.z_order if b.role == ROLE_Z1]
-    z2 = [b for b in problem.z_order if b.role == ROLE_Z2]
-    if "m1" in md and "M1" in md and z1:
-        q1 = freeze(system, tuple(z1), assignment)
-        q2 = freeze(system, tuple(z2), assignment) if z2 else None
-        r_blocks = [(freeze(system, system.blocks[name], assignment), float(mu))
-                    for name, mu in md.get("r_blocks", ())]
-        rho = rho_lower_bound(float(md["m1"]), float(md["M1"]),
-                              float(md.get("M2", 0.0)),
-                              float(md.get("M_F", 0.0)), q1, q2, r_blocks)
-        return rho, True
+    if m1 is not None and M1 is not None and system.blocks_with_role(ROLE_Z1):
+        r_maps = [(freeze(system, system.blocks[name], assignment), float(mu))
+                  for name, mu in r_blocks]
+        return _grid_rho(m1, M1, M2 or 0.0, M_F or 0.0, problem._slack_maps(),
+                         r_maps), True
     base = {b: np.array(v) for b, v in assignment.items()}
     rho_try = 1.0
     for _ in range(40):
@@ -655,8 +669,6 @@ def lambda_min_pos(M, tol: float = 1e-9):
 
 def _gram_eigenvalues(q):
     """Ascending eigenvalues of Q^T Q for an operator, matrix or frozen form."""
-    if q is None:
-        return None
     if isinstance(q, FrozenLinearForm):
         plan = _SolvePlan(q)
         diag = plan.normal_diag(q, 1.0)
@@ -673,14 +685,43 @@ def _gram_eigenvalues(q):
         gd = q.gram_diag()
         if gd is not None:
             return np.sort(np.asarray(gd, dtype=float))
-        dense = q.to_dense()
-        if dense is None:
+        q = q.to_dense()
+        if q is None:
             raise BuildError("operator is too large for a dense spectrum")
-        return np.linalg.eigvalsh(dense.T @ dense)
     mat = np.asarray(q, dtype=float)
     if mat.ndim != 2:
         raise BuildError("Q must be a LinearOp, a matrix, or a frozen form")
     return np.linalg.eigvalsh(mat.T @ mat)
+
+
+_CURVATURE_KEYS = ("m1", "M1", "M2", "M_F", "r_blocks")
+
+
+def _curvature(problem: Problem):
+    """(m1, M1, M2, M_F, r_blocks) from ``problem.metadata``, read at each
+    call since the dict stays editable: each constant a float, None when
+    absent, and r_blocks a tuple of (block name, mu) pairs."""
+    md = problem.metadata
+    *constants, r_key = _CURVATURE_KEYS
+    return (*(float(md[k]) if k in md else None for k in constants),
+            tuple(md.get(r_key, ())))
+
+
+class _SlackMaps:
+    """Slack maps ``z1``, ``z2`` and ``z`` (both together), None when absent,
+    with the smallest positive eigenvalue of z1's gram, ``lambda_pp``, and
+    the smallest of z2's, ``sigma`` (0.0 when at most 1e-10: not injective),
+    each None without its map.  Raises ValueError when z1's gram is
+    indefinite or has no positive eigenvalue."""
+
+    def __init__(self, z1, z2, z=None):
+        self.z1, self.z2, self.z = z1, z2, z
+        self.lambda_pp = self.sigma = None
+        if z1 is not None:
+            _, self.lambda_pp = _min_pos_from_eigs(_gram_eigenvalues(z1), 1e-9)
+        if z2 is not None:
+            sigma = float(np.min(_gram_eigenvalues(z2)))
+            self.sigma = sigma if sigma > 1e-10 else 0.0
 
 
 def rho_lower_bound(m1: float, M1: float, M2: float, M_F: float, q1, q2,
@@ -696,23 +737,21 @@ def rho_lower_bound(m1: float, M1: float, M2: float, M_F: float, q1, q2,
     blocks whose own coefficient map must be injective, adding the condition
     rho > (mu + M_F) / lambda_min(R^T R) for each.
     """
+    return _grid_rho(m1, M1, M2, M_F, _SlackMaps(q1, q2), r_blocks)
+
+
+def _grid_rho(m1, M1, M2, M_F, spectra: _SlackMaps, r_blocks) -> float:
+    """rho_lower_bound with the slack spectra read from ``spectra``."""
     if not m1 > 0.0:
         raise ValueError("m1 must be positive")
     if M1 < m1:
         raise ValueError("M1 must be at least m1")
     if M2 < 0.0 or M_F < 0.0:
         raise ValueError("M2 and M_F must be nonnegative")
-    eigs1 = _gram_eigenvalues(q1)
-    if eigs1 is None:
+    lam_pp, sigma = spectra.lambda_pp, spectra.sigma
+    if lam_pp is None:
         raise ValueError("Q1 is required")
-    _, lam_pp = _min_pos_from_eigs(eigs1, 1e-9)
-    sigma = None
-    if q2 is not None:
-        eigs2 = _gram_eigenvalues(q2)
-        sigma = float(np.min(eigs2))
-        if sigma <= 1e-10:
-            raise ValueError("Q2 not injective")
-    elif M2 > 0.0:
+    if sigma == 0.0 or (sigma is None and M2 > 0.0):
         raise ValueError("Q2 not injective")
 
     kappa = M1 / m1
@@ -722,18 +761,14 @@ def rho_lower_bound(m1: float, M1: float, M2: float, M_F: float, q1, q2,
     for r_map, mu in r_blocks:
         if mu + M_F == 0.0:
             continue
-        eigs_r = _gram_eigenvalues(r_map)
-        lam_min = float(np.min(eigs_r))
+        lam_min = float(np.min(_gram_eigenvalues(r_map)))
         if lam_min <= 1e-10:
             raise ValueError("final-block coefficient map is not injective")
         bound = max(bound, (mu + M_F) / lam_min)
 
     def admissible(rho):
-        if rho <= bound:
-            return False
-        if M2 > 0.0:
-            return sigma * rho / 2.0 - M2 * M2 / (sigma * rho) > M2 / 2.0
-        return True
+        return rho > bound and (not M2 > 0.0 or sigma * rho / 2.0
+                                - M2 * M2 / (sigma * rho) > M2 / 2.0)
 
     rho = 1e-3
     for _ in range(3000):
@@ -810,6 +845,6 @@ def add_prox_constraint(problem: Problem, block, S, rho: float) -> Problem:
     updaters = dict(problem.custom_updaters)
     updaters[shadow.name] = _anchored
     metadata = {k: v for k, v in problem.metadata.items()
-                if k not in ("m1", "M1", "M2", "M_F", "r_blocks")}
+                if k not in _CURVATURE_KEYS}
     return Problem(rebuilt, dict(problem.objective), problem.coupling,
                    list(problem.update_order), updaters, metadata)

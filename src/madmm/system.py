@@ -66,6 +66,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -484,8 +485,8 @@ class MultiaffineSystem:
                 if existing is not None and existing != b:
                     raise BuildError(f"conflicting definitions of block {b.name!r}")
                 added[b.name] = b
-            if isinstance(term.sign, (int, float)) and term.sign not in (1, -1):
-                raise BuildError(f"equation {eq_id}: sign must be +1 or -1")
+            if not (isinstance(term.sign, Real) and term.sign in (1, -1)):
+                raise BuildError(f"equation {eq_id}: sign must be +1 or -1, got {term.sign!r}")
         self.blocks.update(added)
         self.equations.append((eq_id, terms))
         self.equations.sort(key=lambda pair: pair[0])
@@ -844,15 +845,24 @@ class FrozenLinearForm:
         return pair
 
     def _as_values(self, y):
+        """Focus block -> checked value; ``y`` is keyed by name for a group."""
         if self._single:
-            block = self.focus[0]
-            y = np.asarray(y, dtype=float)
-            if y.shape != block.shape:
+            y = {self.focus[0].name: y}
+        elif not isinstance(y, dict):
+            raise ShapeMismatchError(
+                f"focus {[b.name for b in self.focus]} takes a dict of values "
+                f"by block name, got {type(y).__name__}")
+        out = {}
+        for b in self.focus:
+            if b.name not in y:
+                raise ShapeMismatchError(f"no focus value for block {b.name!r}",
+                                         block=b.name)
+            v = out[b] = np.asarray(y[b.name], dtype=float)
+            if v.shape != b.shape:
                 raise ShapeMismatchError(
-                    f"focus value has shape {y.shape}, block {block.name!r} "
-                    f"declared {block.shape}", block=block.name)
-            return {block: y}
-        return {b: np.asarray(y[b.name], dtype=float) for b in self.focus}
+                    f"focus value has shape {v.shape}, block {b.name!r} "
+                    f"declared {b.shape}", block=b.name)
+        return out
 
     def apply_eqs(self, y) -> dict:
         """eq_id -> linear part of the residual at focus value(s) y."""

@@ -150,6 +150,32 @@ def test_zoo_assumption_screen():
             assert report.overall == "pass", (name, report.failures())
 
 
+@pytest.mark.parametrize("name, maps", [("nmf3", 1), ("sbd1", 1),
+                                         ("rp2", 2), ("mc1", 2)])
+def test_solve_and_screen_compute_each_slack_spectrum_once(monkeypatch, name, maps):
+    # The automatic rho and the assumption screen read one record of the
+    # slack spectra on the Problem: one spectrum per z1 or z2 map, not one
+    # per caller.
+    import madmm.diagnostics as diagnostics_mod
+    import madmm.solver as solver_mod
+
+    real = solver_mod._gram_eigenvalues
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(solver_mod, "_gram_eigenvalues", counting)
+    monkeypatch.setattr(diagnostics_mod, "_gram_eigenvalues", counting,
+                        raising=False)
+    problem = zoo.default_instance(name, 0).problem
+    solve(problem, rho=None, max_iter=0)
+    assert len(calls) == maps
+    check_assumptions(problem, samples=2)
+    assert len(calls) == maps
+
+
 def test_raw_rpca_fails_by_final_block_structure():
     report = check_assumptions(zoo.default_instance("rpca2_raw").problem)
     names = [n for n, _ in report.failures()]
@@ -318,3 +344,27 @@ def test_least_squares_residual_resolves_conv_signal_targets(kernel_shape):
         want = float(np.linalg.norm(target - a @ coef))
         assert (abs(_least_squares_residual(form, target) - want)
                 <= 1e-8 * (1.0 + float(np.linalg.norm(target))))
+
+
+def test_declared_final_block_maps_are_sampled_for_rank():
+    # z enters through the identity; x through a rank-one matrix, so its
+    # map loses rank at every point.
+    x = BlockId("x", "x", (2, 1))
+    z = BlockId("z", "z1", (2, 1))
+    system = MultiaffineSystem()
+    system.add_equation([LinearTerm(DenseOp(np.ones((2, 2)), (2, 1), (2, 1)), x),
+                         LinearTerm(DenseOp(np.eye(2), (2, 1), (2, 1)), z, sign=-1)])
+
+    def injectivity(declared):
+        problem = Problem(system, {z: [Quadratic(1.0)]},
+                          metadata={"r_blocks": declared})
+        report = check_assumptions(problem, samples=2).as_dict()
+        return next(c for c in report["checks"]
+                    if c["name"] == "final_block_injectivity")
+
+    assert injectivity([("z", 0.0)]) == {
+        "name": "final_block_injectivity", "status": "pass",
+        "detail": "declared coefficient maps kept rank at sampled points"}
+    assert injectivity([("z", 0.0), ("x", 0.0)]) == {
+        "name": "final_block_injectivity", "status": "fail",
+        "detail": "coefficient map of 'x' lost rank at a sampled point"}

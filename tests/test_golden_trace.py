@@ -16,8 +16,14 @@ SHA-256 of the final assignment (blocks in name order) and multiplier
 
     PYTHONPATH=src python tests/test_golden_trace.py --digest
 
+Saved to a file at the parent, that output is checked in one command, which
+names each family whose digest differs and then exits 1:
+
+    PYTHONPATH=src python tests/test_golden_trace.py --compare FILE
+
 Digests depend on the BLAS build and its thread count (pin it, e.g. with
-OPENBLAS_NUM_THREADS=1), so they are only printed, never asserted.
+OPENBLAS_NUM_THREADS=1), so they are only printed or compared on request,
+never asserted under pytest.
 """
 
 import hashlib
@@ -83,5 +89,14 @@ if __name__ == "__main__":
     elif sys.argv[1:] == ["--digest"]:
         for n in zoo.zoo_names():
             print(n, _digest(n))
+    elif len(sys.argv) == 3 and sys.argv[1] == "--compare":
+        saved = dict(line.split() for line in
+                     Path(sys.argv[2]).read_text().splitlines() if line.strip())
+        differ = [n for n in zoo.zoo_names() if saved.get(n) != _digest(n)]
+        for n in differ:
+            print(f"{n}: digest differs from {sys.argv[2]}")
+        print(f"{len(zoo.zoo_names()) - len(differ)} of {len(zoo.zoo_names())} "
+              "families match")
+        sys.exit(1 if differ else 0)
     else:
         sys.exit(__doc__)

@@ -207,6 +207,17 @@ def test_non_finite_data_rejected_at_build():
     assert box.value(np.array([-5.0, 9.0])) == 0.0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["Quadratic weight", "L1 weight",
+                                  "ScaledIdentity alpha"])
+def test_non_finite_weights_rejected_at_build(name, bad):
+    # A NaN weight used to build and run until the solve reported Diverged.
+    build = {"Quadratic weight": Quadratic, "L1 weight": L1,
+             "ScaledIdentity alpha": lambda v: ScaledIdentity(v, (2, 2))}[name]
+    with pytest.raises(BuildError, match=name):
+        build(bad)
+
+
 def test_project_box_rejects_empty_box():
     with pytest.raises(ValueError):
         project_box(np.zeros(3), lo=1.0, hi=-1.0)

@@ -341,6 +341,15 @@ def test_init_override_and_shape_validation():
         solve(problem, rho=1.0, max_iter=1, assert_level="chatty")
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_rho_is_refused(bad):
+    # An infinite rho used to fail inside nmf3's Sylvester solve with
+    # numpy's LinAlgError.
+    inst = zoo.default_instance("nmf3", 0)
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        solve(inst.problem, rho=bad, max_iter=1, init=inst.init)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_init_with_non_finite_entries_is_refused_by_name(bad):
     inst = zoo.default_instance("nmf3", 0)
@@ -654,6 +663,18 @@ def test_prox_constraint_rejections():
     problem.metadata.update({"m1": 1.0, "M1": 1.0})
     tied = add_prox_constraint(problem, x, np.eye(1), rho=1.0)
     assert "m1" not in tied.metadata
+
+
+def test_prox_constraint_drops_every_certificate_key():
+    problem, _ = _mini_nmf(mu=1.0)
+    problem.metadata.update({"r_blocks": [("Z", 0.0)], "note": "kept"})
+    tied = add_prox_constraint(problem, "X", np.eye(problem.system.blocks["X"].dim),
+                               rho=2.0)
+    assert tied.metadata == {"note": "kept"}
+    # With no constants left, the automatic rho is probed: a power of two.
+    state, _, _ = solve(tied, rho=None, max_iter=0, seed=4)
+    assert state.rho >= 1.0
+    assert math.log2(state.rho) == round(math.log2(state.rho))
 
 
 # ---------------------------------------------------------------------------

@@ -219,6 +219,31 @@ def test_freeze_group_consistency():
         assert np.linalg.norm(stacked - linear) <= 1e-10 * (1 + np.linalg.norm(form.offset))
 
 
+def test_group_form_refuses_values_it_cannot_read():
+    # A wrong shape used to broadcast (a 520-vector from a (1, 20) Z), a
+    # missing name raised a bare KeyError and an array an IndexError.
+    from madmm.prox import quad_block_solve
+
+    inst = zoo.default_instance("nmf3", 0)
+    system = inst.problem.system
+    Z, Xr = system.blocks["Z"], system.blocks["X_rem"]
+    form = freeze(system, (Z, Xr), _gaussian_assignment(system, 0))
+    good = {"Z": np.ones(Z.shape), "X_rem": np.ones(Xr.shape)}
+    assert form.apply(good).shape == (form.out_dim,)
+    cases = [({"Z": np.ones((1, 20)), "X_rem": good["X_rem"]}, "Z"),
+             ({"Z": good["Z"]}, "X_rem"),
+             (np.ones(Z.shape), None)]
+    for bad, block in cases:
+        for call in (form.apply, form.stack_values):
+            with pytest.raises(ShapeMismatchError) as err:
+                call(bad)
+            assert err.value.block == block
+            assert (repr(block) if block else "dict") in str(err.value)
+    w = np.zeros(form.out_dim)
+    with pytest.raises(ShapeMismatchError, match="'Z'"):
+        quad_block_solve(form, w, 1.0, method="cg", y0=cases[0][0])
+
+
 @pytest.mark.parametrize("builder", [_rank_one_system, _conv_system])
 def test_adjoint_identity(builder):
     out = builder()
@@ -551,6 +576,27 @@ def test_add_equation_refuses_what_is_not_a_term():
                                              "not a constraint term"):
             system.add_equation([MatChain([x]), stranger])
     assert system.equations == []
+
+
+def test_add_equation_refuses_a_sign_other_than_plus_or_minus_one():
+    # A numpy 2 was read as +1 by evaluate but scaled the frozen map by 2;
+    # "+" and None failed later, inside evaluate, with a bare TypeError.
+    x = BlockId("X", "x", (2, 2))
+    z = BlockId("Z", "z1", (2, 2))
+    system = MultiaffineSystem()
+    for sign in (np.int64(2), 2, 0.5, 0, "+", None, np.array([1, 1])):
+        with pytest.raises(BuildError, match=r"equation 0: sign must be \+1 or -1"):
+            system.add_equation([MatChain([x], sign=sign),
+                                 LinearTerm(ScaledIdentity(1.0, (2, 2)), z, sign=-1)])
+    assert system.equations == []
+    # numpy scalars of +1 and -1 are signs like any other.
+    system.add_equation([MatChain([x], sign=np.int64(1)),
+                         LinearTerm(ScaledIdentity(1.0, (2, 2)), z,
+                                    sign=np.float64(-1.0))])
+    point = {x: np.eye(2), z: np.zeros((2, 2))}
+    form = freeze(system, x, point)
+    assert np.array_equal(evaluate(system, point)[0], np.eye(2))
+    assert np.array_equal(form.apply(np.eye(2)) - form.offset, np.ravel(np.eye(2)))
 
 
 def test_freeze_unknown_focus_rejected():

@@ -309,6 +309,12 @@ def test_metadata_constants():
     assert (md["m1"], md["M2"]) == (5.0, 3.0)
 
 
+def test_non_finite_weight_is_refused_before_a_run():
+    # nmf3 at mu = nan used to run and end Diverged with L = inf.
+    with pytest.raises(BuildError, match="Quadratic weight"):
+        nmf3(np.ones((4, 4)), 2, mu=np.nan)
+
+
 # Factor blocks take the Sylvester path, blocks with a nonsmooth term a prox
 # step, and z blocks the diagonal path; rp2's Hadamard blocks, whose parity
 # post-map has no diagonal gram, take the dense path.
