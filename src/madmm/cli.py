@@ -278,6 +278,8 @@ def _bench_one(job) -> dict:
 
 
 def cmd_bench(args) -> int:
+    if args.iters < 1:
+        raise ValueError(f"--iters must be at least 1, got {args.iters}")
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     n, ks = args.size, args.kernel

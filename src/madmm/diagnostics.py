@@ -14,9 +14,7 @@ The checks share structure with the solver: the Problem's slack maps and
 their spectra, and its curvature constants as ``solver._curvature`` reads
 them.  They never share an iterate accumulator: each identity is recomputed
 from the states through the public evaluation entry points, so these checks
-catch bookkeeping bugs rather than inheriting them.  Each entry point that
-takes a ``Problem`` raises BuildError, as ``step`` does, when an equation
-was added to its system after the problem was built.
+catch bookkeeping bugs rather than inheriting them.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import numpy as np
 
 from .prox import Quadratic, _SolvePlan, conjugate_gradients
 from .solver import (Problem, SolverState, Violation, _al, _curvature,
-                     _gram_eigenvalues, _stationarity)
+                     _fail_on, _gram_eigenvalues, _stationarity)
 from .system import evaluate, freeze, jacobian_image_basis, stack_residual
 
 
@@ -47,7 +45,6 @@ def stationarity(problem: Problem, state: SolverState) -> StationarityEstimate:
     smooth gradient to the subdifferential.  Constraint violations are not
     included; read those from the residual.
     """
-    problem._plans()
     parts, aggregate = _stationarity(problem, state.assignment,
                                      state.multipliers)
     return StationarityEstimate(parts, aggregate)
@@ -184,10 +181,8 @@ def assert_iteration(problem: Problem, state: SolverState,
                     "multiplier_image", resid, tol,
                     "multiplier step left the image of the slack maps"))
 
-    if level == "strict" and violations:
-        lines = [f"{v.check}: magnitude {v.magnitude:.3e} exceeds {v.tol:.3e}"
-                 f" ({v.detail})" for v in violations]
-        raise AssertionError("iteration checks failed: " + "; ".join(lines))
+    if level == "strict":
+        _fail_on(violations)
     return violations
 
 

@@ -19,8 +19,8 @@ component when it is built.
 
 Each x block and each z component is one update unit.  ``Problem`` builds
 the solve plan of every unit (``prox._SolvePlan``) when it is built, which
-fixes the unit's one solve path, ``plan.path``, and drops them once an
-equation is added to its system.  A step freezes each unit's form, which
+fixes the unit's one solve path, ``plan.path``; building also fixes the
+system, so the plans stay valid.  A step freezes each unit's form, which
 checks the values it reads, and runs its plan on values alone.
 
 The penalty weight rho can be given explicitly, certified from curvature
@@ -43,7 +43,8 @@ from .operators import DenseOp, LinearOp
 from .prox import CouplingTerm, ObjectiveTerm, _SolvePlan
 from .system import (BlockId, LinearTerm, MultiaffineSystem, ROLE_X, ROLE_Z1,
                      ROLE_Z2, block_adjoints, evaluate, freeze,
-                     FrozenLinearForm, spectrum_memo, stack_residual)
+                     FrozenLinearForm, _term_index, spectrum_memo,
+                     stack_residual)
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAXITER = "MaxIter"
@@ -126,8 +127,8 @@ class Problem:
     too, one per update unit, each with the one solve path its unit takes
     at every step (see the module docstring); a plan also refuses, naming
     the block, a SmoothCustom term with curvature on a block with no
-    custom updater.  Adding an equation to the system retires the plans,
-    and a later ``step`` raises BuildError.
+    custom updater.  Building fixes the system, even when no unit has a
+    plan: ``add_equation`` then raises BuildError.
 
     z blocks tied by a shared equation form one component, which each step
     solves jointly and exactly.  Building raises BuildError when a
@@ -158,9 +159,9 @@ class Problem:
                               key=_block_key)
         self._validate()
         self._z_components = self._build_z_components()
-        self._units = self._build_plans()
+        self._units = self._build_units()
+        _term_index(system)  # fixes the system even when no unit froze it
         self._slack = None  # _SlackMaps, built on first use
-        self._generation = system._generation
         # (block, smooth terms, coupling terms, nonsmooth term) per block.
         self._block_terms = [
             (b, tuple(t for t in self.terms_for(b) if t.smooth),
@@ -228,7 +229,7 @@ class Problem:
                         "coupling term is not affine per block; blocks "
                         f"{missing} need custom updaters")
 
-    def _build_plans(self):
+    def _build_units(self):
         """(focus, solve plan) per update unit in step order; the plan is
         None for a block with a custom updater.  Each plan is read from a
         form frozen where every block is all ones: the one value a plan reads
@@ -249,21 +250,13 @@ class Problem:
                                             term=self.nonsmooth_term(focus[0]))))
         return units
 
-    def _plans(self):
-        if self.system._generation != self._generation:
-            self._units = self._slack = None
-            raise BuildError("an equation was added to the system after this "
-                             "Problem was built; build a new Problem")
-        return self._units
-
     def _slack_maps(self) -> "_SlackMaps":
-        """The slack maps and their spectra, built on first use and retired
-        with the solve plans.  Each map is frozen once at zeros, its blocks
-        in ``blocks_with_role`` order (a lone block on its own): z1 and z2
-        blocks enter only linear terms, so it is the same at every point.
-        The zeros are read-only views of one scalar, so the maps the record
-        keeps hold no block-sized array."""
-        self._plans()
+        """The slack maps and their spectra, built on first use and kept.
+        Each map is frozen once at zeros, its blocks in ``blocks_with_role``
+        order (a lone block on its own): z1 and z2 blocks enter only linear
+        terms, so it is the same at every point.  The zeros are read-only
+        views of one scalar, so the maps the record keeps hold no
+        block-sized array."""
         if self._slack is None:
             zeros = {b: np.broadcast_to(0.0, b.shape) for b in self.system.blocks.values()}
             maps = []
@@ -370,9 +363,7 @@ def _al(problem: Problem, assignment: dict, multipliers: dict, rho: float,
 
 def augmented_lagrangian(problem: Problem, state: SolverState) -> float:
     """L at the state's assignment, multipliers and rho; +inf when infeasible
-    for an indicator term.  Raises BuildError when an equation was added to
-    the system after the problem was built."""
-    problem._plans()
+    for an indicator term."""
     return _al(problem, state.assignment, state.multipliers, state.rho)
 
 
@@ -437,7 +428,6 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
     until it returns (see system.spectrum_memo).
     """
     t0 = time.perf_counter()
-    units = problem._plans()
     rho = state.rho
     system = problem.system
     assignment = dict(state.assignment)
@@ -459,7 +449,7 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
 
     with spectrum_memo(assignment, multipliers, mults_new):
         try:
-            for focus, plan in units:
+            for focus, plan in problem._units:
                 _update_blocks(problem, focus, plan, assignment, multipliers,
                                rho, block_steps)
                 if check_argmin and focus[0].role == ROLE_X:
@@ -492,6 +482,14 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
     return new_state, trace
 
 
+def _fail_on(violations):
+    """Raise AssertionError naming each violation, if there is any."""
+    if violations:
+        lines = [f"{v.check}: magnitude {v.magnitude:.3e} exceeds {v.tol:.3e}"
+                 f" ({v.detail})" for v in violations]
+        raise AssertionError("iteration checks failed: " + "; ".join(lines))
+
+
 def solve(problem: Problem, *, rho=None, max_iter: int = 500,
           tol_primal: float = 1e-8, tol_step: float = 1e-8, seed: int = 0,
           assert_level: str = "none", init=None):
@@ -510,7 +508,7 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
     declared when L or the multiplier norm passes 1e12 or stops being finite.
     assert_level "basic" attaches per-iteration invariant violations to the
     traces; "strict" additionally checks per-block descent and raises
-    AssertionError on any violation.
+    AssertionError on any violation, the step's own included.
     """
     if assert_level not in ("none", "basic", "strict"):
         raise ValueError(f"unknown assert_level {assert_level!r}")
@@ -561,10 +559,12 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
         return current, traces, STATUS_MAXITER
     status = STATUS_MAXITER
     streak = 0
+    strict = assert_level == "strict"
     for _ in range(max_iter):
         prev = current
-        current, tr = step(problem, prev,
-                           check_argmin=(assert_level == "strict"))
+        current, tr = step(problem, prev, check_argmin=strict)
+        if strict:
+            _fail_on(tr.violations)
         if assert_level != "none":
             from . import diagnostics
             extra = diagnostics.assert_iteration(problem, prev, current,
@@ -735,13 +735,17 @@ def rho_lower_bound(m1: float, M1: float, M2: float, M_F: float, q1, q2,
     frozen form over those blocks); q2 may be None when there are no z2
     blocks, which requires M2 == 0.  r_blocks lists (map, mu) pairs for
     blocks whose own coefficient map must be injective, adding the condition
-    rho > (mu + M_F) / lambda_min(R^T R) for each.
+    rho > (mu + M_F) / lambda_min(R^T R) for each.  A constant that is NaN
+    or infinite raises ValueError naming it.
     """
     return _grid_rho(m1, M1, M2, M_F, _SlackMaps(q1, q2), r_blocks)
 
 
 def _grid_rho(m1, M1, M2, M_F, spectra: _SlackMaps, r_blocks) -> float:
     """rho_lower_bound with the slack spectra read from ``spectra``."""
+    for name, value in (("m1", m1), ("M1", M1), ("M2", M2), ("M_F", M_F)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if not m1 > 0.0:
         raise ValueError("m1 must be positive")
     if M1 < m1:
@@ -796,8 +800,8 @@ def add_prox_constraint(problem: Problem, block, S, rho: float) -> Problem:
     shadow would share an equation with it, and the shadow's custom updater
     leaves that pair no exact joint update (see ``Problem``).
     """
-    if not rho > 0.0:
-        raise ValueError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise ValueError("rho must be positive and finite")
     blk = problem._resolve(block)
     if blk.role != ROLE_X:
         raise BuildError(f"a proximal tie needs an x-role block; {blk.name!r} "

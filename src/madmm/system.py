@@ -26,8 +26,8 @@ Which terms a focus enters, which only feed offsets and which blocks must be
 read depend on the focus alone, not on block values.  The first ``freeze`` of
 a focus stores that structure on the system as a plan, read from one walk of
 the terms that files each term under every block it holds, and later calls
-for the same focus reuse it; ``add_equation``, the only way to add an
-equation, clears the walk and every plan.
+for the same focus reuse it.  The walk fixes the system: ``add_equation``,
+the only way to add an equation, refuses every one after it.
 
 A frozen form is a list of pieces, one per occurrence of a focus block in a
 term, and each piece is an instance of one small class per way a block can
@@ -427,11 +427,11 @@ def _conv_adjoint_kernel(signal: np.ndarray, w_hat: np.ndarray, kernel_shape) ->
 class MultiaffineSystem:
     """A stack of multiaffine equations ``sum_t sign_t T_t(blocks) = 0``.
 
-    Equations are added only through :meth:`add_equation`.  The system keeps
-    one walk of its terms and one freeze plan per focus that :func:`freeze`
-    has seen; adding an equation clears them all and retires the solve plans
-    of every ``solver.Problem`` built on the system, by bumping
-    ``_generation``.
+    Equations are added only through :meth:`add_equation`, and only until
+    the system is first frozen (by :func:`freeze`, or by building a
+    ``solver.Problem`` on it).  The system then keeps one walk of its terms
+    and one freeze plan per focus that :func:`freeze` has seen, and every
+    ``solver.Problem`` built on it keeps its solve plans, all built once.
     """
 
     def __init__(self):
@@ -440,13 +440,13 @@ class MultiaffineSystem:
         self._eq_shapes = {}
         self._plans = {}     # focus tuple -> _FreezePlan
         self._terms = None   # the one walk of the terms, see _term_index
-        # Bumped by add_equation; a solver.Problem keeps its solve plans
-        # while the count it was built at still holds.
-        self._generation = 0
 
     def add_equation(self, terms, eq_id: int | None = None) -> int:
         """Append one equation; every term is checked before any of its
-        blocks is registered, so a refused equation changes nothing."""
+        blocks is registered, so a refused equation changes nothing.  Once
+        the system has been frozen every equation is refused."""
+        if self._terms is not None:
+            raise BuildError("the system is frozen; build a new system")
         if eq_id is None:
             eq_id = len(self.equations)
         if any(e == eq_id for e, _ in self.equations):
@@ -491,9 +491,6 @@ class MultiaffineSystem:
         self.equations.append((eq_id, terms))
         self.equations.sort(key=lambda pair: pair[0])
         self._eq_shapes[eq_id] = shape
-        self._plans.clear()
-        self._terms = None
-        self._generation += 1
         return eq_id
 
     def eq_shape(self, eq_id: int) -> tuple:
@@ -947,10 +944,10 @@ class _FreezePlan:
 
 
 def _term_index(system: MultiaffineSystem):
-    """One walk of every term, kept on the system until ``add_equation``:
-    the (eq_id, term) pairs in equation and term order, and per block name
-    the block and the positions of the terms holding it, blocks in
-    first-use order."""
+    """One walk of every term, kept on the system, which it fixes (see
+    ``MultiaffineSystem.add_equation``): the (eq_id, term) pairs in equation
+    and term order, and per block name the block and the positions of the
+    terms holding it, blocks in first-use order."""
     if system._terms is None:
         terms, where = [], {}
         for eq_id, eq_terms in system.equations:
@@ -963,8 +960,9 @@ def _term_index(system: MultiaffineSystem):
 
 
 def _plan_freeze(system: MultiaffineSystem, focus: tuple) -> _FreezePlan:
-    """The plan of `focus`, read from :func:`_term_index`; raises before
-    anything is kept."""
+    """The plan of `focus`, read from :func:`_term_index`, which is kept
+    even when the focus is refused."""
+    terms, where = _term_index(system)
     if not focus:
         raise BuildError("freeze needs at least one focus block")
     for i, b in enumerate(focus):
@@ -973,7 +971,6 @@ def _plan_freeze(system: MultiaffineSystem, focus: tuple) -> _FreezePlan:
         if b in focus[:i]:
             raise BuildError(f"focus names block {b.name!r} twice")
     focus_set = frozenset(focus)
-    terms, where = _term_index(system)
     names = dict.fromkeys(b.name for b in focus)
     hit = sorted(i for name in names for i in where[name][1])
     for i, j in zip(hit, hit[1:]):
@@ -1009,8 +1006,8 @@ def freeze(system: MultiaffineSystem, focus, assignment) -> FrozenLinearForm:
     that focus's plan: the blocks to read, the terms the focus enters and
     each equation's other terms.  A focus that fails those checks is not
     kept, so it fails on every call.  Later calls for the same focus read
-    the plan's blocks in the same order and build pieces from its terms;
-    ``add_equation`` clears the walk and every plan.
+    the plan's blocks in the same order and build pieces from its terms.
+    The first call, refused or not, fixes the system (see ``add_equation``).
     """
     focus_blocks = (focus,) if isinstance(focus, BlockId) else tuple(focus)
     plan = system._plans.get(focus_blocks)

@@ -48,6 +48,16 @@ def test_config_rejects_unknown_param_key():
         RunConfig.from_dict({"zoo": "nmf3", "params": {"width": 4}})
 
 
+def test_config_params_null_or_not_an_object():
+    # null reads as no overrides; anything else that is not an object is a
+    # config error naming the field.
+    assert RunConfig.from_dict({"zoo": "nmf3", "params": None}).params == {}
+    for bad in ([["rows", 6]], 3, "rows"):
+        with pytest.raises(ValueError, match="^config field 'params' must be "
+                           "an object$"):
+            RunConfig.from_dict({"zoo": "nmf3", "params": bad})
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError, match="assert_level"):
         RunConfig.from_dict({"assert_level": "loud"})
@@ -252,6 +262,26 @@ def test_data_file_bin_round_trips_into_run(tmp_path, capsys):
     assert Z.shape == (4, 7)
 
 
+def test_data_file_csv_is_rp2_covariance(tmp_path, capsys):
+    # A data file replaces rp2's covariance, with the box [0, 1/2] per asset;
+    # a covariance that is not square is refused by name.
+    A = np.random.default_rng(7).normal(size=(5, 5))
+    path = tmp_path / "cov.csv"
+    matio.save_matrix(str(path), A @ A.T / 5 + 0.1 * np.eye(5))
+    out_dir = tmp_path / "run"
+    code, _, _ = _run(capsys, "solve", "--zoo", "rp2", "--data", str(path),
+                      "--max-iter", "2", "--out", str(out_dir))
+    assert code == EXIT_MAXITER
+    meta = json.loads((out_dir / "state.json").read_text())
+    box = matio.load_matrix(str(out_dir / meta["blocks"]["x_box"]))
+    assert box.shape == (5, 1)
+    assert np.all(box >= 0.0) and np.all(box <= 0.5)
+    matio.save_matrix(str(path), np.ones((5, 4)))
+    code, _, err = _run(capsys, "solve", "--zoo", "rp2", "--data", str(path))
+    assert code == EXIT_ERROR
+    assert err == "error: covariance must be square\n"
+
+
 def test_data_file_bad_extension_is_an_error(tmp_path, capsys):
     path = tmp_path / "B.txt"
     path.write_text("1,2\n3,4\n")
@@ -372,3 +402,15 @@ def test_bench_fixed_seed_reproduces_bytes(tmp_path, capsys):
         assert code == EXIT_OK
     for fname in _BENCH_FILES:
         assert (dirs[0] / fname).read_bytes() == (dirs[1] / fname).read_bytes()
+
+
+@pytest.mark.parametrize("iters", ["0", "-1"])
+def test_bench_refuses_fewer_than_one_iteration(tmp_path, capsys, iters):
+    # Such a run has no last multiplier norm to report; it used to end in a
+    # bare IndexError from the summary.
+    out_dir = tmp_path / "bench"
+    code, out, err = _run(capsys, "bench", "--out-dir", str(out_dir),
+                          "--size", "16", "--kernel", "4", "--iters", iters)
+    assert code == EXIT_ERROR
+    assert err == f"error: --iters must be at least 1, got {iters}\n"
+    assert out == "" and not out_dir.exists()

@@ -18,7 +18,7 @@ from madmm.prox import Quadratic
 from madmm.solver import (Problem, SolverState, augmented_lagrangian, solve,
                           step)
 from madmm.system import (BlockId, Constant, Conv2D, LinearTerm, MatChain,
-                          MultiaffineSystem, freeze)
+                          MultiaffineSystem, evaluate, freeze)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +137,153 @@ def test_assert_iteration_rejects_unknown_level():
         assert_iteration(problem, state, new, level="paranoid")
 
 
+def test_strict_run_raises_on_a_block_update_that_raises_L():
+    # The step's own check: a Y_pos updater that lands off the minimizer
+    # makes L rise during the sweep.  "strict" used to attach that to the
+    # trace and run on to MaxIter.
+    inst = zoo.default_instance("nmf3", 0)
+    clean = inst.problem
+
+    def bump(problem, block, assignment, multipliers, rho):
+        return np.maximum(assignment[block], 0.0) + 1.0
+
+    off = Problem(clean.system, clean.objective,
+                  custom_updaters={"Y_pos": bump}, metadata=clean.metadata)
+    with pytest.raises(AssertionError, match="block_argmin.*'Y_pos'"):
+        solve(off, rho=5.0, max_iter=5, assert_level="strict", init=inst.init)
+    _, traces, _ = solve(clean, rho=5.0, max_iter=5, assert_level="strict",
+                         init=inst.init)
+    assert len(traces) == 5 and not any(tr.violations for tr in traces)
+
+
+def test_solve_attaches_basic_violations_to_the_traces():
+    # Understated curvature constants make the multiplier-step bound too
+    # tight: "basic" records each breach on its iteration's trace.
+    inst = zoo.default_instance("nmf3", 0)
+    clean = inst.problem
+    lying = Problem(clean.system, clean.objective,
+                    metadata={**clean.metadata, "m1": 0.01, "M1": 0.01})
+    for problem, want in ((lying, ["multiplier_bound"]), (clean, [])):
+        _, traces, _ = solve(problem, rho=5.0, max_iter=4,
+                             assert_level="basic", init=inst.init)
+        # The first step away from the initial point is exempt.
+        assert [[v.check for v in tr.violations] for tr in traces] == \
+            [[]] + [want] * 3
+
+
+def _dual_step_to(problem, state, assignment):
+    """The state at ``assignment`` whose multipliers take the dual step from
+    ``state`` on its own residuals, so the dual identities hold."""
+    residuals = evaluate(problem.system, assignment)
+    mults = {e: state.multipliers[e] + state.rho * r
+             for e, r in zip(problem.system.eq_ids, residuals)}
+    return SolverState(assignment, mults, state.rho, state.k + 1)
+
+
+def _slack_doctored(scale):
+    """(problem, state, clean, doctored) on desk nmf3 at rho 5: ``clean`` is
+    one step from ``state``, and ``doctored`` moves every z1 block by
+    ``scale`` times its clean step instead."""
+    inst = zoo.default_instance("nmf3", 0)
+    problem = inst.problem
+    state, _, _ = solve(problem, rho=5.0, max_iter=2, init=inst.init)
+    clean, _ = step(problem, state)
+    moved = dict(clean.assignment)
+    for b in problem.system.blocks_with_role("z1"):
+        moved[b] = state.assignment[b] + scale * (clean.assignment[b]
+                                                  - state.assignment[b])
+    return problem, state, clean, _dual_step_to(problem, state, moved)
+
+
+def test_multiplier_bound_flags_slack_blocks_held_still():
+    # With the slacks held, the bound ||dW||^2 <= M1^2 / lambda * ||dz1||^2
+    # allows no multiplier step at all.
+    problem, state, clean, held = _slack_doctored(0.0)
+    assert assert_iteration(problem, state, clean) == []
+    found = assert_iteration(problem, state, held)
+    assert [v.check for v in found] == ["multiplier_bound"]
+
+
+def test_z_decrease_flags_an_overshot_slack_update():
+    # Three times the exact slack step raises L instead of lowering it by
+    # m1 / 2 ||dz1||^2.
+    problem, state, clean, over = _slack_doctored(3.0)
+    assert assert_iteration(problem, state, clean) == []
+    found = assert_iteration(problem, state, over)
+    assert "z_decrease" in [v.check for v in found]
+
+
+def _tie_toy(spanned):
+    """min 1/2 (x^2 + y^2 + s^2 [+ t^2]) s.t. x y - s = 1 and x - y [- t] = 0:
+    the slack s spans the first equation, and t, when present, the
+    second."""
+    x = BlockId("x", "x", (1, 1), index=0)
+    y = BlockId("y", "x", (1, 1), index=1)
+    s = BlockId("s", "z1", (1, 1))
+    system = MultiaffineSystem()
+    system.add_equation([MatChain([x, y]), LinearTerm(DenseOp(np.eye(1)), s, sign=-1),
+                         Constant([[1.0]], sign=-1)])
+    tie = [MatChain([x]), MatChain([y], sign=-1)]
+    if spanned:
+        tie.append(LinearTerm(DenseOp(np.eye(1)), BlockId("t", "z1", (1, 1)),
+                              sign=-1))
+    system.add_equation(tie)
+    return Problem(system, {b: [Quadratic(1.0)] for b in system.blocks.values()})
+
+
+@pytest.mark.parametrize("spanned", [True, False])
+def test_multiplier_image_flags_a_step_outside_the_slack_maps(spanned):
+    problem = _tie_toy(spanned)
+    state, _, _ = solve(problem, rho=1.0, max_iter=1,
+                        init={"x": [[2.0]], "y": [[0.5]]})
+    new, _ = step(problem, state)
+    # The image check runs at "strict" only.
+    assert assert_iteration(problem, state, new, level="basic") == []
+    if spanned:
+        assert assert_iteration(problem, state, new, level="strict") == []
+    else:
+        with pytest.raises(AssertionError, match="^iteration checks failed: "
+                           "multiplier_image"):
+            assert_iteration(problem, state, new, level="strict")
+
+
 # ---------------------------------------------------------------------------
 # Structural assumption checks.
+
+@pytest.mark.parametrize("spanned", [True, False])
+def test_image_containment_reads_the_slack_maps(spanned):
+    check = {name: (status, detail) for name, status, detail in
+             check_assumptions(_tie_toy(spanned), samples=3).checks}
+    status, detail = check["image_containment"]
+    assert status == ("pass" if spanned else "fail")
+    assert ("resolved by the slack maps" if spanned else "slack maps miss") in detail
+
+
+def test_image_containment_without_slack_blocks():
+    # Without slack blocks the image is contained only when the constraints
+    # vanish at every sampled point.
+    x = BlockId("x", "x", (2, 1))
+    for offset, want in ((0.0, "pass"), (1.0, "fail")):
+        system = MultiaffineSystem()
+        system.add_equation([MatChain([x]), MatChain([x], sign=-1),
+                             Constant(np.full((2, 1), offset))])
+        checks = check_assumptions(Problem(system, {x: [Quadratic(1.0)]}),
+                                   samples=3).checks
+        assert checks[0][:2] == ("image_containment", want)
+
+
+@pytest.mark.parametrize("diag, want", [((1.0, 2.0), "pass"), ((1.0, 0.0), "fail")])
+def test_slack_injectivity_reads_the_pure_slack_map(diag, want):
+    x = BlockId("x", "x", (2, 1))
+    s = BlockId("s", "z2", (2, 1))
+    system = MultiaffineSystem()
+    system.add_equation([MatChain([x]), LinearTerm(DenseOp(np.diag(diag)), s, sign=-1),
+                         Constant(np.ones((2, 1)), sign=-1)])
+    problem = Problem(system, {x: [Quadratic(1.0)], s: [Quadratic(1.0)]})
+    checks = {name: status for name, status, _ in
+              check_assumptions(problem, samples=3).checks}
+    assert checks["slack_injectivity"] == want
+
 
 def test_zoo_assumption_screen():
     expected_fail = {"rpca2_raw", "sbd0"}

@@ -391,7 +391,7 @@ def test_scalar_curvature_diagonal_solve_matches_the_full_diagonal(name):
     inst = zoo.default_instance("sbd1" if name == "b" else "nmf3", 0)
     problem = inst.problem
     state, _, _ = solve(problem, max_iter=3, init=inst.init)
-    (plan,) = [plan for focus, plan in problem._plans() if focus[0].name == name]
+    (plan,) = [plan for focus, plan in problem._units if focus[0].name == name]
     form = freeze(problem.system, plan.focus, state.assignment)
     assert plan.path == "diag"
     assert all(isinstance(d, float)

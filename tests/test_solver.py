@@ -17,8 +17,9 @@ from madmm.solver import (Problem, SolverState, STATUS_CONVERGED,
                           STATUS_DIVERGED, STATUS_MAXITER,
                           add_prox_constraint, augmented_lagrangian,
                           lambda_min_pos, rho_lower_bound, solve, step)
-from madmm.system import (BlockId, Constant, HadamardPair, LinearTerm,
-                          MatChain, MultiaffineSystem, evaluate)
+from madmm.system import (BlockId, Constant, Conv2D, HadamardPair,
+                          LinearTerm, MatChain, MultiaffineSystem, evaluate,
+                          freeze)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +480,28 @@ def test_rho_lower_bound_rejections():
                         r_blocks=[(np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)])
 
 
+@pytest.mark.parametrize("name", ["m1", "M1", "M2", "M_F"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rho_lower_bound_refuses_a_non_finite_constant_by_name(name, bad):
+    # A NaN M2 or M_F used to pass the sign checks (every comparison with
+    # NaN is false) and certify a finite rho.
+    constants = dict(m1=1.0, M1=1.0, M2=0.0, M_F=0.0)
+    assert rho_lower_bound(*constants.values(), np.eye(3), np.eye(3)) > 0.0
+    constants[name] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        rho_lower_bound(*constants.values(), np.eye(3), np.eye(3))
+
+
+def test_non_finite_metadata_constant_certifies_no_rho():
+    # Desk nmf3 with M_F = NaN used to certify rho = 4.63, as if M_F were 0.
+    inst = zoo.default_instance("nmf3", 0)
+    state, _, _ = solve(inst.problem, rho=None, max_iter=0, init=inst.init)
+    assert math.isfinite(state.rho)
+    inst.problem.metadata["M_F"] = float("nan")
+    with pytest.raises(ValueError, match="^M_F must be finite"):
+        solve(inst.problem, rho=None, max_iter=0, init=inst.init)
+
+
 def test_gram_eigenvalues_evaluates_no_offset(monkeypatch):
     # The spectrum reads only the normal operator.  Assembling it with a
     # zero-dual right-hand side evaluated the offsets too: for sbd1 a full
@@ -663,6 +686,15 @@ def test_prox_constraint_rejections():
     problem.metadata.update({"m1": 1.0, "M1": 1.0})
     tied = add_prox_constraint(problem, x, np.eye(1), rho=1.0)
     assert "m1" not in tied.metadata
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_prox_constraint_refuses_a_non_finite_rho(bad):
+    # An infinite rho built the tie with scale c = 0, whose anchored update
+    # then divided by zero and the solve ended Diverged with L = nan.
+    problem, x, z = _bilinear_toy()
+    with pytest.raises(ValueError, match="rho must be positive and finite"):
+        add_prox_constraint(problem, x, np.eye(1), rho=bad)
 
 
 def test_prox_constraint_drops_every_certificate_key():
@@ -859,25 +891,47 @@ def test_building_a_problem_runs_the_curvature_rule_once_per_unit(monkeypatch, n
         return real_rule(*args, **kwargs)
 
     monkeypatch.setattr(prox, "_curvature_rule", counting_rule)
-    units = zoo.default_instance(name, 0).problem._plans()
+    units = zoo.default_instance(name, 0).problem._units
     assert len(rules) == sum(plan is not None for _, plan in units)
 
 
-def test_adding_an_equation_retires_the_problem_plans():
+def test_building_a_problem_fixes_its_system():
+    # A freeze, or a built Problem, fixes the system: a later equation is
+    # refused and changes nothing, also when no unit of the problem has a
+    # plan that froze it, or the system has no blocks at all.
+    x = BlockId("x", "x", (1, 1))
+    z = BlockId("z", "z0", (1, 1))
+
+    def keep(problem, block, assignment, multipliers, rho):
+        return assignment[block] + 0.0
+
+    builds = {
+        "freeze": lambda system: freeze(system, x, {z: np.ones((1, 1))}),
+        "problem": lambda system: Problem(system, {x: [Quadratic(1.0)],
+                                                   z: [Quadratic(1.0)]}),
+        "custom updaters only": lambda system: Problem(
+            system, custom_updaters={"x": keep, "z": keep}),
+        "no blocks": Problem,
+    }
+    for how, build in builds.items():
+        system = MultiaffineSystem()
+        if how != "no blocks":
+            system.add_equation([MatChain([x, z]), Constant([[1.0]], sign=-1)])
+        build(system)
+        equations, blocks = list(system.equations), dict(system.blocks)
+        plans = dict(system._plans)
+        with pytest.raises(BuildError, match="frozen"):
+            system.add_equation([MatChain([x]), Constant([[0.25]], sign=-1)])
+        assert system.equations == equations, how
+        assert system.blocks == blocks and system._plans == plans, how
+    # The refusal leaves a built problem stepping as it did.
     problem, x, z = _bilinear_toy()
-    system = problem.system
     state, _, _ = solve(problem, rho=2.0, max_iter=2)
-    step(problem, state)
-    pickle.dumps(system)
-    system.add_equation([MatChain([x]), Constant([[0.25]], sign=-1)])
-    with pytest.raises(BuildError, match="build a new Problem"):
-        step(problem, state)
-    # A problem built on the grown system steps as a fresh one does.
-    fresh = Problem(system, problem.objective)
-    again = Problem(system, problem.objective)
-    start, _, _ = solve(fresh, rho=2.0, max_iter=0)
-    one, tr_one = step(fresh, start)
-    two, tr_two = step(again, start)
+    one, tr_one = step(problem, state)
+    with pytest.raises(BuildError, match="frozen"):
+        problem.system.add_equation([MatChain([x]), Constant([[0.25]], sign=-1)])
+    pickle.dumps(problem.system)
+    two, tr_two = step(problem, state)
     assert tr_one.L == tr_two.L and tr_one.block_steps == tr_two.block_steps
     for b in one.assignment:
         assert np.array_equal(one.assignment[b], two.assignment[b])
@@ -886,8 +940,9 @@ def test_adding_an_equation_retires_the_problem_plans():
 @pytest.mark.parametrize("entry", ["check_assumptions", "stationarity",
                                    "augmented_lagrangian", "assert_iteration"])
 def test_entry_points_refuse_a_problem_whose_system_grew(entry):
-    # Each runs once first, so whatever it keeps on the problem is stale
-    # once the equation is added.
+    # The system of a built problem cannot grow: the equation is refused
+    # before any entry point could read a record kept for fewer equations,
+    # and each entry point, run once before, answers as it did.
     from madmm import diagnostics
 
     inst = zoo.default_instance("nmf3", 0)
@@ -895,16 +950,50 @@ def test_entry_points_refuse_a_problem_whose_system_grew(entry):
     state, _, _ = solve(problem, max_iter=1, init=inst.init)
     after, _ = step(problem, state)
     call = {
-        "check_assumptions": lambda: diagnostics.check_assumptions(problem, samples=2),
+        "check_assumptions": lambda: diagnostics.check_assumptions(
+            problem, samples=2).as_dict(),
         "stationarity": lambda: diagnostics.stationarity(problem, after),
         "augmented_lagrangian": lambda: augmented_lagrangian(problem, after),
         "assert_iteration": lambda: diagnostics.assert_iteration(problem, state, after),
     }[entry]
-    call()
+    first = call()
     w = BlockId("w_new", "x", (1, 1), index=99)
-    problem.system.add_equation([MatChain([w]), Constant([[1.0]], sign=-1)])
-    with pytest.raises(BuildError, match="build a new Problem"):
-        call()
+    with pytest.raises(BuildError, match="frozen"):
+        problem.system.add_equation([MatChain([w]), Constant([[1.0]], sign=-1)])
+    assert "w_new" not in problem.system.blocks
+    assert call() == first
+
+
+def test_cg_units_step_to_the_dense_normal_equations():
+    # A convolution has no dense or diagonal solve, so both of its blocks
+    # take conjugate gradients, started from their current values.  The
+    # signal's new value solves, to the CG tolerance, the normal equations
+    # of L over it at the new kernel, the old Z and the old multiplier.
+    from test_system import _conv_direct
+
+    kernel = BlockId("A", "x", (2, 2), index=0)
+    signal = BlockId("X", "x", (4, 4), index=1)
+    z = BlockId("Z", "z1", (4, 4))
+    system = MultiaffineSystem()
+    system.add_equation([Conv2D(kernel, signal),
+                         LinearTerm(ScaledIdentity(1.0, (4, 4)), z, sign=-1)])
+    target = np.random.default_rng(3).standard_normal((4, 4))
+    problem = Problem(system, {kernel: [Quadratic(1.0)], signal: [Quadratic(0.5)],
+                               z: [Quadratic(1.0, center=target)]})
+    assert [(f[0].name, plan.path) for f, plan in problem._units] == \
+        [("A", "cg"), ("X", "cg"), ("Z", "diag")]
+    rho = 2.0
+    state, _, _ = solve(problem, rho=rho, max_iter=2)
+    new, _ = step(problem, state)
+    conv = np.column_stack([
+        np.ravel(_conv_direct(new.assignment[kernel], e.reshape(4, 4)))
+        for e in np.eye(16)])
+    normal = 0.5 * np.eye(16) + rho * conv.T @ conv
+    rhs = conv.T @ (rho * np.ravel(state.assignment[z])
+                    - np.ravel(state.multipliers[0]))
+    want = np.linalg.solve(normal, rhs).reshape(4, 4)
+    np.testing.assert_allclose(new.assignment[signal], want, rtol=0, atol=1e-9)
+    assert not np.allclose(new.assignment[signal], state.assignment[signal])
 
 
 @pytest.mark.parametrize("name", zoo.zoo_names())

@@ -690,17 +690,16 @@ def test_freeze_checks_every_frozen_value_at_the_call():
         freeze(system, focus, point)
 
 
-def test_add_equation_after_freeze_clears_the_plan():
+def test_add_equation_after_freeze_is_refused():
+    # Equations join until the first freeze, which fixes the system whether
+    # or not its focus passes; every later equation is refused, changing
+    # nothing, so each kept plan stays valid.
     system, x, y, z, s = _rank_one_system(3)
     v = BlockId("v", "z2", (3, 1))
+    third = [MatChain([x], sign=-1), LinearTerm(ScaledIdentity(2.0, (3, 1)), v),
+             Constant(np.ones((3, 1)))]
+    system.add_equation(third)
     point = _gaussian_assignment(system, 9)
-    assert [e for e, _ in freeze(system, x, point).eq_dims] == [0, 1]
-    system.add_equation([MatChain([x], sign=-1),
-                         LinearTerm(ScaledIdentity(2.0, (3, 1)), v),
-                         Constant(np.ones((3, 1)))])
-    with pytest.raises(KeyError, match="'v'"):
-        freeze(system, x, point)
-    point[v] = np.random.default_rng(10).standard_normal((3, 1))
     form = freeze(system, x, point)
     assert [e for e, _ in form.eq_dims] == [0, 1, 2]
     assert [p.eq_id for p in form.pieces if p.eq_id == 2] == [2]
@@ -709,11 +708,21 @@ def test_add_equation_after_freeze_clears_the_plan():
     np.testing.assert_allclose(form.apply(point[x]) - form.offset,
                                stack_residual(evaluate(system, point)),
                                rtol=1e-12, atol=1e-12)
+    u = BlockId("u", "z2", (3, 1))
+    with pytest.raises(BuildError, match="frozen"):
+        system.add_equation([MatChain([x]), LinearTerm(ScaledIdentity(1.0, (3, 1)), u)])
+    assert [e for e, _ in freeze(system, x, point).eq_dims] == [0, 1, 2]
+    refused, x, *_ = _rank_one_system(3)
+    with pytest.raises(BuildError, match="twice"):
+        freeze(refused, [x, x], _gaussian_assignment(refused, 0))
+    with pytest.raises(BuildError, match="frozen"):
+        refused.add_equation([MatChain([x]), LinearTerm(ScaledIdentity(1.0, (3, 1)), u)])
+    assert len(refused.equations) == 2 and "u" not in refused.blocks
 
 
 def test_freeze_walks_the_terms_once_per_system(monkeypatch):
-    # Every focus reads its plan from one walk of the terms, which only
-    # add_equation clears.
+    # Every focus reads its plan from one walk of the terms, which fixes the
+    # system: a later equation is refused before any term is walked.
     import madmm.system as system_mod
 
     system, x, y, z, s = _rank_one_system(3)
@@ -735,10 +744,10 @@ def test_freeze_walks_the_terms_once_per_system(monkeypatch):
     freeze(system, [z, s], _gaussian_assignment(system, 0))
     freeze(system, x, _gaussian_assignment(system, 0))
     assert len(walked) == n_terms
-    system.add_equation([MatChain([x]), Constant(np.ones((3, 1)))])
-    walked.clear()
+    with pytest.raises(BuildError, match="frozen"):
+        system.add_equation([MatChain([x]), Constant(np.ones((3, 1)))])
     freeze(system, x, _gaussian_assignment(system, 0))
-    assert len(walked) == n_terms + 2
+    assert len(walked) == n_terms
 
 
 def _plan_by_walking(system, focus):
@@ -1065,12 +1074,18 @@ def test_refused_equation_registers_nothing():
         system.add_equation([MatChain([x]), MatChain([y, y])])
     assert system.blocks == {} and system.equations == []
     system, x, y, z, s = _rank_one_system(3)
-    freeze(system, x, _gaussian_assignment(system, 0))
-    blocks, plans = dict(system.blocks), dict(system._plans)
+    blocks = dict(system.blocks)
     stranger = BlockId("u", "z1", (3, 1))
     with pytest.raises(BuildError, match="linear terms"):
         system.add_equation([MatChain([x]),
                              LinearTerm(ScaledIdentity(1.0, (3, 1)), stranger),
                              HadamardPair(stranger, stranger)])
+    assert system.blocks == blocks and len(system.equations) == 2
+    # Once frozen, the system refuses even a valid equation, unchanged.
+    freeze(system, x, _gaussian_assignment(system, 0))
+    plans = dict(system._plans)
+    with pytest.raises(BuildError, match="frozen"):
+        system.add_equation([MatChain([x]),
+                             LinearTerm(ScaledIdentity(1.0, (3, 1)), stranger)])
     assert system.blocks == blocks and system._plans == plans
     assert len(system.equations) == 2

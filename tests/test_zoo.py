@@ -338,7 +338,7 @@ def test_every_unit_has_one_closed_form_path(name):
     """Each unit's solve path is fixed when its problem is built, and every
     family's sweep runs on closed-form solves: none reaches conjugate
     gradients."""
-    units = default_instance(name, 0).problem._plans()
+    units = default_instance(name, 0).problem._units
     paths = {focus[0].name: "custom" if plan is None else plan.path
              for focus, plan in units}
     assert paths == UNIT_PATHS[name]
