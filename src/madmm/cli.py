@@ -280,6 +280,11 @@ def _bench_one(job) -> dict:
 def cmd_bench(args) -> int:
     if args.iters < 1:
         raise ValueError(f"--iters must be at least 1, got {args.iters}")
+    if args.size < 1:
+        raise ValueError(f"--size must be at least 1, got {args.size}")
+    if not 1 <= args.kernel <= args.size:
+        raise ValueError(f"--kernel must lie in 1..--size ({args.size}), "
+                         f"got {args.kernel}")
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     n, ks = args.size, args.kernel

@@ -68,7 +68,7 @@ def _least_squares_residual(form, target: np.ndarray, maxit: int = 500) -> float
     plan = _SolvePlan(form)
     if plan.densify_ok:
         parts = form.split_dual(target)
-        entered = np.concatenate([np.ravel(parts[e]) for e in form.by_eq])
+        entered = np.concatenate([np.ravel(parts[e]) for e in form.eq_pieces])
         x, *_ = np.linalg.lstsq(plan.dense_map(form), entered, rcond=None)
     else:
         rhs = form.adjoint_vec(target)

@@ -333,7 +333,8 @@ def _curvature_rule(form, pos, quads):
     :func:`_read_curvature` to read at each call.
     """
     out, chains = [], []
-    for plist in form.by_eq.values():
+    for ks in form.eq_pieces.values():
+        plist = [form.pieces[k] for k in ks]
         p = plist[0]
         if len(plist) > 1 or p.identity is not None:
             if any(q.block.name != p.block.name or q.identity is None
@@ -344,11 +345,11 @@ def _curvature_rule(form, pos, quads):
             continue
         gram = p.gram_diag()
         if gram is None and p.factors is not None:
-            chains.append(form.pieces.index(p))
+            chains.append(ks[0])
         elif gram is None:
             return None
         elif not p.fixed:
-            out.append((pos[p.block.name], True, None, form.pieces.index(p)))
+            out.append((pos[p.block.name], True, None, ks[0]))
         else:
             out.append((pos[p.block.name], True, _uniform_or_diag(gram), None))
     for i, q in quads:
@@ -398,10 +399,10 @@ class _SolvePlan:
         self.dim = start
         # (eq_id, [(index in form.pieces, focus position)]) per equation
         # entered.
-        self.eqs = [(e, [(form.pieces.index(p), pos[p.block.name]) for p in plist])
-                    for e, plist in form.by_eq.items()]
+        self.eqs = [(e, [(k, pos[form.pieces[k].block.name]) for k in ks])
+                    for e, ks in form.eq_pieces.items()]
         self.rows = sum(form.eq_shapes[e][0] * form.eq_shapes[e][1]
-                        for e in form.by_eq)
+                        for e in form.eq_pieces)
         self.quads = []    # (focus position, Quadratic) with a positive weight
         self.consts = []   # (focus position, sign, make): adds sign * make(values)
         self.coupled = False
@@ -538,7 +539,7 @@ class _SolvePlan:
     def dense_map(self, form):
         """A as a matrix: each piece's ``dense()`` block at its equation's
         rows and its block's columns, the rows of the equations the focus
-        enters stacked in ``form.by_eq`` order.  The blocks of the pieces
+        enters stacked in ``form.eq_pieces`` order.  The blocks of the pieces
         that read no other block's value are summed once, in piece order,
         and kept."""
         if self._dense is None:

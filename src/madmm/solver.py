@@ -21,7 +21,8 @@ Each x block and each z component is one update unit.  ``Problem`` builds
 the solve plan of every unit (``prox._SolvePlan``) when it is built, which
 fixes the unit's one solve path, ``plan.path``; building also fixes the
 system, so the plans stay valid.  A step freezes each unit's form, which
-checks the values it reads, and runs its plan on values alone.
+checks the values it reads and builds only the pieces that read them, and
+runs its plan on values alone.
 
 The penalty weight rho can be given explicitly, certified from curvature
 constants declared in the problem metadata via rho_lower_bound, or found by
@@ -43,8 +44,8 @@ from .operators import DenseOp, LinearOp
 from .prox import CouplingTerm, ObjectiveTerm, _SolvePlan
 from .system import (BlockId, LinearTerm, MultiaffineSystem, ROLE_X, ROLE_Z1,
                      ROLE_Z2, block_adjoints, evaluate, freeze,
-                     FrozenLinearForm, _term_index, spectrum_memo,
-                     stack_residual)
+                     FrozenLinearForm, _term_index, _unfreeze,
+                     spectrum_memo, stack_residual)
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAXITER = "MaxIter"
@@ -128,7 +129,8 @@ class Problem:
     at every step (see the module docstring); a plan also refuses, naming
     the block, a SmoothCustom term with curvature on a block with no
     custom updater.  Building fixes the system, even when no unit has a
-    plan: ``add_equation`` then raises BuildError.
+    plan: ``add_equation`` then raises BuildError.  A refused build leaves
+    a system that was open before it open.
 
     z blocks tied by a shared equation form one component, which each step
     solves jointly and exactly.  Building raises BuildError when a
@@ -159,7 +161,13 @@ class Problem:
                               key=_block_key)
         self._validate()
         self._z_components = self._build_z_components()
-        self._units = self._build_units()
+        was_open = system._terms is None
+        try:
+            self._units = self._build_units()
+        except BaseException:
+            if was_open:
+                _unfreeze(system)
+            raise
         _term_index(system)  # fixes the system even when no unit froze it
         self._slack = None  # _SlackMaps, built on first use
         # (block, smooth terms, coupling terms, nonsmooth term) per block.

@@ -26,8 +26,11 @@ Which terms a focus enters, which only feed offsets and which blocks must be
 read depend on the focus alone, not on block values.  The first ``freeze`` of
 a focus stores that structure on the system as a plan, read from one walk of
 the terms that files each term under every block it holds, and later calls
-for the same focus reuse it.  The walk fixes the system: ``add_equation``,
-the only way to add an equation, refuses every one after it.
+for the same focus reuse it.  The walk also builds the piece of every term
+of one block once, as it reads no value; every plan and
+:func:`block_adjoints` share it, so a freeze builds only the pieces that
+read values.  The walk fixes the system: ``add_equation``, the only way to
+add an equation, refuses every one after it.
 
 A frozen form is a list of pieces, one per occurrence of a focus block in a
 term, and each piece is an instance of one small class per way a block can
@@ -67,6 +70,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from numbers import Real
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,7 +122,9 @@ class _Term:
     an array the term or the caller owns (a constant's array, a block value),
     so treat it as read-only.  ``blocks()`` (in occurrence order) and
     ``pieces(focus, values, eq_id)`` (a frozen piece per occurrence of a
-    block in ``focus``) default to none, as for a constant."""
+    block in ``focus``) default to none, as for a constant.  ``values`` is
+    None for a term of one block: its pieces read no value, are ``fixed``,
+    and are built once per system (see :func:`_term_index`)."""
 
     def blocks(self) -> tuple:
         return ()
@@ -166,16 +172,17 @@ class MatChain(_Term):
         return _product(self.factors, lambda b: _value_of(values, b))
 
     def pieces(self, focus, values, eq_id) -> list:
+        read = None if values is None else values.__getitem__
         out = []
         for idx, f in enumerate(self.factors):
             if isinstance(f, BlockId) and f in focus:
-                left = _product(self.factors[:idx], values.__getitem__)
-                right = _product(self.factors[idx + 1:], values.__getitem__)
+                left = _product(self.factors[:idx], read)
+                right = _product(self.factors[idx + 1:], read)
                 if left is None and right is None:
                     out.append(_IdentityPiece(eq_id, f, self.sign, 1.0))
                 else:
-                    fixed = sum(isinstance(g, BlockId) for g in self.factors) == 1
-                    out.append(_MatMulPiece(eq_id, f, self.sign, left, right, fixed))
+                    out.append(_MatMulPiece(eq_id, f, self.sign, left, right,
+                                            fixed=values is None))
         return out
 
 
@@ -428,8 +435,8 @@ class MultiaffineSystem:
     """A stack of multiaffine equations ``sum_t sign_t T_t(blocks) = 0``.
 
     Equations are added only through :meth:`add_equation`, and only until
-    the system is first frozen (by :func:`freeze`, or by building a
-    ``solver.Problem`` on it).  The system then keeps one walk of its terms
+    the system is first frozen (by :func:`freeze` or :func:`block_adjoints`,
+    or by building a ``solver.Problem`` on it).  The system then keeps one walk of its terms
     and one freeze plan per focus that :func:`freeze` has seen, and every
     ``solver.Problem`` built on it keeps its solve plans, all built once.
     """
@@ -653,7 +660,7 @@ class _MatMulPiece(_Piece):
     """sign * left @ Y @ right, with a missing factor left out; ``fixed``
     when both factors are constants of the term."""
 
-    def __init__(self, eq_id, block, sign, left, right, fixed=False):
+    def __init__(self, eq_id, block, sign, left, right, fixed):
         super().__init__(eq_id, block, sign)
         self.factors = (left, right)
         self.fixed = fixed
@@ -785,10 +792,8 @@ class FrozenLinearForm:
         self._offsets = {}                # eq_id -> array, filled on first use
         self.eq_dims = plan.eq_dims       # list of (eq_id, shape)
         self.eq_shapes = plan.eq_shapes   # eq_id -> shape
+        self.eq_pieces = plan.eq_pieces   # eq_id -> indices in pieces, entered
         self._single = single
-        self.by_eq = {}                   # eq_id -> pieces, equations entered
-        for p in pieces:
-            self.by_eq.setdefault(p.eq_id, []).append(p)
 
     @property
     def out_dim(self) -> int:
@@ -867,7 +872,8 @@ class FrozenLinearForm:
         out = {}
         for eq_id, shape in self.eq_dims:
             total = np.zeros(shape)
-            for p in self.by_eq.get(eq_id, ()):
+            for k in self.eq_pieces.get(eq_id, ()):
+                p = self.pieces[k]
                 total += p.apply(values[p.block])
             out[eq_id] = total
         return out
@@ -931,38 +937,71 @@ class FrozenLinearForm:
 
 
 class _FreezePlan:
-    """What freezing one focus needs that does not depend on block values."""
+    """What freezing one focus needs that does not depend on block values.
 
-    def __init__(self, focus, focus_set, reads, hits, frozen_terms, eq_dims):
+    Each term the focus enters gives the form one piece, in walk order.
+    ``pieces`` holds the shared piece of each such term of one block (see
+    :func:`_term_index`), and None where ``varying`` names the term, by
+    (index, eq_id, term), whose piece each freeze builds from values."""
+
+    def __init__(self, focus, focus_set, reads, hits, pieces, frozen_terms,
+                 eq_dims):
         self.focus = focus                # tuple of focus BlockIds
         self.focus_set = focus_set
         self.reads = reads                # non-focus blocks, first-use order
         self.hits = hits                  # (eq_id, term) with a focus block
+        self.pieces = pieces              # per hit, its shared piece or None
+        self.varying = tuple((k, eq_id, term) for k, ((eq_id, term), p)
+                             in enumerate(zip(hits, pieces)) if p is None)
+        self.eq_pieces = {}               # eq_id -> piece indices, in order
+        for k, (eq_id, _) in enumerate(hits):
+            self.eq_pieces.setdefault(eq_id, []).append(k)
         self.frozen_terms = frozen_terms  # eq_id -> non-focus terms
         self.eq_dims = eq_dims            # list of (eq_id, shape)
         self.eq_shapes = dict(eq_dims)
 
 
-def _term_index(system: MultiaffineSystem):
+class _Walk(NamedTuple):
+    terms: list     # (eq_id, term) in equation and term order
+    where: dict     # block name -> (block, positions of the terms holding it)
+    shared: list    # per position, the piece of a term of one block, or None
+    adjoints: list  # (eq_id, term, its block set, its shared piece or None)
+
+
+def _term_index(system: MultiaffineSystem) -> _Walk:
     """One walk of every term, kept on the system, which it fixes (see
-    ``MultiaffineSystem.add_equation``): the (eq_id, term) pairs in equation
-    and term order, and per block name the block and the positions of the
-    terms holding it, blocks in first-use order."""
+    ``MultiaffineSystem.add_equation``); ``where`` lists blocks in first-use
+    order, and ``adjoints`` the terms holding a block, in walk order.  The
+    piece of a term of one block reads no value, so it is built here once;
+    freeze plans and :func:`block_adjoints` share it and never write it."""
     if system._terms is None:
-        terms, where = [], {}
+        terms, where, shared, adjoints = [], {}, [], []
         for eq_id, eq_terms in system.equations:
             for term in eq_terms:
-                for b in term.blocks():
+                blocks = term.blocks()
+                for b in blocks:
                     where.setdefault(b.name, (b, []))[1].append(len(terms))
+                piece = None
+                if len(blocks) == 1:
+                    (piece,) = term.pieces(blocks, None, eq_id)
+                if blocks:
+                    adjoints.append((eq_id, term, frozenset(blocks), piece))
                 terms.append((eq_id, term))
-        system._terms = (terms, where)
+                shared.append(piece)
+        system._terms = _Walk(terms, where, shared, adjoints)
     return system._terms
+
+
+def _unfreeze(system: MultiaffineSystem) -> None:
+    """Drop the walk and every freeze plan, so the system takes equations
+    again; for a caller that fixed an open system and then failed."""
+    system._terms, system._plans = None, {}
 
 
 def _plan_freeze(system: MultiaffineSystem, focus: tuple) -> _FreezePlan:
     """The plan of `focus`, read from :func:`_term_index`, which is kept
     even when the focus is refused."""
-    terms, where = _term_index(system)
+    terms, where, shared, _ = _term_index(system)
     if not focus:
         raise BuildError("freeze needs at least one focus block")
     for i, b in enumerate(focus):
@@ -987,7 +1026,8 @@ def _plan_freeze(system: MultiaffineSystem, focus: tuple) -> _FreezePlan:
             frozen_terms[eq_id].append(term)
     reads = tuple(b for name, (b, _) in where.items() if name not in names)
     return _FreezePlan(focus, focus_set, reads, tuple(terms[i] for i in hit),
-                       frozen_terms, system.constraint_dims())
+                       [shared[i] for i in hit], frozen_terms,
+                       system.constraint_dims())
 
 
 def freeze(system: MultiaffineSystem, focus, assignment) -> FrozenLinearForm:
@@ -996,27 +1036,29 @@ def freeze(system: MultiaffineSystem, focus, assignment) -> FrozenLinearForm:
     The assignment must supply values for every non-focus block that appears
     in the system; values for focus blocks are ignored.  Every non-focus
     value is checked here, for presence and shape, and the form keeps the
-    checked arrays: the focus pieces are built from them at once, and each
-    equation's offset on its first use.  Terms containing two focus blocks
-    are rejected: the frozen map must be affine; so is a focus that names a
-    block twice.
+    checked arrays: the focus pieces that read values are built from them at
+    once, and each equation's offset on its first use.  Terms containing two
+    focus blocks are rejected: the frozen map must be affine; so is a focus
+    that names a block twice.
 
     The first call for a focus checks it against the system, reads the
     system's one walk of its terms and keeps the result on the system as
-    that focus's plan: the blocks to read, the terms the focus enters and
-    each equation's other terms.  A focus that fails those checks is not
-    kept, so it fails on every call.  Later calls for the same focus read
-    the plan's blocks in the same order and build pieces from its terms.
-    The first call, refused or not, fixes the system (see ``add_equation``).
+    that focus's plan: the blocks to read, the terms the focus enters with
+    the shared pieces of those that read no value, and each equation's
+    other terms.  A focus that fails those checks is not kept, so it fails
+    on every call.  Later calls for the same focus read the plan's blocks in
+    the same order and build only the pieces that read values; every form
+    of a focus shares its ``fixed`` pieces.  The first call, refused or not,
+    fixes the system (see ``add_equation``).
     """
     focus_blocks = (focus,) if isinstance(focus, BlockId) else tuple(focus)
     plan = system._plans.get(focus_blocks)
     if plan is None:
         plan = system._plans[focus_blocks] = _plan_freeze(system, focus_blocks)
     values = {b: _value_of(assignment, b) for b in plan.reads}
-    pieces = []
-    for eq_id, term in plan.hits:
-        pieces.extend(term.pieces(plan.focus_set, values, eq_id))
+    pieces = list(plan.pieces)
+    for k, eq_id, term in plan.varying:
+        (pieces[k],) = term.pieces(plan.focus_set, values, eq_id)
     return FrozenLinearForm(plan, pieces, values,
                             single=isinstance(focus, BlockId))
 
@@ -1025,21 +1067,22 @@ def block_adjoints(system: MultiaffineSystem, assignment, w_by_eq) -> dict:
     """BlockId -> C'_b^T W for every block b of the system, in one pass.
 
     Each term is frozen once, with its own blocks as the focus, instead of
-    freezing the system once per block.  A block's sum runs over its pieces
-    in equation and term order, as ``freeze(system, b, assignment)
-    .adjoint_eqs(w_by_eq)`` sums them, so the two agree bit for bit.
-    Equations missing from ``w_by_eq`` contribute nothing.
+    freezing the system once per block; a term of one block gives its
+    shared piece (see :func:`_term_index`), and only the terms that read
+    values build pieces.  A block's sum runs over its pieces in equation
+    and term order, as ``freeze(system, b, assignment).adjoint_eqs(w_by_eq)``
+    sums them, so the two agree bit for bit.  Equations missing from
+    ``w_by_eq`` contribute nothing.  Like ``freeze``, it fixes the system.
     """
     values = {b: _value_of(assignment, b) for b in system.blocks.values()}
     grads = dict.fromkeys(system.blocks.values())
-    for eq_id, terms in system.equations:
+    for eq_id, term, blocks, piece in _term_index(system).adjoints:
         w = w_by_eq.get(eq_id)
         if w is None:
             continue
         w = np.asarray(w, dtype=float)
-        for term in terms:
-            for p in term.pieces(frozenset(term.blocks()), values, eq_id):
-                grads[p.block] = _add_adjoint(grads[p.block], p, w)
+        for p in (piece,) if piece is not None else term.pieces(blocks, values, eq_id):
+            grads[p.block] = _add_adjoint(grads[p.block], p, w)
     return _zeros_where_none(grads)
 
 

@@ -587,9 +587,13 @@ def sbd0(Y, kernel_shape, l1_weight: float = 1.0) -> ZooInstance:
 def gen_sbd_data(n: int, kernel_shape, theta: float = 0.05,
                  sigma: float = 0.0, bias: float = 0.0, seed: int = 0):
     """(Y, A0, X0, b0): unit-norm kernel, Bernoulli-Gaussian signal, bias,
-    and Gaussian noise at level sigma."""
-    rng = np.random.default_rng(seed)
+    and Gaussian noise at level sigma.  Raises BuildError, before any draw,
+    unless each kernel side lies in 1..n."""
     p, q = kernel_shape
+    if not (1 <= p <= n and 1 <= q <= n):
+        raise BuildError(f"kernel shape {(p, q)} does not fit the signal shape "
+                         f"{(n, n)}: each kernel side must lie in 1..{n}")
+    rng = np.random.default_rng(seed)
     A0 = rng.standard_normal((p, q))
     A0 = A0 / np.linalg.norm(A0)
     X0 = (rng.uniform(size=(n, n)) < theta) * rng.standard_normal((n, n))

@@ -414,3 +414,20 @@ def test_bench_refuses_fewer_than_one_iteration(tmp_path, capsys, iters):
     assert code == EXIT_ERROR
     assert err == f"error: --iters must be at least 1, got {iters}\n"
     assert out == "" and not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--size", "4", "--kernel", "8"), "--kernel must lie in 1..--size (4), got 8"),
+    (("--size", "16", "--kernel", "0"), "--kernel must lie in 1..--size (16), got 0"),
+    (("--size", "0", "--kernel", "1"), "--size must be at least 1, got 0"),
+    (("--size", "-3", "--kernel", "1"), "--size must be at least 1, got -3")],
+    ids=["kernel-over-size", "kernel-zero", "size-zero", "size-negative"])
+def test_bench_refuses_a_size_or_kernel_by_flag(tmp_path, capsys, flags, message):
+    # A kernel larger than the signal, or a size below 1, used to end in
+    # numpy's broadcast error naming neither flag.
+    out_dir = tmp_path / "bench"
+    code, out, err = _run(capsys, "bench", "--out-dir", str(out_dir), *flags,
+                          "--iters", "2")
+    assert code == EXIT_ERROR
+    assert err == f"error: {message}\n"
+    assert out == "" and not out_dir.exists()

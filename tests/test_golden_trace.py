@@ -12,12 +12,16 @@ with
 
 A change meant to keep the iterates to the bit can print, per family, the
 SHA-256 of the final assignment (blocks in name order) and multiplier
-(ascending eq_id) bytes of the same runs, to compare against its parent's:
+(ascending eq_id) bytes of the same runs, and under ``<family>/trace`` the
+SHA-256 of every trace row's L, primal_res and stat_est and its block steps
+in block name order, to compare against its parent's:
 
     PYTHONPATH=src python tests/test_golden_trace.py --digest
 
-Saved to a file at the parent, that output is checked in one command, which
-names each family whose digest differs and then exits 1:
+The stationarity estimate feeds only the traces, so only the trace digests
+show a change to it.  Saved to a file at the parent, that output is checked
+in one command, which names each entry of the file whose digest differs or
+is missing and then exits 1:
 
     PYTHONPATH=src python tests/test_golden_trace.py --compare FILE
 
@@ -28,6 +32,7 @@ never asserted under pytest.
 
 import hashlib
 import json
+import struct
 import sys
 from pathlib import Path
 
@@ -52,14 +57,20 @@ def _trace(name):
     return {"status": status, "rows": rows}
 
 
-def _digest(name):
-    state, _, _ = _run(name)
+def _digests(name):
+    """{name: state digest, name/trace: trace digest} of one run."""
+    state, traces, _ = _run(name)
     h = hashlib.sha256()
     for block in sorted(state.assignment, key=lambda b: b.name):
         h.update(state.assignment[block].tobytes())
     for e in sorted(state.multipliers):
         h.update(state.multipliers[e].tobytes())
-    return h.hexdigest()
+    rows = hashlib.sha256()
+    for t in traces:
+        steps = [t.block_steps[b] for b in sorted(t.block_steps)]
+        rows.update(struct.pack(f"<{3 + len(steps)}d", t.L, t.primal_res,
+                                t.stat_est, *steps))
+    return {name: h.hexdigest(), f"{name}/trace": rows.hexdigest()}
 
 
 def _close(a, b):
@@ -88,15 +99,18 @@ if __name__ == "__main__":
                                      indent=1) + "\n")
     elif sys.argv[1:] == ["--digest"]:
         for n in zoo.zoo_names():
-            print(n, _digest(n))
+            for key, digest in _digests(n).items():
+                print(key, digest)
     elif len(sys.argv) == 3 and sys.argv[1] == "--compare":
         saved = dict(line.split() for line in
                      Path(sys.argv[2]).read_text().splitlines() if line.strip())
-        differ = [n for n in zoo.zoo_names() if saved.get(n) != _digest(n)]
-        for n in differ:
-            print(f"{n}: digest differs from {sys.argv[2]}")
-        print(f"{len(zoo.zoo_names()) - len(differ)} of {len(zoo.zoo_names())} "
-              "families match")
+        got = {}
+        for n in zoo.zoo_names():
+            got.update(_digests(n))
+        differ = [key for key in saved if got.get(key) != saved[key]]
+        for key in differ:
+            print(f"{key}: digest differs from {sys.argv[2]}")
+        print(f"{len(saved) - len(differ)} of {len(saved)} entries match")
         sys.exit(1 if differ else 0)
     else:
         sys.exit(__doc__)

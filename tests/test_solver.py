@@ -895,6 +895,33 @@ def test_building_a_problem_runs_the_curvature_rule_once_per_unit(monkeypatch, n
     assert len(rules) == sum(plan is not None for _, plan in units)
 
 
+def test_a_refused_problem_leaves_an_open_system_open():
+    # x * y - x + 1 = 0 with L1 on x: x's solve plan, built after the first
+    # freeze, finds no exact proximal step.  That freeze fixed the system,
+    # so the caller could not even add a slack equation to it.
+    x = BlockId("x", "x", (2, 2), index=0)
+    y = BlockId("y", "x", (2, 2), index=1)
+    s = BlockId("s", "z0", (2, 2))
+    system = MultiaffineSystem()
+    system.add_equation([HadamardPair(x, y), MatChain([x], sign=-1),
+                         Constant(np.ones((2, 2)))])
+    with pytest.raises(BuildError, match="no exact proximal step"):
+        Problem(system, {x: [L1(0.1)]})
+    assert system._terms is None and system._plans == {}
+    system.add_equation([MatChain([x]), MatChain([s], sign=-1)])
+    Problem(system, {x: [L1(0.1)]}, custom_updaters={
+        "x": lambda problem, block, assignment, multipliers, rho: assignment[block] + 0.0})
+    # A system frozen before the refused build stays frozen.
+    frozen = MultiaffineSystem()
+    frozen.add_equation([HadamardPair(x, y), MatChain([x], sign=-1),
+                         Constant(np.ones((2, 2)))])
+    freeze(frozen, y, {x: np.ones((2, 2))})
+    with pytest.raises(BuildError, match="no exact proximal step"):
+        Problem(frozen, {x: [L1(0.1)]})
+    with pytest.raises(BuildError, match="frozen"):
+        frozen.add_equation([MatChain([x]), MatChain([s], sign=-1)])
+
+
 def test_building_a_problem_fixes_its_system():
     # A freeze, or a built Problem, fixes the system: a later equation is
     # refused and changes nothing, also when no unit of the problem has a

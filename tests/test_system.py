@@ -7,6 +7,7 @@ path; the convolution tests compare against a literal double-loop sum.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -17,7 +18,8 @@ from madmm import (BlockId, BuildError, Constant, Conv2D, DenseOp, DiagExtract,
                    HadamardPair, LinearTerm, MatChain, MultiaffineSystem,
                    ScaledIdentity, ShapeMismatchError, TransposeOp, circ_conv2,
                    evaluate, freeze, jacobian_image_basis, stack_residual)
-from madmm import solver, zoo
+from madmm import prox, solver, zoo
+from madmm.operators import LinearOp
 from madmm.prox import Quadratic
 from madmm.system import (_ConvKernelPiece, _ConvSignalPiece, block_adjoints,
                           spectrum_memo)
@@ -1010,11 +1012,12 @@ def _signed_sum(terms, values, shape):
     return total
 
 
-@pytest.mark.parametrize("name", ["every term", "nmf3", "sbd1", "rp2"])
+@pytest.mark.parametrize("name", ["every term", *zoo.zoo_names()])
 def test_sums_fold_signs_and_write_no_input(name):
     # A term's unsigned value may be a block value or a constant's own
     # array, and its sign is folded into the sums by adding or subtracting:
     # the sums equal sign * value summed apart, and no input is written.
+    # Two steps from one state agree to the bit.
     problem = None
     if name == "every term":
         system, assignment, mults = _every_term_system()
@@ -1044,8 +1047,85 @@ def test_sums_fold_signs_and_write_no_input(name):
             want = want + p.adjoint(mults[p.eq_id])
         assert np.array_equal(grads[block], want), block.name
     if problem is not None:
-        solver.step(problem, state)
+        one, trace_one = solver.step(problem, state)
+        two, trace_two = solver.step(problem, state)
+        for got, want in ((two.assignment, one.assignment),
+                          (two.multipliers, one.multipliers)):
+            assert list(got) == list(want)
+            assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+        fields = [f.name for f in dataclasses.fields(trace_one) if f.name != "wall_ms"]
+        assert ([getattr(trace_two, f) for f in fields]
+                == [getattr(trace_one, f) for f in fields])
     assert [a.tobytes() for a in inputs] == before
+
+
+def _positive_zero(a) -> bool:
+    return not np.any(a) and not np.any(np.signbit(a))
+
+
+def test_sums_turn_a_first_negative_zero_into_positive_zero():
+    # Every sum starts from 0.0 + its first signed addend (see
+    # system._accumulate), so an exact -0.0 there comes out as +0.0, as
+    # adding into zeros did.  Each case below starts its sum from -0.0 and
+    # adds only addends that would keep a -0.0; a regrouped sum must keep
+    # this rule or settle that dropping it changes no iterate.
+    x = BlockId("x", "x", (2, 2), index=0)
+    y = BlockId("y", "x", (2, 2), index=1)
+    system = MultiaffineSystem()
+    system.add_equation([MatChain([x], sign=-1), MatChain([y])])  # -x + y
+    pos, neg = np.zeros((2, 2)), np.full((2, 2), -0.0)
+    assert np.all(np.signbit(-pos)) and np.all(np.signbit(neg + neg))
+    # evaluate: -x is -0.0 at x = +0.0, and y = -0.0 would keep it.
+    (r,) = evaluate(system, {x: pos, y: neg})
+    assert _positive_zero(r)
+    # offset_for: minus y is -0.0 at y = +0.0.
+    form = freeze(system, x, {y: pos})
+    assert _positive_zero(form.offset_for(0))
+    # _SolvePlan.rhs: x's piece is -I, so its first addend is minus the
+    # target rho * offset - w, -0.0 at w = +0.0.
+    plan = prox._SolvePlan(form)
+    assert _positive_zero(plan.rhs(form, {0: pos}, 1.0))
+    # block_adjoints: x's first addend is -w.
+    grads = block_adjoints(system, {x: pos, y: pos}, {0: pos})
+    assert _positive_zero(grads[x]) and _positive_zero(grads[y])
+
+
+def _held_arrays(piece):
+    """The arrays a piece holds: its own, its factors' and its operator's."""
+    for value in vars(piece).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield item
+            elif isinstance(item, LinearOp):
+                yield from (a for a in vars(item).values() if isinstance(a, np.ndarray))
+
+
+@pytest.mark.parametrize("name", zoo.zoo_names())
+def test_fixed_pieces_are_shared_and_never_written(name):
+    # A piece that reads no other block's value is built once per system:
+    # two freezes of a unit at different values share it, and share no
+    # piece that reads a value.  block_adjoints reads the same objects, and
+    # a step writes none of their arrays.
+    inst = zoo.default_instance(name, 0)
+    problem, system = inst.problem, inst.problem.system
+    state, _, _ = solver.solve(problem, max_iter=2, init=inst.init)
+    other = _gaussian_assignment(system, 1)
+    shared = set()
+    for focus, _ in problem._units:
+        one, two = freeze(system, focus, state.assignment), freeze(system, focus, other)
+        assert len(one.pieces) == len(two.pieces)
+        for p, q in zip(one.pieces, two.pieces):
+            assert (p is q) == p.fixed, (focus, type(p).__name__)
+            if p.fixed:
+                shared.add(id(p))
+    adjoint_pieces = [p for *_, p in system._terms.adjoints if p is not None]
+    assert all(p.fixed for p in adjoint_pieces)
+    assert shared <= {id(p) for p in adjoint_pieces}
+    arrays = [a for p in adjoint_pieces for a in _held_arrays(p)]
+    before = [a.tobytes() for a in arrays]
+    solver.step(problem, state)
+    solver._stationarity(problem, other, state.multipliers)
+    assert [a.tobytes() for a in arrays] == before
 
 
 @pytest.mark.parametrize("name", zoo.zoo_names())

@@ -240,6 +240,16 @@ def test_generators_are_deterministic():
             assert np.array_equal(left, right)
 
 
+@pytest.mark.parametrize("n, kernel", [(4, (8, 8)), (8, (3, 9)), (0, (1, 1)),
+                                       (-3, (1, 1)), (8, (0, 2))])
+def test_gen_sbd_data_refuses_a_kernel_outside_the_signal(n, kernel):
+    # Such shapes used to end in a bare numpy broadcast error.
+    with pytest.raises(BuildError, match=fr"kernel shape \({kernel[0]}, "
+                       fr"{kernel[1]}\) does not fit the signal shape "
+                       fr"\({n}, {n}\)"):
+        gen_sbd_data(n, kernel, seed=0)
+
+
 def test_gen_sbd_data_noiseless_identity():
     Y, A0, X0, b0 = gen_sbd_data(10, (3, 3), theta=0.3, sigma=0.0,
                                  bias=0.2, seed=1)
