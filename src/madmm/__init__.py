@@ -7,11 +7,10 @@ from .errors import BuildError, ShapeMismatchError, SubproblemError
 from .matio import load_matrix, save_matrix
 from .operators import (BroadcastOnes, DenseOp, DiagExtract, LinearOp,
                         ScaledIdentity, TransposeOp)
-from .prox import (L1, CouplingTerm, IndicatorBox, IndicatorNonneg,
-                   IndicatorUnitColumns, ObjectiveTerm, Quadratic,
-                   SmoothCustom, project_box, project_nonneg,
-                   project_unit_columns, prox_block_step, quad_block_solve,
-                   soft_threshold)
+from .prox import (L1, IndicatorBox, IndicatorNonneg, IndicatorUnitColumns,
+                   ObjectiveTerm, Quadratic, SmoothCustom, project_box,
+                   project_nonneg, project_unit_columns, prox_block_step,
+                   quad_block_solve, soft_threshold)
 from .solver import (STATUS_CONVERGED, STATUS_DIVERGED, STATUS_MAXITER,
                      IterTrace, Problem, SolverState, Violation,
                      add_prox_constraint, augmented_lagrangian,
@@ -26,7 +25,7 @@ from .zoo import (ZooInstance, cut_value, default_instance, dl3, gen_dl_data,
 
 __all__ = [
     "AssumptionReport", "BlockId", "BroadcastOnes", "BuildError", "Constant",
-    "Conv2D", "CouplingTerm", "DenseOp", "DiagExtract", "FrozenLinearForm",
+    "Conv2D", "DenseOp", "DiagExtract", "FrozenLinearForm",
     "HadamardPair", "IndicatorBox", "IndicatorNonneg", "IndicatorUnitColumns",
     "IterTrace", "L1", "LinearOp", "LinearTerm", "MatChain",
     "MultiaffineSystem", "ObjectiveTerm", "Problem", "Quadratic",

@@ -6,9 +6,9 @@ an exact proximal map instead, and ``stat_residual(x, g)``: the distance of a
 gradient ``g`` at ``x`` to the term's negative subdifferential there.
 
 Every block subproblem is one solve plan, ``_SolvePlan``, read once from a
-frozen form of the focus: the focus slices, the quadratic extras, how to
-form the constant right-hand side, the nonsmooth and coupling terms, and
-the outcome of the one curvature rule, run once per plan: N's diagonal
+frozen form of the focus: the focus slices, the quadratic extras, the
+constant right-hand side terms, taken once, the nonsmooth term, and the
+outcome of the one curvature rule, run once per plan: N's diagonal
 per block, a float kappa where the block's N is kappa * I, but for the
 matrix-chain pieces the rule leaves out and records.  From that one
 outcome the plan fixes its one solve path when it is built.  A
@@ -34,8 +34,6 @@ loop: the solver and, above the bounds, that distance both run it.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -107,6 +105,10 @@ class ObjectiveTerm:
     def prox(self, point, step):
         raise BuildError(f"{type(self).__name__} has no proximal map")
 
+    def shape_error(self, shape):
+        """Why the term does not fit a block of ``shape``, or None."""
+        return None
+
 
 class Quadratic(ObjectiveTerm):
     """(weight / 2) * ||L(x) - center||^2; L defaults to the identity."""
@@ -140,6 +142,16 @@ class Quadratic(ObjectiveTerm):
         if self.center is not None and self.weight == 1.0:
             return r  # x - center, a fresh array
         return np.multiply(r, self.weight, out=r if self.center is not None else None)
+
+    def shape_error(self, shape):
+        out = shape
+        if self.linear_map is not None:
+            if self.linear_map.in_shape != shape:
+                return f"its map takes shape {self.linear_map.in_shape}"
+            out = self.linear_map.out_shape
+        if self.center is not None and self.center.shape != out:
+            return f"its center has shape {self.center.shape}, expected {out}"
+        return None
 
     @property
     def identity_curvature(self):
@@ -212,6 +224,15 @@ class IndicatorBox(ObjectiveTerm):
     def prox(self, point, step):
         return project_box(point, self.lo, self.hi)
 
+    def shape_error(self, shape):
+        try:
+            if np.broadcast_shapes(self.lo.shape, self.hi.shape, shape) == shape:
+                return None
+        except ValueError:
+            pass
+        return (f"its bounds of shapes {self.lo.shape} and {self.hi.shape} "
+                "do not broadcast to it")
+
     def stat_residual(self, x, g) -> float:
         x = np.asarray(x, dtype=float)
         lo = np.broadcast_to(self.lo, x.shape)
@@ -262,29 +283,6 @@ class SmoothCustom(ObjectiveTerm):
 
     def grad(self, x):
         return np.asarray(self.grad_fn(x), dtype=float)
-
-
-class CouplingTerm:
-    """Smooth objective coupling several blocks.
-
-    ``fn`` maps a name-keyed value dict to a float; ``grad_fn(values, name)``
-    returns the partial gradient.  ``affine_per_block`` declares that each
-    partial gradient does not depend on the block it differentiates (true for
-    multilinear couplings); the solver verifies this numerically at build time
-    before using the gradient as a constant in exact block updates.
-    """
-
-    def __init__(self, blocks, fn, grad_fn, affine_per_block: bool = True):
-        self.blocks = tuple(blocks)
-        self.fn = fn
-        self.grad_fn = grad_fn
-        self.affine_per_block = bool(affine_per_block)
-
-    def value(self, values) -> float:
-        return float(self.fn(values))
-
-    def grad_block(self, values, name: str):
-        return np.asarray(self.grad_fn(values, name), dtype=float)
 
 
 def _normalize_extras(form: FrozenLinearForm, extras):
@@ -382,11 +380,10 @@ class _SolvePlan:
     frozen over the same focus of the same system, and rho, and read only
     offsets, multipliers and Hadamard partners.  ``extras`` are (block
     name, item) pairs, items being Quadratic terms, affine SmoothCustom
-    terms, raw gradient arrays of affine addends, or CouplingTerms, whose
-    gradients are taken at each call from the name-keyed ``values`` given
-    to :meth:`solve`.  ``term`` is the nonsmooth term of a prox step, and
-    ``method`` forces one path of :func:`quad_block_solve`.  ``path`` is
-    the one solve path, fixed here.
+    terms, or raw gradient arrays of affine addends; the constant each
+    adds to the right-hand side is taken here, once.  ``term`` is the
+    nonsmooth term of a prox step, and ``method`` forces one path of
+    :func:`quad_block_solve`.  ``path`` is the one solve path, fixed here.
     """
 
     def __init__(self, form, extras=(), term=None, method=None):
@@ -404,35 +401,26 @@ class _SolvePlan:
         self.rows = sum(form.eq_shapes[e][0] * form.eq_shapes[e][1]
                         for e in form.eq_pieces)
         self.quads = []    # (focus position, Quadratic) with a positive weight
-        self.consts = []   # (focus position, sign, make): adds sign * make(values)
-        self.coupled = False
+        self.consts = []   # (focus position, sign, flat array): adds sign * array
         for name, item in extras:
             i = pos[name]
-            shape = form.focus[i].shape
             if isinstance(item, Quadratic):
                 if item.weight > 0:
                     self.quads.append((i, item))
-                    if item.center is not None:
-                        # weight * L^T center, taken at the first call and kept.
-                        center = functools.cache(lambda q=item: q.weight * np.ravel(
-                            q.center if q.linear_map is None
-                            else q.linear_map.adjoint(q.center)))
-                        self.consts.append((i, 1, lambda v, c=center: c()))
+                    if item.center is not None:  # weight * L^T center
+                        self.consts.append((i, 1, item.weight * np.ravel(
+                            item.center if item.linear_map is None
+                            else item.linear_map.adjoint(item.center))))
             elif isinstance(item, SmoothCustom):
                 if item.lipschitz != 0.0:
                     raise BuildError(
                         f"block {name!r} has a smooth term with curvature (a "
                         "SmoothCustom with lipschitz != 0) and no closed-form "
                         "update; register a custom updater")
-                self.consts.append((i, -1, lambda v, t=item, shape=shape:
-                                    np.ravel(t.grad(np.zeros(shape)))))
+                self.consts.append(
+                    (i, -1, np.ravel(item.grad(np.zeros(form.focus[i].shape)))))
             elif isinstance(item, np.ndarray):
-                self.consts.append((i, -1, lambda v, a=item: np.ravel(a)))
-            elif isinstance(item, CouplingTerm):
-                # Affine per block, so the gradient is a constant linear term.
-                self.coupled = True
-                self.consts.append((i, -1, lambda v, c=item, name=name:
-                                    np.ravel(c.grad_block(v, name))))
+                self.consts.append((i, -1, np.ravel(item)))
             else:
                 raise BuildError(
                     f"term {type(item).__name__} cannot enter a quadratic solve")
@@ -490,7 +478,7 @@ class _SolvePlan:
             diag[sl] = d
         return diag
 
-    def rhs(self, form, w, rho, values=None):
+    def rhs(self, form, w, rho):
         """A^T (rho * offset - w) plus the constant items, with ``w`` keyed
         by eq_id; only the equations the focus enters reach it, so only
         their offsets are evaluated.
@@ -500,8 +488,8 @@ class _SolvePlan:
         addend (see ``system._accumulate``), so no zeros are written first.
         The call owns, and may overwrite, the returned array and each
         equation's target (rho times the offset, minus the multiplier).
-        The form's cached offsets, the multipliers, the block values and
-        the kept center terms are only read.
+        The form's cached offsets, the multipliers and the plan's constant
+        items are only read.
         """
         parts = [None] * len(self.slices)
         pieces = form.pieces
@@ -517,9 +505,8 @@ class _SolvePlan:
                         parts[i], 1, np.multiply(target, p.identity, out=target))
                 else:
                     parts[i] = _add_adjoint(parts[i], p, target)
-        for i, sign, make in self.consts:
-            parts[i] = _accumulate(parts[i], sign,
-                                   np.reshape(make(values), self.focus[i].shape))
+        for i, sign, c in self.consts:
+            parts[i] = _accumulate(parts[i], sign, np.reshape(c, self.focus[i].shape))
         parts = [np.ravel(np.zeros(b.dim) if a is None else a)
                  for a, b in zip(parts, self.focus)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
@@ -576,18 +563,16 @@ class _SolvePlan:
                 normal[sl, sl] += q.weight * (m.T @ m)
         return normal
 
-    def solve(self, form, w, rho, values=None, y0=None, cg_tol=None,
-              cg_maxit=None):
+    def solve(self, form, w, rho, y0=None, cg_tol=None, cg_maxit=None):
         """The stacked minimizer over the focus of ``form`` by :attr:`path`.
 
-        ``w`` is keyed by eq_id; ``values`` maps block names to values for
-        the coupling gradients; ``y0`` starts conjugate gradients.  The
+        ``w`` is keyed by eq_id; ``y0`` starts conjugate gradients.  The
         diagonal and prox paths divide the call's :meth:`rhs` in place, so
         the returned array may be that array, and the block values sliced
         from it views of it.  The prox path is the diagonal divide, by
         kappa, followed by the term's prox with step 1 / kappa."""
         rho = float(rho)
-        rhs = self.rhs(form, w, rho, values)
+        rhs = self.rhs(form, w, rho)
         name = self.focus[0].name
         if self.path in ("diag", "prox"):
             diags = self._block_diagonals(form, rho)

@@ -13,9 +13,8 @@ term to its single proximal step, and anything else must register a custom
 updater.  The z blocks split into connected components (blocks tied by a
 shared equation).  A lone z block is updated like an x block; a component of
 several blocks is solved jointly by one exact quadratic solve, so every block
-must be smooth, have no custom updater, and share no term or coupling term
-with another block of its component.  ``Problem`` refuses any other
-component when it is built.
+must be smooth, have no custom updater, and share no term with another block
+of its component.  ``Problem`` refuses any other component when it is built.
 
 Each x block and each z component is one update unit.  ``Problem`` builds
 the solve plan of every unit (``prox._SolvePlan``) when it is built, which
@@ -41,7 +40,7 @@ import numpy as np
 from .errors import (BuildError, ShapeMismatchError, SubproblemError,
                      require_finite)
 from .operators import DenseOp, LinearOp
-from .prox import CouplingTerm, ObjectiveTerm, _SolvePlan
+from .prox import ObjectiveTerm, _SolvePlan
 from .system import (BlockId, LinearTerm, MultiaffineSystem, ROLE_X, ROLE_Z1,
                      ROLE_Z2, block_adjoints, evaluate, freeze,
                      FrozenLinearForm, _term_index, _unfreeze,
@@ -101,9 +100,12 @@ class SolverState:
 class Problem:
     """A constraint system plus objective terms, validated and ready to run.
 
-    ``objective`` maps blocks (BlockId or name) to lists of ObjectiveTerm;
-    blocks may be absent.  ``coupling`` lists CouplingTerm objects whose
-    per-block gradients are verified to be affine at build time.
+    ``objective`` maps blocks (BlockId or name) to lists of ObjectiveTerm,
+    each term on the one block it is listed under; blocks may be absent.
+    Every coupling between blocks goes through the constraints.  Building
+    raises BuildError when the objective names one block twice (by its
+    BlockId and by its name), and ShapeMismatchError, naming the block,
+    when a term does not fit its block (``ObjectiveTerm.shape_error``).
     ``update_order`` must list every x-role block exactly once and defaults
     to (index, name) order.  ``custom_updaters`` maps block names to
 
@@ -135,20 +137,22 @@ class Problem:
     z blocks tied by a shared equation form one component, which each step
     solves jointly and exactly.  Building raises BuildError when a
     component of two or more blocks has no such solve: one of its blocks
-    carries a nonsmooth term or a custom updater, or one term or coupling
-    term involves two of its blocks.  Give each such block its own equation
-    through a slack block instead, as the zoo families do.
+    carries a nonsmooth term or a custom updater, or one term involves two
+    of its blocks.  Give each such block its own equation through a slack
+    block instead, as the zoo families do.
     """
 
-    def __init__(self, system: MultiaffineSystem, objective=None, coupling=(),
+    def __init__(self, system: MultiaffineSystem, objective=None,
                  update_order=None, custom_updaters=None, metadata=None):
         self.system = system
-        self.coupling = list(coupling or ())
         self.custom_updaters = dict(custom_updaters or {})
         self.metadata = dict(metadata or {})
         self.objective = {}
         for key, terms in (objective or {}).items():
-            self.objective[self._resolve(key)] = list(terms)
+            block = self._resolve(key)
+            if block in self.objective:
+                raise BuildError(f"objective names block {block.name!r} twice")
+            self.objective[block] = list(terms)
         x_blocks = sorted(system.blocks_with_role(ROLE_X), key=_block_key)
         if update_order is None:
             self.update_order = x_blocks
@@ -170,10 +174,9 @@ class Problem:
             raise
         _term_index(system)  # fixes the system even when no unit froze it
         self._slack = None  # _SlackMaps, built on first use
-        # (block, smooth terms, coupling terms, nonsmooth term) per block.
+        # (block, smooth terms, nonsmooth term) per block.
         self._block_terms = [
-            (b, tuple(t for t in self.terms_for(b) if t.smooth),
-             tuple(c for c in self.coupling if b in c.blocks), self.nonsmooth_term(b))
+            (b, tuple(t for t in self.terms_for(b) if t.smooth), self.nonsmooth_term(b))
             for b in self.all_blocks]
 
     def _resolve(self, key) -> BlockId:
@@ -214,6 +217,11 @@ class Problem:
                     raise BuildError(
                         f"objective for {block.name!r} contains "
                         f"{type(t).__name__}; expected ObjectiveTerm")
+                reason = t.shape_error(block.shape)
+                if reason:
+                    raise ShapeMismatchError(
+                        f"{type(t).__name__} on block {block.name!r} of shape "
+                        f"{block.shape} does not fit: {reason}", block=block.name)
             nonsmooth = [t for t in terms if not t.smooth]
             if len(nonsmooth) > 1:
                 raise BuildError(
@@ -223,19 +231,6 @@ class Problem:
                 raise BuildError(
                     f"nonsmooth term {type(nonsmooth[0]).__name__} on block "
                     f"{block.name!r} has no stat_residual(x, g)")
-        for c in self.coupling:
-            if not isinstance(c, CouplingTerm):
-                raise BuildError(f"coupling entry {type(c).__name__} is not a CouplingTerm")
-            for b in c.blocks:
-                self._resolve(b)
-            if c.affine_per_block:
-                _check_affine_coupling(c)
-            else:
-                missing = [b.name for b in c.blocks if b.name not in self.custom_updaters]
-                if missing:
-                    raise BuildError(
-                        "coupling term is not affine per block; blocks "
-                        f"{missing} need custom updaters")
 
     def _build_units(self):
         """(focus, solve plan) per update unit in step order; the plan is
@@ -251,9 +246,8 @@ class Problem:
             if focus[0].name in self.custom_updaters:
                 units.append((focus, None))
                 continue
-            extras = [(b.name, item) for b in focus
-                      for item in [t for t in self.terms_for(b) if t.smooth]
-                      + [c for c in self.coupling if b in c.blocks]]
+            extras = [(b.name, t) for b in focus for t in self.terms_for(b)
+                      if t.smooth]
             units.append((focus, _SolvePlan(freeze(system, focus, point), extras,
                                             term=self.nonsmooth_term(focus[0]))))
         return units
@@ -319,47 +313,20 @@ class Problem:
                 shared = [b.name for b in t.blocks() if b in blocks]
                 if len(shared) > 1:
                     return f"one term multiplies blocks {shared}"
-        for c in self.coupling:
-            shared = [b.name for b in c.blocks if b in blocks]
-            if len(shared) > 1:
-                return f"a coupling term involves blocks {shared}"
         return None
-
-
-def _check_affine_coupling(c: CouplingTerm):
-    rng = np.random.default_rng(1234)
-    base = {b.name: rng.standard_normal(b.shape) for b in c.blocks}
-    for b in c.blocks:
-        g1 = c.grad_block(base, b.name)
-        alt = dict(base)
-        alt[b.name] = rng.standard_normal(b.shape)
-        g2 = c.grad_block(alt, b.name)
-        if np.linalg.norm(g1 - g2) > 1e-8 * (1.0 + np.linalg.norm(g1)):
-            raise BuildError(
-                f"coupling gradient for {b.name!r} varies with the block "
-                "itself; it is not affine per block")
-
-
-def _named_values(problem: Problem, assignment: dict) -> dict:
-    return {b.name: assignment[b] for b in problem.system.blocks.values()}
 
 
 def _al(problem: Problem, assignment: dict, multipliers: dict, rho: float,
         residuals=None) -> float:
     """L at a point; ``residuals`` may pass ``evaluate``'s result for it."""
-    phi = 0.0
+    total = 0.0
     for block, terms in problem.objective.items():
         x = assignment[block]
         for t in terms:
             v = t.value(x)
             if not v < np.inf:
                 return math.inf
-            phi += v
-    if problem.coupling:
-        values = _named_values(problem, assignment)
-        for c in problem.coupling:
-            phi += c.value(values)
-    total = phi
+            total += v
     if residuals is None:
         residuals = evaluate(problem.system, assignment)
     for eq_id, r in zip(problem.system.eq_ids, residuals):
@@ -392,9 +359,8 @@ def _update_blocks(problem: Problem, focus: tuple, plan, assignment: dict,
         new = [(block, value)]
     else:
         form = freeze(problem.system, focus, assignment)
-        values = _named_values(problem, assignment) if plan.coupled else None
         y0 = {b.name: assignment[b] for b in focus} if plan.path == "cg" else None
-        y = plan.solve(form, multipliers, rho, values=values, y0=y0)
+        y = plan.solve(form, multipliers, rho, y0=y0)
         new = [(b, y[sl].reshape(b.shape)) for b, sl in zip(focus, plan.slices)]
     for b, value in new:
         block_steps[b.name] = float(np.linalg.norm(value - assignment[b]))
@@ -410,15 +376,12 @@ def _stationarity(problem: Problem, assignment: dict, multipliers: dict):
     subdifferential (normal cone for indicators).
     """
     parts = {}
-    values = _named_values(problem, assignment) if problem.coupling else None
     adjoints = block_adjoints(problem.system, assignment, multipliers)
-    for block, smooth, couplings, term in problem._block_terms:
+    for block, smooth, term in problem._block_terms:
         g = adjoints[block]
         x = assignment[block]
         for t in smooth:
             g += t.grad(x)
-        for c in couplings:
-            g += c.grad_block(values, block.name)
         parts[block.name] = (float(np.linalg.norm(g)) if term is None
                              else term.stat_residual(x, g))
     agg = max(parts.values()) if parts else 0.0
@@ -509,7 +472,8 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
     doublings find none).  Initial blocks are
     unit-Frobenius Gaussian draws (seeded; one draw per block in sorted order,
     so runs are reproducible bit for bit), overridden per block by ``init``,
-    whose values must have the block's shape and finite entries.
+    whose values must have the block's shape and finite entries; naming one
+    block twice raises BuildError.
     Convergence requires the stacked residual norm to fall below
     tol_primal * (1 + ||C(0)||) with every block step below tol_step on
     3 consecutive iterations.  Divergence (a status, not an exception) is
@@ -531,6 +495,8 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
     if init:
         for key, v in init.items():
             block = problem._resolve(key)
+            if block in init_map:
+                raise BuildError(f"init names block {block.name!r} twice")
             arr = np.asarray(v, dtype=float)
             if arr.shape != block.shape:
                 raise ShapeMismatchError(
@@ -858,5 +824,5 @@ def add_prox_constraint(problem: Problem, block, S, rho: float) -> Problem:
     updaters[shadow.name] = _anchored
     metadata = {k: v for k, v in problem.metadata.items()
                 if k not in _CURVATURE_KEYS}
-    return Problem(rebuilt, dict(problem.objective), problem.coupling,
-                   list(problem.update_order), updaters, metadata)
+    return Problem(rebuilt, dict(problem.objective), list(problem.update_order),
+                   updaters, metadata)

@@ -788,6 +788,7 @@ class FrozenLinearForm:
         self.focus = plan.focus
         self.pieces = pieces              # list of _Piece
         self._frozen_terms = plan.frozen_terms  # eq_id -> non-focus terms
+        self._eq_reads = plan.eq_reads    # eq_id -> blocks those terms read
         self._values = values             # non-focus BlockId -> checked array
         self._offsets = {}                # eq_id -> array, filled on first use
         self.eq_dims = plan.eq_dims       # list of (eq_id, shape)
@@ -835,15 +836,15 @@ class FrozenLinearForm:
         """
         eq_id = piece.eq_id
         w = multipliers[eq_id]
-        reads = {b: self._values[b] for t in self._frozen_terms[eq_id]
-                 for b in t.blocks()}
+        blocks = self._eq_reads[eq_id]
+        reads = [self._values[b] for b in blocks]
         key = ("target", eq_id, rho, piece.sign, id(w),
-               *((b.name, id(v)) for b, v in reads.items()))
+               *((b.name, id(v)) for b, v in zip(blocks, reads)))
         pair = _recall(key)
         if pair is None:
             target = piece.sign * (self.offset_for(eq_id) - w / rho)
             pair = (target, _spectrum(target, target.shape))
-            _keep(key, (w, *reads.values()), pair)
+            _keep(key, (w, *reads), pair)
         return pair
 
     def _as_values(self, y):
@@ -945,7 +946,7 @@ class _FreezePlan:
     (index, eq_id, term), whose piece each freeze builds from values."""
 
     def __init__(self, focus, focus_set, reads, hits, pieces, frozen_terms,
-                 eq_dims):
+                 eq_reads, eq_dims):
         self.focus = focus                # tuple of focus BlockIds
         self.focus_set = focus_set
         self.reads = reads                # non-focus blocks, first-use order
@@ -957,12 +958,14 @@ class _FreezePlan:
         for k, (eq_id, _) in enumerate(hits):
             self.eq_pieces.setdefault(eq_id, []).append(k)
         self.frozen_terms = frozen_terms  # eq_id -> non-focus terms
+        self.eq_reads = eq_reads          # eq_id -> their blocks, first-use order
         self.eq_dims = eq_dims            # list of (eq_id, shape)
         self.eq_shapes = dict(eq_dims)
 
 
 class _Walk(NamedTuple):
     terms: list     # (eq_id, term) in equation and term order
+    blocks: list    # per position, the term's blocks()
     where: dict     # block name -> (block, positions of the terms holding it)
     shared: list    # per position, the piece of a term of one block, or None
     adjoints: list  # (eq_id, term, its block set, its shared piece or None)
@@ -975,7 +978,7 @@ def _term_index(system: MultiaffineSystem) -> _Walk:
     piece of a term of one block reads no value, so it is built here once;
     freeze plans and :func:`block_adjoints` share it and never write it."""
     if system._terms is None:
-        terms, where, shared, adjoints = [], {}, [], []
+        terms, term_blocks, where, shared, adjoints = [], [], {}, [], []
         for eq_id, eq_terms in system.equations:
             for term in eq_terms:
                 blocks = term.blocks()
@@ -987,8 +990,9 @@ def _term_index(system: MultiaffineSystem) -> _Walk:
                 if blocks:
                     adjoints.append((eq_id, term, frozenset(blocks), piece))
                 terms.append((eq_id, term))
+                term_blocks.append(blocks)
                 shared.append(piece)
-        system._terms = _Walk(terms, where, shared, adjoints)
+        system._terms = _Walk(terms, term_blocks, where, shared, adjoints)
     return system._terms
 
 
@@ -1001,7 +1005,7 @@ def _unfreeze(system: MultiaffineSystem) -> None:
 def _plan_freeze(system: MultiaffineSystem, focus: tuple) -> _FreezePlan:
     """The plan of `focus`, read from :func:`_term_index`, which is kept
     even when the focus is refused."""
-    terms, where, shared, _ = _term_index(system)
+    terms, term_blocks, where, shared, _ = _term_index(system)
     if not focus:
         raise BuildError("freeze needs at least one focus block")
     for i, b in enumerate(focus):
@@ -1020,13 +1024,16 @@ def _plan_freeze(system: MultiaffineSystem, focus: tuple) -> _FreezePlan:
                 f"equation {eq_id}: term couples focus blocks "
                 f"{coupled}; the frozen map would not be affine")
     frozen_terms = {eq_id: [] for eq_id, _ in system.equations}
+    eq_reads = {eq_id: {} for eq_id in frozen_terms}
     skip = set(hit)
     for i, (eq_id, term) in enumerate(terms):
         if i not in skip:
             frozen_terms[eq_id].append(term)
+            eq_reads[eq_id].update(dict.fromkeys(term_blocks[i]))
     reads = tuple(b for name, (b, _) in where.items() if name not in names)
     return _FreezePlan(focus, focus_set, reads, tuple(terms[i] for i in hit),
                        [shared[i] for i in hit], frozen_terms,
+                       {e: tuple(bs) for e, bs in eq_reads.items()},
                        system.constraint_dims())
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from madmm import zoo
 from madmm.errors import BuildError, ShapeMismatchError, SubproblemError
 from madmm.operators import DenseOp, DiagExtract, ScaledIdentity
-from madmm.prox import (CouplingTerm, IndicatorNonneg, L1, ObjectiveTerm,
+from madmm.prox import (IndicatorBox, IndicatorNonneg, L1, ObjectiveTerm,
                         Quadratic, SmoothCustom)
 from madmm.solver import (Problem, SolverState, STATUS_CONVERGED,
                           STATUS_DIVERGED, STATUS_MAXITER,
@@ -408,12 +408,8 @@ def _tangled_z(trigger):
         objective[za] = [L1(0.3)]
     elif trigger == "custom":
         kwargs["custom_updaters"] = {"za": lambda *a: np.zeros((3, 1))}
-    elif trigger == "product":
-        system.add_equation([HadamardPair(za, zb), Constant(np.ones((3, 1)))])
     else:
-        kwargs["coupling"] = [CouplingTerm(
-            (za, zb), lambda v: float(np.sum(v["za"] * v["zb"])),
-            lambda v, name: v["zb" if name == "za" else "za"])]
+        system.add_equation([HadamardPair(za, zb), Constant(np.ones((3, 1)))])
     return system, objective, kwargs
 
 
@@ -421,7 +417,6 @@ _TANGLE_REASONS = {
     "nonsmooth": "block 'za' carries a nonsmooth term",
     "custom": "block 'za' has a custom updater",
     "product": "one term multiplies blocks ['za', 'zb']",
-    "coupling": "a coupling term involves blocks ['za', 'zb']",
 }
 
 
@@ -766,35 +761,71 @@ def test_problem_validation_rejections():
         Problem(system, custom_updaters={"ghost": lambda *a: None})
 
 
-def test_coupling_validation_and_use():
-    x = BlockId("x", "x", (1, 1), index=0)
-    y = BlockId("y", "x", (1, 1), index=1)
-    z = BlockId("z", "z1", (1, 1))
+def _linear_tie():
+    """x - z = 0 for a 2x2 x block and a 2x2 z1 block."""
+    x = BlockId("x", "x", (2, 2))
+    z = BlockId("z", "z1", (2, 2))
     system = MultiaffineSystem()
-    system.add_equation([MatChain([x]), MatChain([y]),
-                         LinearTerm(ScaledIdentity(1.0, (1, 1)), z, sign=-1)])
-    good = CouplingTerm(
-        (x, y), lambda v: float(v["x"][0, 0] * v["y"][0, 0]),
-        lambda v, name: v["y"] if name == "x" else v["x"])
-    problem = Problem(system, {x: [Quadratic(1.0)], y: [Quadratic(1.0)],
-                               z: [Quadratic(1.0)]}, coupling=[good])
-    state, traces, status = solve(problem, rho=4.0, max_iter=300)
-    assert status == STATUS_CONVERGED
-    # min x^2/2 + y^2/2 + x y + z^2/2 s.t. x + y = z: the objective equals
-    # (x + y)^2 / 2 + z^2 / 2, minimized along the valley x + y = z = 0.
-    assert abs(state.assignment[x][0, 0] + state.assignment[y][0, 0]) <= 1e-6
-    assert abs(state.assignment[z][0, 0]) <= 1e-6
-    assert traces[-1].stat_est <= 1e-6
+    system.add_equation([MatChain([x]), LinearTerm(ScaledIdentity(1.0, (2, 2)), z, sign=-1)])
+    return system, x, z
 
-    bad = CouplingTerm(
-        (x, y), lambda v: float(v["x"] ** 2 * v["y"]),
-        lambda v, name: 2 * v["x"] * v["y"] if name == "x" else v["x"] ** 2)
-    with pytest.raises(BuildError, match="affine"):
-        Problem(system, coupling=[bad])
-    flagged = CouplingTerm((x, y), lambda v: 0.0, lambda v, name: v[name] * 0,
-                           affine_per_block=False)
-    with pytest.raises(BuildError, match="custom updater"):
-        Problem(system, coupling=[flagged])
+
+def test_block_named_twice_is_refused():
+    # By its BlockId and by its name: one entry would silently win.
+    system, x, z = _linear_tie()
+    with pytest.raises(BuildError, match="objective names block 'z' twice"):
+        Problem(system, {z: [Quadratic(1.0)], "z": [Quadratic(5.0, np.ones((2, 2)))]})
+    problem = Problem(system, {x: [Quadratic(1.0)], "z": [Quadratic(1.0)]})
+    with pytest.raises(BuildError, match="init names block 'x' twice"):
+        solve(problem, rho=1.0, max_iter=0,
+              init={x: np.ones((2, 2)), "x": np.zeros((2, 2))})
+
+
+@pytest.mark.parametrize("term,reason", [
+    (Quadratic(1.0, np.ones((1, 2))), "its center has shape (1, 2), expected (2, 2)"),
+    (Quadratic(1.0, linear_map=DiagExtract(3)), "its map takes shape (3, 3)"),
+    (Quadratic(1.0, np.ones((2, 2)), DiagExtract(2)),
+     "its center has shape (2, 2), expected (2, 1)"),
+    (IndicatorBox(np.zeros((3, 1)), 1.0),
+     "its bounds of shapes (3, 1) and () do not broadcast to it"),
+    (IndicatorBox(0.0, np.ones((2, 2, 1))),
+     "its bounds of shapes () and (2, 2, 1) do not broadcast to it"),
+], ids=["center", "map", "center-after-map", "box-rows", "box-rank"])
+def test_objective_term_that_does_not_fit_its_block_is_refused(term, reason):
+    system, x, z = _linear_tie()
+    with pytest.raises(ShapeMismatchError) as info:
+        Problem(system, {"z": [Quadratic(1.0)], x: [term]})
+    assert info.value.block == "x"
+    assert str(info.value) == (f"{type(term).__name__} on block 'x' of shape "
+                               f"(2, 2) does not fit: {reason}")
+
+
+def test_objective_terms_that_fit_their_blocks_build():
+    system, x, z = _linear_tie()
+    Problem(system, {x: [Quadratic(1.0, np.ones((2, 1)), DiagExtract(2))],
+                     z: [IndicatorBox(np.zeros((2, 1)), np.ones((1, 2)))]})
+    Problem(system, {x: [IndicatorBox(-1.0, 1.0)], z: [Quadratic(2.0, np.ones((2, 2)))]})
+
+
+def test_affine_smooth_custom_gradient_is_taken_once_per_plan():
+    g = np.array([[1.0, -2.0], [0.5, 3.0]])
+    calls = []
+
+    def grad_fn(v):
+        calls.append(v)
+        return g
+
+    system, x, z = _linear_tie()
+    cut = SmoothCustom(lambda v: float(np.sum(g * v)), grad_fn, lipschitz=0.0)
+    problem = Problem(system, {x: [Quadratic(1.0), cut], z: [Quadratic(1.0)]})
+    assert len(calls) == 1  # by x's plan, when it is built
+    state, _, _ = solve(problem, rho=1.0, max_iter=0)
+    for _ in range(5):
+        state, _ = step(problem, state)
+    # The x updates take none; each step's stationarity estimate takes one,
+    # at the block's value.
+    assert len(calls) == 1 + 5
+    assert calls[-1] is state.assignment[x]
 
 
 def test_subproblem_error_names_block_and_iteration():

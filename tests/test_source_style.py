@@ -68,3 +68,16 @@ def test_source_style(path):
         problems += [f"{path.name}:{line}: nothing in src/madmm names {name!r}"
                      for line, name in _definitions(tree) if name not in NAMED]
     assert not problems, "\n".join(problems)
+
+
+def test_public_names_are_sorted_and_are_the_imports_of_init():
+    # A removed export that stays in __all__ breaks ``from madmm import *``.
+    import madmm
+
+    tree = ast.parse((SRC[0].parent / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names = madmm.__all__
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+    assert set(names) == imported

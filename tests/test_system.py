@@ -783,6 +783,33 @@ def test_unit_freeze_plans_match_a_walk_per_focus(name):
         assert [(e, id(t)) for e, t in plan.hits] == [(e, id(t)) for e, t in hits]
         assert ({e: [id(t) for t in ts] for e, ts in plan.frozen_terms.items()}
                 == {e: [id(t) for t in ts] for e, ts in frozen_terms.items()})
+        # The blocks a convolution target's memo key names, first-use order.
+        assert plan.eq_reads == {e: tuple(dict.fromkeys(b for t in ts for b in t.blocks()))
+                                 for e, ts in frozen_terms.items()}
+
+
+def test_sbd1_step_asks_no_term_for_its_blocks(monkeypatch):
+    # Each equation's read blocks are kept on its freeze plan, and the
+    # convolution targets of a step (the kernel and signal updates') read
+    # them from there.  Rebuilt from the other terms' blocks() at every
+    # target, they took 6 calls per step.
+    import madmm.system as system_mod
+
+    inst = zoo.default_instance("sbd1", 0)
+    state, _, _ = solver.solve(inst.problem, rho=1.0, max_iter=1, init=inst.init)
+    asked = []
+
+    def counting(real):
+        def blocks(term):
+            asked.append(term)
+            return real(term)
+        return blocks
+
+    for kind in (system_mod.MatChain, system_mod.HadamardPair,
+                 system_mod.Conv2D, system_mod.LinearTerm, system_mod.Constant):
+        monkeypatch.setattr(kind, "blocks", counting(kind.blocks))
+    solver.step(inst.problem, state)
+    assert asked == []
 
 
 def test_freeze_names_the_first_term_coupling_focus_blocks():
