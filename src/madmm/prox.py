@@ -30,16 +30,19 @@ block's value, and takes forms without convolution pieces, of at most
 focus enters has at most ``_DENSE_LIMIT ** 2`` entries; larger forms go to
 conjugate gradients.  The diagnostics' least-squares distance reads the
 same dense map within those bounds.  ``conjugate_gradients`` is the one CG
-loop: the solver and, above the bounds, that distance both run it.
+loop: the solver and, above the bounds, that distance both run it.  A plan
+sums its right-hand side, and the offsets and targets it is built from,
+into arrays it takes once from the scratch its ``Problem`` shares among its
+plans (see ``system._Scratch``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BuildError, SubproblemError, require_finite
+from .errors import BuildError, ShapeMismatchError, SubproblemError, require_finite
 from .operators import LinearOp, uniform_scale
-from .system import FrozenLinearForm, _accumulate, _add_adjoint
+from .system import FrozenLinearForm, _Scratch, _accumulate, _add_adjoint, _output
 
 _FEAS_TOL = 1e-8
 _DENSE_LIMIT = 1024
@@ -109,9 +112,20 @@ class ObjectiveTerm:
         """Why the term does not fit a block of ``shape``, or None."""
         return None
 
+    def scratch_shape(self, shape):
+        """For a block of ``shape``, the shape of an array that ``value``
+        and ``grad`` take as the keyword ``out`` and may overwrite, so that
+        a caller that reuses it spares them a temporary; None when they
+        take none."""
+        return None
+
 
 class Quadratic(ObjectiveTerm):
-    """(weight / 2) * ||L(x) - center||^2; L defaults to the identity."""
+    """(weight / 2) * ||L(x) - center||^2; L defaults to the identity.
+
+    ``value`` and ``grad`` take ``out``, an array of L's output shape (see
+    ``scratch_shape``) into which they write L(x) - center, or L(x)
+    squared or scaled where there is no center; ``grad`` may return it."""
 
     smooth = True
 
@@ -125,23 +139,26 @@ class Quadratic(ObjectiveTerm):
         if self.center is not None:
             require_finite(self.center, "Quadratic center")
 
-    def _residual(self, x):
+    def _residual(self, x, out):
         y = self.linear_map.apply(x) if self.linear_map is not None else np.asarray(x, dtype=float)
-        return y - self.center if self.center is not None else y
+        return np.subtract(y, self.center, out=out) if self.center is not None else y
 
-    def value(self, x) -> float:
-        r = self._residual(x)
-        # L(x) - center is a fresh array; without a center r may be x itself.
-        own = r if self.center is not None else None
+    def value(self, x, out=None) -> float:
+        r = self._residual(x, out)
+        # L(x) - center is ``out`` or fresh; without a center r may be x itself.
+        own = r if self.center is not None else out
         return 0.5 * self.weight * float(np.sum(np.multiply(r, r, out=own)))
 
-    def grad(self, x):
-        r = self._residual(x)
+    def grad(self, x, out=None):
+        r = self._residual(x, out)
         if self.linear_map is not None:
             return self.weight * self.linear_map.adjoint(r)
         if self.center is not None and self.weight == 1.0:
-            return r  # x - center, a fresh array
-        return np.multiply(r, self.weight, out=r if self.center is not None else None)
+            return r  # x - center, ``out`` or a fresh array
+        return np.multiply(r, self.weight, out=r if self.center is not None else out)
+
+    def scratch_shape(self, shape):
+        return shape if self.linear_map is None else self.linear_map.out_shape
 
     def shape_error(self, shape):
         out = shape
@@ -384,9 +401,11 @@ class _SolvePlan:
     adds to the right-hand side is taken here, once.  ``term`` is the
     nonsmooth term of a prox step, and ``method`` forces one path of
     :func:`quad_block_solve`.  ``path`` is the one solve path, fixed here.
+    The arrays :meth:`rhs` writes are taken here from ``scratch``, which a
+    ``solver.Problem`` shares among its plans, or else from the plan's own.
     """
 
-    def __init__(self, form, extras=(), term=None, method=None):
+    def __init__(self, form, extras=(), term=None, method=None, scratch=None):
         self.focus = form.focus
         pos, self.slices, start = {}, [], 0
         for i, b in enumerate(form.focus):
@@ -400,27 +419,30 @@ class _SolvePlan:
                     for e, ks in form.eq_pieces.items()]
         self.rows = sum(form.eq_shapes[e][0] * form.eq_shapes[e][1]
                         for e in form.eq_pieces)
+        self._eq_shapes = [form.eq_shapes[e] for e, _ in self.eqs]
+        self._scratch, self._sums = scratch, None  # see _take_scratch
+        self._kept = []    # the diagonal divide's outputs (see system._output)
         self.quads = []    # (focus position, Quadratic) with a positive weight
-        self.consts = []   # (focus position, sign, flat array): adds sign * array
+        self.consts = []   # (focus position, sign, array of the block's shape)
         for name, item in extras:
             i = pos[name]
             if isinstance(item, Quadratic):
                 if item.weight > 0:
                     self.quads.append((i, item))
                     if item.center is not None:  # weight * L^T center
-                        self.consts.append((i, 1, item.weight * np.ravel(
+                        self._add_const(i, 1, item.weight * (
                             item.center if item.linear_map is None
-                            else item.linear_map.adjoint(item.center))))
+                            else item.linear_map.adjoint(item.center)), item)
             elif isinstance(item, SmoothCustom):
                 if item.lipschitz != 0.0:
                     raise BuildError(
                         f"block {name!r} has a smooth term with curvature (a "
                         "SmoothCustom with lipschitz != 0) and no closed-form "
                         "update; register a custom updater")
-                self.consts.append(
-                    (i, -1, np.ravel(item.grad(np.zeros(form.focus[i].shape)))))
+                self._add_const(i, -1, item.grad(np.zeros(form.focus[i].shape)),
+                                item)
             elif isinstance(item, np.ndarray):
-                self.consts.append((i, -1, np.ravel(item)))
+                self._add_const(i, -1, item, item)
             else:
                 raise BuildError(
                     f"term {type(item).__name__} cannot enter a quadratic solve")
@@ -460,6 +482,32 @@ class _SolvePlan:
         if self.path == "dense":
             self.dense_map(form)
 
+    def _take_scratch(self):
+        """rhs's arrays, one scratch phase taken on its first call: per
+        equation entered, the (sum, term) pair its offset is summed into,
+        the sum then turned into the target in place; and the stacked
+        right-hand side, each focus block's part a view of it.  A plan that
+        only reads curvature takes none."""
+        shapes, n = self._eq_shapes, len(self._eq_shapes)
+        *sums, self._rhs = (self._scratch or _Scratch()).take(
+            [*shapes, *shapes, (self.dim,)])
+        self._sums = list(zip(sums[:n], sums[n:]))
+        self._parts = [self._rhs[sl].reshape(b.shape)
+                       for sl, b in zip(self.slices, self.focus)]
+
+    def _add_const(self, i, sign, value, item):
+        """Keep ``sign * value`` as a constant addend of focus block i's
+        part; ShapeMismatchError names the block when the array's size is
+        not the block's."""
+        block = self.focus[i]
+        value = np.asarray(value, dtype=float)
+        if value.size != block.dim:
+            raise ShapeMismatchError(
+                f"the constant gradient of {type(item).__name__} on block "
+                f"{block.name!r} has {value.size} entries; the block has "
+                f"{block.dim}", block=block.name)
+        self.consts.append((i, sign, value.reshape(block.shape)))
+
     def _block_diagonals(self, form, rho):
         """N's diagonal per focus block, but for the chains' grams, summed
         from the curvature parts in order: a float while every part of the
@@ -486,30 +534,35 @@ class _SolvePlan:
         Each focus block's part is summed on its own, in equation and
         piece order and then the constant items', starting from its first
         addend (see ``system._accumulate``), so no zeros are written first.
-        The call owns, and may overwrite, the returned array and each
-        equation's target (rho times the offset, minus the multiplier).
-        The form's cached offsets, the multipliers and the plan's constant
-        items are only read.
+        The offsets, the targets (rho times the offset, minus the
+        multiplier) and the parts are written into the plan's scratch, and
+        the returned array is the plan's too: its next call overwrites it.
+        An offset the form already kept, the multipliers and the plan's
+        constant items are only read.
         """
+        if self._sums is None:
+            self._take_scratch()
         parts = [None] * len(self.slices)
         pieces = form.pieces
-        for e, members in self.eqs:
-            off = form.offset_for(e)
+        for (e, members), sums in zip(self.eqs, self._sums):
+            off = form.offset_for(e, out=sums)
             w_e = np.asarray(w[e], dtype=float).reshape(off.shape)
-            target = np.multiply(off, rho)
+            target = np.multiply(off, rho, out=sums[0])
             target -= w_e
             for k, i in members:
                 p = pieces[k]
                 if len(members) == 1 and p.identity not in (None, 1.0, -1.0):
                     parts[i] = _accumulate(
-                        parts[i], 1, np.multiply(target, p.identity, out=target))
+                        parts[i], 1, np.multiply(target, p.identity, out=target),
+                        self._parts[i])
                 else:
-                    parts[i] = _add_adjoint(parts[i], p, target)
+                    parts[i] = _add_adjoint(parts[i], p, target, self._parts[i])
         for i, sign, c in self.consts:
-            parts[i] = _accumulate(parts[i], sign, np.reshape(c, self.focus[i].shape))
-        parts = [np.ravel(np.zeros(b.dim) if a is None else a)
-                 for a, b in zip(parts, self.focus)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            parts[i] = _accumulate(parts[i], sign, c, self._parts[i])
+        for a, out in zip(parts, self._parts):
+            if a is None:
+                out.fill(0.0)
+        return self._rhs
 
     def normal_apply(self, form, rho, y_vec):
         """N @ y_vec, through the pieces' apply and adjoint."""
@@ -566,11 +619,11 @@ class _SolvePlan:
     def solve(self, form, w, rho, y0=None, cg_tol=None, cg_maxit=None):
         """The stacked minimizer over the focus of ``form`` by :attr:`path`.
 
-        ``w`` is keyed by eq_id; ``y0`` starts conjugate gradients.  The
-        diagonal and prox paths divide the call's :meth:`rhs` in place, so
-        the returned array may be that array, and the block values sliced
-        from it views of it.  The prox path is the diagonal divide, by
-        kappa, followed by the term's prox with step 1 / kappa."""
+        ``w`` is keyed by eq_id; ``y0`` starts conjugate gradients.  No
+        path returns the plan's scratch: the diagonal and prox paths divide
+        :meth:`rhs` into an array from ``system._output``, which nothing
+        else holds.  The prox path is the diagonal divide, by kappa,
+        followed by the term's prox with step 1 / kappa."""
         rho = float(rho)
         rhs = self.rhs(form, w, rho)
         name = self.focus[0].name
@@ -580,11 +633,12 @@ class _SolvePlan:
                 raise SubproblemError(
                     f"the subproblem of block {name!r} has a curvature that "
                     "is not positive at this point", block=name)
+            y = _output(self._kept, self.dim)
             for sl, d in zip(self.slices, diags):
-                rhs[sl] /= d
+                np.divide(rhs[sl], d, out=y[sl])
             if self.term is None:
-                return rhs
-            point = rhs.reshape(self.focus[0].shape)
+                return y
+            point = y.reshape(self.focus[0].shape)
             return np.ravel(np.asarray(self.term.prox(point, 1.0 / diags[0]),
                                        dtype=float))
         if self.path == "sylvester":

@@ -21,7 +21,9 @@ the solve plan of every unit (``prox._SolvePlan``) when it is built, which
 fixes the unit's one solve path, ``plan.path``; building also fixes the
 system, so the plans stay valid.  A step freezes each unit's form, which
 checks the values it reads and builds only the pieces that read them, and
-runs its plan on values alone.
+runs its plan on values alone.  The plans and the step's later phases share
+scratch the ``Problem`` allocates once, on first use (see ``step`` for what
+that means to a caller).
 
 The penalty weight rho can be given explicitly, certified from curvature
 constants declared in the problem metadata via rho_lower_bound, or found by
@@ -43,7 +45,7 @@ from .operators import DenseOp, LinearOp
 from .prox import ObjectiveTerm, _SolvePlan
 from .system import (BlockId, LinearTerm, MultiaffineSystem, ROLE_X, ROLE_Z1,
                      ROLE_Z2, block_adjoints, evaluate, freeze,
-                     FrozenLinearForm, _term_index, _unfreeze,
+                     FrozenLinearForm, _Scratch, _output, _term_index, _unfreeze,
                      spectrum_memo, stack_residual)
 
 STATUS_CONVERGED = "Converged"
@@ -165,6 +167,7 @@ class Problem:
                               key=_block_key)
         self._validate()
         self._z_components = self._build_z_components()
+        self._scratch = _Scratch()
         was_open = system._terms is None
         try:
             self._units = self._build_units()
@@ -174,10 +177,10 @@ class Problem:
             raise
         _term_index(system)  # fixes the system even when no unit froze it
         self._slack = None  # _SlackMaps, built on first use
-        # (block, smooth terms, nonsmooth term) per block.
-        self._block_terms = [
-            (b, tuple(t for t in self.terms_for(b) if t.smooth), self.nonsmooth_term(b))
-            for b in self.all_blocks]
+        self._step_arrays = None  # _StepArrays, taken on first use
+        # Per equation, new multipliers that steps handed out (see
+        # system._output).
+        self._mults_kept = [[] for _ in system.eq_ids]
 
     def _resolve(self, key) -> BlockId:
         if isinstance(key, BlockId):
@@ -249,8 +252,16 @@ class Problem:
             extras = [(b.name, t) for b in focus for t in self.terms_for(b)
                       if t.smooth]
             units.append((focus, _SolvePlan(freeze(system, focus, point), extras,
-                                            term=self.nonsmooth_term(focus[0]))))
+                                            term=self.nonsmooth_term(focus[0]),
+                                            scratch=self._scratch)))
         return units
+
+    def _arrays(self) -> "_StepArrays":
+        """The step's arrays past its units, taken on first use, so that
+        building a Problem and choosing its rho take none."""
+        if self._step_arrays is None:
+            self._step_arrays = _StepArrays(self)
+        return self._step_arrays
 
     def _slack_maps(self) -> "_SlackMaps":
         """The slack maps and their spectra, built on first use and kept.
@@ -316,21 +327,58 @@ class Problem:
         return None
 
 
+class _StepArrays:
+    """The arrays of a step's phases past its units, taken from the scratch
+    its problem's solve plans share (see ``system._Scratch``).
+
+    L's phase: per equation, its ``evaluate`` pair (``residual_out``); the
+    stacked residual (``stacked``), whose per-equation views (``eq_views``,
+    with their eq_ids) then hold the dual step and L's products; and each
+    objective term's ``scratch_shape`` array (``al_terms``, in objective
+    order).  The blocks' phase: per block name, an array that holds the
+    block's step, then its gradient sum in the stationarity estimate
+    (``blocks``); and each smooth term's array, in ``block_terms``, (block,
+    ((smooth term, array or None), ...), nonsmooth term) per block."""
+
+    def __init__(self, problem: Problem):
+        take = problem._scratch.take
+        dims = problem.system.constraint_dims()
+        shapes, n = [s for _, s in dims], len(dims)
+        al_terms = [(b, t) for b, terms in problem.objective.items() for t in terms]
+        got = take([*shapes, *shapes, (problem.system.out_dim,),
+                    *(t.scratch_shape(b.shape) for b, t in al_terms)])
+        self.residual_out = list(zip(got[:n], got[n:2 * n]))
+        self.stacked = got[2 * n]
+        ends = np.cumsum([r * c for r, c in shapes], dtype=int)
+        self.eq_views = [(e, self.stacked[end - r * c:end].reshape(r, c))
+                         for (e, (r, c)), end in zip(dims, ends)]
+        self.al_terms = [(b, t, out) for (b, t), out in zip(al_terms, got[2 * n + 1:])]
+        blocks = problem.all_blocks
+        smooth = [[t for t in problem.terms_for(b) if t.smooth] for b in blocks]
+        got = take([b.shape for b in blocks]
+                   + [t.scratch_shape(b.shape) for b, ts in zip(blocks, smooth) for t in ts])
+        self.blocks = {b.name: a for b, a in zip(blocks, got)}
+        outs = iter(got[len(blocks):])
+        self.block_terms = [(b, tuple((t, next(outs)) for t in ts), problem.nonsmooth_term(b))
+                            for b, ts in zip(blocks, smooth)]
+
+
 def _al(problem: Problem, assignment: dict, multipliers: dict, rho: float,
         residuals=None) -> float:
-    """L at a point; ``residuals`` may pass ``evaluate``'s result for it."""
+    """L at a point; ``residuals`` may pass ``evaluate``'s result for it.
+    Its arrays are the problem's scratch of L's phase (see
+    ``_StepArrays``)."""
+    arrays = problem._arrays()
     total = 0.0
-    for block, terms in problem.objective.items():
-        x = assignment[block]
-        for t in terms:
-            v = t.value(x)
-            if not v < np.inf:
-                return math.inf
-            total += v
+    for block, t, out in arrays.al_terms:
+        v = t.value(assignment[block]) if out is None else t.value(assignment[block], out=out)
+        if not v < np.inf:
+            return math.inf
+        total += v
     if residuals is None:
-        residuals = evaluate(problem.system, assignment)
-    for eq_id, r in zip(problem.system.eq_ids, residuals):
-        buf = np.multiply(multipliers[eq_id], r)
+        residuals = evaluate(problem.system, assignment, out=arrays.residual_out)
+    for (eq_id, buf), r in zip(arrays.eq_views, residuals):
+        np.multiply(multipliers[eq_id], r, out=buf)
         lin = float(np.sum(buf))
         total += lin + 0.5 * rho * float(np.sum(np.multiply(r, r, out=buf)))
     return float(total)
@@ -343,11 +391,12 @@ def augmented_lagrangian(problem: Problem, state: SolverState) -> float:
 
 
 def _update_blocks(problem: Problem, focus: tuple, plan, assignment: dict,
-                   multipliers: dict, rho: float, block_steps: dict):
+                   multipliers: dict, rho: float, block_steps: dict, steps: dict):
     """Minimize L exactly over one block, or jointly over a z component, in
-    place in ``assignment``, recording each block's step norm.  ``plan`` is
-    the unit's solve plan, None for a custom updater, which belongs to a
-    lone block (see ``Problem``) and is looked up at each call."""
+    place in ``assignment``, recording each block's step norm, the step
+    written into the block's array of ``steps``.  ``plan`` is the unit's
+    solve plan, None for a custom updater, which belongs to a lone block
+    (see ``Problem``) and is looked up at each call."""
     if plan is None:
         block = focus[0]
         value = np.asarray(problem.custom_updaters[block.name](
@@ -363,7 +412,8 @@ def _update_blocks(problem: Problem, focus: tuple, plan, assignment: dict,
         y = plan.solve(form, multipliers, rho, y0=y0)
         new = [(b, y[sl].reshape(b.shape)) for b, sl in zip(focus, plan.slices)]
     for b, value in new:
-        block_steps[b.name] = float(np.linalg.norm(value - assignment[b]))
+        change = np.subtract(value, assignment[b], out=steps[b.name])
+        block_steps[b.name] = float(np.linalg.norm(change))
         assignment[b] = value
 
 
@@ -376,12 +426,14 @@ def _stationarity(problem: Problem, assignment: dict, multipliers: dict):
     subdifferential (normal cone for indicators).
     """
     parts = {}
-    adjoints = block_adjoints(problem.system, assignment, multipliers)
-    for block, smooth, term in problem._block_terms:
+    arrays = problem._arrays()
+    adjoints = block_adjoints(problem.system, assignment, multipliers,
+                              out=arrays.blocks)
+    for block, smooth, term in arrays.block_terms:
         g = adjoints[block]
         x = assignment[block]
-        for t in smooth:
-            g += t.grad(x)
+        for t, out in smooth:
+            g += t.grad(x) if out is None else t.grad(x, out=out)
         parts[block.name] = (float(np.linalg.norm(g)) if term is None
                              else term.stat_residual(x, g))
     agg = max(parts.values()) if parts else 0.0
@@ -397,10 +449,18 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
     spectra of its block values and multipliers, their convolutions, and
     the convolution targets built from its values and old multipliers,
     until it returns (see system.spectrum_memo).
+
+    Memory: every array that dies inside the step lives in scratch that
+    ``problem`` allocated once and reuses at every later step, so one
+    Problem runs one step at a time.  Nothing the step returns aliases that
+    scratch.  A new block value or multiplier is an array that nothing else
+    holds: a new one, or one of an old state that nothing holds any more
+    (see ``system._output``), so a state the caller keeps never changes.
     """
     t0 = time.perf_counter()
     rho = state.rho
     system = problem.system
+    arrays = problem._arrays()
     assignment = dict(state.assignment)
     multipliers = state.multipliers
     mults_new = {}
@@ -422,7 +482,7 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
         try:
             for focus, plan in problem._units:
                 _update_blocks(problem, focus, plan, assignment, multipliers,
-                               rho, block_steps)
+                               rho, block_steps, arrays.blocks)
                 if check_argmin and focus[0].role == ROLE_X:
                     _argmin_check(repr(focus[0].name))
             if check_argmin and problem.z_order:
@@ -432,17 +492,16 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
                 exc.k = k_next
             raise
 
-        residuals = evaluate(system, assignment)
-        # Stacked and freed before the dual update allocates: fewer pages
-        # re-faulted per step than in the other order.
-        primal = float(np.linalg.norm(stack_residual(residuals)))
+        residuals = evaluate(system, assignment, out=arrays.residual_out)
+        primal = float(np.linalg.norm(stack_residual(residuals, out=arrays.stacked)))
         dual_sq = 0.0
-        for eq_id, r in zip(system.eq_ids, residuals):
-            delta = rho * r
-            mults_new[eq_id] = multipliers[eq_id] + delta
+        for (eq_id, delta), r, kept in zip(arrays.eq_views, residuals,
+                                           problem._mults_kept):
+            np.multiply(r, rho, out=delta)
+            mults_new[eq_id] = np.add(multipliers[eq_id], delta,
+                                      out=_output(kept, delta.shape))
             dual_sq += float(np.sum(np.square(delta, out=delta)))
         L_new = _al(problem, assignment, mults_new, rho, residuals)
-        del residuals  # freed before the stationarity estimate's temporaries
         _, stat = _stationarity(problem, assignment, mults_new)
     new_state = SolverState(assignment, mults_new, rho, k_next)
     trace = IterTrace(k=k_next, L=float(L_new), primal_res=primal,
@@ -547,7 +606,7 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
             if extra:
                 tr.violations = tr.violations + tuple(extra)
         traces.append(tr)
-        w_sq = sum(float(np.sum(w * w)) for w in current.multipliers.values())
+        w_sq = sum(float(np.vdot(w, w)) for w in current.multipliers.values())
         if not math.isfinite(tr.L) or tr.L > _DIVERGE_LIMIT \
                 or w_sq > _DIVERGE_LIMIT ** 2:
             status = STATUS_DIVERGED

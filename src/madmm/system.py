@@ -62,10 +62,19 @@ another, and at the latest when the step returns.  The memo holds a
 reference to each array it has keyed, so no id is reused.  Outside a step
 every call transforms afresh.  Reuse relies on no array of the step being
 modified in place while the step runs.
+
+A step allocates no array that dies inside it.  It passes ``out`` to
+``evaluate``, ``FrozenLinearForm.offset_for``, ``stack_residual`` and
+``block_adjoints``, and the solve plans to the sums they call, with arrays
+of a :class:`_Scratch` that its ``solver.Problem`` reuses at every step, and
+it takes the arrays it returns from :func:`_output`.  Called without
+``out``, each returns arrays the caller owns.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -118,9 +127,12 @@ class _Term:
     """Base of the term types, dataclasses with a ``sign`` of +1 or -1.
 
     A type defines ``out_shape(eq_id)``, its shape once its parts are checked,
-    and ``unsigned(values)``, its value without the sign; that value may be
-    an array the term or the caller owns (a constant's array, a block value),
-    so treat it as read-only.  ``blocks()`` (in occurrence order) and
+    and ``unsigned(values, out=None)``, its value without the sign; that
+    value may be an array the term or the caller owns (a constant's array, a
+    block value), so treat it as read-only.  A type whose value is a product
+    writes it into ``out``, an array of its shape that the caller may
+    overwrite, when one is given; the others leave ``out`` alone.
+    ``blocks()`` (in occurrence order) and
     ``pieces(focus, values, eq_id)`` (a frozen piece per occurrence of a
     block in ``focus``) default to none, as for a constant.  ``values`` is
     None for a term of one block: its pieces read no value, are ``fixed``,
@@ -133,13 +145,15 @@ class _Term:
         return []
 
 
-def _product(factors, read):
-    """Product of chain factors, None if there are none; blocks go through ``read``."""
-    out = None
-    for f in factors:
+def _product(factors, read, out=None):
+    """Product of chain factors, None if there are none; blocks go through
+    ``read``, and the last multiply writes into ``out`` when it is given."""
+    prod = None
+    for i, f in enumerate(factors, 1):
         v = read(f) if isinstance(f, BlockId) else np.asarray(f, dtype=float)
-        out = v if out is None else out @ v
-    return out
+        prod = v if prod is None else np.matmul(
+            prod, v, out=out if i == len(factors) else None)
+    return prod
 
 
 @dataclass
@@ -168,8 +182,8 @@ class MatChain(_Term):
                     f"equation {eq_id}: matrix chain mismatch {a} @ {b}", eq_id=eq_id)
         return (shapes[0][0], shapes[-1][1])
 
-    def unsigned(self, values):
-        return _product(self.factors, lambda b: _value_of(values, b))
+    def unsigned(self, values, out=None):
+        return _product(self.factors, lambda b: _value_of(values, b), out)
 
     def pieces(self, focus, values, eq_id) -> list:
         read = None if values is None else values.__getitem__
@@ -213,8 +227,11 @@ class HadamardPair(_Term):
                 block=self.left.name, eq_id=eq_id)
         return self.post.out_shape
 
-    def unsigned(self, values):
-        prod = _value_of(values, self.left) * _value_of(values, self.right)
+    def unsigned(self, values, out=None):
+        # With a post-map the product has the blocks' shape, not out's.
+        prod = np.multiply(_value_of(values, self.left),
+                           _value_of(values, self.right),
+                           out=out if self.post is None else None)
         return prod if self.post is None else self.post.apply(prod)
 
     def pieces(self, focus, values, eq_id) -> list:
@@ -246,7 +263,7 @@ class Conv2D(_Term):
                 block=self.kernel.name, eq_id=eq_id)
         return ss
 
-    def unsigned(self, values):
+    def unsigned(self, values, out=None):
         return circ_conv2(_value_of(values, self.kernel),
                           _value_of(values, self.signal))
 
@@ -276,7 +293,7 @@ class LinearTerm(_Term):
                 block=self.block.name, eq_id=eq_id)
         return self.op.out_shape
 
-    def unsigned(self, values):
+    def unsigned(self, values, out=None):
         value = _value_of(values, self.block)
         return value if self.op.identity_scale == 1.0 else self.op.apply(value)
 
@@ -304,7 +321,7 @@ class Constant(_Term):
     def out_shape(self, eq_id: int) -> tuple:
         return self.value.shape
 
-    def unsigned(self, values):
+    def unsigned(self, values, out=None):
         return self.value
 
 
@@ -533,20 +550,22 @@ def _value_of(assignment, block: BlockId):
     return v
 
 
-def _eval_term(term, values):
+def _eval_term(term, values, out=None):
     """The unsigned value of one term, for ``evaluate`` and frozen offsets,
     which apply its sign.  It may be an array the term or the caller owns;
-    treat it as read-only."""
-    return term.unsigned(values)
+    treat it as read-only.  A product is written into ``out`` when it is
+    given (see ``_Term``)."""
+    return term.unsigned(values, out)
 
 
-def _accumulate(total, sign, value):
+def _accumulate(total, sign, value, out=None):
     """total + sign * value for a sign of +1 or -1, added or subtracted in
-    place into ``total``.  When ``total`` is None the sum starts as one
-    fresh float array, 0.0 + sign * value, which has the bits of adding the
-    term into zeros without writing the zeros first."""
+    place into ``total``.  When ``total`` is None the sum starts as 0.0 +
+    sign * value, which has the bits of adding the term into zeros without
+    writing the zeros first, written into ``out`` (which may be ``value``)
+    or, without it, into one fresh float array."""
     if total is None:
-        return (np.subtract if sign < 0 else np.add)(0.0, value, dtype=float)
+        return (np.subtract if sign < 0 else np.add)(0.0, value, out=out, dtype=float)
     if sign < 0:
         total -= value
     else:
@@ -554,28 +573,101 @@ def _accumulate(total, sign, value):
     return total
 
 
-def _add_adjoint(total, piece, w):
-    """``_accumulate(total, 1, piece.adjoint(w))``, except that an identity
-    piece of scale +1 or -1 adds or subtracts ``w`` itself."""
+def _add_adjoint(total, piece, w, out=None):
+    """``_accumulate(total, 1, piece.adjoint(w), out)``, except that an
+    identity piece of scale +1 or -1 adds or subtracts ``w`` itself."""
     if piece.identity in (1.0, -1.0):
-        return _accumulate(total, piece.identity, w)
-    return _accumulate(total, 1, piece.adjoint(w))
+        return _accumulate(total, piece.identity, w, out)
+    return _accumulate(total, 1, piece.adjoint(w), out)
 
 
-def evaluate(system: MultiaffineSystem, assignment) -> list:
-    """Residual arrays of every equation, ascending eq_id."""
-    out = []
-    for _, terms in system.equations:
-        total = None  # add_equation refuses an equation without terms
-        for term in terms:
-            total = _accumulate(total, term.sign, _eval_term(term, assignment))
-        out.append(total)
-    return out
+def _sum_terms(terms, values, flip, out):
+    """flip times the signed sum of ``terms`` at ``values``, None for no
+    terms.  ``out`` is None, or a pair (sum, term) of arrays of the sum's
+    shape that the call overwrites: the sum is written into the first, and
+    each product after the first (see ``_Term``) into the second."""
+    total, scratch = (None, None) if out is None else out
+    acc = None
+    for term in terms:
+        value = _eval_term(term, values, out=total if acc is None else scratch)
+        acc = _accumulate(acc, flip * term.sign, value, total)
+    return acc
 
 
-def stack_residual(residuals) -> np.ndarray:
-    """Row-major flatten within each equation, concatenated ascending eq_id."""
-    return np.concatenate([np.ravel(r) for r in residuals]) if residuals else np.zeros(0)
+def evaluate(system: MultiaffineSystem, assignment, out=None) -> list:
+    """Residual arrays of every equation, ascending eq_id.
+
+    ``out``, for a caller that reuses its arrays, gives each equation a
+    (sum, term) pair of arrays of its shape, which the call overwrites; the
+    residuals returned are then the sums (see ``_sum_terms``)."""
+    # add_equation refuses an equation without terms, so no sum is None.
+    return [_sum_terms(terms, assignment, 1, None if out is None else out[i])
+            for i, (_, terms) in enumerate(system.equations)]
+
+
+def stack_residual(residuals, out=None) -> np.ndarray:
+    """Row-major flatten within each equation, concatenated ascending eq_id,
+    into ``out`` when it is given."""
+    return (np.concatenate([np.ravel(r) for r in residuals], out=out)
+            if residuals else np.zeros(0))
+
+
+class _Scratch:
+    """Float arrays that a ``solver.Problem`` and its solve plans reuse at
+    every step, so that a step's temporaries cost no allocation.
+
+    Each :meth:`take` is one phase of a step: the arrays one call returns
+    are distinct, but the k-th array of n entries that one call returns is
+    the k-th of every call, so the arrays of two calls must never be in use
+    at the same time.  Nothing a step returns may be such an array."""
+
+    def __init__(self):
+        self._flat = {}  # entry count -> flat arrays, in first-take order
+
+    def take(self, shapes) -> list:
+        """One array of each shape in ``shapes``, in order; None for None."""
+        seen, out = {}, []
+        for shape in shapes:
+            if shape is None:
+                out.append(None)
+                continue
+            n = math.prod(shape)
+            k = seen[n] = seen.get(n, -1) + 1
+            flat = self._flat.setdefault(n, [])
+            if k == len(flat):
+                flat.append(np.empty(n))
+            out.append(flat[k].reshape(shape))
+        return out
+
+
+def _first_count(arrays) -> int:
+    for a in arrays:
+        return sys.getrefcount(a)
+
+
+# The count _output reads, in the same kind of loop, for an array that only
+# its list holds; read here, so that it does not hang on how the
+# interpreter counts its own references.
+_ALONE = _first_count([np.empty(0)])
+
+
+def _output(kept: list, shape) -> np.ndarray:
+    """A float array of ``shape`` for a value that a step returns: the first
+    of ``kept`` that nothing but ``kept`` holds, else a new one, which
+    ``kept`` takes while it holds fewer than two.
+
+    Whatever holds an array, a state, a view of it or a memoryview, keeps it
+    from being handed out again, so a kept state never changes; once a
+    caller drops an old state, a later step writes into its arrays instead
+    of allocating, and glibc has no freed array to hand back to the kernel
+    and fault in again."""
+    for a in kept:
+        if sys.getrefcount(a) == _ALONE:
+            return a
+    a = np.empty(shape)
+    if len(kept) < 2:
+        kept.append(a)
+    return a
 
 
 class _Piece:
@@ -810,15 +902,20 @@ class FrozenLinearForm:
         return np.concatenate([np.ravel(self.offset_for(e))
                                for e, _ in self.eq_dims])
 
-    def offset_for(self, eq_id: int) -> np.ndarray:
-        """Offset of one equation: minus the sum of its non-focus terms."""
+    def offset_for(self, eq_id: int, out=None) -> np.ndarray:
+        """Offset of one equation: minus the sum of its non-focus terms.
+
+        ``out``, for a caller that reuses its arrays, is a (sum, term) pair
+        as for ``evaluate``; an offset summed into it is not kept, so the
+        caller may overwrite it.  An offset already kept is returned as it
+        is, to be only read."""
         off = self._offsets.get(eq_id)
         if off is None:
-            for term in self._frozen_terms[eq_id]:
-                off = _accumulate(off, -term.sign, _eval_term(term, self._values))
+            off = _sum_terms(self._frozen_terms[eq_id], self._values, -1, out)
             if off is None:
-                off = np.zeros(self.eq_shapes[eq_id])
-            self._offsets[eq_id] = off
+                off = _zeros(self.eq_shapes[eq_id], None if out is None else out[0])
+            if out is None:
+                self._offsets[eq_id] = off
         return off
 
     def conv_target(self, piece, multipliers, rho):
@@ -1070,7 +1167,8 @@ def freeze(system: MultiaffineSystem, focus, assignment) -> FrozenLinearForm:
                             single=isinstance(focus, BlockId))
 
 
-def block_adjoints(system: MultiaffineSystem, assignment, w_by_eq) -> dict:
+def block_adjoints(system: MultiaffineSystem, assignment, w_by_eq,
+                   out=None) -> dict:
     """BlockId -> C'_b^T W for every block b of the system, in one pass.
 
     Each term is frozen once, with its own blocks as the focus, instead of
@@ -1080,6 +1178,8 @@ def block_adjoints(system: MultiaffineSystem, assignment, w_by_eq) -> dict:
     and term order, as ``freeze(system, b, assignment).adjoint_eqs(w_by_eq)``
     sums them, so the two agree bit for bit.  Equations missing from
     ``w_by_eq`` contribute nothing.  Like ``freeze``, it fixes the system.
+    ``out``, for a caller that reuses its arrays, maps each block's name to
+    an array of its shape that the call overwrites with the block's sum.
     """
     values = {b: _value_of(assignment, b) for b in system.blocks.values()}
     grads = dict.fromkeys(system.blocks.values())
@@ -1089,13 +1189,24 @@ def block_adjoints(system: MultiaffineSystem, assignment, w_by_eq) -> dict:
             continue
         w = np.asarray(w, dtype=float)
         for p in (piece,) if piece is not None else term.pieces(blocks, values, eq_id):
-            grads[p.block] = _add_adjoint(grads[p.block], p, w)
-    return _zeros_where_none(grads)
+            grads[p.block] = _add_adjoint(grads[p.block], p, w,
+                                          None if out is None else out[p.block.name])
+    return _zeros_where_none(grads, out)
 
 
-def _zeros_where_none(sums: dict) -> dict:
-    """BlockId -> sum, a block that received no term reading zeros."""
-    return {b: np.zeros(b.shape) if g is None else g for b, g in sums.items()}
+def _zeros_where_none(sums: dict, out=None) -> dict:
+    """BlockId -> sum, a block that received no term reading zeros, written
+    into ``out[name]`` when ``out`` is given."""
+    return {b: _zeros(b.shape, None if out is None else out[b.name])
+            if g is None else g for b, g in sums.items()}
+
+
+def _zeros(shape, out=None) -> np.ndarray:
+    """Zeros of ``shape``, written into ``out`` when it is given."""
+    if out is None:
+        return np.zeros(shape)
+    out.fill(0.0)
+    return out
 
 
 def jacobian_image_basis(system: MultiaffineSystem, assignment, samples: int = 8,

@@ -931,9 +931,9 @@ def test_stationarity_evaluates_no_terms(monkeypatch):
     calls = []
     real = system_mod._eval_term
 
-    def counting(term, assignment):
+    def counting(term, assignment, out=None):
         calls.append(term)
-        return real(term, assignment)
+        return real(term, assignment, out)
 
     monkeypatch.setattr(system_mod, "_eval_term", counting)
     solver._stationarity(inst.problem, state.assignment, state.multipliers)
@@ -1088,6 +1088,28 @@ def test_sums_fold_signs_and_write_no_input(name):
 
 def _positive_zero(a) -> bool:
     return not np.any(a) and not np.any(np.signbit(a))
+
+
+def test_an_output_is_handed_out_again_only_once_nothing_holds_it():
+    # A step takes its new values from system._output, which may hand out
+    # an array of an old state again; anything that still reaches that
+    # array, the array itself, a view or a memoryview, must keep it.
+    from madmm.system import _output
+
+    kept = []
+    first = _output(kept, (2, 3))
+    second = _output(kept, (2, 3))
+    assert second is not first and kept == [first, second]
+    for hold in (lambda a: a, lambda a: a[1:], memoryview):
+        holder = hold(first)
+        del first
+        third = _output(kept, (2, 3))
+        assert all(third is not a for a in kept) and len(kept) == 2
+        del holder
+        first = _output(kept, (2, 3))
+        assert first is kept[0]
+    del second
+    assert _output(kept, (2, 3)) is kept[1]
 
 
 def test_sums_turn_a_first_negative_zero_into_positive_zero():
