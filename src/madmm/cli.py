@@ -207,6 +207,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be nonnegative, got {args.samples}")
     cfg = _resolve_config(args)
     inst = build_instance(cfg)
     report = diagnostics.check_assumptions(inst.problem, samples=args.samples,

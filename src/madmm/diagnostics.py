@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prox import Quadratic, _SolvePlan, conjugate_gradients
-from .solver import (Problem, SolverState, Violation, _al, _curvature,
-                     _fail_on, _gram_eigenvalues, _stationarity)
+from .solver import (Problem, SolverState, Violation, _al, _check_state,
+                     _curvature, _fail_on, _gram_eigenvalues, _sq_norm,
+                     _stationarity)
 from .system import evaluate, freeze, jacobian_image_basis, stack_residual
 
 
@@ -43,15 +44,13 @@ def stationarity(problem: Problem, state: SolverState) -> StationarityEstimate:
     Smooth blocks report the gradient norm of the full Lagrangian; blocks
     with a separable nonsmooth term report the distance from the negative
     smooth gradient to the subdifferential.  Constraint violations are not
-    included; read those from the residual.
+    included; read those from the residual.  The state is checked as
+    ``solver.step`` checks it.
     """
+    _check_state(problem, state)
     parts, aggregate = _stationarity(problem, state.assignment,
                                      state.multipliers)
     return StationarityEstimate(parts, aggregate)
-
-
-def _sq(arrays) -> float:
-    return float(sum(np.sum(a * a) for a in arrays))
 
 
 def _least_squares_residual(form, target: np.ndarray, maxit: int = 500) -> float:
@@ -97,9 +96,9 @@ def assert_iteration(problem: Problem, state: SolverState,
     violations = []
 
     residuals = evaluate(problem.system, state_new.assignment)
-    penalty = rho * _sq(residuals)
-    dual_sq = _sq([state_new.multipliers[e] - state.multipliers[e]
-                   for e in state.multipliers]) / rho
+    penalty = rho * _sq_norm(residuals)
+    dual_sq = _sq_norm([state_new.multipliers[e] - state.multipliers[e]
+                        for e in state.multipliers]) / rho
     tol = 1e-12 * max(1.0, penalty, dual_sq)
     if abs(penalty - dual_sq) > tol:
         violations.append(Violation(
@@ -127,8 +126,8 @@ def assert_iteration(problem: Problem, state: SolverState,
     have_bound = ((not z1 or (M1 is not None and maps.lambda_pp))
                   and (not z2 or (M2 is not None and maps.sigma))
                   and (z1 or z2) and state.k >= 1)
-    dz1 = _sq([state_new.assignment[b] - state.assignment[b] for b in z1])
-    dz2 = _sq([state_new.assignment[b] - state.assignment[b] for b in z2])
+    dz1 = _sq_norm([state_new.assignment[b] - state.assignment[b] for b in z1])
+    dz2 = _sq_norm([state_new.assignment[b] - state.assignment[b] for b in z2])
     if have_bound:
         dw = dual_sq * rho
         bound = 0.0
@@ -216,8 +215,10 @@ def check_assumptions(problem: Problem, samples: int = 20,
     coefficient maps are injective at random points; coercivity (always
     unverifiable by sampling).  Failing the first three is what separates
     formulations that need slack blocks from those already in solvable
-    shape.
+    shape.  A negative ``samples`` raises ValueError.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples!r}")
     maps = problem._slack_maps()
     system = problem.system
     rng = np.random.default_rng(seed)

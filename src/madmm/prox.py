@@ -124,8 +124,9 @@ class Quadratic(ObjectiveTerm):
     """(weight / 2) * ||L(x) - center||^2; L defaults to the identity.
 
     ``value`` and ``grad`` take ``out``, an array of L's output shape (see
-    ``scratch_shape``) into which they write L(x) - center, or L(x)
-    squared or scaled where there is no center; ``grad`` may return it."""
+    ``scratch_shape``) into which they write L(x) - center, or, for
+    ``grad`` where there is no center, L(x) scaled; ``grad`` may return
+    it."""
 
     smooth = True
 
@@ -145,9 +146,7 @@ class Quadratic(ObjectiveTerm):
 
     def value(self, x, out=None) -> float:
         r = self._residual(x, out)
-        # L(x) - center is ``out`` or fresh; without a center r may be x itself.
-        own = r if self.center is not None else out
-        return 0.5 * self.weight * float(np.sum(np.multiply(r, r, out=own)))
+        return 0.5 * self.weight * float(np.vdot(r, r))
 
     def grad(self, x, out=None):
         r = self._residual(x, out)

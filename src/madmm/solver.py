@@ -46,7 +46,7 @@ from .prox import ObjectiveTerm, _SolvePlan
 from .system import (BlockId, LinearTerm, MultiaffineSystem, ROLE_X, ROLE_Z1,
                      ROLE_Z2, block_adjoints, evaluate, freeze,
                      FrozenLinearForm, _Scratch, _output, _term_index, _unfreeze,
-                     spectrum_memo, stack_residual)
+                     spectrum_memo)
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAXITER = "MaxIter"
@@ -241,9 +241,10 @@ class Problem:
         form frozen where every block is all ones: the one value a plan reads
         when it is built is a Hadamard partner's square, to check that the
         curvature is positive, and at all ones that square is one in every
-        entry, so the check reads the structure alone."""
+        entry, so the check reads the structure alone.  The ones are
+        read-only views of one scalar."""
         system = self.system
-        point = {b: np.ones(b.shape) for b in system.blocks.values()}
+        point = {b: np.broadcast_to(1.0, b.shape) for b in system.blocks.values()}
         units = []
         for focus in [(b,) for b in self.update_order] + self._z_components:
             if focus[0].name in self.custom_updaters:
@@ -331,28 +332,22 @@ class _StepArrays:
     """The arrays of a step's phases past its units, taken from the scratch
     its problem's solve plans share (see ``system._Scratch``).
 
-    L's phase: per equation, its ``evaluate`` pair (``residual_out``); the
-    stacked residual (``stacked``), whose per-equation views (``eq_views``,
-    with their eq_ids) then hold the dual step and L's products; and each
-    objective term's ``scratch_shape`` array (``al_terms``, in objective
-    order).  The blocks' phase: per block name, an array that holds the
-    block's step, then its gradient sum in the stationarity estimate
-    (``blocks``); and each smooth term's array, in ``block_terms``, (block,
-    ((smooth term, array or None), ...), nonsmooth term) per block."""
+    L's phase: per equation, its ``evaluate`` pair (``residual_out``), and
+    each objective term's ``scratch_shape`` array (``al_terms``, in
+    objective order).  The blocks' phase: per block name, an array that
+    holds the block's step, then its gradient sum in the stationarity
+    estimate (``blocks``); and each smooth term's array, in
+    ``block_terms``, (block, ((smooth term, array or None), ...), nonsmooth
+    term) per block."""
 
     def __init__(self, problem: Problem):
         take = problem._scratch.take
         dims = problem.system.constraint_dims()
         shapes, n = [s for _, s in dims], len(dims)
         al_terms = [(b, t) for b, terms in problem.objective.items() for t in terms]
-        got = take([*shapes, *shapes, (problem.system.out_dim,),
-                    *(t.scratch_shape(b.shape) for b, t in al_terms)])
+        got = take([*shapes, *shapes, *(t.scratch_shape(b.shape) for b, t in al_terms)])
         self.residual_out = list(zip(got[:n], got[n:2 * n]))
-        self.stacked = got[2 * n]
-        ends = np.cumsum([r * c for r, c in shapes], dtype=int)
-        self.eq_views = [(e, self.stacked[end - r * c:end].reshape(r, c))
-                         for (e, (r, c)), end in zip(dims, ends)]
-        self.al_terms = [(b, t, out) for (b, t), out in zip(al_terms, got[2 * n + 1:])]
+        self.al_terms = [(b, t, out) for (b, t), out in zip(al_terms, got[2 * n:])]
         blocks = problem.all_blocks
         smooth = [[t for t in problem.terms_for(b) if t.smooth] for b in blocks]
         got = take([b.shape for b in blocks]
@@ -363,11 +358,16 @@ class _StepArrays:
                             for b, ts in zip(blocks, smooth)]
 
 
+def _sq_norm(arrays) -> float:
+    """The squared norm of ``arrays`` stacked, summed one array at a time."""
+    return sum(float(np.vdot(a, a)) for a in arrays)
+
+
 def _al(problem: Problem, assignment: dict, multipliers: dict, rho: float,
         residuals=None) -> float:
     """L at a point; ``residuals`` may pass ``evaluate``'s result for it.
     Its arrays are the problem's scratch of L's phase (see
-    ``_StepArrays``)."""
+    ``_StepArrays``); the inner products write none."""
     arrays = problem._arrays()
     total = 0.0
     for block, t, out in arrays.al_terms:
@@ -377,16 +377,33 @@ def _al(problem: Problem, assignment: dict, multipliers: dict, rho: float,
         total += v
     if residuals is None:
         residuals = evaluate(problem.system, assignment, out=arrays.residual_out)
-    for (eq_id, buf), r in zip(arrays.eq_views, residuals):
-        np.multiply(multipliers[eq_id], r, out=buf)
-        lin = float(np.sum(buf))
-        total += lin + 0.5 * rho * float(np.sum(np.multiply(r, r, out=buf)))
+    for eq_id, r in zip(problem.system.eq_ids, residuals):
+        lin = float(np.vdot(multipliers[eq_id], r))
+        total += lin + 0.5 * rho * float(np.vdot(r, r))
     return float(total)
+
+
+def _check_state(problem: Problem, state: SolverState) -> None:
+    """Refuse a state whose multipliers do not fit the system, naming the
+    equation (ShapeMismatchError), or whose rho is not positive and finite
+    (ValueError)."""
+    for eq_id, shape in problem.system.constraint_dims():
+        w = state.multipliers.get(eq_id)
+        if w is None:
+            raise ShapeMismatchError(f"no multiplier for equation {eq_id}",
+                                     eq_id=eq_id)
+        if np.shape(w) != shape:
+            raise ShapeMismatchError(
+                f"multiplier for equation {eq_id} has shape {np.shape(w)}, "
+                f"expected {shape}", eq_id=eq_id)
+    if not 0.0 < state.rho < math.inf:
+        raise ValueError(f"rho must be positive and finite, got {state.rho!r}")
 
 
 def augmented_lagrangian(problem: Problem, state: SolverState) -> float:
     """L at the state's assignment, multipliers and rho; +inf when infeasible
-    for an indicator term."""
+    for an indicator term.  The state is checked as ``step`` checks it."""
+    _check_state(problem, state)
     return _al(problem, state.assignment, state.multipliers, state.rho)
 
 
@@ -452,12 +469,20 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
 
     Memory: every array that dies inside the step lives in scratch that
     ``problem`` allocated once and reuses at every later step, so one
-    Problem runs one step at a time.  Nothing the step returns aliases that
-    scratch.  A new block value or multiplier is an array that nothing else
-    holds: a new one, or one of an old state that nothing holds any more
-    (see ``system._output``), so a state the caller keeps never changes.
+    Problem runs one step at a time.  The primal and dual norms and L's
+    inner products are read from each equation's residual in place, and
+    each new multiplier is written as rho * r into its own array, then W
+    added to it.  Nothing the step returns aliases that scratch.  A new
+    block value or multiplier is an array that nothing else holds: a new
+    one, or one of an old state that nothing holds any more (see
+    ``system._output``), so a state the caller keeps never changes.
+
+    The state is checked once, first: ShapeMismatchError names an equation
+    whose multiplier is missing or has another shape, and ValueError
+    refuses a rho that is not positive and finite.
     """
     t0 = time.perf_counter()
+    _check_state(problem, state)
     rho = state.rho
     system = problem.system
     arrays = problem._arrays()
@@ -493,14 +518,13 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
             raise
 
         residuals = evaluate(system, assignment, out=arrays.residual_out)
-        primal = float(np.linalg.norm(stack_residual(residuals, out=arrays.stacked)))
+        primal = math.sqrt(_sq_norm(residuals))
         dual_sq = 0.0
-        for (eq_id, delta), r, kept in zip(arrays.eq_views, residuals,
-                                           problem._mults_kept):
-            np.multiply(r, rho, out=delta)
-            mults_new[eq_id] = np.add(multipliers[eq_id], delta,
-                                      out=_output(kept, delta.shape))
-            dual_sq += float(np.sum(np.square(delta, out=delta)))
+        for eq_id, r, kept in zip(system.eq_ids, residuals, problem._mults_kept):
+            # rho * r, then W added to it: the bits of W + rho * r.
+            delta = np.multiply(r, rho, out=_output(kept, r.shape))
+            dual_sq += float(np.vdot(delta, delta))
+            mults_new[eq_id] = np.add(delta, multipliers[eq_id], out=delta)
         L_new = _al(problem, assignment, mults_new, rho, residuals)
         _, stat = _stationarity(problem, assignment, mults_new)
     new_state = SolverState(assignment, mults_new, rho, k_next)
@@ -572,9 +596,8 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
             draw = draw / norm
         assignment[b] = init_map.get(b, draw)
     multipliers = {e: np.zeros(system.eq_shape(e)) for e in system.eq_ids}
-    zero_assign = {b: np.zeros(b.shape) for b in blocks}
-    offsets_norm = float(np.linalg.norm(
-        stack_residual(evaluate(system, zero_assign))))
+    zero_assign = {b: np.broadcast_to(0.0, b.shape) for b in blocks}
+    offsets_norm = math.sqrt(_sq_norm(evaluate(system, zero_assign)))
 
     certified = False
     if rho is None:
@@ -636,10 +659,9 @@ def _auto_rho(problem: Problem, assignment: dict):
                   for name, mu in r_blocks]
         return _grid_rho(m1, M1, M2 or 0.0, M_F or 0.0, problem._slack_maps(),
                          r_maps), True
-    base = {b: np.array(v) for b, v in assignment.items()}
     rho_try = 1.0
     for _ in range(40):
-        if _probe_ok(problem, base, rho_try):
+        if _probe_ok(problem, assignment, rho_try):
             return rho_try, False
         rho_try *= 2.0
     raise ValueError(
@@ -648,9 +670,10 @@ def _auto_rho(problem: Problem, assignment: dict):
 
 
 def _probe_ok(problem: Problem, base: dict, rho: float, iters: int = 10) -> bool:
-    st = SolverState({b: np.array(v) for b, v in base.items()},
-                     {e: np.zeros(problem.system.eq_shape(e))
-                      for e in problem.system.eq_ids}, rho, 0)
+    """Whether ``iters`` steps from ``base`` and zero multipliers keep L
+    finite and nonincreasing; no step writes into ``base``'s arrays."""
+    st = SolverState(base, {e: np.zeros(problem.system.eq_shape(e))
+                            for e in problem.system.eq_ids}, rho, 0)
     values = [_al(problem, st.assignment, st.multipliers, rho)]
     try:
         for _ in range(iters):
@@ -686,11 +709,11 @@ def lambda_min_pos(M, tol: float = 1e-9):
     """(lambda_min, lambda_min_positive) of a symmetric PSD matrix.
 
     Eigenvalues below tol * lambda_max count as zero; lambda_min is taken
-    after that truncation.  Raises ValueError for matrices that are
-    asymmetric, indefinite beyond the tolerance, or have no positive
-    eigenvalue.
+    after that truncation.  Raises ValueError for matrices that have NaN
+    or infinite entries, are asymmetric, indefinite beyond the tolerance,
+    or have no positive eigenvalue.
     """
-    M = np.asarray(M, dtype=float)
+    M = _finite_matrix(M, "matrix")
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
         raise ValueError("a nonempty square matrix is required")
     scale = float(np.max(np.abs(M)))
@@ -698,6 +721,15 @@ def lambda_min_pos(M, tol: float = 1e-9):
         raise ValueError("matrix is not symmetric")
     eigs = np.linalg.eigvalsh((M + M.T) / 2.0)
     return _min_pos_from_eigs(eigs, tol)
+
+
+def _finite_matrix(m, what: str) -> np.ndarray:
+    """``m`` as a float array; ValueError naming ``what`` when an entry is
+    NaN or infinite."""
+    m = np.asarray(m, dtype=float)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{what} has NaN or infinite entries")
+    return m
 
 
 def _gram_eigenvalues(q):
@@ -769,8 +801,12 @@ def rho_lower_bound(m1: float, M1: float, M2: float, M_F: float, q1, q2,
     blocks, which requires M2 == 0.  r_blocks lists (map, mu) pairs for
     blocks whose own coefficient map must be injective, adding the condition
     rho > (mu + M_F) / lambda_min(R^T R) for each.  A constant that is NaN
-    or infinite raises ValueError naming it.
+    or infinite, or a matrix q1 or q2 with such an entry, raises ValueError
+    naming it.
     """
+    for name, q in (("q1", q1), ("q2", q2)):
+        if q is not None and not isinstance(q, (LinearOp, FrozenLinearForm)):
+            _finite_matrix(q, name)
     return _grid_rho(m1, M1, M2, M_F, _SlackMaps(q1, q2), r_blocks)
 
 

@@ -64,11 +64,13 @@ every call transforms afresh.  Reuse relies on no array of the step being
 modified in place while the step runs.
 
 A step allocates no array that dies inside it.  It passes ``out`` to
-``evaluate``, ``FrozenLinearForm.offset_for``, ``stack_residual`` and
-``block_adjoints``, and the solve plans to the sums they call, with arrays
-of a :class:`_Scratch` that its ``solver.Problem`` reuses at every step, and
-it takes the arrays it returns from :func:`_output`.  Called without
-``out``, each returns arrays the caller owns.
+``evaluate``, ``FrozenLinearForm.offset_for`` and ``block_adjoints``, and
+the solve plans to the sums they call, with arrays of a :class:`_Scratch`
+that its ``solver.Problem`` reuses at every step, and it takes the arrays
+it returns from :func:`_output`.  Called without ``out``, each returns
+arrays the caller owns.  Reads of structure alone (which pieces a focus
+has, what the constraints give where some blocks are zero) use read-only
+``np.broadcast_to`` constants as block values, not filled arrays.
 """
 
 from __future__ import annotations
@@ -527,11 +529,6 @@ class MultiaffineSystem:
     def blocks_with_role(self, *roles):
         return [b for b in self.blocks.values() if b.role in roles]
 
-    @property
-    def out_dim(self) -> int:
-        return sum(s[0] * s[1] for s in
-                   (self._eq_shapes[e] for e in self.eq_ids))
-
     def constraint_dims(self):
         """(eq_id, shape) pairs in stacking order."""
         return [(e, self._eq_shapes[e]) for e in self.eq_ids]
@@ -605,10 +602,9 @@ def evaluate(system: MultiaffineSystem, assignment, out=None) -> list:
             for i, (_, terms) in enumerate(system.equations)]
 
 
-def stack_residual(residuals, out=None) -> np.ndarray:
-    """Row-major flatten within each equation, concatenated ascending eq_id,
-    into ``out`` when it is given."""
-    return (np.concatenate([np.ravel(r) for r in residuals], out=out)
+def stack_residual(residuals) -> np.ndarray:
+    """Row-major flatten within each equation, concatenated ascending eq_id."""
+    return (np.concatenate([np.ravel(r) for r in residuals])
             if residuals else np.zeros(0))
 
 
@@ -1216,17 +1212,18 @@ def jacobian_image_basis(system: MultiaffineSystem, assignment, samples: int = 8
     Columns are stacked residuals with every "z1"/"z2" block forced to zero
     (their linear contributions vanish there, leaving only the coupled part
     and constants), evaluated at the given assignment and at ``samples``
-    Gaussian redraws of the remaining blocks.
+    Gaussian redraws of the remaining blocks.  The zeros are read-only
+    views of one scalar.  A negative ``samples`` raises ValueError.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be nonnegative, got {samples!r}")
     rng = np.random.default_rng(seed)
     z_linear = [b for b in system.blocks.values() if b.role in (ROLE_Z1, ROLE_Z2)]
     others = [b for b in system.blocks.values() if b.role not in (ROLE_Z1, ROLE_Z2)]
+    zeros = {b: np.broadcast_to(0.0, b.shape) for b in z_linear}
 
     def column(point):
-        point = dict(point)
-        for b in z_linear:
-            point[b] = np.zeros(b.shape)
-        return stack_residual(evaluate(system, point))
+        return stack_residual(evaluate(system, {**point, **zeros}))
 
     cols = [column(assignment)]
     for _ in range(samples):

@@ -623,7 +623,8 @@ def _build(name, seed, params=None, data=None) -> ZooInstance:
     ``data`` when given, else the family generator's at ``seed``, whose
     planted truth it then carries.  ``params`` overrides, under the command
     line's keys, the sizes of DEFAULT_SIZES and the family's default
-    weights."""
+    weights; a weight it does not set keeps the default of the builder's
+    or generator's signature."""
     if name not in _NAMES:
         raise BuildError(
             f"unknown zoo problem {name!r}; choose from {zoo_names()}")
@@ -633,8 +634,9 @@ def _build(name, seed, params=None, data=None) -> ZooInstance:
     def geti(key):
         return int(p[key])
 
-    def getf(key, default):
-        return float(p.get(key, default))
+    def given(**keys):
+        """Keyword -> float(p[key]) for each keyword whose key p sets."""
+        return {kw: float(p[key]) for kw, key in keys.items() if key in p}
 
     truth = {}
     if family == "nmf3":
@@ -642,16 +644,15 @@ def _build(name, seed, params=None, data=None) -> ZooInstance:
         if data is None:
             data, X0, Y0 = gen_nmf_data(geti("rows"), geti("cols"), rank, seed=seed)
             truth = {"X": X0, "Y": Y0}
-        inst = nmf3(data, rank, mu=getf("mu", 1.0))
+        inst = nmf3(data, rank, **given(mu="mu"))
     elif family == "dl3":
         rank = geti("rank")
         if data is None:
             data, D0, C0 = gen_dl_data(geti("rows"), geti("cols"), rank,
-                                       density=getf("density", 0.3), seed=seed)
+                                       **given(density="density"), seed=seed)
             truth = {"D": D0, "C": C0}
-        mu = getf("mu", 50.0)
-        inst = dl3(data, rank, mu_fit=mu, mu_dict=mu, mu_code=mu,
-                   l1_weight=getf("l1", 1.0))
+        inst = dl3(data, rank, **given(mu_fit="mu", mu_dict="mu", mu_code="mu",
+                                       l1_weight="l1"))
     elif family == "rp2":
         if data is None:
             cov, lo, hi = gen_rp_data(geti("size"), seed=seed)
@@ -659,32 +660,28 @@ def _build(name, seed, params=None, data=None) -> ZooInstance:
             cov = data
             lo = np.zeros((cov.shape[0], 1))
             hi = np.full((cov.shape[0], 1), 0.5)
-        inst = rp2(cov, lo, hi, mu=getf("mu", 1000.0))
+        inst = rp2(cov, lo, hi, **given(mu="mu"))
     elif family == "mc1":
-        mu = getf("mu", 1000.0)
         inst = mc1(triangle_graph() if data is None else data,
-                   mu_diag=mu, mu_tie=mu)
+                   **given(mu_diag="mu", mu_tie="mu"))
     elif family == "rpca2":
         rank = geti("rank")
         if data is None:
             data, L0, S0 = gen_rpca_data(geti("rows"), geti("cols"), rank, seed=seed)
             truth = {"L": L0, "S": S0}
-        inst = rpca2(data, rank, lam=getf("l1", 0.5),
-                     variant="raw" if name == "rpca2_raw" else "slack",
-                     mu=getf("mu", 1.0))
+        inst = rpca2(data, rank, variant="raw" if name == "rpca2_raw" else "slack",
+                     **given(lam="l1", mu="mu"))
     else:
         ks = geti("kernel")
         if data is None:
             data, A0, X0, b0 = gen_sbd_data(geti("size"), (ks, ks),
-                                            theta=getf("theta", 0.05),
-                                            sigma=getf("sigma", 0.0),
+                                            **given(theta="theta", sigma="sigma"),
                                             bias=0.1, seed=seed)
             truth = {"A": A0, "X": X0, "b": b0}
         if name == "sbd1":
-            inst = sbd1(data, (ks, ks), mu=getf("mu", 500.0),
-                        l1_weight=getf("l1", 1.0))
+            inst = sbd1(data, (ks, ks), **given(mu="mu", l1_weight="l1"))
         else:
-            inst = sbd0(data, (ks, ks), l1_weight=getf("l1", 1.0))
+            inst = sbd0(data, (ks, ks), **given(l1_weight="l1"))
     inst.truth.update(truth)
     return inst
 

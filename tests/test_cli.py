@@ -312,6 +312,12 @@ def test_check_raw_rpca_fails(capsys):
     assert failed
 
 
+def test_check_refuses_negative_samples_by_flag(capsys):
+    code, out, err = _run(capsys, "check", "--zoo", "nmf3", "--samples", "-3")
+    assert code == EXIT_ERROR
+    assert "--samples" in err and out == ""
+
+
 def test_check_without_problem_is_an_error(capsys):
     code, _, err = _run(capsys, "check")
     assert code == EXIT_ERROR

@@ -321,6 +321,13 @@ def test_solve_and_screen_compute_each_slack_spectrum_once(monkeypatch, name, ma
     assert len(calls) == maps
 
 
+def test_check_assumptions_refuses_negative_samples():
+    # It used to report "pass", built from one sampled column.
+    problem = zoo.default_instance("nmf3", 0).problem
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        check_assumptions(problem, samples=-3)
+
+
 def test_raw_rpca_fails_by_final_block_structure():
     report = check_assumptions(zoo.default_instance("rpca2_raw").problem)
     names = [n for n, _ in report.failures()]

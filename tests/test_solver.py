@@ -3,6 +3,7 @@ penalty selection, and the proximal-tie transform."""
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -358,6 +359,39 @@ def test_init_with_non_finite_entries_is_refused_by_name(bad):
         solve(inst.problem, init={"X": np.full((20, 3), bad)})
 
 
+def _bad_states(state, eq_id, shape):
+    """(state, error type, message) per malformed variant of ``state``."""
+    missing = dict(state.multipliers)
+    del missing[eq_id]
+    small = {**state.multipliers, eq_id: np.zeros((3, 3))}
+    return [(SolverState(state.assignment, missing, state.rho), ShapeMismatchError,
+             f"no multiplier for equation {eq_id}"),
+            (SolverState(state.assignment, small, state.rho), ShapeMismatchError,
+             re.escape(f"equation {eq_id} has shape (3, 3), expected {shape}")),
+            *((SolverState(state.assignment, state.multipliers, rho), ValueError,
+               "rho must be positive and finite") for rho in (0.0, -1.0, np.nan))]
+
+
+@pytest.mark.parametrize("name", ["nmf3", "rp2"])
+def test_a_malformed_state_is_refused_before_any_work(name):
+    # A missing multiplier used to raise a bare KeyError, one of the wrong
+    # shape numpy's reshape error, and a rho of 0, -1 or NaN a
+    # SubproblemError about curvature; stationarity read a missing
+    # equation as contributing nothing.
+    from madmm.diagnostics import stationarity
+
+    inst = zoo.default_instance(name, 0)
+    problem = inst.problem
+    state, _, _ = solve(problem, max_iter=1, init=inst.init)
+    eq_id, shape = problem.system.constraint_dims()[-1]
+    for bad, error, message in _bad_states(state, eq_id, shape):
+        for entry in (step, augmented_lagrangian, stationarity):
+            with pytest.raises(error, match=message) as info:
+                entry(problem, bad)
+            if error is ShapeMismatchError:
+                assert info.value.eq_id == eq_id
+
+
 # ---------------------------------------------------------------------------
 # The z group: joint exact solve, and components without one refused.
 
@@ -473,6 +507,18 @@ def test_rho_lower_bound_rejections():
     with pytest.raises(ValueError, match="not injective"):
         rho_lower_bound(1.0, 1.0, 0.0, 1.0, np.eye(2), None,
                         r_blocks=[(np.array([[1.0, 0.0], [0.0, 0.0]]), 1.0)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_entries_are_refused_by_name(bad):
+    # A NaN entry used to read "matrix has no positive eigenvalue", and an
+    # infinite one raised numpy's RuntimeWarning first.
+    with pytest.raises(ValueError, match="matrix has NaN or infinite entries"):
+        lambda_min_pos(np.array([[1.0, bad], [bad, 1.0]]))
+    with pytest.raises(ValueError, match="q1 has NaN or infinite entries"):
+        rho_lower_bound(1.0, 1.0, 0.0, 0.0, np.diag([1.0, bad]), None)
+    with pytest.raises(ValueError, match="q2 has NaN or infinite entries"):
+        rho_lower_bound(1.0, 1.0, 1.0, 0.0, np.eye(2), np.diag([bad, 1.0]))
 
 
 @pytest.mark.parametrize("name", ["m1", "M1", "M2", "M_F"])
@@ -1202,3 +1248,40 @@ def test_fourier_step_allocation_budget():
     finally:
         tracemalloc.stop()
     assert (peak - start) / Y.nbytes <= 27.0
+
+
+def _nmf300():
+    B, _, _ = zoo.gen_nmf_data(300, 300, 10, seed=0)
+    return B, zoo.nmf3(B, 10).problem
+
+
+def test_nmf_step_scratch_holds_three_z_sized_arrays():
+    # Norms and L's inner products are read from each equation's residual
+    # in place, so the scratch holds Z's residual sum, its term and the
+    # fit's L(x) - center, and no stacked residual beside them (4.33 Z's
+    # bytes with one).
+    B, problem = _nmf300()
+    state, _, _ = solve(problem, max_iter=0)
+    for _ in range(3):
+        state, _ = step(problem, state)
+    arrays = [a for flat in problem._scratch._flat.values() for a in flat]
+    assert max(a.size for a in arrays) == B.size
+    assert sum(a.size == B.size for a in arrays) <= 3
+    # The small ones: X's and Y's residuals and the solve plans' arrays.
+    assert sum(a.nbytes for a in arrays if a.size < B.size) < B.nbytes / 2
+
+
+def test_building_an_nmf_problem_peaks_at_one_z_sized_array():
+    # The plans are read at all ones, and the only Z-sized array building
+    # keeps is the fit's constant weight * B; the ones are read-only views
+    # of one scalar (2.26 Z's bytes when they were filled arrays).
+    import tracemalloc
+
+    B, _, _ = zoo.gen_nmf_data(300, 300, 10, seed=0)
+    tracemalloc.start()
+    try:
+        zoo.nmf3(B, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / B.nbytes <= 1.25

@@ -625,6 +625,15 @@ def test_jacobian_image_basis_pure_linear_is_zero():
     np.testing.assert_allclose(basis, 0.0, atol=1e-15)
 
 
+def test_jacobian_image_basis_refuses_negative_samples():
+    # It used to return the one column at the given assignment.
+    z = BlockId("z", "z1", (3, 1))
+    system = MultiaffineSystem()
+    system.add_equation([LinearTerm(ScaledIdentity(1.0, (3, 1)), z)])
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        jacobian_image_basis(system, {z: np.ones((3, 1))}, samples=-3)
+
+
 def test_jacobian_image_basis_rank_via_svd():
     # Factorization residual Z - X Y = 0: with the slack z1 block zeroed the
     # sampled columns are vectorized products -X Y, which span the full
