@@ -56,8 +56,10 @@ def stationarity(problem: Problem, state: SolverState) -> StationarityEstimate:
 def _least_squares_residual(form, target: np.ndarray, maxit: int = 500) -> float:
     """Distance from target to the image of a frozen linear form.
 
-    Within the dense solve bounds (see ``prox``) the form's stacked map is
-    built from its pieces' dense blocks and solved by ``lstsq``.  Larger
+    ``target`` is a stacked dual vector of the form.  Within the dense
+    solve bounds (see ``prox``) the form's map over the equations its focus
+    enters is built from its pieces' dense blocks and solved by ``lstsq``
+    against those equations' rows of ``target``.  Larger
     forms run conjugate gradients on the normal equations A^T A x =
     A^T target from zero, stopped once ||A^T (target - A x)||^2 <= 1e-20 (1 +
     ||A^T target||^2) or after ``maxit`` steps; a target in the image then
@@ -66,15 +68,15 @@ def _least_squares_residual(form, target: np.ndarray, maxit: int = 500) -> float
     """
     plan = _SolvePlan(form)
     if plan.densify_ok:
-        parts = form.split_dual(target)
-        entered = np.concatenate([np.ravel(parts[e]) for e in form.eq_pieces])
+        rows = form.plan.rows
+        entered = np.concatenate([target[rows[e]] for e in form.plan.entered])
         x, *_ = np.linalg.lstsq(plan.dense_map(form), entered, rcond=None)
     else:
-        rhs = form.adjoint_vec(target)
+        rhs = form.adjoint(target)
         tol_abs = float(np.sqrt(1e-20 * (1.0 + float(rhs @ rhs))))
-        x, _, _ = conjugate_gradients(lambda v: form.adjoint_vec(form.apply_vec(v)),
+        x, _, _ = conjugate_gradients(lambda v: form.adjoint(form.apply(v)),
                                       rhs, np.zeros(form.in_dim), tol_abs, maxit)
-    return float(np.linalg.norm(target - form.apply_vec(x)))
+    return float(np.linalg.norm(target - form.apply(x)))
 
 
 def assert_iteration(problem: Problem, state: SolverState,

@@ -6,33 +6,38 @@ an exact proximal map instead, and ``stat_residual(x, g)``: the distance of a
 gradient ``g`` at ``x`` to the term's negative subdifferential there.
 
 Every block subproblem is one solve plan, ``_SolvePlan``, read once from a
-frozen form of the focus: the focus slices, the quadratic extras, the
-constant right-hand side terms, taken once, the nonsmooth term, and the
-outcome of the one curvature rule, run once per plan: N's diagonal
-per block, a float kappa where the block's N is kappa * I, but for the
-matrix-chain pieces the rule leaves out and records.  From that one
-outcome the plan fixes its one solve path when it is built.  A
+frozen form of the focus: the focus's column slices, read from its freeze
+plan (every vector here is in the form's one flat layout), the quadratic
+extras, the constant right-hand side terms, taken once, the nonsmooth
+term, and the outcome of the one curvature rule, run once per plan: N's
+diagonal per block, a float kappa where the block's N is kappa * I, but
+for the matrix-chain pieces the rule leaves out and records.  From that
+one outcome the plan fixes its one solve path when it is built.  A
 ``Problem`` builds one plan per update unit when it is built;
 ``quad_block_solve`` and ``prox_block_step`` build a one-off plan and run
-it on the same form.  Only a Hadamard piece's gram varies with values, and
-then only in value, never in whether its view exists: the plan reads it
-at each call, and a curvature that is not positive there raises
-SubproblemError.  The paths are an elementwise diagonal solve, a two-sided
-eigendecomposition solve for one matrix chain (the rest of N scalar), a
-dense least-squares solve, conjugate gradients on the normal equations,
-and for one block with a nonsmooth term the diagonal solve's divide by
-kappa followed by the term's prox with step 1 / kappa.  Each asks the
-frozen pieces for a view (identity scale, gram diagonal, matrix factors,
-dense block), never for their type.  The dense path assembles N from the
-pieces' dense blocks, the plan keeping those of pieces that read no other
-block's value, and takes forms without convolution pieces, of at most
-``_DENSE_LIMIT`` (1,024) columns, whose stacked map over the equations the
-focus enters has at most ``_DENSE_LIMIT ** 2`` entries; larger forms go to
-conjugate gradients.  The diagnostics' least-squares distance reads the
-same dense map within those bounds.  ``conjugate_gradients`` is the one CG
-loop: the solver and, above the bounds, that distance both run it.  A plan
-sums its right-hand side, and the offsets and targets it is built from,
-into arrays it takes once from the scratch its ``Problem`` shares among its
+it on the same form, after refusing a dual that misses or misfits an
+equation the focus enters (ShapeMismatchError naming it) and a rho that is
+not positive and finite (ValueError), as ``solver.step`` refuses a state;
+the plan's own sums check nothing, so a step pays for no second check.
+Only a Hadamard piece's gram varies with values, and then only in value,
+never in whether its view exists: the plan reads it at each call, and a
+curvature that is not positive there raises SubproblemError.  The paths
+are an elementwise diagonal solve, a two-sided eigendecomposition solve
+for one matrix chain (the rest of N scalar), a dense least-squares solve,
+conjugate gradients on the normal equations, and for one block with a
+nonsmooth term the diagonal solve's divide by kappa followed by the
+term's prox with step 1 / kappa.  Each asks the frozen pieces for a view
+(identity scale, gram diagonal, matrix factors, dense block), never for
+their type.  The dense path assembles N from the pieces' dense blocks, the
+plan keeping those of pieces that read no other block's value, and takes
+forms without convolution pieces, of at most ``_DENSE_LIMIT`` (1,024)
+columns, whose stacked map over the equations the focus enters has at
+most ``_DENSE_LIMIT ** 2`` entries; larger forms go to conjugate
+gradients.  The diagnostics' least-squares distance reads the same dense
+map within those bounds.  ``conjugate_gradients`` is the one CG loop: the
+solver and, above the bounds, that distance both run it.  A plan sums its
+right-hand side, and the offsets and targets it is built from, into
+arrays it takes once from the scratch its ``Problem`` shares among its
 plans (see ``system._Scratch``).
 """
 
@@ -179,7 +184,10 @@ class Quadratic(ObjectiveTerm):
 
 
 class L1(ObjectiveTerm):
-    """weight * sum |x_ij|."""
+    """weight * sum |x_ij|.
+
+    ``value`` takes ``out``, an array of x's shape (see ``scratch_shape``)
+    into which it writes |x|."""
 
     def __init__(self, weight: float = 1.0):
         require_finite(weight, "L1 weight")
@@ -187,8 +195,11 @@ class L1(ObjectiveTerm):
             raise BuildError("L1 weight must be nonnegative")
         self.weight = float(weight)
 
-    def value(self, x) -> float:
-        return self.weight * float(np.sum(np.abs(x)))
+    def value(self, x, out=None) -> float:
+        return self.weight * float(np.sum(np.abs(x, out=out)))
+
+    def scratch_shape(self, shape):
+        return shape
 
     def prox(self, point, step):
         return soft_threshold(point, self.weight * step)
@@ -347,7 +358,7 @@ def _curvature_rule(form, pos, quads):
     :func:`_read_curvature` to read at each call.
     """
     out, chains = [], []
-    for ks in form.eq_pieces.values():
+    for ks in form.plan.eq_pieces.values():
         plist = [form.pieces[k] for k in ks]
         p = plist[0]
         if len(plist) > 1 or p.identity is not None:
@@ -394,31 +405,26 @@ class _SolvePlan:
 
     The plan keeps what does not depend on values; its methods take a form
     frozen over the same focus of the same system, and rho, and read only
-    offsets, multipliers and Hadamard partners.  ``extras`` are (block
-    name, item) pairs, items being Quadratic terms, affine SmoothCustom
-    terms, or raw gradient arrays of affine addends; the constant each
-    adds to the right-hand side is taken here, once.  ``term`` is the
-    nonsmooth term of a prox step, and ``method`` forces one path of
-    :func:`quad_block_solve`.  ``path`` is the one solve path, fixed here.
+    offsets, multipliers and Hadamard partners.  Its vectors are in the
+    layout of the focus's freeze plan, whose column slices it reads.
+    ``extras`` are (block name, item) pairs, items being Quadratic terms or
+    affine SmoothCustom terms; the constant each adds to the right-hand side
+    is taken here, once.  ``term`` is the nonsmooth term of a prox step, and
+    ``method`` forces one path of :func:`quad_block_solve`.  ``path`` is the
+    one solve path, fixed here.
     The arrays :meth:`rhs` writes are taken here from ``scratch``, which a
     ``solver.Problem`` shares among its plans, or else from the plan's own.
     """
 
     def __init__(self, form, extras=(), term=None, method=None, scratch=None):
-        self.focus = form.focus
-        pos, self.slices, start = {}, [], 0
-        for i, b in enumerate(form.focus):
-            pos[b.name] = i
-            self.slices.append(slice(start, start + b.dim))
-            start += b.dim
-        self.dim = start
+        layout = form.plan
+        self.focus, self.slices, self.dim = layout.focus, layout.cols, layout.in_dim
+        pos = layout.pos
         # (eq_id, [(index in form.pieces, focus position)]) per equation
         # entered.
         self.eqs = [(e, [(k, pos[form.pieces[k].block.name]) for k in ks])
-                    for e, ks in form.eq_pieces.items()]
-        self.rows = sum(form.eq_shapes[e][0] * form.eq_shapes[e][1]
-                        for e in form.eq_pieces)
-        self._eq_shapes = [form.eq_shapes[e] for e, _ in self.eqs]
+                    for e, ks in layout.eq_pieces.items()]
+        self._eq_shapes = [layout.eq_shapes[e] for e, _ in self.eqs]
         self._scratch, self._sums = scratch, None  # see _take_scratch
         self._kept = []    # the diagonal divide's outputs (see system._output)
         self.quads = []    # (focus position, Quadratic) with a positive weight
@@ -440,14 +446,12 @@ class _SolvePlan:
                         "update; register a custom updater")
                 self._add_const(i, -1, item.grad(np.zeros(form.focus[i].shape)),
                                 item)
-            elif isinstance(item, np.ndarray):
-                self._add_const(i, -1, item, item)
             else:
                 raise BuildError(
                     f"term {type(item).__name__} cannot enter a quadratic solve")
         self.term = term
         self.densify_ok = (self.dim <= _DENSE_LIMIT
-                           and self.rows * self.dim <= _DENSE_LIMIT ** 2
+                           and layout.entered_dim * self.dim <= _DENSE_LIMIT ** 2
                            and not any(p.fourier for p in form.pieces))
         self._dense = None
         rule = _curvature_rule(form, pos, self.quads)
@@ -545,9 +549,8 @@ class _SolvePlan:
         pieces = form.pieces
         for (e, members), sums in zip(self.eqs, self._sums):
             off = form.offset_for(e, out=sums)
-            w_e = np.asarray(w[e], dtype=float).reshape(off.shape)
             target = np.multiply(off, rho, out=sums[0])
-            target -= w_e
+            target -= w[e]
             for k, i in members:
                 p = pieces[k]
                 if len(members) == 1 and p.identity not in (None, 1.0, -1.0):
@@ -565,7 +568,7 @@ class _SolvePlan:
 
     def normal_apply(self, form, rho, y_vec):
         """N @ y_vec, through the pieces' apply and adjoint."""
-        out = rho * form.adjoint_vec(form.apply_vec(y_vec))
+        out = rho * form.adjoint(form.apply(y_vec))
         for i, q in self.quads:
             sl = self.slices[i]
             if q.linear_map is None:
@@ -577,22 +580,20 @@ class _SolvePlan:
 
     def dense_map(self, form):
         """A as a matrix: each piece's ``dense()`` block at its equation's
-        rows and its block's columns, the rows of the equations the focus
-        enters stacked in ``form.eq_pieces`` order.  The blocks of the pieces
-        that read no other block's value are summed once, in piece order,
-        and kept."""
+        rows among the equations the focus enters (``entered`` of the freeze
+        plan) and its block's columns.  The blocks of the pieces that read
+        no other block's value are summed once, in piece order, and kept."""
         if self._dense is None:
-            a, varying, top = np.zeros((self.rows, self.dim)), [], 0
+            layout = form.plan
+            a, varying = np.zeros((layout.entered_dim, self.dim)), []
             for e, members in self.eqs:
-                shape = form.eq_shapes[e]
-                rows = slice(top, top + shape[0] * shape[1])
+                rows = layout.entered[e]
                 for k, i in members:
                     p, sl = form.pieces[k], self.slices[i]
                     if p.fixed:
                         a[rows, sl] += p.dense()
                     else:
                         varying.append((rows, sl, k))
-                top = rows.stop
             self._dense = (a, varying)
         fixed, varying = self._dense
         a = fixed.copy()
@@ -618,11 +619,12 @@ class _SolvePlan:
     def solve(self, form, w, rho, y0=None, cg_tol=None, cg_maxit=None):
         """The stacked minimizer over the focus of ``form`` by :attr:`path`.
 
-        ``w`` is keyed by eq_id; ``y0`` starts conjugate gradients.  No
-        path returns the plan's scratch: the diagonal and prox paths divide
-        :meth:`rhs` into an array from ``system._output``, which nothing
-        else holds.  The prox path is the diagonal divide, by kappa,
-        followed by the term's prox with step 1 / kappa."""
+        ``w`` is keyed by eq_id; ``y0``, a focus vector, starts conjugate
+        gradients.  No path returns the plan's scratch: the diagonal and
+        prox paths divide :meth:`rhs` into an array from
+        ``system._output``, which nothing else holds.  The prox path is the
+        diagonal divide, by kappa, followed by the term's prox with step
+        1 / kappa."""
         rho = float(rho)
         rhs = self.rhs(form, w, rho)
         name = self.focus[0].name
@@ -651,8 +653,6 @@ class _SolvePlan:
             reason = (f"dense block solve residual {residual:.3e} exceeds "
                       "tolerance" if residual > tol_abs else None)
         else:
-            if y0 is not None and not isinstance(y0, np.ndarray):
-                y0 = form.stack_values(y0)
             y = np.zeros(self.dim) if y0 is None else np.ravel(y0).astype(float)
             y, residual, reason = conjugate_gradients(
                 lambda v: self.normal_apply(form, rho, v), rhs, y, tol_abs,
@@ -724,12 +724,41 @@ def conjugate_gradients(apply, rhs, y, tol_abs, maxit):
             f"conjugate gradients stalled at residual {np.sqrt(rs):.3e}")
 
 
+def _check_duals(dims, w, rho) -> None:
+    """Refuse duals ``w``, keyed by eq_id, that miss one of ``dims``, its
+    (eq_id, shape) pairs, or have another shape there (ShapeMismatchError
+    naming the equation), and a rho that is not positive and finite
+    (ValueError)."""
+    for eq_id, shape in dims:
+        if eq_id not in w:
+            raise ShapeMismatchError(f"no multiplier for equation {eq_id}",
+                                     eq_id=eq_id)
+        if np.shape(w[eq_id]) != shape:
+            raise ShapeMismatchError(
+                f"multiplier for equation {eq_id} has shape {np.shape(w[eq_id])}, "
+                f"expected {shape}", eq_id=eq_id)
+    if not 0.0 < rho < np.inf:
+        raise ValueError(f"rho must be positive and finite, got {rho!r}")
+
+
+def _duals(form: FrozenLinearForm, w, rho) -> dict:
+    """``w``, a stacked dual vector or an eq_id-keyed dict, as a dict,
+    checked by :func:`_check_duals` on the equations the focus enters."""
+    if not isinstance(w, dict):
+        w = form.split_dual(w)
+    plan = form.plan
+    _check_duals([(e, plan.eq_shapes[e]) for e in plan.eq_pieces], w, rho)
+    return w
+
+
 def prox_block_step(form: FrozenLinearForm, w, rho: float, term, extras=()):
     """Exact minimizer over one block of the smooth subproblem of
     :func:`quad_block_solve` plus a nonsmooth ``term``: when N is kappa * I,
-    ``term.prox(rhs / kappa, 1 / kappa)``.  ``w`` is keyed by eq_id.  Runs
-    the step of a one-off solve plan, which raises BuildError when N is not
-    a positive multiple of the identity at the form's values."""
+    ``term.prox(rhs / kappa, 1 / kappa)``.  ``w`` and ``rho`` are read and
+    refused as there.  Runs the step of a one-off solve plan, which raises
+    BuildError when N is not a positive multiple of the identity at the
+    form's values."""
+    w = _duals(form, w, rho)
     plan = _SolvePlan(form, _normalize_extras(form, extras), term=term)
     return plan.solve(form, w, rho).reshape(form.focus[0].shape)
 
@@ -739,23 +768,31 @@ def quad_block_solve(form: FrozenLinearForm, w, rho: float, extras=(),
                      y0=None, method: str | None = None):
     """Exact minimizer of the smooth block subproblem.
 
-    Minimizes ``<w, C(Y)> + rho/2 ||C(Y)||^2 + extras`` where
-    ``C(Y) = form.apply(Y) - form.offset``.  ``w`` is a stacked dual vector or
+    Minimizes ``<w, C(y)> + rho/2 ||C(y)||^2 + extras`` where
+    ``C(y) = form.apply(y) - form.offset``.  ``w`` is a stacked dual vector or
     an eq_id-keyed dict; only the equations the focus enters are read, and
     only their offsets are computed (``form.offset_for``), so that part of
-    freezing is paid inside this call.  Extras are Quadratic terms, affine
-    SmoothCustom terms, or raw gradient arrays of affine addends; for block
-    groups they are (block_name, term) pairs.  The returned value satisfies
-    the normal equations to ``cg_tol * (1 + ||rhs||)`` (default cg_tol 1e-10,
-    so roughly 1e-10 * ||rhs||); conjugate-gradient failure raises
-    SubproblemError carrying the final residual.  Runs a one-off solve plan
-    (see :class:`_SolvePlan`), whose ``path`` ``method`` may force; a
-    forced path that does not apply raises BuildError.
+    freezing is paid inside this call.  A dual of the wrong length, or a
+    dict that misses or misfits one of those equations, raises
+    ShapeMismatchError, and a rho that is not positive and finite
+    ValueError.  Extras are Quadratic terms or affine SmoothCustom terms;
+    for block groups they are (block_name, term) pairs.  ``y0`` is a focus
+    vector (see ``FrozenLinearForm``).  The minimizer comes back as the
+    block's array for a focus of one block, else as a dict of arrays by
+    block name.  It satisfies the normal equations to
+    ``cg_tol * (1 + ||rhs||)`` (default cg_tol 1e-10, so roughly 1e-10 *
+    ||rhs||); conjugate-gradient failure raises SubproblemError carrying the
+    final residual.  Runs a one-off solve plan (see :class:`_SolvePlan`),
+    whose ``path`` ``method`` may force; a forced path that does not apply
+    raises BuildError.
     """
     if method not in (None, "diag", "sylvester", "dense", "cg"):
         raise BuildError(f"unknown solve method {method!r}")
-    if not isinstance(w, dict):
-        w = form.split_dual(np.asarray(w, dtype=float))
+    w = _duals(form, w, rho)
+    if y0 is not None:
+        y0 = form._vector(y0, form.in_dim, "start vector")
     plan = _SolvePlan(form, _normalize_extras(form, extras), method=method)
-    return form.unstack_values(plan.solve(form, w, rho, y0=y0, cg_tol=cg_tol,
-                                          cg_maxit=cg_maxit))
+    y = plan.solve(form, w, rho, y0=y0, cg_tol=cg_tol, cg_maxit=cg_maxit)
+    if len(form.focus) == 1:
+        return y.reshape(form.focus[0].shape)
+    return {b.name: y[sl].reshape(b.shape) for b, sl in zip(form.focus, plan.slices)}

@@ -42,7 +42,7 @@ import numpy as np
 from .errors import (BuildError, ShapeMismatchError, SubproblemError,
                      require_finite)
 from .operators import DenseOp, LinearOp
-from .prox import ObjectiveTerm, _SolvePlan
+from .prox import ObjectiveTerm, _SolvePlan, _check_duals
 from .system import (BlockId, LinearTerm, MultiaffineSystem, ROLE_X, ROLE_Z1,
                      ROLE_Z2, block_adjoints, evaluate, freeze,
                      FrozenLinearForm, _Scratch, _output, _term_index, _unfreeze,
@@ -108,8 +108,8 @@ class Problem:
     raises BuildError when the objective names one block twice (by its
     BlockId and by its name), and ShapeMismatchError, naming the block,
     when a term does not fit its block (``ObjectiveTerm.shape_error``).
-    ``update_order`` must list every x-role block exactly once and defaults
-    to (index, name) order.  ``custom_updaters`` maps block names to
+    The x-role blocks are updated in (index, name) order, kept as
+    ``update_order``.  ``custom_updaters`` maps block names to
 
         fn(problem, block, assignment, multipliers, rho) -> array
 
@@ -145,7 +145,7 @@ class Problem:
     """
 
     def __init__(self, system: MultiaffineSystem, objective=None,
-                 update_order=None, custom_updaters=None, metadata=None):
+                 custom_updaters=None, metadata=None):
         self.system = system
         self.custom_updaters = dict(custom_updaters or {})
         self.metadata = dict(metadata or {})
@@ -155,14 +155,7 @@ class Problem:
             if block in self.objective:
                 raise BuildError(f"objective names block {block.name!r} twice")
             self.objective[block] = list(terms)
-        x_blocks = sorted(system.blocks_with_role(ROLE_X), key=_block_key)
-        if update_order is None:
-            self.update_order = x_blocks
-        else:
-            order = [self._resolve(k) for k in update_order]
-            if len(set(order)) != len(order) or sorted(order, key=_block_key) != x_blocks:
-                raise BuildError("update_order must list every x-role block exactly once")
-            self.update_order = order
+        self.update_order = sorted(system.blocks_with_role(ROLE_X), key=_block_key)
         self.z_order = sorted((b for b in system.blocks.values() if b.role != ROLE_X),
                               key=_block_key)
         self._validate()
@@ -267,17 +260,15 @@ class Problem:
     def _slack_maps(self) -> "_SlackMaps":
         """The slack maps and their spectra, built on first use and kept.
         Each map is frozen once at zeros, its blocks in ``blocks_with_role``
-        order (a lone block on its own): z1 and z2 blocks enter only linear
-        terms, so it is the same at every point.  The zeros are read-only
-        views of one scalar, so the maps the record keeps hold no
-        block-sized array."""
+        order: z1 and z2 blocks enter only linear terms, so it is the same
+        at every point.  The zeros are read-only views of one scalar, so the
+        maps the record keeps hold no block-sized array."""
         if self._slack is None:
             zeros = {b: np.broadcast_to(0.0, b.shape) for b in self.system.blocks.values()}
             maps = []
             for roles in ((ROLE_Z1,), (ROLE_Z2,), (ROLE_Z1, ROLE_Z2)):
                 blocks = self.system.blocks_with_role(*roles)
-                focus = blocks[0] if len(blocks) == 1 else tuple(blocks)
-                maps.append(freeze(self.system, focus, zeros) if blocks else None)
+                maps.append(freeze(self.system, blocks, zeros) if blocks else None)
             self._slack = _SlackMaps(*maps)
         return self._slack
 
@@ -386,18 +377,8 @@ def _al(problem: Problem, assignment: dict, multipliers: dict, rho: float,
 def _check_state(problem: Problem, state: SolverState) -> None:
     """Refuse a state whose multipliers do not fit the system, naming the
     equation (ShapeMismatchError), or whose rho is not positive and finite
-    (ValueError)."""
-    for eq_id, shape in problem.system.constraint_dims():
-        w = state.multipliers.get(eq_id)
-        if w is None:
-            raise ShapeMismatchError(f"no multiplier for equation {eq_id}",
-                                     eq_id=eq_id)
-        if np.shape(w) != shape:
-            raise ShapeMismatchError(
-                f"multiplier for equation {eq_id} has shape {np.shape(w)}, "
-                f"expected {shape}", eq_id=eq_id)
-    if not 0.0 < state.rho < math.inf:
-        raise ValueError(f"rho must be positive and finite, got {state.rho!r}")
+    (ValueError), as ``prox._check_duals`` refuses them."""
+    _check_duals(problem.system.constraint_dims(), state.multipliers, state.rho)
 
 
 def augmented_lagrangian(problem: Problem, state: SolverState) -> float:
@@ -425,7 +406,8 @@ def _update_blocks(problem: Problem, focus: tuple, plan, assignment: dict,
         new = [(block, value)]
     else:
         form = freeze(problem.system, focus, assignment)
-        y0 = {b.name: assignment[b] for b in focus} if plan.path == "cg" else None
+        y0 = (np.concatenate([np.ravel(assignment[b]) for b in focus])
+              if plan.path == "cg" else None)
         y = plan.solve(form, multipliers, rho, y0=y0)
         new = [(b, y[sl].reshape(b.shape)) for b, sl in zip(focus, plan.slices)]
     for b, value in new:
@@ -919,5 +901,4 @@ def add_prox_constraint(problem: Problem, block, S, rho: float) -> Problem:
     updaters[shadow.name] = _anchored
     metadata = {k: v for k, v in problem.metadata.items()
                 if k not in _CURVATURE_KEYS}
-    return Problem(rebuilt, dict(problem.objective), list(problem.update_order),
-                   updaters, metadata)
+    return Problem(rebuilt, dict(problem.objective), updaters, metadata)

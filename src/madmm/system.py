@@ -16,7 +16,12 @@ subtracting it.
 The central operation is :func:`freeze`: fixing all blocks except a chosen
 focus turns the system into an affine map of the focus, returned as a
 :class:`FrozenLinearForm` with matrix-free ``apply``/``adjoint`` and a dense
-``offset`` such that the stacked residual equals ``apply(Y) - offset``.
+``offset`` such that the stacked residual equals ``apply(y) - offset``.
+Both sides are flat vectors in one layout: a focus vector holds the focus
+blocks, each flattened row-major, in focus order, and a residual or dual
+vector the equations' arrays, flattened row-major, in ascending eq_id.  The
+freeze plan of a focus fixes each block's columns and each equation's rows
+once, and every form and solve plan of the focus reads them there.
 ``freeze`` checks every non-focus value and builds the focus pieces at once;
 the offset of an equation is summed from those checked values the first time
 it is asked for, so a caller that needs only adjoints, or only the equations
@@ -863,40 +868,40 @@ class _ConvKernelPiece(_Piece):
 class FrozenLinearForm:
     """The system as an affine map of one focus block (or a block group).
 
-    For every admissible value ``Y`` of the focus, the stacked constraint
-    residual equals ``apply(Y) - offset``; equivalently the frozen constraint
-    reads ``apply(Y) = offset``.  ``apply``/``adjoint`` take and return plain
-    arrays for a single focus block and name-keyed dicts for a group.  The
-    offset of each equation is summed on first use from the non-focus values
-    checked when the form was frozen, then kept; reassigning a block in the
-    caller's assignment afterwards does not change the form.
+    For every focus vector ``y`` (in the layout of ``plan``, the focus's
+    freeze plan), the stacked constraint residual equals ``apply(y) -
+    offset``; equivalently the frozen constraint reads ``apply(y) =
+    offset``.  ``apply``, ``adjoint`` and ``split_dual`` take any array of
+    their vector's length, read row-major, so a single block's value is its
+    own focus vector, and refuse another length with ShapeMismatchError
+    naming the focus blocks.  The offset of each equation is summed on first
+    use from the non-focus values checked when the form was frozen, then
+    kept; reassigning a block in the caller's assignment afterwards does not
+    change the form.
     """
 
-    def __init__(self, plan, pieces, values, single):
-        self.focus = plan.focus
-        self.pieces = pieces              # list of _Piece
-        self._frozen_terms = plan.frozen_terms  # eq_id -> non-focus terms
-        self._eq_reads = plan.eq_reads    # eq_id -> blocks those terms read
-        self._values = values             # non-focus BlockId -> checked array
-        self._offsets = {}                # eq_id -> array, filled on first use
-        self.eq_dims = plan.eq_dims       # list of (eq_id, shape)
-        self.eq_shapes = plan.eq_shapes   # eq_id -> shape
-        self.eq_pieces = plan.eq_pieces   # eq_id -> indices in pieces, entered
-        self._single = single
+    def __init__(self, plan, pieces, values):
+        self.plan = plan          # the focus's _FreezePlan
+        self.pieces = pieces      # list of _Piece
+        self._values = values     # non-focus BlockId -> checked array
+        self._offsets = {}        # eq_id -> array, filled on first use
 
     @property
-    def out_dim(self) -> int:
-        return sum(s[0] * s[1] for _, s in self.eq_dims)
+    def focus(self) -> tuple:
+        return self.plan.focus
 
     @property
     def in_dim(self) -> int:
-        return sum(b.dim for b in self.focus)
+        return self.plan.in_dim
+
+    @property
+    def out_dim(self) -> int:
+        return self.plan.out_dim
 
     @property
     def offset(self) -> np.ndarray:
         """Stacked offset b_U (row-major within equations, ascending eq_id)."""
-        return np.concatenate([np.ravel(self.offset_for(e))
-                               for e, _ in self.eq_dims])
+        return np.concatenate([np.ravel(self.offset_for(e)) for e in self.plan.rows])
 
     def offset_for(self, eq_id: int, out=None) -> np.ndarray:
         """Offset of one equation: minus the sum of its non-focus terms.
@@ -907,9 +912,9 @@ class FrozenLinearForm:
         is, to be only read."""
         off = self._offsets.get(eq_id)
         if off is None:
-            off = _sum_terms(self._frozen_terms[eq_id], self._values, -1, out)
+            off = _sum_terms(self.plan.frozen_terms[eq_id], self._values, -1, out)
             if off is None:
-                off = _zeros(self.eq_shapes[eq_id], None if out is None else out[0])
+                off = _zeros(self.plan.eq_shapes[eq_id], None if out is None else out[0])
             if out is None:
                 self._offsets[eq_id] = off
         return off
@@ -929,7 +934,7 @@ class FrozenLinearForm:
         """
         eq_id = piece.eq_id
         w = multipliers[eq_id]
-        blocks = self._eq_reads[eq_id]
+        blocks = self.plan.eq_reads[eq_id]
         reads = [self._values[b] for b in blocks]
         key = ("target", eq_id, rho, piece.sign, id(w),
                *((b.name, id(v)) for b, v in zip(blocks, reads)))
@@ -940,103 +945,64 @@ class FrozenLinearForm:
             _keep(key, (w, *reads), pair)
         return pair
 
-    def _as_values(self, y):
-        """Focus block -> checked value; ``y`` is keyed by name for a group."""
-        if self._single:
-            y = {self.focus[0].name: y}
-        elif not isinstance(y, dict):
+    def _vector(self, v, n: int, what: str) -> np.ndarray:
+        """``v`` read row-major as a flat float vector of length ``n``."""
+        v = np.ravel(np.asarray(v, dtype=float))
+        if v.size != n:
             raise ShapeMismatchError(
-                f"focus {[b.name for b in self.focus]} takes a dict of values "
-                f"by block name, got {type(y).__name__}")
-        out = {}
-        for b in self.focus:
-            if b.name not in y:
-                raise ShapeMismatchError(f"no focus value for block {b.name!r}",
-                                         block=b.name)
-            v = out[b] = np.asarray(y[b.name], dtype=float)
-            if v.shape != b.shape:
-                raise ShapeMismatchError(
-                    f"focus value has shape {v.shape}, block {b.name!r} "
-                    f"declared {b.shape}", block=b.name)
-        return out
-
-    def apply_eqs(self, y) -> dict:
-        """eq_id -> linear part of the residual at focus value(s) y."""
-        values = self._as_values(y)
-        out = {}
-        for eq_id, shape in self.eq_dims:
-            total = np.zeros(shape)
-            for k in self.eq_pieces.get(eq_id, ()):
-                p = self.pieces[k]
-                total += p.apply(values[p.block])
-            out[eq_id] = total
-        return out
+                f"{what} for focus {[b.name for b in self.plan.focus]} has "
+                f"length {v.size}, expected {n}")
+        return v
 
     def apply(self, y) -> np.ndarray:
-        """Stacked linear map C_U(Y)."""
-        per_eq = self.apply_eqs(y)
-        return np.concatenate([np.ravel(per_eq[e]) for e, _ in self.eq_dims])
-
-    def adjoint_eqs(self, w_by_eq: dict):
-        """Adjoint of apply on per-equation dual arrays."""
-        grads = dict.fromkeys(self.focus)
+        """The stacked linear map C_U(y) at the focus vector ``y``."""
+        plan = self.plan
+        y = self._vector(y, plan.in_dim, "focus vector")
+        values = [y[sl].reshape(b.shape) for sl, b in zip(plan.cols, plan.focus)]
+        out = np.zeros(plan.out_dim)
         for p in self.pieces:
-            w = w_by_eq.get(p.eq_id)
-            if w is not None:
-                grads[p.block] = _add_adjoint(grads[p.block], p,
-                                              np.asarray(w, dtype=float))
-        grads = _zeros_where_none(grads)
-        if self._single:
-            return grads[self.focus[0]]
-        return {b.name: g for b, g in grads.items()}
-
-    def adjoint(self, w: np.ndarray):
-        """Adjoint of the stacked map; w is a stacked vector."""
-        return self.adjoint_eqs(self.split_dual(w))
-
-    def split_dual(self, w: np.ndarray) -> dict:
-        w = np.ravel(w)
-        out, pos = {}, 0
-        for eq_id, shape in self.eq_dims:
-            n = shape[0] * shape[1]
-            out[eq_id] = w[pos:pos + n].reshape(shape)
-            pos += n
-        if pos != w.size:
-            raise ShapeMismatchError(
-                f"dual vector has length {w.size}, expected {pos}")
+            out[plan.rows[p.eq_id]] += np.ravel(p.apply(values[plan.pos[p.block.name]]))
         return out
 
-    def stack_values(self, y) -> np.ndarray:
-        values = self._as_values(y)
-        return np.concatenate([np.ravel(values[b]) for b in self.focus])
-
-    def unstack_values(self, v: np.ndarray):
-        v = np.ravel(v)
-        out, pos = {}, 0
-        for b in self.focus:
-            out[b.name] = v[pos:pos + b.dim].reshape(b.shape)
-            pos += b.dim
-        if self._single:
-            return out[self.focus[0].name]
+    def adjoint(self, w) -> np.ndarray:
+        """C_U^T w for the stacked dual vector ``w``, as a focus vector.  Each
+        block's part is summed over its pieces in order, starting from the
+        first (see ``_accumulate``), as :func:`block_adjoints` sums it."""
+        plan = self.plan
+        duals = self.split_dual(w)
+        out = np.empty(plan.in_dim)
+        parts = [out[sl].reshape(b.shape) for sl, b in zip(plan.cols, plan.focus)]
+        sums = [None] * len(parts)
+        for p in self.pieces:
+            i = plan.pos[p.block.name]
+            sums[i] = _add_adjoint(sums[i], p, duals[p.eq_id], parts[i])
+        for total, part in zip(sums, parts):
+            if total is None:
+                part.fill(0.0)
         return out
 
-    def apply_vec(self, v: np.ndarray) -> np.ndarray:
-        return self.apply(self.unstack_values(v))
-
-    def adjoint_vec(self, w: np.ndarray) -> np.ndarray:
-        y = self.adjoint(w)
-        if self._single:
-            return np.ravel(y)
-        return np.concatenate([np.ravel(y[b.name]) for b in self.focus])
+    def split_dual(self, w) -> dict:
+        """eq_id -> that equation's part of the stacked dual vector ``w``, a
+        view of it in the equation's shape."""
+        plan = self.plan
+        w = self._vector(w, plan.out_dim, "dual vector")
+        return {e: w[sl].reshape(plan.eq_shapes[e]) for e, sl in plan.rows.items()}
 
 
 class _FreezePlan:
-    """What freezing one focus needs that does not depend on block values.
+    """What freezing one focus needs that does not depend on block values,
+    and the one flat layout of its forms.
 
     Each term the focus enters gives the form one piece, in walk order.
     ``pieces`` holds the shared piece of each such term of one block (see
     :func:`_term_index`), and None where ``varying`` names the term, by
-    (index, eq_id, term), whose piece each freeze builds from values."""
+    (index, eq_id, term), whose piece each freeze builds from values.
+
+    The layout: focus block ``focus[i]`` (``pos`` maps its name to i) sits
+    at columns ``cols[i]`` of a focus vector of length ``in_dim``, and
+    equation e at rows ``rows[e]`` of a residual or dual vector of length
+    ``out_dim``.  A dense map stacks only the equations the focus enters:
+    ``entered[e]`` are their rows there, ``entered_dim`` their count."""
 
     def __init__(self, focus, focus_set, reads, hits, pieces, frozen_terms,
                  eq_reads, eq_dims):
@@ -1052,8 +1018,23 @@ class _FreezePlan:
             self.eq_pieces.setdefault(eq_id, []).append(k)
         self.frozen_terms = frozen_terms  # eq_id -> non-focus terms
         self.eq_reads = eq_reads          # eq_id -> their blocks, first-use order
-        self.eq_dims = eq_dims            # list of (eq_id, shape)
-        self.eq_shapes = dict(eq_dims)
+        self.eq_shapes = dict(eq_dims)    # eq_id -> shape, ascending eq_id
+        self.pos = {b.name: i for i, b in enumerate(focus)}
+        self.cols, self.in_dim = _consecutive(b.dim for b in focus)
+        size = {e: s[0] * s[1] for e, s in eq_dims}
+        rows, self.out_dim = _consecutive(size.values())
+        self.rows = dict(zip(size, rows))
+        entered, self.entered_dim = _consecutive(size[e] for e in self.eq_pieces)
+        self.entered = dict(zip(self.eq_pieces, entered))
+
+
+def _consecutive(sizes):
+    """(consecutive slices of ``sizes``, from 0, and their total)."""
+    out, top = [], 0
+    for n in sizes:
+        out.append(slice(top, top + n))
+        top += n
+    return out, top
 
 
 class _Walk(NamedTuple):
@@ -1159,8 +1140,7 @@ def freeze(system: MultiaffineSystem, focus, assignment) -> FrozenLinearForm:
     pieces = list(plan.pieces)
     for k, eq_id, term in plan.varying:
         (pieces[k],) = term.pieces(plan.focus_set, values, eq_id)
-    return FrozenLinearForm(plan, pieces, values,
-                            single=isinstance(focus, BlockId))
+    return FrozenLinearForm(plan, pieces, values)
 
 
 def block_adjoints(system: MultiaffineSystem, assignment, w_by_eq,
@@ -1171,9 +1151,10 @@ def block_adjoints(system: MultiaffineSystem, assignment, w_by_eq,
     freezing the system once per block; a term of one block gives its
     shared piece (see :func:`_term_index`), and only the terms that read
     values build pieces.  A block's sum runs over its pieces in equation
-    and term order, as ``freeze(system, b, assignment).adjoint_eqs(w_by_eq)``
-    sums them, so the two agree bit for bit.  Equations missing from
-    ``w_by_eq`` contribute nothing.  Like ``freeze``, it fixes the system.
+    and term order, as ``freeze(system, b, assignment).adjoint(w)`` sums
+    them for ``w`` the stacked ``w_by_eq``, so the two agree bit for bit.
+    Equations missing from ``w_by_eq`` contribute nothing.  Like
+    ``freeze``, it fixes the system.
     ``out``, for a caller that reuses its arrays, maps each block's name to
     an array of its shape that the call overwrites with the block's sum.
     """
@@ -1187,14 +1168,9 @@ def block_adjoints(system: MultiaffineSystem, assignment, w_by_eq,
         for p in (piece,) if piece is not None else term.pieces(blocks, values, eq_id):
             grads[p.block] = _add_adjoint(grads[p.block], p, w,
                                           None if out is None else out[p.block.name])
-    return _zeros_where_none(grads, out)
-
-
-def _zeros_where_none(sums: dict, out=None) -> dict:
-    """BlockId -> sum, a block that received no term reading zeros, written
-    into ``out[name]`` when ``out`` is given."""
+    # A block that received no term reads zeros.
     return {b: _zeros(b.shape, None if out is None else out[b.name])
-            if g is None else g for b, g in sums.items()}
+            if g is None else g for b, g in grads.items()}
 
 
 def _zeros(shape, out=None) -> np.ndarray:

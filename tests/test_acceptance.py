@@ -37,7 +37,7 @@ def _probe_columns(form) -> np.ndarray:
     basis = np.zeros(form.in_dim)
     for j in range(form.in_dim):
         basis[j] = 1.0
-        cols[:, j] = form.apply_vec(basis)
+        cols[:, j] = form.apply(basis)
         basis[j] = 0.0
     return cols
 
@@ -257,13 +257,13 @@ def test_criterion_10_frozen_forms_match_finite_differences():
                 minus[b] = assign[b] - h * v
                 fd = (stack_residual(evaluate(system, plus))
                       - stack_residual(evaluate(system, minus))) / (2.0 * h)
-                lin = form.apply_vec(np.ravel(v))
+                lin = form.apply(v)
                 scale = max(np.linalg.norm(fd), np.linalg.norm(lin), 1e-30)
                 assert np.linalg.norm(fd - lin) / scale <= 1e-6, \
                     f"{name}/{b.name}: apply disagrees with differences"
                 r = rng.standard_normal(fd.shape)
                 lhs = float(fd @ r)
-                rhs = float(np.ravel(v) @ form.adjoint_vec(r))
+                rhs = float(np.ravel(v) @ form.adjoint(r))
                 pair = max(abs(lhs), abs(rhs), 1e-30)
                 assert abs(lhs - rhs) / pair <= 1e-6, \
                     f"{name}/{b.name}: adjoint disagrees with differences"

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from madmm import (BlockId, BuildError, Constant, DenseOp, DiagExtract,
                    HadamardPair, LinearTerm, MatChain, MultiaffineSystem,
-                   Problem, ScaledIdentity, SubproblemError, TransposeOp,
-                   freeze, solve, zoo)
+                   Problem, ScaledIdentity, ShapeMismatchError,
+                   SubproblemError, TransposeOp, freeze, solve, zoo)
 from madmm.prox import (L1, IndicatorBox, IndicatorNonneg, IndicatorUnitColumns,
                         Quadratic, SmoothCustom, project_box, project_nonneg,
                         project_unit_columns, prox_block_step, quad_block_solve,
@@ -48,17 +48,14 @@ def _probe_matrix(form):
     basis = np.zeros(form.in_dim)
     for j in range(form.in_dim):
         basis[j] = 1.0
-        cols.append(form.apply_vec(basis))
+        cols.append(form.apply(basis))
         basis[j] = 0.0
     return np.column_stack(cols)
 
 
 def _oracle_normal(form, w_vec, rho, extras):
     """(rho*A^T A + H, rhs) of the block subproblem, assembled densely."""
-    slices, pos = {}, 0
-    for b in form.focus:
-        slices[b.name] = (slice(pos, pos + b.dim), b.shape)
-        pos += b.dim
+    slices = {b.name: (sl, b.shape) for b, sl in zip(form.focus, form.plan.cols)}
     n = form.in_dim
     hess = np.zeros((n, n))
     lin = np.zeros(n)
@@ -76,8 +73,6 @@ def _oracle_normal(form, w_vec, rho, extras):
                 lin[sl] += term.weight * (m.T @ np.ravel(term.center))
         elif isinstance(term, SmoothCustom):
             lin[sl] -= np.ravel(term.grad(np.zeros(shape)))
-        elif isinstance(term, np.ndarray):
-            lin[sl] -= np.ravel(term)
         else:
             raise AssertionError("oracle got a term it cannot assemble")
     a = _probe_matrix(form)
@@ -93,9 +88,13 @@ def _pinv_oracle(form, w_vec, rho, extras):
 
 
 def _stacked(form, result):
+    """The focus vector of quad_block_solve's result, in the form's layout."""
     if len(form.focus) == 1:
         return np.ravel(result)
-    return np.concatenate([np.ravel(result[b.name]) for b in form.focus])
+    y = np.empty(form.in_dim)
+    for b, sl in zip(form.focus, form.plan.cols):
+        y[sl] = np.ravel(result[b.name])
+    return y
 
 
 def test_soft_threshold_matches_grid_search():
@@ -328,7 +327,7 @@ def test_scalar_bilinear_update_formula():
 def test_scalar_bilinear_dict_dual_matches_stacked():
     system, x, y = _bilinear_system()
     form = freeze(system, x, {y: np.array([[0.5]])})
-    (eq_id, _), = form.eq_dims
+    (eq_id,) = form.plan.rows
     a = quad_block_solve(form, np.array([0.3]), 2.0, extras=[Quadratic(2.0)])
     b = quad_block_solve(form, {eq_id: np.array([[0.3]])}, 2.0,
                          extras=[Quadratic(2.0)])
@@ -508,8 +507,9 @@ def test_smooth_custom_affine_folds_into_rhs():
     got = quad_block_solve(form, w, rho, extras=[Quadratic(2.0), lin])
     expected = (rho * b - w.reshape(2, 1) - g) / (2.0 + rho)
     assert np.allclose(got, expected, atol=1e-12)
-    got2 = quad_block_solve(form, w, rho, extras=[Quadratic(2.0), g])
-    assert np.allclose(got2, expected, atol=1e-12)
+    # A raw gradient array is not an objective term.
+    with pytest.raises(BuildError, match="ndarray"):
+        quad_block_solve(form, w, rho, extras=[Quadratic(2.0), g])
 
 
 def test_quad_solve_rejects_bad_extras():
@@ -526,6 +526,44 @@ def test_quad_solve_rejects_bad_extras():
         quad_block_solve(form, np.zeros(1), 1.0, extras=[curved])
     with pytest.raises(BuildError):
         quad_block_solve(form, np.zeros(1), 1.0, method="fancy")
+
+
+@pytest.mark.parametrize("kind", ["quad_block_solve", "prox_block_step"])
+def test_one_off_solvers_refuse_bad_duals_and_rho(kind):
+    # As step refuses a state.  A dict without an equation the focus enters
+    # raised a bare KeyError, a (4, 1) multiplier for a (2, 2) equation was
+    # reshaped and used, a (3,) one raised numpy's reshape error, rho = inf
+    # returned NaNs and rho of 0, -1 or NaN a SubproblemError.
+    rng = np.random.default_rng(19)
+    x = BlockId("x", "x", (2, 2), index=0)
+    y = BlockId("y", "x", (2, 2), index=1)
+    system = MultiaffineSystem()
+    for block in (x, x, y):
+        system.add_equation([MatChain([block]),
+                             Constant(rng.standard_normal((2, 2)), sign=-1)])
+    form = freeze(system, x, {y: np.zeros((2, 2))})
+
+    def run(w, rho):
+        if kind == "quad_block_solve":
+            return quad_block_solve(form, w, rho, extras=[Quadratic(1.0)])
+        return prox_block_step(form, w, rho, L1(0.5))
+
+    good = {0: np.zeros((2, 2)), 1: np.ones((2, 2))}  # x does not enter 2
+    assert np.all(np.isfinite(run(good, 1.0)))
+    stacked = np.r_[np.zeros(4), np.ones(4), 7.0 * np.ones(4)]
+    assert np.array_equal(run(good, 1.0), run(stacked, 1.0))
+    for bad, eq_id, msg in (
+            ({0: good[0]}, 1, "no multiplier for equation 1"),
+            ({**good, 1: np.ones((4, 1))}, 1,
+             "multiplier for equation 1 has shape (4, 1), expected (2, 2)"),
+            ({**good, 0: np.ones(3)}, 0,
+             "multiplier for equation 0 has shape (3,), expected (2, 2)")):
+        with pytest.raises(ShapeMismatchError) as err:
+            run(bad, 1.0)
+        assert (err.value.eq_id, str(err.value)) == (eq_id, msg)
+    for rho in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            run(good, rho)
 
 
 def test_cg_failure_carries_residual_and_block():

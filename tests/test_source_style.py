@@ -1,6 +1,9 @@
 """Source hygiene of the library: no unused module-level import, no
 module-level function, class or constant that nothing in ``src/madmm``
-names, and no line over 99 columns in ``src/madmm``.  ``__init__.py``
+names, no method or property of a private class (a module-level class
+whose name starts with an underscore) that nothing in ``src/madmm`` names,
+dunder methods aside, since nothing outside the package may call them, and
+no line over 99 columns in ``src/madmm``.  ``__init__.py``
 imports only to re-export, so it is exempt from both unused checks; its
 imports are what names the public API."""
 
@@ -52,6 +55,17 @@ def _definitions(tree):
                         yield node.lineno, n.id
 
 
+def _private_members(tree):
+    """(line, "Class.name", name) of each method and property of a
+    module-level private class, dunder methods aside."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield item.lineno, f"{node.name}.{item.name}", item.name
+
+
 NAMED = set().union(*(_named(ast.parse(p.read_text())) for p in SRC))
 
 
@@ -67,6 +81,8 @@ def test_source_style(path):
                      for line, name in _unused_imports(tree)]
         problems += [f"{path.name}:{line}: nothing in src/madmm names {name!r}"
                      for line, name in _definitions(tree) if name not in NAMED]
+        problems += [f"{path.name}:{line}: nothing in src/madmm names {qual!r}"
+                     for line, qual, name in _private_members(tree) if name not in NAMED]
     assert not problems, "\n".join(problems)
 
 

@@ -48,7 +48,7 @@ def _frozen_jacobian(form):
     basis = np.zeros(form.in_dim)
     for j in range(form.in_dim):
         basis[j] = 1.0
-        cols.append(form.apply_vec(basis))
+        cols.append(form.apply(basis))
         basis[j] = 0.0
     return np.column_stack(cols)
 
@@ -217,33 +217,37 @@ def test_freeze_group_consistency():
         trial[z] = vals["Z"]
         trial[s] = vals["s"]
         stacked = stack_residual(evaluate(system, trial))
-        linear = form.apply(vals) - form.offset
+        # The focus vector: the blocks flattened row-major, in focus order.
+        y = np.concatenate([np.ravel(vals["Z"]), np.ravel(vals["s"])])
+        linear = form.apply(y) - form.offset
         assert np.linalg.norm(stacked - linear) <= 1e-10 * (1 + np.linalg.norm(form.offset))
 
 
 def test_group_form_refuses_values_it_cannot_read():
-    # A wrong shape used to broadcast (a 520-vector from a (1, 20) Z), a
-    # missing name raised a bare KeyError and an array an IndexError.
+    # Every vector has its layout's length, or is refused naming the focus:
+    # a wrong shape used to broadcast (a 520-vector from a (1, 20) Z), and a
+    # block-shaped array for a group is now one of the wrong length.
     from madmm.prox import quad_block_solve
 
     inst = zoo.default_instance("nmf3", 0)
     system = inst.problem.system
     Z, Xr = system.blocks["Z"], system.blocks["X_rem"]
     form = freeze(system, (Z, Xr), _gaussian_assignment(system, 0))
-    good = {"Z": np.ones(Z.shape), "X_rem": np.ones(Xr.shape)}
-    assert form.apply(good).shape == (form.out_dim,)
-    cases = [({"Z": np.ones((1, 20)), "X_rem": good["X_rem"]}, "Z"),
-             ({"Z": good["Z"]}, "X_rem"),
-             (np.ones(Z.shape), None)]
-    for bad, block in cases:
-        for call in (form.apply, form.stack_values):
+    assert form.apply(np.ones(form.in_dim)).shape == (form.out_dim,)
+    assert form.adjoint(np.ones(form.out_dim)).shape == (form.in_dim,)
+    for call, n, what in ((form.apply, form.in_dim, "focus vector"),
+                          (form.adjoint, form.out_dim, "dual vector"),
+                          (form.split_dual, form.out_dim, "dual vector")):
+        for bad in (np.ones(n - 1), np.ones((1, n + 1)), np.ones(Z.shape)):
             with pytest.raises(ShapeMismatchError) as err:
                 call(bad)
-            assert err.value.block == block
-            assert (repr(block) if block else "dict") in str(err.value)
+            assert str(err.value) == (f"{what} for focus ['Z', 'X_rem'] has "
+                                      f"length {bad.size}, expected {n}")
     w = np.zeros(form.out_dim)
-    with pytest.raises(ShapeMismatchError, match="'Z'"):
-        quad_block_solve(form, w, 1.0, method="cg", y0=cases[0][0])
+    with pytest.raises(ShapeMismatchError, match=r"start vector for focus \['Z'"):
+        quad_block_solve(form, w, 1.0, method="cg", y0=np.ones(Z.shape))
+    with pytest.raises(ShapeMismatchError, match=r"dual vector for focus \['Z'"):
+        quad_block_solve(form, w[1:], 1.0)
 
 
 @pytest.mark.parametrize("builder", [_rank_one_system, _conv_system])
@@ -257,8 +261,8 @@ def test_adjoint_identity(builder):
         for _ in range(20):
             yv = rng.standard_normal(form.in_dim)
             wv = rng.standard_normal(form.out_dim)
-            lhs = float(form.apply_vec(yv) @ wv)
-            rhs = float(yv @ form.adjoint_vec(wv))
+            lhs = float(form.apply(yv) @ wv)
+            rhs = float(yv @ form.adjoint(wv))
             assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
@@ -270,8 +274,8 @@ def test_conv_adjoint_both_arguments():
         form = freeze(system, block, point)
         yv = rng.standard_normal(form.in_dim)
         wv = rng.standard_normal(form.out_dim)
-        lhs = float(form.apply_vec(yv) @ wv)
-        rhs = float(yv @ form.adjoint_vec(wv))
+        lhs = float(form.apply(yv) @ wv)
+        rhs = float(yv @ form.adjoint(wv))
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
@@ -290,17 +294,18 @@ def test_conv_pieces_adjoint_and_memo_agree(k0, k1, extra0, extra1, seed):
         y = rng.standard_normal(block.shape)
         form = freeze(system, block, point)
         assert [type(p) for p in form.pieces] == [kind]
-        applied = form.apply_eqs(y)[0]
-        back = form.adjoint_eqs(mults)
-        lhs = float(np.sum(applied * mults[0]))
-        rhs = float(np.sum(y * back))
+        # One equation: the stacked vectors are its arrays flattened.
+        applied = form.apply(y)
+        back = form.adjoint(mults[0])
+        lhs = float(applied @ np.ravel(mults[0]))
+        rhs = float(np.ravel(y) @ back)
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
         offset = form.offset_for(0)
         with spectrum_memo(point, mults):
             for _ in range(2):
                 inside = freeze(system, block, point)
-                assert np.array_equal(inside.apply_eqs(y)[0], applied)
-                assert np.array_equal(inside.adjoint_eqs(mults), back)
+                assert np.array_equal(inside.apply(y), applied)
+                assert np.array_equal(inside.adjoint(mults[0]), back)
                 assert np.array_equal(inside.offset_for(0), offset)
 
 
@@ -712,7 +717,7 @@ def test_add_equation_after_freeze_is_refused():
     system.add_equation(third)
     point = _gaussian_assignment(system, 9)
     form = freeze(system, x, point)
-    assert [e for e, _ in form.eq_dims] == [0, 1, 2]
+    assert list(form.plan.rows) == [0, 1, 2]
     assert [p.eq_id for p in form.pieces if p.eq_id == 2] == [2]
     np.testing.assert_array_equal(form.offset_for(2),
                                   -(2.0 * point[v] + np.ones((3, 1))))
@@ -722,7 +727,7 @@ def test_add_equation_after_freeze_is_refused():
     u = BlockId("u", "z2", (3, 1))
     with pytest.raises(BuildError, match="frozen"):
         system.add_equation([MatChain([x]), LinearTerm(ScaledIdentity(1.0, (3, 1)), u)])
-    assert [e for e, _ in freeze(system, x, point).eq_dims] == [0, 1, 2]
+    assert list(freeze(system, x, point).plan.rows) == [0, 1, 2]
     refused, x, *_ = _rank_one_system(3)
     with pytest.raises(BuildError, match="twice"):
         freeze(refused, [x, x], _gaussian_assignment(refused, 0))
@@ -916,14 +921,16 @@ def test_freeze_plan_matches_evaluate_and_adjoint(n, data):
             for b in group:
                 point[b] = y[b.name]
             stacked = stack_residual(evaluate(system, point))
-            linear = form.apply(y if group is focus else y[focus.name]) - form.offset
+            # The focus vector: the blocks flattened row-major, in focus order.
+            linear = form.apply(np.concatenate([np.ravel(y[b.name]) for b in group]))
+            linear -= form.offset
             np.testing.assert_allclose(
                 linear, stacked, rtol=0,
                 atol=1e-10 * max(1.0, np.linalg.norm(stacked)))
             yv = rng.standard_normal(form.in_dim)
             wv = rng.standard_normal(form.out_dim)
-            image = form.apply_vec(yv)
-            back = form.adjoint_vec(wv)
+            image = form.apply(yv)
+            back = form.adjoint(wv)
             scale = max(1.0, np.linalg.norm(image) * np.linalg.norm(wv),
                         np.linalg.norm(yv) * np.linalg.norm(back))
             assert abs(image @ wv - yv @ back) <= 1e-10 * scale
@@ -1002,9 +1009,10 @@ def test_block_adjoints_match_freeze_bit_for_bit(name):
     system = inst.problem.system
     got = block_adjoints(system, state.assignment, state.multipliers)
     assert set(got) == set(system.blocks.values())
+    w = stack_residual([state.multipliers[e] for e in system.eq_ids])
     for block in system.blocks.values():
-        want = freeze(system, block, state.assignment).adjoint_eqs(state.multipliers)
-        assert np.array_equal(got[block], want), block.name
+        want = freeze(system, block, state.assignment).adjoint(w)
+        assert np.array_equal(np.ravel(got[block]), want), block.name
 
 
 def _every_term_system():
