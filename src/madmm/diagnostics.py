@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prox import Quadratic, _SolvePlan, conjugate_gradients
+from .prox import Quadratic, _SolvePlan, _uniform_or_diag, conjugate_gradients
 from .solver import (Problem, SolverState, Violation, _al, _check_state,
                      _curvature, _fail_on, _gram_eigenvalues, _sq_norm,
                      _stationarity)
@@ -207,6 +207,15 @@ class AssumptionReport:
                            for n, s, d in self.checks]}
 
 
+def _identity_curved(term) -> bool:
+    """Whether ``term`` is a Quadratic whose Hessian is c * I with c > 0."""
+    if not isinstance(term, Quadratic):
+        return False
+    gram = (1.0 if term.linear_map is None
+            else _uniform_or_diag(term.linear_map.gram_diag()))
+    return isinstance(gram, float) and term.weight * gram > 0.0
+
+
 def check_assumptions(problem: Problem, samples: int = 20,
                       seed: int = 0) -> AssumptionReport:
     """Probe a problem for the structure the convergence theory requires.
@@ -274,9 +283,8 @@ def check_assumptions(problem: Problem, samples: int = 20,
     if bad is None and (m1 is None or not m1 > 0.0):
         bad = next(((b.name, "has no strongly convex smooth term and no "
                              "declared curvature") for b in z1
-                    if not any(isinstance(t, Quadratic)
-                               and (t.identity_curvature or 0.0) > 0.0
-                               for t in problem.terms_for(b))), None)
+                    if not any(map(_identity_curved, problem.terms_for(b)))),
+                   None)
     if bad is None:
         checks.append(("final_block_structure", "pass",
                        "final-position blocks are smooth with curvature "

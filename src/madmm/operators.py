@@ -6,8 +6,7 @@ pick fast exact paths:
 
 * ``identity_scale`` -- set when the operator equals ``alpha * I``;
 * ``gram_diag()`` -- diagonal of ``op^T op`` (flattened, row-major) when that
-  matrix is diagonal, else None; :func:`uniform_scale` reads c from it when
-  ``op^T op`` is c * I;
+  matrix is diagonal, else None;
 * ``to_dense()`` -- explicit matrix acting on row-major flattened vectors,
   or None when building it would be too costly.
 """
@@ -21,15 +20,6 @@ import numpy as np
 from .errors import require_finite
 
 _DENSE_PROBE_LIMIT = 4096
-
-
-def uniform_scale(diag, varies=False):
-    """c when a gram diagonal ``diag`` (or None) is that of c * I, else None.
-    A diagonal that varies with values is uniform only with one entry: the
-    entries of a longer one agree only by chance."""
-    if diag is None or diag.size == 0 or (varies and diag.size > 1):
-        return None
-    return float(diag[0]) if np.all(diag == diag[0]) else None
 
 
 def _dim(shape) -> int:
@@ -76,10 +66,6 @@ class LinearOp:
             cols[:, j] = self.apply(basis.reshape(self.in_shape)).ravel()
             basis[j] = 0.0
         return cols
-
-    def gram_scalar(self):
-        """c such that op^T op == c * I, or None."""
-        return uniform_scale(self.gram_diag())
 
 
 class ScaledIdentity(LinearOp):

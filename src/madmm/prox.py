@@ -46,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BuildError, ShapeMismatchError, SubproblemError, require_finite
-from .operators import LinearOp, uniform_scale
+from .operators import LinearOp
 from .system import FrozenLinearForm, _Scratch, _accumulate, _add_adjoint, _output
 
 _FEAS_TOL = 1e-8
@@ -84,15 +84,13 @@ def project_box(v, lo, hi):
 
 def project_unit_columns(m):
     """Normalize each column to unit norm; exactly-zero columns map to e1."""
-    m = np.asarray(m, dtype=float).copy()
+    m = np.asarray(m, dtype=float)
     norms = np.linalg.norm(m, axis=0)
-    for j in range(m.shape[1]):
-        if norms[j] == 0.0:
-            m[:, j] = 0.0
-            m[0, j] = 1.0
-        else:
-            m[:, j] /= norms[j]
-    return m
+    zero = norms == 0.0
+    out = m / np.where(zero, 1.0, norms)
+    out[:, zero] = 0.0
+    out[0, zero] = 1.0
+    return out
 
 
 class ObjectiveTerm:
@@ -174,14 +172,6 @@ class Quadratic(ObjectiveTerm):
             return f"its center has shape {self.center.shape}, expected {out}"
         return None
 
-    @property
-    def identity_curvature(self):
-        """weight when the Hessian is weight * I, else None."""
-        if self.linear_map is None:
-            return self.weight
-        c = self.linear_map.gram_scalar()
-        return None if c is None else self.weight * c
-
 
 class L1(ObjectiveTerm):
     """weight * sum |x_ij|.
@@ -235,6 +225,9 @@ class IndicatorNonneg(ObjectiveTerm):
 
 
 class IndicatorBox(ObjectiveTerm):
+    """Indicator of lo <= x <= hi, elementwise; a bound of -inf or +inf
+    leaves that side open."""
+
     def __init__(self, lo, hi):
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
@@ -249,7 +242,8 @@ class IndicatorBox(ObjectiveTerm):
         return 0.0 if ok else np.inf
 
     def prox(self, point, step):
-        return project_box(point, self.lo, self.hi)
+        # The constructor refused lo > hi, so the box needs no check here.
+        return np.clip(np.asarray(point, dtype=float), self.lo, self.hi)
 
     def shape_error(self, shape):
         try:
@@ -264,7 +258,12 @@ class IndicatorBox(ObjectiveTerm):
         x = np.asarray(x, dtype=float)
         lo = np.broadcast_to(self.lo, x.shape)
         hi = np.broadcast_to(self.hi, x.shape)
-        span = 1e-9 * (1.0 + np.abs(hi - lo))
+        # The band is 1e-9 * (1 + |hi - lo|) where both bounds are finite
+        # and 1e-9 where one is not; hi - lo is taken only where it is
+        # finite, so no infinity meets another.
+        width = np.subtract(hi, lo, out=np.zeros(x.shape),
+                            where=np.isfinite(lo) & np.isfinite(hi))
+        span = 1e-9 * (1.0 + np.abs(width))
         at_lo = x <= lo + span
         at_hi = x >= hi - span
         r = np.where(at_lo & at_hi, 0.0,
@@ -330,9 +329,12 @@ def _normalize_extras(form: FrozenLinearForm, extras):
 
 
 def _uniform_or_diag(diag, varies=False):
-    """A gram diagonal as the float c when the gram is c * I, else as is."""
-    c = uniform_scale(diag, varies)
-    return diag if c is None else c
+    """A gram diagonal ``diag`` (or None) as the float c when it is that of
+    c * I, else as is.  A diagonal that varies with values is uniform only
+    with one entry: the entries of a longer one agree only by chance."""
+    if diag is None or diag.size == 0 or (varies and diag.size > 1):
+        return diag
+    return float(diag[0]) if np.all(diag == diag[0]) else diag
 
 
 def _positive(diags):
@@ -355,7 +357,7 @@ def _curvature_rule(form, pos, quads):
     varies with values and is read here only to learn whether the view
     exists, which does not depend on values; its part keeps the piece's
     index in ``form.pieces`` in place of the gram, for
-    :func:`_read_curvature` to read at each call.
+    ``_SolvePlan._block_diagonals`` to read at each call.
     """
     out, chains = [], []
     for ks in form.plan.eq_pieces.values():
@@ -384,17 +386,6 @@ def _curvature_rule(form, pos, quads):
             return None
         out.append((i, False, q.weight * gram, None))
     return out, chains
-
-
-def _read_curvature(parts, form, rho):
-    """(focus position, curvature) per part of :func:`_curvature_rule` at
-    one call."""
-    out = []
-    for i, scaled, gram, piece in parts:
-        if piece is not None:
-            gram = _uniform_or_diag(form.pieces[piece].gram_diag(), varies=True)
-        out.append((i, rho * gram if scaled else gram))
-    return out
 
 
 class _SolvePlan:
@@ -514,10 +505,13 @@ class _SolvePlan:
     def _block_diagonals(self, form, rho):
         """N's diagonal per focus block, but for the chains' grams, summed
         from the curvature parts in order: a float while every part of the
-        block is a scalar, else an array of the block's size."""
+        block is a scalar, else an array of the block's size.  A part that
+        names a piece reads the piece's gram here, at this call."""
         acc = [0.0] * len(self.slices)
-        for i, c in _read_curvature(self.curvature, form, rho):
-            acc[i] = acc[i] + c
+        for i, scaled, gram, piece in self.curvature:
+            if piece is not None:
+                gram = _uniform_or_diag(form.pieces[piece].gram_diag(), varies=True)
+            acc[i] = acc[i] + (rho * gram if scaled else gram)
         return acc
 
     def normal_diag(self, form, rho):
@@ -540,8 +534,7 @@ class _SolvePlan:
         The offsets, the targets (rho times the offset, minus the
         multiplier) and the parts are written into the plan's scratch, and
         the returned array is the plan's too: its next call overwrites it.
-        An offset the form already kept, the multipliers and the plan's
-        constant items are only read.
+        The multipliers and the plan's constant items are only read.
         """
         if self._sums is None:
             self._take_scratch()

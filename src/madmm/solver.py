@@ -93,11 +93,6 @@ class SolverState:
     rho: float
     k: int = 0
 
-    def copy(self) -> "SolverState":
-        return SolverState({b: np.array(v) for b, v in self.assignment.items()},
-                           {e: np.array(w) for e, w in self.multipliers.items()},
-                           self.rho, self.k)
-
 
 class Problem:
     """A constraint system plus objective terms, validated and ready to run.
@@ -755,14 +750,15 @@ def _curvature(problem: Problem):
 
 
 class _SlackMaps:
-    """Slack maps ``z1``, ``z2`` and ``z`` (both together), None when absent,
-    with the smallest positive eigenvalue of z1's gram, ``lambda_pp``, and
-    the smallest of z2's, ``sigma`` (0.0 when at most 1e-10: not injective),
-    each None without its map.  Raises ValueError when z1's gram is
-    indefinite or has no positive eigenvalue."""
+    """The slack map ``z`` (the z1 and z2 blocks together), with the
+    smallest positive eigenvalue of the z1 map's gram, ``lambda_pp``, and
+    the smallest of the z2 map's, ``sigma`` (0.0 when at most 1e-10: not
+    injective), each None without its map; the z1 and z2 maps are read
+    here, not kept.  Raises ValueError when z1's gram is indefinite or has
+    no positive eigenvalue."""
 
     def __init__(self, z1, z2, z=None):
-        self.z1, self.z2, self.z = z1, z2, z
+        self.z = z
         self.lambda_pp = self.sigma = None
         if z1 is not None:
             _, self.lambda_pp = _min_pos_from_eigs(_gram_eigenvalues(z1), 1e-9)
@@ -883,15 +879,13 @@ def add_prox_constraint(problem: Problem, block, S, rho: float) -> Problem:
     while name in problem.system.blocks:
         name += "_"
     shadow = BlockId(name, ROLE_Z1, blk.shape)
-    eq_new = max(problem.system.eq_ids) + 1
 
     rebuilt = MultiaffineSystem()
-    for eq_id, terms in problem.system.equations:
-        rebuilt.add_equation(list(terms), eq_id=eq_id)
-    rebuilt.add_equation(
+    for _, terms in problem.system.equations:
+        rebuilt.add_equation(terms)
+    eq_new = rebuilt.add_equation(
         [LinearTerm(DenseOp(c * sqrt_s, blk.shape, blk.shape), blk),
-         LinearTerm(DenseOp(c * sqrt_s, blk.shape, blk.shape), shadow, sign=-1)],
-        eq_id=eq_new)
+         LinearTerm(DenseOp(c * sqrt_s, blk.shape, blk.shape), shadow, sign=-1)])
 
     def _anchored(problem_, zblk, assignment, multipliers, rho_now):
         w = np.ravel(multipliers[eq_new])

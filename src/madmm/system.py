@@ -23,8 +23,8 @@ vector the equations' arrays, flattened row-major, in ascending eq_id.  The
 freeze plan of a focus fixes each block's columns and each equation's rows
 once, and every form and solve plan of the focus reads them there.
 ``freeze`` checks every non-focus value and builds the focus pieces at once;
-the offset of an equation is summed from those checked values the first time
-it is asked for, so a caller that needs only adjoints, or only the equations
+the offset of an equation is summed from those checked values each time it
+is asked for, so a caller that needs only adjoints, or only the equations
 its focus enters, evaluates no other term.
 
 Which terms a focus enters, which only feed offsets and which blocks must be
@@ -458,10 +458,12 @@ def _conv_adjoint_kernel(signal: np.ndarray, w_hat: np.ndarray, kernel_shape) ->
 class MultiaffineSystem:
     """A stack of multiaffine equations ``sum_t sign_t T_t(blocks) = 0``.
 
-    Equations are added only through :meth:`add_equation`, and only until
-    the system is first frozen (by :func:`freeze` or :func:`block_adjoints`,
-    or by building a ``solver.Problem`` on it).  The system then keeps one walk of its terms
-    and one freeze plan per focus that :func:`freeze` has seen, and every
+    An equation's id is its position in the stack, 0, 1, ... in the order
+    added.  Equations are added only through :meth:`add_equation`, and only
+    until the system is first frozen (by :func:`freeze` or
+    :func:`block_adjoints`, or by building a ``solver.Problem`` on it).  The
+    system then keeps one walk of its terms and one freeze plan per focus
+    that :func:`freeze` has seen, and every
     ``solver.Problem`` built on it keeps its solve plans, all built once.
     """
 
@@ -472,16 +474,14 @@ class MultiaffineSystem:
         self._plans = {}     # focus tuple -> _FreezePlan
         self._terms = None   # the one walk of the terms, see _term_index
 
-    def add_equation(self, terms, eq_id: int | None = None) -> int:
-        """Append one equation; every term is checked before any of its
-        blocks is registered, so a refused equation changes nothing.  Once
-        the system has been frozen every equation is refused."""
+    def add_equation(self, terms) -> int:
+        """Append one equation and return its id, its position in the
+        stack; every term is checked before any of its blocks is
+        registered, so a refused equation changes nothing.  Once the system
+        has been frozen every equation is refused."""
         if self._terms is not None:
             raise BuildError("the system is frozen; build a new system")
-        if eq_id is None:
-            eq_id = len(self.equations)
-        if any(e == eq_id for e, _ in self.equations):
-            raise BuildError(f"equation id {eq_id} already used")
+        eq_id = len(self.equations)
         terms = list(terms)
         if not terms:
             raise BuildError(f"equation {eq_id}: no terms")
@@ -520,7 +520,6 @@ class MultiaffineSystem:
                 raise BuildError(f"equation {eq_id}: sign must be +1 or -1, got {term.sign!r}")
         self.blocks.update(added)
         self.equations.append((eq_id, terms))
-        self.equations.sort(key=lambda pair: pair[0])
         self._eq_shapes[eq_id] = shape
         return eq_id
 
@@ -681,8 +680,8 @@ class _Piece:
     * ``identity`` -- t when the piece is t * I, else None;
     * ``gram_diag()`` -- diagonal of the piece's gram A^T A (row-major
       flattened) when that matrix is diagonal, else None; the one gram
-      view, from which ``operators.uniform_scale`` reads c when the gram
-      is c * I;
+      view, from which ``prox._uniform_or_diag`` reads c when the gram is
+      c * I;
     * ``factors`` -- (left, right) of a matrix multiply, either may be None;
     * ``fourier`` -- set on the convolution pieces, which are diagonal under
       ``rfft2`` and stay off the dense solve path;
@@ -874,9 +873,9 @@ class FrozenLinearForm:
     offset``.  ``apply``, ``adjoint`` and ``split_dual`` take any array of
     their vector's length, read row-major, so a single block's value is its
     own focus vector, and refuse another length with ShapeMismatchError
-    naming the focus blocks.  The offset of each equation is summed on first
-    use from the non-focus values checked when the form was frozen, then
-    kept; reassigning a block in the caller's assignment afterwards does not
+    naming the focus blocks.  The offset of each equation is summed at each
+    call from the non-focus values checked when the form was frozen;
+    reassigning a block in the caller's assignment afterwards does not
     change the form.
     """
 
@@ -884,7 +883,6 @@ class FrozenLinearForm:
         self.plan = plan          # the focus's _FreezePlan
         self.pieces = pieces      # list of _Piece
         self._values = values     # non-focus BlockId -> checked array
-        self._offsets = {}        # eq_id -> array, filled on first use
 
     @property
     def focus(self) -> tuple:
@@ -907,16 +905,12 @@ class FrozenLinearForm:
         """Offset of one equation: minus the sum of its non-focus terms.
 
         ``out``, for a caller that reuses its arrays, is a (sum, term) pair
-        as for ``evaluate``; an offset summed into it is not kept, so the
-        caller may overwrite it.  An offset already kept is returned as it
-        is, to be only read."""
-        off = self._offsets.get(eq_id)
+        as for ``evaluate``, and the offset is written into its sum;
+        without it the offset is a fresh array.  Either way the caller may
+        overwrite it."""
+        off = _sum_terms(self.plan.frozen_terms[eq_id], self._values, -1, out)
         if off is None:
-            off = _sum_terms(self.plan.frozen_terms[eq_id], self._values, -1, out)
-            if off is None:
-                off = _zeros(self.plan.eq_shapes[eq_id], None if out is None else out[0])
-            if out is None:
-                self._offsets[eq_id] = off
+            off = _zeros(self.plan.eq_shapes[eq_id], None if out is None else out[0])
         return off
 
     def conv_target(self, piece, multipliers, rho):
@@ -1006,10 +1000,10 @@ class _FreezePlan:
 
     def __init__(self, focus, focus_set, reads, hits, pieces, frozen_terms,
                  eq_reads, eq_dims):
+        # hits: (eq_id, term) of each term the focus enters, in walk order
         self.focus = focus                # tuple of focus BlockIds
         self.focus_set = focus_set
         self.reads = reads                # non-focus blocks, first-use order
-        self.hits = hits                  # (eq_id, term) with a focus block
         self.pieces = pieces              # per hit, its shared piece or None
         self.varying = tuple((k, eq_id, term) for k, ((eq_id, term), p)
                              in enumerate(zip(hits, pieces)) if p is None)
@@ -1118,9 +1112,9 @@ def freeze(system: MultiaffineSystem, focus, assignment) -> FrozenLinearForm:
     in the system; values for focus blocks are ignored.  Every non-focus
     value is checked here, for presence and shape, and the form keeps the
     checked arrays: the focus pieces that read values are built from them at
-    once, and each equation's offset on its first use.  Terms containing two
-    focus blocks are rejected: the frozen map must be affine; so is a focus
-    that names a block twice.
+    once, and each equation's offset at each call of ``offset_for``.  Terms
+    containing two focus blocks are rejected: the frozen map must be affine;
+    so is a focus that names a block twice.
 
     The first call for a focus checks it against the system, reads the
     system's one walk of its terms and keeps the result on the system as

@@ -25,6 +25,15 @@ is missing and then exits 1:
 
     PYTHONPATH=src python tests/test_golden_trace.py --compare FILE
 
+or, with no file, against a git revision REV (a commit, branch or tag):
+
+    PYTHONPATH=src python tests/test_golden_trace.py --compare-rev REV
+
+which extracts REV's ``src`` into a temporary directory (``git archive REV
+src``), prints ``--digest`` for that tree and for the working tree's
+``src``, each in a subprocess with OPENBLAS_NUM_THREADS=1, and reports and
+exits as ``--compare`` does, REV's digests taking the file's place.
+
 Digests depend on the BLAS build and its thread count (pin it, e.g. with
 OPENBLAS_NUM_THREADS=1), so they are only printed or compared on request,
 never asserted under pytest.
@@ -32,8 +41,11 @@ never asserted under pytest.
 
 import hashlib
 import json
+import os
 import struct
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -73,6 +85,36 @@ def _digests(name):
     return {name: h.hexdigest(), f"{name}/trace": rows.hexdigest()}
 
 
+def _compare(saved, got, source):
+    """Name each entry of ``saved`` whose digest in ``got`` differs or is
+    missing, then how many match; 1 when any differs, else 0."""
+    differ = [key for key in saved if got.get(key) != saved[key]]
+    for key in differ:
+        print(f"{key}: digest differs from {source}")
+    print(f"{len(saved) - len(differ)} of {len(saved)} entries match")
+    return 1 if differ else 0
+
+
+def _digests_of(src):
+    """The ``--digest`` lines of the library in ``src``, as a dict, printed
+    by a subprocess with one BLAS thread."""
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, __file__, "--digest"], env=env,
+                         stdout=subprocess.PIPE, text=True, check=True).stdout
+    return dict(line.split() for line in out.splitlines() if line.strip())
+
+
+def _compare_rev(rev):
+    """``--compare`` of the working tree's ``src`` against ``rev``'s."""
+    root = Path(__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        tar = subprocess.run(["git", "-C", str(root), "archive", rev, "src"],
+                             stdout=subprocess.PIPE, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=tar, check=True)
+        saved = _digests_of(Path(tmp) / "src")
+    return _compare(saved, _digests_of(root / "src"), rev)
+
+
 def _close(a, b):
     return a == b or abs(a - b) <= RTOL * max(abs(a), abs(b))
 
@@ -107,10 +149,8 @@ if __name__ == "__main__":
         got = {}
         for n in zoo.zoo_names():
             got.update(_digests(n))
-        differ = [key for key in saved if got.get(key) != saved[key]]
-        for key in differ:
-            print(f"{key}: digest differs from {sys.argv[2]}")
-        print(f"{len(saved) - len(differ)} of {len(saved)} entries match")
-        sys.exit(1 if differ else 0)
+        sys.exit(_compare(saved, got, sys.argv[2]))
+    elif len(sys.argv) == 3 and sys.argv[1] == "--compare-rev":
+        sys.exit(_compare_rev(sys.argv[2]))
     else:
         sys.exit(__doc__)

@@ -8,6 +8,8 @@ equations solved with a pseudoinverse.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +258,8 @@ def test_project_unit_columns_zero_column_goes_to_first_axis():
     p = project_unit_columns(v)
     assert np.array_equal(p[:, 0], [1.0, 0.0, 0.0, 0.0])
     assert np.allclose(p[:, 1], [0.0, 0.6, 0.0, 0.8])
+    # Each entry is divided by its column's norm, as a per-column divide would.
+    assert np.array_equal(p[:, 1], v[:, 1] / np.linalg.norm(v, axis=0)[1])
 
 
 def test_indicator_values_and_proxes():
@@ -277,6 +281,23 @@ def test_indicator_values_and_proxes():
     assert uc.value(eye) == 0.0
     assert uc.value(2 * eye) == np.inf
     assert np.allclose(np.linalg.norm(uc.prox(np.ones((3, 2)), 0.1), axis=0), 1.0)
+
+
+def test_box_with_an_open_side_reads_like_its_closed_side_alone():
+    # An infinite bound made the tolerance band infinite (inf - inf inside
+    # it): [0, +inf) read every entry as at its lower bound, and (-inf, 1]
+    # read 0.5 as at its upper one, each with a RuntimeWarning.
+    inf = np.inf
+    x, g = np.array([[5.0], [0.0]]), np.array([[3.0], [-2.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (IndicatorBox(0.0, inf).stat_residual(x, g)
+                == IndicatorNonneg().stat_residual(x, g))
+        assert IndicatorBox(-inf, inf).stat_residual(x, g) == np.linalg.norm(g)
+        upper = IndicatorBox(-inf, 1.0)
+        assert upper.stat_residual(np.array([[0.5]]), np.array([[-2.0]])) == 2.0
+        assert upper.stat_residual(np.array([[1.0]]), np.array([[-2.0]])) == 0.0
+        assert upper.stat_residual(np.array([[1.0]]), np.array([[2.0]])) == 2.0
 
 
 def test_l1_prox_matches_soft_threshold():

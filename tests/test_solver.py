@@ -13,7 +13,7 @@ from madmm import zoo
 from madmm.errors import BuildError, ShapeMismatchError, SubproblemError
 from madmm.operators import DenseOp, DiagExtract, ScaledIdentity
 from madmm.prox import (IndicatorBox, IndicatorNonneg, L1, ObjectiveTerm,
-                        Quadratic, SmoothCustom)
+                        Quadratic, SmoothCustom, _uniform_or_diag)
 from madmm.solver import (Problem, SolverState, STATUS_CONVERGED,
                           STATUS_DIVERGED, STATUS_MAXITER,
                           add_prox_constraint, augmented_lagrangian,
@@ -425,9 +425,10 @@ def test_joint_z_component_matches_analytic_solution():
         assert new.assignment[zb][i, 0] == pytest.approx(zb_e, abs=1e-10)
 
 
-def _tangled_z(trigger):
+def _tangled_z(trigger, on="za"):
     """Two z blocks sharing an equation, plus the one obstacle `trigger` to
-    their joint solve; returns Problem's arguments."""
+    their joint solve, a nonsmooth term or a custom updater placed on the
+    block named `on`; returns Problem's arguments."""
     x = BlockId("x", "x", (3, 1))
     role = "z0" if trigger == "product" else "z1"
     za = BlockId("za", role, (3, 1))
@@ -439,24 +440,28 @@ def _tangled_z(trigger):
     objective = {x: [Quadratic(1.0)], za: [Quadratic(2.0)], zb: [Quadratic(4.0)]}
     kwargs = {}
     if trigger == "nonsmooth":
-        objective[za] = [L1(0.3)]
+        objective[{"za": za, "zb": zb}[on]] = [L1(0.3)]
     elif trigger == "custom":
-        kwargs["custom_updaters"] = {"za": lambda *a: np.zeros((3, 1))}
+        kwargs["custom_updaters"] = {on: lambda *a: np.zeros((3, 1))}
     else:
         system.add_equation([HadamardPair(za, zb), Constant(np.ones((3, 1)))])
     return system, objective, kwargs
 
 
+# The unit plan reads only the first block's custom updater and nonsmooth
+# term, so the obstacles on zb are refused by Problem._joint_obstacle alone.
 _TANGLE_REASONS = {
     "nonsmooth": "block 'za' carries a nonsmooth term",
     "custom": "block 'za' has a custom updater",
     "product": "one term multiplies blocks ['za', 'zb']",
+    "nonsmooth-zb": "block 'zb' carries a nonsmooth term",
+    "custom-zb": "block 'zb' has a custom updater",
 }
 
 
 @pytest.mark.parametrize("trigger", list(_TANGLE_REASONS))
 def test_z_component_without_exact_joint_update_is_refused(trigger):
-    system, objective, kwargs = _tangled_z(trigger)
+    system, objective, kwargs = _tangled_z(*trigger.split("-"))
     with pytest.raises(BuildError) as info:
         Problem(system, objective, **kwargs)
     msg = str(info.value)
@@ -608,7 +613,15 @@ def test_dense_op_forms_its_gram_once():
             else:
                 np.testing.assert_array_equal(got, want)
                 got[:] = -7.0   # a caller's edit must not reach the next answer
-        assert op.gram_scalar() == (0.5 if mat is parity else None)
+        # The curvature rule reads the gram of c * I as the float c, and
+        # any other diagonal (or None) as it is.
+        uniform = _uniform_or_diag(op.gram_diag())
+        if mat is parity:
+            assert uniform == 0.5
+        elif want is None:
+            assert uniform is None
+        else:
+            np.testing.assert_array_equal(uniform, want)
         assert len(calls) == 1
 
 

@@ -2,10 +2,12 @@
 module-level function, class or constant that nothing in ``src/madmm``
 names, no method or property of a private class (a module-level class
 whose name starts with an underscore) that nothing in ``src/madmm`` names,
-dunder methods aside, since nothing outside the package may call them, and
-no line over 99 columns in ``src/madmm``.  ``__init__.py``
-imports only to re-export, so it is exempt from both unused checks; its
-imports are what names the public API."""
+dunder methods aside, since nothing outside the package may call them, no
+attribute that a private class stores on ``self`` and that nothing in
+``src/madmm`` reads (by its name, on any object), and no line over 99
+columns in ``src/madmm``.  ``__init__.py`` imports only to re-export, so it
+is exempt from the unused checks; its imports are what names the public
+API."""
 
 import ast
 from pathlib import Path
@@ -42,6 +44,12 @@ def _named(tree):
     return out
 
 
+def _read(tree):
+    """Every attribute name a module reads (loads) somewhere."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
 def _definitions(tree):
     """(line, name) of each module-level function, class and constant."""
     for node in tree.body:
@@ -66,7 +74,20 @@ def _private_members(tree):
                     yield item.lineno, f"{node.name}.{item.name}", item.name
 
 
-NAMED = set().union(*(_named(ast.parse(p.read_text())) for p in SRC))
+def _private_fields(tree):
+    """(line, "Class.name", name) of each attribute that a method of a
+    module-level private class stores on ``self``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+            for n in ast.walk(node):
+                if (isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name) and n.value.id == "self"):
+                    yield n.lineno, f"{node.name}.{n.attr}", n.attr
+
+
+TREES = [ast.parse(p.read_text()) for p in SRC]
+NAMED = set().union(*map(_named, TREES))
+READ = set().union(*map(_read, TREES))
 
 
 @pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
@@ -83,6 +104,8 @@ def test_source_style(path):
                      for line, name in _definitions(tree) if name not in NAMED]
         problems += [f"{path.name}:{line}: nothing in src/madmm names {qual!r}"
                      for line, qual, name in _private_members(tree) if name not in NAMED]
+        problems += [f"{path.name}:{line}: nothing in src/madmm reads {qual!r}"
+                     for line, qual, name in _private_fields(tree) if name not in READ]
     assert not problems, "\n".join(problems)
 
 

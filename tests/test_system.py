@@ -21,8 +21,8 @@ from madmm import (BlockId, BuildError, Constant, Conv2D, DenseOp, DiagExtract,
 from madmm import prox, solver, zoo
 from madmm.operators import LinearOp
 from madmm.prox import Quadratic
-from madmm.system import (_ConvKernelPiece, _ConvSignalPiece, block_adjoints,
-                          spectrum_memo)
+from madmm.system import (_ConvKernelPiece, _ConvSignalPiece, _term_index,
+                          block_adjoints, spectrum_memo)
 
 
 def _fd_jacobian(system, assignment, block, h=1e-6):
@@ -794,7 +794,18 @@ def test_unit_freeze_plans_match_a_walk_per_focus(name):
         plan = system._plans[focus]
         reads, hits, frozen_terms = _plan_by_walking(system, focus)
         assert plan.reads == reads
-        assert [(e, id(t)) for e, t in plan.hits] == [(e, id(t)) for e, t in hits]
+        # Each term the focus enters, in walk order: a term of one block by
+        # its shared piece, any other by (index, eq_id, term) in ``varying``.
+        walk = _term_index(system)
+        at = [next(i for i, (_, u) in enumerate(walk.terms) if u is t) for _, t in hits]
+        assert [id(p) for p in plan.pieces] == [id(walk.shared[i]) for i in at]
+        assert ([(k, e, id(t)) for k, e, t in plan.varying]
+                == [(k, e, id(t)) for k, ((e, t), i) in enumerate(zip(hits, at))
+                    if walk.shared[i] is None])
+        eq_pieces = {}
+        for k, (e, _) in enumerate(hits):
+            eq_pieces.setdefault(e, []).append(k)
+        assert plan.eq_pieces == eq_pieces
         assert ({e: [id(t) for t in ts] for e, ts in plan.frozen_terms.items()}
                 == {e: [id(t) for t in ts] for e, ts in frozen_terms.items()})
         # The blocks a convolution target's memo key names, first-use order.
@@ -863,10 +874,12 @@ def test_block_hash_follows_the_name():
     assert keyed[BlockId("a", "z1", (2, 2))] == 2
 
 
-def _random_system(data, n):
-    """Random multiaffine system over 2-4 square n x n blocks."""
+def _random_system(data, n, roles=("x",)):
+    """Random multiaffine system over 2-4 square n x n blocks, each of a
+    role drawn from ``roles`` (no draw for one role)."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    blocks = [BlockId(f"b{i}", "x", (n, n), index=i)
+    blocks = [BlockId(f"b{i}", data.draw(st.sampled_from(roles)) if len(roles) > 1
+                      else roles[0], (n, n), index=i)
               for i in range(data.draw(st.integers(2, 4)))]
     pick = st.sampled_from(blocks)
 
