@@ -47,7 +47,8 @@ import numpy as np
 
 from .errors import BuildError, ShapeMismatchError, SubproblemError, require_finite
 from .operators import LinearOp
-from .system import FrozenLinearForm, _Scratch, _accumulate, _add_adjoint, _output
+from .system import (FrozenLinearForm, _Scratch, _accumulate, _add_adjoint, _kept,
+                     _KEEP_MIN, _output)
 
 _FEAS_TOL = 1e-8
 _DENSE_LIMIT = 1024
@@ -129,7 +130,9 @@ class Quadratic(ObjectiveTerm):
     ``value`` and ``grad`` take ``out``, an array of L's output shape (see
     ``scratch_shape``) into which they write L(x) - center, or, for
     ``grad`` where there is no center, L(x) scaled; ``grad`` may return
-    it."""
+    it.  Inside a step, a residual of ``system._KEEP_MIN`` entries or more
+    is the step memo's instead (see ``system.step_memo``), formed once per
+    block value for L and the stationarity estimate, and read-only."""
 
     smooth = True
 
@@ -147,17 +150,29 @@ class Quadratic(ObjectiveTerm):
         y = self.linear_map.apply(x) if self.linear_map is not None else np.asarray(x, dtype=float)
         return np.subtract(y, self.center, out=out) if self.center is not None else y
 
+    def _read_residual(self, x, out):
+        """:meth:`_residual`, kept by the step memo when it is formed (a map
+        or a center) into an ``out`` of ``_KEEP_MIN`` entries or more."""
+        if (out is None or out.size < _KEEP_MIN
+                or (self.linear_map is None and self.center is None)):
+            return self._residual(x, out)
+        return _kept(("residual", id(self)), [x], [(out.shape, float)],
+                     lambda into: self._residual(x, into[0]))
+
     def value(self, x, out=None) -> float:
-        r = self._residual(x, out)
+        r = self._read_residual(x, out)
         return 0.5 * self.weight * float(np.vdot(r, r))
 
     def grad(self, x, out=None):
-        r = self._residual(x, out)
+        r = self._read_residual(x, out)
         if self.linear_map is not None:
             return self.weight * self.linear_map.adjoint(r)
         if self.center is not None and self.weight == 1.0:
-            return r  # x - center, ``out`` or a fresh array
-        return np.multiply(r, self.weight, out=r if self.center is not None else out)
+            return r  # x - center: ``out``, a fresh array or the memo's
+        # Never in place into the memo's residual: ``out`` is free when the
+        # memo formed it.
+        return np.multiply(r, self.weight,
+                           out=out if out is not None or self.center is None else r)
 
     def scratch_shape(self, shape):
         return shape if self.linear_map is None else self.linear_map.out_shape
@@ -405,9 +420,13 @@ class _SolvePlan:
     one solve path, fixed here.
     The arrays :meth:`rhs` writes are taken here from ``scratch``, which a
     ``solver.Problem`` shares among its plans, or else from the plan's own.
+    ``shared`` maps each equation whose target other units of the step
+    read at the same values to the number of units that read it, and
+    :meth:`rhs` keeps those targets in the step memo.
     """
 
-    def __init__(self, form, extras=(), term=None, method=None, scratch=None):
+    def __init__(self, form, extras=(), term=None, method=None, scratch=None,
+                 shared=None):
         layout = form.plan
         self.focus, self.slices, self.dim = layout.focus, layout.cols, layout.in_dim
         pos = layout.pos
@@ -417,6 +436,7 @@ class _SolvePlan:
                     for e, ks in layout.eq_pieces.items()]
         self._eq_shapes = [layout.eq_shapes[e] for e, _ in self.eqs]
         self._scratch, self._sums = scratch, None  # see _take_scratch
+        self.shared = shared or {}
         self._kept = []    # the diagonal divide's outputs (see system._output)
         self.quads = []    # (focus position, Quadratic) with a positive weight
         self.consts = []   # (focus position, sign, array of the block's shape)
@@ -532,23 +552,28 @@ class _SolvePlan:
         piece order and then the constant items', starting from its first
         addend (see ``system._accumulate``), so no zeros are written first.
         The offsets, the targets (rho times the offset, minus the
-        multiplier) and the parts are written into the plan's scratch, and
-        the returned array is the plan's too: its next call overwrites it.
-        The multipliers and the plan's constant items are only read.
+        multiplier) and the parts are written into the plan's scratch, but
+        for the targets of the ``shared`` equations, which the step memo
+        keeps (see ``FrozenLinearForm.target``); the returned array
+        is the plan's too: its next call overwrites it.  The multipliers
+        and the plan's constant items are only read.
         """
         if self._sums is None:
             self._take_scratch()
         parts = [None] * len(self.slices)
         pieces = form.pieces
         for (e, members), sums in zip(self.eqs, self._sums):
-            off = form.offset_for(e, out=sums)
-            target = np.multiply(off, rho, out=sums[0])
-            target -= w[e]
+            reads = self.shared.get(e)
+            if reads is None:
+                target = np.multiply(form.offset_for(e, out=sums), rho, out=sums[0])
+                target -= w[e]
+            else:
+                target = form.target(e, w, rho, reads, out=sums)
             for k, i in members:
                 p = pieces[k]
                 if len(members) == 1 and p.identity not in (None, 1.0, -1.0):
                     parts[i] = _accumulate(
-                        parts[i], 1, np.multiply(target, p.identity, out=target),
+                        parts[i], 1, np.multiply(target, p.identity, out=sums[0]),
                         self._parts[i])
                 else:
                     parts[i] = _add_adjoint(parts[i], p, target, self._parts[i])

@@ -45,8 +45,8 @@ from .operators import DenseOp, LinearOp
 from .prox import ObjectiveTerm, _SolvePlan, _check_duals
 from .system import (BlockId, LinearTerm, MultiaffineSystem, ROLE_X, ROLE_Z1,
                      ROLE_Z2, block_adjoints, evaluate, freeze,
-                     FrozenLinearForm, _Scratch, _output, _term_index, _unfreeze,
-                     spectrum_memo)
+                     FrozenLinearForm, _Scratch, _output, _read_only, _term_index,
+                     _unfreeze, _KEEP_MIN, step_memo)
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAXITER = "MaxIter"
@@ -108,10 +108,11 @@ class Problem:
 
         fn(problem, block, assignment, multipliers, rho) -> array
 
-    which returns the block's new value as a new array and must not write
-    into the ``assignment`` or ``multipliers`` arrays it is handed: the old
-    state shares them, and a step reuses the Fourier spectra of those
-    arrays while it runs.  The convergence argument assumes the
+    which returns the block's new value as a new array.  It is handed
+    dicts made for the call, of read-only views of the step's arrays, so a
+    write into one raises numpy's ValueError: the old state shares them,
+    and a step reuses the products of those arrays while it runs.  A
+    returned view of one is copied.  The convergence argument assumes the
     exact minimizer of L over that block; nothing checks it.  The zoo's
     deconvolution updaters are not exact: the signal update runs a fixed
     number of passes from zero, and the kernel update adds a proximal term
@@ -156,6 +157,9 @@ class Problem:
         self._validate()
         self._z_components = self._build_z_components()
         self._scratch = _Scratch()
+        # The arrays the step memo writes its products into, and the
+        # product terms it keeps (see system.step_memo).
+        self._kept, self._kept_terms = {}, {}
         was_open = system._terms is None
         try:
             self._units = self._build_units()
@@ -230,19 +234,24 @@ class Problem:
         when it is built is a Hadamard partner's square, to check that the
         curvature is positive, and at all ones that square is one in every
         entry, so the check reads the structure alone.  The ones are
-        read-only views of one scalar."""
+        read-only views of one scalar.  Which products a step forms twice
+        is read from the forms too (see :func:`_repeats`)."""
         system = self.system
         point = {b: np.broadcast_to(1.0, b.shape) for b in system.blocks.values()}
+        foci = [(b,) for b in self.update_order] + self._z_components
+        forms = [None if focus[0].name in self.custom_updaters
+                 else freeze(system, focus, point) for focus in foci]
+        shared, self._kept_terms = _repeats(system, foci, forms)
         units = []
-        for focus in [(b,) for b in self.update_order] + self._z_components:
-            if focus[0].name in self.custom_updaters:
+        for focus, form, eqs in zip(foci, forms, shared):
+            if form is None:
                 units.append((focus, None))
                 continue
             extras = [(b.name, t) for b in focus for t in self.terms_for(b)
                       if t.smooth]
-            units.append((focus, _SolvePlan(freeze(system, focus, point), extras,
+            units.append((focus, _SolvePlan(form, extras,
                                             term=self.nonsmooth_term(focus[0]),
-                                            scratch=self._scratch)))
+                                            scratch=self._scratch, shared=eqs)))
         return units
 
     def _arrays(self) -> "_StepArrays":
@@ -314,6 +323,57 @@ class Problem:
         return None
 
 
+def _repeats(system, foci, forms):
+    """What a step forms more than once from the same values, read from the
+    units' forms (None for a custom updater) alone: per unit, the
+    equations whose target (``FrozenLinearForm.target``) other units read
+    too, mapped to the number of units that read it; and the product terms
+    (``_Term.product``) that two offsets, or an offset and ``evaluate``,
+    read, by id, mapped to (their shape, the number of reads).  Only
+    equations of at least ``system._KEEP_MIN`` entries count: a smaller
+    product costs less than its lookup.
+
+    A target reads the old multiplier, which a sweep does not change, and
+    the blocks its equation's other terms read, so two units read the same
+    target when they read the same blocks of that equation and no unit
+    between them updates one; a term's product is read again while no unit
+    updates one of its blocks.  A target read again forms its offset
+    once."""
+    rebound = {}  # block -> units that have updated it so far
+    seen = {}     # (what, (block, rebound count) of its reads) -> times read
+    big = {e for e, _ in system.equations
+           if math.prod(system.eq_shape(e)) >= _KEEP_MIN}
+
+    def read(what, blocks):
+        key = (what, tuple((b, rebound.get(b, 0)) for b in blocks))
+        seen[key] = seen.get(key, 0) + 1
+        return key
+
+    def read_terms(e, terms):
+        return [(read(("term", id(t)), t.blocks()), t, e) for t in terms if t.product]
+
+    targets, terms = [], []
+    for focus, form in zip(foci, forms):
+        keys = []
+        if form is not None:
+            plan = form.plan
+            for e in [e for e in plan.eq_pieces if e in big]:
+                keys.append((e, read(("target", e), plan.eq_reads[e])))
+                if seen[keys[-1][1]] == 1:
+                    terms += read_terms(e, plan.frozen_terms[e])
+        targets.append(keys)
+        for b in focus:
+            rebound[b] = rebound.get(b, 0) + 1
+    for e, eq_terms in system.equations:
+        if e in big:
+            terms += read_terms(e, eq_terms)
+    kept = {}
+    for key, t, e in terms:
+        if seen[key] > 1:
+            kept[id(t)] = (system.eq_shape(e), max(seen[key], kept.get(id(t), (0, 0))[1]))
+    return [{e: seen[key] for e, key in keys if seen[key] > 1} for keys in targets], kept
+
+
 class _StepArrays:
     """The arrays of a step's phases past its units, taken from the scratch
     its problem's solve plans share (see ``system._Scratch``).
@@ -349,11 +409,17 @@ def _sq_norm(arrays) -> float:
     return sum(float(np.vdot(a, a)) for a in arrays)
 
 
+def _squared(residuals) -> list:
+    """Each of ``residuals`` with its squared norm."""
+    return [(r, float(np.vdot(r, r))) for r in residuals]
+
+
 def _al(problem: Problem, assignment: dict, multipliers: dict, rho: float,
         residuals=None) -> float:
-    """L at a point; ``residuals`` may pass ``evaluate``'s result for it.
-    Its arrays are the problem's scratch of L's phase (see
-    ``_StepArrays``); the inner products write none."""
+    """L at a point; ``residuals`` may pass, for it, each array of
+    ``evaluate``'s result with its squared norm.  Its arrays are the
+    problem's scratch of L's phase (see ``_StepArrays``); the inner
+    products write none."""
     arrays = problem._arrays()
     total = 0.0
     for block, t, out in arrays.al_terms:
@@ -362,10 +428,10 @@ def _al(problem: Problem, assignment: dict, multipliers: dict, rho: float,
             return math.inf
         total += v
     if residuals is None:
-        residuals = evaluate(problem.system, assignment, out=arrays.residual_out)
-    for eq_id, r in zip(problem.system.eq_ids, residuals):
+        residuals = _squared(evaluate(problem.system, assignment, out=arrays.residual_out))
+    for eq_id, (r, sq) in zip(problem.system.eq_ids, residuals):
         lin = float(np.vdot(multipliers[eq_id], r))
-        total += lin + 0.5 * rho * float(np.vdot(r, r))
+        total += lin + 0.5 * rho * sq
     return float(total)
 
 
@@ -384,21 +450,25 @@ def augmented_lagrangian(problem: Problem, state: SolverState) -> float:
 
 
 def _update_blocks(problem: Problem, focus: tuple, plan, assignment: dict,
-                   multipliers: dict, rho: float, block_steps: dict, steps: dict):
+                   multipliers: dict, rho: float, block_steps: dict, steps: dict,
+                   memo):
     """Minimize L exactly over one block, or jointly over a z component, in
     place in ``assignment``, recording each block's step norm, the step
-    written into the block's array of ``steps``.  ``plan`` is the unit's
-    solve plan, None for a custom updater, which belongs to a lone block
-    (see ``Problem``) and is looked up at each call."""
+    written into the block's array of ``steps``; each new value is bound
+    through ``memo``, the step's memo.  ``plan`` is the unit's solve plan,
+    None for a custom updater, which belongs to a lone block (see
+    ``Problem``), is looked up at each call and is handed read-only views
+    (a read-only result, one of them, is copied)."""
     if plan is None:
         block = focus[0]
         value = np.asarray(problem.custom_updaters[block.name](
-            problem, block, assignment, multipliers, rho), dtype=float)
+            problem, block, _read_only(assignment), _read_only(multipliers), rho),
+            dtype=float)
         if value.shape != block.shape:
             raise SubproblemError(
                 f"custom updater for {block.name!r} returned shape "
                 f"{value.shape}, declared {block.shape}", block=block.name)
-        new = [(block, value)]
+        new = [(block, value if value.flags.writeable else value.copy())]
     else:
         form = freeze(problem.system, focus, assignment)
         y0 = (np.concatenate([np.ravel(assignment[b]) for b in focus])
@@ -408,7 +478,7 @@ def _update_blocks(problem: Problem, focus: tuple, plan, assignment: dict,
     for b, value in new:
         change = np.subtract(value, assignment[b], out=steps[b.name])
         block_steps[b.name] = float(np.linalg.norm(change))
-        assignment[b] = value
+        memo.rebind(assignment, b, value)
 
 
 def _stationarity(problem: Problem, assignment: dict, multipliers: dict):
@@ -439,17 +509,28 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
 
     check_argmin re-evaluates L after every block update and records a
     Violation when it rose by more than 1e-9 * (1 + |L|) (exact minimization
-    over one block can never increase L).  The step keeps the Fourier
-    spectra of its block values and multipliers, their convolutions, and
-    the convolution targets built from its values and old multipliers,
-    until it returns (see system.spectrum_memo).
+    over one block can never increase L).
+
+    Products: the step forms each product of its block values and
+    multipliers that it reads twice once, and reads it again from its memo
+    (see system.step_memo): the spectra and convolutions of the Fourier
+    pieces, the targets two units read (rho * offset - W: nmf3's Y and X
+    units share their target of Z = X Y), the product terms that an offset
+    and ``evaluate`` both read (nmf3's X Y), and the residuals of the
+    ``Quadratic`` terms, which L and the stationarity estimate both read.
+    Which targets and terms recur is read from the structure when the
+    Problem is built, so a step where none recurs consults the memo for
+    none.  A kept product is read-only and is never handed out once a
+    block or multiplier it read is rebound.
 
     Memory: every array that dies inside the step lives in scratch that
-    ``problem`` allocated once and reuses at every later step, so one
+    ``problem`` allocated once and reuses at every later step, or, for a
+    kept product, in an array the Problem keeps for the memo, so one
     Problem runs one step at a time.  The primal and dual norms and L's
-    inner products are read from each equation's residual in place, and
-    each new multiplier is written as rho * r into its own array, then W
-    added to it.  Nothing the step returns aliases that scratch.  A new
+    inner products are read from each equation's residual in place, its
+    squared norm once for the primal norm and L both, and each new
+    multiplier is written as rho * r into its own array, then W added to
+    it.  Nothing the step returns aliases that scratch.  A new
     block value or multiplier is an array that nothing else holds: a new
     one, or one of an old state that nothing holds any more (see
     ``system._output``), so a state the caller keeps never changes.
@@ -480,11 +561,12 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
                                         tol, f"L rose while updating {label}"))
         L_track = L_now
 
-    with spectrum_memo(assignment, multipliers, mults_new):
+    with step_memo(assignment, multipliers, mults_new, kept=problem._kept,
+                   terms=problem._kept_terms) as memo:
         try:
             for focus, plan in problem._units:
                 _update_blocks(problem, focus, plan, assignment, multipliers,
-                               rho, block_steps, arrays.blocks)
+                               rho, block_steps, arrays.blocks, memo)
                 if check_argmin and focus[0].role == ROLE_X:
                     _argmin_check(repr(focus[0].name))
             if check_argmin and problem.z_order:
@@ -494,14 +576,14 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
                 exc.k = k_next
             raise
 
-        residuals = evaluate(system, assignment, out=arrays.residual_out)
-        primal = math.sqrt(_sq_norm(residuals))
+        residuals = _squared(evaluate(system, assignment, out=arrays.residual_out))
+        primal = math.sqrt(sum(sq for _, sq in residuals))
         dual_sq = 0.0
-        for eq_id, r, kept in zip(system.eq_ids, residuals, problem._mults_kept):
+        for eq_id, (r, _), kept in zip(system.eq_ids, residuals, problem._mults_kept):
             # rho * r, then W added to it: the bits of W + rho * r.
             delta = np.multiply(r, rho, out=_output(kept, r.shape))
             dual_sq += float(np.vdot(delta, delta))
-            mults_new[eq_id] = np.add(delta, multipliers[eq_id], out=delta)
+            memo.rebind(mults_new, eq_id, np.add(delta, multipliers[eq_id], out=delta))
         L_new = _al(problem, assignment, mults_new, rho, residuals)
         _, stat = _stationarity(problem, assignment, mults_new)
     new_state = SolverState(assignment, mults_new, rho, k_next)

@@ -49,24 +49,33 @@ the piece's type.  :func:`block_adjoints` takes ``C'_b^T W`` for every block
 at once by freezing each term with its own blocks as the focus.
 
 Convolutions go through the Fourier domain.  Every zero-padded ``rfft2`` is
-taken by :func:`_spectrum`, into one fresh array, and every inverse by
-:func:`_irfft2`, which consumes a spectrum its caller owns: it runs ``ifft``
-over the rows in place and ``irfft`` over the columns, into ``out`` or one
-fresh array.  Inside :func:`spectrum_memo`, which ``solver.step`` opens while
-it runs, the spectrum of an array that is a current block value or an old or
-new multiplier of that step is computed once per array object and shape,
-``circ_conv2`` of a kernel and a signal that are both such arrays once per
-pair, and :meth:`FrozenLinearForm.conv_target`, the target a convolution
-piece is fitted to together with its spectrum, once per equation, rho and
-set of such arrays it is built from, so the kernel and signal updates of a
-step build and transform their common target once.  All three kinds live
-in one table, keyed by kind, and are reused while the step holds those
-arrays; every memoised product is handed out read-only.  An entry is
-dropped once the step no longer holds its arrays and the memo keeps
-another, and at the latest when the step returns.  The memo holds a
-reference to each array it has keyed, so no id is reused.  Outside a step
-every call transforms afresh.  Reuse relies on no array of the step being
-modified in place while the step runs.
+taken by :func:`_spectrum` and every inverse by :func:`_irfft2`, which
+consumes a spectrum its caller owns: it runs ``ifft`` over the rows in place
+and ``irfft`` over the columns, into ``out`` or one fresh array.
+
+Inside :func:`step_memo`, which ``solver.step`` opens while it runs, each
+product of the step's values that the step reads more than once is formed
+once: the spectrum of an array, ``circ_conv2`` of a kernel and a signal, an
+equation's target rho * offset - W (:meth:`FrozenLinearForm.target`, and
+``conv_target`` with its spectrum, which the kernel and signal updates
+share), a product term that an offset and ``evaluate`` both read, and
+``prox.Quadratic``'s residual, which L and the stationarity estimate both
+read.  All live in one table under one keying rule: the kind, its
+parameters and the identities of the arrays read, which must all be held
+by the step (a block value, an old or new multiplier, or a read-only view
+of one handed to a custom updater).  Every kept product is read-only.  The
+step rebinds a value only through the memo, so nothing read from the old
+value is handed out again; such an entry is dropped when its arrays are
+wanted for a new product, and every entry when the step returns.  The memo
+holds a reference to each array it has keyed, so no id is reused.  Kept
+products are written into arrays their ``solver.Problem`` owns, outside
+:class:`_Scratch` and up to two per shape (see :func:`_output`), so a
+steady step that keeps at most two of a shape at once allocates none for
+them (nmf3 keeps one at a time).  Targets and product
+terms are consulted only where the ``Problem`` found, when it was built,
+that they recur within a sweep, and targets, terms and residuals only from
+``_KEEP_MIN`` entries up; outside a step every call forms afresh.  Reuse
+relies on no held array being written in place while the step runs.
 
 A step allocates no array that dies inside it.  It passes ``out`` to
 ``evaluate``, ``FrozenLinearForm.offset_for`` and ``block_adjoints``, and
@@ -82,7 +91,6 @@ from __future__ import annotations
 
 import math
 import sys
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from numbers import Real
@@ -139,11 +147,15 @@ class _Term:
     block value), so treat it as read-only.  A type whose value is a product
     writes it into ``out``, an array of its shape that the caller may
     overwrite, when one is given; the others leave ``out`` alone.
+    ``product`` tells whether the value is a product of block values that
+    ``unsigned`` writes into ``out``, which the step memo may keep.
     ``blocks()`` (in occurrence order) and
     ``pieces(focus, values, eq_id)`` (a frozen piece per occurrence of a
     block in ``focus``) default to none, as for a constant.  ``values`` is
     None for a term of one block: its pieces read no value, are ``fixed``,
     and are built once per system (see :func:`_term_index`)."""
+
+    product = False
 
     def blocks(self) -> tuple:
         return ()
@@ -177,6 +189,10 @@ class MatChain(_Term):
 
     def blocks(self) -> tuple:
         return tuple(f for f in self.factors if isinstance(f, BlockId))
+
+    @property
+    def product(self) -> bool:
+        return len(self.factors) > 1 and bool(self.blocks())
 
     def out_shape(self, eq_id: int) -> tuple:
         if not self.factors:
@@ -218,6 +234,10 @@ class HadamardPair(_Term):
 
     def blocks(self) -> tuple:
         return (self.left, self.right)
+
+    @property
+    def product(self) -> bool:
+        return self.post is None
 
     def out_shape(self, eq_id: int) -> tuple:
         if self.left.shape != self.right.shape:
@@ -332,83 +352,183 @@ class Constant(_Term):
         return self.value
 
 
-# (sources, table) while a step runs: sources are the step's dicts of block
-# values and old and new multipliers, and the table maps a key tagged by kind
-# to (the arrays it was built from..., value): ("spectrum", id, shape) to a
-# spectrum, ("conv", kernel id, signal id) to a convolution and ("target",
-# ...) (see FrozenLinearForm.conv_target) to (target, spectrum).
-_SPECTRA = ContextVar("madmm_spectra", default=None)
+# The memo that step_memo opens, or None.
+_MEMO = ContextVar("madmm_memo", default=None)
+
+# The fewest entries of a target, product term or Quadratic residual that a
+# step keeps: below it a lookup costs more than the passes it spares.
+_KEEP_MIN = 4096
 
 
-@contextmanager
-def spectrum_memo(*sources):
-    """Reuse spectra, convolutions and convolution targets of the arrays
-    held in ``sources`` until the block exits.
+class _StepMemo:
+    """The products of one step's values, each formed once (see
+    :func:`step_memo`).
 
-    ``sources`` are dicts whose values are arrays.  An array's spectrum is
-    memoised when the array is one of their values at the time the spectrum
-    is first taken, ``circ_conv2(kernel, signal)`` when both arguments are,
-    and a convolution piece's target with its spectrum
-    (:meth:`FrozenLinearForm.conv_target`) when every array it was built
-    from is, so the dicts may gain or rebind entries while the memo is open.
-    An entry is dropped, when the next entry of any kind is kept, once the
-    sources no longer hold its arrays.  Every memoised product is handed out
-    read-only.
+    ``held`` maps the id of every array the step holds, and of every
+    read-only view of one that :func:`_read_only` made, to (that object,
+    which it keeps alive so that no other object takes its id, the array);
+    it is read from ``sources`` on the first call that needs it, and then
+    kept by ``rebind``.  ``table`` maps a key (see
+    :meth:`product`) to [the held arrays read, the product, the reads
+    left or None].  ``kept`` holds the arrays products are written into,
+    by (shape, dtype), and ``terms`` maps the id of each product term to
+    keep to (its shape, its reads)."""
+
+    def __init__(self, sources, kept, terms):
+        self.sources = sources
+        self.kept = kept
+        self.terms = terms
+        self.held = None
+        self.table = {}
+
+    def __enter__(self) -> "_StepMemo":
+        self._token = _MEMO.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _MEMO.reset(self._token)
+        self.table.clear()
+
+    def _held(self) -> dict:
+        if self.held is None:
+            self.held = {id(v): (v, v) for d in self.sources for v in d.values()}
+        return self.held
+
+    def rebind(self, source, key, value) -> None:
+        """``source[key] = value`` for one of the sources: the old value is
+        no longer held, so no product read from it is handed out again."""
+        if self.held is not None:
+            old = source.get(key)
+            if old is not None:
+                self.held.pop(id(old), None)
+            self.held[id(value)] = (value, value)
+        source[key] = value
+
+    def alias(self, view, array) -> None:
+        """Hold ``view`` as ``array`` when ``array`` is held."""
+        held = self._held()
+        if id(array) in held:
+            held[id(view)] = (view, held[id(array)][1])
+
+    def product(self, key, arrays, specs, build, reads=None):
+        """``build(outs)``, kept under ``key`` and the ids of the held
+        arrays ``arrays`` are, or stand for, when every one is held; else
+        built afresh (see :func:`_fresh`).  ``specs`` gives the (shape,
+        dtype) of each array ``outs`` passes to be written into; a product
+        that ``build`` returns in arrays of its own (a map that hands back
+        its input, say) is not kept, so the memo marks read-only only the
+        arrays it owns.  A product whose ``reads`` are given is dropped at
+        its last read, so its array is free again once that reader lets go
+        of it."""
+        held = self.held or self._held()
+        bases = []
+        for a in arrays:
+            entry = held.get(id(a))
+            if entry is None:
+                return build(_fresh(specs))
+            bases.append(entry[1])
+        key = (*key, *map(id, bases))
+        hit = self.table.get(key)
+        if hit is not None:
+            if hit[2] is not None:
+                hit[2] -= 1
+                if not hit[2]:
+                    del self.table[key]
+            return hit[1]
+        outs = [self._storage(shape, dtype) for shape, dtype in specs]
+        value = build(outs)
+        if any(a is not out for a, out in
+               zip(value if isinstance(value, tuple) else (value,), outs)):
+            return value
+        for out in outs:
+            out.flags.writeable = False
+        self.table[key] = [bases, value, None if reads is None else reads - 1]
+        return value
+
+    def _storage(self, shape, dtype) -> np.ndarray:
+        """A view of an array of ``shape`` from ``kept`` (see
+        :func:`_output`), taken once the entries read from arrays no longer
+        held are dropped, which frees their arrays.  :meth:`product` marks
+        the view read-only, and the array stays writeable for a later
+        product."""
+        held = self.held
+        for key in [key for key, (bases, *_) in self.table.items()
+                    if not all(id(b) in held for b in bases)]:
+            del self.table[key]
+        return _output(self.kept.setdefault((shape, dtype), []), shape, dtype).view()
+
+
+def step_memo(*sources, kept=None, terms=None) -> "_StepMemo":
+    """Form each product of the arrays held in ``sources`` once while the
+    returned memo is open as a context manager (``with step_memo(...) as
+    memo``).
+
+    ``sources`` are dicts whose values are arrays: a step's block values
+    and its old and new multipliers.  A product is kept under its kind, its
+    parameters and the identities of the held arrays it reads, when every
+    one of those is held, and handed out read-only; anything else is formed
+    afresh at every call.  The kinds: the spectrum of an array
+    (:func:`_spectrum`), ``circ_conv2`` of two, an equation's target
+    (:meth:`FrozenLinearForm.target` and ``conv_target``), a product term
+    whose id ``terms`` maps to its shape, and ``prox.Quadratic``'s residual.
+    A value rebound through the memo's ``rebind`` is no longer held, so
+    what was read from it is never handed out again; such entries are
+    dropped once their arrays are wanted, and all when the memo closes.
+    Products are written into arrays of ``kept``, a dict a ``solver.Problem``
+    owns and passes at every step, so a steady step allocates none; without
+    it, the memo's own.  Reuse relies on no held array being written in
+    place while the memo is open.
     """
-    token = _SPECTRA.set((sources, {}))
-    try:
-        yield
-    finally:
-        _SPECTRA.reset(token)
+    return _StepMemo(sources, {} if kept is None else kept, terms or {})
 
 
-def _recall(key):
-    """The memoised value under ``key``, or None."""
-    memo = _SPECTRA.get()
-    hit = None if memo is None else memo[1].get(key)
-    return None if hit is None else hit[-1]
+def _fresh(specs) -> list:
+    """New arrays of the (shape, dtype) ``specs``, for a product the memo
+    does not keep: its caller owns them."""
+    return [np.empty(shape, dtype) for shape, dtype in specs]
 
 
-def _keep(key, arrays, value) -> None:
-    """Memoise ``value``, an array or a tuple of arrays, and mark it
-    read-only when the open memo's sources hold all ``arrays``; first drop
-    the entries whose arrays they no longer hold."""
-    memo = _SPECTRA.get()
+def _kept(key, arrays, specs, build, reads=None):
+    """:meth:`_StepMemo.product` in the open memo; outside one,
+    ``build(_fresh(specs))``."""
+    memo = _MEMO.get()
     if memo is None:
-        return
-    sources, table = memo
-    held = {id(v) for d in sources for v in d.values()}
-    if not all(id(a) in held for a in arrays):
-        return
-    for old in [k for k, entry in table.items()
-                if not all(id(a) in held for a in entry[:-1])]:
-        del table[old]
-    for a in value if isinstance(value, tuple) else (value,):
-        a.flags.writeable = False
-    table[key] = (*arrays, value)
+        return build(_fresh(specs))
+    return memo.product(key, arrays, specs, build, reads)
+
+
+def _read_only(source: dict) -> dict:
+    """A new dict of read-only views of ``source``'s arrays, each held by
+    the open memo as its array."""
+    memo = _MEMO.get()
+    views = {}
+    for key, value in source.items():
+        view = np.asarray(value).view()
+        view.flags.writeable = False
+        if memo is not None:
+            memo.alias(view, value)
+        views[key] = view
+    return views
+
+
+def _half(shape) -> tuple:
+    """The shape of the ``rfft2`` of an array of ``shape``."""
+    return (shape[0], shape[1] // 2 + 1)
 
 
 def _spectrum(a: np.ndarray, shape: tuple) -> np.ndarray:
-    """``rfft2`` of ``a`` zero-padded to ``shape``, origin at index (0, 0).
+    """``rfft2`` of ``a`` zero-padded to ``shape``, origin at index (0, 0);
+    kept by the open memo (see :func:`step_memo`)."""
 
-    Inside :func:`spectrum_memo` the result for an array held by its sources
-    is kept, read-only, and returned again for the same array object and
-    shape while the sources hold it; anything else is transformed on every
-    call.
-    """
-    key = ("spectrum", id(a), shape)
-    spec = _recall(key)
-    if spec is not None:
-        return spec
-    if a.shape == shape:
-        padded = a
-    else:
-        padded = np.zeros(shape)
-        padded[: a.shape[0], : a.shape[1]] = a
-    spec = np.fft.rfft2(padded,
-                        out=np.empty((shape[0], shape[1] // 2 + 1), complex))
-    _keep(key, (a,), spec)
-    return spec
+    def build(into):
+        if a.shape == shape:
+            padded = a
+        else:
+            padded = np.zeros(shape)
+            padded[: a.shape[0], : a.shape[1]] = a
+        return np.fft.rfft2(padded, out=into[0])
+
+    return _kept(("spectrum", shape), [a], [(_half(shape), complex)], build)
 
 
 def _irfft2(spec: np.ndarray, shape: tuple, out=None) -> np.ndarray:
@@ -423,21 +543,14 @@ def _irfft2(spec: np.ndarray, shape: tuple, out=None) -> np.ndarray:
 
 
 def circ_conv2(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
-    """Circular 2-D convolution of a (possibly smaller) kernel with a signal.
-
-    Inside :func:`spectrum_memo`, when both arrays are held by its sources,
-    the result is computed once per pair and handed out read-only.
-    """
+    """Circular 2-D convolution of a (possibly smaller) kernel with a signal;
+    kept by the open memo (see :func:`step_memo`)."""
     kernel = np.asarray(kernel, dtype=float)
     signal = np.asarray(signal, dtype=float)
-    key = ("conv", id(kernel), id(signal))
-    out = _recall(key)
-    if out is not None:
-        return out
-    out = _irfft2(_spectrum(kernel, signal.shape) * _spectrum(signal, signal.shape),
-                  signal.shape)
-    _keep(key, (kernel, signal), out)
-    return out
+    shape = signal.shape
+    return _kept(("conv",), [kernel, signal], [(shape, float)],
+                 lambda into: _irfft2(_spectrum(kernel, shape) * _spectrum(signal, shape),
+                                      shape, out=into[0]))
 
 
 def _conv_adjoint_signal(kernel: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -586,11 +699,20 @@ def _sum_terms(terms, values, flip, out):
     """flip times the signed sum of ``terms`` at ``values``, None for no
     terms.  ``out`` is None, or a pair (sum, term) of arrays of the sum's
     shape that the call overwrites: the sum is written into the first, and
-    each product after the first (see ``_Term``) into the second."""
+    each product after the first (see ``_Term``) into the second, but for
+    the products of the terms the open step memo keeps, which are its."""
     total, scratch = (None, None) if out is None else out
+    memo = _MEMO.get()
+    kept = None if memo is None else memo.terms
     acc = None
     for term in terms:
-        value = _eval_term(term, values, out=total if acc is None else scratch)
+        if kept and id(term) in kept:
+            shape, reads = kept[id(term)]
+            value = memo.product(
+                ("term", id(term)), [_value_of(values, b) for b in term.blocks()],
+                [(shape, float)], lambda into: _eval_term(term, values, into[0]), reads)
+        else:
+            value = _eval_term(term, values, total if acc is None else scratch)
         acc = _accumulate(acc, flip * term.sign, value, total)
     return acc
 
@@ -651,9 +773,9 @@ def _first_count(arrays) -> int:
 _ALONE = _first_count([np.empty(0)])
 
 
-def _output(kept: list, shape) -> np.ndarray:
-    """A float array of ``shape`` for a value that a step returns: the first
-    of ``kept`` that nothing but ``kept`` holds, else a new one, which
+def _output(kept: list, shape, dtype=float) -> np.ndarray:
+    """An array of ``shape`` for a value that a step returns or keeps: the
+    first of ``kept`` that nothing but ``kept`` holds, else a new one, which
     ``kept`` takes while it holds fewer than two.
 
     Whatever holds an array, a state, a view of it or a memoryview, keeps it
@@ -664,7 +786,7 @@ def _output(kept: list, shape) -> np.ndarray:
     for a in kept:
         if sys.getrefcount(a) == _ALONE:
             return a
-    a = np.empty(shape)
+    a = np.empty(shape, dtype)
     if len(kept) < 2:
         kept.append(a)
     return a
@@ -913,31 +1035,57 @@ class FrozenLinearForm:
             off = _zeros(self.plan.eq_shapes[eq_id], None if out is None else out[0])
         return off
 
+    def target(self, eq_id, multipliers, rho, reads, out=None):
+        """rho * offset_for(eq_id) - W, W the equation's multiplier: what
+        the image of the focus is fitted to in its subproblem, scaled by
+        rho, for an equation whose target ``reads`` foci read at the same
+        values.  ``out`` is a (sum, term) pair for the offset, as for
+        ``offset_for``.
+
+        Inside :func:`step_memo` the target is kept, handed out read-only
+        and dropped at its last read, when the memo holds W and every value
+        the equation's other terms read: another focus of the equation,
+        frozen at the same values, reads it instead of building it again
+        (the other terms are the same, as different ones would read
+        different blocks).  Every other call builds it into a new array.
+        """
+
+        def build(into):
+            target = np.multiply(self.offset_for(eq_id, out=out), rho, out=into[0])
+            target -= multipliers[eq_id]
+            return target
+
+        return _kept(self._target_key(eq_id, rho, None),
+                     [multipliers[eq_id], *self._offset_values(eq_id)],
+                     [(self.plan.eq_shapes[eq_id], float)], build, reads)
+
     def conv_target(self, piece, multipliers, rho):
         """``(target, its rfft2)`` for a convolution piece, where target =
         sign * (offset_for(eq) - W / rho) is what the piece's image is
-        fitted to in the block's subproblem.
-
-        Inside :func:`spectrum_memo` the pair is kept, and handed out
-        read-only, when the memo's sources hold W and every value the
-        equation's other terms read; it is keyed by the equation, rho, the
-        sign and those arrays, so another focus of the same equation,
-        frozen at the same values, reads it instead of building and
-        transforming it again.  Every other call builds and transforms
-        afresh.
-        """
+        fitted to in the block's subproblem.  Kept, keyed by the sign too,
+        as :meth:`target` keeps its target, so the kernel and the signal
+        focus of one equation build and transform it once."""
         eq_id = piece.eq_id
         w = multipliers[eq_id]
-        blocks = self.plan.eq_reads[eq_id]
-        reads = [self._values[b] for b in blocks]
-        key = ("target", eq_id, rho, piece.sign, id(w),
-               *((b.name, id(v)) for b, v in zip(blocks, reads)))
-        pair = _recall(key)
-        if pair is None:
-            target = piece.sign * (self.offset_for(eq_id) - w / rho)
-            pair = (target, _spectrum(target, target.shape))
-            _keep(key, (w, *reads), pair)
-        return pair
+        shape = self.plan.eq_shapes[eq_id]
+
+        def build(into):
+            target = np.multiply(self.offset_for(eq_id) - w / rho, piece.sign,
+                                 out=into[0])
+            return target, np.fft.rfft2(target, out=into[1])
+
+        return _kept(self._target_key(eq_id, rho, piece.sign),
+                     [w, *self._offset_values(eq_id)],
+                     [(shape, float), (_half(shape), complex)], build)
+
+    def _target_key(self, eq_id, rho, sign) -> tuple:
+        """A target's key in the memo: the blocks its terms read name those
+        terms, whatever arrays the blocks hold."""
+        return ("target", eq_id, rho, sign, self.plan.eq_reads[eq_id])
+
+    def _offset_values(self, eq_id) -> list:
+        """The values the equation's terms outside the focus read."""
+        return [self._values[b] for b in self.plan.eq_reads[eq_id]]
 
     def _vector(self, v, n: int, what: str) -> np.ndarray:
         """``v`` read row-major as a flat float vector of length ``n``."""

@@ -1188,6 +1188,147 @@ def test_no_kept_state_aliases_the_step_scratch(name):
     assert [(t.L, t.primal_res) for t in plain] == [(t.L, t.primal_res) for t in checked]
 
 
+def _keep_every_product(monkeypatch):
+    # Lower the floor under which a step forms a product again rather than
+    # keeping it, so that the desk-size instances keep every target,
+    # product term and Quadratic residual that recurs within a step.
+    import madmm.prox as prox_mod
+    import madmm.solver as solver_mod
+
+    for mod in (prox_mod, solver_mod):
+        monkeypatch.setattr(mod, "_KEEP_MIN", 1)
+
+
+def _trace_values(tr):
+    return (tr.k, tr.L, tr.primal_res, tr.dual_step, tr.block_steps, tr.stat_est)
+
+
+@pytest.mark.parametrize("keep", ["large", "all"])
+@pytest.mark.parametrize("name", zoo.zoo_names())
+def test_in_step_values_match_out_of_step_values(name, keep, monkeypatch):
+    # L and stat_est are read from products the step memo keeps, so a
+    # stale one would part them from the same figures taken afresh on the
+    # returned state.  check_argmin evaluates L mid-sweep, at values the
+    # sweep then changes, so it must leave the step's bytes alone.  dl3's
+    # Quadratic(50, center=B) scales its residual in its gradient, which
+    # must never scale the kept one.
+    from madmm.diagnostics import stationarity
+
+    if keep == "all":
+        _keep_every_product(monkeypatch)
+    inst = zoo.default_instance(name, 0)
+    problem = inst.problem
+    state, _, _ = solve(problem, max_iter=2, init=inst.init)
+    for _ in range(4):
+        new, tr = step(problem, state)
+        checked, tr_checked = step(problem, state, check_argmin=True)
+        assert _state_bytes(checked) == _state_bytes(new)
+        assert _trace_values(tr_checked) == _trace_values(tr)
+        assert tr.L == augmented_lagrangian(problem, new)
+        assert tr.stat_est == stationarity(problem, new).aggregate
+        state = new
+
+
+def _nmf_with_updater(name, fn):
+    clean = zoo.nmf3(zoo.gen_nmf_data(6, 5, 2, seed=0)[0], 2).problem
+    return Problem(clean.system, clean.objective, custom_updaters={name: fn},
+                   metadata=clean.metadata)
+
+
+def test_custom_updater_is_handed_read_only_views():
+    # The step keeps products keyed by the arrays it holds, so an updater
+    # that wrote into one would make later reads of them stale: the views
+    # it is handed refuse the write, and the kept state stays as it was.
+    def project(problem, block, assignment, multipliers, rho):
+        y = assignment[problem._resolve("Y")]
+        return np.maximum(y - multipliers[2] / rho, 0.0)
+
+    writes = {
+        "another block": lambda a, w: a.__getitem__("X").fill(0.0),
+        "its own block": lambda a, w: a.__getitem__("Y_pos").__imul__(2.0),
+        "a multiplier": lambda a, w: w[0].__iadd__(1.0),
+    }
+    for what, write in writes.items():
+        def updater(problem, block, assignment, multipliers, rho, write=write):
+            write({b.name: v for b, v in assignment.items()}, multipliers)
+            return project(problem, block, assignment, multipliers, rho)
+
+        problem = _nmf_with_updater("Y_pos", updater)
+        state, _, _ = solve(problem, rho=2.0, max_iter=0)
+        before = _state_bytes(state)
+        with pytest.raises(ValueError, match="read-only"):
+            step(problem, state)
+        assert _state_bytes(state) == before, what
+    # An updater that returns its input unchanged still runs, and the value
+    # the step stores is the caller's to write.
+    problem = _nmf_with_updater(
+        "Y_pos", lambda problem, block, assignment, multipliers, rho: assignment[block])
+    state, _, _ = solve(problem, rho=2.0, max_iter=0)
+    new, tr = step(problem, state)
+    y_pos = problem._resolve("Y_pos")
+    assert tr.block_steps["Y_pos"] == 0.0
+    assert new.assignment[y_pos].tobytes() == state.assignment[y_pos].tobytes()
+    assert new.assignment[y_pos].flags.writeable
+    assert not np.shares_memory(new.assignment[y_pos], state.assignment[y_pos])
+    # Each call gets dicts of its own: a rebinding in one reaches neither
+    # the step nor the next call.
+    handed = []
+
+    def rebinding(problem, block, assignment, multipliers, rho):
+        handed.append((assignment, multipliers))
+        out = project(problem, block, assignment, multipliers, rho)
+        assignment.clear()
+        multipliers.clear()
+        return out
+
+    problem, plain = (_nmf_with_updater("Y_pos", fn) for fn in (rebinding, project))
+    state, _, _ = solve(problem, rho=2.0, max_iter=0)
+    one, _ = step(problem, state)
+    two, _ = step(problem, one)
+    assert _state_bytes(two) == _state_bytes(step(plain, step(plain, state)[0])[0])
+    assert handed[0][0] is not handed[1][0] and handed[0][1] is not handed[1][1]
+
+
+def test_steady_nmf_step_forms_each_repeated_product_once(monkeypatch):
+    # Per steady nmf3 step: X Y feeds Z's offset and evaluate, Z - B feeds L
+    # and the stationarity estimate, and the Y and X units fit the same
+    # equation-0 target; each is formed once (X_rem's and Y_rem's
+    # residuals are the blocks themselves, formed never).  The counts read
+    # the structure alone for a product of at least system._KEEP_MIN
+    # entries.
+    import collections
+
+    import madmm.prox as prox_mod
+    import madmm.system as system_mod
+
+    n = 72
+    assert n * n >= system_mod._KEEP_MIN
+    problem = zoo.nmf3(zoo.gen_nmf_data(n, n, 4, seed=0)[0], 4).problem
+    state, _, _ = solve(problem, max_iter=3)
+    counts = collections.Counter()
+
+    def counted(cls, name, label):
+        fn = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            counts[label(*args)] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(MatChain, "unsigned", lambda chain, *_: f"chain of {len(chain.factors)}")
+    counted(prox_mod.Quadratic, "_residual",
+            lambda term, *_: "x itself" if term.center is None else "residual")
+    counted(system_mod.FrozenLinearForm, "offset_for", lambda _, e, *__: f"offset {e}")
+    step(problem, state)
+    assert counts["chain of 2"] == 1
+    assert counts["residual"] == 1
+    assert counts["offset 0"] == 2
+    # The three products live one after another in one array of the
+    # Problem's.
+    assert [len(arrays) for arrays in problem._kept.values()] == [1]
+
+
 def test_steady_nmf_step_faults_in_no_pages():
     # The step's temporaries live in scratch its Problem reuses, and its new
     # values go into the arrays of states nothing holds any more, so a

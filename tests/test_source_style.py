@@ -7,7 +7,8 @@ attribute that a private class stores on ``self`` and that nothing in
 ``src/madmm`` reads (by its name, on any object), and no line over 99
 columns in ``src/madmm``.  ``__init__.py`` imports only to re-export, so it
 is exempt from the unused checks; its imports are what names the public
-API."""
+API.  Only the step memo's helpers in ``system.py`` may hold a context
+variable or mark an array read-only."""
 
 import ast
 from pathlib import Path
@@ -106,6 +107,55 @@ def test_source_style(path):
                      for line, qual, name in _private_members(tree) if name not in NAMED]
         problems += [f"{path.name}:{line}: nothing in src/madmm reads {qual!r}"
                      for line, qual, name in _private_fields(tree) if name not in READ]
+    assert not problems, "\n".join(problems)
+
+
+# The step memo's helpers in system.py, the only code that may hold a
+# context variable or mark an array read-only: the library keeps one memo,
+# under one keying rule, and no second cache grows beside it.
+MEMO_HELPERS = {"_MEMO", "_StepMemo", "step_memo", "_kept", "_read_only"}
+
+
+def _owner(node):
+    """The name of a module-level statement, "import" for an import."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return "import"
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.Assign):
+        return ", ".join(t.id for t in node.targets if isinstance(t, ast.Name))
+    return None
+
+
+def _memo_uses(tree):
+    """(line, owner, what) of each use of ``ContextVar`` or ``contextvars``
+    (a name, an attribute or an import), and each ``flags.writeable = False``
+    or ``setflags(write=False)``, under the module-level statement that
+    ``_owner`` names."""
+    for top in tree.body:
+        owner = _owner(top)
+        for n in ast.walk(top):
+            names = ([n.id] if isinstance(n, ast.Name)
+                     else [n.attr] if isinstance(n, ast.Attribute)
+                     else n.name.split(".") if isinstance(n, ast.alias) else [])
+            if {"ContextVar", "contextvars"}.intersection(names):
+                yield getattr(n, "lineno", top.lineno), owner, "ContextVar"
+            if (isinstance(n, ast.Assign) and isinstance(n.value, ast.Constant)
+                    and n.value.value is False
+                    and any(isinstance(t, ast.Attribute) and t.attr == "writeable"
+                            for t in n.targets)):
+                yield n.lineno, owner, "flags.writeable = False"
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "setflags"):
+                yield n.lineno, owner, "setflags"
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_only_the_step_memo_keeps_context_or_marks_arrays_read_only(path):
+    allowed = MEMO_HELPERS | {"import"} if path.name == "system.py" else set()
+    problems = [f"{path.name}:{line}: {what} in {owner!r}, outside the step memo"
+                for line, owner, what in _memo_uses(ast.parse(path.read_text()))
+                if owner not in allowed]
     assert not problems, "\n".join(problems)
 
 

@@ -22,7 +22,7 @@ from madmm import prox, solver, zoo
 from madmm.operators import LinearOp
 from madmm.prox import Quadratic
 from madmm.system import (_ConvKernelPiece, _ConvSignalPiece, _term_index,
-                          block_adjoints, spectrum_memo)
+                          block_adjoints, step_memo)
 
 
 def _fd_jacobian(system, assignment, block, h=1e-6):
@@ -301,7 +301,7 @@ def test_conv_pieces_adjoint_and_memo_agree(k0, k1, extra0, extra1, seed):
         rhs = float(np.ravel(y) @ back)
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
         offset = form.offset_for(0)
-        with spectrum_memo(point, mults):
+        with step_memo(point, mults):
             for _ in range(2):
                 inside = freeze(system, block, point)
                 assert np.array_equal(inside.apply(y), applied)
@@ -324,7 +324,7 @@ def test_spectrum_memo_keeps_a_spectrum_per_array():
     rng = np.random.default_rng(13)
     held = {name: rng.standard_normal(shape) for name, shape in
             (("k1", (2, 2)), ("k2", (2, 2)), ("s1", (4, 4)), ("s2", (4, 4)))}
-    with spectrum_memo(held):
+    with step_memo(held):
         for _ in range(2):
             for k in ("k1", "k2"):
                 for s in ("s1", "s2"):
@@ -336,7 +336,7 @@ def test_spectrum_memo_keeps_a_spectrum_per_array():
 def test_memoised_convolution_is_read_only():
     rng = np.random.default_rng(14)
     held = {"k": rng.standard_normal((2, 3)), "s": rng.standard_normal((5, 4))}
-    with spectrum_memo(held):
+    with step_memo(held):
         first = circ_conv2(held["k"], held["s"])
         assert circ_conv2(held["k"], held["s"]) is first
         with pytest.raises(ValueError):
@@ -352,7 +352,7 @@ def test_every_memoised_product_is_read_only():
     point = _gaussian_assignment(system, 19)
     rng = np.random.default_rng(19)
     mults = {0: rng.standard_normal((5, 4))}
-    with spectrum_memo(point, mults):
+    with step_memo(point, mults):
         spec = _spectrum(point[a], (5, 4))
         assert _spectrum(point[a], (5, 4)) is spec
         conv = circ_conv2(point[a], point[xs])
@@ -364,21 +364,44 @@ def test_every_memoised_product_is_read_only():
         assert _spectrum(rng.standard_normal((5, 4)), (5, 4)).flags.writeable
 
 
-def test_spectrum_memo_drops_arrays_no_longer_held():
-    import madmm.system as system_mod
+def test_memo_never_marks_an_array_it_does_not_own_read_only():
+    # A map that hands back its input makes a Quadratic's residual the
+    # block value itself: the memo keeps only what it wrote into its own
+    # arrays, so the held value stays its owner's to write.
+    class Passthrough(LinearOp):
+        def apply(self, x):
+            return x
 
+        def adjoint(self, w):
+            return w
+
+    shape = (64, 64)
+    held = {"x": np.random.default_rng(20).standard_normal(shape)}
+    term = Quadratic(2.0, linear_map=Passthrough(shape, shape))
+    with step_memo(held):
+        first = term.value(held["x"], out=np.empty(shape))
+        assert term.value(held["x"], out=np.empty(shape)) == first
+        assert held["x"].flags.writeable
+    assert first == float(np.vdot(held["x"], held["x"]))
+
+
+def test_spectrum_memo_drops_arrays_no_longer_held():
+    # A value rebound through the memo is no longer held: what was read
+    # from it is never handed out again, and is dropped once its arrays
+    # are wanted for a new product.
     rng = np.random.default_rng(16)
     held = {"k": rng.standard_normal((2, 2)), "s": rng.standard_normal((5, 4))}
-    with spectrum_memo(held):
+    with step_memo(held) as memo:
         old = held["s"]
         circ_conv2(held["k"], old)
-        held["s"] = rng.standard_normal((5, 4))
-        circ_conv2(held["k"], held["s"])
-        _, table = system_mod._SPECTRA.get()
-        kept = [a for key, entry in table.items() if key[0] in ("spectrum", "conv")
-                for a in entry[:-1]]
+        memo.rebind(held, "s", rng.standard_normal((5, 4)))
+        new = circ_conv2(held["k"], held["s"])
+        kept = [a for key, (arrays, *_) in memo.table.items()
+                if key[0] in ("spectrum", "conv") for a in arrays]
         assert any(a is held["s"] for a in kept)
         assert not any(a is old for a in kept)
+        again = circ_conv2(held["k"], old)
+        assert again.flags.writeable and again.tobytes() != new.tobytes()
 
 
 def test_conv_target_outside_a_step_is_built_afresh():
@@ -398,35 +421,33 @@ def test_conv_target_outside_a_step_is_built_afresh():
 
 
 def test_conv_target_is_shared_in_a_step_and_dropped_once_stale():
-    import madmm.system as system_mod
-
     system, a, xs, z = _conv_system((2, 3), (5, 4))
     point = _gaussian_assignment(system, 18)
     rng = np.random.default_rng(18)
     mults = {0: rng.standard_normal((5, 4))}
-    with spectrum_memo(point, mults):
+    with step_memo(point, mults) as memo:
         kernel_form, signal_form = (freeze(system, b, point) for b in (a, xs))
         first = kernel_form.conv_target(kernel_form.pieces[0], mults, 2.0)
         assert signal_form.conv_target(signal_form.pieces[0], mults, 2.0) is first
         assert not any(arr.flags.writeable for arr in first)
         other_rho = signal_form.conv_target(signal_form.pieces[0], mults, 3.0)
         assert other_rho[0].tobytes() != first[0].tobytes()
-        _, table = system_mod._SPECTRA.get()
 
         def targets():
-            return [entry for key, entry in table.items() if key[0] == "target"]
+            return [entry for key, entry in memo.table.items() if key[0] == "target"]
 
         assert len(targets()) == 2
         old_z = point[z]
-        point[z] = rng.standard_normal(z.shape)
+        memo.rebind(point, z, rng.standard_normal(z.shape))
         form = freeze(system, xs, point)
         target, hat = form.conv_target(form.pieces[0], mults, 2.0)
         want = form.pieces[0].sign * (form.offset_for(0) - mults[0] / 2.0)
         assert target.tobytes() == want.tobytes()
         assert hat.tobytes() == np.fft.rfft2(want).tobytes()
-        # Both entries built from the old Z are gone; only the new one stays.
+        # Both entries built from the old Z are gone, dropped when the new
+        # one wanted their arrays; only the new one stays.
         assert len(targets()) == 1
-        assert not any(arr is old_z for entry in targets() for arr in entry[:-1])
+        assert not any(arr is old_z for arrays, *_ in targets() for arr in arrays)
         # A multiplier array the sources no longer hold is never kept.
         loose = {0: rng.standard_normal((5, 4))}
         form.conv_target(form.pieces[0], loose, 2.0)
@@ -434,7 +455,6 @@ def test_conv_target_is_shared_in_a_step_and_dropped_once_stale():
 
 
 def test_circ_conv2_keeps_nothing_outside_a_step_nor_a_cg_iterate():
-    import madmm.system as system_mod
     from madmm.prox import quad_block_solve
 
     rng = np.random.default_rng(15)
@@ -446,17 +466,17 @@ def test_circ_conv2_keeps_nothing_outside_a_step_nor_a_cg_iterate():
     system, a, xs, _ = _conv_system((2, 2), (5, 4))
     point = _gaussian_assignment(system, 15)
     mults = {0: rng.standard_normal((5, 4))}
-    with spectrum_memo(point, mults):
+    with step_memo(point, mults) as memo:
         # Conjugate gradients for the signal convolves the kernel with
         # every iterate.
         quad_block_solve(freeze(system, xs, point), mults, 1.0, method="cg")
         free = circ_conv2(point[a], rng.standard_normal((5, 4)))
         assert free.flags.writeable
-        _, table = system_mod._SPECTRA.get()
         held = list(point.values()) + list(mults.values())
-        kinds = [key[0] for key in table]
+        kinds = [key[0] for key in memo.table]
         assert "spectrum" in kinds and "conv" not in kinds
-        assert all(any(arr is h for h in held) for arr, _ in table.values())
+        assert all(any(arr is h for h in held)
+                   for arrays, *_ in memo.table.values() for arr in arrays)
 
 
 def test_sbd1_step_transform_count_and_one_convolution(monkeypatch):
