@@ -47,8 +47,7 @@ import numpy as np
 
 from .errors import BuildError, ShapeMismatchError, SubproblemError, require_finite
 from .operators import LinearOp
-from .system import (FrozenLinearForm, _Scratch, _accumulate, _add_adjoint, _kept,
-                     _KEEP_MIN, _output)
+from .system import FrozenLinearForm, _Scratch, _accumulate, _add_adjoint, _output
 
 _FEAS_TOL = 1e-8
 _DENSE_LIMIT = 1024
@@ -130,9 +129,9 @@ class Quadratic(ObjectiveTerm):
     ``value`` and ``grad`` take ``out``, an array of L's output shape (see
     ``scratch_shape``) into which they write L(x) - center, or, for
     ``grad`` where there is no center, L(x) scaled; ``grad`` may return
-    it.  Inside a step, a residual of ``system._KEEP_MIN`` entries or more
-    is the step memo's instead (see ``system.step_memo``), formed once per
-    block value for L and the stationarity estimate, and read-only."""
+    it.  Where there is a center, ``grad(x, out, formed=True)`` reads the
+    residual that ``value(x, out)`` left in ``out`` instead of forming it
+    again, so a step forms it once for L and the stationarity estimate."""
 
     smooth = True
 
@@ -150,29 +149,17 @@ class Quadratic(ObjectiveTerm):
         y = self.linear_map.apply(x) if self.linear_map is not None else np.asarray(x, dtype=float)
         return np.subtract(y, self.center, out=out) if self.center is not None else y
 
-    def _read_residual(self, x, out):
-        """:meth:`_residual`, kept by the step memo when it is formed (a map
-        or a center) into an ``out`` of ``_KEEP_MIN`` entries or more."""
-        if (out is None or out.size < _KEEP_MIN
-                or (self.linear_map is None and self.center is None)):
-            return self._residual(x, out)
-        return _kept(("residual", id(self)), [x], [(out.shape, float)],
-                     lambda into: self._residual(x, into[0]))
-
     def value(self, x, out=None) -> float:
-        r = self._read_residual(x, out)
+        r = self._residual(x, out)
         return 0.5 * self.weight * float(np.vdot(r, r))
 
-    def grad(self, x, out=None):
-        r = self._read_residual(x, out)
+    def grad(self, x, out=None, formed=False):
+        r = out if formed else self._residual(x, out)
         if self.linear_map is not None:
             return self.weight * self.linear_map.adjoint(r)
         if self.center is not None and self.weight == 1.0:
-            return r  # x - center: ``out``, a fresh array or the memo's
-        # Never in place into the memo's residual: ``out`` is free when the
-        # memo formed it.
-        return np.multiply(r, self.weight,
-                           out=out if out is not None or self.center is None else r)
+            return r  # x - center, ``out`` or a fresh array
+        return np.multiply(r, self.weight, out=r if self.center is not None else out)
 
     def scratch_shape(self, shape):
         return shape if self.linear_map is None else self.linear_map.out_shape

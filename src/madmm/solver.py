@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,11 @@ import numpy as np
 from .errors import (BuildError, ShapeMismatchError, SubproblemError,
                      require_finite)
 from .operators import DenseOp, LinearOp
-from .prox import ObjectiveTerm, _SolvePlan, _check_duals
-from .system import (BlockId, LinearTerm, MultiaffineSystem, ROLE_X, ROLE_Z1,
-                     ROLE_Z2, block_adjoints, evaluate, freeze,
+from .prox import ObjectiveTerm, Quadratic, _SolvePlan, _check_duals
+from .system import (BlockId, Conv2D, LinearTerm, MultiaffineSystem, ROLE_X,
+                     ROLE_Z1, ROLE_Z2, block_adjoints, evaluate, freeze,
                      FrozenLinearForm, _Scratch, _output, _read_only, _term_index,
-                     _unfreeze, _KEEP_MIN, step_memo)
+                     _unfreeze, step_memo)
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAXITER = "MaxIter"
@@ -56,6 +57,12 @@ _ROLE_ORDER = {"x": 0, "z0": 1, "z1": 2, "z2": 3}
 _DIVERGE_LIMIT = 1e12
 _SPECTRUM_LIMIT = 1500
 _CONVERGED_STREAK = 3
+# The fewest entries of a target or product term that a step keeps in its
+# memo (see _repeats): below it the lookups cost more than the passes they
+# spare.  Steady nmf3 and rpca2 steps, one process, 2-vCPU VM, one BLAS
+# thread: 2-13% slower kept than formed twice from 8,100 to 57,600
+# entries, 2% faster at 90,000.
+_KEEP_MIN = 65536
 
 
 def _block_key(block: BlockId):
@@ -157,9 +164,9 @@ class Problem:
         self._validate()
         self._z_components = self._build_z_components()
         self._scratch = _Scratch()
-        # The arrays the step memo writes its products into, and the
-        # product terms it keeps (see system.step_memo).
-        self._kept, self._kept_terms = {}, {}
+        # The arrays the step memo writes its products into, the product
+        # terms it keeps, and whether a step opens it (see system.step_memo).
+        self._kept, self._kept_terms, self._memo = {}, {}, False
         was_open = system._terms is None
         try:
             self._units = self._build_units()
@@ -242,6 +249,8 @@ class Problem:
         forms = [None if focus[0].name in self.custom_updaters
                  else freeze(system, focus, point) for focus in foci]
         shared, self._kept_terms = _repeats(system, foci, forms)
+        self._memo = (any(shared) or bool(self._kept_terms)
+                      or any(isinstance(t, Conv2D) for _, ts in system.equations for t in ts))
         units = []
         for focus, form, eqs in zip(foci, forms, shared):
             if form is None:
@@ -330,8 +339,7 @@ def _repeats(system, foci, forms):
     too, mapped to the number of units that read it; and the product terms
     (``_Term.product``) that two offsets, or an offset and ``evaluate``,
     read, by id, mapped to (their shape, the number of reads).  Only
-    equations of at least ``system._KEEP_MIN`` entries count: a smaller
-    product costs less than its lookup.
+    equations of at least ``_KEEP_MIN`` entries count.
 
     A target reads the old multiplier, which a sweep does not change, and
     the blocks its equation's other terms read, so two units read the same
@@ -383,24 +391,40 @@ class _StepArrays:
     objective order).  The blocks' phase: per block name, an array that
     holds the block's step, then its gradient sum in the stationarity
     estimate (``blocks``); and each smooth term's array, in
-    ``block_terms``, (block, ((smooth term, array or None), ...), nonsmooth
-    term) per block."""
+    ``block_terms``, (block, ((smooth term, array or None, handed), ...),
+    nonsmooth term) per block.  A ``Quadratic`` with a center, listed once
+    for its block, is handed: its array is the same in both phases and no
+    other array of either is, so the residual that L leaves in it is still
+    there for the stationarity estimate at the same point (see ``step``)."""
 
     def __init__(self, problem: Problem):
         take = problem._scratch.take
         dims = problem.system.constraint_dims()
         shapes, n = [s for _, s in dims], len(dims)
+        # Terms by (block, id): a term need be neither hashable nor comparable.
         al_terms = [(b, t) for b, terms in problem.objective.items() for t in terms]
-        got = take([*shapes, *shapes, *(t.scratch_shape(b.shape) for b, t in al_terms)])
+        keys = [(b, id(t)) for b, t in al_terms]
+        quads = [(b, t) for (b, t), k in zip(al_terms, keys) if isinstance(t, Quadratic)
+                 and t.center is not None and keys.count(k) == 1]
+        first = [t.scratch_shape(b.shape) for b, t in quads]
+        outs = {(b, id(t)): a for (b, t), a in zip(quads, take(first))}
+        handed = set(outs)
+        rest = [(b, t) for b, t in al_terms if (b, id(t)) not in handed]
+        got = take([*first, *shapes, *shapes,
+                    *(t.scratch_shape(b.shape) for b, t in rest)])[len(first):]
         self.residual_out = list(zip(got[:n], got[n:2 * n]))
-        self.al_terms = [(b, t, out) for (b, t), out in zip(al_terms, got[2 * n:])]
+        outs.update(((b, id(t)), a) for (b, t), a in zip(rest, got[2 * n:]))
+        self.al_terms = [(b, t, outs[b, id(t)]) for b, t in al_terms]
         blocks = problem.all_blocks
         smooth = [[t for t in problem.terms_for(b) if t.smooth] for b in blocks]
-        got = take([b.shape for b in blocks]
-                   + [t.scratch_shape(b.shape) for b, ts in zip(blocks, smooth) for t in ts])
+        rest = [(b, t) for b, ts in zip(blocks, smooth) for t in ts
+                if (b, id(t)) not in handed]
+        got = take([*first, *(b.shape for b in blocks),
+                    *(t.scratch_shape(b.shape) for b, t in rest)])[len(first):]
         self.blocks = {b.name: a for b, a in zip(blocks, got)}
-        outs = iter(got[len(blocks):])
-        self.block_terms = [(b, tuple((t, next(outs)) for t in ts), problem.nonsmooth_term(b))
+        outs.update(((b, id(t)), a) for (b, t), a in zip(rest, got[len(blocks):]))
+        self.block_terms = [(b, tuple((t, outs[b, id(t)], (b, id(t)) in handed)
+                                      for t in ts), problem.nonsmooth_term(b))
                             for b, ts in zip(blocks, smooth)]
 
 
@@ -451,11 +475,11 @@ def augmented_lagrangian(problem: Problem, state: SolverState) -> float:
 
 def _update_blocks(problem: Problem, focus: tuple, plan, assignment: dict,
                    multipliers: dict, rho: float, block_steps: dict, steps: dict,
-                   memo):
+                   bind):
     """Minimize L exactly over one block, or jointly over a z component, in
     place in ``assignment``, recording each block's step norm, the step
-    written into the block's array of ``steps``; each new value is bound
-    through ``memo``, the step's memo.  ``plan`` is the unit's solve plan,
+    written into the block's array of ``steps``; each new value is bound by
+    ``bind(assignment, block, value)``.  ``plan`` is the unit's solve plan,
     None for a custom updater, which belongs to a lone block (see
     ``Problem``), is looked up at each call and is handed read-only views
     (a read-only result, one of them, is copied)."""
@@ -478,16 +502,19 @@ def _update_blocks(problem: Problem, focus: tuple, plan, assignment: dict,
     for b, value in new:
         change = np.subtract(value, assignment[b], out=steps[b.name])
         block_steps[b.name] = float(np.linalg.norm(change))
-        memo.rebind(assignment, b, value)
+        bind(assignment, b, value)
 
 
-def _stationarity(problem: Problem, assignment: dict, multipliers: dict):
+def _stationarity(problem: Problem, assignment: dict, multipliers: dict,
+                  formed: bool = False):
     """Per-block first-order residuals and their maximum.
 
     For a smooth block this is the norm of the partial gradient of L's linear
     part, grad phi_block + C'_block^T W; for a block with one separable
     nonsmooth term it is the distance of that gradient to the negative
-    subdifferential (normal cone for indicators).
+    subdifferential (normal cone for indicators).  ``formed`` says that
+    ``_al`` ran last, at the same assignment, and left the residuals of the
+    handed terms (see ``_StepArrays``) in their arrays.
     """
     parts = {}
     arrays = problem._arrays()
@@ -496,8 +523,11 @@ def _stationarity(problem: Problem, assignment: dict, multipliers: dict):
     for block, smooth, term in arrays.block_terms:
         g = adjoints[block]
         x = assignment[block]
-        for t, out in smooth:
-            g += t.grad(x) if out is None else t.grad(x, out=out)
+        for t, out, handed in smooth:
+            if out is None:
+                g += t.grad(x)
+            else:
+                g += t.grad(x, out=out, formed=True) if formed and handed else t.grad(x, out=out)
         parts[block.name] = (float(np.linalg.norm(g)) if term is None
                              else term.stat_residual(x, g))
     agg = max(parts.values()) if parts else 0.0
@@ -515,17 +545,19 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
     multipliers that it reads twice once, and reads it again from its memo
     (see system.step_memo): the spectra and convolutions of the Fourier
     pieces, the targets two units read (rho * offset - W: nmf3's Y and X
-    units share their target of Z = X Y), the product terms that an offset
-    and ``evaluate`` both read (nmf3's X Y), and the residuals of the
-    ``Quadratic`` terms, which L and the stationarity estimate both read.
-    Which targets and terms recur is read from the structure when the
-    Problem is built, so a step where none recurs consults the memo for
-    none.  A kept product is read-only and is never handed out once a
-    block or multiplier it read is rebound.
+    units share their target of Z = X Y), and the product terms that an
+    offset and ``evaluate`` both read (nmf3's X Y).  Which targets and
+    terms recur is read from the structure when the Problem is built; a
+    step of a Problem where none recurs and no term is a convolution opens
+    no memo.  A kept product is read-only and is never handed out once a
+    block or multiplier it read is rebound.  The residual of a
+    ``Quadratic`` with a center, which L and the stationarity estimate both
+    read, is formed once by L and read in place by the estimate (see
+    ``_StepArrays``).
 
     Memory: every array that dies inside the step lives in scratch that
     ``problem`` allocated once and reuses at every later step, or, for a
-    kept product, in an array the Problem keeps for the memo, so one
+    kept target or term, in an array the Problem keeps for the memo, so one
     Problem runs one step at a time.  The primal and dual norms and L's
     inner products are read from each equation's residual in place, its
     squared norm once for the primal norm and L both, and each new
@@ -561,12 +593,14 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
                                         tol, f"L rose while updating {label}"))
         L_track = L_now
 
-    with step_memo(assignment, multipliers, mults_new, kept=problem._kept,
-                   terms=problem._kept_terms) as memo:
+    memo = (step_memo(assignment, multipliers, mults_new, kept=problem._kept,
+                      terms=problem._kept_terms) if problem._memo else None)
+    bind = dict.__setitem__ if memo is None else memo.rebind
+    with memo or nullcontext():
         try:
             for focus, plan in problem._units:
                 _update_blocks(problem, focus, plan, assignment, multipliers,
-                               rho, block_steps, arrays.blocks, memo)
+                               rho, block_steps, arrays.blocks, bind)
                 if check_argmin and focus[0].role == ROLE_X:
                     _argmin_check(repr(focus[0].name))
             if check_argmin and problem.z_order:
@@ -583,9 +617,9 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
             # rho * r, then W added to it: the bits of W + rho * r.
             delta = np.multiply(r, rho, out=_output(kept, r.shape))
             dual_sq += float(np.vdot(delta, delta))
-            memo.rebind(mults_new, eq_id, np.add(delta, multipliers[eq_id], out=delta))
+            bind(mults_new, eq_id, np.add(delta, multipliers[eq_id], out=delta))
         L_new = _al(problem, assignment, mults_new, rho, residuals)
-        _, stat = _stationarity(problem, assignment, mults_new)
+        _, stat = _stationarity(problem, assignment, mults_new, formed=L_new < math.inf)
     new_state = SolverState(assignment, mults_new, rho, k_next)
     trace = IterTrace(k=k_next, L=float(L_new), primal_res=primal,
                       dual_step=math.sqrt(dual_sq), block_steps=block_steps,

@@ -58,24 +58,25 @@ product of the step's values that the step reads more than once is formed
 once: the spectrum of an array, ``circ_conv2`` of a kernel and a signal, an
 equation's target rho * offset - W (:meth:`FrozenLinearForm.target`, and
 ``conv_target`` with its spectrum, which the kernel and signal updates
-share), a product term that an offset and ``evaluate`` both read, and
-``prox.Quadratic``'s residual, which L and the stationarity estimate both
-read.  All live in one table under one keying rule: the kind, its
-parameters and the identities of the arrays read, which must all be held
-by the step (a block value, an old or new multiplier, or a read-only view
-of one handed to a custom updater).  Every kept product is read-only.  The
-step rebinds a value only through the memo, so nothing read from the old
-value is handed out again; such an entry is dropped when its arrays are
-wanted for a new product, and every entry when the step returns.  The memo
-holds a reference to each array it has keyed, so no id is reused.  Kept
-products are written into arrays their ``solver.Problem`` owns, outside
-:class:`_Scratch` and up to two per shape (see :func:`_output`), so a
-steady step that keeps at most two of a shape at once allocates none for
-them (nmf3 keeps one at a time).  Targets and product
-terms are consulted only where the ``Problem`` found, when it was built,
-that they recur within a sweep, and targets, terms and residuals only from
-``_KEEP_MIN`` entries up; outside a step every call forms afresh.  Reuse
-relies on no held array being written in place while the step runs.
+share), and a product term that an offset and ``evaluate`` both read.  All
+live in one table under one keying rule: the kind, its parameters and the
+identities of the arrays read, which must all be held by the step (a block
+value, an old or new multiplier, or a read-only view of one handed to a
+custom updater).  Every kept product is read-only.  The step rebinds a
+value only through the memo, so nothing read from the old value is handed
+out again; such an entry is dropped when the next product is kept, and
+every entry when the step returns.  The memo holds a reference to each
+array it has keyed, so no id is reused.  Targets and product terms are
+consulted only where the ``solver.Problem`` found, when it was built, that
+they recur within a sweep and have ``solver._KEEP_MIN`` entries or more,
+and are dropped at their last read; they are written into arrays the
+``Problem`` owns, outside :class:`_Scratch` and up to two per shape (see
+:func:`_output`), so a steady step allocates none for them (nmf3 keeps one
+at a time).  The Fourier kinds live in new arrays until the step no longer
+holds what they read.  A step whose ``Problem`` keeps no target or term
+and has no convolution opens no memo; outside a step every call forms
+afresh.  Reuse relies on no held array being written in place while the
+step runs.
 
 A step allocates no array that dies inside it.  It passes ``out`` to
 ``evaluate``, ``FrozenLinearForm.offset_for`` and ``block_adjoints``, and
@@ -355,10 +356,6 @@ class Constant(_Term):
 # The memo that step_memo opens, or None.
 _MEMO = ContextVar("madmm_memo", default=None)
 
-# The fewest entries of a target, product term or Quadratic residual that a
-# step keeps: below it a lookup costs more than the passes it spares.
-_KEEP_MIN = 4096
-
 
 class _StepMemo:
     """The products of one step's values, each formed once (see
@@ -367,18 +364,17 @@ class _StepMemo:
     ``held`` maps the id of every array the step holds, and of every
     read-only view of one that :func:`_read_only` made, to (that object,
     which it keeps alive so that no other object takes its id, the array);
-    it is read from ``sources`` on the first call that needs it, and then
-    kept by ``rebind``.  ``table`` maps a key (see
+    it is read from ``sources`` when the memo is made, and then kept by
+    ``rebind``.  ``table`` maps a key (see
     :meth:`product`) to [the held arrays read, the product, the reads
-    left or None].  ``kept`` holds the arrays products are written into,
-    by (shape, dtype), and ``terms`` maps the id of each product term to
-    keep to (its shape, its reads)."""
+    left or None].  ``kept`` holds the arrays the products with a count of
+    reads are written into, by shape, and ``terms`` maps the id of each
+    product term to keep to (its shape, its reads)."""
 
     def __init__(self, sources, kept, terms):
-        self.sources = sources
         self.kept = kept
         self.terms = terms
-        self.held = None
+        self.held = {id(v): (v, v) for d in sources for v in d.values()}
         self.table = {}
 
     def __enter__(self) -> "_StepMemo":
@@ -389,43 +385,37 @@ class _StepMemo:
         _MEMO.reset(self._token)
         self.table.clear()
 
-    def _held(self) -> dict:
-        if self.held is None:
-            self.held = {id(v): (v, v) for d in self.sources for v in d.values()}
-        return self.held
-
     def rebind(self, source, key, value) -> None:
         """``source[key] = value`` for one of the sources: the old value is
         no longer held, so no product read from it is handed out again."""
-        if self.held is not None:
-            old = source.get(key)
-            if old is not None:
-                self.held.pop(id(old), None)
-            self.held[id(value)] = (value, value)
+        old = source.get(key)
+        if old is not None:
+            self.held.pop(id(old), None)
+        self.held[id(value)] = (value, value)
         source[key] = value
 
     def alias(self, view, array) -> None:
         """Hold ``view`` as ``array`` when ``array`` is held."""
-        held = self._held()
+        held = self.held
         if id(array) in held:
             held[id(view)] = (view, held[id(array)][1])
 
-    def product(self, key, arrays, specs, build, reads=None):
-        """``build(outs)``, kept under ``key`` and the ids of the held
+    def product(self, key, arrays, build, reads=None, out=None, shape=None):
+        """``build(into)``, kept under ``key`` and the ids of the held
         arrays ``arrays`` are, or stand for, when every one is held; else
-        built afresh (see :func:`_fresh`).  ``specs`` gives the (shape,
-        dtype) of each array ``outs`` passes to be written into; a product
-        that ``build`` returns in arrays of its own (a map that hands back
-        its input, say) is not kept, so the memo marks read-only only the
-        arrays it owns.  A product whose ``reads`` are given is dropped at
-        its last read, so its array is free again once that reader lets go
-        of it."""
-        held = self.held or self._held()
+        ``build(out)``.  A product whose ``reads`` are given is dropped at
+        its last read, and ``into`` is then an array of ``shape`` from
+        ``kept`` (see :func:`_output`), free again once that reader lets go
+        of it; any other (the Fourier kinds, kept while their arrays are
+        held) is built with ``into`` None, into new arrays.  When a product
+        is kept, the entries read from arrays no longer held are
+        dropped."""
+        held = self.held
         bases = []
         for a in arrays:
             entry = held.get(id(a))
             if entry is None:
-                return build(_fresh(specs))
+                return build(out)
             bases.append(entry[1])
         key = (*key, *map(id, bases))
         hit = self.table.get(key)
@@ -435,27 +425,15 @@ class _StepMemo:
                 if not hit[2]:
                     del self.table[key]
             return hit[1]
-        outs = [self._storage(shape, dtype) for shape, dtype in specs]
-        value = build(outs)
-        if any(a is not out for a, out in
-               zip(value if isinstance(value, tuple) else (value,), outs)):
-            return value
-        for out in outs:
-            out.flags.writeable = False
+        value = build(None if reads is None
+                      else _output(self.kept.setdefault(shape, []), shape).view())
+        for a in value if isinstance(value, tuple) else (value,):
+            a.flags.writeable = False
+        for stale in [k for k, (read, *_) in self.table.items()
+                      if not all(id(b) in held for b in read)]:
+            del self.table[stale]
         self.table[key] = [bases, value, None if reads is None else reads - 1]
         return value
-
-    def _storage(self, shape, dtype) -> np.ndarray:
-        """A view of an array of ``shape`` from ``kept`` (see
-        :func:`_output`), taken once the entries read from arrays no longer
-        held are dropped, which frees their arrays.  :meth:`product` marks
-        the view read-only, and the array stays writeable for a later
-        product."""
-        held = self.held
-        for key in [key for key, (bases, *_) in self.table.items()
-                    if not all(id(b) in held for b in bases)]:
-            del self.table[key]
-        return _output(self.kept.setdefault((shape, dtype), []), shape, dtype).view()
 
 
 def step_memo(*sources, kept=None, terms=None) -> "_StepMemo":
@@ -469,32 +447,26 @@ def step_memo(*sources, kept=None, terms=None) -> "_StepMemo":
     one of those is held, and handed out read-only; anything else is formed
     afresh at every call.  The kinds: the spectrum of an array
     (:func:`_spectrum`), ``circ_conv2`` of two, an equation's target
-    (:meth:`FrozenLinearForm.target` and ``conv_target``), a product term
-    whose id ``terms`` maps to its shape, and ``prox.Quadratic``'s residual.
-    A value rebound through the memo's ``rebind`` is no longer held, so
-    what was read from it is never handed out again; such entries are
-    dropped once their arrays are wanted, and all when the memo closes.
-    Products are written into arrays of ``kept``, a dict a ``solver.Problem``
-    owns and passes at every step, so a steady step allocates none; without
+    (:meth:`FrozenLinearForm.target` and ``conv_target``), and a product
+    term whose id ``terms`` maps to its shape and reads.  A value rebound
+    through the memo's ``rebind`` is no longer held, so what was read from
+    it is never handed out again; such entries are dropped when the next
+    product is kept, and all when the memo closes.  Targets and terms are
+    written into arrays of ``kept``, a dict a ``solver.Problem`` owns and
+    passes at every step, so a steady step allocates none for them; without
     it, the memo's own.  Reuse relies on no held array being written in
     place while the memo is open.
     """
     return _StepMemo(sources, {} if kept is None else kept, terms or {})
 
 
-def _fresh(specs) -> list:
-    """New arrays of the (shape, dtype) ``specs``, for a product the memo
-    does not keep: its caller owns them."""
-    return [np.empty(shape, dtype) for shape, dtype in specs]
-
-
-def _kept(key, arrays, specs, build, reads=None):
+def _kept(key, arrays, build, reads=None, out=None, shape=None):
     """:meth:`_StepMemo.product` in the open memo; outside one,
-    ``build(_fresh(specs))``."""
+    ``build(out)``."""
     memo = _MEMO.get()
     if memo is None:
-        return build(_fresh(specs))
-    return memo.product(key, arrays, specs, build, reads)
+        return build(out)
+    return memo.product(key, arrays, build, reads, out, shape)
 
 
 def _read_only(source: dict) -> dict:
@@ -511,24 +483,20 @@ def _read_only(source: dict) -> dict:
     return views
 
 
-def _half(shape) -> tuple:
-    """The shape of the ``rfft2`` of an array of ``shape``."""
-    return (shape[0], shape[1] // 2 + 1)
-
-
 def _spectrum(a: np.ndarray, shape: tuple) -> np.ndarray:
     """``rfft2`` of ``a`` zero-padded to ``shape``, origin at index (0, 0);
     kept by the open memo (see :func:`step_memo`)."""
 
-    def build(into):
+    def build(_):
         if a.shape == shape:
             padded = a
         else:
             padded = np.zeros(shape)
             padded[: a.shape[0], : a.shape[1]] = a
-        return np.fft.rfft2(padded, out=into[0])
+        return np.fft.rfft2(padded,
+                            out=np.empty((shape[0], shape[1] // 2 + 1), complex))
 
-    return _kept(("spectrum", shape), [a], [(_half(shape), complex)], build)
+    return _kept(("spectrum", shape), [a], build)
 
 
 def _irfft2(spec: np.ndarray, shape: tuple, out=None) -> np.ndarray:
@@ -548,9 +516,9 @@ def circ_conv2(kernel: np.ndarray, signal: np.ndarray) -> np.ndarray:
     kernel = np.asarray(kernel, dtype=float)
     signal = np.asarray(signal, dtype=float)
     shape = signal.shape
-    return _kept(("conv",), [kernel, signal], [(shape, float)],
-                 lambda into: _irfft2(_spectrum(kernel, shape) * _spectrum(signal, shape),
-                                      shape, out=into[0]))
+    return _kept(("conv",), [kernel, signal],
+                 lambda _: _irfft2(_spectrum(kernel, shape) * _spectrum(signal, shape),
+                                   shape))
 
 
 def _conv_adjoint_signal(kernel: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -706,13 +674,14 @@ def _sum_terms(terms, values, flip, out):
     kept = None if memo is None else memo.terms
     acc = None
     for term in terms:
+        into = total if acc is None else scratch
         if kept and id(term) in kept:
             shape, reads = kept[id(term)]
             value = memo.product(
                 ("term", id(term)), [_value_of(values, b) for b in term.blocks()],
-                [(shape, float)], lambda into: _eval_term(term, values, into[0]), reads)
+                lambda out: _eval_term(term, values, out), reads, into, shape)
         else:
-            value = _eval_term(term, values, total if acc is None else scratch)
+            value = _eval_term(term, values, into)
         acc = _accumulate(acc, flip * term.sign, value, total)
     return acc
 
@@ -773,10 +742,10 @@ def _first_count(arrays) -> int:
 _ALONE = _first_count([np.empty(0)])
 
 
-def _output(kept: list, shape, dtype=float) -> np.ndarray:
-    """An array of ``shape`` for a value that a step returns or keeps: the
-    first of ``kept`` that nothing but ``kept`` holds, else a new one, which
-    ``kept`` takes while it holds fewer than two.
+def _output(kept: list, shape) -> np.ndarray:
+    """A float array of ``shape`` for a value that a step returns or keeps:
+    the first of ``kept`` that nothing but ``kept`` holds, else a new one,
+    which ``kept`` takes while it holds fewer than two.
 
     Whatever holds an array, a state, a view of it or a memoryview, keeps it
     from being handed out again, so a kept state never changes; once a
@@ -786,7 +755,7 @@ def _output(kept: list, shape, dtype=float) -> np.ndarray:
     for a in kept:
         if sys.getrefcount(a) == _ALONE:
             return a
-    a = np.empty(shape, dtype)
+    a = np.empty(shape)
     if len(kept) < 2:
         kept.append(a)
     return a
@@ -1047,17 +1016,18 @@ class FrozenLinearForm:
         the equation's other terms read: another focus of the equation,
         frozen at the same values, reads it instead of building it again
         (the other terms are the same, as different ones would read
-        different blocks).  Every other call builds it into a new array.
+        different blocks).  Every other call builds it into ``out``'s sum
+        array, or a new one without ``out``.
         """
 
         def build(into):
-            target = np.multiply(self.offset_for(eq_id, out=out), rho, out=into[0])
+            target = np.multiply(self.offset_for(eq_id, out=out), rho, out=into)
             target -= multipliers[eq_id]
             return target
 
         return _kept(self._target_key(eq_id, rho, None),
-                     [multipliers[eq_id], *self._offset_values(eq_id)],
-                     [(self.plan.eq_shapes[eq_id], float)], build, reads)
+                     [multipliers[eq_id], *self._offset_values(eq_id)], build, reads,
+                     None if out is None else out[0], self.plan.eq_shapes[eq_id])
 
     def conv_target(self, piece, multipliers, rho):
         """``(target, its rfft2)`` for a convolution piece, where target =
@@ -1067,16 +1037,13 @@ class FrozenLinearForm:
         focus of one equation build and transform it once."""
         eq_id = piece.eq_id
         w = multipliers[eq_id]
-        shape = self.plan.eq_shapes[eq_id]
 
-        def build(into):
-            target = np.multiply(self.offset_for(eq_id) - w / rho, piece.sign,
-                                 out=into[0])
-            return target, np.fft.rfft2(target, out=into[1])
+        def build(_):
+            target = piece.sign * (self.offset_for(eq_id) - w / rho)
+            return target, _spectrum(target, target.shape)
 
         return _kept(self._target_key(eq_id, rho, piece.sign),
-                     [w, *self._offset_values(eq_id)],
-                     [(shape, float), (_half(shape), complex)], build)
+                     [w, *self._offset_values(eq_id)], build)
 
     def _target_key(self, eq_id, rho, sign) -> tuple:
         """A target's key in the memo: the blocks its terms read name those

@@ -1190,13 +1190,11 @@ def test_no_kept_state_aliases_the_step_scratch(name):
 
 def _keep_every_product(monkeypatch):
     # Lower the floor under which a step forms a product again rather than
-    # keeping it, so that the desk-size instances keep every target,
-    # product term and Quadratic residual that recurs within a step.
-    import madmm.prox as prox_mod
+    # keeping it, so that the desk-size instances keep every target and
+    # product term that recurs within a step.
     import madmm.solver as solver_mod
 
-    for mod in (prox_mod, solver_mod):
-        monkeypatch.setattr(mod, "_KEEP_MIN", 1)
+    monkeypatch.setattr(solver_mod, "_KEEP_MIN", 1)
 
 
 def _trace_values(tr):
@@ -1206,12 +1204,12 @@ def _trace_values(tr):
 @pytest.mark.parametrize("keep", ["large", "all"])
 @pytest.mark.parametrize("name", zoo.zoo_names())
 def test_in_step_values_match_out_of_step_values(name, keep, monkeypatch):
-    # L and stat_est are read from products the step memo keeps, so a
+    # L and stat_est are read from products the step memo keeps and from
+    # the Quadratic residuals L leaves for the stationarity estimate, so a
     # stale one would part them from the same figures taken afresh on the
     # returned state.  check_argmin evaluates L mid-sweep, at values the
     # sweep then changes, so it must leave the step's bytes alone.  dl3's
-    # Quadratic(50, center=B) scales its residual in its gradient, which
-    # must never scale the kept one.
+    # Quadratic(50, center=B) scales the residual L left in place.
     from madmm.diagnostics import stationarity
 
     if keep == "all":
@@ -1294,15 +1292,15 @@ def test_steady_nmf_step_forms_each_repeated_product_once(monkeypatch):
     # and the stationarity estimate, and the Y and X units fit the same
     # equation-0 target; each is formed once (X_rem's and Y_rem's
     # residuals are the blocks themselves, formed never).  The counts read
-    # the structure alone for a product of at least system._KEEP_MIN
-    # entries.
+    # the structure alone, so a small instance keeps what a large one does
+    # once the floor is lowered.
     import collections
 
     import madmm.prox as prox_mod
     import madmm.system as system_mod
 
-    n = 72
-    assert n * n >= system_mod._KEEP_MIN
+    _keep_every_product(monkeypatch)
+    n = 12
     problem = zoo.nmf3(zoo.gen_nmf_data(n, n, 4, seed=0)[0], 4).problem
     state, _, _ = solve(problem, max_iter=3)
     counts = collections.Counter()
@@ -1324,9 +1322,53 @@ def test_steady_nmf_step_forms_each_repeated_product_once(monkeypatch):
     assert counts["chain of 2"] == 1
     assert counts["residual"] == 1
     assert counts["offset 0"] == 2
-    # The three products live one after another in one array of the
+    # The kept target and X Y live one after another in one array of the
     # Problem's.
     assert [len(arrays) for arrays in problem._kept.values()] == [1]
+
+
+def test_quadratic_residual_outside_a_step_is_written_into_the_scratch():
+    # L and the stationarity estimate write nmf3's Z - B into the step's
+    # scratch at any call, and the estimate on its own forms it again:
+    # neither takes a Z-sized array of its own.
+    import tracemalloc
+
+    from madmm.diagnostics import stationarity
+
+    n = 72
+    problem = zoo.nmf3(zoo.gen_nmf_data(n, n, 4, seed=0)[0], 4).problem
+    state, _, _ = solve(problem, max_iter=3)
+    for call in (augmented_lagrangian, lambda *a: stationarity(*a).aggregate):
+        want = call(problem, state)
+        tracemalloc.start()
+        try:
+            got = call(problem, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want and peak < n * n * 8 / 4, peak
+
+
+def test_a_step_opens_no_memo_where_nothing_recurs(monkeypatch):
+    # A desk-size nmf3 keeps no target or product term and has no
+    # convolution, so its step opens no memo; sbd1's convolutions do.
+    import madmm.solver as solver_mod
+
+    inst = zoo.default_instance("nmf3", 0)
+    problem = inst.problem
+    state, _, _ = solve(problem, max_iter=2, init=inst.init)
+    want = step(problem, state)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a step opened a memo")
+
+    monkeypatch.setattr(solver_mod, "step_memo", refuse)
+    got = step(problem, state)
+    assert _state_bytes(got[0]) == _state_bytes(want[0])
+    assert _trace_values(got[1]) == _trace_values(want[1])
+    inst = zoo.default_instance("sbd1", 0)
+    with pytest.raises(AssertionError, match="opened a memo"):
+        step(inst.problem, solve(inst.problem, max_iter=0, init=inst.init)[0])
 
 
 def test_steady_nmf_step_faults_in_no_pages():

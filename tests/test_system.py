@@ -364,31 +364,45 @@ def test_every_memoised_product_is_read_only():
         assert _spectrum(rng.standard_normal((5, 4)), (5, 4)).flags.writeable
 
 
-def test_memo_never_marks_an_array_it_does_not_own_read_only():
-    # A map that hands back its input makes a Quadratic's residual the
-    # block value itself: the memo keeps only what it wrote into its own
-    # arrays, so the held value stays its owner's to write.
-    class Passthrough(LinearOp):
-        def apply(self, x):
-            return x
+def test_unkept_targets_and_terms_are_built_into_the_callers_arrays(monkeypatch):
+    # A target or a product term that the memo does not keep, as no memo is
+    # open or it holds no value read, is built into the arrays its caller
+    # passes, as any other is, not into a new array.
+    from contextlib import nullcontext
 
-        def adjoint(self, w):
-            return w
+    x = BlockId("X", "x", (6, 4), index=0)
+    y = BlockId("Y", "x", (4, 5), index=1)
+    z = BlockId("Z", "z1", (6, 5))
+    system = MultiaffineSystem()
+    system.add_equation([MatChain([x, y]), LinearTerm(ScaledIdentity(-1.0, (6, 5)), z)])
+    chain = system.equations[0][1][0]
+    point = _gaussian_assignment(system, 21)
+    mults = {0: np.random.default_rng(21).standard_normal((6, 5))}
+    form = freeze(system, z, point)
+    want = form.offset_for(0) * 2.0 - mults[0]
+    outs, real = [], MatChain.unsigned
 
-    shape = (64, 64)
-    held = {"x": np.random.default_rng(20).standard_normal(shape)}
-    term = Quadratic(2.0, linear_map=Passthrough(shape, shape))
-    with step_memo(held):
-        first = term.value(held["x"], out=np.empty(shape))
-        assert term.value(held["x"], out=np.empty(shape)) == first
-        assert held["x"].flags.writeable
-    assert first == float(np.vdot(held["x"], held["x"]))
+    def unsigned(self, values, out=None):
+        outs.append(out)
+        return real(self, values, out)
+
+    monkeypatch.setattr(MatChain, "unsigned", unsigned)
+    pair = (np.empty((6, 5)), np.empty((6, 5)))
+    for memo in (None, step_memo({}, terms={id(chain): ((6, 5), 2)})):
+        with memo or nullcontext():
+            outs.clear()
+            got = form.target(0, mults, 2.0, 2, out=pair)
+            assert got is pair[0] and got.tobytes() == want.tobytes()
+            assert len(outs) == 1 and outs[0] is pair[0]
+            outs.clear()
+            assert evaluate(system, point, out=[pair])[0] is pair[0]
+            assert len(outs) == 1 and outs[0] is pair[0]
 
 
 def test_spectrum_memo_drops_arrays_no_longer_held():
     # A value rebound through the memo is no longer held: what was read
-    # from it is never handed out again, and is dropped once its arrays
-    # are wanted for a new product.
+    # from it is never handed out again, and is dropped when the next
+    # product is kept.
     rng = np.random.default_rng(16)
     held = {"k": rng.standard_normal((2, 2)), "s": rng.standard_normal((5, 4))}
     with step_memo(held) as memo:
@@ -445,7 +459,7 @@ def test_conv_target_is_shared_in_a_step_and_dropped_once_stale():
         assert target.tobytes() == want.tobytes()
         assert hat.tobytes() == np.fft.rfft2(want).tobytes()
         # Both entries built from the old Z are gone, dropped when the new
-        # one wanted their arrays; only the new one stays.
+        # one was kept; only the new one stays.
         assert len(targets()) == 1
         assert not any(arr is old_z for arrays, *_ in targets() for arr in arrays)
         # A multiplier array the sources no longer hold is never kept.
