@@ -27,7 +27,8 @@ from .prox import Quadratic, _SolvePlan, _uniform_or_diag, conjugate_gradients
 from .solver import (Problem, SolverState, Violation, _al, _check_state,
                      _curvature, _fail_on, _gram_eigenvalues, _sq_norm,
                      _stationarity)
-from .system import evaluate, freeze, jacobian_image_basis, stack_residual
+from .system import (_checked_values, _evaluate, freeze, jacobian_image_basis,
+                     stack_residual)
 
 
 @dataclass
@@ -47,8 +48,7 @@ def stationarity(problem: Problem, state: SolverState) -> StationarityEstimate:
     included; read those from the residual.  The state is checked as
     ``solver.step`` checks it.
     """
-    _check_state(problem, state)
-    parts, aggregate = _stationarity(problem, state.assignment,
+    parts, aggregate = _stationarity(problem, _check_state(problem, state),
                                      state.multipliers)
     return StationarityEstimate(parts, aggregate)
 
@@ -86,10 +86,11 @@ def assert_iteration(problem: Problem, state: SolverState,
 
     ``state`` and ``state_new`` bracket the iteration.  Checks that
     need declared curvature constants (m1, M1, M2; see ``Problem``) or
-    slack blocks are skipped when those are absent.  Returns the violations
-    found; at level "strict" a nonempty result raises AssertionError
-    instead, and the image-membership check of the multiplier step (which
-    needs an iterative solve) is added.
+    slack blocks are skipped when those are absent.  The blocks of both
+    states are checked once, first, as ``solver.step`` checks them.
+    Returns the violations found; at level "strict" a nonempty result
+    raises AssertionError instead, and the image-membership check of the
+    multiplier step (which needs an iterative solve) is added.
     """
     if level not in ("basic", "strict"):
         raise ValueError(f"unknown level {level!r}; use 'basic' or 'strict'")
@@ -97,7 +98,9 @@ def assert_iteration(problem: Problem, state: SolverState,
     rho = state_new.rho
     violations = []
 
-    residuals = evaluate(problem.system, state_new.assignment)
+    new = _checked_values(problem.system, state_new.assignment)
+    old = _checked_values(problem.system, state.assignment)
+    residuals = _evaluate(problem.system, new)
     penalty = rho * _sq_norm(residuals)
     dual_sq = _sq_norm([state_new.multipliers[e] - state.multipliers[e]
                         for e in state.multipliers]) / rho
@@ -107,10 +110,10 @@ def assert_iteration(problem: Problem, state: SolverState,
             "dual_step_identity", abs(penalty - dual_sq), tol,
             "rho * ||C||^2 and ||dW||^2 / rho disagree"))
 
-    l_new = _al(problem, state_new.assignment, state_new.multipliers, rho)
+    l_new = _al(problem, new, state_new.multipliers, rho)
     # L at the new assignment and the old multipliers: also L after the z
     # update in the z_decrease check below.
-    l_mid = _al(problem, state_new.assignment, state.multipliers, rho)
+    l_mid = _al(problem, new, state.multipliers, rho)
     if np.isfinite(l_new) and np.isfinite(l_mid):
         tol = 1e-9 * (1.0 + abs(l_new))
         gap = abs((l_new - l_mid) - penalty)
@@ -128,8 +131,8 @@ def assert_iteration(problem: Problem, state: SolverState,
     have_bound = ((not z1 or (M1 is not None and maps.lambda_pp))
                   and (not z2 or (M2 is not None and maps.sigma))
                   and (z1 or z2) and state.k >= 1)
-    dz1 = _sq_norm([state_new.assignment[b] - state.assignment[b] for b in z1])
-    dz2 = _sq_norm([state_new.assignment[b] - state.assignment[b] for b in z2])
+    dz1 = _sq_norm([new[b] - old[b] for b in z1])
+    dz2 = _sq_norm([new[b] - old[b] for b in z2])
     if have_bound:
         dw = dual_sq * rho
         bound = 0.0
@@ -144,7 +147,7 @@ def assert_iteration(problem: Problem, state: SolverState,
                 "||dW||^2 exceeds the curvature bound from the slack steps"))
 
     if rho_certified and state.k >= 1:
-        l_old = _al(problem, state.assignment, state.multipliers, rho)
+        l_old = _al(problem, old, state.multipliers, rho)
         if np.isfinite(l_old) and np.isfinite(l_new):
             tol = 1e-8 * (1.0 + abs(l_old))
             if l_new > l_old + tol:
@@ -154,9 +157,9 @@ def assert_iteration(problem: Problem, state: SolverState,
 
     if (m1 is not None and (z1 or z2)
             and (not z2 or (M2 is not None and maps.sigma))):
-        hybrid = dict(state_new.assignment)
+        hybrid = dict(new)
         for b in z1 + z2:
-            hybrid[b] = state.assignment[b]
+            hybrid[b] = old[b]
         l_before_z = _al(problem, hybrid, state.multipliers, rho)
         if np.isfinite(l_before_z) and np.isfinite(l_mid):
             required = 0.5 * m1 * dz1

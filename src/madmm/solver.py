@@ -45,9 +45,9 @@ from .errors import (BuildError, ShapeMismatchError, SubproblemError,
 from .operators import DenseOp, LinearOp
 from .prox import ObjectiveTerm, Quadratic, _SolvePlan, _check_duals
 from .system import (BlockId, Conv2D, LinearTerm, MultiaffineSystem, ROLE_X,
-                     ROLE_Z1, ROLE_Z2, block_adjoints, evaluate, freeze,
-                     FrozenLinearForm, _Scratch, _output, _read_only, _term_index,
-                     _unfreeze, step_memo)
+                     ROLE_Z1, ROLE_Z2, freeze, FrozenLinearForm, _Scratch,
+                     _block_adjoints, _checked_values, _constant_part, _evaluate,
+                     _output, _read_only, _term_index, _unfreeze, step_memo)
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAXITER = "MaxIter"
@@ -440,8 +440,9 @@ def _squared(residuals) -> list:
 
 def _al(problem: Problem, assignment: dict, multipliers: dict, rho: float,
         residuals=None) -> float:
-    """L at a point; ``residuals`` may pass, for it, each array of
-    ``evaluate``'s result with its squared norm.  Its arrays are the
+    """L at a point of checked block values (see
+    ``system._checked_values``); ``residuals`` may pass, for it, each array
+    of ``evaluate``'s result with its squared norm.  Its arrays are the
     problem's scratch of L's phase (see ``_StepArrays``); the inner
     products write none."""
     arrays = problem._arrays()
@@ -452,25 +453,27 @@ def _al(problem: Problem, assignment: dict, multipliers: dict, rho: float,
             return math.inf
         total += v
     if residuals is None:
-        residuals = _squared(evaluate(problem.system, assignment, out=arrays.residual_out))
+        residuals = _squared(_evaluate(problem.system, assignment, out=arrays.residual_out))
     for eq_id, (r, sq) in zip(problem.system.eq_ids, residuals):
         lin = float(np.vdot(multipliers[eq_id], r))
         total += lin + 0.5 * rho * sq
     return float(total)
 
 
-def _check_state(problem: Problem, state: SolverState) -> None:
-    """Refuse a state whose multipliers do not fit the system, naming the
-    equation (ShapeMismatchError), or whose rho is not positive and finite
-    (ValueError), as ``prox._check_duals`` refuses them."""
+def _check_state(problem: Problem, state: SolverState) -> dict:
+    """The state's block values, each checked once (see
+    ``system._checked_values``: KeyError or ShapeMismatchError naming the
+    block), after refusing multipliers that do not fit the system, naming
+    the equation (ShapeMismatchError), or a rho that is not positive and
+    finite (ValueError), as ``prox._check_duals`` refuses them."""
     _check_duals(problem.system.constraint_dims(), state.multipliers, state.rho)
+    return _checked_values(problem.system, state.assignment)
 
 
 def augmented_lagrangian(problem: Problem, state: SolverState) -> float:
     """L at the state's assignment, multipliers and rho; +inf when infeasible
     for an indicator term.  The state is checked as ``step`` checks it."""
-    _check_state(problem, state)
-    return _al(problem, state.assignment, state.multipliers, state.rho)
+    return _al(problem, _check_state(problem, state), state.multipliers, state.rho)
 
 
 def _update_blocks(problem: Problem, focus: tuple, plan, assignment: dict,
@@ -501,7 +504,7 @@ def _update_blocks(problem: Problem, focus: tuple, plan, assignment: dict,
         new = [(b, y[sl].reshape(b.shape)) for b, sl in zip(focus, plan.slices)]
     for b, value in new:
         change = np.subtract(value, assignment[b], out=steps[b.name])
-        block_steps[b.name] = float(np.linalg.norm(change))
+        block_steps[b.name] = math.sqrt(np.vdot(change, change))
         bind(assignment, b, value)
 
 
@@ -512,14 +515,15 @@ def _stationarity(problem: Problem, assignment: dict, multipliers: dict,
     For a smooth block this is the norm of the partial gradient of L's linear
     part, grad phi_block + C'_block^T W; for a block with one separable
     nonsmooth term it is the distance of that gradient to the negative
-    subdifferential (normal cone for indicators).  ``formed`` says that
+    subdifferential (normal cone for indicators).  ``assignment`` holds
+    checked values, as ``_check_state`` returns them.  ``formed`` says that
     ``_al`` ran last, at the same assignment, and left the residuals of the
     handed terms (see ``_StepArrays``) in their arrays.
     """
     parts = {}
     arrays = problem._arrays()
-    adjoints = block_adjoints(problem.system, assignment, multipliers,
-                              out=arrays.blocks)
+    adjoints = _block_adjoints(problem.system, assignment, multipliers,
+                               out=arrays.blocks)
     for block, smooth, term in arrays.block_terms:
         g = adjoints[block]
         x = assignment[block]
@@ -528,7 +532,7 @@ def _stationarity(problem: Problem, assignment: dict, multipliers: dict,
                 g += t.grad(x)
             else:
                 g += t.grad(x, out=out, formed=True) if formed and handed else t.grad(x, out=out)
-        parts[block.name] = (float(np.linalg.norm(g)) if term is None
+        parts[block.name] = (math.sqrt(np.vdot(g, g)) if term is None
                              else term.stat_residual(x, g))
     agg = max(parts.values()) if parts else 0.0
     return parts, agg
@@ -567,16 +571,18 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
     one, or one of an old state that nothing holds any more (see
     ``system._output``), so a state the caller keeps never changes.
 
-    The state is checked once, first: ShapeMismatchError names an equation
-    whose multiplier is missing or has another shape, and ValueError
-    refuses a rho that is not positive and finite.
+    The state is checked once, first, and the step's own reads rely on
+    that check: ShapeMismatchError names an equation whose multiplier is
+    missing or has another shape, ValueError refuses a rho that is not
+    positive and finite, and KeyError or ShapeMismatchError names a block
+    whose value is missing or has another shape.  The new state's
+    assignment holds the system's blocks alone, as float arrays.
     """
     t0 = time.perf_counter()
-    _check_state(problem, state)
+    assignment = _check_state(problem, state)
     rho = state.rho
     system = problem.system
     arrays = problem._arrays()
-    assignment = dict(state.assignment)
     multipliers = state.multipliers
     mults_new = {}
     k_next = state.k + 1
@@ -610,7 +616,7 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
                 exc.k = k_next
             raise
 
-        residuals = _squared(evaluate(system, assignment, out=arrays.residual_out))
+        residuals = _squared(_evaluate(system, assignment, out=arrays.residual_out))
         primal = math.sqrt(sum(sq for _, sq in residuals))
         dual_sq = 0.0
         for eq_id, (r, _), kept in zip(system.eq_ids, residuals, problem._mults_kept):
@@ -652,8 +658,10 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
     block twice raises BuildError.
     Convergence requires the stacked residual norm to fall below
     tol_primal * (1 + ||C(0)||) with every block step below tol_step on
-    3 consecutive iterations.  Divergence (a status, not an exception) is
-    declared when L or the multiplier norm passes 1e12 or stops being finite.
+    3 consecutive iterations; C(0) is the sum of the constant terms, as
+    every other term vanishes where the blocks are zero.  Divergence (a
+    status, not an exception) is declared when L or the multiplier norm
+    passes 1e12 or stops being finite.
     assert_level "basic" attaches per-iteration invariant violations to the
     traces; "strict" additionally checks per-block descent and raises
     AssertionError on any violation, the step's own included.
@@ -689,8 +697,7 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
             draw = draw / norm
         assignment[b] = init_map.get(b, draw)
     multipliers = {e: np.zeros(system.eq_shape(e)) for e in system.eq_ids}
-    zero_assign = {b: np.broadcast_to(0.0, b.shape) for b in blocks}
-    offsets_norm = math.sqrt(_sq_norm(evaluate(system, zero_assign)))
+    offsets_norm = math.sqrt(_sq_norm(_constant_part(system)))
 
     certified = False
     if rho is None:

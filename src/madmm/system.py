@@ -13,6 +13,14 @@ value, which may be an array the term or the caller owns, and ``evaluate``
 and the frozen offsets fold each sign into their sums by adding or
 subtracting it.
 
+Block ids are hash-consed (see :class:`BlockId`): equal ids are one
+object, so a dict keyed by blocks compares and hashes them by identity, in
+C.  Each block value is checked once per public entry, for presence and
+shape (:func:`_checked_values`): ``evaluate`` and ``block_adjoints`` check
+every block of the system first, ``solver.step`` every block of its state
+at its start, and ``freeze`` the values it keeps.  Past that check, the
+term types and the step read the checked values as they are.
+
 The central operation is :func:`freeze`: fixing all blocks except a chosen
 focus turns the system into an affine map of the focus, returned as a
 :class:`FrozenLinearForm` with matrix-free ``apply``/``adjoint`` and a dense
@@ -92,6 +100,8 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
+import weakref
 from contextvars import ContextVar
 from dataclasses import dataclass
 from numbers import Real
@@ -109,13 +119,26 @@ ROLE_Z2 = "z2"
 _ROLES = (ROLE_X, ROLE_Z0, ROLE_Z1, ROLE_Z2)
 
 
-@dataclass(frozen=True)
+# The live BlockIds by field tuple (see BlockId); only BlockId.__new__
+# touches them.
+_BLOCK_IDS = weakref.WeakValueDictionary()
+_BLOCK_IDS_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class BlockId:
     """Identity of one variable block.
 
     ``role`` is "x" for sequentially updated blocks (``index`` gives the
     update position) or one of "z0"/"z1"/"z2" for the jointly updated final
     group; "z1"/"z2" blocks may only appear in plain linear terms.
+
+    Block ids are hash-consed: construction checks the fields (BuildError
+    for an unknown role or a shape that is not a positive (rows, cols)
+    pair), then returns the one live object with those fields, so equal
+    ids are one object, and ``==`` and ``hash`` are the identity's, taken
+    in C.  A refused id is never stored.  Copies, deep copies, pickles and
+    ``dataclasses.replace`` return that object too.
     """
 
     name: str
@@ -123,16 +146,24 @@ class BlockId:
     shape: tuple
     index: int = 0
 
-    def __post_init__(self):
-        if self.role not in _ROLES:
-            raise BuildError(f"unknown role {self.role!r} for block {self.name!r}")
-        if len(self.shape) != 2 or any(int(s) < 1 for s in self.shape):
-            raise BuildError(f"block {self.name!r} needs a positive (rows, cols) shape")
-        object.__setattr__(self, "shape", (int(self.shape[0]), int(self.shape[1])))
+    def __new__(cls, name, role, shape, index=0):
+        if role not in _ROLES:
+            raise BuildError(f"unknown role {role!r} for block {name!r}")
+        if len(shape) != 2 or any(int(s) < 1 for s in shape):
+            raise BuildError(f"block {name!r} needs a positive (rows, cols) shape")
+        fields = (name, role, (int(shape[0]), int(shape[1])), index)
+        with _BLOCK_IDS_LOCK:
+            block = _BLOCK_IDS.get(fields)
+            if block is None:
+                block = object.__new__(cls)
+                for attr, value in zip(("name", "role", "shape", "index"), fields):
+                    object.__setattr__(block, attr, value)
+                _BLOCK_IDS[fields] = block
+        return block
 
-    def __hash__(self):
-        # Equal blocks share a name, and str caches its hash.
-        return hash(self.name)
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor.
+        return BlockId, (self.name, self.role, self.shape, self.index)
 
     @property
     def dim(self) -> int:
@@ -143,7 +174,8 @@ class _Term:
     """Base of the term types, dataclasses with a ``sign`` of +1 or -1.
 
     A type defines ``out_shape(eq_id)``, its shape once its parts are checked,
-    and ``unsigned(values, out=None)``, its value without the sign; that
+    and ``unsigned(values, out=None)``, its value without the sign at
+    ``values``, already checked (see :func:`_checked_values`); that
     value may be an array the term or the caller owns (a constant's array, a
     block value), so treat it as read-only.  A type whose value is a product
     writes it into ``out``, an array of its shape that the caller may
@@ -207,7 +239,7 @@ class MatChain(_Term):
         return (shapes[0][0], shapes[-1][1])
 
     def unsigned(self, values, out=None):
-        return _product(self.factors, lambda b: _value_of(values, b), out)
+        return _product(self.factors, values.__getitem__, out)
 
     def pieces(self, focus, values, eq_id) -> list:
         read = None if values is None else values.__getitem__
@@ -257,8 +289,7 @@ class HadamardPair(_Term):
 
     def unsigned(self, values, out=None):
         # With a post-map the product has the blocks' shape, not out's.
-        prod = np.multiply(_value_of(values, self.left),
-                           _value_of(values, self.right),
+        prod = np.multiply(values[self.left], values[self.right],
                            out=out if self.post is None else None)
         return prod if self.post is None else self.post.apply(prod)
 
@@ -292,8 +323,7 @@ class Conv2D(_Term):
         return ss
 
     def unsigned(self, values, out=None):
-        return circ_conv2(_value_of(values, self.kernel),
-                          _value_of(values, self.signal))
+        return circ_conv2(values[self.kernel], values[self.signal])
 
     def pieces(self, focus, values, eq_id) -> list:
         return [kind(eq_id, b, self.sign, values[other])
@@ -322,7 +352,7 @@ class LinearTerm(_Term):
         return self.op.out_shape
 
     def unsigned(self, values, out=None):
-        value = _value_of(values, self.block)
+        value = values[self.block]
         return value if self.op.identity_scale == 1.0 else self.op.apply(value)
 
     def pieces(self, focus, values, eq_id) -> list:
@@ -632,6 +662,14 @@ def _value_of(assignment, block: BlockId):
     return v
 
 
+def _checked_values(system: MultiaffineSystem, assignment) -> dict:
+    """BlockId -> the value of every block of the system, each checked once
+    and read as a float array: KeyError names a missing block, and
+    ShapeMismatchError one whose value has another shape.  The public
+    entries check here, once, and read only the dict it returns."""
+    return {b: _value_of(assignment, b) for b in system.blocks.values()}
+
+
 def _eval_term(term, values, out=None):
     """The unsigned value of one term, for ``evaluate`` and frozen offsets,
     which apply its sign.  It may be an array the term or the caller owns;
@@ -678,7 +716,7 @@ def _sum_terms(terms, values, flip, out):
         if kept and id(term) in kept:
             shape, reads = kept[id(term)]
             value = memo.product(
-                ("term", id(term)), [_value_of(values, b) for b in term.blocks()],
+                ("term", id(term)), [values[b] for b in term.blocks()],
                 lambda out: _eval_term(term, values, out), reads, into, shape)
         else:
             value = _eval_term(term, values, into)
@@ -691,10 +729,32 @@ def evaluate(system: MultiaffineSystem, assignment, out=None) -> list:
 
     ``out``, for a caller that reuses its arrays, gives each equation a
     (sum, term) pair of arrays of its shape, which the call overwrites; the
-    residuals returned are then the sums (see ``_sum_terms``)."""
+    residuals returned are then the sums (see ``_sum_terms``).  Each
+    block's value is checked once, first (see :func:`_checked_values`)."""
+    return _evaluate(system, _checked_values(system, assignment), out)
+
+
+def _evaluate(system: MultiaffineSystem, values, out=None) -> list:
+    """:func:`evaluate` at ``values`` that the caller has checked, as
+    ``_checked_values`` returns them (a step's own block values)."""
     # add_equation refuses an equation without terms, so no sum is None.
-    return [_sum_terms(terms, assignment, 1, None if out is None else out[i])
+    return [_sum_terms(terms, values, 1, None if out is None else out[i])
             for i, (_, terms) in enumerate(system.equations)]
+
+
+def _constant_part(system: MultiaffineSystem) -> list:
+    """C(0), the residual of every equation where every block is zero,
+    ascending eq_id: the signed sum of its terms that hold no block, zeros
+    where it has none.  Every other term is linear in each of its blocks,
+    so it vanishes there.  A sum starts as 0.0 + value (see
+    ``_accumulate``) and so never holds a negative zero; adding a vanished
+    term then changes no bit, and the result has the bits of ``evaluate``
+    at zeros."""
+    out = []
+    for eq_id, terms in system.equations:
+        total = _sum_terms([t for t in terms if not t.blocks()], None, 1, None)
+        out.append(_zeros(system.eq_shape(eq_id)) if total is None else total)
+    return out
 
 
 def stack_residual(residuals) -> np.ndarray:
@@ -1266,8 +1326,14 @@ def block_adjoints(system: MultiaffineSystem, assignment, w_by_eq,
     ``freeze``, it fixes the system.
     ``out``, for a caller that reuses its arrays, maps each block's name to
     an array of its shape that the call overwrites with the block's sum.
+    Each block's value is checked once, first (see :func:`_checked_values`).
     """
-    values = {b: _value_of(assignment, b) for b in system.blocks.values()}
+    return _block_adjoints(system, _checked_values(system, assignment), w_by_eq, out)
+
+
+def _block_adjoints(system: MultiaffineSystem, values, w_by_eq, out=None) -> dict:
+    """:func:`block_adjoints` at ``values`` that the caller has checked, as
+    ``_checked_values`` returns them (a step's own block values)."""
     grads = dict.fromkeys(system.blocks.values())
     for eq_id, term, blocks, piece in _term_index(system).adjoints:
         w = w_by_eq.get(eq_id)

@@ -392,6 +392,27 @@ def test_a_malformed_state_is_refused_before_any_work(name):
                 assert info.value.eq_id == eq_id
 
 
+def test_a_malformed_block_value_is_refused_by_name():
+    # The step used to reach numpy with a wrong-shaped value of the first
+    # unit's focus ("operands could not be broadcast together") and to raise
+    # a bare KeyError(BlockId(...)) for a missing one.
+    from madmm.diagnostics import stationarity
+
+    problem = zoo.default_instance("nmf3", 0).problem
+    state, _, _ = solve(problem, max_iter=1)
+    y = problem.system.blocks["Y"]
+    assert problem._units[0][0] == (y,)
+    wide = {**state.assignment, y: np.zeros((y.shape[0], y.shape[1] + 1))}
+    missing = {b: v for b, v in state.assignment.items() if b is not y}
+    for entry in (step, augmented_lagrangian, stationarity):
+        with pytest.raises(ShapeMismatchError, match=re.escape(
+                f"value for block 'Y' has shape (3, 21), declared {y.shape}")) as info:
+            entry(problem, SolverState(wide, state.multipliers, state.rho))
+        assert info.value.block == "Y"
+        with pytest.raises(KeyError, match="assignment missing block 'Y'"):
+            entry(problem, SolverState(missing, state.multipliers, state.rho))
+
+
 # ---------------------------------------------------------------------------
 # The z group: joint exact solve, and components without one refused.
 
@@ -561,7 +582,6 @@ def test_gram_eigenvalues_evaluates_no_offset(monkeypatch):
     spectra, offsets, ffts = [], [], []
     real_eigs = solver_mod._gram_eigenvalues
     real_offset = system_mod.FrozenLinearForm.offset_for
-    real_rfft2 = np.fft.rfft2
 
     def counting_eigs(q):
         spectra.append(q)
@@ -575,18 +595,23 @@ def test_gram_eigenvalues_evaluates_no_offset(monkeypatch):
             offsets.append(eq_id)
         return real_offset(self, eq_id)
 
-    def counting_rfft2(*args, **kwargs):
-        ffts.append(args[0].shape)
-        return real_rfft2(*args, **kwargs)
+    def counting(name, real):
+        def fft(*args, **kwargs):
+            ffts.append(name)
+            return real(*args, **kwargs)
+        return fft
 
     monkeypatch.setattr(solver_mod, "_gram_eigenvalues", counting_eigs)
     monkeypatch.setattr(system_mod.FrozenLinearForm, "offset_for", counting_offset)
-    monkeypatch.setattr(np.fft, "rfft2", counting_rfft2)
+    for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                 "fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
     solve(problem, max_iter=0)
     assert spectra, "the certified rho must read a spectrum"
     assert offsets == []
-    # The two transforms of the convolution in ||C(0)||.
-    assert len(ffts) == 2
+    # ||C(0)|| is read from the constant terms: evaluating every term at
+    # zeros took a convolution of zero arrays, four transforms.
+    assert ffts == []
 
 
 def test_dense_op_forms_its_gram_once():

@@ -8,7 +8,8 @@ attribute that a private class stores on ``self`` and that nothing in
 columns in ``src/madmm``.  ``__init__.py`` imports only to re-export, so it
 is exempt from the unused checks; its imports are what names the public
 API.  Only the step memo's helpers in ``system.py`` may hold a context
-variable or mark an array read-only."""
+variable or mark an array read-only.  No class defines ``__hash__`` or
+``__eq__``, and no term type calls ``_value_of``."""
 
 import ast
 from pathlib import Path
@@ -156,6 +157,37 @@ def test_only_the_step_memo_keeps_context_or_marks_arrays_read_only(path):
     problems = [f"{path.name}:{line}: {what} in {owner!r}, outside the step memo"
                 for line, owner, what in _memo_uses(ast.parse(path.read_text()))
                 if owner not in allowed]
+    assert not problems, "\n".join(problems)
+
+
+def _term_types(trees):
+    """The names of ``_Term`` and of every class that derives from it."""
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for tree in trees for node in tree.body if isinstance(node, ast.ClassDef)}
+    found, grown = {"_Term"}, True
+    while grown:
+        more = {name for name, parents in bases.items() if parents & found}
+        grown = not more <= found
+        found |= more
+    return found
+
+
+TERM_TYPES = _term_types(TREES)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_keys_hash_in_c_and_terms_read_checked_values(path):
+    # A Python __hash__ or __eq__ puts a Python call on every dict lookup
+    # keyed by that type (BlockIds are hash-consed instead); values are
+    # checked once per public entry, so a term reads them as handed.
+    problems = []
+    for top in ast.parse(path.read_text()).body:
+        for n in ast.walk(top):
+            if isinstance(n, ast.FunctionDef) and n.name in ("__hash__", "__eq__"):
+                problems.append(f"{path.name}:{n.lineno}: def {n.name}")
+            if (isinstance(top, ast.ClassDef) and top.name in TERM_TYPES
+                    and isinstance(n, ast.Name) and n.id == "_value_of"):
+                problems.append(f"{path.name}:{n.lineno}: _value_of in {top.name}")
     assert not problems, "\n".join(problems)
 
 

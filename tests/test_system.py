@@ -7,8 +7,12 @@ path; the convolution tests compare against a literal double-loop sum.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,8 +25,8 @@ from madmm import (BlockId, BuildError, Constant, Conv2D, DenseOp, DiagExtract,
 from madmm import prox, solver, zoo
 from madmm.operators import LinearOp
 from madmm.prox import Quadratic
-from madmm.system import (_ConvKernelPiece, _ConvSignalPiece, _term_index,
-                          block_adjoints, step_memo)
+from madmm.system import (_BLOCK_IDS, _ConvKernelPiece, _ConvSignalPiece,
+                          _constant_part, _term_index, block_adjoints, step_memo)
 
 
 def _fd_jacobian(system, assignment, block, h=1e-6):
@@ -897,15 +901,55 @@ def test_freeze_refuses_a_focus_that_names_a_block_twice():
     assert not system._plans
 
 
-def test_block_hash_follows_the_name():
+def test_equal_blocks_are_one_object():
+    # Block ids are hash-consed, so a dict keyed by them hashes and compares
+    # in C: equal fields give one object, however the id was made.
     a = BlockId("a", "x", (2, 2))
-    assert hash(a) == hash(BlockId("a", "x", (2, 2))) == hash("a")
-    other_role = BlockId("a", "z1", (2, 2))
-    assert hash(other_role) == hash(a) and other_role != a
+    assert BlockId("a", "x", [2, 2]) is a and BlockId("a", "x", (2, 2), 0) is a
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert dataclasses.replace(a) is a
+    other_role = dataclasses.replace(a, role="z1")
+    assert other_role is BlockId("a", "z1", (2, 2)) and other_role != a
     keyed = {a: 1, other_role: 2}
     assert len(keyed) == 2
     assert keyed[BlockId("a", "x", (2, 2))] == 1
     assert keyed[BlockId("a", "z1", (2, 2))] == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.name = "b"
+    # A refused id is never stored.
+    for role, shape in (("y", (2, 2)), ("x", (0, 2)), ("x", (2, 2, 1))):
+        with pytest.raises(BuildError):
+            BlockId("refused", role, shape)
+    assert not [b for b in _BLOCK_IDS.values() if b.name == "refused"]
+
+
+def test_threads_building_equal_blocks_get_one_object():
+    # The table is shared by every thread: a check-then-insert without its
+    # lock would let two threads each store an object for one field tuple.
+    names = [f"race{i}" for i in range(2000)]
+    got = [[] for _ in range(8)]
+    start = threading.Barrier(len(got), timeout=30)
+
+    def build(out):
+        start.wait()
+        out.extend(BlockId(name, "x", (1, 1)) for name in names)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in got]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(len(out) == len(names) for out in got)
+    for i, name in enumerate(names):
+        assert len({id(out[i]) for out in got}) == 1
+        assert got[0][i] is BlockId(name, "x", (1, 1))
 
 
 def _random_system(data, n, roles=("x",)):
@@ -981,6 +1025,95 @@ def test_freeze_plan_matches_evaluate_and_adjoint(n, data):
             scale = max(1.0, np.linalg.norm(image) * np.linalg.norm(wv),
                         np.linalg.norm(yv) * np.linalg.norm(back))
             assert abs(image @ wv - yv @ back) <= 1e-10 * scale
+
+
+def _assert_constant_part_is_evaluate_at_zeros(system):
+    zeros = {b: np.zeros(b.shape) for b in system.blocks.values()}
+    got, want = _constant_part(system), evaluate(system, zeros)
+    assert [g.dtype for g in got] == [w.dtype for w in want]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def _signed_zero_system():
+    """Constants with negative zeros, first and after a product, with
+    either sign, beside an equation without a constant."""
+    a, b = BlockId("a", "x", (2, 2)), BlockId("b", "x", (2, 2), 1)
+    c = np.array([[-0.0, 0.0], [1.5, -2.0]])
+    system = MultiaffineSystem()
+    system.add_equation([Constant(c), MatChain([a, b], sign=-1), Constant(c, sign=-1)])
+    system.add_equation([LinearTerm(TransposeOp((2, 2)), a, sign=-1), MatChain([b])])
+    system.add_equation([MatChain([a, -np.eye(2)]), Constant(-c, sign=-1), Constant(c)])
+    return system
+
+
+@pytest.mark.parametrize("name", ["signed zeros", *zoo.zoo_names()])
+def test_constant_part_is_evaluate_at_zeros_to_the_bit(name):
+    # ``solve`` scales its tolerance by ||C(0)||, read from the constant
+    # terms alone: evaluating every term at zeros convolved zero arrays.
+    _assert_constant_part_is_evaluate_at_zeros(
+        _signed_zero_system() if name == "signed zeros"
+        else zoo.default_instance(name, 0).problem.system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_constant_part_of_a_random_system_is_evaluate_at_zeros(n, data):
+    system, _ = _random_system(data, n)
+    _assert_constant_part_is_evaluate_at_zeros(system)
+
+
+def _counting_checks(monkeypatch):
+    """A list that ``system._value_of`` appends each block it checks to."""
+    import madmm.system as system_mod
+
+    checked, real = [], system_mod._value_of
+
+    def counting(assignment, block):
+        checked.append(block)
+        return real(assignment, block)
+
+    monkeypatch.setattr(system_mod, "_value_of", counting)
+    return checked
+
+
+@pytest.mark.parametrize("name", zoo.zoo_names())
+def test_evaluate_checks_each_block_once_and_terms_check_none(name, monkeypatch):
+    inst = zoo.default_instance(name, 0)
+    system = inst.problem.system
+    point = {b: np.ones(b.shape) for b in system.blocks.values()}
+    checked = _counting_checks(monkeypatch)
+    evaluate(system, point)
+    assert sorted(checked, key=lambda b: b.name) == sorted(
+        system.blocks.values(), key=lambda b: b.name)
+    checked.clear()
+    for _, terms in system.equations:
+        for term in terms:
+            term.unsigned(point)
+    assert checked == []
+
+
+def test_a_steady_step_checks_each_value_once_per_entry_and_freeze_read(monkeypatch):
+    # The step checks its state's blocks once, at entry, and reads the
+    # checked values after; each unit's freeze checks the blocks it reads.
+    # Before, a desk nmf3 step checked 74 values (evaluate and
+    # block_adjoints checked every block again) and augmented_lagrangian 9.
+    problem = zoo.default_instance("nmf3", 0).problem
+    state, _, _ = solver.solve(problem, max_iter=3)
+    system = problem.system
+    checked = _counting_checks(monkeypatch)
+    new, _ = solver.step(problem, state)
+    reads = sum(len(system._plans[focus].reads) for focus, _ in problem._units)
+    assert len(checked) == reads + len(system.blocks) == 49
+    # The other entries that take a state check each of its blocks once.
+    from madmm.diagnostics import assert_iteration, stationarity
+
+    for entry in (solver.augmented_lagrangian, stationarity):
+        checked.clear()
+        entry(problem, new)
+        assert sorted(b.name for b in checked) == sorted(system.blocks)
+    checked.clear()
+    assert_iteration(problem, state, new)
+    assert len(checked) == 2 * len(system.blocks)
 
 
 def test_stationarity_evaluates_no_terms(monkeypatch):
