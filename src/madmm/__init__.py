@@ -16,9 +16,8 @@ from .solver import (STATUS_CONVERGED, STATUS_DIVERGED, STATUS_MAXITER,
                      add_prox_constraint, augmented_lagrangian,
                      lambda_min_pos, rho_lower_bound, solve, step)
 from .system import (BlockId, Constant, Conv2D, FrozenLinearForm, HadamardPair,
-                     LinearTerm, MatChain, MultiaffineSystem, block_adjoints,
-                     circ_conv2, evaluate, freeze, jacobian_image_basis,
-                     stack_residual)
+                     LinearTerm, MatChain, MultiaffineSystem, circ_conv2,
+                     evaluate, freeze, jacobian_image_basis, stack_residual)
 from .zoo import (ZooInstance, cut_value, default_instance, dl3, gen_dl_data,
                   gen_nmf_data, gen_rp_data, gen_rpca_data, gen_sbd_data,
                   mc1, nmf3, rp2, rpca2, sbd0, sbd1, triangle_graph,
@@ -34,10 +33,9 @@ __all__ = [
     "ShapeMismatchError", "SmoothCustom", "SolverState",
     "StationarityEstimate", "SubproblemError", "TransposeOp", "Violation",
     "ZooInstance", "add_prox_constraint", "assert_iteration",
-    "augmented_lagrangian", "block_adjoints", "check_assumptions",
-    "circ_conv2", "cut_value", "default_instance", "dl3", "evaluate",
-    "freeze", "gen_dl_data", "gen_nmf_data", "gen_rp_data", "gen_rpca_data",
-    "gen_sbd_data",
+    "augmented_lagrangian", "check_assumptions", "circ_conv2", "cut_value",
+    "default_instance", "dl3", "evaluate", "freeze", "gen_dl_data",
+    "gen_nmf_data", "gen_rp_data", "gen_rpca_data", "gen_sbd_data",
     "jacobian_image_basis", "lambda_min_pos", "load_matrix", "mc1", "nmf3",
     "project_box", "project_nonneg", "project_unit_columns",
     "prox_block_step", "quad_block_solve", "rho_lower_bound", "rp2", "rpca2", "run_counterexample",

@@ -16,9 +16,9 @@ subtracting it.
 Block ids are hash-consed (see :class:`BlockId`): equal ids are one
 object, so a dict keyed by blocks compares and hashes them by identity, in
 C.  Each block value is checked once per public entry, for presence and
-shape (:func:`_checked_values`): ``evaluate`` and ``block_adjoints`` check
-every block of the system first, ``solver.step`` every block of its state
-at its start, and ``freeze`` the values it keeps.  Past that check, the
+shape (:func:`_checked_values`): ``evaluate`` checks every block of the
+system first, ``solver.step`` every block of its state at its start, and
+``freeze`` the values it keeps.  Past that check, the
 term types and the step read the checked values as they are.
 
 The central operation is :func:`freeze`: fixing all blocks except a chosen
@@ -41,7 +41,7 @@ a focus stores that structure on the system as a plan, read from one walk of
 the terms that files each term under every block it holds, and later calls
 for the same focus reuse it.  The walk also builds the piece of every term
 of one block once, as it reads no value; every plan and
-:func:`block_adjoints` share it, so a freeze builds only the pieces that
+:func:`_block_adjoints` share it, so a freeze builds only the pieces that
 read values.  The walk fixes the system: ``add_equation``, the only way to
 add an equation, refuses every one after it.
 
@@ -53,7 +53,7 @@ the signal or kernel side of a convolution.  A piece class owns its
 ``apply`` and ``adjoint``, its gram view (the gram's diagonal, when the
 gram is diagonal), and ``dense()``, the matrix it applies to the row-major
 flattened block; the block solvers in ``prox`` read these views and never
-the piece's type.  :func:`block_adjoints` takes ``C'_b^T W`` for every block
+the piece's type.  :func:`_block_adjoints` takes ``C'_b^T W`` for every block
 at once by freezing each term with its own blocks as the focus.
 
 Convolutions go through the Fourier domain.  Every zero-padded ``rfft2`` is
@@ -87,7 +87,7 @@ afresh.  Reuse relies on no held array being written in place while the
 step runs.
 
 A step allocates no array that dies inside it.  It passes ``out`` to
-``evaluate``, ``FrozenLinearForm.offset_for`` and ``block_adjoints``, and
+``evaluate``, ``FrozenLinearForm.offset_for`` and ``_block_adjoints``, and
 the solve plans to the sums they call, with arrays of a :class:`_Scratch`
 that its ``solver.Problem`` reuses at every step, and it takes the arrays
 it returns from :func:`_output`.  Called without ``out``, each returns
@@ -572,7 +572,7 @@ class MultiaffineSystem:
     An equation's id is its position in the stack, 0, 1, ... in the order
     added.  Equations are added only through :meth:`add_equation`, and only
     until the system is first frozen (by :func:`freeze` or
-    :func:`block_adjoints`, or by building a ``solver.Problem`` on it).  The
+    :func:`_block_adjoints`, or by building a ``solver.Problem`` on it).  The
     system then keeps one walk of its terms and one freeze plan per focus
     that :func:`freeze` has seen, and every
     ``solver.Problem`` built on it keeps its solve plans, all built once.
@@ -744,15 +744,16 @@ def _evaluate(system: MultiaffineSystem, values, out=None) -> list:
 
 def _constant_part(system: MultiaffineSystem) -> list:
     """C(0), the residual of every equation where every block is zero,
-    ascending eq_id: the signed sum of its terms that hold no block, zeros
-    where it has none.  Every other term is linear in each of its blocks,
-    so it vanishes there.  A sum starts as 0.0 + value (see
+    ascending eq_id: the signed sum of its terms that hold no block (a
+    ``Constant``, or a ``MatChain`` of constant factors, read with no
+    values), zeros where it has none.  Every other term is linear in each
+    of its blocks, so it vanishes there.  A sum starts as 0.0 + value (see
     ``_accumulate``) and so never holds a negative zero; adding a vanished
     term then changes no bit, and the result has the bits of ``evaluate``
     at zeros."""
     out = []
     for eq_id, terms in system.equations:
-        total = _sum_terms([t for t in terms if not t.blocks()], None, 1, None)
+        total = _sum_terms([t for t in terms if not t.blocks()], {}, 1, None)
         out.append(_zeros(system.eq_shape(eq_id)) if total is None else total)
     return out
 
@@ -1136,7 +1137,7 @@ class FrozenLinearForm:
     def adjoint(self, w) -> np.ndarray:
         """C_U^T w for the stacked dual vector ``w``, as a focus vector.  Each
         block's part is summed over its pieces in order, starting from the
-        first (see ``_accumulate``), as :func:`block_adjoints` sums it."""
+        first (see ``_accumulate``), as :func:`_block_adjoints` sums it."""
         plan = self.plan
         duals = self.split_dual(w)
         out = np.empty(plan.in_dim)
@@ -1219,7 +1220,7 @@ def _term_index(system: MultiaffineSystem) -> _Walk:
     ``MultiaffineSystem.add_equation``); ``where`` lists blocks in first-use
     order, and ``adjoints`` the terms holding a block, in walk order.  The
     piece of a term of one block reads no value, so it is built here once;
-    freeze plans and :func:`block_adjoints` share it and never write it."""
+    freeze plans and :func:`_block_adjoints` share it and never write it."""
     if system._terms is None:
         terms, term_blocks, where, shared, adjoints = [], [], {}, [], []
         for eq_id, eq_terms in system.equations:
@@ -1312,28 +1313,22 @@ def freeze(system: MultiaffineSystem, focus, assignment) -> FrozenLinearForm:
     return FrozenLinearForm(plan, pieces, values)
 
 
-def block_adjoints(system: MultiaffineSystem, assignment, w_by_eq,
-                   out=None) -> dict:
-    """BlockId -> C'_b^T W for every block b of the system, in one pass.
+def _block_adjoints(system: MultiaffineSystem, values, w_by_eq, out=None) -> dict:
+    """BlockId -> C'_b^T W for every block b of the system, in one pass, at
+    ``values`` that the caller has checked, as :func:`_checked_values`
+    returns them (a step's own block values).
 
     Each term is frozen once, with its own blocks as the focus, instead of
     freezing the system once per block; a term of one block gives its
     shared piece (see :func:`_term_index`), and only the terms that read
     values build pieces.  A block's sum runs over its pieces in equation
-    and term order, as ``freeze(system, b, assignment).adjoint(w)`` sums
-    them for ``w`` the stacked ``w_by_eq``, so the two agree bit for bit.
+    and term order, as ``freeze(system, b, values).adjoint(w)`` sums them
+    for ``w`` the stacked ``w_by_eq``, so the two agree bit for bit.
     Equations missing from ``w_by_eq`` contribute nothing.  Like
     ``freeze``, it fixes the system.
     ``out``, for a caller that reuses its arrays, maps each block's name to
     an array of its shape that the call overwrites with the block's sum.
-    Each block's value is checked once, first (see :func:`_checked_values`).
     """
-    return _block_adjoints(system, _checked_values(system, assignment), w_by_eq, out)
-
-
-def _block_adjoints(system: MultiaffineSystem, values, w_by_eq, out=None) -> dict:
-    """:func:`block_adjoints` at ``values`` that the caller has checked, as
-    ``_checked_values`` returns them (a step's own block values)."""
     grads = dict.fromkeys(system.blocks.values())
     for eq_id, term, blocks, piece in _term_index(system).adjoints:
         w = w_by_eq.get(eq_id)

@@ -1151,7 +1151,7 @@ def test_step_never_writes_into_its_inputs(name):
     # The old state shares its arrays with the new one, so every in-place
     # rewrite in a step must write only into arrays the step made.
     from madmm.solver import _stationarity
-    from madmm.system import block_adjoints, freeze
+    from madmm.system import _block_adjoints, _checked_values, freeze
 
     inst = zoo.default_instance(name, 0)
     problem = inst.problem
@@ -1165,8 +1165,9 @@ def test_step_never_writes_into_its_inputs(name):
             {e: w.tobytes() for e, w in state.multipliers.items()}) == before
     held = list(state.assignment.values())
     made = evaluate(problem.system, state.assignment)
-    made += block_adjoints(problem.system, state.assignment,
-                           state.multipliers).values()
+    made += _block_adjoints(problem.system,
+                            _checked_values(problem.system, state.assignment),
+                            state.multipliers).values()
     for focus, _ in problem._units:
         form = freeze(problem.system, focus, state.assignment)
         made += [form.offset_for(e) for e in form.plan.rows]

@@ -26,7 +26,8 @@ from madmm import prox, solver, zoo
 from madmm.operators import LinearOp
 from madmm.prox import Quadratic
 from madmm.system import (_BLOCK_IDS, _ConvKernelPiece, _ConvSignalPiece,
-                          _constant_part, _term_index, block_adjoints, step_memo)
+                          _block_adjoints, _checked_values, _constant_part,
+                          _term_index, step_memo)
 
 
 def _fd_jacobian(system, assignment, block, h=1e-6):
@@ -962,7 +963,8 @@ def _random_system(data, n, roles=("x",)):
     pick = st.sampled_from(blocks)
 
     def draw_term():
-        kind = data.draw(st.sampled_from(["chain", "hadamard", "linear", "constant"]))
+        kind = data.draw(st.sampled_from(["chain", "hadamard", "linear", "constant",
+                                          "constant chain"]))
         sign = data.draw(st.sampled_from([1, -1]))
         if kind == "chain":
             chosen = data.draw(st.lists(pick, min_size=1, max_size=3, unique=True))
@@ -980,6 +982,9 @@ def _random_system(data, n, roles=("x",)):
         if kind == "linear":
             op = DenseOp(rng.standard_normal((n * n, n * n)), (n, n), (n, n))
             return LinearTerm(op, data.draw(pick), sign=sign)
+        if kind == "constant chain":
+            return MatChain([rng.standard_normal((n, n))
+                             for _ in range(data.draw(st.integers(1, 2)))], sign=sign)
         return Constant(rng.standard_normal((n, n)), sign=sign)
 
     system = MultiaffineSystem()
@@ -1036,13 +1041,16 @@ def _assert_constant_part_is_evaluate_at_zeros(system):
 
 def _signed_zero_system():
     """Constants with negative zeros, first and after a product, with
-    either sign, beside an equation without a constant."""
+    either sign, beside an equation without a constant, and matrix chains
+    of constant factors alone."""
     a, b = BlockId("a", "x", (2, 2)), BlockId("b", "x", (2, 2), 1)
     c = np.array([[-0.0, 0.0], [1.5, -2.0]])
     system = MultiaffineSystem()
     system.add_equation([Constant(c), MatChain([a, b], sign=-1), Constant(c, sign=-1)])
     system.add_equation([LinearTerm(TransposeOp((2, 2)), a, sign=-1), MatChain([b])])
     system.add_equation([MatChain([a, -np.eye(2)]), Constant(-c, sign=-1), Constant(c)])
+    system.add_equation([MatChain([np.eye(2), c]), MatChain([a], sign=-1),
+                         MatChain([-c], sign=-1)])
     return system
 
 
@@ -1095,8 +1103,8 @@ def test_evaluate_checks_each_block_once_and_terms_check_none(name, monkeypatch)
 def test_a_steady_step_checks_each_value_once_per_entry_and_freeze_read(monkeypatch):
     # The step checks its state's blocks once, at entry, and reads the
     # checked values after; each unit's freeze checks the blocks it reads.
-    # Before, a desk nmf3 step checked 74 values (evaluate and
-    # block_adjoints checked every block again) and augmented_lagrangian 9.
+    # Before, a desk nmf3 step checked 74 values (evaluate and the
+    # block adjoints checked every block again) and augmented_lagrangian 9.
     problem = zoo.default_instance("nmf3", 0).problem
     state, _, _ = solver.solve(problem, max_iter=3)
     system = problem.system
@@ -1187,7 +1195,8 @@ def test_block_adjoints_match_freeze_bit_for_bit(name):
     inst = zoo.default_instance(name, 0)
     state, _, _ = solver.solve(inst.problem, max_iter=3, init=inst.init)
     system = inst.problem.system
-    got = block_adjoints(system, state.assignment, state.multipliers)
+    got = _block_adjoints(system, _checked_values(system, state.assignment),
+                          state.multipliers)
     assert set(got) == set(system.blocks.values())
     w = stack_residual([state.multipliers[e] for e in system.eq_ids])
     for block in system.blocks.values():
@@ -1259,7 +1268,7 @@ def test_sums_fold_signs_and_write_no_input(name):
     before = [a.tobytes() for a in inputs]
     for r, (_, terms) in zip(evaluate(system, assignment), system.equations):
         assert np.array_equal(r, _signed_sum(terms, assignment, r.shape))
-    grads = block_adjoints(system, assignment, mults)
+    grads = _block_adjoints(system, _checked_values(system, assignment), mults)
     for block in system.blocks.values():
         form = freeze(system, block, assignment)
         for eq_id, terms in system.equations:
@@ -1331,8 +1340,8 @@ def test_sums_turn_a_first_negative_zero_into_positive_zero():
     # target rho * offset - w, -0.0 at w = +0.0.
     plan = prox._SolvePlan(form)
     assert _positive_zero(plan.rhs(form, {0: pos}, 1.0))
-    # block_adjoints: x's first addend is -w.
-    grads = block_adjoints(system, {x: pos, y: pos}, {0: pos})
+    # _block_adjoints: x's first addend is -w.
+    grads = _block_adjoints(system, {x: pos, y: pos}, {0: pos})
     assert _positive_zero(grads[x]) and _positive_zero(grads[y])
 
 
@@ -1350,7 +1359,7 @@ def _held_arrays(piece):
 def test_fixed_pieces_are_shared_and_never_written(name):
     # A piece that reads no other block's value is built once per system:
     # two freezes of a unit at different values share it, and share no
-    # piece that reads a value.  block_adjoints reads the same objects, and
+    # piece that reads a value.  _block_adjoints reads the same objects, and
     # a step writes none of their arrays.
     inst = zoo.default_instance(name, 0)
     problem, system = inst.problem, inst.problem.system
