@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import BuildError, ShapeMismatchError, SubproblemError, require_finite
 from .operators import LinearOp
-from .system import FrozenLinearForm, _Scratch, _accumulate, _add_adjoint, _output
+from .system import FrozenLinearForm, _Scratch, _accumulate, _add_adjoint
 
 _FEAS_TOL = 1e-8
 _DENSE_LIMIT = 1024
@@ -405,11 +405,10 @@ class _SolvePlan:
     is taken here, once.  ``term`` is the nonsmooth term of a prox step, and
     ``method`` forces one path of :func:`quad_block_solve`.  ``path`` is the
     one solve path, fixed here.
-    The arrays :meth:`rhs` writes are taken here from ``scratch``, which a
+    The arrays :meth:`rhs` writes are taken from ``scratch``, which a
     ``solver.Problem`` shares among its plans, or else from the plan's own.
-    ``shared`` maps each equation whose target other units of the step
-    read at the same values to the number of units that read it, and
-    :meth:`rhs` keeps those targets in the step memo.
+    ``shared`` maps each equation whose target :meth:`rhs` keeps in the
+    step memo to (its reads, its ``system._Slot``).
     """
 
     def __init__(self, form, extras=(), term=None, method=None, scratch=None,
@@ -424,7 +423,6 @@ class _SolvePlan:
         self._eq_shapes = [layout.eq_shapes[e] for e, _ in self.eqs]
         self._scratch, self._sums = scratch, None  # see _take_scratch
         self.shared = shared or {}
-        self._kept = []    # the diagonal divide's outputs (see system._output)
         self.quads = []    # (focus position, Quadratic) with a positive weight
         self.consts = []   # (focus position, sign, array of the block's shape)
         for name, item in extras:
@@ -539,23 +537,21 @@ class _SolvePlan:
         piece order and then the constant items', starting from its first
         addend (see ``system._accumulate``), so no zeros are written first.
         The offsets, the targets (rho times the offset, minus the
-        multiplier) and the parts are written into the plan's scratch, but
-        for the targets of the ``shared`` equations, which the step memo
-        keeps (see ``FrozenLinearForm.target``); the returned array
-        is the plan's too: its next call overwrites it.  The multipliers
-        and the plan's constant items are only read.
+        multiplier) but those of the ``shared`` equations, and the parts
+        are written into the plan's scratch; its next call overwrites the
+        returned array.  The multipliers and constant items are only read.
         """
         if self._sums is None:
             self._take_scratch()
         parts = [None] * len(self.slices)
         pieces = form.pieces
         for (e, members), sums in zip(self.eqs, self._sums):
-            reads = self.shared.get(e)
-            if reads is None:
+            keep = self.shared.get(e)
+            if keep is None:
                 target = np.multiply(form.offset_for(e, out=sums), rho, out=sums[0])
                 target -= w[e]
             else:
-                target = form.target(e, w, rho, reads, out=sums)
+                target = form.target(e, w, rho, keep, out=sums)
             for k, i in members:
                 p = pieces[k]
                 if len(members) == 1 and p.identity not in (None, 1.0, -1.0):
@@ -621,15 +617,16 @@ class _SolvePlan:
                 normal[sl, sl] += q.weight * (m.T @ m)
         return normal
 
-    def solve(self, form, w, rho, y0=None, cg_tol=None, cg_maxit=None):
+    def solve(self, form, w, rho, y0=None, cg_tol=None, cg_maxit=None,
+              out=None):
         """The stacked minimizer over the focus of ``form`` by :attr:`path`.
 
         ``w`` is keyed by eq_id; ``y0``, a focus vector, starts conjugate
-        gradients.  No path returns the plan's scratch: the diagonal and
-        prox paths divide :meth:`rhs` into an array from
-        ``system._output``, which nothing else holds.  The prox path is the
-        diagonal divide, by kappa, followed by the term's prox with step
-        1 / kappa."""
+        gradients.  The diagonal path divides :meth:`rhs` into ``out``, a
+        contiguous float array of the focus's size that the caller gives
+        up, if given; every other result is a new array.  The prox path
+        divides by kappa into a new one, as the term's prox, with step
+        1 / kappa, may return its argument."""
         rho = float(rho)
         rhs = self.rhs(form, w, rho)
         name = self.focus[0].name
@@ -639,7 +636,7 @@ class _SolvePlan:
                 raise SubproblemError(
                     f"the subproblem of block {name!r} has a curvature that "
                     "is not positive at this point", block=name)
-            y = _output(self._kept, self.dim)
+            y = np.empty(self.dim) if out is None or self.term is not None else out.ravel()
             for sl, d in zip(self.slices, diags):
                 np.divide(rhs[sl], d, out=y[sl])
             if self.term is None:

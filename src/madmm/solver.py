@@ -46,8 +46,8 @@ from .operators import DenseOp, LinearOp
 from .prox import ObjectiveTerm, Quadratic, _SolvePlan, _check_duals
 from .system import (BlockId, Conv2D, LinearTerm, MultiaffineSystem, ROLE_X,
                      ROLE_Z1, ROLE_Z2, freeze, FrozenLinearForm, _Scratch,
-                     _block_adjoints, _checked_values, _constant_part, _evaluate,
-                     _output, _read_only, _term_index, _unfreeze, step_memo)
+                     _Slot, _block_adjoints, _checked_values, _constant_part,
+                     _evaluate, _read_only, _term_index, _unfreeze, step_memo)
 
 STATUS_CONVERGED = "Converged"
 STATUS_MAXITER = "MaxIter"
@@ -116,16 +116,13 @@ class Problem:
         fn(problem, block, assignment, multipliers, rho) -> array
 
     which returns the block's new value as a new array.  It is handed
-    dicts made for the call, of read-only views of the step's arrays, so a
-    write into one raises numpy's ValueError: the old state shares them,
-    and a step reuses the products of those arrays while it runs.  A
-    returned view of one is copied.  The convergence argument assumes the
-    exact minimizer of L over that block; nothing checks it.  The zoo's
-    deconvolution updaters are not exact: the signal update runs a fixed
-    number of passes from zero, and the kernel update adds a proximal term
-    anchored at the current kernel.  ``metadata``
-    is free-form; the keys m1, M1, M2, M_F and r_blocks (see
-    ``rho_lower_bound``) feed the certified penalty bound at each solve.
+    dicts made for the call, of read-only views of the state's arrays,
+    which the caller may hold and the step's memo reads (a returned view of
+    one is copied).  The convergence argument assumes the exact minimizer
+    of L over that block; nothing checks it, and the zoo's deconvolution
+    updaters are not exact.  ``metadata`` is free-form; the keys m1, M1,
+    M2, M_F and r_blocks (see ``rho_lower_bound``) feed the certified
+    penalty bound at each solve.
 
     A block carries at most one nonsmooth term.  Building raises BuildError
     when such a block, with no custom updater, has no exact proximal step
@@ -137,7 +134,8 @@ class Problem:
     the block, a SmoothCustom term with curvature on a block with no
     custom updater.  Building fixes the system, even when no unit has a
     plan: ``add_equation`` then raises BuildError.  A refused build leaves
-    a system that was open before it open.
+    a system that was open before it open.  A Problem owns its steps'
+    scratch and the slots of their memo's products, taken on first use.
 
     z blocks tied by a shared equation form one component, which each step
     solves jointly and exactly.  Building raises BuildError when a
@@ -164,9 +162,9 @@ class Problem:
         self._validate()
         self._z_components = self._build_z_components()
         self._scratch = _Scratch()
-        # The arrays the step memo writes its products into, the product
-        # terms it keeps, and whether a step opens it (see system.step_memo).
-        self._kept, self._kept_terms, self._memo = {}, {}, False
+        # The product terms the step memo keeps, and whether a step opens it
+        # (see system.step_memo).
+        self._kept_terms, self._memo = {}, False
         was_open = system._terms is None
         try:
             self._units = self._build_units()
@@ -177,9 +175,6 @@ class Problem:
         _term_index(system)  # fixes the system even when no unit froze it
         self._slack = None  # _SlackMaps, built on first use
         self._step_arrays = None  # _StepArrays, taken on first use
-        # Per equation, new multipliers that steps handed out (see
-        # system._output).
-        self._mults_kept = [[] for _ in system.eq_ids]
 
     def _resolve(self, key) -> BlockId:
         if isinstance(key, BlockId):
@@ -261,6 +256,13 @@ class Problem:
             units.append((focus, _SolvePlan(form, extras,
                                             term=self.nonsmooth_term(focus[0]),
                                             scratch=self._scratch, shared=eqs)))
+        # What step(out=) keeps of a given-up state, (key, dict, shape, name,
+        # error fields): each multiplier and lone diagonal-path block.
+        self._destinations = [(e, "multipliers", system.eq_shape(e), f"multiplier {e}",
+                               {"eq_id": e}) for e in system.eq_ids]
+        self._destinations += [(f[0], "assignment", f[0].shape, f"block {f[0].name!r}",
+                                {"block": f[0].name}) for f, plan in units
+                               if len(f) == 1 and plan is not None and plan.path == "diag"]
         return units
 
     def _arrays(self) -> "_StepArrays":
@@ -336,10 +338,10 @@ def _repeats(system, foci, forms):
     """What a step forms more than once from the same values, read from the
     units' forms (None for a custom updater) alone: per unit, the
     equations whose target (``FrozenLinearForm.target``) other units read
-    too, mapped to the number of units that read it; and the product terms
-    (``_Term.product``) that two offsets, or an offset and ``evaluate``,
-    read, by id, mapped to (their shape, the number of reads).  Only
-    equations of at least ``_KEEP_MIN`` entries count.
+    too; and the product terms (``_Term.product``) that two offsets, or an
+    offset and ``evaluate``, read, by id.  Each maps to (its reads, the
+    ``system._Slot`` of its term, or of its equation and the blocks read).
+    Only equations of at least ``_KEEP_MIN`` entries count.
 
     A target reads the old multiplier, which a sweep does not change, and
     the blocks its equation's other terms read, so two units read the same
@@ -375,11 +377,16 @@ def _repeats(system, foci, forms):
     for e, eq_terms in system.equations:
         if e in big:
             terms += read_terms(e, eq_terms)
-    kept = {}
+    slots, kept = {}, {}  # slots: a term's id, or (equation, blocks read) -> slot
+
+    def slot(item, e):
+        return slots.setdefault(item, _Slot(system.eq_shape(e)))
+
     for key, t, e in terms:
         if seen[key] > 1:
-            kept[id(t)] = (system.eq_shape(e), max(seen[key], kept.get(id(t), (0, 0))[1]))
-    return [{e: seen[key] for e, key in keys if seen[key] > 1} for keys in targets], kept
+            kept[id(t)] = (max(seen[key], kept.get(id(t), (0,))[0]), slot(id(t), e))
+    return [{e: (seen[key], slot((e, tuple(b for b, _ in key[1])), e))
+             for e, key in keys if seen[key] > 1} for keys in targets], kept
 
 
 class _StepArrays:
@@ -478,14 +485,15 @@ def augmented_lagrangian(problem: Problem, state: SolverState) -> float:
 
 def _update_blocks(problem: Problem, focus: tuple, plan, assignment: dict,
                    multipliers: dict, rho: float, block_steps: dict, steps: dict,
-                   bind):
+                   bind, out=None):
     """Minimize L exactly over one block, or jointly over a z component, in
     place in ``assignment``, recording each block's step norm, the step
     written into the block's array of ``steps``; each new value is bound by
     ``bind(assignment, block, value)``.  ``plan`` is the unit's solve plan,
     None for a custom updater, which belongs to a lone block (see
     ``Problem``), is looked up at each call and is handed read-only views
-    (a read-only result, one of them, is copied)."""
+    (a read-only result, one of them, is copied).  ``out`` is the array a
+    lone block's diagonal path writes into, or None."""
     if plan is None:
         block = focus[0]
         value = np.asarray(problem.custom_updaters[block.name](
@@ -500,7 +508,7 @@ def _update_blocks(problem: Problem, focus: tuple, plan, assignment: dict,
         form = freeze(problem.system, focus, assignment)
         y0 = (np.concatenate([np.ravel(assignment[b]) for b in focus])
               if plan.path == "cg" else None)
-        y = plan.solve(form, multipliers, rho, y0=y0)
+        y = plan.solve(form, multipliers, rho, y0=y0, out=out)
         new = [(b, y[sl].reshape(b.shape)) for b, sl in zip(focus, plan.slices)]
     for b, value in new:
         change = np.subtract(value, assignment[b], out=steps[b.name])
@@ -538,38 +546,31 @@ def _stationarity(problem: Problem, assignment: dict, multipliers: dict,
     return parts, agg
 
 
-def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
+def step(problem: Problem, state: SolverState, *, check_argmin: bool = False,
+         out: SolverState | None = None):
     """One full iteration; returns (new_state, IterTrace).
 
     check_argmin re-evaluates L after every block update and records a
     Violation when it rose by more than 1e-9 * (1 + |L|) (exact minimization
     over one block can never increase L).
 
-    Products: the step forms each product of its block values and
-    multipliers that it reads twice once, and reads it again from its memo
-    (see system.step_memo): the spectra and convolutions of the Fourier
-    pieces, the targets two units read (rho * offset - W: nmf3's Y and X
-    units share their target of Z = X Y), and the product terms that an
-    offset and ``evaluate`` both read (nmf3's X Y).  Which targets and
-    terms recur is read from the structure when the Problem is built; a
-    step of a Problem where none recurs and no term is a convolution opens
-    no memo.  A kept product is read-only and is never handed out once a
-    block or multiplier it read is rebound.  The residual of a
-    ``Quadratic`` with a center, which L and the stationarity estimate both
-    read, is formed once by L and read in place by the estimate (see
-    ``_StepArrays``).
+    Each product of the step's values that it reads twice is formed once
+    (see system.step_memo), as nmf3's X Y and the target of Z = X Y that
+    its Y and X units share; L leaves the residual of a centred
+    ``Quadratic`` for the stationarity estimate (see ``_StepArrays``).
+    Every array that dies inside the step lives in scratch ``problem``
+    reuses, or in a kept product's slot, so one Problem runs one step at a
+    time; nothing the step returns aliases them.  Each new multiplier is
+    written as rho * r, then W added.
 
-    Memory: every array that dies inside the step lives in scratch that
-    ``problem`` allocated once and reuses at every later step, or, for a
-    kept target or term, in an array the Problem keeps for the memo, so one
-    Problem runs one step at a time.  The primal and dual norms and L's
-    inner products are read from each equation's residual in place, its
-    squared norm once for the primal norm and L both, and each new
-    multiplier is written as rho * r into its own array, then W added to
-    it.  Nothing the step returns aliases that scratch.  A new
-    block value or multiplier is an array that nothing else holds: a new
-    one, or one of an old state that nothing holds any more (see
-    ``system._output``), so a state the caller keeps never changes.
+    ``out`` is a state, other than ``state``, that the caller gives up.
+    The step empties its dicts first, keeping only the arrays it writes
+    into: the new multipliers' and the diagonal path's lone blocks'
+    (``Problem._destinations``).  Any other new value is a new array; the
+    bits are the same either way, and a state not given up never changes.
+    ValueError refuses ``out is state``, and names a kept array that is no
+    writeable C-contiguous float array or may share memory with a value of
+    ``state`` or another kept one; ShapeMismatchError, one of another shape.
 
     The state is checked once, first, and the step's own reads rely on
     that check: ShapeMismatchError names an equation whose multiplier is
@@ -580,6 +581,7 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
     """
     t0 = time.perf_counter()
     assignment = _check_state(problem, state)
+    into = {} if out is None else _give_up(problem, state, assignment, out)
     rho = state.rho
     system = problem.system
     arrays = problem._arrays()
@@ -599,14 +601,15 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
                                         tol, f"L rose while updating {label}"))
         L_track = L_now
 
-    memo = (step_memo(assignment, multipliers, mults_new, kept=problem._kept,
-                      terms=problem._kept_terms) if problem._memo else None)
+    memo = (step_memo(assignment, multipliers, mults_new, terms=problem._kept_terms)
+            if problem._memo else None)
     bind = dict.__setitem__ if memo is None else memo.rebind
     with memo or nullcontext():
         try:
             for focus, plan in problem._units:
                 _update_blocks(problem, focus, plan, assignment, multipliers,
-                               rho, block_steps, arrays.blocks, bind)
+                               rho, block_steps, arrays.blocks, bind,
+                               into.get(focus[0]))
                 if check_argmin and focus[0].role == ROLE_X:
                     _argmin_check(repr(focus[0].name))
             if check_argmin and problem.z_order:
@@ -619,9 +622,9 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
         residuals = _squared(_evaluate(system, assignment, out=arrays.residual_out))
         primal = math.sqrt(sum(sq for _, sq in residuals))
         dual_sq = 0.0
-        for eq_id, (r, _), kept in zip(system.eq_ids, residuals, problem._mults_kept):
+        for eq_id, (r, _) in zip(system.eq_ids, residuals):
             # rho * r, then W added to it: the bits of W + rho * r.
-            delta = np.multiply(r, rho, out=_output(kept, r.shape))
+            delta = np.multiply(r, rho, out=into.get(eq_id))
             dual_sq += float(np.vdot(delta, delta))
             bind(mults_new, eq_id, np.add(delta, multipliers[eq_id], out=delta))
         L_new = _al(problem, assignment, mults_new, rho, residuals)
@@ -633,6 +636,45 @@ def step(problem: Problem, state: SolverState, *, check_argmin: bool = False):
                       wall_ms=(time.perf_counter() - t0) * 1000.0,
                       violations=tuple(violations))
     return new_state, trace
+
+
+def _give_up(problem: Problem, state: SolverState, assignment: dict,
+             out: SolverState) -> dict:
+    """The arrays of ``out``, by eq_id or block, that a step from ``state``
+    (its checked values ``assignment``) writes into, checked as ``step``
+    says, and ``out`` emptied.  Arrays of different owners share no memory,
+    so ``np.may_share_memory`` runs only where owners repeat or are unknown."""
+    if out is state or {id(out.assignment), id(out.multipliers)} & {
+            id(state.assignment), id(state.multipliers)}:
+        raise ValueError("out must be a state other than the one stepped from")
+    held = [*assignment.values(), *state.multipliers.values()]
+    owners = {_owner(h) for h in held}
+    taken = {}
+    for key, where, shape, what, fields in problem._destinations:
+        a = getattr(out, where).get(key)
+        if a is None:
+            continue
+        if not (isinstance(a, np.ndarray) and a.dtype == float and a.flags.carray):
+            raise ValueError(f"out's {what} is not a writeable C-contiguous float array")
+        if a.shape != shape:
+            raise ShapeMismatchError(f"out's {what} has shape {a.shape}, expected {shape}",
+                                     **fields)
+        owner = _owner(a)
+        if ((owner is None or owner in owners or None in owners)
+                and any(np.may_share_memory(a, h) for h in [*held, *taken.values()])):
+            raise ValueError(f"out's {what} may share memory with a value of the state "
+                             "stepped from or another array of out")
+        owners.add(owner)
+        taken[key] = a
+    out.assignment.clear()
+    out.multipliers.clear()
+    return taken
+
+
+def _owner(a):
+    """The id of the array that owns the memory of ``a``, or None."""
+    base = a.base if isinstance(a, np.ndarray) and a.base is not None else a
+    return id(base) if isinstance(base, np.ndarray) and base.flags.owndata else None
 
 
 def _fail_on(violations):
@@ -665,6 +707,9 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
     assert_level "basic" attaches per-iteration invariant violations to the
     traces; "strict" additionally checks per-block descent and raises
     AssertionError on any violation, the step's own included.
+
+    Each step gives up the state from two steps back (``step(out=)``), or
+    three when the checks read the previous one; never the first state.
     """
     if assert_level not in ("none", "basic", "strict"):
         raise ValueError(f"unknown assert_level {assert_level!r}")
@@ -716,9 +761,13 @@ def solve(problem: Problem, *, rho=None, max_iter: int = 500,
     status = STATUS_MAXITER
     streak = 0
     strict = assert_level == "strict"
+    back = 2 if assert_level == "none" else 3
+    done = []  # the states the steps returned, to give up, the oldest first
     for _ in range(max_iter):
         prev = current
-        current, tr = step(problem, prev, check_argmin=strict)
+        current, tr = step(problem, prev, check_argmin=strict,
+                           out=done.pop(0) if len(done) == back else None)
+        done.append(current)
         if strict:
             _fail_on(tr.violations)
         if assert_level != "none":
@@ -771,13 +820,16 @@ def _auto_rho(problem: Problem, assignment: dict):
 
 def _probe_ok(problem: Problem, base: dict, rho: float, iters: int = 10) -> bool:
     """Whether ``iters`` steps from ``base`` and zero multipliers keep L
-    finite and nonincreasing; no step writes into ``base``'s arrays."""
+    finite and nonincreasing; each gives up the state from two steps back,
+    never the first, which holds ``base``."""
     st = SolverState(base, {e: np.zeros(problem.system.eq_shape(e))
                             for e in problem.system.eq_ids}, rho, 0)
     values = [_al(problem, st.assignment, st.multipliers, rho)]
+    done = []
     try:
         for _ in range(iters):
-            st, tr = step(problem, st)
+            st, tr = step(problem, st, out=done.pop(0) if len(done) == 2 else None)
+            done.append(st)
             values.append(tr.L)
     except SubproblemError:
         return False

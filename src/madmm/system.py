@@ -62,44 +62,28 @@ consumes a spectrum its caller owns: it runs ``ifft`` over the rows in place
 and ``irfft`` over the columns, into ``out`` or one fresh array.
 
 Inside :func:`step_memo`, which ``solver.step`` opens while it runs, each
-product of the step's values that the step reads more than once is formed
-once: the spectrum of an array, ``circ_conv2`` of a kernel and a signal, an
-equation's target rho * offset - W (:meth:`FrozenLinearForm.target`, and
-``conv_target`` with its spectrum, which the kernel and signal updates
-share), and a product term that an offset and ``evaluate`` both read.  All
-live in one table under one keying rule: the kind, its parameters and the
-identities of the arrays read, which must all be held by the step (a block
-value, an old or new multiplier, or a read-only view of one handed to a
-custom updater).  Every kept product is read-only.  The step rebinds a
-value only through the memo, so nothing read from the old value is handed
-out again; such an entry is dropped when the next product is kept, and
-every entry when the step returns.  The memo holds a reference to each
-array it has keyed, so no id is reused.  Targets and product terms are
-consulted only where the ``solver.Problem`` found, when it was built, that
-they recur within a sweep and have ``solver._KEEP_MIN`` entries or more,
-and are dropped at their last read; they are written into arrays the
-``Problem`` owns, outside :class:`_Scratch` and up to two per shape (see
-:func:`_output`), so a steady step allocates none for them (nmf3 keeps one
-at a time).  The Fourier kinds live in new arrays until the step no longer
-holds what they read.  A step whose ``Problem`` keeps no target or term
-and has no convolution opens no memo; outside a step every call forms
-afresh.  Reuse relies on no held array being written in place while the
-step runs.
+product of the step's values that it reads more than once is formed once:
+spectra, ``circ_conv2``, an equation's target rho * offset - W
+(:meth:`FrozenLinearForm.target`, ``conv_target``) and a product term that
+an offset and ``evaluate`` both read.  One table keys them by kind,
+parameters and the identities of the held arrays read; each is read-only,
+and none read from a value the step has rebound is handed out again.
+Targets and product terms are kept only where the ``solver.Problem`` found
+at build that they recur within a sweep and have ``solver._KEEP_MIN``
+entries or more, each in the one array of its :class:`_Slot`, which the
+``Problem`` owns and takes on first use (two on nmf3 300^2); the Fourier
+kinds live in new arrays.  A step with neither opens no memo.
 
-A step allocates no array that dies inside it.  It passes ``out`` to
-``evaluate``, ``FrozenLinearForm.offset_for`` and ``_block_adjoints``, and
-the solve plans to the sums they call, with arrays of a :class:`_Scratch`
-that its ``solver.Problem`` reuses at every step, and it takes the arrays
-it returns from :func:`_output`.  Called without ``out``, each returns
-arrays the caller owns.  Reads of structure alone (which pieces a focus
-has, what the constraints give where some blocks are zero) use read-only
-``np.broadcast_to`` constants as block values, not filled arrays.
+A step passes ``out`` to ``evaluate``, ``FrozenLinearForm.offset_for`` and
+``_block_adjoints``, and the solve plans to the sums they call, with arrays
+of the :class:`_Scratch` its ``solver.Problem`` reuses; without ``out``,
+each returns arrays the caller owns.  Reads of structure alone use
+read-only ``np.broadcast_to`` constants as block values.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import threading
 import weakref
 from contextvars import ContextVar
@@ -389,20 +373,14 @@ _MEMO = ContextVar("madmm_memo", default=None)
 
 class _StepMemo:
     """The products of one step's values, each formed once (see
-    :func:`step_memo`).
+    :func:`step_memo`).  ``held`` maps the id of every array the step
+    holds, and of every read-only view of one that :func:`_read_only` made,
+    to (that object, kept alive so that no other takes its id, the array):
+    read from ``sources``, then kept by ``rebind``.  ``table`` maps a key
+    (see :meth:`product`) to [the held arrays read, the product, the reads
+    left or None]."""
 
-    ``held`` maps the id of every array the step holds, and of every
-    read-only view of one that :func:`_read_only` made, to (that object,
-    which it keeps alive so that no other object takes its id, the array);
-    it is read from ``sources`` when the memo is made, and then kept by
-    ``rebind``.  ``table`` maps a key (see
-    :meth:`product`) to [the held arrays read, the product, the reads
-    left or None].  ``kept`` holds the arrays the products with a count of
-    reads are written into, by shape, and ``terms`` maps the id of each
-    product term to keep to (its shape, its reads)."""
-
-    def __init__(self, sources, kept, terms):
-        self.kept = kept
+    def __init__(self, sources, terms):
         self.terms = terms
         self.held = {id(v): (v, v) for d in sources for v in d.values()}
         self.table = {}
@@ -430,16 +408,16 @@ class _StepMemo:
         if id(array) in held:
             held[id(view)] = (view, held[id(array)][1])
 
-    def product(self, key, arrays, build, reads=None, out=None, shape=None):
+    def product(self, key, arrays, build, keep=None, out=None):
         """``build(into)``, kept under ``key`` and the ids of the held
         arrays ``arrays`` are, or stand for, when every one is held; else
-        ``build(out)``.  A product whose ``reads`` are given is dropped at
-        its last read, and ``into`` is then an array of ``shape`` from
-        ``kept`` (see :func:`_output`), free again once that reader lets go
-        of it; any other (the Fourier kinds, kept while their arrays are
-        held) is built with ``into`` None, into new arrays.  When a product
-        is kept, the entries read from arrays no longer held are
-        dropped."""
+        ``build(out)``.  A product with ``keep``, (its reads, its
+        :class:`_Slot`), is built into its slot's array and dropped at its
+        last read; it is built again only once that is past or a value it
+        read is rebound, so no entry that can be hit holds the array.  Any
+        other (the Fourier kinds) is built with ``into`` None, into new
+        arrays.  Keeping a product drops the entries that read arrays no
+        longer held."""
         held = self.held
         bases = []
         for a in arrays:
@@ -455,48 +433,52 @@ class _StepMemo:
                 if not hit[2]:
                     del self.table[key]
             return hit[1]
-        value = build(None if reads is None
-                      else _output(self.kept.setdefault(shape, []), shape).view())
+        value = build(None if keep is None else keep[1].array().view())
         for a in value if isinstance(value, tuple) else (value,):
             a.flags.writeable = False
         for stale in [k for k, (read, *_) in self.table.items()
                       if not all(id(b) in held for b in read)]:
             del self.table[stale]
-        self.table[key] = [bases, value, None if reads is None else reads - 1]
+        self.table[key] = [bases, value, None if keep is None else keep[0] - 1]
         return value
 
 
-def step_memo(*sources, kept=None, terms=None) -> "_StepMemo":
+def step_memo(*sources, terms=None) -> "_StepMemo":
     """Form each product of the arrays held in ``sources`` once while the
     returned memo is open as a context manager (``with step_memo(...) as
-    memo``).
+    memo``); see the module docstring.
 
     ``sources`` are dicts whose values are arrays: a step's block values
-    and its old and new multipliers.  A product is kept under its kind, its
-    parameters and the identities of the held arrays it reads, when every
-    one of those is held, and handed out read-only; anything else is formed
-    afresh at every call.  The kinds: the spectrum of an array
-    (:func:`_spectrum`), ``circ_conv2`` of two, an equation's target
-    (:meth:`FrozenLinearForm.target` and ``conv_target``), and a product
-    term whose id ``terms`` maps to its shape and reads.  A value rebound
-    through the memo's ``rebind`` is no longer held, so what was read from
-    it is never handed out again; such entries are dropped when the next
-    product is kept, and all when the memo closes.  Targets and terms are
-    written into arrays of ``kept``, a dict a ``solver.Problem`` owns and
-    passes at every step, so a steady step allocates none for them; without
-    it, the memo's own.  Reuse relies on no held array being written in
-    place while the memo is open.
+    and its old and new multipliers.  ``terms`` maps the id of each product
+    term to keep to its reads and :class:`_Slot`.  A product is handed out
+    read-only when every array it reads is held, and formed afresh at every
+    call otherwise.  What was read from a value rebound through ``rebind``
+    is never handed out again.  Reuse relies on no held array being written
+    in place while the memo is open.
     """
-    return _StepMemo(sources, {} if kept is None else kept, terms or {})
+    return _StepMemo(sources, terms or {})
 
 
-def _kept(key, arrays, build, reads=None, out=None, shape=None):
+class _Slot:
+    """The one array of ``shape``, taken on first use, that a product the
+    step memo keeps to its last read is written into."""
+
+    def __init__(self, shape):
+        self.shape, self._array = shape, None
+
+    def array(self) -> np.ndarray:
+        if self._array is None:
+            self._array = np.empty(self.shape)
+        return self._array
+
+
+def _kept(key, arrays, build, keep=None, out=None):
     """:meth:`_StepMemo.product` in the open memo; outside one,
     ``build(out)``."""
     memo = _MEMO.get()
     if memo is None:
         return build(out)
-    return memo.product(key, arrays, build, reads, out, shape)
+    return memo.product(key, arrays, build, keep, out)
 
 
 def _read_only(source: dict) -> dict:
@@ -714,10 +696,9 @@ def _sum_terms(terms, values, flip, out):
     for term in terms:
         into = total if acc is None else scratch
         if kept and id(term) in kept:
-            shape, reads = kept[id(term)]
             value = memo.product(
                 ("term", id(term)), [values[b] for b in term.blocks()],
-                lambda out: _eval_term(term, values, out), reads, into, shape)
+                lambda out: _eval_term(term, values, out), kept[id(term)], into)
         else:
             value = _eval_term(term, values, into)
         acc = _accumulate(acc, flip * term.sign, value, total)
@@ -790,36 +771,6 @@ class _Scratch:
                 flat.append(np.empty(n))
             out.append(flat[k].reshape(shape))
         return out
-
-
-def _first_count(arrays) -> int:
-    for a in arrays:
-        return sys.getrefcount(a)
-
-
-# The count _output reads, in the same kind of loop, for an array that only
-# its list holds; read here, so that it does not hang on how the
-# interpreter counts its own references.
-_ALONE = _first_count([np.empty(0)])
-
-
-def _output(kept: list, shape) -> np.ndarray:
-    """A float array of ``shape`` for a value that a step returns or keeps:
-    the first of ``kept`` that nothing but ``kept`` holds, else a new one,
-    which ``kept`` takes while it holds fewer than two.
-
-    Whatever holds an array, a state, a view of it or a memoryview, keeps it
-    from being handed out again, so a kept state never changes; once a
-    caller drops an old state, a later step writes into its arrays instead
-    of allocating, and glibc has no freed array to hand back to the kernel
-    and fault in again."""
-    for a in kept:
-        if sys.getrefcount(a) == _ALONE:
-            return a
-    a = np.empty(shape)
-    if len(kept) < 2:
-        kept.append(a)
-    return a
 
 
 class _Piece:
@@ -1065,20 +1016,16 @@ class FrozenLinearForm:
             off = _zeros(self.plan.eq_shapes[eq_id], None if out is None else out[0])
         return off
 
-    def target(self, eq_id, multipliers, rho, reads, out=None):
+    def target(self, eq_id, multipliers, rho, keep, out=None):
         """rho * offset_for(eq_id) - W, W the equation's multiplier: what
         the image of the focus is fitted to in its subproblem, scaled by
-        rho, for an equation whose target ``reads`` foci read at the same
-        values.  ``out`` is a (sum, term) pair for the offset, as for
-        ``offset_for``.
-
-        Inside :func:`step_memo` the target is kept, handed out read-only
-        and dropped at its last read, when the memo holds W and every value
-        the equation's other terms read: another focus of the equation,
-        frozen at the same values, reads it instead of building it again
-        (the other terms are the same, as different ones would read
-        different blocks).  Every other call builds it into ``out``'s sum
-        array, or a new one without ``out``.
+        rho.  ``out`` is a (sum, term) pair for the offset, as for
+        ``offset_for``, and the target is built into its sum, or a new
+        array without it.  Inside :func:`step_memo`, when the memo holds W
+        and every value the equation's other terms read, the target is
+        built into the array of ``keep``'s :class:`_Slot` instead, kept
+        read-only for the other foci of the equation frozen at the same
+        values, and dropped at the last of ``keep``'s reads.
         """
 
         def build(into):
@@ -1087,8 +1034,8 @@ class FrozenLinearForm:
             return target
 
         return _kept(self._target_key(eq_id, rho, None),
-                     [multipliers[eq_id], *self._offset_values(eq_id)], build, reads,
-                     None if out is None else out[0], self.plan.eq_shapes[eq_id])
+                     [multipliers[eq_id], *self._offset_values(eq_id)], build, keep,
+                     None if out is None else out[0])
 
     def conv_target(self, piece, multipliers, rho):
         """``(target, its rfft2)`` for a convolution piece, where target =

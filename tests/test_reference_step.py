@@ -197,6 +197,7 @@ def test_step_matches_a_dense_reference_step(n, data):
                         data.draw(st.floats(0.5, 4.0)))
     for _ in range(STEPS):
         point, mults, L, primal, stat, steps = _reference_step(problem, descs, state)
+        old = state
         state, trace = step(problem, state)
         for b, v in point.items():
             _close(state.assignment[b], v, f"block {b.name}")
@@ -206,5 +207,19 @@ def test_step_matches_a_dense_reference_step(n, data):
                                  ("stat_est", trace.stat_est, stat)):
             _close(got, want, label)
         assert trace.block_steps.keys() == steps.keys()
-        for name, v in steps.items():
-            _close(trace.block_steps[name], v, f"step of {name}")
+        for b, v in point.items():
+            _step_agrees(trace.block_steps[b.name], steps[b.name], old.assignment[b],
+                         state.assignment[b], v, b.name)
+
+
+def _step_agrees(got, want, old, new, ref, name):
+    """The library's step of a block is the norm of its own move, and the
+    reference's differs from it by at most the gap between the two new
+    values: both are distances from the same old value, so the triangle
+    inequality bounds |got - want| by ||new - ref||.  Each norm is
+    correctly rounded to a few ulps, hence the relative allowance."""
+    moved = float(np.linalg.norm(np.ravel(new - old)))
+    assert abs(got - moved) <= 1e-12 * moved, f"step of {name}: {got} != {moved}"
+    gap = float(np.linalg.norm(np.ravel(new) - np.ravel(ref)))
+    assert abs(got - want) <= gap + 1e-12 * (got + want + gap), \
+        f"step of {name}: {got} and {want} differ by more than the values' gap {gap}"

@@ -1148,8 +1148,9 @@ def test_cg_units_step_to_the_dense_normal_equations():
 
 @pytest.mark.parametrize("name", zoo.zoo_names())
 def test_step_never_writes_into_its_inputs(name):
-    # The old state shares its arrays with the new one, so every in-place
-    # rewrite in a step must write only into arrays the step made.
+    # A step rewrites in place only its scratch, its memo's slots and the
+    # arrays of a state given up as ``out``: never the state it steps
+    # from, and never an array that a public call hands back.
     from madmm.solver import _stationarity
     from madmm.system import _block_adjoints, _checked_values, freeze
 
@@ -1212,6 +1213,168 @@ def test_no_kept_state_aliases_the_step_scratch(name):
     _, plain, _ = solve(problem, max_iter=6, init=inst.init)
     _, checked, _ = solve(problem, max_iter=6, init=inst.init, assert_level="basic")
     assert [(t.L, t.primal_res) for t in plain] == [(t.L, t.primal_res) for t in checked]
+
+
+def _views(state):
+    """Views of each of the state's arrays, with the bytes each shows now."""
+    arrays = [*state.assignment.values(), *state.multipliers.values()]
+    views = [v for a in arrays for v in (a[1:], a.T, np.asarray(memoryview(a)))]
+    return views, [v.tobytes() for v in views]
+
+
+@pytest.mark.parametrize("name", ["nmf3", "rpca2", "rp2", "sbd1"])
+def test_held_states_and_their_views_never_change(name):
+    # A step writes only into the arrays of a state given up as ``out``:
+    # every state a caller holds, and every view of its arrays, keeps its
+    # bytes across solves at each assert level, which give up states of
+    # their own, and across public steps with and without ``out``.
+    inst = zoo.default_instance(name, 0)
+    problem = inst.problem
+    held = []
+
+    def hold(state):
+        held.append((state, _state_bytes(state), *_views(state)))
+        return state
+
+    first = hold(solve(problem, max_iter=4, init=inst.init)[0])
+    for level in ("none", "basic", "strict"):
+        hold(solve(problem, max_iter=6, init=first.assignment, assert_level=level)[0])
+    state = hold(step(problem, first)[0])
+    spare = step(problem, state)[0]
+    state = hold(step(problem, state, out=spare)[0])
+    hold(step(problem, state, out=step(problem, state)[0])[0])
+    for state, want, views, bytes_ in held:
+        assert _state_bytes(state) == want
+        assert [v.tobytes() for v in views] == bytes_
+
+
+def test_traces_match_across_assert_levels():
+    # The checks read the previous state after each step, so solve gives up
+    # the state from three steps back instead of two there; the iterates
+    # are the same to the bit.
+    for name in ("nmf3", "rpca2", "sbd0"):
+        inst = zoo.default_instance(name, 0)
+        runs = [solve(inst.problem, max_iter=8, init=inst.init, assert_level=level)
+                for level in ("none", "basic", "strict")]
+        states = [_state_bytes(state) for state, _, _ in runs]
+        traces = [[_trace_values(t) for t in traces] for _, traces, _ in runs]
+        assert states[0] == states[1] == states[2], name
+        assert traces[0] == traces[1] == traces[2], name
+
+
+def test_solve_and_the_probe_never_write_into_what_they_start_from(monkeypatch):
+    # sbd0 starts from its init and probes rho; rpca2 probes from a draw.
+    # Neither an init array nor the probe's base changes, and no state
+    # solve returns holds one of them.
+    import madmm.solver as solver_mod
+
+    for name in ("sbd0", "rpca2"):
+        inst = zoo.default_instance(name, 0)
+        init = {key: np.array(v, dtype=float) for key, v in (inst.init or {}).items()}
+        before = {key: v.tobytes() for key, v in init.items()}
+        bases, real = [], solver_mod._probe_ok
+
+        def probe(problem, base, rho, *args, real=real):
+            held = {b: v.tobytes() for b, v in base.items()}
+            ok = real(problem, base, rho, *args)
+            bases.append({b: v.tobytes() for b, v in base.items()} == held)
+            return ok
+
+        monkeypatch.setattr(solver_mod, "_probe_ok", probe)
+        state, _, _ = solve(inst.problem, max_iter=8, init=init or None)
+        assert bases and all(bases), name
+        assert {key: v.tobytes() for key, v in init.items()} == before
+        assert not any(np.shares_memory(v, a) for v in init.values()
+                       for a in state.assignment.values())
+
+
+def _nmf_spares():
+    """A small nmf3 problem, a state to step from and a spare to give up."""
+    problem = zoo.nmf3(zoo.gen_nmf_data(6, 5, 2, seed=0)[0], 2).problem
+    state, _, _ = solve(problem, max_iter=3)
+    return problem, state, step(problem, state)[0]
+
+
+def test_a_given_up_state_is_written_into_and_left_empty():
+    # The new multipliers and the diagonal path's lone blocks go into the
+    # spare's arrays; its other arrays are released, and reading the spare
+    # raises KeyError rather than show overwritten values.  The bits are
+    # those of a step without out.
+    problem, state, spare = _nmf_spares()
+    z = problem._resolve("Z")
+    mults, zs = dict(spare.multipliers), spare.assignment[z]
+    want, tr_want = step(problem, state)
+    got, tr_got = step(problem, state, out=spare)
+    assert _state_bytes(got) == _state_bytes(want)
+    assert _trace_values(tr_got) == _trace_values(tr_want)
+    assert all(np.shares_memory(got.multipliers[e], w) for e, w in mults.items())
+    assert np.shares_memory(got.assignment[z], zs)
+    assert spare.assignment == {} and spare.multipliers == {}
+    with pytest.raises(KeyError):
+        spare.assignment[z]
+    with pytest.raises(KeyError):
+        spare.multipliers[0]
+    # A spare with no arrays only allocates.
+    assert _state_bytes(step(problem, state, out=SolverState({}, {}, 1.0))[0]) \
+        == _state_bytes(want)
+
+
+def test_step_refuses_a_destination_it_cannot_own():
+    problem, state, _ = _nmf_spares()
+    z = problem._resolve("Z")
+    z_shape = z.shape
+
+    def refused(error, match, assignment=None, multipliers=None):
+        out = SolverState(dict(assignment or {}), dict(multipliers or {}), 1.0)
+        before = (dict(out.assignment), dict(out.multipliers))
+        with pytest.raises(error, match=match) as info:
+            step(problem, state, out=out)
+        assert (out.assignment, out.multipliers) == before  # a refusal keeps out
+        return info.value
+
+    before = _state_bytes(state)
+    with pytest.raises(ValueError, match="other than the one stepped from"):
+        step(problem, state, out=state)
+    for out in (SolverState(state.assignment, {}, 1.0),
+                SolverState({}, state.multipliers, 1.0)):
+        with pytest.raises(ValueError, match="other than the one stepped from"):
+            step(problem, state, out=out)
+    # Memory that a value of the state uses, in any form.
+    refused(ValueError, "multiplier 0 may share memory",
+            multipliers={0: state.multipliers[0]})
+    refused(ValueError, "block 'Z' may share memory",
+            assignment={z: state.assignment[z].view()})
+    refused(ValueError, "block 'Z' may share memory",
+            assignment={z: np.frombuffer(state.assignment[z]).reshape(z_shape)})
+    # A state value that no array owns, here read through a memoryview.
+    own = np.array(state.assignment[z])
+    viewed = SolverState({**state.assignment, z: np.asarray(memoryview(own))},
+                         state.multipliers, state.rho)
+    with pytest.raises(ValueError, match="block 'Z' may share memory"):
+        step(problem, viewed, out=SolverState({z: own}, {}, 1.0))
+    # Two arrays of out on one memory.
+    shared = np.empty(z_shape)
+    refused(ValueError, "block 'Z' may share memory with .* another array of out",
+            assignment={z: shared}, multipliers={0: shared})
+    # Disjoint halves of one array are two destinations.
+    halves = np.empty((2, *z_shape))
+    got, _ = step(problem, state, out=SolverState({z: halves[1]}, {0: halves[0]}, 1.0))
+    assert _state_bytes(got) == _state_bytes(step(problem, state)[0])
+    assert np.shares_memory(got.multipliers[0], halves[0])
+    # Shapes and kinds.
+    err = refused(ShapeMismatchError, "multiplier 0 has shape",
+                  multipliers={0: np.empty((2, 2))})
+    assert err.eq_id == 0
+    err = refused(ShapeMismatchError, "block 'Z' has shape",
+                  assignment={z: np.empty((1, 1))})
+    assert err.block == "Z"
+    frozen = np.empty(z_shape)
+    frozen.flags.writeable = False
+    for bad in (frozen, np.empty(z_shape, dtype=np.float32), np.empty(z_shape[::-1]).T,
+                [[0.0] * z_shape[1]] * z_shape[0]):
+        refused(ValueError, "block 'Z' is not a writeable C-contiguous float array",
+                assignment={z: bad})
+    assert _state_bytes(state) == before
 
 
 def _keep_every_product(monkeypatch):
@@ -1348,9 +1511,12 @@ def test_steady_nmf_step_forms_each_repeated_product_once(monkeypatch):
     assert counts["chain of 2"] == 1
     assert counts["residual"] == 1
     assert counts["offset 0"] == 2
-    # The kept target and X Y live one after another in one array of the
-    # Problem's.
-    assert [len(arrays) for arrays in problem._kept.values()] == [1]
+    # The kept target and X Y each live in one Z-sized array of the
+    # Problem's: the slot of each kept item.
+    slots = {id(s): s for _, s in problem._kept_terms.values()}
+    slots.update((id(s), s) for _, plan in problem._units if plan is not None
+                 for _, s in plan.shared.values())
+    assert [s._array.shape for s in slots.values()] == [(n, n)] * 2
 
 
 def test_quadratic_residual_outside_a_step_is_written_into_the_scratch():
@@ -1397,26 +1563,51 @@ def test_a_step_opens_no_memo_where_nothing_recurs(monkeypatch):
         step(inst.problem, solve(inst.problem, max_iter=0, init=inst.init)[0])
 
 
-def test_steady_nmf_step_faults_in_no_pages():
+def test_steady_nmf_step_faults_in_no_pages(monkeypatch):
     # The step's temporaries live in scratch its Problem reuses, and its new
-    # values go into the arrays of states nothing holds any more, so a
-    # steady 300^2 step gives glibc no freed array to trim and fault in
-    # again (253.5 minor faults per step when every step allocated them).
+    # Z and multipliers go into the arrays of the state from two steps
+    # back, given up as ``out``, so a steady 300^2 step gives glibc no
+    # freed array to trim and fault in again (253.5 minor faults per step
+    # when every step allocated them).  solve gives up its states the same
+    # way.
     resource = pytest.importorskip("resource", reason="needs ru_minflt")
     import platform
 
+    import madmm.solver as solver_mod
+
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("the fault count depends on glibc's heap trimming")
+
+    def minflt():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
     B, _, _ = zoo.gen_nmf_data(300, 300, 10, seed=0)
     problem = zoo.nmf3(B, 10).problem
     state, _, _ = solve(problem, max_iter=0)  # the certified rho
+    done = []
     for _ in range(10):
-        state, _ = step(problem, state)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        state, _ = step(problem, state, out=done.pop(0) if len(done) == 2 else None)
+        done.append(state)
+    before = minflt()
     for _ in range(30):
-        state, _ = step(problem, state)
-    faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30
+        state, _ = step(problem, state, out=done.pop(0))
+        done.append(state)
+    faults = (minflt() - before) / 30
     assert faults <= 20, f"{faults} minor page faults per step"
+    # The same count for each step inside solve, read around the step alone.
+    counts, real = [], solver_mod.step
+
+    def counted(*args, **kwargs):
+        start = minflt()
+        try:
+            return real(*args, **kwargs)
+        finally:
+            counts.append(minflt() - start)
+
+    monkeypatch.setattr(solver_mod, "step", counted)
+    solve(problem, max_iter=40)
+    faults = sum(counts[-30:]) / 30
+    assert faults <= 20, f"{faults} minor page faults per step inside solve"
 
 
 def test_dense_step_allocation_budget():

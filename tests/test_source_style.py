@@ -9,7 +9,8 @@ columns in ``src/madmm``.  ``__init__.py`` imports only to re-export, so it
 is exempt from the unused checks; its imports are what names the public
 API.  Only the step memo's helpers in ``system.py`` may hold a context
 variable or mark an array read-only.  No class defines ``__hash__`` or
-``__eq__``, and no term type calls ``_value_of``."""
+``__eq__``, no term type calls ``_value_of``, and nothing reads a reference
+count."""
 
 import ast
 from pathlib import Path
@@ -189,6 +190,16 @@ def test_keys_hash_in_c_and_terms_read_checked_values(path):
                     and isinstance(n, ast.Name) and n.id == "_value_of"):
                 problems.append(f"{path.name}:{n.lineno}: _value_of in {top.name}")
     assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("path", SRC, ids=lambda p: p.name)
+def test_no_reference_counts(path):
+    # The caller of a step names the arrays it may overwrite (``out``); a
+    # reference count, which CPython does not promise to keep, says nothing.
+    lines = [f"{path.name}:{i}: {line.strip()}"
+             for i, line in enumerate(path.read_text().splitlines(), 1)
+             if "getrefcount" in line]
+    assert not lines, "\n".join(lines)
 
 
 def test_public_names_are_sorted_and_are_the_imports_of_init():

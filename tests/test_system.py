@@ -25,7 +25,7 @@ from madmm import (BlockId, BuildError, Constant, Conv2D, DenseOp, DiagExtract,
 from madmm import prox, solver, zoo
 from madmm.operators import LinearOp
 from madmm.prox import Quadratic
-from madmm.system import (_BLOCK_IDS, _ConvKernelPiece, _ConvSignalPiece,
+from madmm.system import (_BLOCK_IDS, _ConvKernelPiece, _ConvSignalPiece, _Slot,
                           _block_adjoints, _checked_values, _constant_part,
                           _term_index, step_memo)
 
@@ -393,15 +393,17 @@ def test_unkept_targets_and_terms_are_built_into_the_callers_arrays(monkeypatch)
 
     monkeypatch.setattr(MatChain, "unsigned", unsigned)
     pair = (np.empty((6, 5)), np.empty((6, 5)))
-    for memo in (None, step_memo({}, terms={id(chain): ((6, 5), 2)})):
+    keep = (2, _Slot((6, 5)))
+    for memo in (None, step_memo({}, terms={id(chain): keep})):
         with memo or nullcontext():
             outs.clear()
-            got = form.target(0, mults, 2.0, 2, out=pair)
+            got = form.target(0, mults, 2.0, keep, out=pair)
             assert got is pair[0] and got.tobytes() == want.tobytes()
             assert len(outs) == 1 and outs[0] is pair[0]
             outs.clear()
             assert evaluate(system, point, out=[pair])[0] is pair[0]
             assert len(outs) == 1 and outs[0] is pair[0]
+    assert keep[1]._array is None  # the slot's array is taken on first use only
 
 
 def test_spectrum_memo_drops_arrays_no_longer_held():
@@ -1294,28 +1296,6 @@ def test_sums_fold_signs_and_write_no_input(name):
 
 def _positive_zero(a) -> bool:
     return not np.any(a) and not np.any(np.signbit(a))
-
-
-def test_an_output_is_handed_out_again_only_once_nothing_holds_it():
-    # A step takes its new values from system._output, which may hand out
-    # an array of an old state again; anything that still reaches that
-    # array, the array itself, a view or a memoryview, must keep it.
-    from madmm.system import _output
-
-    kept = []
-    first = _output(kept, (2, 3))
-    second = _output(kept, (2, 3))
-    assert second is not first and kept == [first, second]
-    for hold in (lambda a: a, lambda a: a[1:], memoryview):
-        holder = hold(first)
-        del first
-        third = _output(kept, (2, 3))
-        assert all(third is not a for a in kept) and len(kept) == 2
-        del holder
-        first = _output(kept, (2, 3))
-        assert first is kept[0]
-    del second
-    assert _output(kept, (2, 3)) is kept[1]
 
 
 def test_sums_turn_a_first_negative_zero_into_positive_zero():
